@@ -76,8 +76,13 @@ class TemperatureProductKernel:
         mols_a, t_a = self._split(keys_a)
         mols_b, t_b = self._split(keys_b)
         kmol = self.molecule_provider.block(mols_a, mols_b)
-        dt = t_a[:, None] - t_b[None, :]
-        return kmol * np.exp(-(dt * dt) / (2.0 * self.length_scale**2))
+        # in place: one temporary instead of four on row-level blocks
+        w = t_a[:, None] - t_b[None, :]
+        np.multiply(w, w, out=w)
+        np.negative(w, out=w)
+        np.divide(w, 2.0 * self.length_scale**2, out=w)
+        np.exp(w, out=w)
+        return np.multiply(kmol, w, out=w)
 
     def diag(self, keys: Sequence) -> np.ndarray:
         mols, _ = self._split(keys)

@@ -10,15 +10,31 @@ infinite walk-length sum is the fixed point of
               p_t(u|v) p_t(u'|v') K_v(u,u') K_e(e_vu, e_v'u') R(u,u')
 
 with p_t(u|v) = (1-q)/degree(v), and the raw kernel is
-sum_{v,v'} start_weight^2 K_v(v,v') R(v,v'). The map is a contraction with
-factor at most (1-q)^2, so Jacobi iteration converges for any q in (0,1).
+sum_{v,v'} start_weight^2 K_v(v,v') R(v,v').
+
+Writing S = K_v * R (elementwise) and multiplying through by the degrees
+turns the fixed point into one symmetric positive-definite system on the
+product graph,
+
+    (D_x / K_v) * S - (1-q)^2 sum_t w_t A1_t S A2_t = q^2 D_x,
+
+with D_x = d1 d2^T (degrees clamped to at least 1, so an isolated vertex
+gives R = q^2) and A the 0/1 adjacency matrices. The bond kernel
+K_e = delta + (1-delta)[o1 = o2] enters as weights: delta A1 S A2 plus one
+(1-delta) A1^o S A2^o term per bond order o the graphs share, which for
+alkanes (all single bonds) is the single product A1 S A2. The raw kernel
+is start_weight^2 sum(S).
+
+The system is solved by Jacobi-preconditioned conjugate gradient, as in
+the CG methods for random-walk kernels (Vishwanathan et al., "Graph
+Kernels", JMLR 2010) and GraphDot's solver (Tang & de Jong, J. Chem. Phys.
+2019). Pairs of one shape are stacked, but step sizes, residuals and the
+stop test are per pair: a pair stops when its preconditioned residual
+falls to ``fp_tolerance`` times that of the right-hand side, so its value
+is bitwise independent of the pairs batched with it and of request order.
 
 Normalization divides by the geometric mean of the self-kernels and, when a
 finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale.
-
-For alkanes (uniform single bonds) the iteration factorizes into per-graph
-transition matrices, letting many pairs be solved in one stacked numpy
-contraction. Mixed bond orders fall back to a dense product-space matrix.
 """
 
 from __future__ import annotations
@@ -27,22 +43,26 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .molspace import Atom, Bond, GraphError, MolecularGraph, to_canonical_smiles
 
-# Pairs per stacked fixed-point solve; caps working memory at roughly
-# chunk * max_atoms^2 * 8 bytes per array.
-_BATCH_CHUNK = 16384
+# Product-graph vertices (pairs x n1 x n2) per stacked solve; caps the
+# working memory at about this many doubles per array.
+_CHUNK_ENTRIES = 16384
+
+_T = TypeVar("_T")
 
 _CACHE_MAGIC = "alkspace-kernel-cache"
-_CACHE_VERSION = 1
+# 2: values from the conjugate-gradient solver, whose fp_tolerance is a
+# relative residual; files written by the earlier fixed-point solver differ.
+_CACHE_VERSION = 2
 
 
 class KernelConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance within the cap."""
+    """A pair's solve failed to reach tolerance within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,8 @@ class MgkHyperparameters:
     the scale). The ``delta_*`` values are the off-diagonal returns of the
     Kronecker-delta comparators for element, heavy degree and bond order.
     ``lambda_`` scales the self-kernel-mismatch damping (infinite disables
-    it). ``fp_tolerance`` and ``fp_max_iters`` control the fixed point.
+    it). ``fp_tolerance`` is the relative residual at which a pair's solve
+    stops, and ``fp_max_iters`` caps its conjugate-gradient iterations.
     """
 
     q: float = 0.05
@@ -145,139 +166,184 @@ def edge_kernel(e1: Bond, e2: Bond, p: MgkHyperparameters) -> float:
 class _GraphArrays:
     """Per-graph arrays reused across all pairs involving the graph."""
 
-    __slots__ = ("n", "elements", "degrees", "trans", "uniform_order", "orders")
+    __slots__ = ("n", "elements", "degrees", "orders", "adjacency")
 
-    def __init__(self, g: MolecularGraph, q: float):
+    def __init__(self, g: MolecularGraph):
         n = len(g.vertices)
         if n == 0:
             raise GraphError("kernel requires a non-empty graph")
         self.n = n
         self.elements = np.array([a.element for a in g.vertices], dtype="U4")
         self.degrees = np.array([len(nb) for nb in g.adjacency], dtype=np.int64)
-        trans = np.zeros((n, n))
-        for v, nbs in enumerate(g.adjacency):
-            if nbs:
-                w = (1.0 - q) / len(nbs)
-                for u in nbs:
-                    trans[v, u] = w
-        self.trans = trans
-        self.orders = {b.endpoints: b.order for b in g.edges}
-        distinct = {b.order for b in g.edges}
-        # None: no edges; -1: mixed orders (dense path); else the shared order.
-        if not distinct:
-            self.uniform_order = None
-        elif len(distinct) == 1:
-            self.uniform_order = distinct.pop()
-        else:
-            self.uniform_order = -1
+        self.orders = tuple(sorted({b.order for b in g.edges}))
+        # 0/1 adjacency over all bonds (key None) and over each bond order
+        self.adjacency = {o: np.zeros((n, n)) for o in (None, *self.orders)}
+        for b in g.edges:
+            i, j = b.endpoints
+            for o in (None, b.order):
+                self.adjacency[o][i, j] = self.adjacency[o][j, i] = 1.0
 
 
-def _vertex_matrix(
-    a: _GraphArrays, b: _GraphArrays, p: MgkHyperparameters
-) -> np.ndarray:
-    elem = np.where(a.elements[:, None] == b.elements[None, :], 1.0, p.delta_element)
-    deg = np.where(a.degrees[:, None] == b.degrees[None, :], 1.0, p.delta_degree)
-    return elem * deg
+def _edge_terms(
+    orders_a: tuple[int, ...], orders_b: tuple[int, ...], delta: float
+) -> list[tuple[float, int | None]]:
+    """Weighted adjacency products that make up the bond kernel.
 
-
-def _edge_constant(a: _GraphArrays, b: _GraphArrays, p: MgkHyperparameters) -> float:
-    if a.uniform_order is None or b.uniform_order is None:
-        return 1.0  # no edges on one side; the walk sum has no edge factors
-    return 1.0 if a.uniform_order == b.uniform_order else p.delta_bond_order
-
-
-def _solve_factored_batch(
-    tr1: np.ndarray,
-    kv: np.ndarray,
-    tr2t: np.ndarray,
-    edge_c: np.ndarray,
-    p: MgkHyperparameters,
-) -> np.ndarray:
-    """Jacobi iteration on a stack of same-shape pairs at once.
-
-    tr1: (k,n1,n1) transition matrices; kv: (k,n1,n2) vertex kernels;
-    tr2t: (k,n2,n2) transposed transitions; edge_c: (k,1,1) edge constants.
+    k_e = delta + (1-delta)[o1 = o2] is delta over all bond pairs plus
+    (1-delta) over the pairs of each shared order; each term names the
+    order both adjacencies are restricted to (None: all bonds). Two graphs
+    of one common order need only the unit-weight product of full
+    adjacencies.
     """
-    base = p.q * p.q
-    R = np.zeros_like(kv)
-    for _ in range(p.fp_max_iters):
-        nxt = base + edge_c * (tr1 @ (kv * R) @ tr2t)
-        delta = float(np.max(np.abs(nxt - R)))
-        R = nxt
-        if delta < p.fp_tolerance:
-            return R
+    if not orders_a or not orders_b:
+        return []
+    if len(orders_a) == 1 and orders_a == orders_b:
+        return [(1.0, None)]
+    return [(delta, None)] + [(1.0 - delta, o) for o in orders_a if o in orders_b]
+
+
+def _distinct(items: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
+    """Distinct items in first-seen order, and each entry's position among them."""
+    first: dict[_T, int] = {}
+    index = np.fromiter(
+        (first.setdefault(x, len(first)) for x in items), np.intp, len(items)
+    )
+    return list(first), index
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pair inner products of two (k, n1, n2) stacks."""
+    return np.einsum("kij,kij->k", a, b)
+
+
+def _pcg(
+    left: list[np.ndarray],
+    right: list[np.ndarray],
+    diag: np.ndarray,
+    rhs: np.ndarray,
+    p: MgkHyperparameters,
+) -> np.ndarray:
+    """Per-pair sums of S solving diag*S - sum_t left_t S right_t = rhs.
+
+    Jacobi-preconditioned conjugate gradient on a (k, n1, n2) stack. Step
+    sizes, residuals and the stop test are per pair: a pair is finished
+    once <r, r/diag> falls to fp_tolerance^2 times <rhs, rhs/diag>, and its
+    sum is taken at that step. Finished pairs leave the stack once they
+    are a quarter of it; until then their slices run on without touching
+    the others, so no pair's result depends on its companions.
+    """
+    k = len(rhs)
+    out = np.empty(k)
+    live = np.arange(k)
+    pending = np.ones(k, dtype=bool)
+    total = np.zeros(k)
+    minv = 1.0 / diag
+    r = rhs.copy()
+    z = minv * r
+    d = z.copy()
+    ad = np.empty_like(d)
+    rz = _dot(r, z)
+    stop = p.fp_tolerance**2 * rz
+    # a finished slice that reaches an exact zero residual divides 0 by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(p.fp_max_iters):
+            np.multiply(diag, d, out=ad)
+            for lt, rt in zip(left, right):
+                ad -= lt @ d @ rt
+            alpha = rz / _dot(d, ad)
+            total += alpha * np.einsum("kij->k", d)
+            ad *= alpha[:, None, None]
+            r -= ad
+            np.multiply(minv, r, out=z)
+            rz_next = _dot(r, z)
+            done = pending & (rz_next <= stop)
+            if done.any():
+                out[live[done]] = total[done]
+                pending &= ~done
+                remaining = np.count_nonzero(pending)
+                if remaining == 0:
+                    return out
+                if 4 * remaining <= 3 * len(pending):
+                    keep = pending
+                    live, pending, total, stop, rz, rz_next = (
+                        a[keep] for a in (live, pending, total, stop, rz, rz_next)
+                    )
+                    r, z, d, diag, minv = (a[keep] for a in (r, z, d, diag, minv))
+                    ad = np.empty_like(d)
+                    left = [a[keep] for a in left]
+                    right = [a[keep] for a in right]
+            d *= (rz_next / rz)[:, None, None]
+            d += z
+            rz = rz_next
     raise KernelConvergenceError(
         f"no convergence in {p.fp_max_iters} iterations "
         f"(q={p.q}, tolerance={p.fp_tolerance})"
     )
 
 
-def _solve_dense_pair(
-    g1: MolecularGraph,
-    g2: MolecularGraph,
-    a: _GraphArrays,
-    b: _GraphArrays,
+def _solve_group(
+    pairs: Sequence[tuple[_GraphArrays, _GraphArrays]],
+    terms: list[tuple[float, int | None]],
     p: MgkHyperparameters,
-) -> float:
-    """Product-space iteration with per-edge-pair kernels (mixed bond orders)."""
-    kv = _vertex_matrix(a, b, p)
-    n1, n2 = a.n, b.n
-    m = n1 * n2
-    T = np.zeros((m, m))
-    for v in range(n1):
-        for u in g1.adjacency[v]:
-            o1 = a.orders[(u, v) if u < v else (v, u)]
-            w1 = a.trans[v, u]
-            for vp in range(n2):
-                for up in g2.adjacency[vp]:
-                    o2 = b.orders[(up, vp) if up < vp else (vp, up)]
-                    ke = 1.0 if o1 == o2 else p.delta_bond_order
-                    T[v * n2 + vp, u * n2 + up] = w1 * b.trans[vp, up] * kv[u, up] * ke
-    base = p.q * p.q
-    r = np.zeros(m)
-    for _ in range(p.fp_max_iters):
-        nxt = base + T @ r
-        delta = float(np.max(np.abs(nxt - r)))
-        r = nxt
-        if delta < p.fp_tolerance:
-            sw = p.start_weight
-            return float(sw * sw * (kv.reshape(-1) @ r))
-    raise KernelConvergenceError(
-        f"no convergence in {p.fp_max_iters} iterations "
-        f"(q={p.q}, tolerance={p.fp_tolerance})"
-    )
+) -> np.ndarray:
+    """Raw values of same-shape pairs sharing one list of bond terms.
+
+    Per-pair inputs are gathered from per-graph tables, one chunk of at
+    most _CHUNK_ENTRIES product-graph vertices at a time.
+    """
+    graphs_a, ia = _distinct([a for a, _ in pairs])
+    graphs_b, ib = _distinct([b for _, b in pairs])
+    n1, n2 = graphs_a[0].n, graphs_b[0].n
+    ea = np.stack([g.elements for g in graphs_a])
+    eb = np.stack([g.elements for g in graphs_b])
+    da = np.stack([g.degrees for g in graphs_a])
+    db = np.stack([g.degrees for g in graphs_b])
+    fa = np.maximum(da, 1).astype(float)
+    fb = np.maximum(db, 1).astype(float)
+    scale = (1.0 - p.q) ** 2
+    left = [scale * w * np.stack([g.adjacency[o] for g in graphs_a]) for w, o in terms]
+    right = [np.stack([g.adjacency[o] for g in graphs_b]) for _, o in terms]
+    q2 = p.q * p.q
+    sw2 = p.start_weight**2
+    step = max(1, _CHUNK_ENTRIES // (n1 * n2))
+    out = np.empty(len(pairs))
+    for lo in range(0, len(pairs), step):
+        xa, xb = ia[lo : lo + step], ib[lo : lo + step]
+        kv = np.where(ea[xa][:, :, None] == eb[xb][:, None, :], 1.0, p.delta_element)
+        kv *= np.where(da[xa][:, :, None] == db[xb][:, None, :], 1.0, p.delta_degree)
+        dx = fa[xa][:, :, None] * fb[xb][:, None, :]
+        sums = _pcg(
+            [a[xa] for a in left], [b[xb] for b in right], dx / kv, q2 * dx, p
+        )
+        out[lo : lo + step] = sw2 * sums
+    return out
 
 
-def _raw_pair(
-    g1: MolecularGraph,
-    g2: MolecularGraph,
-    a: _GraphArrays,
-    b: _GraphArrays,
-    p: MgkHyperparameters,
-) -> float:
-    if a.uniform_order == -1 or b.uniform_order == -1:
-        return _solve_dense_pair(g1, g2, a, b, p)
-    kv = _vertex_matrix(a, b, p)
-    ec = np.full((1, 1, 1), _edge_constant(a, b, p))
-    R = _solve_factored_batch(
-        a.trans[None, :, :], kv[None, :, :], b.trans.T[None, :, :], ec, p
-    )
-    sw = p.start_weight
-    return float(sw * sw * np.sum(kv * R[0]))
+def _solve_pairs(
+    pairs: Sequence[tuple[_GraphArrays, _GraphArrays]], p: MgkHyperparameters
+) -> np.ndarray:
+    """Raw kernel values of graph pairs, in request order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        groups.setdefault((a.n, b.n, a.orders, b.orders), []).append(i)
+    out = np.empty(len(pairs))
+    for (_, _, orders_a, orders_b), members in groups.items():
+        terms = _edge_terms(orders_a, orders_b, p.delta_bond_order)
+        out[members] = _solve_group([pairs[i] for i in members], terms, p)
+    return out
 
 
 def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
     """Un-normalized marginalized graph kernel value (non-negative)."""
-    a = _GraphArrays(g1, p.q)
-    b = _GraphArrays(g2, p.q)
-    return _raw_pair(g1, g2, a, b, p)
+    return float(_solve_pairs([(_GraphArrays(g1), _GraphArrays(g2))], p)[0])
 
 
-def _normalize(k12: float, k11: float, k22: float, p: MgkHyperparameters) -> float:
-    out = k12 / math.sqrt(k11 * k22)
+def _normalize(k12, k11, k22, p: MgkHyperparameters):
+    """Normalized values from raw ones; scalars or broadcastable arrays."""
+    out = k12 / np.sqrt(k11 * k22)
     if math.isfinite(p.lambda_):
         d = (k11 - k22) / p.lambda_
-        out *= math.exp(-(d * d))
+        out = out * np.exp(-(d * d))
     return out
 
 
@@ -285,14 +351,12 @@ def mgk_normalized(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters
 ) -> float:
     """Normalized kernel in [0, 1]; exactly 1 for identical inputs."""
-    a = _GraphArrays(g1, p.q)
-    b = _GraphArrays(g2, p.q)
-    k12 = _raw_pair(g1, g2, a, b, p)
-    k11 = _raw_pair(g1, g1, a, a, p)
     if g1 is g2:
         return 1.0
-    k22 = _raw_pair(g2, g2, b, b, p)
-    return _normalize(k12, k11, k22, p)
+    a = _GraphArrays(g1)
+    b = _GraphArrays(g2)
+    k12, k11, k22 = _solve_pairs([(a, b), (a, a), (b, b)], p).tolist()
+    return float(_normalize(k12, k11, k22, p))
 
 
 @dataclass(frozen=True)
@@ -380,7 +444,7 @@ class MgkCalculator:
     def _arrays_for(self, key: str) -> _GraphArrays:
         arr = self._arrays.get(key)
         if arr is None:
-            arr = _GraphArrays(self._graphs[key], self.params.q)
+            arr = _GraphArrays(self._graphs[key])
             self._arrays[key] = arr
         return arr
 
@@ -400,33 +464,33 @@ class MgkCalculator:
         k12 = self.raw(key_a, key_b)
         k11 = self.raw(key_a, key_a)
         k22 = self.raw(key_b, key_b)
-        return _normalize(k12, k11, k22, self.params)
+        return float(_normalize(k12, k11, k22, self.params))
 
     def block(self, keys_a: Sequence[str], keys_b: Sequence[str]) -> np.ndarray:
-        """Normalized kernel block; computes missing raw values in batch."""
-        needed: set[tuple[str, str]] = set()
-        for k in set(keys_a) | set(keys_b):
-            needed.add((k, k))
-        for ka in set(keys_a):
-            for kb in set(keys_b):
-                needed.add((ka, kb) if ka <= kb else (kb, ka))
-        # Sorted work order keeps batch chunking (and thus the exact float
-        # results of the iterated solves) independent of set iteration order.
-        missing = sorted(pair for pair in needed if pair not in self._raw)
+        """Normalized kernel block; computes missing raw values in batch.
+
+        Values are normalized once per distinct pair of keys and then
+        expanded to the requested rows and columns.
+        """
+        ua, rows = _distinct(keys_a)
+        ub, cols = _distinct(keys_b)
+        pairs = [(ka, kb) if ka <= kb else (kb, ka) for ka in ua for kb in ub]
+        raw = self._raw
+        wanted = dict.fromkeys([*pairs, *((k, k) for k in ua), *((k, k) for k in ub)])
+        missing = [pair for pair in wanted if pair not in raw]
         if missing:
             self._compute_pairs(missing)
-        self_k = {k: self._raw[(k, k)] for k in set(keys_a) | set(keys_b)}
-        out = np.empty((len(keys_a), len(keys_b)))
-        for i, ka in enumerate(keys_a):
-            for j, kb in enumerate(keys_b):
-                if ka == kb:
-                    out[i, j] = 1.0
-                else:
-                    pair = (ka, kb) if ka <= kb else (kb, ka)
-                    out[i, j] = _normalize(
-                        self._raw[pair], self_k[ka], self_k[kb], self.params
-                    )
-        return out
+        k12 = np.fromiter(map(raw.__getitem__, pairs), float, len(pairs))
+        k11 = np.array([raw[(k, k)] for k in ua])
+        k22 = np.array([raw[(k, k)] for k in ub])
+        values = _normalize(
+            k12.reshape(len(ua), len(ub)), k11[:, None], k22[None, :], self.params
+        )
+        col = {k: j for j, k in enumerate(ub)}
+        for i, k in enumerate(ua):
+            if k in col:
+                values[i, col[k]] = 1.0
+        return values[np.ix_(rows, cols)]
 
     def diag(self, keys: Sequence[str]) -> np.ndarray:
         return np.ones(len(keys))
@@ -451,38 +515,10 @@ class MgkCalculator:
         return KernelMatrix(values, tuple(keys_a), tuple(keys_b))
 
     def _compute_pairs(self, pairs: Sequence[tuple[str, str]]) -> None:
-        """Batch fixed-point solves grouped by (n_a, n_b) shape."""
-        groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
-        for ka, kb in pairs:
-            a = self._arrays_for(ka)
-            b = self._arrays_for(kb)
-            if a.uniform_order == -1 or b.uniform_order == -1:
-                value = _solve_dense_pair(
-                    self._graphs[ka], self._graphs[kb], a, b, self.params
-                )
-                self._raw[(ka, kb)] = value
-                continue
-            groups.setdefault((a.n, b.n), []).append((ka, kb))
-        sw2 = self.params.start_weight**2
-        for (na, nb), members in groups.items():
-            for lo in range(0, len(members), _BATCH_CHUNK):
-                chunk = members[lo : lo + _BATCH_CHUNK]
-                k = len(chunk)
-                tr1 = np.empty((k, na, na))
-                tr2t = np.empty((k, nb, nb))
-                kv = np.empty((k, na, nb))
-                ec = np.empty((k, 1, 1))
-                for idx, (ka, kb) in enumerate(chunk):
-                    a = self._arrays_for(ka)
-                    b = self._arrays_for(kb)
-                    tr1[idx] = a.trans
-                    tr2t[idx] = b.trans.T
-                    kv[idx] = _vertex_matrix(a, b, self.params)
-                    ec[idx, 0, 0] = _edge_constant(a, b, self.params)
-                R = _solve_factored_batch(tr1, kv, tr2t, ec, self.params)
-                raw = sw2 * np.sum(kv * R, axis=(1, 2))
-                for idx, pair in enumerate(chunk):
-                    self._raw[pair] = float(raw[idx])
+        """Solve and cache the raw values of canonical key pairs."""
+        arrays = [(self._arrays_for(ka), self._arrays_for(kb)) for ka, kb in pairs]
+        values = _solve_pairs(arrays, self.params)
+        self._raw.update(zip(pairs, values.tolist()))
 
     # -- persistence ------------------------------------------------------
 
@@ -502,7 +538,9 @@ class MgkCalculator:
 
         A file written under different hyperparameters (or an unknown
         version) raises ValueError when ``require_match`` is set, and is
-        silently skipped (returns 0) otherwise.
+        silently skipped (returns 0) otherwise. A row without exactly three
+        columns, or whose value is not a finite positive number, raises
+        ValueError naming the file and line, and loads nothing.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -521,11 +559,24 @@ class MgkCalculator:
                     )
                 return 0
             next(reader, None)  # column header
-            count = 0
-            for ka, kb, value in reader:
-                self._raw[(ka, kb)] = float(value)
-                count += 1
-        return count
+
+            def bad_row(problem: str) -> ValueError:
+                return ValueError(f"kernel cache {path!r} line {reader.line_num}: {problem}")
+
+            rows: dict[tuple[str, str], float] = {}
+            for row in reader:
+                if len(row) != 3:
+                    raise bad_row(f"expected 3 columns, got {len(row)}")
+                ka, kb, text = row
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not (math.isfinite(value) and value > 0.0):
+                    raise bad_row(f"value {text!r} is not a finite positive number")
+                rows[(ka, kb)] = value
+        self._raw.update(rows)
+        return len(rows)
 
 
 def kernel_matrix(

@@ -2,16 +2,22 @@
 
 The reference implementations here are deliberately written in plain
 dict/loop style so they share no code path with the production solver:
-``dp_truncated_raw`` iterates the finite-horizon recurrence, and
-``brute_force_raw`` literally enumerates simultaneous walk pairs. The
-brute-force version validates the recurrence on tiny graphs; the
-recurrence then validates the fixed-point solver on real molecules.
+``dp_truncated_raw`` iterates the finite-horizon recurrence,
+``brute_force_raw`` literally enumerates simultaneous walk pairs, and
+``direct_raw`` solves the fixed point densely with ``np.linalg.solve``.
+The brute-force version validates the recurrence on tiny graphs; the
+recurrence and the direct solve then validate the production solver on
+real molecules.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alkspace import mgk
 
 from alkspace.mgk import (
     KernelConvergenceError,
@@ -125,6 +131,26 @@ def brute_force_raw(
                     weight *= 1.0 if o1 == o2 else p.delta_bond_order
                 total += weight * p.q * p.q
     return total
+
+
+def direct_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
+    """Dense solve of the fixed point R = q^2 + W R on the product graph."""
+    n1, n2 = len(g1.vertices), len(g2.vertices)
+    w = np.zeros((n1 * n2, n1 * n2))
+    for v in range(n1):
+        for x in range(n2):
+            for u in g1.adjacency[v]:
+                for y in g2.adjacency[x]:
+                    same = _bond_order(g1, v, u) == _bond_order(g2, x, y)
+                    w[v * n2 + x, u * n2 + y] = (
+                        (1.0 - p.q) ** 2
+                        / (len(g1.adjacency[v]) * len(g2.adjacency[x]))
+                        * vertex_kernel(g1.vertices[u], g2.vertices[y], p)
+                        * (1.0 if same else p.delta_bond_order)
+                    )
+    r = np.linalg.solve(np.eye(n1 * n2) - w, np.full(n1 * n2, p.q * p.q))
+    kv = [vertex_kernel(a, b, p) for a in g1.vertices for b in g2.vertices]
+    return p.start_weight**2 * float(np.dot(kv, r))
 
 
 def truncation_tail_bound(
@@ -255,6 +281,51 @@ def test_mixed_bond_orders_use_dense_path_and_agree():
         assert mgk_raw(g1, g2, FAST_STOP) == pytest.approx(want, abs=1e-8)
 
 
+MIXED_GRAPHS = TINY_GRAPHS + [
+    graph("CCC", [(0, 1, 1), (1, 2, 2)]),
+    graph("CCC", [(0, 1, 2), (1, 2, 2)]),
+    graph("CCCCO", [(0, 1, 1), (1, 2, 2), (2, 3, 3), (1, 4, 1)]),
+    graph("CCCC", [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2)]),  # a ring
+]
+
+
+def test_matches_direct_solve_all_pairs_up_to_c7():
+    mols = enumerate_alkanes(1, 7)
+    for i, g1 in enumerate(mols):
+        for g2 in mols[i:]:
+            want = direct_raw(g1, g2, DEFAULT)
+            assert mgk_raw(g1, g2, DEFAULT) == pytest.approx(want, rel=1e-10)
+
+
+def test_matches_direct_solve_with_mixed_bond_orders():
+    for p in (DEFAULT, FAST_STOP, MgkHyperparameters(delta_bond_order=0.3)):
+        for g1 in MIXED_GRAPHS:
+            for g2 in MIXED_GRAPHS:
+                want = direct_raw(g1, g2, p)
+                assert mgk_raw(g1, g2, p) == pytest.approx(want, rel=1e-10)
+
+
+@st.composite
+def random_trees(draw, max_atoms=10):
+    """Trees of 1..max_atoms atoms with random elements and bond orders."""
+    n = draw(st.integers(1, max_atoms))
+    bonds = [
+        (draw(st.integers(0, i - 1)), i, draw(st.sampled_from([1, 1, 2])))
+        for i in range(1, n)
+    ]
+    elements = "".join(draw(st.sampled_from("CCCN")) for _ in range(n))
+    return graph(elements, bonds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(), random_trees(), st.sampled_from([0.05, 0.2, 0.5]))
+def test_random_trees_match_direct_solve(g1, g2, q):
+    p = MgkHyperparameters(q=q)
+    want = direct_raw(g1, g2, p)
+    assert mgk_raw(g1, g2, p) == pytest.approx(want, rel=1e-10)
+    assert mgk_raw(g2, g1, p) == pytest.approx(want, rel=1e-10)
+
+
 # -- invariance -----------------------------------------------------------------
 
 
@@ -278,6 +349,31 @@ def test_isomorphism_invariance_under_relabeling():
             assert mgk_raw(g, h, DEFAULT) == pytest.approx(base, abs=1e-12)
 
 
+def test_raw_values_independent_of_batch_and_request_order():
+    mols = enumerate_alkanes(4, 9)
+    keys = MgkCalculator(DEFAULT).register(mols)
+    rng = np.random.default_rng(17)
+    targets = [tuple(sorted(rng.choice(keys, size=2, replace=False))) for _ in range(12)]
+    targets += [(k, k) for k in rng.choice(keys, size=3, replace=False)]
+
+    def fresh() -> MgkCalculator:
+        calc = MgkCalculator(DEFAULT)
+        calc.register(mols)
+        return calc
+
+    alone = {pair: fresh().raw(*pair) for pair in targets}
+    graph_of = dict(zip(keys, mols))
+    for (a, b), value in alone.items():
+        assert mgk_raw(graph_of[a], graph_of[b], DEFAULT) == value
+
+    companions = [k for pair in targets for k in pair]
+    companions += list(rng.choice(keys, size=40, replace=False))
+    for order in (keys, keys[::-1], list(rng.permutation(companions))):
+        calc = fresh()
+        calc.block(order, order)
+        assert {pair: calc.raw(*pair) for pair in targets} == alone
+
+
 # -- normalization ---------------------------------------------------------------
 
 
@@ -299,6 +395,15 @@ def test_normalized_bounds_one_iff_isomorphic():
     g = parse_smiles("CCCC(C)C")
     h = _permuted(g, [5, 3, 1, 0, 2, 4])
     assert mgk_normalized(g, h, DEFAULT) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_normalized_self_skips_the_solver(monkeypatch):
+    def boom(pairs, p):
+        raise AssertionError("solved a pair for an identical input")
+
+    monkeypatch.setattr(mgk, "_solve_pairs", boom)
+    g = parse_smiles("CCCC")
+    assert mgk_normalized(g, g, DEFAULT) == 1.0
 
 
 def test_butane_isobutane_strictly_between_zero_and_one():
@@ -412,6 +517,22 @@ def test_rectangular_block_matches_square():
     assert np.array_equal(rect, square.values[:3])
 
 
+def test_block_with_repeated_keys_matches_entrywise_values():
+    mols = enumerate_alkanes(4, 6)
+    calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
+    keys = calc.register(mols)
+    rows = [keys[i] for i in (2, 0, 2, 5, 0)]
+    cols = [keys[i] for i in (1, 1, 3, 2, 0, 5)]
+    got = calc.block(rows, cols)
+    want = np.array([[calc.normalized(a, b) for b in cols] for a in rows])
+    assert got.shape == (len(rows), len(cols))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            if a == b:
+                assert got[i, j] == 1.0
+
+
 def test_kernel_matrix_validation():
     bad = np.array([[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(ValueError):
@@ -453,3 +574,34 @@ def test_cache_hyperparameter_mismatch(tmp_path):
     with pytest.raises(ValueError):
         other.load_cache(path)
     assert other.load_cache(path, require_match=False) == 0
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("CCCC,CCCC", "expected 3 columns, got 2"),
+        ("CCCC,CCCC,0.5,1", "expected 3 columns, got 4"),
+        ("CCCC,CCCC,nan", "'nan' is not a finite positive number"),
+        ("CCCC,CCCC,-inf", "'-inf' is not a finite positive number"),
+        ("CCCC,CCCC,inf", "'inf' is not a finite positive number"),
+        ("CCCC,CCCC,0.0", "'0.0' is not a finite positive number"),
+        ("CCCC,CCCC,-0.25", "'-0.25' is not a finite positive number"),
+        ("CCCC,CCCC,abc", "'abc' is not a finite positive number"),
+    ],
+)
+def test_cache_rejects_bad_rows(tmp_path, row, message):
+    mols = enumerate_alkanes(4, 5)
+    calc = MgkCalculator(DEFAULT)
+    calc.matrix(mols)
+    path = str(tmp_path / "cache.csv")
+    rows = calc.save_cache(path)
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+
+    fresh = MgkCalculator(DEFAULT)
+    with pytest.raises(ValueError) as err:
+        fresh.load_cache(path)
+    assert path in str(err.value)
+    assert f"line {rows + 3}" in str(err.value)
+    assert message in str(err.value)
+    assert fresh.save_cache(str(tmp_path / "empty.csv")) == 0
