@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import gpr
 from .gpr import KernelProvider
@@ -236,6 +235,8 @@ class _IncrementalLoop:
             self.keys.append(key)
 
     def variances(self, subset: Sequence[str]) -> np.ndarray:
+        from scipy.linalg import solve_triangular  # deferred, as in gpr
+
         ksq = self.provider.block(self.keys, subset)
         x = solve_triangular(self.chol, ksq, lower=True)
         v = self.provider.diag(subset) - np.sum(x * x, axis=0)

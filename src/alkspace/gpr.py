@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .mgk import MgkHyperparameters
+
+# scipy.linalg is imported where it is used: it takes most of the package's
+# import time, and commands such as ``alkspace enumerate`` never need it.
 
 # Jitter escalation: first retry adds 1e-10 to the diagonal, each further
 # retry multiplies by 10, giving up after five retries (1e-6).
@@ -97,6 +99,8 @@ def composite_kernel(
 
 def _cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, escalating diagonal jitter on failure."""
+    from scipy.linalg import cholesky
+
     jitter = 0.0
     for attempt in range(_JITTER_RETRIES + 1):
         try:
@@ -171,6 +175,8 @@ def fit(
     k = (k + k.T) / 2.0  # guard rounding asymmetry from assembly
     a = k + noise * np.eye(len(keys))
     chol, jitter = _cholesky_with_jitter(a)
+    from scipy.linalg import solve_triangular
+
     alpha = solve_triangular(
         chol.T, solve_triangular(chol, ys, lower=True), lower=False
     )
@@ -210,6 +216,8 @@ def predict_variance_with_diagnostics(
     queries = tuple(queries)
     if len(queries) == 0:
         return np.zeros(0), 0
+    from scipy.linalg import solve_triangular
+
     ksq = model.kernel_provider.block(model.training_keys, queries)
     x = solve_triangular(model.chol_factor, ksq, lower=True)
     var = model.kernel_provider.diag(queries) - np.sum(x * x, axis=0)
@@ -231,6 +239,8 @@ def extend_cholesky(
     Raises FitError when the Schur complement is non-positive; callers
     fall back to a full refactorization with jitter.
     """
+    from scipy.linalg import solve_triangular
+
     n = chol.shape[0]
     w = solve_triangular(chol, np.asarray(cross, dtype=float), lower=True)
     rest = float(new_diag) - float(w @ w)

@@ -433,7 +433,12 @@ class MgkCalculator:
     # -- registry ---------------------------------------------------------
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
-        """Record graphs under their canonical ids; returns the id list."""
+        """Record graphs under their canonical ids; returns the id list.
+
+        The id is :func:`to_canonical_smiles`, so only alkane trees can be
+        registered; other graphs raise :class:`GraphError` rather than share
+        an id with the alkane of the same skeleton.
+        """
         ids = []
         for g in molecules:
             key = str(to_canonical_smiles(g))

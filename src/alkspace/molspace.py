@@ -3,8 +3,8 @@
 Covers the molecule-handling layer of the toolkit: a minimal SMILES parser
 restricted to the alkane grammar (carbon atoms and parenthesised branches,
 nothing else), a deterministic tree canonicaliser, exhaustive isomer
-enumeration by single-carbon addition, and the topological descriptors the
-synthetic property oracle consumes.
+enumeration that builds each tree once from its centroid, and the
+topological descriptors the synthetic property oracle consumes.
 
 Molecule identity throughout the package is the canonical SMILES string
 produced by :func:`to_canonical_smiles`: two graphs map to the same string
@@ -13,8 +13,11 @@ exactly when they are isomorphic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NewType, Sequence
+from itertools import combinations_with_replacement, product
+from operator import itemgetter
+from typing import Iterator, NewType, Sequence
 
 MAX_VALENCE = 4
 
@@ -342,13 +345,27 @@ def to_canonical_smiles(g: MolecularGraph) -> CanonicalSmiles:
     Deterministic: isomorphic graphs yield byte-identical strings,
     non-isomorphic graphs yield distinct strings. The root is the tree
     centroid; between two centroids the lexicographically smaller rooted
-    encoding wins.
+    encoding wins. The string records only the carbon skeleton, so any
+    other graph raises :class:`GraphError`: an empty, disconnected or
+    cyclic one, or one with an atom other than carbon or a bond that is
+    not single.
     """
     if g._canonical is not None:
         return CanonicalSmiles(g._canonical)
     n = len(g.vertices)
     if n == 0:
         raise GraphError("empty graph has no canonical form")
+    for idx, atom in enumerate(g.vertices):
+        if atom.element != "C":
+            raise GraphError(
+                f"vertex {idx} is {atom.element!r}; canonical SMILES needs carbon"
+            )
+    for bond in g.edges:
+        if bond.order != 1:
+            raise GraphError(
+                f"bond {bond.endpoints} has order {bond.order}; "
+                "canonical SMILES needs single bonds"
+            )
     if len(g.edges) != n - 1 or not _is_connected(g.adjacency):
         raise GraphError("canonical SMILES requires a connected acyclic graph")
     text = _canonical_from_neighbors(g.adjacency)
@@ -378,25 +395,88 @@ def descriptors(g: MolecularGraph) -> Descriptors:
     return Descriptors(n_carbons=n, wiener_index=total // 2, n_methyl=n_methyl)
 
 
-def _grow_by_one(neighbors: list[list[int]]) -> Iterable[str]:
-    """Canonical strings of all distinct single-carbon extensions."""
-    n = len(neighbors)
-    seen_here: set[str] = set()
-    for site in range(n):
-        if len(neighbors[site]) >= MAX_VALENCE:
-            continue
-        neighbors.append([site])
-        neighbors[site].append(n)
-        text = _canonical_from_neighbors(neighbors)
-        neighbors[site].pop()
-        neighbors.pop()
-        if text not in seen_here:
-            seen_here.add(text)
-            yield text
+# A rooted subtree of the enumeration: (AHU code, SMILES, the SMILES in
+# branch parentheses, child subtrees in ascending code order). Its root has
+# at most MAX_VALENCE - 1 children, leaving one bond for its parent.
+_Subtree = tuple[str, str, str, tuple]
 
 
-def _neighbors_from_smiles(text: str) -> list[list[int]]:
-    return [list(nb) for nb in parse_smiles(text).adjacency]
+def _partitions(total: int, parts: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of at most ``parts`` positive integers, none
+    above ``largest``, that sum to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def _child_multisets(
+    levels: Sequence[Sequence[_Subtree]], total: int, parts: int, largest: int
+) -> Iterator[list[_Subtree]]:
+    """Every multiset of at most ``parts`` subtrees from ``levels`` (indexed
+    by carbon count), none above ``largest`` carbons, totalling ``total``
+    carbons. Each multiset comes once, in ascending code order."""
+    for sizes in _partitions(total, parts, largest):
+        groups = [
+            combinations_with_replacement(levels[m], k)
+            for m, k in Counter(sizes).items()
+        ]
+        for combo in product(*groups):
+            children = [t for group in combo for t in group]
+            children.sort(key=itemgetter(0))
+            yield children
+
+
+def _join_smiles(children: Sequence[_Subtree]) -> str:
+    """SMILES of a carbon carrying ``children`` (sorted by code): every
+    branch but the last in parentheses, as :func:`_emit_smiles` writes it."""
+    if not children:
+        return "C"
+    return "C" + "".join([c[2] for c in children[:-1]]) + children[-1][1]
+
+
+def _rooted_subtrees(max_size: int) -> list[list[_Subtree]]:
+    """Rooted subtrees of 1..max_size carbons, one per isomorphism class,
+    indexed by carbon count."""
+    levels: list[list[_Subtree]] = [[]]
+    for m in range(1, max_size + 1):
+        level = []
+        for children in _child_multisets(levels, m - 1, MAX_VALENCE - 1, m - 1):
+            smiles = _join_smiles(children)
+            code = "(" + "".join([c[0] for c in children]) + ")"
+            level.append((code, smiles, "(" + smiles + ")", tuple(children)))
+        levels.append(level)
+    return levels
+
+
+def _alkanes_of_size(levels: Sequence[Sequence[_Subtree]], n: int) -> list[str]:
+    """Sorted canonical SMILES of every n-carbon alkane, built from its
+    centroid; ``levels`` must reach n // 2 carbons."""
+    # One centroid: every branch at it holds fewer than n / 2 carbons.
+    out = [
+        _join_smiles(children)
+        for children in _child_multisets(levels, n - 1, MAX_VALENCE, (n - 1) // 2)
+    ]
+    if n % 2 == 0:
+        # Two centroids: an edge joins two halves of n / 2 carbons each. The
+        # root is the end whose code is smaller, as in _canonical_root; on a
+        # tie both ends give the same string.
+        half = levels[n // 2]
+        for i, a in enumerate(half):
+            a_codes = [c[0] for c in a[3]]
+            for b in half[i:]:
+                b_codes = [c[0] for c in b[3]]
+                code_at_a = "(" + "".join(sorted([*a_codes, b[0]])) + ")"
+                code_at_b = "(" + "".join(sorted([*b_codes, a[0]])) + ")"
+                root, other = (a, b) if code_at_a <= code_at_b else (b, a)
+                children = sorted([*root[3], other], key=itemgetter(0))
+                out.append(_join_smiles(children))
+    out.sort()
+    return out
 
 
 def enumerate_alkane_smiles(
@@ -404,11 +484,15 @@ def enumerate_alkane_smiles(
 ) -> list[CanonicalSmiles]:
     """Canonical SMILES of every alkane isomer with ``min_n..max_n`` carbons.
 
-    Level-by-level atom addition: isomers with n carbons are generated by
-    attaching one carbon to every sub-valent site of every (n-1)-carbon
-    isomer, deduplicated through the canonical string. Output is sorted by
-    carbon count, then canonical string, and is independent of generation
-    order.
+    Each isomer is built once, directly in canonical form, from its
+    centroid. Rooted subtrees of up to ``max_n // 2`` carbons are generated
+    first, one per isomorphism class, as multisets of smaller subtrees, and
+    memoised with their AHU codes and SMILES. An n-carbon tree with one
+    centroid is a root carrying at most four subtrees of fewer than n / 2
+    carbons each; a tree with two centroids (even n) joins two subtrees of
+    n / 2 carbons by an edge. The SMILES is the concatenation of the
+    memoised subtree strings, so it equals :func:`to_canonical_smiles` of
+    the tree. Output is sorted by carbon count, then canonical string.
     """
     if not (1 <= min_n <= max_n):
         raise ValueError(f"need 1 <= min_n <= max_n, got ({min_n}, {max_n})")
@@ -416,17 +500,10 @@ def enumerate_alkane_smiles(
         raise EnumerationLimitError(
             f"max_n={max_n} exceeds the enumeration limit {hard_limit}"
         )
-    level = ["C"]
+    levels = _rooted_subtrees(max_n // 2)
     out: list[CanonicalSmiles] = []
-    if min_n == 1:
-        out.extend(CanonicalSmiles(s) for s in level)
-    for n in range(2, max_n + 1):
-        next_level: set[str] = set()
-        for parent in level:
-            next_level.update(_grow_by_one(_neighbors_from_smiles(parent)))
-        level = sorted(next_level)
-        if n >= min_n:
-            out.extend(CanonicalSmiles(s) for s in level)
+    for n in range(min_n, max_n + 1):
+        out.extend(CanonicalSmiles(s) for s in _alkanes_of_size(levels, n))
     return out
 
 

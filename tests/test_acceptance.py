@@ -84,7 +84,7 @@ def test_criterion_1_enumeration(capsys):
         assert cli_main(["enumerate", "4", "19", "--count"]) == 0
         elapsed = time.monotonic() - t0
         assert capsys.readouterr().out.strip() == "251728"
-        assert elapsed <= 600.0, f"enumeration took {elapsed:.0f}s"
+        assert elapsed <= 60.0, f"enumeration took {elapsed:.0f}s"
 
 
 # -- 2: graph-kernel correctness ---------------------------------------------------

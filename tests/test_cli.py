@@ -292,3 +292,14 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "10"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported at first use, so enumeration never pays for it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, alkspace.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

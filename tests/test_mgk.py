@@ -508,6 +508,17 @@ def test_matrix_psd_100_molecules():
     assert eigs.min() >= -1e-8
 
 
+def test_register_rejects_graphs_beyond_the_alkane_key():
+    # The id records only the carbon skeleton, so C-N and C=C must not be
+    # keyed as ethane: their kernel values against it differ.
+    calc = MgkCalculator(DEFAULT)
+    assert mgk_normalized(graph("CC", [(0, 1, 1)]), graph("CN", [(0, 1, 1)]), DEFAULT) < 1.0
+    for g in (graph("CN", [(0, 1, 1)]), graph("CC", [(0, 1, 2)])):
+        with pytest.raises(GraphError):
+            calc.register([g])
+    assert calc.register([graph("CC", [(0, 1, 1)])]) == ["CC"]
+
+
 def test_rectangular_block_matches_square():
     mols = enumerate_alkanes(4, 6)
     calc = MgkCalculator(DEFAULT)

@@ -1,16 +1,21 @@
 """Tests for alkane graph handling, canonicalisation and enumeration.
 
 Independent oracles: networkx free-tree generation and VF2 isomorphism for
-the enumerator and canonicaliser, closed-form Wiener indices for the
-descriptor code.
+the enumerator and canonicaliser, the former grow-and-deduplicate enumerator
+for the exact output of the constructive one, and closed-form Wiener indices
+for the descriptor code.
 """
 
+import functools
 import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alkspace.molspace import (
+    _canonical_from_neighbors,
     Atom,
     Bond,
     EnumerationLimitError,
@@ -24,8 +29,12 @@ from alkspace.molspace import (
     to_canonical_smiles,
 )
 
-# Distinct alkane isomer counts for n = 1..16 carbons (degree <= 4 trees).
-ISOMER_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858, 4347, 10359]
+# Distinct alkane isomer counts for n = 1..19 carbons (degree <= 4 trees,
+# OEIS A000602).
+ISOMER_COUNTS = [
+    1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355, 802, 1858, 4347, 10359,
+    24894, 60523, 148284,
+]
 
 
 def _to_nx(g: MolecularGraph) -> nx.Graph:
@@ -45,6 +54,50 @@ def _alkane_trees(n: int) -> list[nx.Graph]:
         for t in nx.nonisomorphic_trees(n)
         if max(d for _, d in t.degree()) <= 4
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def _grow_and_deduplicate(max_n: int) -> tuple[tuple[str, ...], ...]:
+    """The former enumerator, kept as an oracle: entry n holds the sorted
+    canonical strings of n carbons, found by attaching one carbon to every
+    free site of every (n-1)-carbon isomer and dropping duplicates."""
+    levels = [(), ("C",)]
+    for n in range(2, max_n + 1):
+        grown: set[str] = set()
+        for parent in levels[-1]:
+            neighbors = [list(nb) for nb in parse_smiles(parent).adjacency]
+            for site in range(n - 1):
+                if len(neighbors[site]) >= 4:
+                    continue
+                neighbors.append([site])
+                neighbors[site].append(n - 1)
+                grown.add(_canonical_from_neighbors(neighbors))
+                neighbors[site].pop()
+                neighbors.pop()
+        levels.append(tuple(sorted(grown)))
+    return tuple(levels)
+
+
+@functools.lru_cache(maxsize=None)
+def _isomers(n: int) -> frozenset[str]:
+    return frozenset(enumerate_alkane_smiles(n, n))
+
+
+@st.composite
+def relabelled_trees(draw, max_n: int = 16) -> list[list[int]]:
+    """Neighbour lists of a random tree of maximum degree 4, its vertices
+    renumbered by a random permutation."""
+    n = draw(st.integers(1, max_n))
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.sampled_from([u for u in range(v) if len(neighbors[u]) < 4]))
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    perm = draw(st.permutations(range(n)))
+    relabelled: list[list[int]] = [[] for _ in range(n)]
+    for v, nbs in enumerate(neighbors):
+        relabelled[perm[v]] = [perm[u] for u in nbs]
+    return relabelled
 
 
 class TestParseSmiles:
@@ -217,9 +270,23 @@ class TestDescriptors:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 20))
     def test_counts_per_size(self, n):
         assert len(enumerate_alkane_smiles(n, n)) == ISOMER_COUNTS[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_equals_grow_and_deduplicate(self, n):
+        # Every range ending at n carbons, byte for byte.
+        levels = _grow_and_deduplicate(14)
+        for lo in range(1, n + 1):
+            expected = [s for level in levels[lo : n + 1] for s in level]
+            assert enumerate_alkane_smiles(lo, n) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(relabelled_trees())
+    def test_random_tree_canonicalises_to_an_enumerated_isomer(self, neighbors):
+        g = MolecularGraph.from_adjacency(neighbors)
+        assert to_canonical_smiles(g) in _isomers(len(neighbors))
 
     def test_counts_match_networkx_trees(self):
         # Cross-check against an independent generator up to n=9.
