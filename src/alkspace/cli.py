@@ -146,35 +146,30 @@ def cmd_enumerate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _prepared_workspace(config: PipelineConfig):
-    ws = _Workspace(config)
-    ids = ws.molecule_ids()
-    matrix = ws.kernel_matrix(ids)
-    return ws, ids, matrix
-
-
 def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
     threshold = config.thresholds[0] if args.threshold is None else args.threshold
     config = replace(config, thresholds=(threshold,))
-    ws, ids, matrix = _prepared_workspace(config)
-    if args.checkpoint:
-        path = args.checkpoint
-        if os.path.exists(path):
-            state = al.load_checkpoint(path)
-            if not state.is_terminal:
-                state = al.al_resume(
-                    state, matrix, noise=config.gpr.al_noise,
-                    checkpoint_path=path, checkpoint_every=config.checkpoint_every,
+    ws = _Workspace(config)
+    ids = ws.molecule_ids()
+    with ws.kernel(ids) as calc:
+        if args.checkpoint:
+            path = args.checkpoint
+            if os.path.exists(path):
+                state = al.load_checkpoint(path)
+                if not state.is_terminal:
+                    state = al.al_resume(
+                        state, calc, noise=config.gpr.al_noise,
+                        checkpoint_path=path, checkpoint_every=config.checkpoint_every,
+                    )
+            else:
+                state = al.al_run(
+                    ids, threshold, config.batch, config.al_seed, calc,
+                    noise=config.gpr.al_noise, checkpoint_path=path,
+                    checkpoint_every=config.checkpoint_every,
                 )
         else:
-            state = al.al_run(
-                ids, threshold, config.batch, config.al_seed, matrix,
-                noise=config.gpr.al_noise, checkpoint_path=path,
-                checkpoint_every=config.checkpoint_every,
-            )
-    else:
-        state = ws.al_states(ids, matrix)[0]
-        path = ws.path(f"al_stage1_{ws.al_stage_hash(1)}.json")
+            state = ws.al_states(ids, calc)[0]
+            path = ws.path(f"al_stage1_{ws.al_stage_hash(1)}.json")
     print(
         f"selected {len(state.selected)} of {len(ids)} molecules "
         f"at threshold {state.threshold} -> {path}"
@@ -184,21 +179,17 @@ def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
     state = al.load_checkpoint(args.checkpoint)
-    ids = sorted(state.universe)
-    ws = _Workspace(config)
-    calc_ids = ws.molecule_ids()
-    if frozenset(calc_ids) != state.universe:
-        # checkpoint universe wins; the kernel just needs to cover it
-        calc_ids = ids
-    matrix = ws.kernel_matrix(calc_ids)
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)),
         f"al_continue_U{args.threshold:g}.json",
     )
-    new_state = al.al_continue(
-        state, args.threshold, matrix, noise=config.gpr.al_noise,
-        checkpoint_path=out, checkpoint_every=config.checkpoint_every,
-    )
+    # the checkpoint's universe, not the configured range, is what the
+    # selection reads the kernel over
+    with _Workspace(config).kernel(sorted(state.universe)) as calc:
+        new_state = al.al_continue(
+            state, args.threshold, calc, noise=config.gpr.al_noise,
+            checkpoint_path=out, checkpoint_every=config.checkpoint_every,
+        )
     al.save_checkpoint(new_state, out)
     print(
         f"selected {len(new_state.selected)} molecules "

@@ -17,14 +17,15 @@ import math
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from .mgk import KernelMatrix, MgkCalculator, MgkHyperparameters
+from .mgk import MgkCalculator, MgkHyperparameters
 from .molspace import (
     MolecularGraph,
     descriptors,
@@ -37,10 +38,6 @@ logger = logging.getLogger(__name__)
 PROPERTIES = ("density", "heat_capacity", "hov")
 
 PREDICTION_HEADER = ["smiles", "temperature_K", "density_kgm3", "cp_Jmolk", "hvap_kJmol"]
-
-# Full pairwise kernel matrices beyond this many molecules are refused;
-# the memory/time budget is meant for desk-scale carbon ranges.
-DENSE_KERNEL_LIMIT = 20000
 
 _HASH_CHARS = 12
 
@@ -286,21 +283,26 @@ class Metrics:
 
 
 def evaluate(predictions: Sequence[float], truths: Sequence[float]) -> Metrics:
-    """RMSE, MAE and R2 of predictions against truths (equal-length, nonempty)."""
+    """RMSE, MAE and R2 of predictions against truths (equal-length,
+    nonempty, finite); ValueError otherwise."""
     p = np.asarray(predictions, dtype=float).reshape(-1)
     t = np.asarray(truths, dtype=float).reshape(-1)
     if p.size == 0 or p.size != t.size:
         raise ValueError(
             f"need equal nonzero lengths, got {p.size} predictions, {t.size} truths"
         )
+    for name, values in (("predictions", p), ("truths", t)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(
+                f"{bad.size} non-finite {name}, first at index {bad[0]}: {values[bad[0]]}"
+            )
     err = p - t
     rmse = float(np.sqrt(np.mean(err * err)))
     mae = float(np.mean(np.abs(err)))
     ss_res = float(np.sum(err * err))
     ss_tot = float(np.sum((t - t.mean()) ** 2))
     r2 = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    # quadratic mean dominates arithmetic mean; allow rounding slack
-    assert rmse >= mae - 1e-12 * max(1.0, mae)
     return Metrics(rmse=rmse, mae=mae, r2=r2)
 
 
@@ -381,19 +383,25 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def write_dataset_atomic(path: str, series: Sequence[thermo.ThermoSeries]) -> int:
-    """thermo.write_dataset through a temp file, renamed into place."""
+def _write_via_temp(path: str, write: Callable[[str], int]) -> int:
+    """Run ``write`` on a temp file beside ``path``, then rename it into
+    place; returns what ``write`` returns."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dataset-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     os.close(fd)
     try:
-        count = thermo.write_dataset(tmp, series)
+        count = write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return count
+
+
+def write_dataset_atomic(path: str, series: Sequence[thermo.ThermoSeries]) -> int:
+    """thermo.write_dataset through a temp file, renamed into place."""
+    return _write_via_temp(path, lambda tmp: thermo.write_dataset(tmp, series))
 
 
 def load_molecule_file(path: str) -> list[str]:
@@ -451,57 +459,56 @@ class _Workspace:
     # molecule list
 
     def molecule_ids(self) -> list[str]:
+        """The configured carbon range, enumerated; an existing molecule
+        file must hold exactly that list."""
         cfg = self.config
         path = self.path(f"molecules_{_hash_obj(cfg.space_dict())}.txt")
-        if os.path.exists(path):
-            ids = load_molecule_file(path)
-            logger.info("reusing molecule list %s (%d molecules)", path, len(ids))
-            return ids
         t0 = time.monotonic()
         ids = [str(s) for s in enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)]
-        _write_atomic(path, "\n".join(ids) + "\n")
+        text = "\n".join(ids) + "\n"
+        if os.path.exists(path):
+            with open(path) as fh:
+                if fh.read() != text:
+                    raise StageError(
+                        f"molecule list {path} does not match the enumeration of "
+                        f"C{cfg.min_carbons}..C{cfg.max_carbons}; delete it to rebuild"
+                    )
+            logger.info("checked molecule list %s (%d molecules)", path, len(ids))
+            return ids
+        _write_atomic(path, text)
         logger.info(
             "enumerated %d molecules (C%d..C%d) in %.1fs -> %s",
             len(ids), cfg.min_carbons, cfg.max_carbons, time.monotonic() - t0, path,
         )
         return ids
 
-    # kernel matrix
+    # kernel
 
     def kernel_hash(self) -> str:
         cfg = self.config
         return _hash_obj({"space": cfg.space_dict(), "kernel": cfg.kernel.to_dict()})
 
-    def kernel_matrix(self, ids: Sequence[str]) -> KernelMatrix:
-        cfg = self.config
-        if len(ids) > DENSE_KERNEL_LIMIT:
-            raise StageError(
-                f"{len(ids)} molecules exceed the dense kernel limit "
-                f"({DENSE_KERNEL_LIMIT}); narrow the carbon range"
-            )
-        calc = MgkCalculator(cfg.kernel)
-        graphs = _graphs_for(ids)
+    @contextmanager
+    def kernel(self, ids: Sequence[str]) -> Iterator[MgkCalculator]:
+        """A calculator with ``ids`` registered and the workspace kernel
+        cache loaded, so a consumer solves only the pairs it reads.
+
+        A body that finds no cache file writes one when it finishes without
+        error, holding every pair it solved. Later bodies solve the pairs the
+        file lacks in memory and leave the file unchanged, so a rerun
+        rewrites nothing.
+        """
+        calc = MgkCalculator(self.config.kernel)
+        calc.register(_graphs_for(ids))
         cache = self.path(f"kernel_{self.kernel_hash()}.csv")
-        if os.path.exists(cache):
+        reused = os.path.exists(cache)
+        if reused:
             n = calc.load_cache(cache)
             logger.info("loaded %d cached kernel entries from %s", n, cache)
-        t0 = time.monotonic()
-        matrix = calc.matrix(graphs)
-        if not os.path.exists(cache):
-            fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=".tmp-kernel-")
-            os.close(fd)
-            try:
-                calc.save_cache(tmp)
-                os.replace(tmp, cache)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        logger.info(
-            "kernel matrix %dx%d ready in %.1fs", len(ids), len(ids),
-            time.monotonic() - t0,
-        )
-        return matrix
+        yield calc
+        if not reused:
+            n = _write_via_temp(cache, calc.save_cache)
+            logger.info("wrote %d kernel entries to %s", n, cache)
 
     # staged active learning
 
@@ -574,7 +581,9 @@ class _Workspace:
         """Simulated dataset for the given molecules, cached as a CSV artifact.
 
         Row order follows ``ids``; the file carries all rows with their QC
-        flag, training-side filtering happens at read time.
+        flag, training-side filtering happens at read time. A reused file
+        whose rows name other molecules, or the same ones in another order,
+        raises StageError.
         """
         cfg = self.config
         h = _hash_obj({"members": stage_hash, "oracle": cfg.oracle_dict()})
@@ -587,7 +596,13 @@ class _Workspace:
                 "simulated %d molecules (%s) in %.1fs -> %s",
                 len(ids), tag, time.monotonic() - t0, path,
             )
-        return thermo.read_dataset(path)
+        rows = thermo.read_dataset(path)
+        if list(dict.fromkeys(r.smiles for r in rows)) != list(ids):
+            raise StageError(
+                f"dataset {path} does not hold exactly the {len(ids)} requested "
+                "molecules in order; delete it to rebuild"
+            )
+        return rows
 
 
 def simulate_molecules(
@@ -651,66 +666,69 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     ids = ws.molecule_ids()
     if len(ids) < 2:
         raise ConfigError("need at least two molecules; widen the carbon range")
-    matrix = ws.kernel_matrix(ids)
-    states = ws.al_states(ids, matrix)
+    with ws.kernel(ids) as calc:
+        states = ws.al_states(ids, calc)
 
-    final_selected = states[-1].selected
-    if config.n_test > len(ids) - len(final_selected):
-        raise ConfigError(
-            f"n_test={config.n_test} does not fit: {len(ids)} molecules minus "
-            f"{len(final_selected)} selected leaves too few"
-        )
-    test_ids = split_test(ids, final_selected, config.n_test, config.split_seed)
-    if not test_ids:
-        raise ConfigError("n_test must be positive for a scored run")
-    test_rows = ws.dataset_for(
-        "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
-                           "split": config.evaluation_dict()}),
-        test_ids,
-    )
-    test_keys = [(r.smiles, r.temperature) for r in test_rows]
-    test_truth = np.array(
-        [[r.density, r.heat_capacity, r.hov] for r in test_rows], dtype=float
-    )
-
-    stage_results: list[StageResult] = []
-    parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
-    for i, state in enumerate(states):
-        stage_no = i + 1
-        train_rows = ws.dataset_for(
-            f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
-        )
-        model = _fit_on_rows(train_rows, matrix, config)
-        t0 = time.monotonic()
-        preds = model.predict_mean(test_keys)
-        logger.info(
-            "stage %d: predicted %d test rows in %.1fs",
-            stage_no, len(test_keys), time.monotonic() - t0,
-        )
-        metrics = _metrics_by_property(preds, test_truth)
-        n_train_rows = int(sum(1 for r in train_rows if r.qc_pass))
-        stage_results.append(
-            StageResult(
-                stage=stage_no,
-                threshold=state.threshold,
-                n_selected=len(state.selected),
-                n_train_rows=n_train_rows,
-                selected_fraction=len(state.selected) / len(ids),
-                metrics=metrics,
+        final_selected = states[-1].selected
+        if config.n_test > len(ids) - len(final_selected):
+            raise ConfigError(
+                f"n_test={config.n_test} does not fit: {len(ids)} molecules minus "
+                f"{len(final_selected)} selected leaves too few"
             )
+        test_ids = split_test(ids, final_selected, config.n_test, config.split_seed)
+        if not test_ids:
+            raise ConfigError("n_test must be positive for a scored run")
+        test_rows = ws.dataset_for(
+            "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
+                               "split": config.evaluation_dict()}),
+            test_ids,
         )
-        for j, prop in enumerate(PROPERTIES):
-            parity[(stage_no, prop)] = [
-                (k[0], k[1], float(test_truth[r, j]), float(preds[r, j]))
-                for r, k in enumerate(test_keys)
-            ]
-        for prop in PROPERTIES:
-            m = metrics[prop]
+        test_keys = [(r.smiles, r.temperature) for r in test_rows]
+        test_truth = np.array(
+            [[r.density, r.heat_capacity, r.hov] for r in test_rows], dtype=float
+        )
+
+        # every stage predicts the test set against a subset of the final
+        # selection: solve those pairs in one batch rather than per stage
+        calc.block(test_ids, final_selected)
+        stage_results: list[StageResult] = []
+        parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
+        for i, state in enumerate(states):
+            stage_no = i + 1
+            train_rows = ws.dataset_for(
+                f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
+            )
+            model = _fit_on_rows(train_rows, calc, config)
+            t0 = time.monotonic()
+            preds = model.predict_mean(test_keys)
             logger.info(
-                "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
-                stage_no, prop, m.rmse, m.mae,
-                "undefined" if m.r2 is None else f"{m.r2:.4f}",
+                "stage %d: predicted %d test rows in %.1fs",
+                stage_no, len(test_keys), time.monotonic() - t0,
             )
+            metrics = _metrics_by_property(preds, test_truth)
+            n_train_rows = int(sum(1 for r in train_rows if r.qc_pass))
+            stage_results.append(
+                StageResult(
+                    stage=stage_no,
+                    threshold=state.threshold,
+                    n_selected=len(state.selected),
+                    n_train_rows=n_train_rows,
+                    selected_fraction=len(state.selected) / len(ids),
+                    metrics=metrics,
+                )
+            )
+            for j, prop in enumerate(PROPERTIES):
+                parity[(stage_no, prop)] = [
+                    (k[0], k[1], float(test_truth[r, j]), float(preds[r, j]))
+                    for r, k in enumerate(test_keys)
+                ]
+            for prop in PROPERTIES:
+                m = metrics[prop]
+                logger.info(
+                    "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
+                    stage_no, prop, m.rmse, m.mae,
+                    "undefined" if m.r2 is None else f"{m.r2:.4f}",
+                )
 
     report = EvalReport(
         config_hash=config.content_hash(),
@@ -850,62 +868,68 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
     t_start = time.monotonic()
     ws = _Workspace(config)
     ids = ws.molecule_ids()
-    matrix = ws.kernel_matrix(ids)
-    states = ws.al_states(ids, matrix)
-    s1 = states[0]
+    with ws.kernel(ids) as calc:
+        states = ws.al_states(ids, calc)
+        s1 = states[0]
 
-    test_ids = split_test(ids, states[-1].selected, config.n_test, config.split_seed)
-    if len(s1.selected) > len(test_ids):
-        raise ConfigError(
-            f"cannot draw a {len(s1.selected)}-molecule control from a "
-            f"{len(test_ids)}-molecule test pool; raise n_test"
-        )
-    test_rows = ws.dataset_for(
-        "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
-                           "split": config.evaluation_dict()}),
-        test_ids,
-    )
-    rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
-    for r in test_rows:
-        rows_by_molecule.setdefault(r.smiles, []).append(r)
-
-    stage1_rows = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
-    al_model = _fit_on_rows(stage1_rows, matrix, config)
-
-    per_seed: list[SeedComparison] = []
-    for seed in config.control_seeds:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(test_ids), size=len(s1.selected), replace=False)
-        control_ids = [test_ids[int(i)] for i in picks]
-        control_set = set(control_ids)
-        eval_ids = [m for m in test_ids if m not in control_set]
-        if not eval_ids:
-            raise ConfigError("control set swallowed the whole test pool")
-
-        control_rows = [r for m in control_ids for r in rows_by_molecule[m]]
-        random_model = _fit_on_rows(control_rows, matrix, config)
-
-        eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
-        eval_keys = [(r.smiles, r.temperature) for r in eval_rows]
-        truth = np.array(
-            [[r.density, r.heat_capacity, r.hov] for r in eval_rows], dtype=float
-        )
-        al_pred = al_model.predict_mean(eval_keys)
-        rnd_pred = random_model.predict_mean(eval_keys)
-        comparison = SeedComparison(
-            seed=seed,
-            n_eval_rows=len(eval_rows),
-            al_metrics=_metrics_by_property(al_pred, truth),
-            random_metrics=_metrics_by_property(rnd_pred, truth),
-        )
-        per_seed.append(comparison)
-        for prop in PROPERTIES:
-            logger.info(
-                "seed %d %s: rmse AL=%.4g random=%.4g",
-                seed, prop,
-                comparison.al_metrics[prop].rmse,
-                comparison.random_metrics[prop].rmse,
+        test_ids = split_test(ids, states[-1].selected, config.n_test, config.split_seed)
+        if len(s1.selected) > len(test_ids):
+            raise ConfigError(
+                f"cannot draw a {len(s1.selected)}-molecule control from a "
+                f"{len(test_ids)}-molecule test pool; raise n_test"
             )
+        test_rows = ws.dataset_for(
+            "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
+                               "split": config.evaluation_dict()}),
+            test_ids,
+        )
+        rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
+        for r in test_rows:
+            rows_by_molecule.setdefault(r.smiles, []).append(r)
+
+        stage1_rows = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
+        al_model = _fit_on_rows(stage1_rows, calc, config)
+
+        controls = []
+        for seed in config.control_seeds:
+            rng = np.random.default_rng(seed)
+            picks = rng.choice(len(test_ids), size=len(s1.selected), replace=False)
+            controls.append([test_ids[int(i)] for i in picks])
+        # each seed fits on its control and predicts the rest of the test
+        # pool: solve the pairs of all seeds in one batch
+        calc.block(sorted(set().union(*controls)), test_ids)
+
+        per_seed: list[SeedComparison] = []
+        for seed, control_ids in zip(config.control_seeds, controls):
+            control_set = set(control_ids)
+            eval_ids = [m for m in test_ids if m not in control_set]
+            if not eval_ids:
+                raise ConfigError("control set swallowed the whole test pool")
+
+            control_rows = [r for m in control_ids for r in rows_by_molecule[m]]
+            random_model = _fit_on_rows(control_rows, calc, config)
+
+            eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
+            eval_keys = [(r.smiles, r.temperature) for r in eval_rows]
+            truth = np.array(
+                [[r.density, r.heat_capacity, r.hov] for r in eval_rows], dtype=float
+            )
+            al_pred = al_model.predict_mean(eval_keys)
+            rnd_pred = random_model.predict_mean(eval_keys)
+            comparison = SeedComparison(
+                seed=seed,
+                n_eval_rows=len(eval_rows),
+                al_metrics=_metrics_by_property(al_pred, truth),
+                random_metrics=_metrics_by_property(rnd_pred, truth),
+            )
+            per_seed.append(comparison)
+            for prop in PROPERTIES:
+                logger.info(
+                    "seed %d %s: rmse AL=%.4g random=%.4g",
+                    seed, prop,
+                    comparison.al_metrics[prop].rmse,
+                    comparison.random_metrics[prop].rmse,
+                )
 
     median_al = {
         p: float(np.median([s.al_metrics[p].rmse for s in per_seed]))

@@ -224,11 +224,11 @@ def test_criterion_4_selection_soundness(full_run):
             cfg.out_dir,
             next(n for n in ws_files if n.startswith("kernel_")),
         ))
-        matrix = calc.matrix([parse_smiles(s) for s in ids])
+        calc.register([parse_smiles(s) for s in ids])
         universe = frozenset(ids)
         state = al.al_init(ids, cfg.thresholds[0], cfg.batch, cfg.al_seed)
         while not state.is_terminal:
-            state = al.al_step(state, matrix, noise=cfg.gpr.al_noise)
+            state = al.al_step(state, calc, noise=cfg.gpr.al_noise)
             parts = (set(state.selected), set(state.pool), set(state.abandoned))
             assert sum(len(p) for p in parts) == len(universe)
             assert parts[0] | parts[1] | parts[2] == universe
@@ -241,7 +241,7 @@ def test_criterion_4_selection_soundness(full_run):
                 list(s.selected),
                 np.zeros((len(s.selected), 1)),
                 cfg.gpr.al_noise,
-                matrix,
+                calc,
             )
             leftovers = sorted(s.abandoned)
             variances = model.predict_variance(leftovers)

@@ -12,7 +12,7 @@ import pytest
 from alkspace import active_learning as al
 from alkspace import thermo
 from alkspace.cli import _load_config, build_parser, main
-from alkspace.molspace import parse_smiles, to_canonical_smiles
+from alkspace.molspace import enumerate_alkane_smiles, parse_smiles, to_canonical_smiles
 from alkspace.pipeline import read_predictions
 
 CONFIG_RAW = {
@@ -169,6 +169,35 @@ def test_evaluate_with_disjoint_truth_exits_two(tmp_path):
     assert main(["evaluate", "--pred", pred, "--truth", truth_b]) == 2
 
 
+def test_evaluate_with_a_nan_prediction_exits_two(tmp_path, caplog):
+    mols = tmp_path / "m.txt"
+    mols.write_text("CCCC\nCCCCC\n")
+    truth = str(tmp_path / "t.csv")
+    pred = str(tmp_path / "p.csv")
+    assert main(["simulate", "--molecules", str(mols), "--out", truth]) == 0
+    assert main(["fit-predict", "--train", truth, "--molecules", str(mols), "--out", pred]) == 0
+    lines = open(pred).read().splitlines()
+    fields = lines[3].split(",")
+    fields[2] = "nan"
+    lines[3] = ",".join(fields)
+    with open(pred, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["evaluate", "--pred", pred, "--truth", truth]) == 2
+    assert "non-finite predictions" in caplog.text
+
+
+def test_cold_run_with_a_truncated_molecule_list_exits_two(tmp_path, config_file, caplog):
+    from alkspace.pipeline import PipelineConfig, _hash_obj
+
+    cfg = PipelineConfig.from_json(config_file)
+    ids = enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)
+    name = f"molecules_{_hash_obj(cfg.space_dict())}.txt"
+    (tmp_path / name).write_text("\n".join(ids[:10]) + "\n")
+    assert main(["run-all", "--config", config_file, "--out-dir", str(tmp_path)]) == 2
+    assert name in caplog.text
+    assert sorted(os.listdir(tmp_path)) == [name]
+
+
 # -- selection commands ---------------------------------------------------------------
 
 
@@ -221,10 +250,10 @@ def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
     ws = _Workspace(cfg)
     ids = ws.molecule_ids()
-    matrix = ws.kernel_matrix(ids)
-    mid = al.al_step(
-        al.al_init(ids, 0.5, cfg.batch, cfg.al_seed), matrix, noise=cfg.gpr.al_noise
-    )
+    with ws.kernel(ids) as calc:
+        mid = al.al_step(
+            al.al_init(ids, 0.5, cfg.batch, cfg.al_seed), calc, noise=cfg.gpr.al_noise
+        )
     assert not mid.is_terminal
     ckpt = str(tmp_path / "interrupted.json")
     al.save_checkpoint(mid, ckpt)

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: config parsing, metrics, splits, artifacts."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -10,6 +11,8 @@ import pytest
 
 from alkspace import active_learning as al
 from alkspace import pipeline, thermo
+from alkspace.mgk import MgkCalculator
+from alkspace.molspace import parse_smiles
 from alkspace.pipeline import (
     ComparisonReport,
     ConfigError,
@@ -167,6 +170,14 @@ def test_evaluate_rejects_bad_shapes():
         evaluate([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite predictions, first at index 1"):
+        evaluate([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite truths, first at index 2"):
+        evaluate([1.0, 2.0, 3.0], [1.0, 2.0, bad])
+
+
 def test_rmse_dominates_mae():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -219,14 +230,6 @@ def test_write_dataset_atomic_matches_plain_write(tmp_path):
         assert fa.read() == fb.read()
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
     assert leftovers == []
-
-
-def test_dense_kernel_limit_guard(tmp_path):
-    cfg = PipelineConfig.from_dict({"out_dir": str(tmp_path)})
-    ws = pipeline._Workspace(cfg)
-    too_many = ["C"] * (pipeline.DENSE_KERNEL_LIMIT + 1)
-    with pytest.raises(StageError):
-        ws.kernel_matrix(too_many)
 
 
 def test_training_arrays_filters_qc_failures():
@@ -438,10 +441,10 @@ def test_interrupted_selection_is_resumed_not_trusted(staged_run, tmp_path):
     cfg = dataclasses.replace(cfg_clean, out_dir=str(tmp_path))
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()
-    matrix = ws.kernel_matrix(ids)
     # plant a mid-run stage-1 checkpoint, as if the process had died
     state = al.al_init(ids, cfg.thresholds[0], cfg.batch, cfg.al_seed)
-    state = al.al_step(state, matrix, noise=cfg.gpr.al_noise)
+    with ws.kernel(ids) as calc:
+        state = al.al_step(state, calc, noise=cfg.gpr.al_noise)
     assert not state.is_terminal
     ckpt = ws.path(f"al_stage1_{ws.al_stage_hash(1)}.json")
     al.save_checkpoint(state, ckpt)
@@ -453,7 +456,14 @@ def test_interrupted_selection_is_resumed_not_trusted(staged_run, tmp_path):
 
 def test_comparison_reuses_the_workspace(staged_run):
     cfg, report = staged_run
+    before = _workspace_bytes(cfg.out_dir)
+    stamps = {n: os.stat(os.path.join(cfg.out_dir, n)).st_mtime_ns for n in before}
     comparison = compare_al_random(cfg)
+    for name, data in before.items():  # the kernel cache is read, never rewritten
+        path = os.path.join(cfg.out_dir, name)
+        if not name.startswith("comparison_"):
+            assert open(path, "rb").read() == data
+            assert os.stat(path).st_mtime_ns == stamps[name]
     assert isinstance(comparison, ComparisonReport)
     assert comparison.config_hash == report.config_hash
     assert comparison.n_train_molecules == report.stages[0].n_selected
@@ -467,3 +477,60 @@ def test_comparison_reuses_the_workspace(staged_run):
     assert set(d["al_wins"]) == set(pipeline.PROPERTIES)
     path = os.path.join(cfg.out_dir, f"comparison_{report.config_hash}.json")
     assert json.load(open(path)) == d
+
+
+def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
+    cfg, _ = staged_run
+    compare_al_random(cfg)
+    lazy = _workspace_bytes(cfg.out_dir)
+
+    @contextlib.contextmanager
+    def dense(ws, ids):
+        yield MgkCalculator(ws.config.kernel).matrix([parse_smiles(m) for m in ids])
+
+    monkeypatch.setattr(pipeline._Workspace, "kernel", dense)
+    oracle_cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
+    run_alms(oracle_cfg)
+    compare_al_random(oracle_cfg)
+    oracle = _workspace_bytes(str(tmp_path))
+
+    # every checkpoint, dataset, prediction and report is bitwise the dense one's
+    assert any(n.startswith("al_stage") for n in oracle)
+    assert any(n.startswith("parity_") for n in oracle)
+    assert not any(n.startswith("kernel_") for n in oracle)
+    for name, data in oracle.items():
+        assert lazy[name] == data, f"{name} differs from the dense oracle"
+    (cache,) = [n for n in lazy if n.startswith("kernel_")]
+    n = len(pipeline._Workspace(cfg).molecule_ids())
+    rows = lazy[cache].decode().splitlines()[2:]
+    assert 0 < len(rows) < n * (n + 1) // 2
+
+
+# -- reused artifacts are checked ----------------------------------------------------
+
+
+def test_a_molecule_list_unlike_the_enumeration_is_rejected(tmp_path):
+    cfg = PipelineConfig.from_dict({**RUN_RAW, "out_dir": str(tmp_path)})
+    ws = pipeline._Workspace(cfg)
+    ids = ws.molecule_ids()
+    path = ws.path(f"molecules_{pipeline._hash_obj(cfg.space_dict())}.txt")
+    assert ws.molecule_ids() == ids
+    with open(path, "w") as fh:
+        fh.write("\n".join(ids[:-5]) + "\n")
+    with pytest.raises(StageError, match=os.path.basename(path)):
+        ws.molecule_ids()
+    with pytest.raises(StageError, match=os.path.basename(path)):
+        run_alms(cfg)
+
+
+def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
+    cfg = PipelineConfig.from_dict({**RUN_RAW, "out_dir": str(tmp_path)})
+    ws = pipeline._Workspace(cfg)
+    ids = ws.molecule_ids()[:3]
+    rows = ws.dataset_for("probe", "h", ids)
+    assert [r.smiles for r in rows][:: thermo.GRID_POINTS] == ids
+    assert ws.dataset_for("probe", "h", ids) == rows
+    (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith("dataset_probe_")]
+    for wanted in (ids[:2], ids[::-1], ws.molecule_ids()[:4]):
+        with pytest.raises(StageError, match=os.path.basename(path)):
+            ws.dataset_for("probe", "h", wanted)
