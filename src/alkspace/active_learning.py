@@ -235,11 +235,7 @@ class _IncrementalLoop:
             self.keys.append(key)
 
     def variances(self, subset: Sequence[str]) -> np.ndarray:
-        from scipy.linalg import solve_triangular  # deferred, as in gpr
-
-        ksq = self.provider.block(self.keys, subset)
-        x = solve_triangular(self.chol, ksq, lower=True)
-        v = self.provider.diag(subset) - np.sum(x * x, axis=0)
+        v = gpr._unclamped_variance(self.chol, self.provider, self.keys, subset)
         return np.maximum(v, 0.0)
 
 

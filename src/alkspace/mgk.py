@@ -527,6 +527,11 @@ class MgkCalculator:
 
     # -- persistence ------------------------------------------------------
 
+    @property
+    def cached_pairs(self) -> int:
+        """How many raw pair values are held, solved here or loaded."""
+        return len(self._raw)
+
     def save_cache(self, path: str) -> int:
         """Write cached raw values as CSV; returns the row count."""
         rows = sorted(self._raw.items())

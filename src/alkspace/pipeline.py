@@ -494,9 +494,10 @@ class _Workspace:
         cache loaded, so a consumer solves only the pairs it reads.
 
         A body that finds no cache file writes one when it finishes without
-        error, holding every pair it solved. Later bodies solve the pairs the
-        file lacks in memory and leave the file unchanged, so a rerun
-        rewrites nothing.
+        error, holding every pair it solved; a body that solved none writes
+        nothing, so the next body that solves pairs creates the file. Later
+        bodies solve the pairs the file lacks in memory and leave the file
+        unchanged, so a rerun rewrites nothing.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
@@ -506,7 +507,7 @@ class _Workspace:
             n = calc.load_cache(cache)
             logger.info("loaded %d cached kernel entries from %s", n, cache)
         yield calc
-        if not reused:
+        if not reused and calc.cached_pairs:
             n = _write_via_temp(cache, calc.save_cache)
             logger.info("wrote %d kernel entries to %s", n, cache)
 

@@ -194,6 +194,22 @@ def test_stall_guard():
         al_step(state, DictProvider(ids, values), noise=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("bad_is_seed", [True, False], ids=["seed", "pool"])
+def test_run_rejects_a_non_finite_kernel_entry(value, bad_is_seed):
+    ids = [f"m{i}" for i in range(8)]
+    seeds = al_init(ids, 0.5, 4, seed=0).selected
+    bad = seeds[0] if bad_is_seed else next(m for m in ids if m not in seeds)
+    values = 0.3 + 0.7 * np.eye(len(ids))
+    i = ids.index(bad)
+    values[i, :] = values[:, i] = value
+    values[i, i] = 1.0
+    # a seed poisons the first factorization, a pool molecule its scoring
+    match = "kernel matrix" if bad_is_seed else "kernel block between"
+    with pytest.raises(ValueError, match=match):
+        al_run(ids, 0.5, 4, 0, DictProvider(ids, values))
+
+
 def test_step_is_transactional_on_provider_failure():
     ids = ["a", "b", "c"]
 

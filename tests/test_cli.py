@@ -243,6 +243,22 @@ def test_al_writes_a_terminal_checkpoint(tmp_path, config_file, capsys):
     assert set(extended.selected) >= set(state.selected)
 
 
+def test_al_on_a_finished_checkpoint_writes_no_kernel_cache(tmp_path, config_file):
+    ckpt = str(tmp_path / "done.json")
+    argv = ["al", "--config", config_file, "--checkpoint", ckpt, "--threshold", "0.5"]
+    assert main([*argv, "--out-dir", str(tmp_path / "first")]) == 0
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out-dir", str(fresh)]) == 0
+
+    def caches():
+        return [fresh / n for n in os.listdir(fresh) if n.startswith("kernel_")]
+
+    assert caches() == []
+    assert main(["run-all", "--config", config_file, "--out-dir", str(fresh)]) == 0
+    [cache] = caches()
+    assert len(cache.read_text().splitlines()) > 2  # header lines plus rows
+
+
 def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
     from alkspace.pipeline import PipelineConfig, _Workspace
 
@@ -323,12 +339,20 @@ def test_console_script_runs():
     assert proc.stdout.strip() == "10"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported at first use, so enumeration never pays for it.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, alkspace.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+def test_run_all_leaves_scipy_unloaded(tmp_path):
+    # the GP linear algebra is numpy only, so no command pays scipy's import
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7},
+         "evaluation": {"n_test": 5, "control_seeds": [0]}}
+    ))
+    argv = ["run-all", "--config", str(config), "--out-dir", str(tmp_path / "ws")]
+    code = (
+        "import sys\n"
+        "from alkspace.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('scipy' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False"

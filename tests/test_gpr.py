@@ -179,6 +179,45 @@ def test_fit_input_validation():
         fit([0.0], [1.0], noise=-1.0, kernel_provider=RBF)
 
 
+class PoisonedProvider(RbfProvider):
+    """RBF provider whose entries between ``bad`` and any other key are
+    ``value``."""
+
+    def __init__(self, bad: float, value: float):
+        super().__init__()
+        self.bad = bad
+        self.value = value
+
+    def block(self, keys_a, keys_b):
+        k = super().block(keys_a, keys_b)
+        hit_a = self._arr(keys_a)[:, None] == self.bad
+        hit_b = self._arr(keys_b)[None, :] == self.bad
+        k[hit_a != hit_b] = self.value
+        return k
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_targets(value):
+    with pytest.raises(ValueError, match="targets"):
+        fit([0.0, 1.0, 2.0], [1.0, value, 2.0], noise=1e-3, kernel_provider=RBF)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_rejects_a_non_finite_kernel_block(value):
+    provider = PoisonedProvider(bad=1.0, value=value)
+    with pytest.raises(ValueError, match="kernel matrix of the training inputs"):
+        fit([0.0, 1.0, 2.0], [1.0, 3.0, 2.0], noise=1e-3, kernel_provider=provider)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_predict_variance_rejects_a_non_finite_cross_block(value):
+    provider = PoisonedProvider(bad=1.5, value=value)
+    model = fit([0.0, 1.0, 2.0], [1.0, 3.0, 2.0], noise=1e-3, kernel_provider=provider)
+    assert np.isfinite(model.predict_variance([0.5, 3.0])).all()
+    with pytest.raises(ValueError, match="kernel block between training inputs and queries"):
+        model.predict_variance([0.5, 1.5])
+
+
 # -- composite kernel over (molecule, temperature) -----------------------------
 
 
@@ -237,3 +276,47 @@ def test_extend_cholesky_rejects_non_positive_schur():
     chol = np.linalg.cholesky(np.eye(2))
     with pytest.raises(FitError):
         extend_cholesky(chol, np.array([1.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_extend_cholesky_rejects_a_non_finite_cross_vector(value):
+    chol = np.linalg.cholesky(np.eye(2))
+    with pytest.raises(ValueError, match="cross-covariance vector"):
+        extend_cholesky(chol, np.array([0.1, value]), 1.0)
+
+
+def _spd(n: int, seed: int) -> np.ndarray:
+    """Well-conditioned SPD matrix: eigenvalues roughly in [1, 5]."""
+    m = np.random.default_rng(seed).normal(size=(n, n))
+    return m @ m.T / n + np.eye(n)
+
+
+def test_extend_cholesky_grown_across_a_solve_block_matches_full_factorization():
+    start, steps = gpr._SOLVE_BLOCK - 2, 5
+    a = _spd(start + steps, seed=11)
+    chol = np.linalg.cholesky(a[:start, :start])
+    for n in range(start, start + steps):
+        chol = extend_cholesky(chol, a[:n, n], float(a[n, n]))
+    assert np.abs(chol - np.linalg.cholesky(a)).max() <= 1e-12
+
+
+# -- blocked triangular solve -------------------------------------------------------
+
+B = gpr._SOLVE_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 7])
+@pytest.mark.parametrize("columns", [(), (1,), (5,)], ids=["vector", "one-column", "matrix"])
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+def test_blocked_triangular_solve(n, columns, lower):
+    chol = np.linalg.cholesky(_spd(n, seed=n))
+    t = chol if lower else chol.T
+    b = np.random.default_rng(n + 1).normal(size=(n, *columns))
+    x = gpr._solve_triangular(t, b, lower=lower)
+    assert x.shape == b.shape
+    # residual oracle: normwise backward error at rounding level
+    residual = np.abs(t @ x - b).max()
+    scale = np.abs(t).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert residual <= 1e-14 * scale
+    want = np.linalg.solve(t, b)
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
