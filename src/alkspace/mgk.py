@@ -25,13 +25,26 @@ K_e = delta + (1-delta)[o1 = o2] enters as weights: delta A1 S A2 plus one
 alkanes (all single bonds) is the single product A1 S A2. The raw kernel
 is start_weight^2 sum(S).
 
-The system is solved by Jacobi-preconditioned conjugate gradient, as in
-the CG methods for random-walk kernels (Vishwanathan et al., "Graph
-Kernels", JMLR 2010) and GraphDot's solver (Tang & de Jong, J. Chem. Phys.
-2019). Pairs of one shape are stacked, but step sizes, residuals and the
-stop test are per pair: a pair stops when its preconditioned residual
-falls to ``fp_tolerance`` times that of the right-hand side, so its value
-is bitwise independent of the pairs batched with it and of request order.
+The system is solved by conjugate gradient in each graph's eigenbasis,
+the fast diagonalisation of Lynch, Rice & Thomas (Numer. Math. 1964)
+applied to the Sylvester form of random-walk kernels (Vishwanathan et
+al., "Graph Kernels", JMLR 2010). Each graph factors
+D^-1/2 A D^-1/2 = U diag(lam) U^T once; with V = D^-1/2 U, so that
+V^T D V = I and V^T A V = diag(lam), the substitution S = V1 Y V2^T turns
+the part D1 S D2 - (1-q)^2 A1 S A2 into the elementwise diagonal
+1 - (1-q)^2 lam_i mu_j, and the right-hand side into the rank-one
+q^2 (V1^T d1)(V2^T d2)^T. What remains is a correction formed in S space
+and mapped back, V1^T [c * S + (1-q)^2 sum_t w'_t A1_t S A2_t] V2, with
+c = (1/K_v - 1) D_x >= 0 and w' the bond weights beyond the unit product
+(none for alkanes). The diagonal is also the preconditioner; for alkanes
+it bounds the condition number by 1 + (1/delta_degree - 1)/(1 - (1-q)^2)
+whatever the molecule size, so a pair takes about ten iterations.
+
+Pairs of one shape are stacked, but step sizes, residuals and the stop
+test are per pair: a pair stops when its residual, in the norm of the
+eigenbasis preconditioner, falls to ``fp_tolerance`` times that of the
+right-hand side, so its value is bitwise independent of the pairs batched
+with it and of request order.
 
 Normalization divides by the geometric mean of the self-kernels and, when a
 finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale.
@@ -56,9 +69,10 @@ _CHUNK_ENTRIES = 16384
 _T = TypeVar("_T")
 
 _CACHE_MAGIC = "alkspace-kernel-cache"
-# 2: values from the conjugate-gradient solver, whose fp_tolerance is a
-# relative residual; files written by the earlier fixed-point solver differ.
-_CACHE_VERSION = 2
+# 3: values from the eigenbasis conjugate-gradient solver, whose
+# fp_tolerance is a residual in a different norm; version-2 files (the
+# Jacobi-preconditioned solver) differ from them at about 1e-11.
+_CACHE_VERSION = 3
 
 
 class KernelConvergenceError(RuntimeError):
@@ -74,8 +88,9 @@ class MgkHyperparameters:
     the scale). The ``delta_*`` values are the off-diagonal returns of the
     Kronecker-delta comparators for element, heavy degree and bond order.
     ``lambda_`` scales the self-kernel-mismatch damping (infinite disables
-    it). ``fp_tolerance`` is the relative residual at which a pair's solve
-    stops, and ``fp_max_iters`` caps its conjugate-gradient iterations.
+    it). ``fp_tolerance`` is the relative residual, in the norm of the
+    eigenbasis preconditioner, at which a pair's solve stops, and
+    ``fp_max_iters`` caps its conjugate-gradient iterations.
     """
 
     q: float = 0.05
@@ -163,43 +178,69 @@ def edge_kernel(e1: Bond, e2: Bond, p: MgkHyperparameters) -> float:
     return 1.0 if e1.order == e2.order else p.delta_bond_order
 
 
-class _GraphArrays:
-    """Per-graph arrays reused across all pairs involving the graph."""
+def _element_code(symbol: str) -> int:
+    """A number, exact in a float64 array, that identifies an element symbol."""
+    raw = symbol.encode()
+    if len(raw) > 5:
+        raise GraphError(f"kernel needs element symbols of at most 5 bytes: {symbol!r}")
+    return int.from_bytes(b"\x01" + raw, "big")
 
-    __slots__ = ("n", "elements", "degrees", "orders", "adjacency")
+
+class _GraphArrays:
+    """Per-graph arrays reused across all pairs involving the graph.
+
+    ``packed`` is one (n, n + 4) array, so a stack of graphs is gathered by
+    one ``np.stack``: columns 0..n-1 hold V = D^-1/2 U, where
+    D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees clamped to 1), then come
+    lam, V^T d (clamped degrees), the degrees and an element code.
+    """
+
+    __slots__ = ("n", "orders", "bonds", "packed")
 
     def __init__(self, g: MolecularGraph):
         n = len(g.vertices)
         if n == 0:
             raise GraphError("kernel requires a non-empty graph")
         self.n = n
-        self.elements = np.array([a.element for a in g.vertices], dtype="U4")
-        self.degrees = np.array([len(nb) for nb in g.adjacency], dtype=np.int64)
         self.orders = tuple(sorted({b.order for b in g.edges}))
-        # 0/1 adjacency over all bonds (key None) and over each bond order
-        self.adjacency = {o: np.zeros((n, n)) for o in (None, *self.orders)}
-        for b in g.edges:
-            i, j = b.endpoints
-            for o in (None, b.order):
-                self.adjacency[o][i, j] = self.adjacency[o][j, i] = 1.0
+        self.bonds = tuple((*b.endpoints, b.order) for b in g.edges)
+        degrees = np.array([len(nb) for nb in g.adjacency], dtype=float)
+        clamped = np.maximum(degrees, 1.0)
+        root = 1.0 / np.sqrt(clamped)
+        lam, u = np.linalg.eigh(root[:, None] * self.adjacency() * root[None, :])
+        v = root[:, None] * u
+        self.packed = np.empty((n, n + 4))
+        self.packed[:, :n] = v
+        self.packed[:, n] = lam
+        self.packed[:, n + 1] = v.T @ clamped
+        self.packed[:, n + 2] = degrees
+        self.packed[:, n + 3] = [_element_code(a.element) for a in g.vertices]
+
+    def adjacency(self, order: int | None = None) -> np.ndarray:
+        """0/1 adjacency over all bonds (None) or over the bonds of one order."""
+        out = np.zeros((self.n, self.n))
+        for i, j, o in self.bonds:
+            if order is None or o == order:
+                out[i, j] = out[j, i] = 1.0
+        return out
 
 
-def _edge_terms(
+def _bond_corrections(
     orders_a: tuple[int, ...], orders_b: tuple[int, ...], delta: float
 ) -> list[tuple[float, int | None]]:
-    """Weighted adjacency products that make up the bond kernel.
+    """Bond terms beyond the unit product A1 S A2 that the eigenbasis absorbs.
 
     k_e = delta + (1-delta)[o1 = o2] is delta over all bond pairs plus
-    (1-delta) over the pairs of each shared order; each term names the
+    (1-delta) over the pairs of each shared order, so the difference from
+    A1 S A2 is (1-delta) [A1 S A2 - sum_o A1^o S A2^o]. Each term names the
     order both adjacencies are restricted to (None: all bonds). Two graphs
-    of one common order need only the unit-weight product of full
-    adjacencies.
+    of one common order, and a graph without bonds, need none.
     """
     if not orders_a or not orders_b:
         return []
     if len(orders_a) == 1 and orders_a == orders_b:
-        return [(1.0, None)]
-    return [(delta, None)] + [(1.0 - delta, o) for o in orders_a if o in orders_b]
+        return []
+    return [(1.0 - delta, None)] + [(delta - 1.0, o) for o in orders_a if o in orders_b]
 
 
 def _distinct(items: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
@@ -217,20 +258,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pcg(
+    v1: np.ndarray,
+    v2: np.ndarray,
+    c: np.ndarray,
     left: list[np.ndarray],
     right: list[np.ndarray],
     diag: np.ndarray,
     rhs: np.ndarray,
     p: MgkHyperparameters,
 ) -> np.ndarray:
-    """Per-pair sums of S solving diag*S - sum_t left_t S right_t = rhs.
+    """Per-pair sums of S = V1 Y V2^T, where Y solves
+    diag*Y + V1^T [c*S + sum_t left_t S right_t] V2 = rhs.
 
-    Jacobi-preconditioned conjugate gradient on a (k, n1, n2) stack. Step
-    sizes, residuals and the stop test are per pair: a pair is finished
-    once <r, r/diag> falls to fp_tolerance^2 times <rhs, rhs/diag>, and its
-    sum is taken at that step. Finished pairs leave the stack once they
-    are a quarter of it; until then their slices run on without touching
-    the others, so no pair's result depends on its companions.
+    Conjugate gradient on a (k, n1, n2) stack in the eigenbasis, with the
+    diagonal as preconditioner. Step sizes, residuals and the stop test
+    are per pair: a pair is finished once <r, r/diag> falls to
+    fp_tolerance^2 times <rhs, rhs/diag>, and its sum, accumulated from the
+    S-space directions each iteration forms anyway, is taken at that step.
+    Finished pairs leave the stack once they are a quarter of it; until
+    then their slices run on without touching the others, so no pair's
+    result depends on its companions. ``rhs`` becomes the residual and is
+    overwritten.
     """
     k = len(rhs)
     out = np.empty(k)
@@ -238,20 +286,26 @@ def _pcg(
     pending = np.ones(k, dtype=bool)
     total = np.zeros(k)
     minv = 1.0 / diag
-    r = rhs.copy()
+    r = rhs
     z = minv * r
     d = z.copy()
-    ad = np.empty_like(d)
     rz = _dot(r, z)
     stop = p.fp_tolerance**2 * rz
     # a finished slice that reaches an exact zero residual divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(p.fp_max_iters):
-            np.multiply(diag, d, out=ad)
-            for lt, rt in zip(left, right):
-                ad -= lt @ d @ rt
+            s = v1 @ d @ v2.transpose(0, 2, 1)
+            s_sum = np.einsum("kij->k", s)
+            extra = [lt @ s @ rt for lt, rt in zip(left, right)]
+            s *= c
+            for term in extra:
+                s += term
+            ad = v1.transpose(0, 2, 1) @ s @ v2
+            # z is free until the residual update below refills it
+            np.multiply(diag, d, out=z)
+            ad += z
             alpha = rz / _dot(d, ad)
-            total += alpha * np.einsum("kij->k", d)
+            total += alpha * s_sum
             ad *= alpha[:, None, None]
             r -= ad
             np.multiply(minv, r, out=z)
@@ -268,8 +322,9 @@ def _pcg(
                     live, pending, total, stop, rz, rz_next = (
                         a[keep] for a in (live, pending, total, stop, rz, rz_next)
                     )
-                    r, z, d, diag, minv = (a[keep] for a in (r, z, d, diag, minv))
-                    ad = np.empty_like(d)
+                    v1, v2, c, r, z, d, diag, minv = (
+                        a[keep] for a in (v1, v2, c, r, z, d, diag, minv)
+                    )
                     left = [a[keep] for a in left]
                     right = [a[keep] for a in right]
             d *= (rz_next / rz)[:, None, None]
@@ -283,37 +338,47 @@ def _pcg(
 
 def _solve_group(
     pairs: Sequence[tuple[_GraphArrays, _GraphArrays]],
-    terms: list[tuple[float, int | None]],
+    corrections: list[tuple[float, int | None]],
     p: MgkHyperparameters,
 ) -> np.ndarray:
-    """Raw values of same-shape pairs sharing one list of bond terms.
+    """Raw values of same-shape pairs sharing one list of bond corrections.
 
-    Per-pair inputs are gathered from per-graph tables, one chunk of at
-    most _CHUNK_ENTRIES product-graph vertices at a time.
+    Per-pair inputs are gathered from the stacked per-graph arrays, one
+    chunk of at most _CHUNK_ENTRIES product-graph vertices at a time.
     """
     graphs_a, ia = _distinct([a for a, _ in pairs])
     graphs_b, ib = _distinct([b for _, b in pairs])
     n1, n2 = graphs_a[0].n, graphs_b[0].n
-    ea = np.stack([g.elements for g in graphs_a])
-    eb = np.stack([g.elements for g in graphs_b])
-    da = np.stack([g.degrees for g in graphs_a])
-    db = np.stack([g.degrees for g in graphs_b])
-    fa = np.maximum(da, 1).astype(float)
-    fb = np.maximum(db, 1).astype(float)
+    pa = np.stack([g.packed for g in graphs_a])
+    pb = np.stack([g.packed for g in graphs_b])
     scale = (1.0 - p.q) ** 2
-    left = [scale * w * np.stack([g.adjacency[o] for g in graphs_a]) for w, o in terms]
-    right = [np.stack([g.adjacency[o] for g in graphs_b]) for _, o in terms]
+    left = [
+        scale * w * np.stack([g.adjacency(o) for g in graphs_a]) for w, o in corrections
+    ]
+    right = [np.stack([g.adjacency(o) for g in graphs_b]) for _, o in corrections]
     q2 = p.q * p.q
     sw2 = p.start_weight**2
     step = max(1, _CHUNK_ENTRIES // (n1 * n2))
     out = np.empty(len(pairs))
     for lo in range(0, len(pairs), step):
         xa, xb = ia[lo : lo + step], ib[lo : lo + step]
-        kv = np.where(ea[xa][:, :, None] == eb[xb][:, None, :], 1.0, p.delta_element)
-        kv *= np.where(da[xa][:, :, None] == db[xb][:, None, :], 1.0, p.delta_degree)
-        dx = fa[xa][:, :, None] * fb[xb][:, None, :]
+        a, b = pa[xa], pb[xb]
+        lam, vd1, da, ea = (a[:, :, n1 + i] for i in range(4))
+        mu, vd2, db, eb = (b[:, :, n2 + i] for i in range(4))
+        # c = (1/K_v - 1) D_x, formed in place
+        c = np.where(ea[:, :, None] == eb[:, None, :], 1.0, 1.0 / p.delta_element)
+        c *= np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
+        c -= 1.0
+        c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
         sums = _pcg(
-            [a[xa] for a in left], [b[xb] for b in right], dx / kv, q2 * dx, p
+            np.ascontiguousarray(a[:, :, :n1]),
+            np.ascontiguousarray(b[:, :, :n2]),
+            c,
+            [m[xa] for m in left],
+            [m[xb] for m in right],
+            1.0 - scale * lam[:, :, None] * mu[:, None, :],
+            q2 * vd1[:, :, None] * vd2[:, None, :],
+            p,
         )
         out[lo : lo + step] = sw2 * sums
     return out
@@ -328,8 +393,8 @@ def _solve_pairs(
         groups.setdefault((a.n, b.n, a.orders, b.orders), []).append(i)
     out = np.empty(len(pairs))
     for (_, _, orders_a, orders_b), members in groups.items():
-        terms = _edge_terms(orders_a, orders_b, p.delta_bond_order)
-        out[members] = _solve_group([pairs[i] for i in members], terms, p)
+        corrections = _bond_corrections(orders_a, orders_b, p.delta_bond_order)
+        out[members] = _solve_group([pairs[i] for i in members], corrections, p)
     return out
 
 

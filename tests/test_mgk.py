@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alkspace import mgk
@@ -35,6 +35,7 @@ from alkspace.molspace import (
     Bond,
     GraphError,
     MolecularGraph,
+    enumerate_alkane_smiles,
     enumerate_alkanes,
     parse_smiles,
 )
@@ -216,6 +217,18 @@ def test_empty_graph_rejected():
         mgk_raw(empty, empty, DEFAULT)
 
 
+def test_element_symbols_compare_exactly_up_to_five_bytes():
+    # symbols are compared through numeric codes inside the solver
+    q2 = DEFAULT.q**2
+    for a, b in [("Cl", "C"), ("Cab", "Cac"), ("\x00C", "C"), ("Abcde", "Abcdf")]:
+        ga, gb = MolecularGraph([atom(a)], []), MolecularGraph([atom(b)], [])
+        assert mgk_raw(ga, gb, DEFAULT) == pytest.approx(DEFAULT.delta_element * q2)
+        assert mgk_raw(ga, ga, DEFAULT) == pytest.approx(q2)
+    long_name = MolecularGraph([atom("Abcdef")], [])
+    with pytest.raises(GraphError, match="at most 5 bytes"):
+        mgk_raw(long_name, long_name, DEFAULT)
+
+
 # -- oracle consistency ---------------------------------------------------------
 
 TINY_GRAPHS = [
@@ -272,7 +285,7 @@ def test_slow_stop_agrees_within_tail_bound():
                 assert gap <= truncation_tail_bound(g1, g2, DEFAULT, hops) * (1 + 1e-9)
 
 
-def test_mixed_bond_orders_use_dense_path_and_agree():
+def test_mixed_bond_orders_agree_with_truncated_oracle():
     chain = graph("CCC", [(0, 1, 1), (1, 2, 1)])
     mixed = graph("CCC", [(0, 1, 1), (1, 2, 2)])
     doubled = graph("CCC", [(0, 1, 2), (1, 2, 2)])
@@ -324,6 +337,58 @@ def test_random_trees_match_direct_solve(g1, g2, q):
     want = direct_raw(g1, g2, p)
     assert mgk_raw(g1, g2, p) == pytest.approx(want, rel=1e-10)
     assert mgk_raw(g2, g1, p) == pytest.approx(want, rel=1e-10)
+
+
+@st.composite
+def alkane_trees(draw, max_atoms=12):
+    """Carbon trees of 1..max_atoms atoms, at most four bonds per atom."""
+    n = draw(st.integers(1, max_atoms))
+    degree = [0] * n
+    bonds = []
+    for i in range(1, n):
+        j = draw(st.sampled_from([j for j in range(i) if degree[j] < 4]))
+        degree[i] += 1
+        degree[j] += 1
+        bonds.append((j, i, 1))
+    return graph("C" * n, bonds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alkane_trees())
+@example(graph("C", []))
+@example(graph("CC", [(0, 1, 1)]))
+def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
+    n = len(g.vertices)
+    packed = mgk._GraphArrays(g).packed
+    v, lam = packed[:, :n], packed[:, n]
+    degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
+    adjacency = np.zeros((n, n))
+    for b in g.edges:
+        i, j = b.endpoints
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    np.testing.assert_allclose(v.T @ degrees @ v, np.eye(n), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ adjacency @ v, np.diag(lam), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alkane_trees(), alkane_trees(), st.sampled_from([0.05, 0.2, 0.5]))
+def test_raw_values_obey_cauchy_schwarz(g1, g2, q):
+    # the kernel is positive semi-definite, so self-kernels bound a pair
+    p = MgkHyperparameters(q=q)
+    k12 = mgk_raw(g1, g2, p)
+    assert k12 * k12 <= mgk_raw(g1, g1, p) * mgk_raw(g2, g2, p) * (1 + 1e-12)
+
+
+def test_every_pair_up_to_c16_solves_within_fifteen_iterations():
+    # The eigenbasis preconditioner keeps the iteration count flat in the
+    # molecule size: these pairs take at most 12 iterations, where a
+    # Jacobi-preconditioned solve takes 31 to 40 and fails this cap.
+    smiles = enumerate_alkane_smiles(4, 16)
+    picks = np.random.default_rng(23).choice(len(smiles), size=60, replace=False)
+    mols = [parse_smiles(smiles[i]) for i in sorted(picks)]
+    assert max(len(g.vertices) for g in mols) == 16
+    values = MgkCalculator(MgkHyperparameters(fp_max_iters=15)).matrix(mols).values
+    assert np.all(values > 0.0)
 
 
 # -- invariance -----------------------------------------------------------------
@@ -616,3 +681,21 @@ def test_cache_rejects_bad_rows(tmp_path, row, message):
     assert f"line {rows + 3}" in str(err.value)
     assert message in str(err.value)
     assert fresh.save_cache(str(tmp_path / "empty.csv")) == 0
+
+
+def test_cache_rejects_a_version_2_file(tmp_path):
+    # version-2 values came from the Jacobi-preconditioned solver
+    calc = MgkCalculator(DEFAULT)
+    calc.matrix(enumerate_alkanes(4, 5))
+    path = tmp_path / "cache.csv"
+    calc.save_cache(str(path))
+    header = f"{mgk._CACHE_MAGIC},{{}},{DEFAULT.content_hash()}"
+    text = path.read_text()
+    assert text.startswith(header.format(3))
+    path.write_text(text.replace(header.format(3), header.format(2), 1))
+
+    fresh = MgkCalculator(DEFAULT)
+    with pytest.raises(ValueError, match="hyperparameters/version"):
+        fresh.load_cache(str(path))
+    assert fresh.load_cache(str(path), require_match=False) == 0
+    assert fresh.cached_pairs == 0
