@@ -335,7 +335,7 @@ def al_continue(
 
 
 def save_checkpoint(state: AlState, path: str) -> None:
-    """Atomic JSON checkpoint; sets are stored sorted for stable bytes."""
+    """Write a JSON checkpoint atomically; sets are stored sorted for stable bytes."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "threshold": state.threshold,

@@ -1,13 +1,15 @@
-"""Marginalized graph kernel between molecular graphs.
+"""Marginalized graph kernel between alkane trees.
 
 Similarity is the expected weight of simultaneous random walks on both
 graphs: each walk starts on every vertex (weight ``start_weight``), stops at
 a vertex with probability ``q``, or hops to a uniformly chosen neighbour.
-Matched vertices and bonds are scored by Kronecker-delta micro-kernels. The
-infinite walk-length sum is the fixed point of
+Matched vertices are scored by a Kronecker delta on their degree,
+K_v = 1 for equal degrees and ``delta_degree`` otherwise; every atom is a
+carbon and every bond single, so elements and bond orders always match.
+The infinite walk-length sum is the fixed point of
 
     R(v,v') = q^2 + sum_{u in N(v)} sum_{u' in N(v')}
-              p_t(u|v) p_t(u'|v') K_v(u,u') K_e(e_vu, e_v'u') R(u,u')
+              p_t(u|v) p_t(u'|v') K_v(u,u') R(u,u')
 
 with p_t(u|v) = (1-q)/degree(v), and the raw kernel is
 sum_{v,v'} start_weight^2 K_v(v,v') R(v,v').
@@ -16,14 +18,11 @@ Writing S = K_v * R (elementwise) and multiplying through by the degrees
 turns the fixed point into one symmetric positive-definite system on the
 product graph,
 
-    (D_x / K_v) * S - (1-q)^2 sum_t w_t A1_t S A2_t = q^2 D_x,
+    (D_x / K_v) * S - (1-q)^2 A1 S A2 = q^2 D_x,
 
-with D_x = d1 d2^T (degrees clamped to at least 1, so an isolated vertex
-gives R = q^2) and A the 0/1 adjacency matrices. The bond kernel
-K_e = delta + (1-delta)[o1 = o2] enters as weights: delta A1 S A2 plus one
-(1-delta) A1^o S A2^o term per bond order o the graphs share, which for
-alkanes (all single bonds) is the single product A1 S A2. The raw kernel
-is start_weight^2 sum(S).
+with D_x = d1 d2^T (degrees clamped to at least 1, so methane's lone
+vertex gives R = q^2) and A the 0/1 adjacency matrices. The raw kernel is
+start_weight^2 sum(S).
 
 The system is solved by conjugate gradient in each graph's eigenbasis,
 the fast diagonalisation of Lynch, Rice & Thomas (Numer. Math. 1964)
@@ -34,11 +33,10 @@ V^T D V = I and V^T A V = diag(lam), the substitution S = V1 Y V2^T turns
 the part D1 S D2 - (1-q)^2 A1 S A2 into the elementwise diagonal
 1 - (1-q)^2 lam_i mu_j, and the right-hand side into the rank-one
 q^2 (V1^T d1)(V2^T d2)^T. What remains is a correction formed in S space
-and mapped back, V1^T [c * S + (1-q)^2 sum_t w'_t A1_t S A2_t] V2, with
-c = (1/K_v - 1) D_x >= 0 and w' the bond weights beyond the unit product
-(none for alkanes). The diagonal is also the preconditioner; for alkanes
-it bounds the condition number by 1 + (1/delta_degree - 1)/(1 - (1-q)^2)
-whatever the molecule size, so a pair takes about ten iterations.
+and mapped back, V1^T (c * S) V2, with c = (1/K_v - 1) D_x >= 0. The
+diagonal is also the preconditioner; it bounds the condition number by
+1 + (1/delta_degree - 1)/(1 - (1-q)^2) whatever the molecule size, so a
+pair takes about ten iterations.
 
 Pairs of one shape are stacked, but step sizes, residuals and the stop
 test are per pair: a pair stops when its residual, in the norm of the
@@ -60,7 +58,7 @@ from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .molspace import Atom, Bond, GraphError, MolecularGraph, to_canonical_smiles
+from .molspace import MolecularGraph, to_canonical_smiles
 
 # Product-graph vertices (pairs x n1 x n2) per stacked solve; caps the
 # working memory at about this many doubles per array.
@@ -85,10 +83,12 @@ class MgkHyperparameters:
 
     ``q`` is the per-vertex stopping probability, ``start_weight`` the
     per-vertex starting weight (unnormalized; the normalization step absorbs
-    the scale). The ``delta_*`` values are the off-diagonal returns of the
-    Kronecker-delta comparators for element, heavy degree and bond order.
-    ``lambda_`` scales the self-kernel-mismatch damping (infinite disables
-    it). ``fp_tolerance`` is the relative residual, in the norm of the
+    the scale). ``delta_degree`` is the off-diagonal return of the degree
+    comparator. ``delta_element`` and ``delta_bond_order`` are validated and
+    hashed like the others, so config files and cache names keep their
+    form, but enter no alkane value: all atoms are carbons and all bonds
+    single. ``lambda_`` scales the self-kernel-mismatch damping (infinite
+    disables it). ``fp_tolerance`` is the relative residual, in the norm of the
     eigenbasis preconditioner, at which a pair's solve stops, and
     ``fp_max_iters`` caps its conjugate-gradient iterations.
     """
@@ -163,84 +163,33 @@ class MgkHyperparameters:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def vertex_kernel(a: Atom, b: Atom, p: MgkHyperparameters) -> float:
-    """Product of per-feature deltas over (element, heavy_degree)."""
-    out = 1.0
-    if a.element != b.element:
-        out *= p.delta_element
-    if a.heavy_degree != b.heavy_degree:
-        out *= p.delta_degree
-    return out
-
-
-def edge_kernel(e1: Bond, e2: Bond, p: MgkHyperparameters) -> float:
-    """Delta comparator on bond order."""
-    return 1.0 if e1.order == e2.order else p.delta_bond_order
-
-
-def _element_code(symbol: str) -> int:
-    """A number, exact in a float64 array, that identifies an element symbol."""
-    raw = symbol.encode()
-    if len(raw) > 5:
-        raise GraphError(f"kernel needs element symbols of at most 5 bytes: {symbol!r}")
-    return int.from_bytes(b"\x01" + raw, "big")
-
-
 class _GraphArrays:
     """Per-graph arrays reused across all pairs involving the graph.
 
-    ``packed`` is one (n, n + 4) array, so a stack of graphs is gathered by
+    ``packed`` is one (n, n + 3) array, so a stack of graphs is gathered by
     one ``np.stack``: columns 0..n-1 hold V = D^-1/2 U, where
     D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees clamped to 1), then come
-    lam, V^T d (clamped degrees), the degrees and an element code.
+    lam, V^T d (clamped degrees) and the degrees.
     """
 
-    __slots__ = ("n", "orders", "bonds", "packed")
+    __slots__ = ("n", "packed")
 
     def __init__(self, g: MolecularGraph):
-        n = len(g.vertices)
-        if n == 0:
-            raise GraphError("kernel requires a non-empty graph")
+        n = len(g)
         self.n = n
-        self.orders = tuple(sorted({b.order for b in g.edges}))
-        self.bonds = tuple((*b.endpoints, b.order) for b in g.edges)
+        adjacency = np.zeros((n, n))
+        for i, nb in enumerate(g.adjacency):
+            adjacency[i, list(nb)] = 1.0
         degrees = np.array([len(nb) for nb in g.adjacency], dtype=float)
         clamped = np.maximum(degrees, 1.0)
         root = 1.0 / np.sqrt(clamped)
-        lam, u = np.linalg.eigh(root[:, None] * self.adjacency() * root[None, :])
+        lam, u = np.linalg.eigh(root[:, None] * adjacency * root[None, :])
         v = root[:, None] * u
-        self.packed = np.empty((n, n + 4))
+        self.packed = np.empty((n, n + 3))
         self.packed[:, :n] = v
         self.packed[:, n] = lam
         self.packed[:, n + 1] = v.T @ clamped
         self.packed[:, n + 2] = degrees
-        self.packed[:, n + 3] = [_element_code(a.element) for a in g.vertices]
-
-    def adjacency(self, order: int | None = None) -> np.ndarray:
-        """0/1 adjacency over all bonds (None) or over the bonds of one order."""
-        out = np.zeros((self.n, self.n))
-        for i, j, o in self.bonds:
-            if order is None or o == order:
-                out[i, j] = out[j, i] = 1.0
-        return out
-
-
-def _bond_corrections(
-    orders_a: tuple[int, ...], orders_b: tuple[int, ...], delta: float
-) -> list[tuple[float, int | None]]:
-    """Bond terms beyond the unit product A1 S A2 that the eigenbasis absorbs.
-
-    k_e = delta + (1-delta)[o1 = o2] is delta over all bond pairs plus
-    (1-delta) over the pairs of each shared order, so the difference from
-    A1 S A2 is (1-delta) [A1 S A2 - sum_o A1^o S A2^o]. Each term names the
-    order both adjacencies are restricted to (None: all bonds). Two graphs
-    of one common order, and a graph without bonds, need none.
-    """
-    if not orders_a or not orders_b:
-        return []
-    if len(orders_a) == 1 and orders_a == orders_b:
-        return []
-    return [(1.0 - delta, None)] + [(delta - 1.0, o) for o in orders_a if o in orders_b]
 
 
 def _distinct(items: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
@@ -261,14 +210,12 @@ def _pcg(
     v1: np.ndarray,
     v2: np.ndarray,
     c: np.ndarray,
-    left: list[np.ndarray],
-    right: list[np.ndarray],
     diag: np.ndarray,
     rhs: np.ndarray,
     p: MgkHyperparameters,
 ) -> np.ndarray:
     """Per-pair sums of S = V1 Y V2^T, where Y solves
-    diag*Y + V1^T [c*S + sum_t left_t S right_t] V2 = rhs.
+    diag*Y + V1^T (c*S) V2 = rhs.
 
     Conjugate gradient on a (k, n1, n2) stack in the eigenbasis, with the
     diagonal as preconditioner. Step sizes, residuals and the stop test
@@ -296,10 +243,7 @@ def _pcg(
         for _ in range(p.fp_max_iters):
             s = v1 @ d @ v2.transpose(0, 2, 1)
             s_sum = np.einsum("kij->k", s)
-            extra = [lt @ s @ rt for lt, rt in zip(left, right)]
             s *= c
-            for term in extra:
-                s += term
             ad = v1.transpose(0, 2, 1) @ s @ v2
             # z is free until the residual update below refills it
             np.multiply(diag, d, out=z)
@@ -325,8 +269,6 @@ def _pcg(
                     v1, v2, c, r, z, d, diag, minv = (
                         a[keep] for a in (v1, v2, c, r, z, d, diag, minv)
                     )
-                    left = [a[keep] for a in left]
-                    right = [a[keep] for a in right]
             d *= (rz_next / rz)[:, None, None]
             d += z
             rz = rz_next
@@ -336,65 +278,45 @@ def _pcg(
     )
 
 
-def _solve_group(
-    pairs: Sequence[tuple[_GraphArrays, _GraphArrays]],
-    corrections: list[tuple[float, int | None]],
-    p: MgkHyperparameters,
-) -> np.ndarray:
-    """Raw values of same-shape pairs sharing one list of bond corrections.
-
-    Per-pair inputs are gathered from the stacked per-graph arrays, one
-    chunk of at most _CHUNK_ENTRIES product-graph vertices at a time.
-    """
-    graphs_a, ia = _distinct([a for a, _ in pairs])
-    graphs_b, ib = _distinct([b for _, b in pairs])
-    n1, n2 = graphs_a[0].n, graphs_b[0].n
-    pa = np.stack([g.packed for g in graphs_a])
-    pb = np.stack([g.packed for g in graphs_b])
-    scale = (1.0 - p.q) ** 2
-    left = [
-        scale * w * np.stack([g.adjacency(o) for g in graphs_a]) for w, o in corrections
-    ]
-    right = [np.stack([g.adjacency(o) for g in graphs_b]) for _, o in corrections]
-    q2 = p.q * p.q
-    sw2 = p.start_weight**2
-    step = max(1, _CHUNK_ENTRIES // (n1 * n2))
-    out = np.empty(len(pairs))
-    for lo in range(0, len(pairs), step):
-        xa, xb = ia[lo : lo + step], ib[lo : lo + step]
-        a, b = pa[xa], pb[xb]
-        lam, vd1, da, ea = (a[:, :, n1 + i] for i in range(4))
-        mu, vd2, db, eb = (b[:, :, n2 + i] for i in range(4))
-        # c = (1/K_v - 1) D_x, formed in place
-        c = np.where(ea[:, :, None] == eb[:, None, :], 1.0, 1.0 / p.delta_element)
-        c *= np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
-        c -= 1.0
-        c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
-        sums = _pcg(
-            np.ascontiguousarray(a[:, :, :n1]),
-            np.ascontiguousarray(b[:, :, :n2]),
-            c,
-            [m[xa] for m in left],
-            [m[xb] for m in right],
-            1.0 - scale * lam[:, :, None] * mu[:, None, :],
-            q2 * vd1[:, :, None] * vd2[:, None, :],
-            p,
-        )
-        out[lo : lo + step] = sw2 * sums
-    return out
-
-
 def _solve_pairs(
     pairs: Sequence[tuple[_GraphArrays, _GraphArrays]], p: MgkHyperparameters
 ) -> np.ndarray:
-    """Raw kernel values of graph pairs, in request order."""
-    groups: dict[tuple, list[int]] = {}
+    """Raw kernel values of graph pairs, in request order.
+
+    Pairs are grouped by shape (n1, n2). Per-pair inputs are gathered from
+    the stacked per-graph arrays, one chunk of at most _CHUNK_ENTRIES
+    product-graph vertices at a time.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, (a, b) in enumerate(pairs):
-        groups.setdefault((a.n, b.n, a.orders, b.orders), []).append(i)
+        groups.setdefault((a.n, b.n), []).append(i)
+    scale = (1.0 - p.q) ** 2
+    q2 = p.q * p.q
+    sw2 = p.start_weight**2
     out = np.empty(len(pairs))
-    for (_, _, orders_a, orders_b), members in groups.items():
-        corrections = _bond_corrections(orders_a, orders_b, p.delta_bond_order)
-        out[members] = _solve_group([pairs[i] for i in members], corrections, p)
+    for (n1, n2), members in groups.items():
+        graphs_a, ia = _distinct([pairs[i][0] for i in members])
+        graphs_b, ib = _distinct([pairs[i][1] for i in members])
+        pa = np.stack([g.packed for g in graphs_a])
+        pb = np.stack([g.packed for g in graphs_b])
+        step = max(1, _CHUNK_ENTRIES // (n1 * n2))
+        for lo in range(0, len(members), step):
+            a, b = pa[ia[lo : lo + step]], pb[ib[lo : lo + step]]
+            lam, vd1, da = (a[:, :, n1 + i] for i in range(3))
+            mu, vd2, db = (b[:, :, n2 + i] for i in range(3))
+            # c = (1/K_v - 1) D_x, formed in place
+            c = np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
+            c -= 1.0
+            c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
+            sums = _pcg(
+                np.ascontiguousarray(a[:, :, :n1]),
+                np.ascontiguousarray(b[:, :, :n2]),
+                c,
+                1.0 - scale * lam[:, :, None] * mu[:, None, :],
+                q2 * vd1[:, :, None] * vd2[:, None, :],
+                p,
+            )
+            out[members[lo : lo + step]] = sw2 * sums
     return out
 
 
@@ -498,12 +420,8 @@ class MgkCalculator:
     # -- registry ---------------------------------------------------------
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
-        """Record graphs under their canonical ids; returns the id list.
-
-        The id is :func:`to_canonical_smiles`, so only alkane trees can be
-        registered; other graphs raise :class:`GraphError` rather than share
-        an id with the alkane of the same skeleton.
-        """
+        """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
+        returns the id list."""
         ids = []
         for g in molecules:
             key = str(to_canonical_smiles(g))

@@ -6,6 +6,10 @@ nothing else), a deterministic tree canonicaliser, exhaustive isomer
 enumeration that builds each tree once from its centroid, and the
 topological descriptors the synthetic property oracle consumes.
 
+A molecule is a :class:`MolecularGraph`, the neighbour lists of its carbon
+tree. Every atom is a carbon and every bond is single, so elements, bond
+orders and hydrogens are implicit.
+
 Molecule identity throughout the package is the canonical SMILES string
 produced by :func:`to_canonical_smiles`: two graphs map to the same string
 exactly when they are isomorphic.
@@ -40,106 +44,50 @@ class EnumerationLimitError(ValueError):
     """Requested carbon count exceeds the configured enumeration limit."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Heavy atom with its heavy-neighbour count and implicit hydrogens."""
-
-    element: str
-    heavy_degree: int
-    h_count: int
-
-
-@dataclass(frozen=True)
-class Bond:
-    """Undirected bond; endpoints stored low index first."""
-
-    endpoints: tuple[int, int]
-    order: int = 1
-
-    def __post_init__(self) -> None:
-        i, j = self.endpoints
-        if i == j:
-            raise GraphError(f"self-loop bond on vertex {i}")
-        if i > j:
-            object.__setattr__(self, "endpoints", (j, i))
-
-
 class MolecularGraph:
-    """Labeled undirected graph of heavy atoms.
+    """Alkane tree: carbon atoms as vertices, single bonds as edges.
 
-    Instances built by :func:`parse_smiles` and :func:`enumerate_alkanes` are
-    alkane trees: all-carbon, connected, acyclic, maximum degree 4, with
-    ``h_count = 4 - heavy_degree`` on every vertex. The constructor accepts
-    more general vertex labels and bond orders so that kernel code can be
-    exercised on non-alkane inputs.
+    ``adjacency`` holds each carbon's neighbour indices. The constructor
+    checks the alkane-tree invariant once: at least one vertex, symmetric
+    neighbour lists without self-loops, repeats or out-of-range indices,
+    at most four neighbours per carbon, connected and acyclic. Anything
+    else raises :class:`GraphError`, so every instance has a canonical
+    SMILES.
     """
 
-    __slots__ = ("vertices", "edges", "adjacency", "_canonical")
+    __slots__ = ("adjacency", "_canonical")
 
-    def __init__(self, vertices: Sequence[Atom], edges: Sequence[Bond]):
-        n = len(vertices)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for bond in edges:
-            i, j = bond.endpoints
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"bond {bond.endpoints} references missing vertex")
-            if (i, j) in seen:
-                raise GraphError(f"duplicate bond {bond.endpoints}")
-            seen.add((i, j))
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        for idx, atom in enumerate(vertices):
-            if atom.heavy_degree != len(adjacency[idx]):
+    def __init__(self, neighbors: Sequence[Sequence[int]]):
+        adjacency = tuple(tuple(nb) for nb in neighbors)
+        n = len(adjacency)
+        if n == 0:
+            raise GraphError("an alkane needs at least one carbon")
+        ends = 0
+        for v, nb in enumerate(adjacency):
+            if len(nb) > MAX_VALENCE:
                 raise GraphError(
-                    f"vertex {idx}: heavy_degree {atom.heavy_degree} does not "
-                    f"match adjacency count {len(adjacency[idx])}"
+                    f"vertex {v} has {len(nb)} neighbours, above valence {MAX_VALENCE}"
                 )
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        self.adjacency = tuple(tuple(nb) for nb in adjacency)
+            if len(set(nb)) != len(nb):
+                raise GraphError(f"vertex {v} lists a neighbour twice")
+            for u in nb:
+                if not 0 <= u < n:
+                    raise GraphError(f"vertex {v} names missing vertex {u}")
+                if u == v:
+                    raise GraphError(f"self-loop on vertex {v}")
+                if v not in adjacency[u]:
+                    raise GraphError(f"edge ({v}, {u}) is missing from vertex {u}")
+            ends += len(nb)
+        if ends != 2 * (n - 1) or not _is_connected(adjacency):
+            raise GraphError("an alkane must be a connected acyclic graph")
+        self.adjacency = adjacency
         self._canonical: str | None = None
 
-    @classmethod
-    def from_adjacency(
-        cls, neighbors: Sequence[Sequence[int]], element: str = "C"
-    ) -> "MolecularGraph":
-        """Build a single-bonded graph of one element from neighbour lists."""
-        vertices = [
-            Atom(element, len(nb), max(0, MAX_VALENCE - len(nb))) for nb in neighbors
-        ]
-        edges = [
-            Bond((i, j))
-            for i, nb in enumerate(neighbors)
-            for j in nb
-            if i < j
-        ]
-        return cls(vertices, edges)
-
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.adjacency)
 
     def __repr__(self) -> str:
-        return f"MolecularGraph({len(self.vertices)} atoms, {len(self.edges)} bonds)"
-
-    def bond_order(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        for bond in self.edges:
-            if bond.endpoints == (i, j):
-                return bond.order
-        raise GraphError(f"no bond between {i} and {j}")
-
-    def is_alkane_tree(self) -> bool:
-        n = len(self.vertices)
-        if n == 0 or len(self.edges) != n - 1:
-            return False
-        if not _is_connected(self.adjacency):
-            return False
-        return all(
-            a.element == "C" and 1 <= len(self.adjacency[i]) <= MAX_VALENCE
-            for i, a in enumerate(self.vertices)
-        ) or n == 1
+        return f"MolecularGraph({len(self.adjacency)} carbons)"
 
 
 @dataclass(frozen=True)
@@ -153,8 +101,6 @@ class Descriptors:
 
 def _is_connected(adjacency: Sequence[Sequence[int]]) -> bool:
     n = len(adjacency)
-    if n == 0:
-        return False
     seen = [False] * n
     stack = [0]
     seen[0] = True
@@ -221,7 +167,7 @@ def parse_smiles(text: str) -> MolecularGraph:
 
     if stack:
         raise SmilesError("unbalanced '(': branch never closed")
-    return MolecularGraph.from_adjacency(neighbors)
+    return MolecularGraph(neighbors)
 
 
 def _tree_centroids(neighbors: Sequence[Sequence[int]]) -> list[int]:
@@ -345,37 +291,16 @@ def to_canonical_smiles(g: MolecularGraph) -> CanonicalSmiles:
     Deterministic: isomorphic graphs yield byte-identical strings,
     non-isomorphic graphs yield distinct strings. The root is the tree
     centroid; between two centroids the lexicographically smaller rooted
-    encoding wins. The string records only the carbon skeleton, so any
-    other graph raises :class:`GraphError`: an empty, disconnected or
-    cyclic one, or one with an atom other than carbon or a bond that is
-    not single.
+    encoding wins.
     """
-    if g._canonical is not None:
-        return CanonicalSmiles(g._canonical)
-    n = len(g.vertices)
-    if n == 0:
-        raise GraphError("empty graph has no canonical form")
-    for idx, atom in enumerate(g.vertices):
-        if atom.element != "C":
-            raise GraphError(
-                f"vertex {idx} is {atom.element!r}; canonical SMILES needs carbon"
-            )
-    for bond in g.edges:
-        if bond.order != 1:
-            raise GraphError(
-                f"bond {bond.endpoints} has order {bond.order}; "
-                "canonical SMILES needs single bonds"
-            )
-    if len(g.edges) != n - 1 or not _is_connected(g.adjacency):
-        raise GraphError("canonical SMILES requires a connected acyclic graph")
-    text = _canonical_from_neighbors(g.adjacency)
-    g._canonical = text
-    return CanonicalSmiles(text)
+    if g._canonical is None:
+        g._canonical = _canonical_from_neighbors(g.adjacency)
+    return CanonicalSmiles(g._canonical)
 
 
 def descriptors(g: MolecularGraph) -> Descriptors:
     """Carbon count, Wiener index and methyl-group count of an alkane tree."""
-    n = len(g.vertices)
+    n = len(g)
     total = 0
     # BFS from every vertex; n <= 19 keeps the quadratic walk trivial.
     for src in range(n):

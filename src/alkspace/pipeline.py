@@ -654,6 +654,15 @@ def _metrics_by_property(
 # -- the full staged run ------------------------------------------------------
 
 
+def _check_n_test(n_test: int, ids: Sequence[str]) -> None:
+    """Reject, before any kernel pair is solved, a test set that cannot fit."""
+    if not 0 < n_test < len(ids):
+        raise ConfigError(
+            f"n_test={n_test} does not fit: it must be positive and below "
+            f"the {len(ids)} molecules of the chemical space"
+        )
+
+
 def run_alms(config: PipelineConfig) -> EvalReport:
     """Enumerate, select in stages, simulate, fit, and score on a held-out set.
 
@@ -665,8 +674,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     t_start = time.monotonic()
     ws = _Workspace(config)
     ids = ws.molecule_ids()
-    if len(ids) < 2:
-        raise ConfigError("need at least two molecules; widen the carbon range")
+    _check_n_test(config.n_test, ids)
     with ws.kernel(ids) as calc:
         states = ws.al_states(ids, calc)
 
@@ -677,8 +685,6 @@ def run_alms(config: PipelineConfig) -> EvalReport:
                 f"{len(final_selected)} selected leaves too few"
             )
         test_ids = split_test(ids, final_selected, config.n_test, config.split_seed)
-        if not test_ids:
-            raise ConfigError("n_test must be positive for a scored run")
         test_rows = ws.dataset_for(
             "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
                                "split": config.evaluation_dict()}),
@@ -869,6 +875,7 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
     t_start = time.monotonic()
     ws = _Workspace(config)
     ids = ws.molecule_ids()
+    _check_n_test(config.n_test, ids)
     with ws.kernel(ids) as calc:
         states = ws.al_states(ids, calc)
         s1 = states[0]

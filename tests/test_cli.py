@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,19 @@ def test_runtime_failure_exits_two(tmp_path):
     assert main(["simulate", "--molecules", missing, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("command", ["run-all", "compare-random"])
+def test_oversized_n_test_exits_one_before_any_kernel_work(tmp_path, command):
+    # C4..C7 holds 19 molecules, so the default n_test of 200 cannot fit
+    raw = {key: value for key, value in CONFIG_RAW.items() if key != "evaluation"}
+    raw["chemical_space"] = {"min_carbons": 4, "max_carbons": 7}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    assert main([command, "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    left = os.listdir(out_dir) if out_dir.exists() else []
+    assert [n for n in left if n.startswith(("al_stage", "kernel_"))] == []
+
+
 # -- enumerate -----------------------------------------------------------------
 
 
@@ -83,7 +97,7 @@ def test_enumerate_out_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert main(["enumerate", "4", "6"]) == 0
     printed = capsys.readouterr().out
-    assert open(out).read() == printed
+    assert Path(out).read_text() == printed
 
 
 def test_enumerate_uses_config_range(config_file, capsys):
@@ -150,7 +164,7 @@ def test_dataset_prediction_round_trip(tmp_path, config_file, capsys):
     )
     printed = json.loads(capsys.readouterr().out)
     assert set(printed) == {"density", "heat_capacity", "hov"}
-    assert json.load(open(metrics_json)) == printed
+    assert json.loads(Path(metrics_json).read_text()) == printed
     # interpolating one missing isomer from its neighbours should land close
     assert printed["density"]["rmse"] < 50.0
 
@@ -176,7 +190,7 @@ def test_evaluate_with_a_nan_prediction_exits_two(tmp_path, caplog):
     pred = str(tmp_path / "p.csv")
     assert main(["simulate", "--molecules", str(mols), "--out", truth]) == 0
     assert main(["fit-predict", "--train", truth, "--molecules", str(mols), "--out", pred]) == 0
-    lines = open(pred).read().splitlines()
+    lines = Path(pred).read_text().splitlines()
     fields = lines[3].split(",")
     fields[2] = "nan"
     lines[3] = ",".join(fields)

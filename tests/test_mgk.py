@@ -24,15 +24,11 @@ from alkspace.mgk import (
     KernelMatrix,
     MgkCalculator,
     MgkHyperparameters,
-    edge_kernel,
     kernel_matrix,
     mgk_normalized,
     mgk_raw,
-    vertex_kernel,
 )
 from alkspace.molspace import (
-    Atom,
-    Bond,
     GraphError,
     MolecularGraph,
     enumerate_alkane_smiles,
@@ -46,36 +42,20 @@ DEFAULT = MgkHyperparameters()
 FAST_STOP = MgkHyperparameters(q=0.5)
 
 
-def atom(element: str = "C", degree: int = 0) -> Atom:
-    return Atom(element=element, heavy_degree=degree, h_count=0)
-
-
-def graph(elements: str, bonds: list[tuple[int, int, int]]) -> MolecularGraph:
-    """Tiny-graph builder: elements as a string, bonds as (i, j, order)."""
-    degree = [0] * len(elements)
-    for i, j, _ in bonds:
-        degree[i] += 1
-        degree[j] += 1
-    vertices = [atom(e, degree[k]) for k, e in enumerate(elements)]
-    return MolecularGraph(vertices, [Bond((i, j), order) for i, j, order in bonds])
-
-
 # -- reference implementations ------------------------------------------------
 
 
-def _bond_order(g: MolecularGraph, u: int, v: int) -> int:
-    key = (u, v) if u < v else (v, u)
-    for b in g.edges:
-        if b.endpoints == key:
-            return b.order
-    raise AssertionError(f"no bond {key}")
+def _kv(g1: MolecularGraph, u: int, g2: MolecularGraph, x: int, p) -> float:
+    """Vertex comparison: carbons match unless their degrees differ."""
+    same = len(g1.adjacency[u]) == len(g2.adjacency[x])
+    return 1.0 if same else p.delta_degree
 
 
 def dp_truncated_raw(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters, hops: int
 ) -> float:
     """Walk-pair sum over all simultaneous walks with at most ``hops`` steps."""
-    n1, n2 = len(g1.vertices), len(g2.vertices)
+    n1, n2 = len(g1), len(g2)
     r = {(v, w): p.q * p.q for v in range(n1) for w in range(n2)}
     for _ in range(hops):
         nxt = {}
@@ -86,25 +66,19 @@ def dp_truncated_raw(
                 acc = p.q * p.q
                 for u in g1.adjacency[v]:
                     for x in g2.adjacency[w]:
-                        kv = vertex_kernel(g1.vertices[u], g2.vertices[x], p)
-                        ke = (
-                            1.0
-                            if _bond_order(g1, v, u) == _bond_order(g2, w, x)
-                            else p.delta_bond_order
-                        )
-                        acc += pv * pw * kv * ke * r[(u, x)]
+                        acc += pv * pw * _kv(g1, u, g2, x, p) * r[(u, x)]
                 nxt[(v, w)] = acc
         r = nxt
     sw2 = p.start_weight * p.start_weight
     total = 0.0
     for v in range(n1):
         for w in range(n2):
-            total += sw2 * vertex_kernel(g1.vertices[v], g2.vertices[w], p) * r[(v, w)]
+            total += sw2 * _kv(g1, v, g2, w, p) * r[(v, w)]
     return total
 
 
 def _walks(g: MolecularGraph, hops: int) -> list[list[int]]:
-    out = [[v] for v in range(len(g.vertices))]
+    out = [[v] for v in range(len(g))]
     for _ in range(hops):
         out = [w + [u] for w in out for u in g.adjacency[w[-1]]]
     return out
@@ -113,44 +87,38 @@ def _walks(g: MolecularGraph, hops: int) -> list[list[int]]:
 def brute_force_raw(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters, max_hops: int
 ) -> float:
-    """Explicit enumeration of simultaneous walk pairs (tiny graphs only)."""
-    total = 0.0
+    """Explicit enumeration of simultaneous walk pairs (tiny graphs only).
+
+    The walk weights are summed by ``math.fsum``: isobutane pairs give
+    thousands of terms, whose plain running sum drifts by up to 4e-13."""
+    terms = []
     for hops in range(max_hops + 1):
         for w1 in _walks(g1, hops):
             for w2 in _walks(g2, hops):
-                weight = (
-                    p.start_weight
-                    * p.start_weight
-                    * vertex_kernel(g1.vertices[w1[0]], g2.vertices[w2[0]], p)
-                )
+                weight = p.start_weight * p.start_weight * _kv(g1, w1[0], g2, w2[0], p)
                 for i in range(1, hops + 1):
                     weight *= (1.0 - p.q) / len(g1.adjacency[w1[i - 1]])
                     weight *= (1.0 - p.q) / len(g2.adjacency[w2[i - 1]])
-                    weight *= vertex_kernel(g1.vertices[w1[i]], g2.vertices[w2[i]], p)
-                    o1 = _bond_order(g1, w1[i - 1], w1[i])
-                    o2 = _bond_order(g2, w2[i - 1], w2[i])
-                    weight *= 1.0 if o1 == o2 else p.delta_bond_order
-                total += weight * p.q * p.q
-    return total
+                    weight *= _kv(g1, w1[i], g2, w2[i], p)
+                terms.append(weight * p.q * p.q)
+    return math.fsum(terms)
 
 
 def direct_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
     """Dense solve of the fixed point R = q^2 + W R on the product graph."""
-    n1, n2 = len(g1.vertices), len(g2.vertices)
+    n1, n2 = len(g1), len(g2)
     w = np.zeros((n1 * n2, n1 * n2))
     for v in range(n1):
         for x in range(n2):
             for u in g1.adjacency[v]:
                 for y in g2.adjacency[x]:
-                    same = _bond_order(g1, v, u) == _bond_order(g2, x, y)
                     w[v * n2 + x, u * n2 + y] = (
                         (1.0 - p.q) ** 2
                         / (len(g1.adjacency[v]) * len(g2.adjacency[x]))
-                        * vertex_kernel(g1.vertices[u], g2.vertices[y], p)
-                        * (1.0 if same else p.delta_bond_order)
+                        * _kv(g1, u, g2, y, p)
                     )
     r = np.linalg.solve(np.eye(n1 * n2) - w, np.full(n1 * n2, p.q * p.q))
-    kv = [vertex_kernel(a, b, p) for a in g1.vertices for b in g2.vertices]
+    kv = [_kv(g1, v, g2, x, p) for v in range(n1) for x in range(n2)]
     return p.start_weight**2 * float(np.dot(kv, r))
 
 
@@ -158,46 +126,19 @@ def truncation_tail_bound(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters, hops: int
 ) -> float:
     """Upper bound on the walk mass beyond ``hops`` steps (all kernels <= 1)."""
-    n1, n2 = len(g1.vertices), len(g2.vertices)
+    n1, n2 = len(g1), len(g2)
     c = (1.0 - p.q) ** 2
     tail = p.q * p.q * c ** (hops + 1) / (1.0 - c)
     return p.start_weight**2 * n1 * n2 * tail
-
-
-# -- micro-kernels -------------------------------------------------------------
-
-
-def test_vertex_kernel_identical():
-    assert vertex_kernel(atom("C", 2), atom("C", 2), DEFAULT) == 1.0
-
-
-def test_vertex_kernel_degree_mismatch():
-    assert vertex_kernel(atom("C", 1), atom("C", 3), DEFAULT) == pytest.approx(0.9)
-
-
-def test_vertex_kernel_full_mismatch():
-    v = vertex_kernel(atom("C", 1), atom("N", 3), DEFAULT)
-    assert v == pytest.approx(0.3 * 0.9)
-
-
-def test_edge_kernel():
-    single = Bond((0, 1), 1)
-    double = Bond((0, 1), 2)
-    assert edge_kernel(single, Bond((1, 2), 1), DEFAULT) == 1.0
-    assert edge_kernel(single, double, DEFAULT) == pytest.approx(0.9)
-    p = MgkHyperparameters(delta_bond_order=0.4)
-    assert edge_kernel(single, double, p) == pytest.approx(0.4)
 
 
 # -- closed forms and symmetry -------------------------------------------------
 
 
 def test_single_vertex_closed_form():
-    c1 = graph("C", [])
-    n1 = graph("N", [])
+    c1 = parse_smiles("C")
     p = DEFAULT
     assert mgk_raw(c1, c1, p) == pytest.approx(p.q**2, rel=1e-12)
-    assert mgk_raw(c1, n1, p) == pytest.approx(p.delta_element * p.q**2, rel=1e-12)
     heavy = MgkHyperparameters(start_weight=2.0)
     assert mgk_raw(c1, c1, heavy) == pytest.approx(4.0 * heavy.q**2, rel=1e-12)
 
@@ -212,33 +153,13 @@ def test_symmetry_on_random_alkane_pairs():
 
 
 def test_empty_graph_rejected():
-    empty = MolecularGraph([], [])
     with pytest.raises(GraphError):
-        mgk_raw(empty, empty, DEFAULT)
-
-
-def test_element_symbols_compare_exactly_up_to_five_bytes():
-    # symbols are compared through numeric codes inside the solver
-    q2 = DEFAULT.q**2
-    for a, b in [("Cl", "C"), ("Cab", "Cac"), ("\x00C", "C"), ("Abcde", "Abcdf")]:
-        ga, gb = MolecularGraph([atom(a)], []), MolecularGraph([atom(b)], [])
-        assert mgk_raw(ga, gb, DEFAULT) == pytest.approx(DEFAULT.delta_element * q2)
-        assert mgk_raw(ga, ga, DEFAULT) == pytest.approx(q2)
-    long_name = MolecularGraph([atom("Abcdef")], [])
-    with pytest.raises(GraphError, match="at most 5 bytes"):
-        mgk_raw(long_name, long_name, DEFAULT)
+        MolecularGraph([])
 
 
 # -- oracle consistency ---------------------------------------------------------
 
-TINY_GRAPHS = [
-    graph("C", []),
-    graph("CC", [(0, 1, 1)]),
-    graph("CC", [(0, 1, 2)]),
-    graph("CN", [(0, 1, 1)]),
-    graph("CCC", [(0, 1, 1), (1, 2, 1)]),
-    graph("CCO", [(0, 1, 1), (1, 2, 2)]),  # mixed bond orders
-]
+TINY_GRAPHS = [parse_smiles(s) for s in ("C", "CC", "CCC", "CC(C)C")]
 
 
 @pytest.mark.parametrize("hops", [0, 1, 2, 4, 6])
@@ -285,23 +206,6 @@ def test_slow_stop_agrees_within_tail_bound():
                 assert gap <= truncation_tail_bound(g1, g2, DEFAULT, hops) * (1 + 1e-9)
 
 
-def test_mixed_bond_orders_agree_with_truncated_oracle():
-    chain = graph("CCC", [(0, 1, 1), (1, 2, 1)])
-    mixed = graph("CCC", [(0, 1, 1), (1, 2, 2)])
-    doubled = graph("CCC", [(0, 1, 2), (1, 2, 2)])
-    for g1, g2 in [(mixed, mixed), (mixed, chain), (chain, doubled), (mixed, doubled)]:
-        want = dp_truncated_raw(g1, g2, FAST_STOP, 20)
-        assert mgk_raw(g1, g2, FAST_STOP) == pytest.approx(want, abs=1e-8)
-
-
-MIXED_GRAPHS = TINY_GRAPHS + [
-    graph("CCC", [(0, 1, 1), (1, 2, 2)]),
-    graph("CCC", [(0, 1, 2), (1, 2, 2)]),
-    graph("CCCCO", [(0, 1, 1), (1, 2, 2), (2, 3, 3), (1, 4, 1)]),
-    graph("CCCC", [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 2)]),  # a ring
-]
-
-
 def test_matches_direct_solve_all_pairs_up_to_c7():
     mols = enumerate_alkanes(1, 7)
     for i, g1 in enumerate(mols):
@@ -310,28 +214,20 @@ def test_matches_direct_solve_all_pairs_up_to_c7():
             assert mgk_raw(g1, g2, DEFAULT) == pytest.approx(want, rel=1e-10)
 
 
-def test_matches_direct_solve_with_mixed_bond_orders():
-    for p in (DEFAULT, FAST_STOP, MgkHyperparameters(delta_bond_order=0.3)):
-        for g1 in MIXED_GRAPHS:
-            for g2 in MIXED_GRAPHS:
-                want = direct_raw(g1, g2, p)
-                assert mgk_raw(g1, g2, p) == pytest.approx(want, rel=1e-10)
-
-
 @st.composite
-def random_trees(draw, max_atoms=10):
-    """Trees of 1..max_atoms atoms with random elements and bond orders."""
+def alkane_trees(draw, max_atoms=12):
+    """Carbon trees of 1..max_atoms atoms, at most four bonds per atom."""
     n = draw(st.integers(1, max_atoms))
-    bonds = [
-        (draw(st.integers(0, i - 1)), i, draw(st.sampled_from([1, 1, 2])))
-        for i in range(1, n)
-    ]
-    elements = "".join(draw(st.sampled_from("CCCN")) for _ in range(n))
-    return graph(elements, bonds)
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        j = draw(st.sampled_from([j for j in range(i) if len(neighbors[j]) < 4]))
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return MolecularGraph(neighbors)
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees(), random_trees(), st.sampled_from([0.05, 0.2, 0.5]))
+@given(alkane_trees(10), alkane_trees(10), st.sampled_from([0.05, 0.2, 0.5]))
 def test_random_trees_match_direct_solve(g1, g2, q):
     p = MgkHyperparameters(q=q)
     want = direct_raw(g1, g2, p)
@@ -339,33 +235,19 @@ def test_random_trees_match_direct_solve(g1, g2, q):
     assert mgk_raw(g2, g1, p) == pytest.approx(want, rel=1e-10)
 
 
-@st.composite
-def alkane_trees(draw, max_atoms=12):
-    """Carbon trees of 1..max_atoms atoms, at most four bonds per atom."""
-    n = draw(st.integers(1, max_atoms))
-    degree = [0] * n
-    bonds = []
-    for i in range(1, n):
-        j = draw(st.sampled_from([j for j in range(i) if degree[j] < 4]))
-        degree[i] += 1
-        degree[j] += 1
-        bonds.append((j, i, 1))
-    return graph("C" * n, bonds)
-
-
 @settings(max_examples=60, deadline=None)
 @given(alkane_trees())
-@example(graph("C", []))
-@example(graph("CC", [(0, 1, 1)]))
+@example(parse_smiles("C"))
+@example(parse_smiles("CC"))
 def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
-    n = len(g.vertices)
+    n = len(g)
     packed = mgk._GraphArrays(g).packed
     v, lam = packed[:, :n], packed[:, n]
     degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
     adjacency = np.zeros((n, n))
-    for b in g.edges:
-        i, j = b.endpoints
-        adjacency[i, j] = adjacency[j, i] = 1.0
+    for i, nb in enumerate(g.adjacency):
+        for j in nb:
+            adjacency[i, j] = 1.0
     np.testing.assert_allclose(v.T @ degrees @ v, np.eye(n), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(v.T @ adjacency @ v, np.diag(lam), rtol=0.0, atol=1e-12)
 
@@ -386,7 +268,7 @@ def test_every_pair_up_to_c16_solves_within_fifteen_iterations():
     smiles = enumerate_alkane_smiles(4, 16)
     picks = np.random.default_rng(23).choice(len(smiles), size=60, replace=False)
     mols = [parse_smiles(smiles[i]) for i in sorted(picks)]
-    assert max(len(g.vertices) for g in mols) == 16
+    assert max(len(g) for g in mols) == 16
     values = MgkCalculator(MgkHyperparameters(fp_max_iters=15)).matrix(mols).values
     assert np.all(values > 0.0)
 
@@ -395,11 +277,10 @@ def test_every_pair_up_to_c16_solves_within_fifteen_iterations():
 
 
 def _permuted(g: MolecularGraph, perm: list[int]) -> MolecularGraph:
-    vertices = [None] * len(perm)
-    for old, new in enumerate(perm):
-        vertices[new] = g.vertices[old]
-    bonds = [Bond((perm[i], perm[j]), b.order) for b in g.edges for i, j in [b.endpoints]]
-    return MolecularGraph(vertices, bonds)
+    neighbors: list[list[int]] = [[] for _ in perm]
+    for old, nb in enumerate(g.adjacency):
+        neighbors[perm[old]] = [perm[u] for u in nb]
+    return MolecularGraph(neighbors)
 
 
 def test_isomorphism_invariance_under_relabeling():
@@ -408,7 +289,7 @@ def test_isomorphism_invariance_under_relabeling():
         g = parse_smiles(smiles)
         base = mgk_raw(g, g, DEFAULT)
         for _ in range(3):
-            perm = list(rng.permutation(len(g.vertices)))
+            perm = list(rng.permutation(len(g)))
             h = _permuted(g, perm)
             assert mgk_raw(h, h, DEFAULT) == pytest.approx(base, abs=1e-12)
             assert mgk_raw(g, h, DEFAULT) == pytest.approx(base, abs=1e-12)
@@ -571,17 +452,6 @@ def test_matrix_psd_100_molecules():
     km = MgkCalculator(DEFAULT).matrix(mols)
     eigs = np.linalg.eigvalsh(km.values)
     assert eigs.min() >= -1e-8
-
-
-def test_register_rejects_graphs_beyond_the_alkane_key():
-    # The id records only the carbon skeleton, so C-N and C=C must not be
-    # keyed as ethane: their kernel values against it differ.
-    calc = MgkCalculator(DEFAULT)
-    assert mgk_normalized(graph("CC", [(0, 1, 1)]), graph("CN", [(0, 1, 1)]), DEFAULT) < 1.0
-    for g in (graph("CN", [(0, 1, 1)]), graph("CC", [(0, 1, 2)])):
-        with pytest.raises(GraphError):
-            calc.register([g])
-    assert calc.register([graph("CC", [(0, 1, 1)])]) == ["CC"]
 
 
 def test_rectangular_block_matches_square():

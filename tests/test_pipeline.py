@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,17 +276,17 @@ def test_export_plot_data_layout_and_idempotence(tmp_path):
     for path in written:
         assert os.path.exists(path)
     parity = os.path.join(out, "parity_stage1_density_abcdef123456.csv")
-    lines = open(parity).read().splitlines()
+    lines = Path(parity).read_text().splitlines()
     assert lines[0] == "smiles,temperature_K,truth,prediction"
     assert len(lines) == 3
     summary = os.path.join(out, f"summary_{report.config_hash}.csv")
-    rows = open(summary).read().splitlines()
+    rows = Path(summary).read_text().splitlines()
     assert len(rows) == 4
     hc = next(r for r in rows if r.startswith("heat_capacity"))
     assert hc.endswith(",")  # undefined r2 is an empty cell
-    before = {p: open(p, "rb").read() for p in written}
+    before = {p: Path(p).read_bytes() for p in written}
     export_plot_data(report, preds, out)
-    after = {p: open(p, "rb").read() for p in written}
+    after = {p: Path(p).read_bytes() for p in written}
     assert before == after
 
 
@@ -358,7 +359,7 @@ def staged_run(tmp_path_factory):
 
 def _workspace_bytes(out_dir: str) -> dict[str, bytes]:
     return {
-        name: open(os.path.join(out_dir, name), "rb").read()
+        name: Path(out_dir, name).read_bytes()
         for name in sorted(os.listdir(out_dir))
     }
 
@@ -404,7 +405,7 @@ def test_report_invariants(staged_run):
 def test_report_file_matches_returned_report(staged_run):
     cfg, report = staged_run
     path = os.path.join(cfg.out_dir, f"report_{report.config_hash}.json")
-    on_disk = json.load(open(path))
+    on_disk = json.loads(Path(path).read_text())
     assert on_disk == report.to_dict()
     assert "runtime_seconds" not in on_disk
 
@@ -462,7 +463,7 @@ def test_comparison_reuses_the_workspace(staged_run):
     for name, data in before.items():  # the kernel cache is read, never rewritten
         path = os.path.join(cfg.out_dir, name)
         if not name.startswith("comparison_"):
-            assert open(path, "rb").read() == data
+            assert Path(path).read_bytes() == data
             assert os.stat(path).st_mtime_ns == stamps[name]
     assert isinstance(comparison, ComparisonReport)
     assert comparison.config_hash == report.config_hash
@@ -476,7 +477,7 @@ def test_comparison_reuses_the_workspace(staged_run):
     d = comparison.to_dict()
     assert set(d["al_wins"]) == set(pipeline.PROPERTIES)
     path = os.path.join(cfg.out_dir, f"comparison_{report.config_hash}.json")
-    assert json.load(open(path)) == d
+    assert json.loads(Path(path).read_text()) == d
 
 
 def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
