@@ -45,7 +45,13 @@ right-hand side, so its value is bitwise independent of the pairs batched
 with it and of request order.
 
 Normalization divides by the geometric mean of the self-kernels and, when a
-finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale.
+finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale by
+exp(-d^2), d = (k11 - k22)/lambda_. Where that factor is below 2^-53, half
+an ulp of the unit diagonal, the entry is exactly 0: the kernel is positive
+semi-definite, so k12 <= sqrt(k11 k22) and the undamped value is at most 1.
+The self-kernels alone decide this, so :class:`MgkCalculator` never solves
+such a pair and never caches it; only pairs in the band
+|k11 - k22| <= lambda_ sqrt(53 ln 2) are solved.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ _CACHE_MAGIC = "alkspace-kernel-cache"
 # Jacobi-preconditioned solver) differ from them at about 1e-11.
 _CACHE_VERSION = 3
 
+# Entries whose size damping exp(-d^2) is below 2^-53 are exactly 0.
+_NEGLIGIBLE_D2 = 53 * math.log(2)
+
 
 class KernelConvergenceError(RuntimeError):
     """A pair's solve failed to reach tolerance within the iteration cap."""
@@ -88,9 +97,11 @@ class MgkHyperparameters:
     hashed like the others, so config files and cache names keep their
     form, but enter no alkane value: all atoms are carbons and all bonds
     single. ``lambda_`` scales the self-kernel-mismatch damping (infinite
-    disables it). ``fp_tolerance`` is the relative residual, in the norm of the
-    eigenbasis preconditioner, at which a pair's solve stops, and
-    ``fp_max_iters`` caps its conjugate-gradient iterations.
+    disables it); an entry whose damping factor is below 2^-53 is exactly 0
+    and its pair is never solved. ``fp_tolerance`` is the relative
+    residual, in the norm of the eigenbasis preconditioner, at which a
+    pair's solve stops, and ``fp_max_iters`` caps its conjugate-gradient
+    iterations.
     """
 
     q: float = 0.05
@@ -325,24 +336,41 @@ def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> fl
     return float(_solve_pairs([(_GraphArrays(g1), _GraphArrays(g2))], p)[0])
 
 
+def _negligible(k11, k22, p: MgkHyperparameters):
+    """Where the size damping exp(-d^2) of a pair is below 2^-53; never with
+    an infinite ``lambda_``."""
+    d = (k11 - k22) / p.lambda_
+    return d * d > _NEGLIGIBLE_D2
+
+
 def _normalize(k12, k11, k22, p: MgkHyperparameters):
-    """Normalized values from raw ones; scalars or broadcastable arrays."""
+    """Normalized values from raw ones; scalars or broadcastable arrays.
+
+    With a finite ``lambda_`` the value is damped by exp(-d^2), and is
+    exactly 0 where that factor is below 2^-53 (:func:`_negligible`),
+    whatever ``k12`` holds, so a screened entry is the same whether its raw
+    value was solved, loaded or never known.
+    """
     out = k12 / np.sqrt(k11 * k22)
     if math.isfinite(p.lambda_):
         d = (k11 - k22) / p.lambda_
-        out = out * np.exp(-(d * d))
+        out = np.where(_negligible(k11, k22, p), 0.0, out * np.exp(-(d * d)))
     return out
 
 
 def mgk_normalized(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters
 ) -> float:
-    """Normalized kernel in [0, 1]; exactly 1 for identical inputs."""
+    """Normalized kernel in [0, 1]; exactly 1 for identical inputs, and 0,
+    without solving the pair, where the size damping is below 2^-53."""
     if g1 is g2:
         return 1.0
     a = _GraphArrays(g1)
     b = _GraphArrays(g2)
-    k12, k11, k22 = _solve_pairs([(a, b), (a, a), (b, b)], p).tolist()
+    k11, k22 = _solve_pairs([(a, a), (b, b)], p).tolist()
+    if _negligible(k11, k22, p):
+        return 0.0
+    k12 = float(_solve_pairs([(a, b)], p)[0])
     return float(_normalize(k12, k11, k22, p))
 
 
@@ -416,6 +444,8 @@ class MgkCalculator:
         self._raw: dict[tuple[str, str], float] = {}
         self._graphs: dict[str, MolecularGraph] = {}
         self._arrays: dict[str, _GraphArrays] = {}
+        # pairs passed to the solver, self-kernels included
+        self.pairs_solved = 0
 
     # -- registry ---------------------------------------------------------
 
@@ -449,31 +479,39 @@ class MgkCalculator:
     def normalized(self, key_a: str, key_b: str) -> float:
         if key_a == key_b:
             return 1.0
-        k12 = self.raw(key_a, key_b)
         k11 = self.raw(key_a, key_a)
         k22 = self.raw(key_b, key_b)
+        if _negligible(k11, k22, self.params):
+            return 0.0
+        k12 = self.raw(key_a, key_b)
         return float(_normalize(k12, k11, k22, self.params))
 
     def block(self, keys_a: Sequence[str], keys_b: Sequence[str]) -> np.ndarray:
         """Normalized kernel block; computes missing raw values in batch.
 
-        Values are normalized once per distinct pair of keys and then
-        expanded to the requested rows and columns.
+        The missing self-kernels are solved first; of the cross pairs, only
+        those whose entry is not screened to 0 (:func:`_normalize`) are read
+        or solved. Values are normalized once per distinct pair of keys and
+        then expanded to the requested rows and columns.
         """
         ua, rows = _distinct(keys_a)
         ub, cols = _distinct(keys_b)
-        pairs = [(ka, kb) if ka <= kb else (kb, ka) for ka in ua for kb in ub]
         raw = self._raw
-        wanted = dict.fromkeys([*pairs, *((k, k) for k in ua), *((k, k) for k in ub)])
-        missing = [pair for pair in wanted if pair not in raw]
+        missing = [(k, k) for k in dict.fromkeys([*ua, *ub]) if (k, k) not in raw]
         if missing:
             self._compute_pairs(missing)
-        k12 = np.fromiter(map(raw.__getitem__, pairs), float, len(pairs))
-        k11 = np.array([raw[(k, k)] for k in ua])
-        k22 = np.array([raw[(k, k)] for k in ub])
-        values = _normalize(
-            k12.reshape(len(ua), len(ub)), k11[:, None], k22[None, :], self.params
-        )
+        k11 = np.array([raw[(k, k)] for k in ua])[:, None]
+        k22 = np.array([raw[(k, k)] for k in ub])[None, :]
+        ia, ib = np.nonzero(~_negligible(k11, k22, self.params))
+        near_a = map(ua.__getitem__, ia.tolist())
+        near_b = map(ub.__getitem__, ib.tolist())
+        pairs = [(ka, kb) if ka <= kb else (kb, ka) for ka, kb in zip(near_a, near_b)]
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in raw]
+        if missing:
+            self._compute_pairs(missing)
+        k12 = np.zeros((len(ua), len(ub)))
+        k12[ia, ib] = np.fromiter(map(raw.__getitem__, pairs), float, len(pairs))
+        values = _normalize(k12, k11, k22, self.params)
         col = {k: j for j, k in enumerate(ub)}
         for i, k in enumerate(ua):
             if k in col:
@@ -507,6 +545,7 @@ class MgkCalculator:
         arrays = [(self._arrays_for(ka), self._arrays_for(kb)) for ka, kb in pairs]
         values = _solve_pairs(arrays, self.params)
         self._raw.update(zip(pairs, values.tolist()))
+        self.pairs_solved += len(pairs)
 
     # -- persistence ------------------------------------------------------
 

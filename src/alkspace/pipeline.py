@@ -497,7 +497,8 @@ class _Workspace:
         error, holding every pair it solved; a body that solved none writes
         nothing, so the next body that solves pairs creates the file. Later
         bodies solve the pairs the file lacks in memory and leave the file
-        unchanged, so a rerun rewrites nothing.
+        unchanged, so a rerun rewrites nothing. The number of pairs the body
+        solved is logged on exit, never written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
@@ -506,7 +507,10 @@ class _Workspace:
         if reused:
             n = calc.load_cache(cache)
             logger.info("loaded %d cached kernel entries from %s", n, cache)
-        yield calc
+        try:
+            yield calc
+        finally:
+            logger.info("solved %d kernel pairs", calc.pairs_solved)
         if not reused and calc.cached_pairs:
             n = _write_via_temp(cache, calc.save_cache)
             logger.info("wrote %d kernel entries to %s", n, cache)

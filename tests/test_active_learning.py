@@ -5,12 +5,14 @@ equivalence and resume tests additionally run on a real molecule kernel.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alkspace import active_learning as al
+from alkspace import mgk
 from alkspace.active_learning import (
     AlStallError,
     AlState,
@@ -310,6 +312,31 @@ def test_continue_produces_nested_selections():
     assert len(first.selected) <= len(second.selected) <= len(third.selected)
     assert second.threshold == 0.4
     assert second.universe == first.universe
+
+
+@pytest.mark.parametrize("seed", [1, 1001])
+def test_size_screen_leaves_selections_unchanged(seed, monkeypatch):
+    # Kernel entries whose size damping is below 2^-53 are exactly 0 and
+    # their pairs are never solved; the selections must be those of a
+    # kernel that solves and keeps every pair.
+    mols = enumerate_alkanes(4, 12)
+    params = MgkHyperparameters(lambda_=0.2)
+
+    def stages() -> tuple[list[tuple], int]:
+        calc = MgkCalculator(params)
+        ids = calc.register(mols)
+        state = al_run(ids, 0.5, batch=1000, seed=seed, kernel_provider=calc)
+        out = [state]
+        for threshold in (0.4, 0.3):
+            state = al_continue(state, threshold, calc)
+            out.append(state)
+        return [(s.selected, s.pool, s.abandoned) for s in out], calc.pairs_solved
+
+    screened, solved = stages()
+    monkeypatch.setattr(mgk, "_NEGLIGIBLE_D2", math.inf)
+    unscreened, solved_unscreened = stages()
+    assert unscreened == screened
+    assert solved < solved_unscreened
 
 
 def test_continue_requires_terminal_state_and_lower_threshold():

@@ -371,6 +371,152 @@ def test_lambda_finite_matches_manual_formula():
     assert mgk_normalized(g1, g2, DEFAULT) == pytest.approx(plain, rel=1e-12)
 
 
+# -- size screen -------------------------------------------------------------------
+
+# A narrow size damping, so that many pairs of small trees are screened.
+SCREENING = MgkHyperparameters(lambda_=0.05)
+
+
+def _screen_oracle(k12: float, k11: float, k22: float, lam: float) -> tuple[bool, float]:
+    """Whether the size damping of a pair is below 2^-53, and the unscreened
+    normalized value. np.exp, not math.exp: the two differ in the last bit
+    on some inputs, and the entries are compared bitwise."""
+    d = (k11 - k22) / lam
+    return d * d > 53 * math.log(2), k12 / np.sqrt(k11 * k22) * np.exp(-(d * d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(alkane_trees(), min_size=2, max_size=5))
+@example([parse_smiles("CCCC"), parse_smiles("CCCCCCCCCC")])
+def test_screened_entries_are_zero_and_the_rest_match_an_oracle(mols):
+    calc = MgkCalculator(SCREENING)
+    keys = calc.register(mols)
+    got = calc.block(keys, keys)
+    # isomorphic trees share a key and are solved as the first one drawn
+    graph_of: dict[str, MolecularGraph] = {}
+    for key, g in zip(keys, mols):
+        graph_of.setdefault(key, g)
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            ga, gb = graph_of[a], graph_of[b]
+            if a == b:
+                assert got[i, j] == 1.0
+                continue
+            # the calculator solves a pair in the order of its sorted keys
+            first, second = (ga, gb) if a <= b else (gb, ga)
+            raw = (
+                mgk_raw(first, second, SCREENING),
+                mgk_raw(ga, ga, SCREENING),
+                mgk_raw(gb, gb, SCREENING),
+            )
+            screened, want = _screen_oracle(*raw, SCREENING.lambda_)
+            if screened:
+                assert got[i, j] == 0.0
+                assert want <= 2.0**-53 * (1 + 1e-9)
+                assert (min(a, b), max(a, b)) not in calc._raw
+                # also 0 where the true raw value is held, as after a load
+                assert mgk._normalize(*raw, SCREENING) == 0.0
+            else:
+                assert got[i, j] == want
+    # only the self-kernels and the unscreened pairs were solved, once each
+    assert calc.pairs_solved == calc.cached_pairs
+
+
+def test_screened_entries_do_not_depend_on_batch_order_or_path():
+    mols = enumerate_alkanes(4, 9)
+    keys = MgkCalculator(SCREENING).register(mols)
+    rng = np.random.default_rng(29)
+    rows = list(rng.choice(keys, size=12, replace=False))
+
+    def fresh() -> MgkCalculator:
+        calc = MgkCalculator(SCREENING)
+        calc.register(mols)
+        return calc
+
+    whole = fresh().block(rows, keys)
+    assert np.count_nonzero(whole == 0.0) > whole.size // 4
+    assert np.count_nonzero((whole > 0.0) & (whole < 1.0)) > whole.size // 4
+
+    perm_r = rng.permutation(len(rows))
+    perm_c = rng.permutation(len(keys))
+    permuted = fresh().block([rows[i] for i in perm_r], [keys[j] for j in perm_c])
+    assert np.array_equal(permuted, whole[np.ix_(perm_r, perm_c)])
+
+    calc = fresh()
+    pieces = [calc.block(rows[lo : lo + 5], keys[::-1][:40]) for lo in range(0, 12, 5)]
+    assert np.array_equal(np.vstack(pieces)[:, ::-1], whole[:, -40:])
+    assert np.array_equal(calc.block(rows, keys), whole)
+
+    calc = fresh()
+    one_by_one = np.array([[calc.normalized(a, b) for b in keys] for a in rows])
+    assert np.array_equal(one_by_one, whole)
+
+
+def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
+    graphs = [parse_smiles("CCCC"), parse_smiles("CCCCCCCCCC")]
+    sizes = []
+    solve = mgk._solve_pairs
+
+    def count(pairs, p):
+        sizes.extend((a.n, b.n) for a, b in pairs)
+        return solve(pairs, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(mgk, "_solve_pairs", count)
+        assert mgk_normalized(*graphs, SCREENING) == 0.0
+    assert sorted(sizes) == [(4, 4), (10, 10)]
+
+    calc = MgkCalculator(SCREENING)
+    small, large = calc.register(graphs)
+    solved = []
+    compute = calc._compute_pairs
+
+    def record(pairs):
+        solved.extend(pairs)
+        compute(pairs)
+
+    monkeypatch.setattr(calc, "_compute_pairs", record)
+    assert calc.normalized(small, large) == 0.0
+    assert set(solved) == {(large, large), (small, small)}
+    assert calc.pairs_solved == 2
+
+
+def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
+    mols = enumerate_alkanes(4, 9)
+    keys = MgkCalculator(SCREENING).register(mols)
+    rows = keys[::7]
+    # a file that also holds the true raw values of screened pairs, as one
+    # written by a solver that screens nothing does
+    unscreened = MgkCalculator(SCREENING)
+    unscreened.register(mols)
+    with monkeypatch.context() as m:
+        m.setattr(mgk, "_NEGLIGIBLE_D2", math.inf)
+        dense = unscreened.block(rows, keys)
+    full = str(tmp_path / "full.csv")
+    n_full = unscreened.save_cache(full)
+
+    fresh = MgkCalculator(SCREENING)
+    fresh.register(mols)
+    want = fresh.block(rows, keys)
+    screened = want == 0.0
+    assert screened.any() and not (dense[screened] == 0.0).any()
+    assert fresh.cached_pairs < n_full
+
+    loaded = MgkCalculator(SCREENING)
+    loaded.register(mols)
+    assert loaded.load_cache(full) == n_full
+    assert np.array_equal(loaded.block(rows, keys), want)
+    assert loaded.pairs_solved == 0
+
+    # the screened pairs are neither solved nor written
+    path = tmp_path / "screened.csv"
+    assert fresh.save_cache(str(path)) == fresh.cached_pairs == fresh.pairs_solved
+    written = {tuple(row.split(",")[:2]) for row in path.read_text().splitlines()[2:]}
+    for i, j in zip(*np.nonzero(screened)):
+        a, b = rows[i], keys[j]
+        assert (min(a, b), max(a, b)) not in written
+
+
 # -- convergence control -----------------------------------------------------------
 
 

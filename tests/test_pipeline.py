@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import logging
 import math
 import os
 from pathlib import Path
@@ -410,7 +411,7 @@ def test_report_file_matches_returned_report(staged_run):
     assert "runtime_seconds" not in on_disk
 
 
-def test_rerun_reuses_artifacts_and_is_byte_stable(staged_run):
+def test_rerun_reuses_artifacts_and_is_byte_stable(staged_run, caplog):
     cfg, report = staged_run
     before = _workspace_bytes(cfg.out_dir)
     reused = [
@@ -422,7 +423,9 @@ def test_rerun_reuses_artifacts_and_is_byte_stable(staged_run):
     stamps = {
         n: os.stat(os.path.join(cfg.out_dir, n)).st_mtime_ns for n in reused
     }
-    second = run_alms(cfg)
+    with caplog.at_level(logging.INFO, logger="alkspace.pipeline"):
+        second = run_alms(cfg)
+    assert "solved 0 kernel pairs" in caplog.messages
     assert second.to_dict() == report.to_dict()
     after = _workspace_bytes(cfg.out_dir)
     assert before == after
