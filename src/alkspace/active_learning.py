@@ -125,16 +125,14 @@ def al_init(
     )
 
 
-def _draw_subset(
-    state: AlState, rng: np.random.Generator
-) -> tuple[list[str], bool]:
+def _draw_subset(state: AlState, rng: np.random.Generator) -> list[str]:
     """Working subset T: the whole pool when it fits the batch size (no RNG
     consumed), else a seeded sample without replacement."""
     pool_sorted = sorted(state.pool)
     if len(pool_sorted) <= state.batch:
-        return pool_sorted, False
+        return pool_sorted
     picks = rng.choice(len(pool_sorted), size=state.batch, replace=False)
-    return sorted(pool_sorted[i] for i in picks), True
+    return sorted(pool_sorted[i] for i in picks)
 
 
 def _partition_subset(
@@ -179,43 +177,20 @@ def _apply_outcome(
     )
 
 
-def al_step(
-    state: AlState,
-    kernel_provider: KernelProvider,
-    noise: float = DEFAULT_AL_NOISE,
-) -> AlState:
-    """One transactional step; the input state is never mutated.
-
-    Fits a fresh GP on the selected set (targets are irrelevant to the
-    variance, zeros are used) and scores a drawn pool subset.
-    """
-    if not state.pool:
-        raise ValueError("pool is empty; the run already terminated")
-    rng = _fresh_rng(state)
-    subset, _ = _draw_subset(state, rng)
-    model = gpr.fit(
-        state.selected, np.zeros(len(state.selected)), noise, kernel_provider
-    )
-    variances = gpr.predict_variance(model, subset)
-    pick, dropped = _partition_subset(subset, variances, state.threshold)
-    return _apply_outcome(state, pick, dropped, rng.bit_generator.state)
-
-
 class _IncrementalLoop:
-    """Run helper that extends the Cholesky factor once per selection.
+    """The selection engine: scores candidates against a Cholesky factor of
+    the selected set, extended once per selection.
 
-    Equivalent to refitting per step (verified against al_step in tests);
-    the factor grows in selection order, which resume reconstructs exactly.
+    Equivalent to a fresh GP fit per step (tests check it against one
+    built from gpr.fit); the factor grows in selection order, which resume
+    reconstructs exactly.
     """
 
     def __init__(self, state: AlState, provider: KernelProvider, noise: float):
         self.provider = provider
         self.noise = noise
-        keys = state.selected
-        k = provider.block(keys, keys)
-        k = (k + k.T) / 2.0
-        self.chol, _ = gpr._cholesky_with_jitter(k + noise * np.eye(len(keys)))
-        self.keys = list(keys)
+        self.chol, _ = gpr._factor(provider, state.selected, noise)
+        self.keys = list(state.selected)
 
     def sync(self, state: AlState) -> None:
         """Extend the factor to cover selections made since last sync."""
@@ -226,12 +201,7 @@ class _IncrementalLoop:
                 self.chol = gpr.extend_cholesky(self.chol, cross, diag)
             except gpr.FitError:
                 # Numerically singular extension: rebuild with jitter.
-                keys = self.keys + [key]
-                k = self.provider.block(keys, keys)
-                k = (k + k.T) / 2.0
-                self.chol, _ = gpr._cholesky_with_jitter(
-                    k + self.noise * np.eye(len(keys))
-                )
+                self.chol, _ = gpr._factor(self.provider, self.keys + [key], self.noise)
             self.keys.append(key)
 
     def variances(self, subset: Sequence[str]) -> np.ndarray:
@@ -247,10 +217,13 @@ def _run_loop(
     checkpoint_every: int,
     on_step: Callable[[AlState], None] | None,
 ) -> AlState:
-    loop = _IncrementalLoop(state, kernel_provider, noise)
+    """Steps ``state`` until the pool is empty; a state that starts with an
+    empty pool is only checkpointed."""
+    if state.pool:
+        loop = _IncrementalLoop(state, kernel_provider, noise)
     while state.pool:
         rng = _fresh_rng(state)
-        subset, _ = _draw_subset(state, rng)
+        subset = _draw_subset(state, rng)
         variances = loop.variances(subset)
         pick, dropped = _partition_subset(subset, variances, state.threshold)
         state = _apply_outcome(state, pick, dropped, rng.bit_generator.state)
@@ -327,8 +300,6 @@ def al_continue(
         abandoned=frozenset(),
         threshold=lower_threshold,
     )
-    if not state.pool:
-        return state
     return _run_loop(
         state, kernel_provider, noise, checkpoint_path, checkpoint_every, on_step
     )

@@ -151,25 +151,9 @@ def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
     config = replace(config, thresholds=(threshold,))
     ws = _Workspace(config)
     ids = ws.molecule_ids()
+    path = args.checkpoint or ws.al_stage_path(1)
     with ws.kernel(ids) as calc:
-        if args.checkpoint:
-            path = args.checkpoint
-            if os.path.exists(path):
-                state = al.load_checkpoint(path)
-                if not state.is_terminal:
-                    state = al.al_resume(
-                        state, calc, noise=config.gpr.al_noise,
-                        checkpoint_path=path, checkpoint_every=config.checkpoint_every,
-                    )
-            else:
-                state = al.al_run(
-                    ids, threshold, config.batch, config.al_seed, calc,
-                    noise=config.gpr.al_noise, checkpoint_path=path,
-                    checkpoint_every=config.checkpoint_every,
-                )
-        else:
-            state = ws.al_states(ids, calc)[0]
-            path = ws.path(f"al_stage1_{ws.al_stage_hash(1)}.json")
+        state = ws.al_stage(ids, calc, 1, path)
     print(
         f"selected {len(state.selected)} of {len(ids)} molecules "
         f"at threshold {state.threshold} -> {path}"
@@ -190,7 +174,6 @@ def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
             state, args.threshold, calc, noise=config.gpr.al_noise,
             checkpoint_path=out, checkpoint_every=config.checkpoint_every,
         )
-    al.save_checkpoint(new_state, out)
     print(
         f"selected {len(new_state.selected)} molecules "
         f"at threshold {args.threshold} -> {out}"

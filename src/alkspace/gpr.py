@@ -2,9 +2,10 @@
 
 A kernel provider is any object with ``block(keys_a, keys_b) -> ndarray``
 and ``diag(keys) -> ndarray`` evaluating a positive-semidefinite kernel on
-opaque hashable keys. Kernel matrices from the mgk module satisfy this, as
-does :class:`TemperatureProductKernel`, which pairs a molecule kernel with
-a squared-exponential factor in temperature for property regression on
+opaque hashable keys. The molecule-kernel provider is
+:class:`alkspace.mgk.MgkCalculator`, keyed by canonical SMILES;
+:class:`TemperatureProductKernel` pairs a molecule kernel with a
+squared-exponential factor in temperature for property regression on
 (molecule, temperature) keys.
 
 Targets are standardized to zero mean and unit variance per column before
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-
-from .mgk import MgkHyperparameters
 
 # Jitter escalation: first retry adds 1e-10 to the diagonal, each further
 # retry multiplies by 10, giving up after five retries (1e-6).
@@ -47,18 +46,6 @@ class KernelProvider(Protocol):
     def block(self, keys_a: Sequence, keys_b: Sequence) -> np.ndarray: ...
 
     def diag(self, keys: Sequence) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class CompositeKernelConfig:
-    """Molecule-kernel hyperparameters plus the temperature length scale."""
-
-    mgk_params: MgkHyperparameters
-    temperature_length_scale: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not self.temperature_length_scale > 0:
-            raise ValueError("temperature_length_scale must be positive")
 
 
 class TemperatureProductKernel:
@@ -95,12 +82,6 @@ class TemperatureProductKernel:
     def diag(self, keys: Sequence) -> np.ndarray:
         mols, _ = self._split(keys)
         return self.molecule_provider.diag(mols)
-
-
-def composite_kernel(
-    molecule_provider: KernelProvider, config: CompositeKernelConfig
-) -> TemperatureProductKernel:
-    return TemperatureProductKernel(molecule_provider, config.temperature_length_scale)
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -143,6 +124,17 @@ def _cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, float]:
         f"Cholesky failed after jitter {jitter / 10.0:.1e}; "
         "likely duplicate inputs with zero noise"
     )
+
+
+def _factor(
+    provider: KernelProvider, keys: Sequence, noise: float
+) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the kernel block of ``keys`` plus ``noise``
+    on the diagonal, and the jitter it took. The block is symmetrized first
+    to guard rounding asymmetry from assembly."""
+    k = provider.block(keys, keys)
+    k = (k + k.T) / 2.0
+    return _cholesky_with_jitter(k + noise * np.eye(len(keys)))
 
 
 @dataclass(frozen=True)
@@ -202,10 +194,7 @@ def fit(
     y_std = np.where(y_std > 0.0, y_std, 1.0)
     ys = (y - y_mean) / y_std
 
-    k = kernel_provider.block(keys, keys)
-    k = (k + k.T) / 2.0  # guard rounding asymmetry from assembly
-    a = k + noise * np.eye(len(keys))
-    chol, jitter = _cholesky_with_jitter(a)
+    chol, jitter = _factor(kernel_provider, keys, noise)
     alpha = _solve_triangular(chol.T, _solve_triangular(chol, ys), lower=False)
     return GprModel(
         training_keys=keys,

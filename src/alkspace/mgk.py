@@ -374,65 +374,14 @@ def mgk_normalized(
     return float(_normalize(k12, k11, k22, p))
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Dense block of normalized kernel values with molecule-id axes.
-
-    Square same-key matrices are validated to be symmetric (1e-12) with a
-    unit diagonal (1e-10); they can serve directly as a kernel provider for
-    the regression and active-learning layers via :meth:`block` and
-    :meth:`diag`.
-    """
-
-    values: np.ndarray
-    keys_a: tuple[str, ...]
-    keys_b: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        v = self.values
-        if v.shape != (len(self.keys_a), len(self.keys_b)):
-            raise ValueError(
-                f"value shape {v.shape} does not match key counts "
-                f"({len(self.keys_a)}, {len(self.keys_b)})"
-            )
-        object.__setattr__(self, "_ia", {k: i for i, k in enumerate(self.keys_a)})
-        object.__setattr__(self, "_ib", {k: i for i, k in enumerate(self.keys_b)})
-        if self.keys_a == self.keys_b and len(self.keys_a) > 0:
-            asym = float(np.max(np.abs(v - v.T)))
-            if asym > 1e-12:
-                raise ValueError(f"square kernel matrix asymmetric by {asym:.3e}")
-            diag_err = float(np.max(np.abs(np.diag(v) - 1.0)))
-            if diag_err > 1e-10:
-                raise ValueError(f"diagonal deviates from 1 by {diag_err:.3e}")
-
-    @property
-    def is_square(self) -> bool:
-        return self.keys_a == self.keys_b
-
-    def loc(self, key_a: str, key_b: str) -> float:
-        return float(self.values[self._ia[key_a], self._ib[key_b]])  # type: ignore[attr-defined]
-
-    def block(self, keys_a: Sequence[str], keys_b: Sequence[str]) -> np.ndarray:
-        ia = self._ia  # type: ignore[attr-defined]
-        ib = self._ib  # type: ignore[attr-defined]
-        rows = np.fromiter((ia[k] for k in keys_a), dtype=np.intp, count=len(keys_a))
-        cols = np.fromiter((ib[k] for k in keys_b), dtype=np.intp, count=len(keys_b))
-        return self.values[np.ix_(rows, cols)]
-
-    def diag(self, keys: Sequence[str]) -> np.ndarray:
-        if not self.is_square:
-            raise ValueError("diag requires a square same-key matrix")
-        ia = self._ia  # type: ignore[attr-defined]
-        idx = np.fromiter((ia[k] for k in keys), dtype=np.intp, count=len(keys))
-        return self.values[idx, idx]
-
-
 class MgkCalculator:
     """Kernel evaluator with a raw-value cache keyed by canonical pair.
 
-    The cache stores raw (un-normalized) values under unordered canonical
-    SMILES pairs, including self-kernels, so normalized entries are cheap to
-    reassemble. Entries persist to a versioned CSV keyed by a hash of the
+    :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
+    the regression and selection layers. The cache stores raw
+    (un-normalized) values under unordered canonical SMILES pairs,
+    including self-kernels, so normalized entries are cheap to reassemble.
+    Entries persist to a versioned CSV keyed by a hash of the
     hyperparameters; a file written under different parameters is rejected.
 
     Evaluations are pure; concurrent duplicate computation of the same pair
@@ -468,31 +417,14 @@ class MgkCalculator:
 
     # -- evaluation -------------------------------------------------------
 
-    def raw(self, key_a: str, key_b: str) -> float:
-        pair = (key_a, key_b) if key_a <= key_b else (key_b, key_a)
-        value = self._raw.get(pair)
-        if value is None:
-            self._compute_pairs([pair])
-            value = self._raw[pair]
-        return value
-
-    def normalized(self, key_a: str, key_b: str) -> float:
-        if key_a == key_b:
-            return 1.0
-        k11 = self.raw(key_a, key_a)
-        k22 = self.raw(key_b, key_b)
-        if _negligible(k11, k22, self.params):
-            return 0.0
-        k12 = self.raw(key_a, key_b)
-        return float(_normalize(k12, k11, k22, self.params))
-
     def block(self, keys_a: Sequence[str], keys_b: Sequence[str]) -> np.ndarray:
         """Normalized kernel block; computes missing raw values in batch.
 
         The missing self-kernels are solved first; of the cross pairs, only
         those whose entry is not screened to 0 (:func:`_normalize`) are read
         or solved. Values are normalized once per distinct pair of keys and
-        then expanded to the requested rows and columns.
+        then expanded to the requested rows and columns, so the block of a
+        key list against itself is exactly symmetric with a unit diagonal.
         """
         ua, rows = _distinct(keys_a)
         ub, cols = _distinct(keys_b)
@@ -521,25 +453,6 @@ class MgkCalculator:
     def diag(self, keys: Sequence[str]) -> np.ndarray:
         return np.ones(len(keys))
 
-    def matrix(
-        self,
-        molecules_a: Sequence[MolecularGraph],
-        molecules_b: Sequence[MolecularGraph] | None = None,
-    ) -> KernelMatrix:
-        """Normalized kernel matrix between two molecule lists.
-
-        With one list (or identical lists) the result is symmetrized as
-        (M + M^T)/2; entries come from the unordered-pair cache so the
-        correction is at rounding level.
-        """
-        keys_a = self.register(molecules_a)
-        same = molecules_b is None
-        keys_b = keys_a if same else self.register(molecules_b)
-        values = self.block(keys_a, keys_b)
-        if same or keys_a == keys_b:
-            values = (values + values.T) / 2.0
-        return KernelMatrix(values, tuple(keys_a), tuple(keys_b))
-
     def _compute_pairs(self, pairs: Sequence[tuple[str, str]]) -> None:
         """Solve and cache the raw values of canonical key pairs."""
         arrays = [(self._arrays_for(ka), self._arrays_for(kb)) for ka, kb in pairs]
@@ -565,14 +478,13 @@ class MgkCalculator:
                 writer.writerow([ka, kb, repr(value)])
         return len(rows)
 
-    def load_cache(self, path: str, *, require_match: bool = True) -> int:
+    def load_cache(self, path: str) -> int:
         """Load a cache file; returns rows loaded.
 
         A file written under different hyperparameters (or an unknown
-        version) raises ValueError when ``require_match`` is set, and is
-        silently skipped (returns 0) otherwise. A row without exactly three
-        columns, or whose value is not a finite positive number, raises
-        ValueError naming the file and line, and loads nothing.
+        version) raises ValueError. So does a row without exactly three
+        columns, or whose value is not a finite positive number, naming the
+        file and line; either way nothing is loaded.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -584,12 +496,10 @@ class MgkCalculator:
                 or header[1] != str(_CACHE_VERSION)
                 or header[2] != self.params.content_hash()
             ):
-                if require_match:
-                    raise ValueError(
-                        f"kernel cache {path!r} does not match current "
-                        "hyperparameters/version"
-                    )
-                return 0
+                raise ValueError(
+                    f"kernel cache {path!r} does not match current "
+                    "hyperparameters/version"
+                )
             next(reader, None)  # column header
 
             def bad_row(problem: str) -> ValueError:
@@ -610,11 +520,3 @@ class MgkCalculator:
         self._raw.update(rows)
         return len(rows)
 
-
-def kernel_matrix(
-    molecules_a: Sequence[MolecularGraph],
-    molecules_b: Sequence[MolecularGraph] | None,
-    p: MgkHyperparameters,
-) -> KernelMatrix:
-    """One-shot normalized kernel matrix (throwaway cache)."""
-    return MgkCalculator(p).matrix(molecules_a, molecules_b)

@@ -527,58 +527,67 @@ class _Workspace:
             }
         )
 
+    def al_stage_path(self, stage: int) -> str:
+        return self.path(f"al_stage{stage}_{self.al_stage_hash(stage)}.json")
+
     def al_states(self, ids: Sequence[str], provider) -> list[al.AlState]:
         """Terminal state per threshold stage, reusing finished checkpoints."""
-        cfg = self.config
         states: list[al.AlState] = []
-        prev: al.AlState | None = None
-        for i, threshold in enumerate(cfg.thresholds):
-            path = self.path(f"al_stage{i + 1}_{self.al_stage_hash(i + 1)}.json")
-            state: al.AlState | None = None
-            if os.path.exists(path):
-                loaded = al.load_checkpoint(path)
-                if loaded.universe != frozenset(ids):
-                    raise StageError(
-                        f"checkpoint {path} does not cover the configured molecule set"
-                    )
-                if loaded.is_terminal:
-                    logger.info(
-                        "stage %d: reusing finished selection %s (|S|=%d)",
-                        i + 1, path, len(loaded.selected),
-                    )
-                    state = loaded
-                else:
-                    logger.info("stage %d: resuming from %s", i + 1, path)
-                    state = al.al_resume(
-                        loaded, provider, noise=cfg.gpr.al_noise,
-                        checkpoint_path=path, checkpoint_every=cfg.checkpoint_every,
-                    )
-            elif i == 0:
-                t0 = time.monotonic()
-                state = al.al_run(
-                    ids, threshold, cfg.batch, cfg.al_seed, provider,
-                    noise=cfg.gpr.al_noise, checkpoint_path=path,
-                    checkpoint_every=cfg.checkpoint_every,
-                )
-                logger.info(
-                    "stage 1 (U_t=%g): |S|=%d after %d iterations, %.1fs",
-                    threshold, len(state.selected), state.iteration,
-                    time.monotonic() - t0,
-                )
-            else:
-                assert prev is not None
-                t0 = time.monotonic()
-                state = al.al_continue(
-                    prev, threshold, provider, noise=cfg.gpr.al_noise,
-                    checkpoint_path=path, checkpoint_every=cfg.checkpoint_every,
-                )
-                logger.info(
-                    "stage %d (U_t=%g): |S|=%d, %.1fs",
-                    i + 1, threshold, len(state.selected), time.monotonic() - t0,
-                )
-            states.append(state)
-            prev = state
+        for stage in range(1, len(self.config.thresholds) + 1):
+            prev = states[-1] if states else None
+            states.append(
+                self.al_stage(ids, provider, stage, self.al_stage_path(stage), prev)
+            )
         return states
+
+    def al_stage(
+        self,
+        ids: Sequence[str],
+        provider,
+        stage: int,
+        path: str,
+        prev: al.AlState | None = None,
+    ) -> al.AlState:
+        """Terminal state of selection stage ``stage`` (from 1), checkpointed
+        at ``path``.
+
+        An existing checkpoint must cover exactly ``ids``, or StageError
+        names it and it is left as it is; a finished one is reused and an
+        unfinished one resumed. Without one, stage 1 starts a run over
+        ``ids`` and a later stage continues ``prev``, the terminal state of
+        the stage before, at its own threshold.
+        """
+        cfg = self.config
+        threshold = cfg.thresholds[stage - 1]
+        kwargs = dict(
+            noise=cfg.gpr.al_noise, checkpoint_path=path,
+            checkpoint_every=cfg.checkpoint_every,
+        )
+        if os.path.exists(path):
+            loaded = al.load_checkpoint(path)
+            if loaded.universe != frozenset(ids):
+                raise StageError(
+                    f"checkpoint {path} does not cover the configured molecule set"
+                )
+            if loaded.is_terminal:
+                logger.info(
+                    "stage %d: reusing finished selection %s (|S|=%d)",
+                    stage, path, len(loaded.selected),
+                )
+                return loaded
+            logger.info("stage %d: resuming from %s", stage, path)
+            return al.al_resume(loaded, provider, **kwargs)
+        t0 = time.monotonic()
+        if prev is None:
+            state = al.al_run(ids, threshold, cfg.batch, cfg.al_seed, provider, **kwargs)
+        else:
+            state = al.al_continue(prev, threshold, provider, **kwargs)
+        logger.info(
+            "stage %d (U_t=%g): |S|=%d after %d iterations, %.1fs",
+            stage, threshold, len(state.selected), state.iteration,
+            time.monotonic() - t0,
+        )
+        return state
 
     # oracle datasets
 
@@ -609,6 +618,23 @@ class _Workspace:
             )
         return rows
 
+    def test_set(
+        self, ids: Sequence[str], final_selected: Sequence[str]
+    ) -> tuple[list[str], list[thermo.DatasetRow]]:
+        """The held-out molecules, a seeded sample of those no stage
+        selected, and their dataset; ConfigError if too few are left."""
+        cfg = self.config
+        if cfg.n_test > len(ids) - len(final_selected):
+            raise ConfigError(
+                f"n_test={cfg.n_test} does not fit: {len(ids)} molecules minus "
+                f"{len(final_selected)} selected leaves too few"
+            )
+        test_ids = split_test(ids, final_selected, cfg.n_test, cfg.split_seed)
+        members = _hash_obj(
+            {"al": self.al_stage_hash(len(cfg.thresholds)), "split": cfg.evaluation_dict()}
+        )
+        return test_ids, self.dataset_for("test", members, test_ids)
+
 
 def simulate_molecules(
     ids: Sequence[str], noise_sigma: float, seed: int
@@ -635,15 +661,12 @@ def training_arrays(
     return keys, targets
 
 
-def _composite(provider, cfg: PipelineConfig):
-    return gpr.TemperatureProductKernel(provider, cfg.gpr.temperature_length_scale)
-
-
 def _fit_on_rows(rows: Sequence[thermo.DatasetRow], provider, cfg: PipelineConfig):
     keys, targets = training_arrays(rows)
     if not keys:
         raise StageError("no QC-passing training rows")
-    return gpr.fit(keys, targets, cfg.gpr.regression_noise, _composite(provider, cfg))
+    kernel = gpr.TemperatureProductKernel(provider, cfg.gpr.temperature_length_scale)
+    return gpr.fit(keys, targets, cfg.gpr.regression_noise, kernel)
 
 
 def _metrics_by_property(
@@ -683,17 +706,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         states = ws.al_states(ids, calc)
 
         final_selected = states[-1].selected
-        if config.n_test > len(ids) - len(final_selected):
-            raise ConfigError(
-                f"n_test={config.n_test} does not fit: {len(ids)} molecules minus "
-                f"{len(final_selected)} selected leaves too few"
-            )
-        test_ids = split_test(ids, final_selected, config.n_test, config.split_seed)
-        test_rows = ws.dataset_for(
-            "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
-                               "split": config.evaluation_dict()}),
-            test_ids,
-        )
+        test_ids, test_rows = ws.test_set(ids, final_selected)
         test_keys = [(r.smiles, r.temperature) for r in test_rows]
         test_truth = np.array(
             [[r.density, r.heat_capacity, r.hov] for r in test_rows], dtype=float
@@ -884,17 +897,12 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         states = ws.al_states(ids, calc)
         s1 = states[0]
 
-        test_ids = split_test(ids, states[-1].selected, config.n_test, config.split_seed)
-        if len(s1.selected) > len(test_ids):
+        if len(s1.selected) > config.n_test:
             raise ConfigError(
                 f"cannot draw a {len(s1.selected)}-molecule control from a "
-                f"{len(test_ids)}-molecule test pool; raise n_test"
+                f"{config.n_test}-molecule test pool; raise n_test"
             )
-        test_rows = ws.dataset_for(
-            "test", _hash_obj({"al": ws.al_stage_hash(len(config.thresholds)),
-                               "split": config.evaluation_dict()}),
-            test_ids,
-        )
+        test_ids, test_rows = ws.test_set(ids, states[-1].selected)
         rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
         for r in test_rows:
             rows_by_molecule.setdefault(r.smiles, []).append(r)

@@ -145,8 +145,9 @@ def test_criterion_2_kernel_against_walk_oracle():
                 assert abs(exact - oracle) <= 1e-8
 
         mols = [parse_smiles(s) for s in enumerate_alkane_smiles(4, 12)[:100]]
-        matrix = MgkCalculator(MgkHyperparameters()).matrix(mols)
-        k = matrix.values
+        calc = MgkCalculator(MgkHyperparameters())
+        keys = calc.register(mols)
+        k = calc.block(keys, keys)
         assert k.shape == (100, 100)
         assert float(np.max(np.abs(k - k.T))) <= 1e-12
         assert float(np.max(np.abs(np.diag(k) - 1.0))) <= 1e-10
@@ -221,7 +222,8 @@ def test_criterion_4_selection_soundness(full_run):
         assert s1 <= s2 <= s3
         assert [s.threshold for s in states] == [0.5, 0.4, 0.3]
 
-        # replay stage 1 step by step, checking the partition each time
+        # replay stage 1 from the kernel cache, checking the partition
+        # after every step
         ids = enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)
         calc = MgkCalculator(cfg.kernel)
         calc.load_cache(os.path.join(
@@ -230,13 +232,18 @@ def test_criterion_4_selection_soundness(full_run):
         ))
         calc.register([parse_smiles(s) for s in ids])
         universe = frozenset(ids)
-        state = al.al_init(ids, cfg.thresholds[0], cfg.batch, cfg.al_seed)
-        while not state.is_terminal:
-            state = al.al_step(state, calc, noise=cfg.gpr.al_noise)
+
+        def check_partition(state):
             parts = (set(state.selected), set(state.pool), set(state.abandoned))
             assert sum(len(p) for p in parts) == len(universe)
             assert parts[0] | parts[1] | parts[2] == universe
-        assert state.selected == states[0].selected
+
+        state = al.al_run(
+            ids, cfg.thresholds[0], cfg.batch, cfg.al_seed, calc,
+            noise=cfg.gpr.al_noise, on_step=check_partition,
+        )
+        assert state == states[0]
+        assert calc.pairs_solved == 0
 
         # every abandoned molecule sits below the stage threshold under
         # the model fit on that stage's final selection

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from alkspace import active_learning as al
-from alkspace import mgk
+from alkspace import gpr, mgk
 from alkspace.active_learning import (
     AlStallError,
     AlState,
@@ -20,7 +20,6 @@ from alkspace.active_learning import (
     al_init,
     al_resume,
     al_run,
-    al_step,
     load_checkpoint,
     save_checkpoint,
 )
@@ -49,10 +48,53 @@ def identity_provider(ids):
 
 
 def molecule_provider(max_carbons=7, **params):
-    mols = enumerate_alkanes(4, max_carbons)
+    """Ids and a dense provider over the molecule kernel of C4..C<max>."""
     calc = MgkCalculator(MgkHyperparameters(**params))
-    km = calc.matrix(mols)
-    return list(km.keys_a), km
+    ids = calc.register(enumerate_alkanes(4, max_carbons))
+    return ids, DictProvider(ids, calc.block(ids, ids))
+
+
+class _Stop(Exception):
+    pass
+
+
+def first_step(state, provider, noise=al.DEFAULT_AL_NOISE):
+    """The state after one step of the selection engine from ``state``."""
+    steps = []
+
+    def stop(after):
+        steps.append(after)
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        al_resume(state, provider, noise=noise, on_step=stop)
+    return steps[0]
+
+
+def refit_step(state, provider, noise=al.DEFAULT_AL_NOISE):
+    """Oracle step: draw the working subset as documented, fit a fresh GP on
+    the selected set and apply the selection rule to its variances."""
+    rng = np.random.default_rng(state.seed)
+    rng.bit_generator.state = state.rng_state
+    subset = sorted(state.pool)
+    if len(subset) > state.batch:
+        picks = rng.choice(len(subset), size=state.batch, replace=False)
+        subset = sorted(subset[i] for i in picks)
+    model = gpr.fit(state.selected, np.zeros(len(state.selected)), noise, provider)
+    variances = gpr.predict_variance(model, subset)
+    vmax = variances.max()
+    pick = None
+    if vmax > state.threshold:
+        pick = min(m for m, v in zip(subset, variances) if v == vmax)
+    dropped = {m for m, v in zip(subset, variances) if v < state.threshold} - {pick}
+    return replace(
+        state,
+        selected=state.selected + ((pick,) if pick is not None else ()),
+        pool=state.pool - dropped - {pick},
+        abandoned=state.abandoned | dropped,
+        iteration=state.iteration + 1,
+        rng_state=rng.bit_generator.state,
+    )
 
 
 # -- initialization -----------------------------------------------------------
@@ -117,7 +159,7 @@ def test_step_threshold_above_prior_abandons_everything():
         seed=0,
         iteration=0,
     )
-    out = al_step(state, identity_provider(ids))
+    out = first_step(state, identity_provider(ids))
     assert out.selected == ("m0", "m1")
     assert not out.pool
     assert out.abandoned == frozenset(ids[2:])
@@ -128,9 +170,11 @@ def test_steps_with_tiny_threshold_select_the_whole_pool():
     ids = [f"m{i}" for i in range(6)]
     provider = identity_provider(ids)
     # orthogonal candidates keep unit variance, so every step selects one
-    state = replace(al_init(ids, threshold=1.0, batch=10, seed=1), threshold=1e-9)
-    while state.pool:
-        state = al_step(state, provider)
+    start = replace(al_init(ids, threshold=1.0, batch=10, seed=1), threshold=1e-9)
+    steps = []
+    state = al_resume(start, provider, on_step=steps.append)
+    assert len(steps) == len(ids) - 2
+    assert all(len(s.selected) == 3 + i for i, s in enumerate(steps))
     assert set(state.selected) == set(ids)
     assert not state.abandoned
 
@@ -153,7 +197,7 @@ def test_step_abandons_duplicate_kernel_rows():
         seed=0,
         iteration=0,
     )
-    out = al_step(state, DictProvider(ids, values))
+    out = first_step(state, DictProvider(ids, values))
     assert out.selected == ("a", "c")
     assert out.abandoned == frozenset({"b"})
     assert not out.pool
@@ -170,14 +214,8 @@ def test_step_breaks_variance_ties_toward_smallest_id():
         seed=0,
         iteration=0,
     )
-    out = al_step(state, identity_provider(ids))
+    out = first_step(state, identity_provider(ids))
     assert out.selected == ("c", "a")
-
-
-def test_step_on_terminal_state_raises():
-    state = AlState(("a",), frozenset(), frozenset({"b"}), 0.5, 1, 0, 0)
-    with pytest.raises(ValueError):
-        al_step(state, identity_provider(["a", "b"]))
 
 
 def test_stall_guard():
@@ -193,7 +231,7 @@ def test_stall_guard():
         iteration=0,
     )
     with pytest.raises(AlStallError):
-        al_step(state, DictProvider(ids, values), noise=0.0)
+        al_resume(state, DictProvider(ids, values), noise=0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -225,7 +263,7 @@ def test_step_is_transactional_on_provider_failure():
     state = al_init(ids, threshold=0.5, batch=2, seed=0)
     snapshot = (state.selected, state.pool, state.abandoned, state.iteration)
     with pytest.raises(RuntimeError):
-        al_step(state, Boom())
+        al_resume(state, Boom())
     assert (state.selected, state.pool, state.abandoned, state.iteration) == snapshot
 
 
@@ -259,7 +297,7 @@ def test_run_matches_manual_step_loop():
     state = al_init(ids, 0.5, batch=5, seed=3)
     manual = []
     while state.pool:
-        state = al_step(state, provider)
+        state = refit_step(state, provider)
         manual.append(state)
     assert final.selected == state.selected
     assert final.abandoned == state.abandoned
@@ -269,14 +307,12 @@ def test_run_matches_manual_step_loop():
 
 def test_incremental_variances_match_full_refit():
     ids, provider = molecule_provider(7, lambda_=0.2)
-    state = al_init(ids, 0.5, batch=6, seed=2)
-    while state.pool and len(state.selected) < 6:
-        state = al_step(state, provider)
+    steps = []
+    al_run(ids, 0.5, batch=6, seed=2, kernel_provider=provider, on_step=steps.append)
+    state = next(s for s in steps if len(s.selected) >= 6 or not s.pool)
     assert len(state.selected) >= 4
     loop = al._IncrementalLoop(state, provider, al.DEFAULT_AL_NOISE)
     queries = sorted(ids)[:8]
-    import alkspace.gpr as gpr
-
     model = gpr.fit(
         state.selected, np.zeros(len(state.selected)), al.DEFAULT_AL_NOISE, provider
     )
@@ -288,8 +324,6 @@ def test_incremental_variances_match_full_refit():
 def test_abandoned_molecules_stay_below_threshold_post_hoc():
     ids, provider = molecule_provider(7, lambda_=0.2)
     final = al_run(ids, 0.5, batch=5, seed=3, kernel_provider=provider)
-    import alkspace.gpr as gpr
-
     model = gpr.fit(
         final.selected,
         np.zeros(len(final.selected)),
@@ -339,6 +373,23 @@ def test_size_screen_leaves_selections_unchanged(seed, monkeypatch):
     assert solved < solved_unscreened
 
 
+def test_continue_with_an_empty_pool_still_checkpoints(tmp_path):
+    ids = [f"m{i}" for i in range(5)]
+    state = al_run(ids, 0.1, batch=10, seed=0, kernel_provider=identity_provider(ids))
+    assert set(state.selected) == set(ids) and not state.abandoned
+
+    class Unused:
+        def block(self, *_):
+            raise AssertionError("an empty pool needs no kernel")
+
+        diag = block
+
+    path = str(tmp_path / "next.json")
+    out = al_continue(state, 0.05, Unused(), checkpoint_path=path)
+    assert out == replace(state, threshold=0.05)
+    assert load_checkpoint(path) == out
+
+
 def test_continue_requires_terminal_state_and_lower_threshold():
     ids, provider = molecule_provider(5)
     running = al_init(ids, 0.5, batch=3, seed=0)
@@ -358,8 +409,7 @@ def test_continue_requires_terminal_state_and_lower_threshold():
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     ids, provider = molecule_provider(6)
-    state = al_init(ids, 0.5, batch=4, seed=9)
-    state = al_step(state, provider)
+    state = first_step(al_init(ids, 0.5, batch=4, seed=9), provider)
     path = str(tmp_path / "state.json")
     save_checkpoint(state, path)
     loaded = load_checkpoint(path)

@@ -1,0 +1,34 @@
+"""The public surface: package exports and the README's library example."""
+
+import json
+import re
+from pathlib import Path
+
+import alkspace
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_star_import_resolves_every_export():
+    namespace: dict = {}
+    exec("from alkspace import *", namespace)
+    assert set(alkspace.__all__) <= set(namespace)
+    assert alkspace.__all__ == sorted(alkspace.__all__)
+    assert len(set(alkspace.__all__)) == len(alkspace.__all__)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    config = {
+        "chemical_space": {"min_carbons": 4, "max_carbons": 8},
+        "kernel": {"lambda": 0.2},
+        "active_learning": {"thresholds": [0.5, 0.4]},
+        "evaluation": {"n_test": 20, "control_seeds": [0]},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["kernel"].shape == (37, 37)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["1", "2"]

@@ -74,6 +74,17 @@ def test_oversized_n_test_exits_one_before_any_kernel_work(tmp_path, command):
     assert [n for n in left if n.startswith(("al_stage", "kernel_"))] == []
 
 
+@pytest.mark.parametrize("command", ["run-all", "compare-random"])
+def test_a_test_set_larger_than_the_unselected_rest_exits_one(tmp_path, command, caplog):
+    # 35 of the 37 C4..C8 molecules fit the space, but not the molecules
+    # left once the stages have selected theirs
+    raw = {**CONFIG_RAW, "evaluation": {"n_test": 35, "control_seeds": [0]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main([command, "--config", str(config), "--out-dir", str(tmp_path / "ws")]) == 1
+    assert "n_test=35 does not fit" in caplog.text
+
+
 # -- enumerate -----------------------------------------------------------------
 
 
@@ -273,6 +284,10 @@ def test_al_on_a_finished_checkpoint_writes_no_kernel_cache(tmp_path, config_fil
     assert len(cache.read_text().splitlines()) > 2  # header lines plus rows
 
 
+class _Interrupt(Exception):
+    pass
+
+
 def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
     from alkspace.pipeline import PipelineConfig, _Workspace
 
@@ -280,13 +295,20 @@ def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
     ws = _Workspace(cfg)
     ids = ws.molecule_ids()
-    with ws.kernel(ids) as calc:
-        mid = al.al_step(
-            al.al_init(ids, 0.5, cfg.batch, cfg.al_seed), calc, noise=cfg.gpr.al_noise
-        )
-    assert not mid.is_terminal
     ckpt = str(tmp_path / "interrupted.json")
-    al.save_checkpoint(mid, ckpt)
+
+    # stop the run at its second step, after the first step's checkpoint
+    def die(state):
+        if state.iteration == 2:
+            raise _Interrupt
+
+    with ws.kernel(ids) as calc, pytest.raises(_Interrupt):
+        al.al_run(
+            ids, 0.5, cfg.batch, cfg.al_seed, calc, noise=cfg.gpr.al_noise,
+            checkpoint_path=ckpt, checkpoint_every=1, on_step=die,
+        )
+    mid = al.load_checkpoint(ckpt)
+    assert mid.iteration == 1 and not mid.is_terminal
 
     code = main(
         [
@@ -298,6 +320,25 @@ def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
     finished = al.load_checkpoint(ckpt)
     assert finished.is_terminal
     assert set(finished.selected) >= set(mid.selected)
+
+
+@pytest.mark.parametrize(
+    "carbons, take", [((4, 9), None), ((4, 7), 10)], ids=["wider-space", "subset"]
+)
+def test_al_rejects_a_checkpoint_for_another_chemical_space(tmp_path, carbons, take, caplog):
+    # the config spans the 19 molecules of C4..C7
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ids = enumerate_alkane_smiles(*carbons)[:take]
+    ckpt = tmp_path / "foreign.json"
+    al.save_checkpoint(al.al_init(ids, 0.5, 1000, 1), str(ckpt))
+    before = ckpt.read_bytes()
+
+    argv = ["al", "--config", str(config), "--out-dir", str(tmp_path / "ws")]
+    assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+    assert f"checkpoint {ckpt} does not cover" in caplog.text
+    assert ckpt.read_bytes() == before
 
 
 def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):

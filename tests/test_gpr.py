@@ -9,13 +9,11 @@ import pytest
 
 from alkspace import gpr
 from alkspace.gpr import (
-    CompositeKernelConfig,
     FitError,
     TemperatureProductKernel,
     extend_cholesky,
     fit,
 )
-from alkspace.mgk import MgkHyperparameters
 
 
 class RbfProvider:
@@ -251,12 +249,10 @@ def test_temperature_kernel_reduces_to_molecule_kernel_at_equal_t():
 
 
 def test_composite_config_validation():
-    with pytest.raises(ValueError):
-        CompositeKernelConfig(MgkHyperparameters(), temperature_length_scale=0.0)
-    with pytest.raises(ValueError):
-        TemperatureProductKernel(TwoMoleculeProvider(), length_scale=-1.0)
-    cfg = CompositeKernelConfig(MgkHyperparameters(), temperature_length_scale=25.0)
-    kern = gpr.composite_kernel(TwoMoleculeProvider(), cfg)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            TemperatureProductKernel(TwoMoleculeProvider(), length_scale=bad)
+    kern = TemperatureProductKernel(TwoMoleculeProvider(), length_scale=25.0)
     assert kern.length_scale == 25.0
 
 

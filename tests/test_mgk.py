@@ -21,10 +21,8 @@ from alkspace import mgk
 
 from alkspace.mgk import (
     KernelConvergenceError,
-    KernelMatrix,
     MgkCalculator,
     MgkHyperparameters,
-    kernel_matrix,
     mgk_normalized,
     mgk_raw,
 )
@@ -40,6 +38,13 @@ DEFAULT = MgkHyperparameters()
 # Fast-mixing walk: the L=20 truncation tail is far below 1e-8, so the
 # truncated oracle can certify the fixed point to that accuracy.
 FAST_STOP = MgkHyperparameters(q=0.5)
+
+
+def dense(mols, p=DEFAULT):
+    """The normalized kernel block of ``mols`` against themselves."""
+    calc = MgkCalculator(p)
+    keys = calc.register(mols)
+    return calc.block(keys, keys)
 
 
 # -- reference implementations ------------------------------------------------
@@ -269,7 +274,7 @@ def test_every_pair_up_to_c16_solves_within_fifteen_iterations():
     picks = np.random.default_rng(23).choice(len(smiles), size=60, replace=False)
     mols = [parse_smiles(smiles[i]) for i in sorted(picks)]
     assert max(len(g) for g in mols) == 16
-    values = MgkCalculator(MgkHyperparameters(fp_max_iters=15)).matrix(mols).values
+    values = dense(mols, MgkHyperparameters(fp_max_iters=15))
     assert np.all(values > 0.0)
 
 
@@ -307,17 +312,20 @@ def test_raw_values_independent_of_batch_and_request_order():
         calc.register(mols)
         return calc
 
-    alone = {pair: fresh().raw(*pair) for pair in targets}
+    # a pair is solved in the order of its sorted keys
     graph_of = dict(zip(keys, mols))
-    for (a, b), value in alone.items():
-        assert mgk_raw(graph_of[a], graph_of[b], DEFAULT) == value
+    alone = {(a, b): mgk_raw(graph_of[a], graph_of[b], DEFAULT) for a, b in targets}
+    for a, b in targets:
+        calc = fresh()
+        calc.block([a], [b])
+        assert calc._raw[(a, b)] == alone[(a, b)]
 
     companions = [k for pair in targets for k in pair]
     companions += list(rng.choice(keys, size=40, replace=False))
     for order in (keys, keys[::-1], list(rng.permutation(companions))):
         calc = fresh()
         calc.block(order, order)
-        assert {pair: calc.raw(*pair) for pair in targets} == alone
+        assert {pair: calc._raw[pair] for pair in targets} == alone
 
 
 # -- normalization ---------------------------------------------------------------
@@ -330,8 +338,7 @@ def test_normalized_self_is_exactly_one():
 
 def test_normalized_bounds_one_iff_isomorphic():
     mols = enumerate_alkanes(1, 8)
-    km = MgkCalculator(DEFAULT).matrix(mols)
-    values = km.values
+    values = dense(mols)
     assert np.allclose(np.diag(values), 1.0, atol=1e-12)
     off = values[~np.eye(len(mols), dtype=bool)]
     assert off.min() >= 0.0
@@ -448,7 +455,7 @@ def test_screened_entries_do_not_depend_on_batch_order_or_path():
     assert np.array_equal(calc.block(rows, keys), whole)
 
     calc = fresh()
-    one_by_one = np.array([[calc.normalized(a, b) for b in keys] for a in rows])
+    one_by_one = np.array([[calc.block([a], [b])[0, 0] for b in keys] for a in rows])
     assert np.array_equal(one_by_one, whole)
 
 
@@ -476,7 +483,7 @@ def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
         compute(pairs)
 
     monkeypatch.setattr(calc, "_compute_pairs", record)
-    assert calc.normalized(small, large) == 0.0
+    assert calc.block([small], [large])[0, 0] == 0.0
     assert set(solved) == {(large, large), (small, small)}
     assert calc.pairs_solved == 2
 
@@ -580,23 +587,22 @@ def test_dict_roundtrip():
 
 def test_matrix_unit_diagonal_and_symmetry():
     mols = enumerate_alkanes(4, 7)
-    km = kernel_matrix(mols, mols, DEFAULT)
-    assert np.array_equal(np.diag(km.values), np.ones(len(mols)))
-    assert np.max(np.abs(km.values - km.values.T)) <= 1e-12
+    for lam in (math.inf, 0.2):
+        values = dense(mols, MgkHyperparameters(lambda_=lam))
+        assert np.array_equal(np.diag(values), np.ones(len(mols)))
+        assert np.array_equal(values, values.T)
 
 
 def test_matrix_permutation_invariance():
     mols = enumerate_alkanes(4, 7)
-    km = MgkCalculator(DEFAULT).matrix(mols)
+    values = dense(mols)
     order = list(np.random.default_rng(5).permutation(len(mols)))
-    km_perm = MgkCalculator(DEFAULT).matrix([mols[i] for i in order])
-    assert np.array_equal(km_perm.values, km.values[np.ix_(order, order)])
+    permuted = dense([mols[i] for i in order])
+    assert np.array_equal(permuted, values[np.ix_(order, order)])
 
 
 def test_matrix_psd_100_molecules():
-    mols = enumerate_alkanes(4, 10)[:100]
-    km = MgkCalculator(DEFAULT).matrix(mols)
-    eigs = np.linalg.eigvalsh(km.values)
+    eigs = np.linalg.eigvalsh(dense(enumerate_alkanes(4, 10)[:100]))
     assert eigs.min() >= -1e-8
 
 
@@ -604,9 +610,9 @@ def test_rectangular_block_matches_square():
     mols = enumerate_alkanes(4, 6)
     calc = MgkCalculator(DEFAULT)
     keys = calc.register(mols)
-    square = calc.matrix(mols)
+    square = calc.block(keys, keys)
     rect = calc.block(keys[:3], keys)
-    assert np.array_equal(rect, square.values[:3])
+    assert np.array_equal(rect, square[:3])
 
 
 def test_block_with_repeated_keys_matches_entrywise_values():
@@ -616,7 +622,7 @@ def test_block_with_repeated_keys_matches_entrywise_values():
     rows = [keys[i] for i in (2, 0, 2, 5, 0)]
     cols = [keys[i] for i in (1, 1, 3, 2, 0, 5)]
     got = calc.block(rows, cols)
-    want = np.array([[calc.normalized(a, b) for b in cols] for a in rows])
+    want = np.array([[calc.block([a], [b])[0, 0] for b in cols] for a in rows])
     assert got.shape == (len(rows), len(cols))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
     for i, a in enumerate(rows):
@@ -625,21 +631,11 @@ def test_block_with_repeated_keys_matches_entrywise_values():
                 assert got[i, j] == 1.0
 
 
-def test_kernel_matrix_validation():
-    bad = np.array([[1.0, 0.5], [0.4, 1.0]])
-    with pytest.raises(ValueError):
-        KernelMatrix(bad, ("a", "b"), ("a", "b"))
-    off_diag = np.array([[1.0, 0.2], [0.2, 0.9]])
-    with pytest.raises(ValueError):
-        KernelMatrix(off_diag, ("a", "b"), ("a", "b"))
-    with pytest.raises(ValueError):
-        KernelMatrix(np.ones((2, 3)), ("a", "b"), ("x", "y"))
-
-
 def test_cache_roundtrip_bitwise(tmp_path):
     mols = enumerate_alkanes(4, 6)
     calc = MgkCalculator(DEFAULT)
-    km = calc.matrix(mols)
+    keys = calc.register(mols)
+    values = calc.block(keys, keys)
     path = str(tmp_path / "cache.csv")
     rows = calc.save_cache(path)
     assert rows > 0
@@ -651,21 +647,22 @@ def test_cache_roundtrip_bitwise(tmp_path):
         raise AssertionError(f"cache miss for {pairs}")
 
     fresh._compute_pairs = boom
-    km2 = fresh.matrix(mols)
-    assert np.array_equal(km2.values, km.values)
+    assert fresh.register(mols) == keys
+    assert np.array_equal(fresh.block(keys, keys), values)
 
 
 def test_cache_hyperparameter_mismatch(tmp_path):
     mols = enumerate_alkanes(4, 5)
     calc = MgkCalculator(DEFAULT)
-    calc.matrix(mols)
+    keys = calc.register(mols)
+    calc.block(keys, keys)
     path = str(tmp_path / "cache.csv")
     calc.save_cache(path)
 
     other = MgkCalculator(MgkHyperparameters(q=0.5))
     with pytest.raises(ValueError):
         other.load_cache(path)
-    assert other.load_cache(path, require_match=False) == 0
+    assert other.cached_pairs == 0
 
 
 @pytest.mark.parametrize(
@@ -684,7 +681,8 @@ def test_cache_hyperparameter_mismatch(tmp_path):
 def test_cache_rejects_bad_rows(tmp_path, row, message):
     mols = enumerate_alkanes(4, 5)
     calc = MgkCalculator(DEFAULT)
-    calc.matrix(mols)
+    keys = calc.register(mols)
+    calc.block(keys, keys)
     path = str(tmp_path / "cache.csv")
     rows = calc.save_cache(path)
     with open(path, "a") as fh:
@@ -702,7 +700,8 @@ def test_cache_rejects_bad_rows(tmp_path, row, message):
 def test_cache_rejects_a_version_2_file(tmp_path):
     # version-2 values came from the Jacobi-preconditioned solver
     calc = MgkCalculator(DEFAULT)
-    calc.matrix(enumerate_alkanes(4, 5))
+    keys = calc.register(enumerate_alkanes(4, 5))
+    calc.block(keys, keys)
     path = tmp_path / "cache.csv"
     calc.save_cache(str(path))
     header = f"{mgk._CACHE_MAGIC},{{}},{DEFAULT.content_hash()}"
@@ -713,5 +712,4 @@ def test_cache_rejects_a_version_2_file(tmp_path):
     fresh = MgkCalculator(DEFAULT)
     with pytest.raises(ValueError, match="hyperparameters/version"):
         fresh.load_cache(str(path))
-    assert fresh.load_cache(str(path), require_match=False) == 0
     assert fresh.cached_pairs == 0

@@ -14,7 +14,6 @@ import pytest
 from alkspace import active_learning as al
 from alkspace import pipeline, thermo
 from alkspace.mgk import MgkCalculator
-from alkspace.molspace import parse_smiles
 from alkspace.pipeline import (
     ComparisonReport,
     ConfigError,
@@ -440,22 +439,65 @@ def test_oversized_test_pool_is_rejected(staged_run):
         run_alms(bad)
 
 
+class _Interrupt(Exception):
+    pass
+
+
+def plant_mid_run_checkpoint(ws, ids, path):
+    """Run stage 1 with a checkpoint after every step and stop it from
+    on_step at the second step, as if the process had died; returns the
+    durable (first-step) checkpoint."""
+    cfg = ws.config
+
+    def die(state):
+        if state.iteration == 2:
+            raise _Interrupt
+
+    with ws.kernel(ids) as calc, pytest.raises(_Interrupt):
+        al.al_run(
+            ids, cfg.thresholds[0], cfg.batch, cfg.al_seed, calc,
+            noise=cfg.gpr.al_noise, checkpoint_path=path, checkpoint_every=1,
+            on_step=die,
+        )
+    state = al.load_checkpoint(path)
+    assert state.iteration == 1 and not state.is_terminal
+    return state
+
+
 def test_interrupted_selection_is_resumed_not_trusted(staged_run, tmp_path):
     cfg_clean, clean_report = staged_run
     cfg = dataclasses.replace(cfg_clean, out_dir=str(tmp_path))
     ws = pipeline._Workspace(cfg)
-    ids = ws.molecule_ids()
-    # plant a mid-run stage-1 checkpoint, as if the process had died
-    state = al.al_init(ids, cfg.thresholds[0], cfg.batch, cfg.al_seed)
-    with ws.kernel(ids) as calc:
-        state = al.al_step(state, calc, noise=cfg.gpr.al_noise)
-    assert not state.is_terminal
-    ckpt = ws.path(f"al_stage1_{ws.al_stage_hash(1)}.json")
-    al.save_checkpoint(state, ckpt)
+    ckpt = ws.al_stage_path(1)
+    plant_mid_run_checkpoint(ws, ws.molecule_ids(), ckpt)
 
     report = run_alms(cfg)
     assert al.load_checkpoint(ckpt).is_terminal
     assert report.to_dict() == clean_report.to_dict()
+
+
+def test_a_stage_that_starts_with_an_empty_pool_writes_its_checkpoint(tmp_path):
+    # stage 1 selects all five C4..C5 molecules, so stage 2 has no pool
+    raw = {
+        **RUN_RAW,
+        "chemical_space": {"min_carbons": 4, "max_carbons": 5},
+        "active_learning": {"thresholds": [0.1, 0.05], "batch": 10, "seed": 1},
+        "out_dir": str(tmp_path),
+    }
+    ws = pipeline._Workspace(PipelineConfig.from_dict(raw))
+    ids = ws.molecule_ids()
+    with ws.kernel(ids) as calc:
+        first, second = ws.al_states(ids, calc)
+    assert set(first.selected) == set(ids)
+    assert second.selected == first.selected and second.threshold == 0.05
+    path = ws.al_stage_path(2)
+    assert al.load_checkpoint(path) == second
+
+    stamp = os.stat(path).st_mtime_ns
+    with ws.kernel(ids) as calc:
+        assert ws.al_states(ids, calc) == [first, second]
+    assert calc.pairs_solved == 0
+    assert os.stat(path).st_mtime_ns == stamp
 
 
 def test_comparison_reuses_the_workspace(staged_run):
@@ -488,9 +530,25 @@ def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
     compare_al_random(cfg)
     lazy = _workspace_bytes(cfg.out_dir)
 
+    class Dense:
+        """Reads every entry from the full kernel matrix of the space."""
+
+        def __init__(self, calc, ids):
+            self.index = {m: i for i, m in enumerate(ids)}
+            self.values = calc.block(ids, ids)
+
+        def block(self, keys_a, keys_b):
+            rows = [self.index[k] for k in keys_a]
+            cols = [self.index[k] for k in keys_b]
+            return self.values[np.ix_(rows, cols)]
+
+        def diag(self, keys):
+            return np.diagonal(self.values)[[self.index[k] for k in keys]]
+
     @contextlib.contextmanager
     def dense(ws, ids):
-        yield MgkCalculator(ws.config.kernel).matrix([parse_smiles(m) for m in ids])
+        calc = MgkCalculator(ws.config.kernel)
+        yield Dense(calc, calc.register(pipeline._graphs_for(ids)))
 
     monkeypatch.setattr(pipeline._Workspace, "kernel", dense)
     oracle_cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))
