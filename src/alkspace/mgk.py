@@ -38,11 +38,18 @@ diagonal is also the preconditioner; it bounds the condition number by
 1 + (1/delta_degree - 1)/(1 - (1-q)^2) whatever the molecule size, so a
 pair takes about ten iterations.
 
-Pairs of one shape are stacked, but step sizes, residuals and the stop
+Pairs are stacked by size class: each graph's arrays are padded once, to
+its carbon count rounded up to a multiple of a small step, so pairs of
+different shapes share one stack. The padding is exact. Padded rows and
+columns of V are 0, and so are lam, V^T d and the degrees there; the
+diagonal is 1 and the right-hand side 0 on padded entries, so the padded
+rows and columns of S = V1 Y V2^T are exactly 0 and the padded entries of
+Y stay exactly 0 at every iteration. Step sizes, residuals and the stop
 test are per pair: a pair stops when its residual, in the norm of the
 eigenbasis preconditioner, falls to ``fp_tolerance`` times that of the
-right-hand side, so its value is bitwise independent of the pairs batched
-with it and of request order.
+right-hand side. The padded size depends only on the graph itself, so a
+pair's value is bitwise independent of the pairs batched with it and of
+request order.
 
 Normalization divides by the geometric mean of the self-kernels and, when a
 finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale by
@@ -66,17 +73,27 @@ import numpy as np
 
 from .molspace import MolecularGraph, to_canonical_smiles
 
-# Product-graph vertices (pairs x n1 x n2) per stacked solve; caps the
-# working memory at about this many doubles per array.
+# Padded product-graph vertices (pairs x m1 x m2) per stacked solve; caps
+# the working memory at about this many doubles per array.
 _CHUNK_ENTRIES = 16384
+
+# A graph of n carbons is padded to n rounded up to a multiple of this
+# step, its size class; pairs are stacked by the size classes of their two
+# graphs. A larger step makes fewer, larger stacks but pads more. Medians
+# of 3 alternating perfbench runs (8 s each, one pinned CPU of a 2-core
+# Xeon), select_c12_lazy wall_s: 0.431 s at step 1 (stacks of one shape),
+# 0.380 s at 2, 0.365 s at 3, 0.371 s at 4, 0.383 s at 6; alms_c10_cold:
+# 0.557 s at 1, 0.525 s at 3, 0.524 s at 4.
+_SIZE_STEP = 3
 
 _T = TypeVar("_T")
 
 _CACHE_MAGIC = "alkspace-kernel-cache"
-# 3: values from the eigenbasis conjugate-gradient solver, whose
-# fp_tolerance is a residual in a different norm; version-2 files (the
-# Jacobi-preconditioned solver) differ from them at about 1e-11.
-_CACHE_VERSION = 3
+# 4: values from stacks padded to size classes; the padding reorders the
+# floating-point sums, so values of version 3 (unpadded stacks of one
+# shape) differ by up to 8e-16 relative. Version-2 files (the
+# Jacobi-preconditioned solver) differ at about 1e-11.
+_CACHE_VERSION = 4
 
 # Entries whose size damping exp(-d^2) is below 2^-53 are exactly 0.
 _NEGLIGIBLE_D2 = 53 * math.log(2)
@@ -177,17 +194,21 @@ class MgkHyperparameters:
 class _GraphArrays:
     """Per-graph arrays reused across all pairs involving the graph.
 
-    ``packed`` is one (n, n + 3) array, so a stack of graphs is gathered by
-    one ``np.stack``: columns 0..n-1 hold V = D^-1/2 U, where
+    ``packed`` is one (m, m + 3) array, m being the size class of the n
+    carbons (:func:`_size_class`), so a stack of graphs of one class is
+    gathered by one ``np.stack``: columns 0..m-1 hold V = D^-1/2 U, where
     D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees clamped to 1), then come
-    lam, V^T d (clamped degrees) and the degrees.
+    lam, V^T d (clamped degrees) and the degrees. Rows n..m-1, and columns
+    n..m-1 of V, are padding and hold 0.
     """
 
-    __slots__ = ("n", "packed")
+    __slots__ = ("n", "m", "packed")
 
     def __init__(self, g: MolecularGraph):
         n = len(g)
+        m = _size_class(n)
         self.n = n
+        self.m = m
         adjacency = np.zeros((n, n))
         for i, nb in enumerate(g.adjacency):
             adjacency[i, list(nb)] = 1.0
@@ -196,11 +217,17 @@ class _GraphArrays:
         root = 1.0 / np.sqrt(clamped)
         lam, u = np.linalg.eigh(root[:, None] * adjacency * root[None, :])
         v = root[:, None] * u
-        self.packed = np.empty((n, n + 3))
-        self.packed[:, :n] = v
-        self.packed[:, n] = lam
-        self.packed[:, n + 1] = v.T @ clamped
-        self.packed[:, n + 2] = degrees
+        self.packed = np.zeros((m, m + 3))
+        self.packed[:n, :n] = v
+        self.packed[:n, m] = lam
+        self.packed[:n, m + 1] = v.T @ clamped
+        self.packed[:n, m + 2] = degrees
+
+
+def _size_class(n: int) -> int:
+    """The padded size of a graph of ``n`` carbons: ``n`` rounded up to a
+    multiple of _SIZE_STEP."""
+    return -(-n // _SIZE_STEP) * _SIZE_STEP
 
 
 def _distinct(items: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
@@ -291,49 +318,54 @@ def _pcg(
 
 def _solve_pairs(
     pairs: Sequence[tuple[_GraphArrays, _GraphArrays]], p: MgkHyperparameters
-) -> np.ndarray:
-    """Raw kernel values of graph pairs, in request order.
+) -> tuple[np.ndarray, int]:
+    """Raw kernel values of graph pairs, in request order, and the number
+    of stacked solves they took.
 
-    Pairs are grouped by shape (n1, n2). Per-pair inputs are gathered from
-    the stacked per-graph arrays, one chunk of at most _CHUNK_ENTRIES
-    product-graph vertices at a time.
+    Pairs are grouped by the size classes (m1, m2) of their graphs.
+    Per-pair inputs are gathered from the stacked per-graph arrays, one
+    stack of at most _CHUNK_ENTRIES padded product-graph vertices at a
+    time.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (a, b) in enumerate(pairs):
-        groups.setdefault((a.n, b.n), []).append(i)
+        groups.setdefault((a.m, b.m), []).append(i)
     scale = (1.0 - p.q) ** 2
     q2 = p.q * p.q
     sw2 = p.start_weight**2
     out = np.empty(len(pairs))
-    for (n1, n2), members in groups.items():
+    stacks = 0
+    for (m1, m2), members in groups.items():
         graphs_a, ia = _distinct([pairs[i][0] for i in members])
         graphs_b, ib = _distinct([pairs[i][1] for i in members])
         pa = np.stack([g.packed for g in graphs_a])
         pb = np.stack([g.packed for g in graphs_b])
-        step = max(1, _CHUNK_ENTRIES // (n1 * n2))
+        step = max(1, _CHUNK_ENTRIES // (m1 * m2))
         for lo in range(0, len(members), step):
             a, b = pa[ia[lo : lo + step]], pb[ib[lo : lo + step]]
-            lam, vd1, da = (a[:, :, n1 + i] for i in range(3))
-            mu, vd2, db = (b[:, :, n2 + i] for i in range(3))
-            # c = (1/K_v - 1) D_x, formed in place
+            lam, vd1, da = (a[:, :, m1 + i] for i in range(3))
+            mu, vd2, db = (b[:, :, m2 + i] for i in range(3))
+            # c = (1/K_v - 1) D_x, formed in place; it is nonzero on some
+            # padded entries, where S is exactly 0
             c = np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
             c -= 1.0
             c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
             sums = _pcg(
-                np.ascontiguousarray(a[:, :, :n1]),
-                np.ascontiguousarray(b[:, :, :n2]),
+                np.ascontiguousarray(a[:, :, :m1]),
+                np.ascontiguousarray(b[:, :, :m2]),
                 c,
                 1.0 - scale * lam[:, :, None] * mu[:, None, :],
                 q2 * vd1[:, :, None] * vd2[:, None, :],
                 p,
             )
             out[members[lo : lo + step]] = sw2 * sums
-    return out
+            stacks += 1
+    return out, stacks
 
 
 def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
     """Un-normalized marginalized graph kernel value (non-negative)."""
-    return float(_solve_pairs([(_GraphArrays(g1), _GraphArrays(g2))], p)[0])
+    return float(_solve_pairs([(_GraphArrays(g1), _GraphArrays(g2))], p)[0][0])
 
 
 def _negligible(k11, k22, p: MgkHyperparameters):
@@ -367,10 +399,10 @@ def mgk_normalized(
         return 1.0
     a = _GraphArrays(g1)
     b = _GraphArrays(g2)
-    k11, k22 = _solve_pairs([(a, a), (b, b)], p).tolist()
+    k11, k22 = _solve_pairs([(a, a), (b, b)], p)[0].tolist()
     if _negligible(k11, k22, p):
         return 0.0
-    k12 = float(_solve_pairs([(a, b)], p)[0])
+    k12 = float(_solve_pairs([(a, b)], p)[0][0])
     return float(_normalize(k12, k11, k22, p))
 
 
@@ -393,8 +425,10 @@ class MgkCalculator:
         self._raw: dict[tuple[str, str], float] = {}
         self._graphs: dict[str, MolecularGraph] = {}
         self._arrays: dict[str, _GraphArrays] = {}
-        # pairs passed to the solver, self-kernels included
+        # pairs passed to the solver, self-kernels included, and the
+        # stacked solves they took
         self.pairs_solved = 0
+        self.stacks_solved = 0
 
     # -- registry ---------------------------------------------------------
 
@@ -456,9 +490,10 @@ class MgkCalculator:
     def _compute_pairs(self, pairs: Sequence[tuple[str, str]]) -> None:
         """Solve and cache the raw values of canonical key pairs."""
         arrays = [(self._arrays_for(ka), self._arrays_for(kb)) for ka, kb in pairs]
-        values = _solve_pairs(arrays, self.params)
+        values, stacks = _solve_pairs(arrays, self.params)
         self._raw.update(zip(pairs, values.tolist()))
         self.pairs_solved += len(pairs)
+        self.stacks_solved += stacks
 
     # -- persistence ------------------------------------------------------
 

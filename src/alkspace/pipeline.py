@@ -498,7 +498,8 @@ class _Workspace:
         nothing, so the next body that solves pairs creates the file. Later
         bodies solve the pairs the file lacks in memory and leave the file
         unchanged, so a rerun rewrites nothing. The number of pairs the body
-        solved is logged on exit, never written to ``out_dir``.
+        solved, and of stacked solves they took, is logged on exit, never
+        written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
@@ -510,7 +511,10 @@ class _Workspace:
         try:
             yield calc
         finally:
-            logger.info("solved %d kernel pairs", calc.pairs_solved)
+            logger.info(
+                "solved %d kernel pairs in %d stacks",
+                calc.pairs_solved, calc.stacks_solved,
+            )
         if not reused and calc.cached_pairs:
             n = _write_via_temp(cache, calc.save_cache)
             logger.info("wrote %d kernel entries to %s", n, cache)
@@ -551,11 +555,13 @@ class _Workspace:
         """Terminal state of selection stage ``stage`` (from 1), checkpointed
         at ``path``.
 
-        An existing checkpoint must cover exactly ``ids``, or StageError
-        names it and it is left as it is; a finished one is reused and an
-        unfinished one resumed. Without one, stage 1 starts a run over
-        ``ids`` and a later stage continues ``prev``, the terminal state of
-        the stage before, at its own threshold.
+        An existing checkpoint must cover exactly ``ids`` and hold the
+        configured threshold, batch and seed, or StageError names it and the
+        field and it is left as it is; a finished one is reused and an
+        unfinished one resumed. A checkpoint does not store the selection's
+        GP noise, so that is not checked. Without one, stage 1 starts a run
+        over ``ids`` and a later stage continues ``prev``, the terminal state
+        of the stage before, at its own threshold.
         """
         cfg = self.config
         threshold = cfg.thresholds[stage - 1]
@@ -569,6 +575,15 @@ class _Workspace:
                 raise StageError(
                     f"checkpoint {path} does not cover the configured molecule set"
                 )
+            for field, want in (
+                ("threshold", threshold), ("batch", cfg.batch), ("seed", cfg.al_seed)
+            ):
+                got = getattr(loaded, field)
+                if got != want:
+                    raise StageError(
+                        f"checkpoint {path} holds {field} {got!r}, but the "
+                        f"configuration asks for {want!r}"
+                    )
             if loaded.is_terminal:
                 logger.info(
                     "stage %d: reusing finished selection %s (|S|=%d)",

@@ -341,6 +341,47 @@ def test_al_rejects_a_checkpoint_for_another_chemical_space(tmp_path, carbons, t
     assert ckpt.read_bytes() == before
 
 
+def test_al_rejects_a_checkpoint_with_other_selection_parameters(tmp_path, caplog):
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 10}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    other_batch = tmp_path / "batch.json"
+    other_batch.write_text(json.dumps({**raw, "active_learning": {"batch": 7}}))
+    ckpt = tmp_path / "stage1.json"
+    argv = ["al", "--out-dir", str(tmp_path / "ws"), "--checkpoint", str(ckpt)]
+    assert main([*argv, "--config", str(config), "--threshold", "0.45"]) == 0
+    before = ckpt.read_bytes()
+
+    for flags, field in [
+        (["--config", str(config), "--threshold", "0.3"], "threshold 0.45"),
+        (["--config", str(other_batch), "--threshold", "0.45"], "batch 1000"),
+        (["--config", str(config), "--threshold", "0.45", "--seed", "2"], "seed 1"),
+    ]:
+        caplog.clear()
+        assert main([*argv, *flags]) == 2
+        assert f"checkpoint {ckpt} holds {field}" in caplog.text
+        assert ckpt.read_bytes() == before
+
+
+def test_a_version_3_kernel_cache_fails_the_stage(tmp_path, caplog):
+    # version-3 values came from stacks of one shape, without size-class padding
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ws = tmp_path / "ws"
+    argv = ["al", "--config", str(config), "--out-dir", str(ws)]
+    assert main([*argv, "--checkpoint", str(tmp_path / "first.json")]) == 0
+    [cache] = [ws / n for n in os.listdir(ws) if n.startswith("kernel_")]
+    magic, version, rest = cache.read_text().split(",", 2)
+    assert version == "4"
+    cache.write_text(f"{magic},3,{rest}")
+    before = cache.read_bytes()
+
+    assert main([*argv, "--checkpoint", str(tmp_path / "second.json")]) == 2
+    assert f"kernel cache {str(cache)!r} does not match" in caplog.text
+    assert cache.read_bytes() == before
+
+
 def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):
     ckpt = str(tmp_path / "s1.json")
     assert (

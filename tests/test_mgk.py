@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alkspace import mgk
@@ -220,9 +220,9 @@ def test_matches_direct_solve_all_pairs_up_to_c7():
 
 
 @st.composite
-def alkane_trees(draw, max_atoms=12):
-    """Carbon trees of 1..max_atoms atoms, at most four bonds per atom."""
-    n = draw(st.integers(1, max_atoms))
+def alkane_trees(draw, max_atoms=12, min_atoms=1):
+    """Carbon trees of min_atoms..max_atoms atoms, at most four bonds per atom."""
+    n = draw(st.integers(min_atoms, max_atoms))
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, n):
         j = draw(st.sampled_from([j for j in range(i) if len(neighbors[j]) < 4]))
@@ -246,8 +246,8 @@ def test_random_trees_match_direct_solve(g1, g2, q):
 @example(parse_smiles("CC"))
 def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
     n = len(g)
-    packed = mgk._GraphArrays(g).packed
-    v, lam = packed[:, :n], packed[:, n]
+    arrays = mgk._GraphArrays(g)
+    v, lam = arrays.packed[:n, :n], arrays.packed[:n, arrays.m]
     degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
     adjacency = np.zeros((n, n))
     for i, nb in enumerate(g.adjacency):
@@ -255,6 +255,41 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
             adjacency[i, j] = 1.0
     np.testing.assert_allclose(v.T @ degrees @ v, np.eye(n), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(v.T @ adjacency @ v, np.diag(lam), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alkane_trees(16))
+@example(parse_smiles("C"))
+def test_packed_arrays_are_zero_outside_the_graph(g):
+    arrays = mgk._GraphArrays(g)
+    n, m = arrays.n, arrays.m
+    assert n == len(g) and m == mgk._size_class(n)
+    assert m % mgk._SIZE_STEP == 0 and n <= m < n + mgk._SIZE_STEP
+    assert arrays.packed.shape == (m, m + 3)
+    # rows n..m-1 of every column, and columns n..m-1 of V
+    assert not arrays.packed[n:].any()
+    assert not arrays.packed[:, n:m].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([0.05, 0.2, 0.5]))
+def test_a_size_class_stack_matches_each_pair_solved_alone(data, q):
+    # graphs of different carbon counts in one size class share one stack,
+    # and each pair's value is bitwise what it is in a stack of its own
+    top = data.draw(st.integers(1, 4)) * mgk._SIZE_STEP
+    graphs = data.draw(
+        st.lists(alkane_trees(top, top - mgk._SIZE_STEP + 1), min_size=2, max_size=4)
+    )
+    assume(len({len(g) for g in graphs}) > 1)
+    p = MgkHyperparameters(q=q)
+    arrays = [mgk._GraphArrays(g) for g in graphs]
+    pairs = [(a, b) for a in arrays for b in arrays]
+    stacked, stacks = mgk._solve_pairs(pairs, p)
+    assert stacks == 1
+    for pair, value in zip(pairs, stacked.tolist()):
+        alone, one = mgk._solve_pairs([pair], p)
+        assert one == 1
+        assert alone[0] == value
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,8 +732,10 @@ def test_cache_rejects_bad_rows(tmp_path, row, message):
     assert fresh.save_cache(str(tmp_path / "empty.csv")) == 0
 
 
-def test_cache_rejects_a_version_2_file(tmp_path):
-    # version-2 values came from the Jacobi-preconditioned solver
+@pytest.mark.parametrize("version", [2, 3])
+def test_cache_rejects_an_older_version_file(tmp_path, version):
+    # version-2 values came from the Jacobi-preconditioned solver, version-3
+    # ones from stacks of one shape, without size-class padding
     calc = MgkCalculator(DEFAULT)
     keys = calc.register(enumerate_alkanes(4, 5))
     calc.block(keys, keys)
@@ -706,8 +743,8 @@ def test_cache_rejects_a_version_2_file(tmp_path):
     calc.save_cache(str(path))
     header = f"{mgk._CACHE_MAGIC},{{}},{DEFAULT.content_hash()}"
     text = path.read_text()
-    assert text.startswith(header.format(3))
-    path.write_text(text.replace(header.format(3), header.format(2), 1))
+    assert text.startswith(header.format(4))
+    path.write_text(text.replace(header.format(4), header.format(version), 1))
 
     fresh = MgkCalculator(DEFAULT)
     with pytest.raises(ValueError, match="hyperparameters/version"):
