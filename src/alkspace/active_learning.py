@@ -23,14 +23,13 @@ interrupted or continued run replays bit-identically.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gpr
+from ._atomic import write_atomic
 from .gpr import KernelProvider
 
 CHECKPOINT_VERSION = 1
@@ -318,17 +317,7 @@ def save_checkpoint(state: AlState, path: str) -> None:
         "abandoned": sorted(state.abandoned),
         "rng_state": state.rng_state,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str) -> AlState:

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from . import active_learning as al
 from . import pipeline, thermo
+from ._atomic import write_atomic
 from .molspace import enumerate_alkane_smiles
 from .pipeline import ConfigError, PipelineConfig, _Workspace
 
@@ -137,7 +138,7 @@ def cmd_enumerate(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.count:
         print(len(ids))
     elif args.out:
-        pipeline._write_atomic(args.out, "\n".join(ids) + "\n")
+        write_atomic(args.out, "\n".join(ids) + "\n")
         logger.info("wrote %d molecules to %s", len(ids), args.out)
     else:
         for s in ids:
@@ -162,14 +163,14 @@ def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
-    state = al.load_checkpoint(args.checkpoint)
+    ws = _Workspace(config)
+    ids = ws.molecule_ids()
+    state = ws.checkpoint(args.checkpoint, ids)
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)),
         f"al_continue_U{args.threshold:g}.json",
     )
-    # the checkpoint's universe, not the configured range, is what the
-    # selection reads the kernel over
-    with _Workspace(config).kernel(sorted(state.universe)) as calc:
+    with ws.kernel(ids) as calc:
         new_state = al.al_continue(
             state, args.threshold, calc, noise=config.gpr.al_noise,
             checkpoint_path=out, checkpoint_every=config.checkpoint_every,
@@ -184,7 +185,7 @@ def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
     ids = pipeline.load_molecule_file(args.molecules)
     series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
-    rows = pipeline.write_dataset_atomic(args.out, series)
+    rows = write_atomic(args.out, lambda tmp: thermo.write_dataset(tmp, series))
     n_fail = sum(1 for s in series if not s.qc.passed)
     print(f"wrote {rows} rows for {len(series)} molecules ({n_fail} QC failures) -> {args.out}")
     return 0
@@ -209,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     )
     print(payload)
     if args.out:
-        pipeline._write_atomic(args.out, payload + "\n")
+        write_atomic(args.out, payload + "\n")
     return 0
 
 

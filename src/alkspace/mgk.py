@@ -57,15 +57,16 @@ exp(-d^2), d = (k11 - k22)/lambda_. Where that factor is below 2^-53, half
 an ulp of the unit diagonal, the entry is exactly 0: the kernel is positive
 semi-definite, so k12 <= sqrt(k11 k22) and the undamped value is at most 1.
 The self-kernels alone decide this, so :class:`MgkCalculator` never solves
-such a pair and never caches it; only pairs in the band
+such a pair and never stores it; only pairs in the band
 |k11 - k22| <= lambda_ sqrt(53 ln 2) are solved.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import io
 import math
+import zipfile
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence, TypeVar
 
@@ -88,12 +89,14 @@ _SIZE_STEP = 3
 
 _T = TypeVar("_T")
 
-_CACHE_MAGIC = "alkspace-kernel-cache"
-# 4: values from stacks padded to size classes; the padding reorders the
-# floating-point sums, so values of version 3 (unpadded stacks of one
-# shape) differ by up to 8e-16 relative. Version-2 files (the
-# Jacobi-preconditioned solver) differ at about 1e-11.
-_CACHE_VERSION = 4
+# 5: npz segments of int32 index pairs into a sorted key table, with the
+# values of version 4 (stacks padded to size classes), which were CSV
+# rows. Version 3 (unpadded stacks of one shape) differs by up to 8e-16
+# relative, version 2 (the Jacobi-preconditioned solver) at about 1e-11.
+_CACHE_VERSION = 5
+
+# A pair of molecule indices i <= j is stored under i << 32 | j.
+_LOW = (1 << 32) - 1
 
 # Entries whose size damping exp(-d^2) is below 2^-53 are exactly 0.
 _NEGLIGIBLE_D2 = 53 * math.log(2)
@@ -163,30 +166,16 @@ class MgkHyperparameters:
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
-            "q": self.q,
-            "start_weight": self.start_weight,
-            "delta_element": self.delta_element,
-            "delta_degree": self.delta_degree,
-            "delta_bond_order": self.delta_bond_order,
-            "lambda": None if math.isinf(self.lambda_) else self.lambda_,
-            "fp_tolerance": self.fp_tolerance,
-            "fp_max_iters": self.fp_max_iters,
+            "lambda" if f.name == "lambda_" else f.name: getattr(self, f.name)
+            for f in fields(self)
         }
+        if math.isinf(self.lambda_):
+            out["lambda"] = None
         return out
 
     def content_hash(self) -> str:
-        parts = [
-            repr(float(getattr(self, n)))
-            for n in (
-                "q",
-                "start_weight",
-                "delta_element",
-                "delta_degree",
-                "delta_bond_order",
-                "lambda_",
-                "fp_tolerance",
-            )
-        ]
+        # every field but the last, fp_max_iters, is hashed as a float
+        parts = [repr(float(getattr(self, f.name))) for f in fields(self)[:-1]]
         parts.append(repr(int(self.fp_max_iters)))
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
@@ -407,24 +396,28 @@ def mgk_normalized(
 
 
 class MgkCalculator:
-    """Kernel evaluator with a raw-value cache keyed by canonical pair.
+    """Kernel evaluator over a store of raw values keyed by molecule index.
 
     :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
-    the regression and selection layers. The cache stores raw
-    (un-normalized) values under unordered canonical SMILES pairs,
-    including self-kernels, so normalized entries are cheap to reassemble.
-    Entries persist to a versioned CSV keyed by a hash of the
-    hyperparameters; a file written under different parameters is rejected.
-
-    Evaluations are pure; concurrent duplicate computation of the same pair
-    is harmless because insertion is idempotent.
+    the regression and selection layers. :meth:`register` gives each
+    canonical SMILES a dense index. Raw (un-normalized) self-kernels live in
+    one float64 vector indexed by molecule, NaN until known, and the other
+    raw values in one dict keyed by ``i << 32 | j`` of the two indices,
+    i < j. A pair is solved in the order of its two canonical SMILES, so its
+    value does not depend on the order of registration. The store is saved
+    and loaded as cache segments (:meth:`segment`, :meth:`load_cache`).
     """
 
     def __init__(self, params: MgkHyperparameters):
         self.params = params
-        self._raw: dict[tuple[str, str], float] = {}
-        self._graphs: dict[str, MolecularGraph] = {}
-        self._arrays: dict[str, _GraphArrays] = {}
+        self._index: dict[str, int] = {}
+        self._keys: list[str] = []
+        self._graphs: list[MolecularGraph | None] = []
+        self._arrays: list[_GraphArrays | None] = []
+        self._self = np.empty(0)
+        self._cross: dict[int, float] = {}
+        # codes of the pairs solved here, one array per solve
+        self._solved: list[np.ndarray] = []
         # pairs passed to the solver, self-kernels included, and the
         # stacked solves they took
         self.pairs_solved = 0
@@ -435,19 +428,30 @@ class MgkCalculator:
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
         """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
         returns the id list."""
-        ids = []
-        for g in molecules:
-            key = str(to_canonical_smiles(g))
-            self._graphs.setdefault(key, g)
-            ids.append(key)
-        return ids
+        keys = [str(to_canonical_smiles(g)) for g in molecules]
+        for i, g in zip(self._intern(keys).tolist(), molecules):
+            if self._graphs[i] is None:
+                self._graphs[i] = g
+        return keys
 
-    def _arrays_for(self, key: str) -> _GraphArrays:
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = _GraphArrays(self._graphs[key])
-            self._arrays[key] = arr
-        return arr
+    def _intern(self, keys: Sequence[str]) -> np.ndarray:
+        """The indices of ``keys``, giving each new one the next index."""
+        index = self._index
+        out = np.fromiter((index.setdefault(k, len(index)) for k in keys), np.int64, len(keys))
+        grow = len(index) - len(self._keys)
+        if grow:
+            self._keys = list(index)
+            self._self = np.concatenate([self._self, np.full(grow, np.nan)])
+            self._graphs += [None] * grow
+            self._arrays += [None] * grow
+        return out
+
+    def _arrays_for(self, i: int) -> _GraphArrays:
+        if self._arrays[i] is None:
+            if self._graphs[i] is None:
+                raise KeyError(self._keys[i])
+            self._arrays[i] = _GraphArrays(self._graphs[i])
+        return self._arrays[i]
 
     # -- evaluation -------------------------------------------------------
 
@@ -460,98 +464,136 @@ class MgkCalculator:
         then expanded to the requested rows and columns, so the block of a
         key list against itself is exactly symmetric with a unit diagonal.
         """
-        ua, rows = _distinct(keys_a)
-        ub, cols = _distinct(keys_b)
-        raw = self._raw
-        missing = [(k, k) for k in dict.fromkeys([*ua, *ub]) if (k, k) not in raw]
-        if missing:
-            self._compute_pairs(missing)
-        k11 = np.array([raw[(k, k)] for k in ua])[:, None]
-        k22 = np.array([raw[(k, k)] for k in ub])[None, :]
+        index = self._index.__getitem__
+        ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64), return_inverse=True)
+        ub, cols = np.unique(np.fromiter(map(index, keys_b), np.int64), return_inverse=True)
+        both = np.union1d(ua, ub)
+        missing = both[np.isnan(self._self[both])]
+        if missing.size:
+            self._compute_pairs(missing << 32 | missing)
+        k11, k22 = self._self[ua][:, None], self._self[ub][None, :]
         ia, ib = np.nonzero(~_negligible(k11, k22, self.params))
-        near_a = map(ua.__getitem__, ia.tolist())
-        near_b = map(ub.__getitem__, ib.tolist())
-        pairs = [(ka, kb) if ka <= kb else (kb, ka) for ka, kb in zip(near_a, near_b)]
-        missing = [pair for pair in dict.fromkeys(pairs) if pair not in raw]
+        a, b = ua[ia], ub[ib]
+        same = a == b
+        codes = (np.minimum(a, b) << 32 | np.maximum(a, b))[~same].tolist()
+        held = self._cross
+        missing = [c for c in dict.fromkeys(codes) if c not in held]
         if missing:
-            self._compute_pairs(missing)
+            self._compute_pairs(np.array(missing, dtype=np.int64))
         k12 = np.zeros((len(ua), len(ub)))
-        k12[ia, ib] = np.fromiter(map(raw.__getitem__, pairs), float, len(pairs))
+        k12[ia[~same], ib[~same]] = np.fromiter(map(held.__getitem__, codes), float, len(codes))
         values = _normalize(k12, k11, k22, self.params)
-        col = {k: j for j, k in enumerate(ub)}
-        for i, k in enumerate(ua):
-            if k in col:
-                values[i, col[k]] = 1.0
+        values[ia[same], ib[same]] = 1.0
         return values[np.ix_(rows, cols)]
 
     def diag(self, keys: Sequence[str]) -> np.ndarray:
         return np.ones(len(keys))
 
-    def _compute_pairs(self, pairs: Sequence[tuple[str, str]]) -> None:
-        """Solve and cache the raw values of canonical key pairs."""
-        arrays = [(self._arrays_for(ka), self._arrays_for(kb)) for ka, kb in pairs]
+    def _compute_pairs(self, codes: np.ndarray) -> None:
+        """Solve and store the raw values of the pairs with these codes,
+        each in the order of its two canonical SMILES."""
+        lo, hi = codes >> 32, codes & _LOW
+        keys = self._keys
+        pairs = [(i, j) if keys[i] <= keys[j] else (j, i) for i, j in zip(lo.tolist(), hi.tolist())]
+        arrays = [(self._arrays_for(i), self._arrays_for(j)) for i, j in pairs]
         values, stacks = _solve_pairs(arrays, self.params)
-        self._raw.update(zip(pairs, values.tolist()))
-        self.pairs_solved += len(pairs)
+        self._store(codes, values)
+        self._solved.append(codes)
+        self.pairs_solved += len(codes)
         self.stacks_solved += stacks
+
+    def _store(self, codes: np.ndarray, values: np.ndarray) -> None:
+        lo, hi = codes >> 32, codes & _LOW
+        same = lo == hi
+        self._self[lo[same]] = values[same]
+        self._cross.update(zip(codes[~same].tolist(), values[~same].tolist()))
 
     # -- persistence ------------------------------------------------------
 
-    @property
-    def cached_pairs(self) -> int:
-        """How many raw pair values are held, solved here or loaded."""
-        return len(self._raw)
+    def segment(self, solved_only: bool = False) -> tuple[int, bytes]:
+        """The row count and the bytes of one cache segment holding every
+        raw value held, or only those this calculator solved.
+
+        A segment is an npz file of a sorted key table, int32 index pairs
+        (i, j) into it, i <= j, in increasing order, their float64 raw
+        values, the cache version and the hyperparameter hash; equal
+        contents give equal bytes.
+        """
+        if solved_only:
+            codes = np.concatenate([np.empty(0, np.int64), *self._solved])
+        else:
+            known = np.flatnonzero(~np.isnan(self._self))
+            cross = np.fromiter(self._cross, np.int64, len(self._cross))
+            codes = np.concatenate([known << 32 | known, cross])
+        lo, hi = codes >> 32, codes & _LOW
+        values = self._self[lo]
+        off = np.flatnonzero(lo != hi)
+        values[off] = np.fromiter(map(self._cross.__getitem__, codes[off].tolist()), float)
+        used, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        names = np.array([self._keys[k] for k in used.tolist()], dtype=str)
+        order = np.argsort(names)
+        i, j = np.sort(np.argsort(order).astype(np.int32)[inverse].reshape(2, -1), axis=0)
+        rows = np.lexsort((j, i))
+        buf = io.BytesIO()
+        np.savez(
+            buf,
+            keys=names[order],
+            pairs=np.stack([i[rows], j[rows]], axis=1),
+            values=values[rows],
+            version=np.int64(_CACHE_VERSION),
+            params=np.str_(self.params.content_hash()),
+        )
+        return len(codes), buf.getvalue()
 
     def save_cache(self, path: str) -> int:
-        """Write cached raw values as CSV; returns the row count."""
-        rows = sorted(self._raw.items())
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([_CACHE_MAGIC, str(_CACHE_VERSION), self.params.content_hash()])
-            writer.writerow(["key_a", "key_b", "value"])
-            for (ka, kb), value in rows:
-                writer.writerow([ka, kb, repr(value)])
-        return len(rows)
+        """Write every raw value held as one cache segment at exactly
+        ``path``; returns the row count."""
+        rows, data = self.segment()
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return rows
 
     def load_cache(self, path: str) -> int:
-        """Load a cache file; returns rows loaded.
+        """Load one cache segment; returns its row count.
 
-        A file written under different hyperparameters (or an unknown
-        version) raises ValueError. So does a row without exactly three
-        columns, or whose value is not a finite positive number, naming the
-        file and line; either way nothing is loaded.
+        ValueError, naming the file, if the segment was written under other
+        hyperparameters or another version, holds a value that is not a
+        finite positive number or an index outside its key table, or its
+        key table or rows are not strictly increasing, rows in (i, j) with
+        i <= j. Then nothing is loaded.
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if (
-                header is None
-                or len(header) != 3
-                or header[0] != _CACHE_MAGIC
-                or header[1] != str(_CACHE_VERSION)
-                or header[2] != self.params.content_hash()
-            ):
-                raise ValueError(
-                    f"kernel cache {path!r} does not match current "
-                    "hyperparameters/version"
+
+        def bad(problem: str) -> ValueError:
+            return ValueError(f"kernel cache {path!r} {problem}")
+
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                keys, pairs, values, version, params = (
+                    data[name] for name in ("keys", "pairs", "values", "version", "params")
                 )
-            next(reader, None)  # column header
-
-            def bad_row(problem: str) -> ValueError:
-                return ValueError(f"kernel cache {path!r} line {reader.line_num}: {problem}")
-
-            rows: dict[tuple[str, str], float] = {}
-            for row in reader:
-                if len(row) != 3:
-                    raise bad_row(f"expected 3 columns, got {len(row)}")
-                ka, kb, text = row
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not (math.isfinite(value) and value > 0.0):
-                    raise bad_row(f"value {text!r} is not a finite positive number")
-                rows[(ka, kb)] = value
-        self._raw.update(rows)
-        return len(rows)
-
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise bad(f"is not a kernel cache segment ({exc})") from exc
+        if version.tolist() != _CACHE_VERSION or str(params) != self.params.content_hash():
+            raise bad("does not match current hyperparameters/version")
+        n = len(values)
+        if (
+            keys.ndim != 1 or keys.dtype.kind != "U" or not (keys[1:] > keys[:-1]).all()
+            or pairs.shape != (n, 2) or pairs.dtype != np.int32
+            or values.shape != (n,) or values.dtype != np.float64
+        ):
+            raise bad("does not hold a strictly increasing key table, (n, 2) int32 "
+                      "pairs and n float64 values")
+        i, j = pairs.T.astype(np.int64)
+        for ok, problem in (
+            (np.isfinite(values) & (values > 0.0), "value {!r} is not a finite positive number"),
+            (((pairs >= 0) & (pairs < len(keys))).all(axis=1), "index outside its key table"),
+            ((i <= j) & (np.diff(i << 32 | j, prepend=-1) > 0),
+             "rows are not strictly increasing in (i, j) with i <= j"),
+        ):
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise bad(f"row {k}: " + problem.format(float(values[k])))
+        index = self._intern(keys.tolist())
+        a, b = index[i], index[j]
+        self._store(np.minimum(a, b) << 32 | np.maximum(a, b), values)
+        return n

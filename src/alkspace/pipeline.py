@@ -15,16 +15,16 @@ import json
 import logging
 import math
 import os
-import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
+from ._atomic import write_atomic
 from .mgk import MgkCalculator, MgkHyperparameters
 from .molspace import (
     MolecularGraph,
@@ -73,11 +73,21 @@ class GprSettings:
             raise ConfigError("temperature_length_scale must be finite and positive")
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "al_noise": self.al_noise,
-            "regression_noise": self.regression_noise,
-            "temperature_length_scale": self.temperature_length_scale,
-        }
+        return asdict(self)
+
+
+# The flat sections of the JSON form: file key -> field name.
+_CONFIG_KEYS = {
+    "chemical_space": {"min_carbons": "min_carbons", "max_carbons": "max_carbons"},
+    "active_learning": {
+        "thresholds": "thresholds", "batch": "batch", "seed": "al_seed",
+        "checkpoint_every": "checkpoint_every",
+    },
+    "oracle": {"noise_sigma": "noise_sigma", "seed": "oracle_seed"},
+    "evaluation": {
+        "n_test": "n_test", "split_seed": "split_seed", "control_seeds": "control_seeds",
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,11 @@ class PipelineConfig:
 
     # section dicts double as hash inputs for artifact names
 
-    def space_dict(self) -> dict[str, int]:
-        return {"min_carbons": self.min_carbons, "max_carbons": self.max_carbons}
+    def _section(self, name: str) -> dict[str, object]:
+        return {key: getattr(self, f) for key, f in _CONFIG_KEYS[name].items()}
+
+    def space_dict(self) -> dict[str, object]:
+        return self._section("chemical_space")
 
     def al_dict(self, n_stages: int | None = None) -> dict[str, object]:
         ts = self.thresholds if n_stages is None else self.thresholds[:n_stages]
@@ -144,43 +157,19 @@ class PipelineConfig:
         }
 
     def oracle_dict(self) -> dict[str, object]:
-        return {"noise_sigma": self.noise_sigma, "seed": self.oracle_seed}
+        return self._section("oracle")
 
     def evaluation_dict(self) -> dict[str, object]:
-        return {
-            "n_test": self.n_test,
-            "split_seed": self.split_seed,
-            "control_seeds": list(self.control_seeds),
-        }
+        return self._section("evaluation")
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "chemical_space": self.space_dict(),
-            "kernel": self.kernel.to_dict(),
-            "gpr": self.gpr.to_dict(),
-            "active_learning": {
-                "thresholds": list(self.thresholds),
-                "batch": self.batch,
-                "seed": self.al_seed,
-                "checkpoint_every": self.checkpoint_every,
-            },
-            "oracle": self.oracle_dict(),
-            "evaluation": self.evaluation_dict(),
-            "out_dir": self.out_dir,
-        }
+        out: dict[str, object] = {name: self._section(name) for name in _CONFIG_KEYS}
+        out.update(kernel=self.kernel.to_dict(), gpr=self.gpr.to_dict(), out_dir=self.out_dir)
+        return out
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "PipelineConfig":
-        known_sections = {
-            "chemical_space",
-            "kernel",
-            "gpr",
-            "active_learning",
-            "oracle",
-            "evaluation",
-            "out_dir",
-        }
-        unknown = set(raw) - known_sections
+        unknown = set(raw) - {*_CONFIG_KEYS, "kernel", "gpr", "out_dir"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
@@ -190,48 +179,19 @@ class PipelineConfig:
                 raise ConfigError(f"config section {name!r} must be a mapping")
             return dict(value)
 
-        space = section("chemical_space")
-        alsec = section("active_learning")
-        orac = section("oracle")
-        evalsec = section("evaluation")
-        gprsec = section("gpr")
+        kwargs: dict[str, object] = {"out_dir": raw.get("out_dir", "out")}
+        for name, keys in _CONFIG_KEYS.items():
+            sec = section(name)
+            if set(sec) - set(keys):
+                raise ConfigError(f"unknown keys in section {name!r}: {sorted(set(sec) - set(keys))}")
+            kwargs.update((keys[key], value) for key, value in sec.items())
         try:
-            kernel = MgkHyperparameters.from_dict(section("kernel"))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        kwargs: dict[str, object] = {
-            "min_carbons": space.pop("min_carbons", 4),
-            "max_carbons": space.pop("max_carbons", 12),
-            "kernel": kernel,
-            "thresholds": tuple(alsec.pop("thresholds", (0.5, 0.4, 0.3))),
-            "batch": alsec.pop("batch", 1000),
-            "al_seed": alsec.pop("seed", 1),
-            "checkpoint_every": alsec.pop("checkpoint_every", 25),
-            "noise_sigma": orac.pop("noise_sigma", 0.0),
-            "oracle_seed": orac.pop("seed", 7),
-            "n_test": evalsec.pop("n_test", 200),
-            "split_seed": evalsec.pop("split_seed", 11),
-            "control_seeds": tuple(evalsec.pop("control_seeds", (0, 1, 2, 3, 4))),
-            "out_dir": raw.get("out_dir", "out"),
-        }
-        for name, sec in (
-            ("chemical_space", space),
-            ("active_learning", alsec),
-            ("oracle", orac),
-            ("evaluation", evalsec),
-        ):
-            if sec:
-                raise ConfigError(f"unknown keys in section {name!r}: {sorted(sec)}")
-        try:
-            gpr_settings = GprSettings(**gprsec)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ConfigError(f"bad gpr section: {exc}") from exc
-        kwargs["gpr"] = gpr_settings
-        try:
+            kwargs["kernel"] = MgkHyperparameters.from_dict(section("kernel"))
+            kwargs["gpr"] = GprSettings(**section("gpr"))  # type: ignore[arg-type]
             return cls(**kwargs)  # type: ignore[arg-type]
+        except ConfigError:
+            raise
         except (ValueError, TypeError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -248,7 +208,7 @@ class PipelineConfig:
         return cls.from_dict(raw)
 
     def to_json(self, path: str) -> None:
-        _write_atomic(path, json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
 
     def content_hash(self) -> str:
         # out_dir names the workspace, it does not influence results
@@ -361,47 +321,12 @@ def _hash_obj(obj: object) -> str:
     return hashlib.sha256(payload).hexdigest()[:_HASH_CHARS]
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_via_temp(path: str, write: Callable[[str], int]) -> int:
-    """Run ``write`` on a temp file beside ``path``, then rename it into
-    place; returns what ``write`` returns."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
-    os.close(fd)
-    try:
-        count = write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return count
-
-
-def write_dataset_atomic(path: str, series: Sequence[thermo.ThermoSeries]) -> int:
-    """thermo.write_dataset through a temp file, renamed into place."""
-    return _write_via_temp(path, lambda tmp: thermo.write_dataset(tmp, series))
 
 
 def load_molecule_file(path: str) -> list[str]:
@@ -475,7 +400,7 @@ class _Workspace:
                     )
             logger.info("checked molecule list %s (%d molecules)", path, len(ids))
             return ids
-        _write_atomic(path, text)
+        write_atomic(path, text)
         logger.info(
             "enumerated %d molecules (C%d..C%d) in %.1fs -> %s",
             len(ids), cfg.min_carbons, cfg.max_carbons, time.monotonic() - t0, path,
@@ -490,24 +415,23 @@ class _Workspace:
 
     @contextmanager
     def kernel(self, ids: Sequence[str]) -> Iterator[MgkCalculator]:
-        """A calculator with ``ids`` registered and the workspace kernel
-        cache loaded, so a consumer solves only the pairs it reads.
+        """A calculator with ``ids`` registered and every kernel cache
+        segment ``kernel_<hash>_<digest>.npz`` of the workspace loaded, so a
+        consumer solves only the pairs no segment holds.
 
-        A body that finds no cache file writes one when it finishes without
-        error, holding every pair it solved; a body that solved none writes
-        nothing, so the next body that solves pairs creates the file. Later
-        bodies solve the pairs the file lacks in memory and leave the file
-        unchanged, so a rerun rewrites nothing. The number of pairs the body
-        solved, and of stacked solves they took, is logged on exit, never
-        written to ``out_dir``.
+        A body that finishes without error and solved pairs adds one
+        segment of just those pairs, named by a digest of its bytes; no
+        segment is ever rewritten. A segment that fails the checks of
+        :meth:`MgkCalculator.load_cache` fails the command. The pairs and
+        stacks solved are logged on exit, never written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
-        cache = self.path(f"kernel_{self.kernel_hash()}.csv")
-        reused = os.path.exists(cache)
-        if reused:
-            n = calc.load_cache(cache)
-            logger.info("loaded %d cached kernel entries from %s", n, cache)
+        prefix = f"kernel_{self.kernel_hash()}_"
+        for name in sorted(os.listdir(self.config.out_dir)):
+            if name.startswith(prefix) and name.endswith(".npz"):
+                n = calc.load_cache(self.path(name))
+                logger.info("loaded %d cached kernel entries from %s", n, name)
         try:
             yield calc
         finally:
@@ -515,9 +439,11 @@ class _Workspace:
                 "solved %d kernel pairs in %d stacks",
                 calc.pairs_solved, calc.stacks_solved,
             )
-        if not reused and calc.cached_pairs:
-            n = _write_via_temp(cache, calc.save_cache)
-            logger.info("wrote %d kernel entries to %s", n, cache)
+        if calc.pairs_solved:
+            rows, data = calc.segment(solved_only=True)
+            path = self.path(f"{prefix}{hashlib.sha256(data).hexdigest()[:_HASH_CHARS]}.npz")
+            write_atomic(path, data)
+            logger.info("wrote %d kernel entries to %s", rows, path)
 
     # staged active learning
 
@@ -543,6 +469,14 @@ class _Workspace:
                 self.al_stage(ids, provider, stage, self.al_stage_path(stage), prev)
             )
         return states
+
+    def checkpoint(self, path: str, ids: Sequence[str]) -> al.AlState:
+        """The selection checkpoint at ``path``; StageError, leaving the
+        file as it is, unless it covers exactly ``ids``."""
+        state = al.load_checkpoint(path)
+        if state.universe != frozenset(ids):
+            raise StageError(f"checkpoint {path} does not cover the configured molecule set")
+        return state
 
     def al_stage(
         self,
@@ -570,11 +504,7 @@ class _Workspace:
             checkpoint_every=cfg.checkpoint_every,
         )
         if os.path.exists(path):
-            loaded = al.load_checkpoint(path)
-            if loaded.universe != frozenset(ids):
-                raise StageError(
-                    f"checkpoint {path} does not cover the configured molecule set"
-                )
+            loaded = self.checkpoint(path, ids)
             for field, want in (
                 ("threshold", threshold), ("batch", cfg.batch), ("seed", cfg.al_seed)
             ):
@@ -620,7 +550,7 @@ class _Workspace:
         if not os.path.exists(path):
             t0 = time.monotonic()
             series = simulate_molecules(ids, cfg.noise_sigma, cfg.oracle_seed)
-            write_dataset_atomic(path, series)
+            write_atomic(path, lambda tmp: thermo.write_dataset(tmp, series))
             logger.info(
                 "simulated %d molecules (%s) in %.1fs -> %s",
                 len(ids), tag, time.monotonic() - t0, path,
@@ -778,7 +708,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         runtime_seconds=time.monotonic() - t_start,
     )
     report_path = ws.path(f"report_{report.config_hash}.json")
-    _write_atomic(report_path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
+    write_atomic(report_path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
     export_plot_data(report, parity, config.out_dir)
     logger.info(
         "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
@@ -810,7 +740,7 @@ def export_plot_data(
             [mol, repr(float(t)), repr(float(truth)), repr(float(pred))]
             for mol, t, truth, pred in rows
         ]
-        _write_atomic(
+        write_atomic(
             path,
             _csv_text(["smiles", "temperature_K", "truth", "prediction"], body),
         )
@@ -833,7 +763,7 @@ def export_plot_data(
                 ]
             )
     summary_path = os.path.join(out_dir, f"summary_{report.config_hash}.csv")
-    _write_atomic(
+    write_atomic(
         summary_path,
         _csv_text(
             [
@@ -984,7 +914,7 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         runtime_seconds=time.monotonic() - t_start,
     )
     path = ws.path(f"comparison_{report.config_hash}.json")
-    _write_atomic(path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
     for prop in PROPERTIES:
         logger.info(
             "median rmse %s: AL=%.4g random=%.4g -> %s",
@@ -1044,7 +974,7 @@ def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
         [r.smiles, repr(r.temperature), repr(r.density), repr(r.heat_capacity), repr(r.hov)]
         for r in rows
     ]
-    _write_atomic(path, _csv_text(PREDICTION_HEADER, body))
+    write_atomic(path, _csv_text(PREDICTION_HEADER, body))
     return len(rows)
 
 

@@ -226,10 +226,9 @@ def test_criterion_4_selection_soundness(full_run):
         # after every step
         ids = enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)
         calc = MgkCalculator(cfg.kernel)
-        calc.load_cache(os.path.join(
-            cfg.out_dir,
-            next(n for n in ws_files if n.startswith("kernel_")),
-        ))
+        for name in ws_files:
+            if name.startswith("kernel_"):
+                calc.load_cache(os.path.join(cfg.out_dir, name))
         calc.register([parse_smiles(s) for s in ids])
         universe = frozenset(ids)
 

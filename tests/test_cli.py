@@ -3,18 +3,22 @@
 import argparse
 import dataclasses
 import json
+import logging
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alkspace import active_learning as al
 from alkspace import thermo
 from alkspace.cli import _load_config, build_parser, main
+from alkspace.mgk import MgkCalculator
 from alkspace.molspace import enumerate_alkane_smiles, parse_smiles, to_canonical_smiles
-from alkspace.pipeline import read_predictions
+from alkspace.pipeline import PipelineConfig, read_predictions
 
 CONFIG_RAW = {
     "chemical_space": {"min_carbons": 4, "max_carbons": 8},
@@ -281,7 +285,7 @@ def test_al_on_a_finished_checkpoint_writes_no_kernel_cache(tmp_path, config_fil
     assert caches() == []
     assert main(["run-all", "--config", config_file, "--out-dir", str(fresh)]) == 0
     [cache] = caches()
-    assert len(cache.read_text().splitlines()) > 2  # header lines plus rows
+    assert MgkCalculator(PipelineConfig.from_json(config_file).kernel).load_cache(str(cache)) > 0
 
 
 class _Interrupt(Exception):
@@ -363,23 +367,61 @@ def test_al_rejects_a_checkpoint_with_other_selection_parameters(tmp_path, caplo
         assert ckpt.read_bytes() == before
 
 
-def test_a_version_3_kernel_cache_fails_the_stage(tmp_path, caplog):
-    # version-3 values came from stacks of one shape, without size-class padding
+def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message):
+    """Fill a C4..C7 workspace with `al`, damage its kernel segment, and
+    check that the next `al` exits 2 naming it, and changes no file."""
     raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     ws = tmp_path / "ws"
     argv = ["al", "--config", str(config), "--out-dir", str(ws)]
     assert main([*argv, "--checkpoint", str(tmp_path / "first.json")]) == 0
-    [cache] = [ws / n for n in os.listdir(ws) if n.startswith("kernel_")]
-    magic, version, rest = cache.read_text().split(",", 2)
-    assert version == "4"
-    cache.write_text(f"{magic},3,{rest}")
-    before = cache.read_bytes()
+    [segment] = [ws / n for n in os.listdir(ws) if n.startswith("kernel_")]
+    with np.load(segment) as data:
+        arrays = {name: data[name] for name in data.files}
+    with open(segment, "wb") as fh:
+        np.savez(fh, **{**arrays, **damage(arrays)})
+    before = sorted(os.listdir(ws)), segment.read_bytes()
 
     assert main([*argv, "--checkpoint", str(tmp_path / "second.json")]) == 2
-    assert f"kernel cache {str(cache)!r} does not match" in caplog.text
-    assert cache.read_bytes() == before
+    assert f"kernel cache {str(segment)!r} {message}" in caplog.text
+    assert (sorted(os.listdir(ws)), segment.read_bytes()) == before
+
+
+def test_a_version_3_kernel_cache_fails_the_stage(tmp_path, caplog):
+    # version-3 values came from stacks of one shape, without size-class padding
+    _damaged_segment_fails_the_stage(
+        tmp_path, caplog, lambda arrays: {"version": np.int64(3)}, "does not match"
+    )
+
+
+def _negative_value(arrays):
+    values = arrays["values"].copy()
+    values[0] = -1.0
+    return {"values": values}
+
+
+def _index_past_the_table(arrays):
+    pairs = arrays["pairs"].copy()
+    pairs[0, 1] = len(arrays["keys"])
+    return {"pairs": pairs}
+
+
+def _rows_reversed(arrays):
+    return {"pairs": arrays["pairs"][::-1].copy()}
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_negative_value, "row 0: value -1.0 is not a finite positive number"),
+        (_index_past_the_table, "row 0: index outside"),
+        (_rows_reversed, "row 1: rows are not strictly increasing"),
+    ],
+    ids=["value", "index", "order"],
+)
+def test_a_damaged_kernel_segment_fails_the_stage(tmp_path, caplog, damage, message):
+    _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message)
 
 
 def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):
@@ -402,6 +444,20 @@ def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):
         )
         == 2
     )
+
+
+def test_al_continue_rejects_a_checkpoint_for_another_chemical_space(tmp_path, caplog):
+    # a C4..C7 checkpoint, with the default C4..C12 configuration
+    ckpt = tmp_path / "c7.json"
+    al.save_checkpoint(al.al_init(enumerate_alkane_smiles(4, 7), 0.5, 1000, 1), str(ckpt))
+    before = ckpt.read_bytes()
+    ws = tmp_path / "ws"
+    argv = ["al-continue", "--checkpoint", str(ckpt), "--threshold", "0.4", "--out-dir", str(ws)]
+    assert main(argv) == 2
+    assert f"checkpoint {ckpt} does not cover" in caplog.text
+    assert ckpt.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["c7.json", "ws"]
+    assert [n for n in os.listdir(ws) if not n.startswith("molecules_")] == []
 
 
 # -- full workflow ------------------------------------------------------------------
@@ -452,3 +508,44 @@ def test_run_all_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _solved(caplog) -> list[int]:
+    return [int(m.split()[1]) for m in caplog.messages if m.startswith("solved ")]
+
+
+def test_a_workspace_only_grows_by_new_files(tmp_path, config_file, caplog):
+    """run-all, compare-random twice, al and al-continue on one workspace:
+    out_dir holds only regular files, and no file changes once written."""
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    ws = tmp_path / "ws"
+    seen: dict[str, tuple[bytes, int]] = {}
+
+    def run(*argv: str) -> set[str]:
+        caplog.clear()
+        assert main([*argv, "--config", config_file, "--out-dir", str(ws)]) == 0
+        names = os.listdir(ws)
+        assert all(stat.S_ISREG(os.lstat(ws / n).st_mode) for n in names)
+        for name, (data, mtime) in seen.items():
+            assert (ws / name).read_bytes() == data, name
+            assert os.stat(ws / name).st_mtime_ns == mtime, name
+        added = set(names) - set(seen)
+        for name in added:
+            seen[name] = ((ws / name).read_bytes(), os.stat(ws / name).st_mtime_ns)
+        return added
+
+    def segments(names):
+        return {n for n in names if n.startswith("kernel_") and n.endswith(".npz")}
+
+    assert len(segments(run("run-all"))) == 1
+    added = run("compare-random")
+    assert _solved(caplog)[0] > 0
+    assert len(segments(added)) == 1 and len(added) == 2  # and the comparison
+    assert run("compare-random") == set()
+    assert _solved(caplog) == [0]
+    assert run("al", "--threshold", "0.5") == set()
+    assert _solved(caplog) == [0]
+    stage1 = [n for n in seen if n.startswith("al_stage1_")]
+    added = run("al-continue", "--checkpoint", str(ws / stage1[0]), "--threshold", "0.45")
+    assert "al_continue_U0.45.json" in added
+    assert len(segments(added)) == (1 if _solved(caplog)[0] else 0)

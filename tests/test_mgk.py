@@ -10,7 +10,9 @@ recurrence and the direct solve then validate the production solver on
 real molecules.
 """
 
+import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +47,18 @@ def dense(mols, p=DEFAULT):
     calc = MgkCalculator(p)
     keys = calc.register(mols)
     return calc.block(keys, keys)
+
+
+def held(calc: MgkCalculator, a: str, b: str) -> float | None:
+    """The raw value a calculator holds for two keys, or None."""
+    i, j = sorted((calc._index[a], calc._index[b]))
+    value = calc._self[i] if i == j else calc._cross.get(i << 32 | j, math.nan)
+    return None if math.isnan(value) else float(value)
+
+
+def held_count(calc: MgkCalculator) -> int:
+    """How many raw values a calculator holds, solved or loaded."""
+    return calc.segment()[0]
 
 
 # -- reference implementations ------------------------------------------------
@@ -353,14 +367,14 @@ def test_raw_values_independent_of_batch_and_request_order():
     for a, b in targets:
         calc = fresh()
         calc.block([a], [b])
-        assert calc._raw[(a, b)] == alone[(a, b)]
+        assert held(calc, a, b) == alone[(a, b)]
 
     companions = [k for pair in targets for k in pair]
     companions += list(rng.choice(keys, size=40, replace=False))
     for order in (keys, keys[::-1], list(rng.permutation(companions))):
         calc = fresh()
         calc.block(order, order)
-        assert {pair: calc._raw[pair] for pair in targets} == alone
+        assert {pair: held(calc, *pair) for pair in targets} == alone
 
 
 # -- normalization ---------------------------------------------------------------
@@ -455,13 +469,13 @@ def test_screened_entries_are_zero_and_the_rest_match_an_oracle(mols):
             if screened:
                 assert got[i, j] == 0.0
                 assert want <= 2.0**-53 * (1 + 1e-9)
-                assert (min(a, b), max(a, b)) not in calc._raw
+                assert held(calc, a, b) is None
                 # also 0 where the true raw value is held, as after a load
                 assert mgk._normalize(*raw, SCREENING) == 0.0
             else:
                 assert got[i, j] == want
     # only the self-kernels and the unscreened pairs were solved, once each
-    assert calc.pairs_solved == calc.cached_pairs
+    assert calc.pairs_solved == held_count(calc)
 
 
 def test_screened_entries_do_not_depend_on_batch_order_or_path():
@@ -513,9 +527,9 @@ def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
     solved = []
     compute = calc._compute_pairs
 
-    def record(pairs):
-        solved.extend(pairs)
-        compute(pairs)
+    def record(codes):
+        solved.extend((calc._keys[c >> 32], calc._keys[c & mgk._LOW]) for c in codes.tolist())
+        compute(codes)
 
     monkeypatch.setattr(calc, "_compute_pairs", record)
     assert calc.block([small], [large])[0, 0] == 0.0
@@ -534,7 +548,7 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mgk, "_NEGLIGIBLE_D2", math.inf)
         dense = unscreened.block(rows, keys)
-    full = str(tmp_path / "full.csv")
+    full = str(tmp_path / "full.npz")
     n_full = unscreened.save_cache(full)
 
     fresh = MgkCalculator(SCREENING)
@@ -542,7 +556,7 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
     want = fresh.block(rows, keys)
     screened = want == 0.0
     assert screened.any() and not (dense[screened] == 0.0).any()
-    assert fresh.cached_pairs < n_full
+    assert held_count(fresh) < n_full
 
     loaded = MgkCalculator(SCREENING)
     loaded.register(mols)
@@ -551,9 +565,11 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
     assert loaded.pairs_solved == 0
 
     # the screened pairs are neither solved nor written
-    path = tmp_path / "screened.csv"
-    assert fresh.save_cache(str(path)) == fresh.cached_pairs == fresh.pairs_solved
-    written = {tuple(row.split(",")[:2]) for row in path.read_text().splitlines()[2:]}
+    path = tmp_path / "screened.npz"
+    assert fresh.save_cache(str(path)) == held_count(fresh) == fresh.pairs_solved
+    with np.load(path) as segment:
+        table = segment["keys"]
+        written = {(table[i], table[j]) for i, j in segment["pairs"]}
     for i, j in zip(*np.nonzero(screened)):
         a, b = rows[i], keys[j]
         assert (min(a, b), max(a, b)) not in written
@@ -671,82 +687,187 @@ def test_cache_roundtrip_bitwise(tmp_path):
     calc = MgkCalculator(DEFAULT)
     keys = calc.register(mols)
     values = calc.block(keys, keys)
-    path = str(tmp_path / "cache.csv")
+    path = str(tmp_path / "cache.npz")
     rows = calc.save_cache(path)
     assert rows > 0
+    assert sorted(os.listdir(tmp_path)) == ["cache.npz"]
 
     fresh = MgkCalculator(DEFAULT)
     assert fresh.load_cache(path) == rows
 
-    def boom(pairs):
-        raise AssertionError(f"cache miss for {pairs}")
+    def boom(codes):
+        raise AssertionError(f"cache miss for {codes}")
 
     fresh._compute_pairs = boom
     assert fresh.register(mols) == keys
     assert np.array_equal(fresh.block(keys, keys), values)
 
 
-def test_cache_hyperparameter_mismatch(tmp_path):
-    mols = enumerate_alkanes(4, 5)
-    calc = MgkCalculator(DEFAULT)
-    keys = calc.register(mols)
-    calc.block(keys, keys)
-    path = str(tmp_path / "cache.csv")
-    calc.save_cache(path)
-
-    other = MgkCalculator(MgkHyperparameters(q=0.5))
-    with pytest.raises(ValueError):
-        other.load_cache(path)
-    assert other.cached_pairs == 0
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("CCCC,CCCC", "expected 3 columns, got 2"),
-        ("CCCC,CCCC,0.5,1", "expected 3 columns, got 4"),
-        ("CCCC,CCCC,nan", "'nan' is not a finite positive number"),
-        ("CCCC,CCCC,-inf", "'-inf' is not a finite positive number"),
-        ("CCCC,CCCC,inf", "'inf' is not a finite positive number"),
-        ("CCCC,CCCC,0.0", "'0.0' is not a finite positive number"),
-        ("CCCC,CCCC,-0.25", "'-0.25' is not a finite positive number"),
-        ("CCCC,CCCC,abc", "'abc' is not a finite positive number"),
-    ],
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(alkane_trees(9), min_size=2, max_size=6),
+    st.randoms(use_true_random=False),
+    st.sampled_from([math.inf, 0.2]),
 )
-def test_cache_rejects_bad_rows(tmp_path, row, message):
-    mols = enumerate_alkanes(4, 5)
+def test_a_segment_loads_bitwise_into_any_registration_order(mols, rnd, lam):
+    p = MgkHyperparameters(lambda_=lam)
+    calc = MgkCalculator(p)
+    keys = calc.register(mols)
+    rows = keys[: len(keys) // 2 + 1]
+    want = calc.block(rows, keys)
+    rows_written, data = calc.segment()
+
+    shuffled = list(mols)
+    rnd.shuffle(shuffled)
+    fresh = MgkCalculator(p)
+    fresh.register(shuffled)
+    path = io.BytesIO(data)
+    assert fresh.load_cache(path) == rows_written
+    assert np.array_equal(fresh.block(rows, keys), want)
+    assert fresh.pairs_solved == 0
+    # the loaded store writes the same segment back
+    assert fresh.segment() == (rows_written, data)
+
+
+def test_a_solved_only_segment_holds_just_the_new_pairs(tmp_path):
+    mols = enumerate_alkanes(4, 7)
     calc = MgkCalculator(DEFAULT)
     keys = calc.register(mols)
-    calc.block(keys, keys)
-    path = str(tmp_path / "cache.csv")
-    rows = calc.save_cache(path)
-    with open(path, "a") as fh:
-        fh.write(row + "\n")
+    calc.block(keys[:3], keys[:3])
+    path = str(tmp_path / "first.npz")
+    first = calc.save_cache(path)
 
+    later = MgkCalculator(DEFAULT)
+    later.register(mols)
+    later.load_cache(path)
+    later.block(keys[:5], keys[:5])
+    n, _ = later.segment(solved_only=True)
+    assert n == later.pairs_solved == held_count(later) - first > 0
+    assert MgkCalculator(DEFAULT).segment(solved_only=True)[0] == 0
+
+
+def _segment(tmp_path, p=DEFAULT):
+    """A saved segment of C4..C5 and its arrays."""
+    calc = MgkCalculator(p)
+    keys = calc.register(enumerate_alkanes(4, 5))
+    calc.block(keys, keys)
+    path = tmp_path / "cache.npz"
+    calc.save_cache(str(path))
+    with np.load(path) as data:
+        return path, {name: data[name] for name in data.files}
+
+
+def _rewrite(path, arrays, **changes):
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**arrays, **changes})
+
+
+def _assert_rejected(path, match):
+    before = path.read_bytes()
     fresh = MgkCalculator(DEFAULT)
-    with pytest.raises(ValueError) as err:
-        fresh.load_cache(path)
-    assert path in str(err.value)
-    assert f"line {rows + 3}" in str(err.value)
-    assert message in str(err.value)
-    assert fresh.save_cache(str(tmp_path / "empty.csv")) == 0
+    with pytest.raises(ValueError, match=match) as err:
+        fresh.load_cache(str(path))
+    assert repr(str(path)) in str(err.value)
+    assert held_count(fresh) == 0
+    assert path.read_bytes() == before
+
+
+def test_cache_hyperparameter_mismatch(tmp_path):
+    path, _ = _segment(tmp_path)
+    other = MgkCalculator(MgkHyperparameters(q=0.5))
+    with pytest.raises(ValueError, match="hyperparameters/version"):
+        other.load_cache(str(path))
+    assert held_count(other) == 0
 
 
 @pytest.mark.parametrize("version", [2, 3])
 def test_cache_rejects_an_older_version_file(tmp_path, version):
     # version-2 values came from the Jacobi-preconditioned solver, version-3
     # ones from stacks of one shape, without size-class padding
-    calc = MgkCalculator(DEFAULT)
-    keys = calc.register(enumerate_alkanes(4, 5))
-    calc.block(keys, keys)
-    path = tmp_path / "cache.csv"
-    calc.save_cache(str(path))
-    header = f"{mgk._CACHE_MAGIC},{{}},{DEFAULT.content_hash()}"
-    text = path.read_text()
-    assert text.startswith(header.format(4))
-    path.write_text(text.replace(header.format(4), header.format(version), 1))
+    path, arrays = _segment(tmp_path)
+    assert int(arrays["version"]) == mgk._CACHE_VERSION == 5
+    _rewrite(path, arrays, version=np.int64(version))
+    _assert_rejected(path, "hyperparameters/version")
 
-    fresh = MgkCalculator(DEFAULT)
-    with pytest.raises(ValueError, match="hyperparameters/version"):
-        fresh.load_cache(str(path))
-    assert fresh.cached_pairs == 0
+
+def test_cache_rejects_another_parameter_hash(tmp_path):
+    path, arrays = _segment(tmp_path)
+    _rewrite(path, arrays, params=np.str_(MgkHyperparameters(q=0.5).content_hash()))
+    _assert_rejected(path, "hyperparameters/version")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+def test_segment_rejects_bad_values(tmp_path, value):
+    path, arrays = _segment(tmp_path)
+    values = arrays["values"].copy()
+    values[3] = value
+    _rewrite(path, arrays, values=values)
+    _assert_rejected(path, rf"row 3: value {value!r} is not a finite positive number")
+
+
+@pytest.mark.parametrize("index", [-1, 5], ids=["negative", "past-the-table"])
+def test_segment_rejects_an_index_outside_its_key_table(tmp_path, index):
+    path, arrays = _segment(tmp_path)
+    assert len(arrays["keys"]) == 5
+    pairs = arrays["pairs"].copy()
+    pairs[-1, 1] = index
+    _rewrite(path, arrays, pairs=pairs)
+    _assert_rejected(path, f"row {len(pairs) - 1}: index outside its key table")
+
+
+def _reversed(pairs):
+    k = int(np.flatnonzero(pairs[:, 0] < pairs[:, 1])[0])
+    pairs[k] = pairs[k, ::-1]
+    return pairs
+
+
+def _duplicated(pairs):
+    pairs[2] = pairs[1]
+    return pairs
+
+
+def _swapped(pairs):
+    pairs[[1, 2]] = pairs[[2, 1]]
+    return pairs
+
+
+@pytest.mark.parametrize("damage", [_reversed, _duplicated, _swapped],
+                         ids=["reversed-row", "duplicate-row", "swapped-rows"])
+def test_segment_rejects_rows_out_of_order(tmp_path, damage):
+    # a reversed row would be stored under a key no lookup uses, and a
+    # duplicate would silently replace the value before it
+    path, arrays = _segment(tmp_path)
+    _rewrite(path, arrays, pairs=damage(arrays["pairs"].copy()))
+    _assert_rejected(path, r"rows are not strictly increasing in \(i, j\) with i <= j")
+
+
+def test_segment_rejects_an_unsorted_key_table(tmp_path):
+    path, arrays = _segment(tmp_path)
+    _rewrite(path, arrays, keys=arrays["keys"][::-1])
+    _assert_rejected(path, "does not hold a strictly increasing key table")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"values": np.array(["abc"])},
+        {"pairs": np.zeros((1, 1), np.int32)},
+        {"pairs": np.zeros((1, 3), np.int32)},
+        {"pairs": np.zeros((1, 2), np.int64)},
+    ],
+    ids=["text-values", "one-column-pairs", "three-column-pairs", "int64-pairs"],
+)
+def test_segment_rejects_malformed_arrays(tmp_path, change):
+    path, arrays = _segment(tmp_path)
+    arrays = {**arrays, "pairs": arrays["pairs"][:1], "values": arrays["values"][:1]}
+    _rewrite(path, arrays, **change)
+    _assert_rejected(path, "does not hold a strictly increasing key table")
+
+
+def test_segment_rejects_a_file_that_is_not_a_segment(tmp_path):
+    path, arrays = _segment(tmp_path)
+    del arrays["values"]
+    _rewrite(path, arrays)
+    _assert_rejected(path, "is not a kernel cache segment")
+    path.write_text("alkspace-kernel-cache,4,abc\nkey_a,key_b,value\n")
+    _assert_rejected(path, "is not a kernel cache segment")

@@ -13,6 +13,7 @@ import pytest
 
 from alkspace import active_learning as al
 from alkspace import pipeline, thermo
+from alkspace._atomic import write_atomic
 from alkspace.mgk import MgkCalculator
 from alkspace.pipeline import (
     ComparisonReport,
@@ -33,7 +34,6 @@ from alkspace.pipeline import (
     read_predictions,
     run_alms,
     split_test,
-    write_dataset_atomic,
     write_predictions,
 )
 
@@ -226,11 +226,43 @@ def test_write_dataset_atomic_matches_plain_write(tmp_path):
     series = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
-    assert write_dataset_atomic(a, series) == thermo.write_dataset(b, series)
+    written = write_atomic(a, lambda tmp: thermo.write_dataset(tmp, series))
+    assert written == thermo.write_dataset(b, series)
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "content", ["text\n", b"\x00bytes", lambda tmp: Path(tmp).write_text("by path")],
+    ids=["text", "bytes", "writer"],
+)
+def test_atomic_writes_get_the_mode_the_umask_allows(tmp_path, content):
+    old = os.umask(0o022)
+    try:
+        write_atomic(str(tmp_path / "a"), content)
+        al.save_checkpoint(al.al_init(["CCCC", "CCCCC"], 0.5, 10, 1), str(tmp_path / "b"))
+    finally:
+        os.umask(old)
+    for name in ("a", "b"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+
+
+def test_a_failed_atomic_write_leaves_nothing(tmp_path):
+    def fail(tmp):
+        Path(tmp).write_text("partial")
+        raise OSError("disk full")
+
+    target = tmp_path / "a"
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(str(target), fail)
+    assert os.listdir(tmp_path) == []
+    target.write_text("old")
+    with pytest.raises(OSError):
+        write_atomic(str(target), fail)
+    assert os.listdir(tmp_path) == ["a"] and target.read_text() == "old"
 
 
 def test_training_arrays_filters_qc_failures():
@@ -334,7 +366,7 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     )
     train_series = pipeline.simulate_molecules(["CCCC", "CCCCC", "CCCCCC"], 0.0, 7)
     train_path = str(tmp_path / "train.csv")
-    write_dataset_atomic(train_path, train_series)
+    thermo.write_dataset(train_path, train_series)
     train_rows = thermo.read_dataset(train_path)
     out = predict_properties(train_rows, ["CC(C)C"], cfg)
     assert len(out) == thermo.GRID_POINTS
@@ -562,10 +594,11 @@ def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
     assert not any(n.startswith("kernel_") for n in oracle)
     for name, data in oracle.items():
         assert lazy[name] == data, f"{name} differs from the dense oracle"
-    (cache,) = [n for n in lazy if n.startswith("kernel_")]
+    segments = [n for n in lazy if n.startswith("kernel_")]
     n = len(pipeline._Workspace(cfg).molecule_ids())
-    rows = lazy[cache].decode().splitlines()[2:]
-    assert 0 < len(rows) < n * (n + 1) // 2
+    calc = MgkCalculator(cfg.kernel)
+    rows = sum(calc.load_cache(os.path.join(cfg.out_dir, s)) for s in segments)
+    assert 0 < rows < n * (n + 1) // 2
 
 
 # -- reused artifacts are checked ----------------------------------------------------
@@ -583,6 +616,21 @@ def test_a_molecule_list_unlike_the_enumeration_is_rejected(tmp_path):
         ws.molecule_ids()
     with pytest.raises(StageError, match=os.path.basename(path)):
         run_alms(cfg)
+
+
+def test_an_old_csv_kernel_cache_is_ignored(tmp_path):
+    cfg = PipelineConfig.from_dict({**RUN_RAW, "out_dir": str(tmp_path)})
+    ws = pipeline._Workspace(cfg)
+    ids = ws.molecule_ids()[:6]
+    old = tmp_path / f"kernel_{ws.kernel_hash()}.csv"
+    old.write_text("alkspace-kernel-cache,4,x\nkey_a,key_b,value\nnot,a,number\n")
+    before = old.read_bytes()
+    with ws.kernel(ids) as calc:
+        calc.block(ids, ids)
+    assert calc.pairs_solved == len(ids) * (len(ids) + 1) // 2
+    assert old.read_bytes() == before
+    (segment,) = [n for n in os.listdir(tmp_path) if n.endswith(".npz")]
+    assert segment.startswith(f"kernel_{ws.kernel_hash()}_")
 
 
 def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
