@@ -22,14 +22,13 @@ interrupted or continued run replays bit-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import gpr
-from ._atomic import write_atomic
+from ._atomic import read_json, write_json
 from .gpr import KernelProvider
 
 CHECKPOINT_VERSION = 1
@@ -317,22 +316,42 @@ def save_checkpoint(state: AlState, path: str) -> None:
         "abandoned": sorted(state.abandoned),
         "rng_state": state.rng_state,
     }
-    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(path, payload)
+
+
+def _strings(v: object) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+# checkpoint field -> (what it must hold, test); a JSON true is no number
+_CHECKPOINT_FIELDS = {
+    **dict.fromkeys(("selected", "pool", "abandoned"), ("a list of strings", _strings)),
+    "threshold": ("a number", lambda v: type(v) in (int, float)),
+    **dict.fromkeys(("batch", "seed", "iteration"), ("an integer", lambda v: type(v) is int)),
+    "rng_state": ("an object or null", lambda v: v is None or isinstance(v, dict)),
+}
 
 
 def load_checkpoint(path: str) -> AlState:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The state a checkpoint holds; ValueError naming the file, and the
+    field where one is missing or of the wrong type."""
+    payload = read_json(path)
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
-    return AlState(
-        selected=tuple(payload["selected"]),
-        pool=frozenset(payload["pool"]),
-        abandoned=frozenset(payload["abandoned"]),
-        threshold=payload["threshold"],
-        batch=payload["batch"],
-        seed=payload["seed"],
-        iteration=payload["iteration"],
-        rng_state=payload["rng_state"],
-    )
+        raise ValueError(f"checkpoint {path!r} has unsupported version {version!r}")
+    for name, (kind, ok) in _CHECKPOINT_FIELDS.items():
+        if name not in payload or not ok(payload[name]):
+            raise ValueError(f"checkpoint {path!r} field {name!r} must hold {kind}")
+    try:
+        return AlState(
+            selected=tuple(payload["selected"]),
+            pool=frozenset(payload["pool"]),
+            abandoned=frozenset(payload["abandoned"]),
+            threshold=payload["threshold"],
+            batch=payload["batch"],
+            seed=payload["seed"],
+            iteration=payload["iteration"],
+            rng_state=payload["rng_state"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path!r}: {exc}") from None

@@ -8,7 +8,6 @@ configuration problems, 2 when a stage fails at runtime.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -16,7 +15,7 @@ from dataclasses import replace
 
 from . import active_learning as al
 from . import pipeline, thermo
-from ._atomic import write_atomic
+from ._atomic import json_text, write_atomic, write_json
 from .molspace import enumerate_alkane_smiles
 from .pipeline import ConfigError, PipelineConfig, _Workspace
 
@@ -185,7 +184,7 @@ def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
     ids = pipeline.load_molecule_file(args.molecules)
     series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
-    rows = write_atomic(args.out, lambda tmp: thermo.write_dataset(tmp, series))
+    rows = thermo.write_dataset(args.out, series)
     n_fail = sum(1 for s in series if not s.qc.passed)
     print(f"wrote {rows} rows for {len(series)} molecules ({n_fail} QC failures) -> {args.out}")
     return 0
@@ -204,13 +203,10 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     preds = pipeline.read_predictions(args.pred)
     truths = thermo.read_dataset(args.truth)
     metrics = pipeline.evaluate_predictions(preds, truths)
-    payload = json.dumps(
-        {k: m.to_dict() for k, m in sorted(metrics.items())},
-        indent=1, sort_keys=True,
-    )
-    print(payload)
+    payload = {k: m.to_dict() for k, m in metrics.items()}
+    print(json_text(payload), end="")
     if args.out:
-        write_atomic(args.out, payload + "\n")
+        write_json(args.out, payload)
     return 0
 
 

@@ -72,6 +72,7 @@ from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .molspace import MolecularGraph, to_canonical_smiles
 
 # Padded product-graph vertices (pairs x m1 x m2) per stacked solve; caps
@@ -146,6 +147,8 @@ class MgkHyperparameters:
             raise ValueError("lambda_ must be positive (math.inf disables)")
         if not self.fp_tolerance > 0.0:
             raise ValueError("fp_tolerance must be positive")
+        if isinstance(self.fp_max_iters, bool) or not isinstance(self.fp_max_iters, int):
+            raise ValueError(f"fp_max_iters must be an integer, got {self.fp_max_iters!r}")
         if self.fp_max_iters < 1:
             raise ValueError("fp_max_iters must be at least 1")
 
@@ -382,17 +385,14 @@ def _normalize(k12, k11, k22, p: MgkHyperparameters):
 def mgk_normalized(
     g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters
 ) -> float:
-    """Normalized kernel in [0, 1]; exactly 1 for identical inputs, and 0,
-    without solving the pair, where the size damping is below 2^-53."""
+    """Normalized kernel in [0, 1]: the entry :meth:`MgkCalculator.block`
+    gives the pair, so exactly 1 for isomorphic inputs, and 0, without
+    solving the pair, where the size damping is below 2^-53."""
     if g1 is g2:
         return 1.0
-    a = _GraphArrays(g1)
-    b = _GraphArrays(g2)
-    k11, k22 = _solve_pairs([(a, a), (b, b)], p)[0].tolist()
-    if _negligible(k11, k22, p):
-        return 0.0
-    k12 = float(_solve_pairs([(a, b)], p)[0][0])
-    return float(_normalize(k12, k11, k22, p))
+    calc = MgkCalculator(p)
+    a, b = calc.register([g1, g2])
+    return float(calc.block([a], [b])[0, 0])
 
 
 class MgkCalculator:
@@ -549,8 +549,7 @@ class MgkCalculator:
         """Write every raw value held as one cache segment at exactly
         ``path``; returns the row count."""
         rows, data = self.segment()
-        with open(path, "wb") as fh:
-            fh.write(data)
+        write_atomic(path, data)
         return rows
 
     def load_cache(self, path: str) -> int:

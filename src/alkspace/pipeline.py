@@ -9,8 +9,6 @@ timing, every output is a pure function of the configuration.
 from __future__ import annotations
 
 import hashlib
-import io
-import csv
 import json
 import logging
 import math
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from ._atomic import write_atomic
+from ._atomic import read_csv, read_json, write_atomic, write_csv, write_json
 from .mgk import MgkCalculator, MgkHyperparameters
 from .molspace import (
     MolecularGraph,
@@ -89,6 +87,11 @@ _CONFIG_KEYS = {
     },
 }
 
+_INT_FIELDS = (
+    "min_carbons", "max_carbons", "batch", "al_seed", "checkpoint_every",
+    "oracle_seed", "n_test", "split_seed",
+)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -114,6 +117,11 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "control_seeds", tuple(self.control_seeds))
+        named = [(n, getattr(self, n)) for n in _INT_FIELDS]
+        for name, v in named + [("control_seeds", s) for s in self.control_seeds]:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must hold integers, got {v!r}")
         if not (1 <= self.min_carbons <= self.max_carbons):
             raise ConfigError(
                 f"carbon range must satisfy 1 <= min <= max, got "
@@ -123,8 +131,9 @@ class PipelineConfig:
         if not self.thresholds:
             raise ConfigError("need at least one threshold")
         for t in self.thresholds:
-            if not 0.0 < t <= 1.0:
-                raise ConfigError(f"thresholds must lie in (0, 1], got {t}")
+            # a checkpoint holds its threshold as a JSON number, never true
+            if isinstance(t, bool) or not 0.0 < t <= 1.0:
+                raise ConfigError(f"thresholds must lie in (0, 1], got {t!r}")
         if any(b >= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ConfigError(f"thresholds must decrease strictly: {self.thresholds}")
         if self.batch < 1:
@@ -135,7 +144,6 @@ class PipelineConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.n_test < 0:
             raise ConfigError("n_test must be non-negative")
-        object.__setattr__(self, "control_seeds", tuple(self.control_seeds))
         if len(set(self.control_seeds)) != len(self.control_seeds):
             raise ConfigError("control_seeds must be distinct")
 
@@ -197,18 +205,13 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+            raw = read_json(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         return cls.from_dict(raw)
 
     def to_json(self, path: str) -> None:
-        write_atomic(path, json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     def content_hash(self) -> str:
         # out_dir names the workspace, it does not influence results
@@ -319,14 +322,6 @@ class EvalReport:
 def _hash_obj(obj: object) -> str:
     payload = json.dumps(obj, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:_HASH_CHARS]
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def load_molecule_file(path: str) -> list[str]:
@@ -550,7 +545,7 @@ class _Workspace:
         if not os.path.exists(path):
             t0 = time.monotonic()
             series = simulate_molecules(ids, cfg.noise_sigma, cfg.oracle_seed)
-            write_atomic(path, lambda tmp: thermo.write_dataset(tmp, series))
+            thermo.write_dataset(path, series)
             logger.info(
                 "simulated %d molecules (%s) in %.1fs -> %s",
                 len(ids), tag, time.monotonic() - t0, path,
@@ -596,14 +591,19 @@ def simulate_molecules(
     return out
 
 
+def property_table(rows: Sequence) -> tuple[list[tuple[str, float]], np.ndarray]:
+    """(molecule, temperature) keys and the matrix of the properties, in
+    ``PROPERTIES`` order, of dataset or prediction rows."""
+    keys = [(r.smiles, r.temperature) for r in rows]
+    values = np.array([[r.density, r.heat_capacity, r.hov] for r in rows], dtype=float)
+    return keys, values
+
+
 def training_arrays(
     rows: Sequence[thermo.DatasetRow],
 ) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """(molecule, temperature) keys and target matrix of QC-passing rows."""
-    kept = [r for r in rows if r.qc_pass]
-    keys = [(r.smiles, r.temperature) for r in kept]
-    targets = np.array([[r.density, r.heat_capacity, r.hov] for r in kept], dtype=float)
-    return keys, targets
+    """The :func:`property_table` of the QC-passing rows."""
+    return property_table([r for r in rows if r.qc_pass])
 
 
 def _fit_on_rows(rows: Sequence[thermo.DatasetRow], provider, cfg: PipelineConfig):
@@ -652,10 +652,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
 
         final_selected = states[-1].selected
         test_ids, test_rows = ws.test_set(ids, final_selected)
-        test_keys = [(r.smiles, r.temperature) for r in test_rows]
-        test_truth = np.array(
-            [[r.density, r.heat_capacity, r.hov] for r in test_rows], dtype=float
-        )
+        test_keys, test_truth = property_table(test_rows)
 
         # every stage predicts the test set against a subset of the final
         # selection: solve those pairs in one batch rather than per stage
@@ -708,7 +705,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         runtime_seconds=time.monotonic() - t_start,
     )
     report_path = ws.path(f"report_{report.config_hash}.json")
-    write_atomic(report_path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
+    write_json(report_path, report.to_dict())
     export_plot_data(report, parity, config.out_dir)
     logger.info(
         "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
@@ -736,43 +733,19 @@ def export_plot_data(
         path = os.path.join(
             out_dir, f"parity_stage{stage}_{prop}_{report.config_hash}.csv"
         )
-        body = [
-            [mol, repr(float(t)), repr(float(truth)), repr(float(pred))]
-            for mol, t, truth, pred in rows
-        ]
-        write_atomic(
-            path,
-            _csv_text(["smiles", "temperature_K", "truth", "prediction"], body),
-        )
+        body = [[mol, float(t), float(truth), float(pred)] for mol, t, truth, pred in rows]
+        write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], body)
         written.append(path)
-    summary_rows = []
-    for stage in report.stages:
-        for prop in sorted(stage.metrics):
-            m = stage.metrics[prop]
-            summary_rows.append(
-                [
-                    prop,
-                    stage.stage,
-                    repr(float(stage.threshold)),
-                    stage.n_selected,
-                    stage.n_train_rows,
-                    report.n_test_rows,
-                    repr(m.rmse),
-                    repr(m.mae),
-                    "" if m.r2 is None else repr(m.r2),
-                ]
-            )
+    summary_rows = [
+        [prop, stage.stage, float(stage.threshold), stage.n_selected, stage.n_train_rows,
+         report.n_test_rows, m.rmse, m.mae, m.r2]
+        for stage in report.stages
+        for prop, m in sorted(stage.metrics.items())
+    ]
     summary_path = os.path.join(out_dir, f"summary_{report.config_hash}.csv")
-    write_atomic(
-        summary_path,
-        _csv_text(
-            [
-                "property", "stage", "threshold", "n_selected",
-                "n_train_rows", "n_test_rows", "rmse", "mae", "r2",
-            ],
-            summary_rows,
-        ),
-    )
+    header = ["property", "stage", "threshold", "n_selected", "n_train_rows",
+              "n_test_rows", "rmse", "mae", "r2"]
+    write_csv(summary_path, header, summary_rows)
     written.append(summary_path)
     return written
 
@@ -875,10 +848,7 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
             random_model = _fit_on_rows(control_rows, calc, config)
 
             eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
-            eval_keys = [(r.smiles, r.temperature) for r in eval_rows]
-            truth = np.array(
-                [[r.density, r.heat_capacity, r.hov] for r in eval_rows], dtype=float
-            )
+            eval_keys, truth = property_table(eval_rows)
             al_pred = al_model.predict_mean(eval_keys)
             rnd_pred = random_model.predict_mean(eval_keys)
             comparison = SeedComparison(
@@ -914,7 +884,7 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         runtime_seconds=time.monotonic() - t_start,
     )
     path = ws.path(f"comparison_{report.config_hash}.json")
-    write_atomic(path, json.dumps(report.to_dict(), indent=1, sort_keys=True) + "\n")
+    write_json(path, report.to_dict())
     for prop in PROPERTIES:
         logger.info(
             "median rmse %s: AL=%.4g random=%.4g -> %s",
@@ -970,30 +940,15 @@ def predict_properties(
 
 
 def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
-    body = [
-        [r.smiles, repr(r.temperature), repr(r.density), repr(r.heat_capacity), repr(r.hov)]
-        for r in rows
-    ]
-    write_atomic(path, _csv_text(PREDICTION_HEADER, body))
+    body = [[r.smiles, r.temperature, r.density, r.heat_capacity, r.hov] for r in rows]
+    write_csv(path, PREDICTION_HEADER, body)
     return len(rows)
 
 
 def read_predictions(path: str) -> list[PredictionRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PREDICTION_HEADER:
-            raise ValueError(f"unrecognized prediction header in {path!r}")
-        return [
-            PredictionRow(
-                smiles=row[0],
-                temperature=float(row[1]),
-                density=float(row[2]),
-                heat_capacity=float(row[3]),
-                hov=float(row[4]),
-            )
-            for row in reader
-        ]
+    """The rows of a prediction file; ValueError naming the file, and the
+    line for a malformed row (:func:`alkspace._atomic.read_csv`)."""
+    return [PredictionRow(smiles, *values) for smiles, values in read_csv(path, PREDICTION_HEADER)]
 
 
 def evaluate_predictions(
@@ -1003,17 +958,11 @@ def evaluate_predictions(
     """Join predictions to truth rows on (molecule, temperature) and score
     each property; every prediction must find its truth row."""
     truth_map = {(r.smiles, r.temperature): r for r in truths}
-    pred_cols: list[list[float]] = []
-    truth_cols: list[list[float]] = []
-    for p in predictions:
-        key = (p.smiles, p.temperature)
-        if key not in truth_map:
-            raise ValueError(f"no truth row for {key}")
-        t = truth_map[key]
-        pred_cols.append([p.density, p.heat_capacity, p.hov])
-        truth_cols.append([t.density, t.heat_capacity, t.hov])
-    if not pred_cols:
+    keys, pm = property_table(predictions)
+    if not keys:
         raise ValueError("no predictions to evaluate")
-    pm = np.array(pred_cols)
-    tm = np.array(truth_cols)
+    missing = [k for k in keys if k not in truth_map]
+    if missing:
+        raise ValueError(f"no truth row for {missing[0]}")
+    _, tm = property_table([truth_map[k] for k in keys])
     return _metrics_by_property(pm, tm)

@@ -17,7 +17,6 @@ R^2 >= 0.98.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._atomic import read_csv, write_csv
 from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
 
 R_GAS = 8.314462618  # J/(mol K)
@@ -267,31 +267,16 @@ def qc_evaluate(series: ThermoSeries, diffusion: float | None = None) -> QcStatu
 
 
 def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
-    """CSV dataset, one row per grid point; returns the row count.
-
-    Floats are written with repr so reading the file back reproduces the
-    exact values and rewriting is byte-identical.
-    """
-    count = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for series in series_list:
-            flag = "1" if series.qc.passed else "0"
-            for r in series.records:
-                writer.writerow(
-                    [
-                        r.molecule_id,
-                        repr(r.temperature),
-                        repr(r.pressure),
-                        repr(r.density),
-                        repr(r.heat_capacity),
-                        repr(r.hov),
-                        flag,
-                    ]
-                )
-                count += 1
-    return count
+    """CSV dataset, one row per grid point, written atomically; returns the
+    row count. Rewriting the same series is byte-identical."""
+    rows = [
+        [r.molecule_id, r.temperature, r.pressure, r.density, r.heat_capacity, r.hov,
+         "1" if series.qc.passed else "0"]
+        for series in series_list
+        for r in series.records
+    ]
+    write_csv(path, DATASET_HEADER, rows)
+    return len(rows)
 
 
 @dataclass(frozen=True)
@@ -308,22 +293,9 @@ class DatasetRow:
 
 
 def read_dataset(path: str) -> list[DatasetRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DATASET_HEADER:
-            raise ValueError(f"unrecognized dataset header in {path!r}")
-        out = []
-        for row in reader:
-            out.append(
-                DatasetRow(
-                    smiles=row[0],
-                    temperature=float(row[1]),
-                    pressure=float(row[2]),
-                    density=float(row[3]),
-                    heat_capacity=float(row[4]),
-                    hov=float(row[5]),
-                    qc_pass=row[6] == "1",
-                )
-            )
-    return out
+    """The rows of a dataset file; ValueError naming the file, and the line
+    for a malformed row (:func:`alkspace._atomic.read_csv`)."""
+    return [
+        DatasetRow(smiles, *values[:5], qc_pass=values[5] == 1.0)
+        for smiles, values in read_csv(path, DATASET_HEADER)
+    ]

@@ -6,6 +6,7 @@ equivalence and resume tests additionally run on a real molecule kernel.
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -439,6 +440,34 @@ def test_checkpoint_version_guard(tmp_path):
         json.dump(payload, fh)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _without_selected(payload):
+    del payload["selected"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda payload: {**payload, "pool": "CCCCCC"}, "field 'pool' must hold a list of strings"),
+        (_without_selected, "field 'selected' must hold a list of strings"),
+        (lambda payload: [payload], "does not hold a JSON object"),
+        (lambda payload: {**payload, "batch": True}, "field 'batch' must hold an integer"),
+        (lambda payload: {**payload, "threshold": "0.5"}, "field 'threshold' must hold a number"),
+        (lambda payload: {**payload, "rng_state": []}, "field 'rng_state' must hold an object"),
+        (lambda payload: {**payload, "pool": payload["selected"]}, "must be disjoint"),
+    ],
+    ids=["string-pool", "missing-field", "json-list", "bool-batch", "string-threshold",
+         "list-rng-state", "overlap"],
+)
+def test_a_malformed_checkpoint_is_rejected_naming_file_and_field(tmp_path, damage, message):
+    ids, _ = molecule_provider(5)
+    path = tmp_path / "state.json"
+    save_checkpoint(al_init(ids, 0.5, batch=4, seed=9), str(path))
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(repr(str(path))) + ".*" + re.escape(message)):
+        load_checkpoint(str(path))
 
 
 def test_resume_reproduces_uninterrupted_run(tmp_path):

@@ -1,5 +1,6 @@
 """The public surface: package exports and the README's library example."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -32,3 +33,32 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert namespace["kernel"].shape == (37, 37)
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed] == ["1", "2"]
+
+
+
+def _writes_an_artifact(call: ast.Call) -> bool:
+    name = ast.unparse(call.func)
+    if name in ("open", "io.open"):
+        modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+        return any(
+            not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes
+        )
+    return (
+        name in ("os.open", "csv.writer", "csv.DictWriter", "json.dump")
+        or name.endswith((".write_text", ".write_bytes"))
+        or (name == "json.dumps" and any(k.arg == "indent" for k in call.keywords))
+    )
+
+
+def test_only_the_codec_module_writes_artifact_files():
+    """Outside ``_atomic.py`` no module opens a file for writing, writes
+    CSV, or formats indented JSON; the compact ``json.dumps`` of the
+    config-section hashes is a hash input, not an artifact."""
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+        for path in sorted(Path(alkspace.__file__).parent.glob("*.py"))
+        if path.name != "_atomic.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_an_artifact(node)
+    ]
+    assert found == []

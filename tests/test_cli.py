@@ -65,6 +65,25 @@ def test_runtime_failure_exits_two(tmp_path):
     assert main(["simulate", "--molecules", missing, "--out", out]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("active_learning", "batch", 1.5),
+        ("chemical_space", "min_carbons", 4.5),
+        ("kernel", "fp_max_iters", 2.5),
+        ("evaluation", "n_test", True),
+    ],
+)
+def test_a_non_integer_config_field_exits_one_writing_nothing(tmp_path, section, key, value):
+    raw = {**CONFIG_RAW, section: {**CONFIG_RAW.get(section, {}), key: value}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    out_dir.mkdir()
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert os.listdir(out_dir) == []
+
+
 @pytest.mark.parametrize("command", ["run-all", "compare-random"])
 def test_oversized_n_test_exits_one_before_any_kernel_work(tmp_path, command):
     # C4..C7 holds 19 molecules, so the default n_test of 200 cannot fit
@@ -212,7 +231,7 @@ def test_evaluate_with_a_nan_prediction_exits_two(tmp_path, caplog):
     with open(pred, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     assert main(["evaluate", "--pred", pred, "--truth", truth]) == 2
-    assert "non-finite predictions" in caplog.text
+    assert "p.csv' line 4: non-finite value" in caplog.text
 
 
 def test_cold_run_with_a_truncated_molecule_list_exits_two(tmp_path, config_file, caplog):
@@ -365,6 +384,43 @@ def test_al_rejects_a_checkpoint_with_other_selection_parameters(tmp_path, caplo
         assert main([*argv, *flags]) == 2
         assert f"checkpoint {ckpt} holds {field}" in caplog.text
         assert ckpt.read_bytes() == before
+
+
+def test_al_rejects_a_malformed_checkpoint_leaving_it(tmp_path, caplog):
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ckpt = tmp_path / "stage1.json"
+    al.save_checkpoint(al.al_init(enumerate_alkane_smiles(4, 7), 0.5, 1000, 1), str(ckpt))
+    ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "pool": "CCCCCC"}))
+    before = ckpt.read_bytes()
+
+    argv = ["al", "--config", str(config), "--out-dir", str(tmp_path / "ws")]
+    assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+    assert f"checkpoint {str(ckpt)!r} field 'pool' must hold a list of strings" in caplog.text
+    assert ckpt.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [(lambda f: f[:-1], "6 fields, expected 7"), (lambda f: [*f[:3], "nan", *f[4:]], "non-finite")],
+    ids=["short-row", "nan"],
+)
+def test_run_all_rejects_a_damaged_reused_dataset_naming_it(
+    tmp_path, config_file, caplog, row, problem
+):
+    ws = tmp_path / "ws"
+    argv = ["run-all", "--config", config_file, "--out-dir", str(ws)]
+    assert main(argv) == 0
+    [dataset] = [ws / n for n in os.listdir(ws) if n.startswith("dataset_stage1_")]
+    lines = dataset.read_text().splitlines()
+    lines[5] = ",".join(row(lines[5].split(",")))
+    dataset.write_text("\n".join(lines) + "\n")
+    before = dataset.read_bytes()
+
+    assert main(argv) == 2
+    assert f"{str(dataset)!r} line 6: {problem}" in caplog.text
+    assert dataset.read_bytes() == before
 
 
 def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message):

@@ -408,6 +408,18 @@ def test_normalized_self_skips_the_solver(monkeypatch):
     assert mgk_normalized(g, g, DEFAULT) == 1.0
 
 
+def test_normalized_is_the_calculator_entry_bitwise():
+    p = MgkHyperparameters(lambda_=0.2)
+    graphs = enumerate_alkanes(1, 10)[::9]
+    calc = MgkCalculator(p)
+    keys = calc.register(graphs)
+    whole = calc.block(keys, keys)
+    alone = np.array([[mgk_normalized(g, h, p) for h in graphs] for g in graphs])
+    assert np.array_equal(alone, whole)
+    # pairs both inside and outside the band of solved pairs
+    assert (whole == 0.0).any() and ((whole > 0.0) & (whole < 1.0)).any()
+
+
 def test_butane_isobutane_strictly_between_zero_and_one():
     v = mgk_normalized(parse_smiles("CCCC"), parse_smiles("CC(C)C"), DEFAULT)
     assert 0.0 < v < 1.0

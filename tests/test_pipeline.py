@@ -1,11 +1,13 @@
 """End-to-end pipeline tests: config parsing, metrics, splits, artifacts."""
 
 import contextlib
+import csv
 import dataclasses
 import json
 import logging
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,14 @@ def test_json_roundtrip(tmp_path):
         {"kernel": {"q": 2.0}},
         {"gpr": {"al_noise": -1.0}},
         {"gpr": {"temperature_length_scale": 0.0}},
+        {"chemical_space": {"max_carbons": 8.0}},
+        {"active_learning": {"seed": True}},
+        {"active_learning": {"checkpoint_every": 2.5}},
+        {"oracle": {"seed": "7"}},
+        {"evaluation": {"split_seed": 1.0}},
+        {"evaluation": {"control_seeds": [0, 1.5]}},
+        {"kernel": {"fp_max_iters": True}},
+        {"active_learning": {"thresholds": [True]}},
     ],
 )
 def test_bad_configs_are_rejected(raw):
@@ -226,18 +236,23 @@ def test_write_dataset_atomic_matches_plain_write(tmp_path):
     series = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
-    written = write_atomic(a, lambda tmp: thermo.write_dataset(tmp, series))
-    assert written == thermo.write_dataset(b, series)
+    written = thermo.write_dataset(a, series)
+    with open(b, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(thermo.DATASET_HEADER)
+        for s in series:
+            for r in s.records:
+                writer.writerow(
+                    [r.molecule_id, repr(r.temperature), repr(r.pressure), repr(r.density),
+                     repr(r.heat_capacity), repr(r.hov), "1" if s.qc.passed else "0"]
+                )
+    assert written == 2 * thermo.GRID_POINTS
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
-    leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
-    assert leftovers == []
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
 
 
-@pytest.mark.parametrize(
-    "content", ["text\n", b"\x00bytes", lambda tmp: Path(tmp).write_text("by path")],
-    ids=["text", "bytes", "writer"],
-)
+@pytest.mark.parametrize("content", ["text\n", b"\x00bytes"], ids=["text", "bytes"])
 def test_atomic_writes_get_the_mode_the_umask_allows(tmp_path, content):
     old = os.umask(0o022)
     try:
@@ -250,18 +265,18 @@ def test_atomic_writes_get_the_mode_the_umask_allows(tmp_path, content):
     assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
 
-def test_a_failed_atomic_write_leaves_nothing(tmp_path):
-    def fail(tmp):
-        Path(tmp).write_text("partial")
+def test_a_failed_atomic_write_leaves_nothing(tmp_path, monkeypatch):
+    def fail(src, dst):
         raise OSError("disk full")
 
+    monkeypatch.setattr(os, "replace", fail)
     target = tmp_path / "a"
     with pytest.raises(OSError, match="disk full"):
-        write_atomic(str(target), fail)
+        write_atomic(str(target), "partial")
     assert os.listdir(tmp_path) == []
     target.write_text("old")
     with pytest.raises(OSError):
-        write_atomic(str(target), fail)
+        write_atomic(str(target), "partial")
     assert os.listdir(tmp_path) == ["a"] and target.read_text() == "old"
 
 
@@ -338,8 +353,19 @@ def test_prediction_roundtrip(tmp_path):
 def test_read_predictions_rejects_foreign_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unrecognized header"):
         read_predictions(str(path))
+    # malformed rows are named by file and line
+    header = ",".join(pipeline.PREDICTION_HEADER)
+    for row, problem in [
+        ("CCCC,200.0,600.0,150.0", "4 fields, expected 5"),
+        ("CCCC,200.0,600.0,150.0,20.0,1", "6 fields, expected 5"),
+        ("CCCC,200.0,600.0,x,20.0", "could not convert"),
+        ("CCCC,200.0,-inf,150.0,20.0", "non-finite value"),
+    ]:
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{str(path)!r} line 2: {problem}")):
+            read_predictions(str(path))
 
 
 def test_evaluate_predictions_joins_on_molecule_and_temperature():

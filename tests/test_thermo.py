@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from alkspace.molspace import (
     to_canonical_smiles,
 )
 from alkspace.thermo import (
+    DATASET_HEADER,
     GRID_POINTS,
     PropertyRecord,
     QcStatus,
@@ -272,8 +274,21 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
 def test_read_dataset_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unrecognized header"):
         read_dataset(str(path))
+    # malformed rows are named by file and line
+    header = ",".join(DATASET_HEADER)
+    good = "CCCC,200.0,1.0,600.0,150.0,20.0,1"
+    for row, problem in [
+        ("CCCC,200.0,1.0,600.0,150.0,20.0", "6 fields, expected 7"),
+        (good + ",1", "8 fields, expected 7"),
+        ("CCCC,200.0,1.0,dense,150.0,20.0,1", "could not convert"),
+        ("CCCC,200.0,1.0,nan,150.0,20.0,1", "non-finite value"),
+        ("CCCC,200.0,1.0,600.0,inf,20.0,1", "non-finite value"),
+    ]:
+        path.write_text(f"{header}\r\n{good}\r\n{row}\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{str(path)!r} line 3: {problem}")):
+            read_dataset(str(path))
 
 
 def test_record_count_scales_with_molecules(tmp_path):
