@@ -66,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence, TypeVar
@@ -107,6 +108,21 @@ class KernelConvergenceError(RuntimeError):
     """A pair's solve failed to reach tolerance within the iteration cap."""
 
 
+def _require_real(
+    name: str, value: object, error: type[ValueError] = ValueError, inf: bool = False
+) -> None:
+    """Raise ``error`` naming the field unless ``value`` is a finite real
+    number, or +inf where ``inf`` is set. A bool is no number: a JSON true
+    would otherwise pass as 1, and be hashed into artifact names as true."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) or (inf and value == math.inf))
+    ):
+        kind = "a finite number or infinity" if inf else "a finite number"
+        raise error(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MgkHyperparameters:
     """Random-walk and micro-kernel parameters.
@@ -135,6 +151,9 @@ class MgkHyperparameters:
     fp_max_iters: int = 2000
 
     def __post_init__(self) -> None:
+        # every field but the last, fp_max_iters, is a float
+        for f in fields(self)[:-1]:
+            _require_real(f.name, getattr(self, f.name), inf=f.name == "lambda_")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if self.start_weight <= 0.0:
@@ -191,29 +210,47 @@ class _GraphArrays:
     gathered by one ``np.stack``: columns 0..m-1 hold V = D^-1/2 U, where
     D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees clamped to 1), then come
     lam, V^T d (clamped degrees) and the degrees. Rows n..m-1, and columns
-    n..m-1 of V, are padding and hold 0.
+    n..m-1 of V, are padding and hold 0. Built by :func:`_graph_arrays`.
     """
 
     __slots__ = ("n", "m", "packed")
 
-    def __init__(self, g: MolecularGraph):
-        n = len(g)
-        m = _size_class(n)
+    def __init__(self, packed: np.ndarray, n: int):
         self.n = n
-        self.m = m
-        adjacency = np.zeros((n, n))
-        for i, nb in enumerate(g.adjacency):
-            adjacency[i, list(nb)] = 1.0
-        degrees = np.array([len(nb) for nb in g.adjacency], dtype=float)
+        self.m = len(packed)
+        self.packed = packed
+
+
+def _graph_arrays(graphs: Sequence[MolecularGraph]) -> list[_GraphArrays]:
+    """The arrays of each graph, in order; graphs of one carbon count are
+    built as one stack, with one ``eigh``. LAPACK factors each matrix of a
+    stack on its own, so a graph's arrays are bitwise those it gets alone."""
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_size.setdefault(len(g), []).append(i)
+    out: list[_GraphArrays] = [None] * len(graphs)  # type: ignore[list-item]
+    for n, members in by_size.items():
+        m = _size_class(n)
+        edges = np.array(
+            [(k, v, u) for k, i in enumerate(members)
+             for v, nb in enumerate(graphs[i].adjacency) for u in nb],
+            dtype=np.intp,
+        ).reshape(-1, 3)
+        adjacency = np.zeros((len(members), n, n))
+        adjacency[edges[:, 0], edges[:, 1], edges[:, 2]] = 1.0
+        degrees = adjacency.sum(axis=2)
         clamped = np.maximum(degrees, 1.0)
         root = 1.0 / np.sqrt(clamped)
-        lam, u = np.linalg.eigh(root[:, None] * adjacency * root[None, :])
-        v = root[:, None] * u
-        self.packed = np.zeros((m, m + 3))
-        self.packed[:n, :n] = v
-        self.packed[:n, m] = lam
-        self.packed[:n, m + 1] = v.T @ clamped
-        self.packed[:n, m + 2] = degrees
+        lam, u = np.linalg.eigh(root[:, :, None] * adjacency * root[:, None, :])
+        v = root[:, :, None] * u
+        packed = np.zeros((len(members), m, m + 3))
+        packed[:, :n, :n] = v
+        packed[:, :n, m] = lam
+        packed[:, :n, m + 1] = (v.transpose(0, 2, 1) @ clamped[:, :, None])[:, :, 0]
+        packed[:, :n, m + 2] = degrees
+        for k, i in enumerate(members):
+            out[i] = _GraphArrays(packed[k], n)
+    return out
 
 
 def _size_class(n: int) -> int:
@@ -357,7 +394,8 @@ def _solve_pairs(
 
 def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
     """Un-normalized marginalized graph kernel value (non-negative)."""
-    return float(_solve_pairs([(_GraphArrays(g1), _GraphArrays(g2))], p)[0][0])
+    a, b = _graph_arrays([g1, g2])
+    return float(_solve_pairs([(a, b)], p)[0][0])
 
 
 def _negligible(k11, k22, p: MgkHyperparameters):
@@ -418,10 +456,18 @@ class MgkCalculator:
         self._cross: dict[int, float] = {}
         # codes of the pairs solved here, one array per solve
         self._solved: list[np.ndarray] = []
+        # codes of the in-band cross pairs block has looked up
+        self._requested: set[int] = set()
         # pairs passed to the solver, self-kernels included, and the
         # stacked solves they took
         self.pairs_solved = 0
         self.stacks_solved = 0
+
+    @property
+    def pairs_requested(self) -> int:
+        """The distinct cross pairs :meth:`block` has looked up, held or
+        not; screened pairs are never looked up."""
+        return len(self._requested)
 
     # -- registry ---------------------------------------------------------
 
@@ -446,12 +492,16 @@ class MgkCalculator:
             self._arrays += [None] * grow
         return out
 
-    def _arrays_for(self, i: int) -> _GraphArrays:
-        if self._arrays[i] is None:
+    def _build_arrays(self, indices: Sequence[int]) -> None:
+        """Build, in one pass, the arrays of the graphs at these distinct
+        indices that have none yet."""
+        need = [i for i in indices if self._arrays[i] is None]
+        for i in need:
             if self._graphs[i] is None:
                 raise KeyError(self._keys[i])
-            self._arrays[i] = _GraphArrays(self._graphs[i])
-        return self._arrays[i]
+        built = _graph_arrays([self._graphs[i] for i in need])  # type: ignore[misc]
+        for i, arrays in zip(need, built):
+            self._arrays[i] = arrays
 
     # -- evaluation -------------------------------------------------------
 
@@ -477,6 +527,7 @@ class MgkCalculator:
         same = a == b
         codes = (np.minimum(a, b) << 32 | np.maximum(a, b))[~same].tolist()
         held = self._cross
+        self._requested.update(codes)
         missing = [c for c in dict.fromkeys(codes) if c not in held]
         if missing:
             self._compute_pairs(np.array(missing, dtype=np.int64))
@@ -495,7 +546,8 @@ class MgkCalculator:
         lo, hi = codes >> 32, codes & _LOW
         keys = self._keys
         pairs = [(i, j) if keys[i] <= keys[j] else (j, i) for i, j in zip(lo.tolist(), hi.tolist())]
-        arrays = [(self._arrays_for(i), self._arrays_for(j)) for i, j in pairs]
+        self._build_arrays(np.unique(np.concatenate([lo, hi])).tolist())
+        arrays = [(self._arrays[i], self._arrays[j]) for i, j in pairs]
         values, stacks = _solve_pairs(arrays, self.params)
         self._store(codes, values)
         self._solved.append(codes)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -23,7 +22,7 @@ import numpy as np
 from . import active_learning as al
 from . import gpr, thermo
 from ._atomic import read_csv, read_json, write_atomic, write_csv, write_json
-from .mgk import MgkCalculator, MgkHyperparameters
+from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
     MolecularGraph,
     descriptors,
@@ -60,15 +59,14 @@ class GprSettings:
     temperature_length_scale: float = 50.0
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            _require_real(name, value, ConfigError)
         for name in ("al_noise", "regression_noise"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if not (
-            math.isfinite(self.temperature_length_scale)
-            and self.temperature_length_scale > 0.0
-        ):
-            raise ConfigError("temperature_length_scale must be finite and positive")
+            if value < 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        if not self.temperature_length_scale > 0.0:
+            raise ConfigError("temperature_length_scale must be positive")
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -131,8 +129,8 @@ class PipelineConfig:
         if not self.thresholds:
             raise ConfigError("need at least one threshold")
         for t in self.thresholds:
-            # a checkpoint holds its threshold as a JSON number, never true
-            if isinstance(t, bool) or not 0.0 < t <= 1.0:
+            _require_real("thresholds", t, ConfigError)
+            if not 0.0 < t <= 1.0:
                 raise ConfigError(f"thresholds must lie in (0, 1], got {t!r}")
         if any(b >= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ConfigError(f"thresholds must decrease strictly: {self.thresholds}")
@@ -140,6 +138,7 @@ class PipelineConfig:
             raise ConfigError("batch must be at least 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be at least 1")
+        _require_real("noise_sigma", self.noise_sigma, ConfigError)
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
         if self.n_test < 0:
@@ -417,8 +416,9 @@ class _Workspace:
         A body that finishes without error and solved pairs adds one
         segment of just those pairs, named by a digest of its bytes; no
         segment is ever rewritten. A segment that fails the checks of
-        :meth:`MgkCalculator.load_cache` fails the command. The pairs and
-        stacks solved are logged on exit, never written to ``out_dir``.
+        :meth:`MgkCalculator.load_cache` fails the command. The cross pairs
+        requested, and the pairs and stacks solved, are logged on exit, never
+        written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
@@ -431,8 +431,8 @@ class _Workspace:
             yield calc
         finally:
             logger.info(
-                "solved %d kernel pairs in %d stacks",
-                calc.pairs_solved, calc.stacks_solved,
+                "requested %d, solved %d kernel pairs in %d stacks",
+                calc.pairs_requested, calc.pairs_solved, calc.stacks_solved,
             )
         if calc.pairs_solved:
             rows, data = calc.segment(solved_only=True)

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alkspace import active_learning as al
 from alkspace import gpr, mgk
@@ -317,7 +319,7 @@ def test_incremental_variances_match_full_refit():
     model = gpr.fit(
         state.selected, np.zeros(len(state.selected)), al.DEFAULT_AL_NOISE, provider
     )
-    assert loop.variances(queries) == pytest.approx(
+    assert loop.variances(queries, 0.0) == pytest.approx(
         gpr.predict_variance(model, queries), abs=1e-8
     )
 
@@ -372,6 +374,116 @@ def test_size_screen_leaves_selections_unchanged(seed, monkeypatch):
     unscreened, solved_unscreened = stages()
     assert unscreened == screened
     assert solved < solved_unscreened
+
+
+# -- the variance bound ------------------------------------------------------------
+
+
+def random_kernel(seed, n):
+    """Ids and a provider over a random unit-diagonal positive-semidefinite
+    kernel: a Gram matrix of low rank plus a random ridge, so variances
+    spread over [0, 1]."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, rng.integers(1, 7)))
+    k = x @ x.T + rng.uniform(0.0, 0.5) * np.eye(n)
+    d = np.sqrt(np.diag(k))
+    ids = [f"m{i:02d}" for i in range(n)]
+    return ids, DictProvider(ids, k / d[:, None] / d[None, :])
+
+
+def loop_stages(ids, provider, batch, seed, thresholds=(0.5, 0.4, 0.3)):
+    """Terminal states of a run and its continuations."""
+    out = [al_run(ids, thresholds[0], batch, seed, provider)]
+    for threshold in thresholds[1:]:
+        out.append(al_continue(out[-1], threshold, provider))
+    return out
+
+
+def oracle_stages(ids, provider, batch, seed, thresholds=(0.5, 0.4, 0.3)):
+    """The terminal states of :func:`loop_stages`, stepped by refit_step."""
+    state = al_init(ids, thresholds[0], batch, seed)
+    out = []
+    for threshold in thresholds:
+        if out:
+            state = replace(state, pool=state.abandoned, abandoned=frozenset(),
+                            threshold=threshold)
+        while state.pool:
+            state = refit_step(state, provider)
+        out.append(state)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.floats(0.05, 0.95))
+def test_the_blocked_bound_never_falls_below_the_exact_variance(seed, n_selected, threshold):
+    ids, provider = random_kernel(seed, n_selected + 16)
+    state = AlState(
+        selected=tuple(ids[:n_selected]), pool=frozenset(ids[n_selected:]),
+        abandoned=frozenset(), threshold=threshold, batch=100, seed=0, iteration=0,
+    )
+    loop = al._IncrementalLoop(state, provider, al.DEFAULT_AL_NOISE)
+    subset = sorted(state.pool)
+    scored = loop.variances(subset, threshold)
+    # no variance falls below 0 - _MARGIN, so at 0 every candidate is exact
+    exact = loop.variances(subset, 0.0)
+    model = gpr.fit(state.selected, np.zeros(n_selected), al.DEFAULT_AL_NOISE, provider)
+    assert exact == pytest.approx(gpr.predict_variance(model, subset), abs=1e-9)
+    assert np.all(scored >= exact - al._MARGIN)
+    # a candidate is scored exactly, or by a bound below the threshold
+    bounded = scored < threshold - al._MARGIN
+    assert np.all(bounded | np.isclose(scored, exact, rtol=0.0, atol=1e-12))
+    assert al._partition_subset(subset, scored, threshold) == al._partition_subset(
+        subset, exact, threshold
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.05, 0.95))
+def test_runs_on_random_kernels_match_the_refit_oracle(seed, batch, threshold):
+    ids, provider = random_kernel(seed, 24)
+    steps = []
+    al_run(ids, threshold, batch, seed % 1000, provider, on_step=steps.append)
+    state = al_init(ids, threshold, batch, seed % 1000)
+    for got in steps:
+        state = refit_step(state, provider)
+        assert got == state
+    assert state.is_terminal
+
+
+@pytest.mark.parametrize(
+    "max_carbons, batch, seed",
+    [(10, 1000, 1), (10, 1000, 2), (10, 1000, 3), (10, 20, 1), (10, 20, 5),
+     (12, 1000, 1), (12, 1000, 1001), (12, 100, 1), (12, 100, 7)],
+)
+def test_three_stages_select_what_the_refit_oracle_selects(max_carbons, batch, seed):
+    calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
+    ids = calc.register(enumerate_alkanes(4, max_carbons))
+    assert loop_stages(ids, calc, batch, seed) == oracle_stages(ids, calc, batch, seed)
+
+
+def test_the_bound_solves_fewer_pairs_for_the_same_selections(monkeypatch):
+    mols = enumerate_alkanes(4, 10)
+
+    def stages():
+        calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
+        ids = calc.register(mols)
+        out = loop_stages(ids, calc, 1000, 1)
+        return out, calc.pairs_solved, calc.pairs_requested
+
+    bounded, solved, requested = stages()
+    # no bound falls below -inf: every candidate's row is read whole
+    monkeypatch.setattr(al, "_MARGIN", math.inf)
+    full, solved_full, requested_full = stages()
+    assert bounded == full
+    assert solved < solved_full
+    assert requested < requested_full
+
+
+def test_row_blocks_double_after_the_first():
+    b = al._ROW_BLOCK
+    assert al._row_blocks(0) == []
+    assert al._row_blocks(1) == [(0, 1)]
+    assert al._row_blocks(5 * b) == [(0, b), (b, 2 * b), (2 * b, 4 * b), (4 * b, 5 * b)]
 
 
 def test_continue_with_an_empty_pool_still_checkpoints(tmp_path):

@@ -4,7 +4,9 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -75,6 +77,21 @@ def test_runtime_failure_exits_two(tmp_path):
     ],
 )
 def test_a_non_integer_config_field_exits_one_writing_nothing(tmp_path, section, key, value):
+    raw = {**CONFIG_RAW, section: {**CONFIG_RAW.get(section, {}), key: value}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    out_dir.mkdir()
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("oracle", "noise_sigma", True), ("oracle", "noise_sigma", math.nan),
+     ("kernel", "lambda", True), ("gpr", "al_noise", math.inf)],
+)
+def test_a_bad_float_config_field_exits_one_writing_nothing(tmp_path, section, key, value):
     raw = {**CONFIG_RAW, section: {**CONFIG_RAW.get(section, {}), key: value}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -567,7 +584,10 @@ def test_run_all_leaves_scipy_unloaded(tmp_path):
 
 
 def _solved(caplog) -> list[int]:
-    return [int(m.split()[1]) for m in caplog.messages if m.startswith("solved ")]
+    """N of each ``requested R, solved N kernel pairs in M stacks`` line."""
+    lines = (re.fullmatch(r"requested \d+, solved (\d+) kernel pairs in \d+ stacks", m)
+             for m in caplog.messages)
+    return [int(m[1]) for m in lines if m]
 
 
 def test_a_workspace_only_grows_by_new_files(tmp_path, config_file, caplog):

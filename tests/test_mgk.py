@@ -260,7 +260,7 @@ def test_random_trees_match_direct_solve(g1, g2, q):
 @example(parse_smiles("CC"))
 def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
     n = len(g)
-    arrays = mgk._GraphArrays(g)
+    arrays = mgk._graph_arrays([g])[0]
     v, lam = arrays.packed[:n, :n], arrays.packed[:n, arrays.m]
     degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
     adjacency = np.zeros((n, n))
@@ -275,7 +275,7 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
 @given(alkane_trees(16))
 @example(parse_smiles("C"))
 def test_packed_arrays_are_zero_outside_the_graph(g):
-    arrays = mgk._GraphArrays(g)
+    arrays = mgk._graph_arrays([g])[0]
     n, m = arrays.n, arrays.m
     assert n == len(g) and m == mgk._size_class(n)
     assert m % mgk._SIZE_STEP == 0 and n <= m < n + mgk._SIZE_STEP
@@ -283,6 +283,38 @@ def test_packed_arrays_are_zero_outside_the_graph(g):
     # rows n..m-1 of every column, and columns n..m-1 of V
     assert not arrays.packed[n:].any()
     assert not arrays.packed[:, n:m].any()
+
+
+def _arrays_of_one_graph(g: MolecularGraph) -> np.ndarray:
+    """``packed`` as built one graph at a time, with one eigh per graph."""
+    n = len(g)
+    m = mgk._size_class(n)
+    adjacency = np.zeros((n, n))
+    for i, nb in enumerate(g.adjacency):
+        adjacency[i, list(nb)] = 1.0
+    degrees = np.array([len(nb) for nb in g.adjacency], dtype=float)
+    clamped = np.maximum(degrees, 1.0)
+    root = 1.0 / np.sqrt(clamped)
+    lam, u = np.linalg.eigh(root[:, None] * adjacency * root[None, :])
+    v = root[:, None] * u
+    packed = np.zeros((m, m + 3))
+    packed[:n, :n] = v
+    packed[:n, m] = lam
+    packed[:n, m + 1] = v.T @ clamped
+    packed[:n, m + 2] = degrees
+    return packed
+
+
+def test_stacked_arrays_are_bitwise_those_of_one_graph_alone():
+    # cache values depend on these bytes, so a stack must not change them
+    graphs = enumerate_alkanes(4, 10)
+    want = [_arrays_of_one_graph(g).tobytes() for g in graphs]
+    for order in (graphs, graphs[::-1]):
+        built = mgk._graph_arrays(order)
+        got = {id(g): a for g, a in zip(order, built)}
+        for g, packed in zip(graphs, want):
+            assert (got[id(g)].n, got[id(g)].m) == (len(g), mgk._size_class(len(g)))
+            assert got[id(g)].packed.tobytes() == packed
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,7 +328,7 @@ def test_a_size_class_stack_matches_each_pair_solved_alone(data, q):
     )
     assume(len({len(g) for g in graphs}) > 1)
     p = MgkHyperparameters(q=q)
-    arrays = [mgk._GraphArrays(g) for g in graphs]
+    arrays = mgk._graph_arrays(graphs)
     pairs = [(a, b) for a in arrays for b in arrays]
     stacked, stacks = mgk._solve_pairs(pairs, p)
     assert stacks == 1
@@ -520,6 +552,24 @@ def test_screened_entries_do_not_depend_on_batch_order_or_path():
     assert np.array_equal(one_by_one, whole)
 
 
+def test_requested_counts_the_distinct_in_band_cross_pairs_looked_up():
+    mols = enumerate_alkanes(4, 9)
+    calc = MgkCalculator(SCREENING)
+    keys = calc.register(mols)
+    assert calc.pairs_requested == 0
+    calc.block(keys[:5], keys)
+    first = calc.pairs_requested
+    assert 0 < first <= 5 * len(keys)
+    # the same pairs again, transposed, and a key against itself
+    calc.block(keys, keys[:5])
+    calc.block(keys[:1], keys[:1])
+    assert calc.pairs_requested == first
+    whole = calc.block(keys, keys)
+    # an in-band entry is positive, a screened one 0 and never looked up
+    assert calc.pairs_requested == np.count_nonzero(np.triu(whole, 1))
+    assert calc.pairs_requested < len(keys) * (len(keys) - 1) // 2
+
+
 def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
     graphs = [parse_smiles("CCCC"), parse_smiles("CCCCCCCCCC")]
     sizes = []
@@ -630,9 +680,24 @@ def test_hyperparameter_validation(kwargs):
         MgkHyperparameters(**kwargs)
 
 
+_FLOAT_FIELDS = ("q", "start_weight", "delta_element", "delta_degree",
+                 "delta_bond_order", "lambda_", "fp_tolerance")
+
+
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, "0.5", None])
+def test_a_float_hyperparameter_must_be_a_finite_number(field, value):
+    if field == "lambda_" and value == math.inf:
+        assert MgkHyperparameters(lambda_=value).to_dict()["lambda"] is None
+        return
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        MgkHyperparameters(**{field: value})
+
+
 def test_from_dict_lambda_key_and_null():
     p = MgkHyperparameters.from_dict({"q": 0.1, "lambda": None})
     assert math.isinf(p.lambda_)
+    assert p.to_dict()["lambda"] is None
     p = MgkHyperparameters.from_dict({"lambda": 0.25})
     assert p.lambda_ == 0.25
     with pytest.raises(ValueError):
