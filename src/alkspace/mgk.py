@@ -59,6 +59,17 @@ semi-definite, so k12 <= sqrt(k11 k22) and the undamped value is at most 1.
 The self-kernels alone decide this, so :class:`MgkCalculator` never solves
 such a pair and never stores it; only pairs in the band
 |k11 - k22| <= lambda_ sqrt(53 ln 2) are solved.
+
+:class:`MgkCalculator` holds everything in flat numpy arrays indexed by a
+dense molecule index, so no Python loop runs over pairs between
+:meth:`MgkCalculator.block` and the solver. Each molecule's graph arrays
+are one row of the arena of its size class, found by two int64 arrays
+(class and row), and a stack is gathered from an arena by fancy indexing.
+Self-kernels are a float64 vector. A cross pair is an int64 code
+i << 32 | j; codes, float64 values and a looked-up flag are kept in a
+few sorted runs, searched with ``np.searchsorted`` and merged
+geometrically as pairs are added, about 17 bytes per pair. A pair's
+orientation comes from an int rank array of the canonical SMILES.
 """
 
 from __future__ import annotations
@@ -69,7 +80,8 @@ import math
 import numbers
 import zipfile
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence, TypeVar
+from itertools import repeat
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -88,8 +100,6 @@ _CHUNK_ENTRIES = 16384
 # 0.380 s at 2, 0.365 s at 3, 0.371 s at 4, 0.383 s at 6; alms_c10_cold:
 # 0.557 s at 1, 0.525 s at 3, 0.524 s at 4.
 _SIZE_STEP = 3
-
-_T = TypeVar("_T")
 
 # 5: npz segments of int32 index pairs into a sorted key table, with the
 # values of version 4 (stacks padded to size classes), which were CSV
@@ -202,37 +212,47 @@ class MgkHyperparameters:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-class _GraphArrays:
-    """Per-graph arrays reused across all pairs involving the graph.
-
-    ``packed`` is one (m, m + 3) array, m being the size class of the n
-    carbons (:func:`_size_class`), so a stack of graphs of one class is
-    gathered by one ``np.stack``: columns 0..m-1 hold V = D^-1/2 U, where
-    D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees clamped to 1), then come
-    lam, V^T d (clamped degrees) and the degrees. Rows n..m-1, and columns
-    n..m-1 of V, are padding and hold 0. Built by :func:`_graph_arrays`.
+class _Arenas:
+    """Graph arrays by size class: one (rows, m, m + 3) array per class m,
+    one row per graph, grown by doubling. A row holds V = D^-1/2 U in
+    columns 0..m-1, where D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees
+    clamped to 1), then lam, V^T d (clamped degrees) and the degrees. Rows
+    n..m-1, and columns n..m-1 of V, are padding and hold 0. Filled by
+    :func:`_graph_arrays`.
     """
 
-    __slots__ = ("n", "m", "packed")
+    def __init__(self) -> None:
+        self.stacks: dict[int, np.ndarray] = {}
+        self.used: dict[int, int] = {}
 
-    def __init__(self, packed: np.ndarray, n: int):
-        self.n = n
-        self.m = len(packed)
-        self.packed = packed
+    def reserve(self, m: int, k: int) -> tuple[np.ndarray, int]:
+        """The array of class ``m`` with ``k`` more zero rows in use, and
+        the first of them."""
+        lo = self.used.get(m, 0)
+        stack = self.stacks.get(m)
+        if stack is None or len(stack) < lo + k:
+            grown = np.zeros((max(2 * lo, lo + k), m, m + 3))
+            if stack is not None:
+                grown[:lo] = stack[:lo]
+            self.stacks[m] = stack = grown
+        self.used[m] = lo + k
+        return stack, lo
 
 
-def _graph_arrays(graphs: Sequence[MolecularGraph]) -> list[_GraphArrays]:
-    """The arrays of each graph, in order; graphs of one carbon count are
-    built as one stack, with one ``eigh``. LAPACK factors each matrix of a
-    stack on its own, so a graph's arrays are bitwise those it gets alone."""
-    by_size: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_size.setdefault(len(g), []).append(i)
-    out: list[_GraphArrays] = [None] * len(graphs)  # type: ignore[list-item]
-    for n, members in by_size.items():
+def _graph_arrays(
+    graphs: Sequence[MolecularGraph], arenas: _Arenas
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write the arrays of each graph into ``arenas``; returns each graph's
+    size class and row. Graphs of one carbon count are built as one stack,
+    with one ``eigh``. LAPACK factors each matrix of a stack on its own, so
+    a graph's arrays are bitwise those it gets alone."""
+    sizes = np.fromiter(map(len, graphs), np.int64, len(graphs))
+    rows = np.empty(len(graphs), np.int64)
+    for n in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == n)
         m = _size_class(n)
         edges = np.array(
-            [(k, v, u) for k, i in enumerate(members)
+            [(k, v, u) for k, i in enumerate(members.tolist())
              for v, nb in enumerate(graphs[i].adjacency) for u in nb],
             dtype=np.intp,
         ).reshape(-1, 3)
@@ -243,29 +263,20 @@ def _graph_arrays(graphs: Sequence[MolecularGraph]) -> list[_GraphArrays]:
         root = 1.0 / np.sqrt(clamped)
         lam, u = np.linalg.eigh(root[:, :, None] * adjacency * root[:, None, :])
         v = root[:, :, None] * u
-        packed = np.zeros((len(members), m, m + 3))
+        stack, lo = arenas.reserve(m, len(members))
+        packed = stack[lo : lo + len(members)]
         packed[:, :n, :n] = v
         packed[:, :n, m] = lam
         packed[:, :n, m + 1] = (v.transpose(0, 2, 1) @ clamped[:, :, None])[:, :, 0]
         packed[:, :n, m + 2] = degrees
-        for k, i in enumerate(members):
-            out[i] = _GraphArrays(packed[k], n)
-    return out
+        rows[members] = np.arange(lo, lo + len(members))
+    return _size_class(sizes), rows
 
 
-def _size_class(n: int) -> int:
-    """The padded size of a graph of ``n`` carbons: ``n`` rounded up to a
-    multiple of _SIZE_STEP."""
+def _size_class(n):
+    """The padded size of a graph of ``n`` carbons (an int or an int
+    array): ``n`` rounded up to a multiple of _SIZE_STEP."""
     return -(-n // _SIZE_STEP) * _SIZE_STEP
-
-
-def _distinct(items: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
-    """Distinct items in first-seen order, and each entry's position among them."""
-    first: dict[_T, int] = {}
-    index = np.fromiter(
-        (first.setdefault(x, len(first)) for x in items), np.intp, len(items)
-    )
-    return list(first), index
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,9 +291,9 @@ def _pcg(
     diag: np.ndarray,
     rhs: np.ndarray,
     p: MgkHyperparameters,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Per-pair sums of S = V1 Y V2^T, where Y solves
-    diag*Y + V1^T (c*S) V2 = rhs.
+    diag*Y + V1^T (c*S) V2 = rhs, and the iterations the stack took.
 
     Conjugate gradient on a (k, n1, n2) stack in the eigenbasis, with the
     diagonal as preconditioner. Step sizes, residuals and the stop test
@@ -307,7 +318,7 @@ def _pcg(
     stop = p.fp_tolerance**2 * rz
     # a finished slice that reaches an exact zero residual divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(p.fp_max_iters):
+        for iteration in range(1, p.fp_max_iters + 1):
             s = v1 @ d @ v2.transpose(0, 2, 1)
             s_sum = np.einsum("kij->k", s)
             s *= c
@@ -327,7 +338,7 @@ def _pcg(
                 pending &= ~done
                 remaining = np.count_nonzero(pending)
                 if remaining == 0:
-                    return out
+                    return out, iteration
                 if 4 * remaining <= 3 * len(pending):
                     keep = pending
                     live, pending, total, stop, rz, rz_next = (
@@ -346,32 +357,35 @@ def _pcg(
 
 
 def _solve_pairs(
-    pairs: Sequence[tuple[_GraphArrays, _GraphArrays]], p: MgkHyperparameters
-) -> tuple[np.ndarray, int]:
-    """Raw kernel values of graph pairs, in request order, and the number
-    of stacked solves they took.
+    arenas: _Arenas,
+    class_a: np.ndarray,
+    row_a: np.ndarray,
+    class_b: np.ndarray,
+    row_b: np.ndarray,
+    p: MgkHyperparameters,
+) -> tuple[np.ndarray, int, int]:
+    """Raw kernel values of graph pairs, each side given by its size class
+    and row in ``arenas``, in request order; the number of stacked solves
+    they took and the CG iterations of those stacks.
 
-    Pairs are grouped by the size classes (m1, m2) of their graphs.
-    Per-pair inputs are gathered from the stacked per-graph arrays, one
-    stack of at most _CHUNK_ENTRIES padded product-graph vertices at a
-    time.
+    Pairs are grouped by the size classes (m1, m2) of their graphs, in
+    request order within a group, and gathered from the arenas one stack
+    of at most _CHUNK_ENTRIES padded product-graph vertices at a time.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        groups.setdefault((a.m, b.m), []).append(i)
     scale = (1.0 - p.q) ** 2
     q2 = p.q * p.q
     sw2 = p.start_weight**2
-    out = np.empty(len(pairs))
-    stacks = 0
-    for (m1, m2), members in groups.items():
-        graphs_a, ia = _distinct([pairs[i][0] for i in members])
-        graphs_b, ib = _distinct([pairs[i][1] for i in members])
-        pa = np.stack([g.packed for g in graphs_a])
-        pb = np.stack([g.packed for g in graphs_b])
+    out = np.empty(len(class_a))
+    stacks = iterations = 0
+    shape = class_a << 32 | class_b
+    order = np.argsort(shape, kind="stable")
+    starts = np.flatnonzero(np.diff(shape[order], prepend=-1))
+    for members in np.split(order, starts[1:]):
+        m1, m2 = int(class_a[members[0]]), int(class_b[members[0]])
         step = max(1, _CHUNK_ENTRIES // (m1 * m2))
         for lo in range(0, len(members), step):
-            a, b = pa[ia[lo : lo + step]], pb[ib[lo : lo + step]]
+            chunk = members[lo : lo + step]
+            a, b = arenas.stacks[m1][row_a[chunk]], arenas.stacks[m2][row_b[chunk]]
             lam, vd1, da = (a[:, :, m1 + i] for i in range(3))
             mu, vd2, db = (b[:, :, m2 + i] for i in range(3))
             # c = (1/K_v - 1) D_x, formed in place; it is nonzero on some
@@ -379,7 +393,7 @@ def _solve_pairs(
             c = np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
             c -= 1.0
             c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
-            sums = _pcg(
+            sums, taken = _pcg(
                 np.ascontiguousarray(a[:, :, :m1]),
                 np.ascontiguousarray(b[:, :, :m2]),
                 c,
@@ -387,15 +401,17 @@ def _solve_pairs(
                 q2 * vd1[:, :, None] * vd2[:, None, :],
                 p,
             )
-            out[members[lo : lo + step]] = sw2 * sums
+            out[chunk] = sw2 * sums
             stacks += 1
-    return out, stacks
+            iterations += taken
+    return out, stacks, iterations
 
 
 def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
     """Un-normalized marginalized graph kernel value (non-negative)."""
-    a, b = _graph_arrays([g1, g2])
-    return float(_solve_pairs([(a, b)], p)[0][0])
+    arenas = _Arenas()
+    classes, rows = _graph_arrays([g1, g2], arenas)
+    return float(_solve_pairs(arenas, classes[:1], rows[:1], classes[1:], rows[1:], p)[0][0])
 
 
 def _negligible(k11, k22, p: MgkHyperparameters):
@@ -433,17 +449,85 @@ def mgk_normalized(
     return float(calc.block([a], [b])[0, 0])
 
 
+class _Table:
+    """Cross raw values keyed by int64 pair codes, with a flag per row that
+    :meth:`MgkCalculator.block` has looked the pair up.
+
+    The rows are a few sorted runs, codes disjoint across runs. An insert
+    adds a run and merges it with the runs before it while they are less
+    than twice its size, so there are at most about log2(rows) runs and a
+    row is copied about log2(rows) times in all.
+    """
+
+    def __init__(self) -> None:
+        # (codes, values, looked) per run, largest first
+        self.runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def looked(self) -> int:
+        """How many rows are flagged as looked up."""
+        return sum(np.count_nonzero(looked) for _, _, looked in self.runs)
+
+    def get(self, codes: np.ndarray, mark: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The values held for ``codes`` and where one is held; ``mark``
+        flags the rows found as looked up."""
+        values = np.zeros(len(codes))
+        found = np.zeros(len(codes), dtype=bool)
+        for run, held, looked in self.runs:
+            at = np.minimum(np.searchsorted(run, codes), len(run) - 1)
+            hit = run[at] == codes
+            at = at[hit]
+            values[hit] = held[at]
+            found |= hit
+            if mark:
+                looked[at] = True
+        return values, found
+
+    def add(self, codes: np.ndarray, values: np.ndarray, looked: bool) -> None:
+        """Insert rows whose codes are distinct and not yet held."""
+        if not len(codes):
+            return
+        order = np.argsort(codes)
+        run = (codes[order], values[order], np.full(len(codes), looked))
+        while self.runs and len(self.runs[-1][0]) < 2 * len(run[0]):
+            run = _merge(self.runs.pop(), run)
+        self.runs.append(run)
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every code held and its value."""
+        if not self.runs:
+            return np.empty(0, np.int64), np.empty(0)
+        return (np.concatenate([codes for codes, _, _ in self.runs]),
+                np.concatenate([values for _, values, _ in self.runs]))
+
+
+def _merge(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """One sorted run from two with disjoint codes."""
+    at = np.searchsorted(a[0], b[0]) + np.arange(len(b[0]))
+    rest = np.ones(len(a[0]) + len(b[0]), dtype=bool)
+    rest[at] = False
+    out = []
+    for x, y in zip(a, b):
+        z = np.empty(len(rest), x.dtype)
+        z[at] = y
+        z[rest] = x
+        out.append(z)
+    return tuple(out)
+
+
 class MgkCalculator:
     """Kernel evaluator over a store of raw values keyed by molecule index.
 
     :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
     the regression and selection layers. :meth:`register` gives each
     canonical SMILES a dense index. Raw (un-normalized) self-kernels live in
-    one float64 vector indexed by molecule, NaN until known, and the other
-    raw values in one dict keyed by ``i << 32 | j`` of the two indices,
-    i < j. A pair is solved in the order of its two canonical SMILES, so its
-    value does not depend on the order of registration. The store is saved
-    and loaded as cache segments (:meth:`segment`, :meth:`load_cache`).
+    one float64 vector indexed by molecule, NaN until known; the other raw
+    values live in a table of sorted int64 codes ``i << 32 | j`` of the two
+    indices, i < j, with a float64 value and a looked-up flag per row
+    (:class:`_Table`). Graph arrays live in per-size-class arenas, found by
+    each molecule's class and row. A pair is solved in the order of its two
+    canonical SMILES, so its value does not depend on the order of
+    registration. The store is saved and loaded as cache segments
+    (:meth:`segment`, :meth:`load_cache`).
     """
 
     def __init__(self, params: MgkHyperparameters):
@@ -451,23 +535,27 @@ class MgkCalculator:
         self._index: dict[str, int] = {}
         self._keys: list[str] = []
         self._graphs: list[MolecularGraph | None] = []
-        self._arrays: list[_GraphArrays | None] = []
+        # rank of each key in canonical-SMILES order; None once stale
+        self._rank: np.ndarray | None = None
+        self._arenas = _Arenas()
+        # size class and arena row of each molecule's arrays; row -1 until built
+        self._class = np.empty(0, np.int64)
+        self._row = np.empty(0, np.int64)
         self._self = np.empty(0)
-        self._cross: dict[int, float] = {}
+        self._cross = _Table()
         # codes of the pairs solved here, one array per solve
         self._solved: list[np.ndarray] = []
-        # codes of the in-band cross pairs block has looked up
-        self._requested: set[int] = set()
-        # pairs passed to the solver, self-kernels included, and the
-        # stacked solves they took
+        # pairs passed to the solver, self-kernels included, the stacked
+        # solves they took and those stacks' CG iterations
         self.pairs_solved = 0
         self.stacks_solved = 0
+        self.cg_iterations = 0
 
     @property
     def pairs_requested(self) -> int:
         """The distinct cross pairs :meth:`block` has looked up, held or
         not; screened pairs are never looked up."""
-        return len(self._requested)
+        return self._cross.looked()
 
     # -- registry ---------------------------------------------------------
 
@@ -487,21 +575,30 @@ class MgkCalculator:
         grow = len(index) - len(self._keys)
         if grow:
             self._keys = list(index)
+            self._rank = None
             self._self = np.concatenate([self._self, np.full(grow, np.nan)])
+            self._class = np.concatenate([self._class, np.zeros(grow, np.int64)])
+            self._row = np.concatenate([self._row, np.full(grow, -1, np.int64)])
             self._graphs += [None] * grow
-            self._arrays += [None] * grow
         return out
 
-    def _build_arrays(self, indices: Sequence[int]) -> None:
+    def _ranks(self) -> np.ndarray:
+        """Each index's rank in canonical-SMILES order."""
+        if self._rank is None:
+            self._rank = np.empty(len(self._keys), np.int64)
+            self._rank[np.argsort(np.array(self._keys, dtype=str))] = np.arange(len(self._keys))
+        return self._rank
+
+    def _build_arrays(self, indices: np.ndarray) -> None:
         """Build, in one pass, the arrays of the graphs at these distinct
         indices that have none yet."""
-        need = [i for i in indices if self._arrays[i] is None]
-        for i in need:
-            if self._graphs[i] is None:
-                raise KeyError(self._keys[i])
-        built = _graph_arrays([self._graphs[i] for i in need])  # type: ignore[misc]
-        for i, arrays in zip(need, built):
-            self._arrays[i] = arrays
+        need = indices[self._row[indices] < 0].tolist()
+        if not need:
+            return
+        graphs = [self._graphs[i] for i in need]
+        if None in graphs:
+            raise KeyError(self._keys[need[graphs.index(None)]])
+        self._class[need], self._row[need] = _graph_arrays(graphs, self._arenas)  # type: ignore[arg-type]
 
     # -- evaluation -------------------------------------------------------
 
@@ -515,8 +612,8 @@ class MgkCalculator:
         key list against itself is exactly symmetric with a unit diagonal.
         """
         index = self._index.__getitem__
-        ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64), return_inverse=True)
-        ub, cols = np.unique(np.fromiter(map(index, keys_b), np.int64), return_inverse=True)
+        ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64, len(keys_a)), return_inverse=True)
+        ub, cols = np.unique(np.fromiter(map(index, keys_b), np.int64, len(keys_b)), return_inverse=True)
         both = np.union1d(ua, ub)
         missing = both[np.isnan(self._self[both])]
         if missing.size:
@@ -525,14 +622,16 @@ class MgkCalculator:
         ia, ib = np.nonzero(~_negligible(k11, k22, self.params))
         a, b = ua[ia], ub[ib]
         same = a == b
-        codes = (np.minimum(a, b) << 32 | np.maximum(a, b))[~same].tolist()
-        held = self._cross
-        self._requested.update(codes)
-        missing = [c for c in dict.fromkeys(codes) if c not in held]
-        if missing:
-            self._compute_pairs(np.array(missing, dtype=np.int64))
+        cross = ~same
+        codes, inverse = np.unique(
+            np.minimum(a[cross], b[cross]) << 32 | np.maximum(a[cross], b[cross]),
+            return_inverse=True,
+        )
+        held, found = self._cross.get(codes, mark=True)
+        if not found.all():
+            held[~found] = self._compute_pairs(codes[~found])
         k12 = np.zeros((len(ua), len(ub)))
-        k12[ia[~same], ib[~same]] = np.fromiter(map(held.__getitem__, codes), float, len(codes))
+        k12[ia[cross], ib[cross]] = held[inverse]
         values = _normalize(k12, k11, k22, self.params)
         values[ia[same], ib[same]] = 1.0
         return values[np.ix_(rows, cols)]
@@ -540,25 +639,44 @@ class MgkCalculator:
     def diag(self, keys: Sequence[str]) -> np.ndarray:
         return np.ones(len(keys))
 
-    def _compute_pairs(self, codes: np.ndarray) -> None:
-        """Solve and store the raw values of the pairs with these codes,
-        each in the order of its two canonical SMILES."""
+    def _compute_pairs(self, codes: np.ndarray) -> np.ndarray:
+        """Solve and store the raw values of the pairs with these distinct
+        codes, each in the order of its two canonical SMILES; returns them.
+        The cross pairs are stored as looked up, as :meth:`block` solves
+        only pairs it looks up."""
         lo, hi = codes >> 32, codes & _LOW
-        keys = self._keys
-        pairs = [(i, j) if keys[i] <= keys[j] else (j, i) for i, j in zip(lo.tolist(), hi.tolist())]
-        self._build_arrays(np.unique(np.concatenate([lo, hi])).tolist())
-        arrays = [(self._arrays[i], self._arrays[j]) for i, j in pairs]
-        values, stacks = _solve_pairs(arrays, self.params)
-        self._store(codes, values)
+        self._build_arrays(np.union1d(lo, hi))
+        rank = self._ranks()
+        swap = rank[lo] > rank[hi]
+        first, second = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        values, stacks, iterations = _solve_pairs(
+            self._arenas,
+            self._class[first], self._row[first],
+            self._class[second], self._row[second],
+            self.params,
+        )
+        self._store(codes, values, looked=True)
         self._solved.append(codes)
         self.pairs_solved += len(codes)
         self.stacks_solved += stacks
+        self.cg_iterations += iterations
+        return values
 
-    def _store(self, codes: np.ndarray, values: np.ndarray) -> None:
+    def _store(self, codes: np.ndarray, values: np.ndarray, looked: bool) -> None:
+        """Hold new values; a cross code must not be held yet."""
         lo, hi = codes >> 32, codes & _LOW
         same = lo == hi
         self._self[lo[same]] = values[same]
-        self._cross.update(zip(codes[~same].tolist(), values[~same].tolist()))
+        self._cross.add(codes[~same], values[~same], looked)
+
+    def _held(self, codes: np.ndarray) -> np.ndarray:
+        """The raw values held for these codes, NaN where none is."""
+        lo, hi = codes >> 32, codes & _LOW
+        values = self._self[lo]
+        off = lo != hi
+        cross, found = self._cross.get(codes[off], mark=False)
+        values[off] = np.where(found, cross, np.nan)
+        return values
 
     # -- persistence ------------------------------------------------------
 
@@ -573,23 +691,22 @@ class MgkCalculator:
         """
         if solved_only:
             codes = np.concatenate([np.empty(0, np.int64), *self._solved])
+            values = self._held(codes)
         else:
             known = np.flatnonzero(~np.isnan(self._self))
-            cross = np.fromiter(self._cross, np.int64, len(self._cross))
+            cross, held = self._cross.items()
             codes = np.concatenate([known << 32 | known, cross])
+            values = np.concatenate([self._self[known], held])
         lo, hi = codes >> 32, codes & _LOW
-        values = self._self[lo]
-        off = np.flatnonzero(lo != hi)
-        values[off] = np.fromiter(map(self._cross.__getitem__, codes[off].tolist()), float)
         used, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        names = np.array([self._keys[k] for k in used.tolist()], dtype=str)
-        order = np.argsort(names)
+        order = np.argsort(self._ranks()[used])
+        names = np.array([self._keys[k] for k in used[order].tolist()], dtype=str)
         i, j = np.sort(np.argsort(order).astype(np.int32)[inverse].reshape(2, -1), axis=0)
         rows = np.lexsort((j, i))
         buf = io.BytesIO()
         np.savez(
             buf,
-            keys=names[order],
+            keys=names,
             pairs=np.stack([i[rows], j[rows]], axis=1),
             values=values[rows],
             version=np.int64(_CACHE_VERSION),
@@ -609,9 +726,11 @@ class MgkCalculator:
 
         ValueError, naming the file, if the segment was written under other
         hyperparameters or another version, holds a value that is not a
-        finite positive number or an index outside its key table, or its
-        key table or rows are not strictly increasing, rows in (i, j) with
-        i <= j. Then nothing is loaded.
+        finite positive number or an index outside its key table, its key
+        table or rows are not strictly increasing, rows in (i, j) with
+        i <= j, or it holds a pair already held with another value. Then
+        nothing is loaded. A pair held with the same value is skipped: two
+        commands may both solve it.
         """
 
         def bad(problem: str) -> ValueError:
@@ -644,7 +763,21 @@ class MgkCalculator:
             if not ok.all():
                 k = int(np.argmin(ok))
                 raise bad(f"row {k}: " + problem.format(float(values[k])))
-        index = self._intern(keys.tolist())
+        # a pair can already be held only if both its keys are registered
+        names = keys.tolist()
+        index = np.fromiter(map(self._index.get, names, repeat(-1)), np.int64, len(names))
         a, b = index[i], index[j]
-        self._store(np.minimum(a, b) << 32 | np.maximum(a, b), values)
+        both = (a >= 0) & (b >= 0)
+        held = np.full(n, np.nan)
+        held[both] = self._held(np.minimum(a, b)[both] << 32 | np.maximum(a, b)[both])
+        clash = ~np.isnan(held) & (held != values)
+        if clash.any():
+            k = int(np.argmax(clash))
+            raise bad(f"row {k}: value {float(values[k])!r} differs from the value "
+                      f"{float(held[k])!r} already held")
+        new = np.isnan(held)
+        unknown = np.flatnonzero(index < 0)
+        index[unknown] = self._intern([names[k] for k in unknown.tolist()])
+        a, b = index[i[new]], index[j[new]]
+        self._store(np.minimum(a, b) << 32 | np.maximum(a, b), values[new], looked=False)
         return n

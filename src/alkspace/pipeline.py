@@ -417,8 +417,8 @@ class _Workspace:
         segment of just those pairs, named by a digest of its bytes; no
         segment is ever rewritten. A segment that fails the checks of
         :meth:`MgkCalculator.load_cache` fails the command. The cross pairs
-        requested, and the pairs and stacks solved, are logged on exit, never
-        written to ``out_dir``.
+        requested, and the pairs, stacks and CG iterations solved, are
+        logged on exit, never written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
         calc.register(_graphs_for(ids))
@@ -431,8 +431,9 @@ class _Workspace:
             yield calc
         finally:
             logger.info(
-                "requested %d, solved %d kernel pairs in %d stacks",
+                "requested %d, solved %d kernel pairs in %d stacks (%d CG iterations)",
                 calc.pairs_requested, calc.pairs_solved, calc.stacks_solved,
+                calc.cg_iterations,
             )
         if calc.pairs_solved:
             rows, data = calc.segment(solved_only=True)

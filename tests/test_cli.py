@@ -440,9 +440,10 @@ def test_run_all_rejects_a_damaged_reused_dataset_naming_it(
     assert dataset.read_bytes() == before
 
 
-def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message):
-    """Fill a C4..C7 workspace with `al`, damage its kernel segment, and
-    check that the next `al` exits 2 naming it, and changes no file."""
+def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message, beside=False):
+    """Fill a C4..C7 workspace with `al`, damage its kernel segment, or
+    write the damaged copy beside it as a second segment, and check that
+    the next `al` exits 2 naming the damaged file, and changes no file."""
     raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -452,6 +453,8 @@ def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message):
     [segment] = [ws / n for n in os.listdir(ws) if n.startswith("kernel_")]
     with np.load(segment) as data:
         arrays = {name: data[name] for name in data.files}
+    if beside:  # a name that sorts, and so loads, after the segment's
+        segment = segment.with_name(segment.stem + "0.npz")
     with open(segment, "wb") as fh:
         np.savez(fh, **{**arrays, **damage(arrays)})
     before = sorted(os.listdir(ws)), segment.read_bytes()
@@ -495,6 +498,18 @@ def _rows_reversed(arrays):
 )
 def test_a_damaged_kernel_segment_fails_the_stage(tmp_path, caplog, damage, message):
     _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message)
+
+
+def test_a_segment_contradicting_another_fails_the_stage(tmp_path, caplog):
+    def moved(arrays):
+        values = arrays["values"].copy()
+        values[0] = np.nextafter(values[0], math.inf)
+        return {"values": values}
+
+    _damaged_segment_fails_the_stage(
+        tmp_path, caplog, moved, "row 0: value", beside=True
+    )
+    assert "differs from the value" in caplog.text
 
 
 def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):
@@ -584,8 +599,10 @@ def test_run_all_leaves_scipy_unloaded(tmp_path):
 
 
 def _solved(caplog) -> list[int]:
-    """N of each ``requested R, solved N kernel pairs in M stacks`` line."""
-    lines = (re.fullmatch(r"requested \d+, solved (\d+) kernel pairs in \d+ stacks", m)
+    """N of each ``requested R, solved N kernel pairs in M stacks (I CG
+    iterations)`` line."""
+    lines = (re.fullmatch(r"requested \d+, solved (\d+) kernel pairs in \d+ stacks "
+                          r"\(\d+ CG iterations\)", m)
              for m in caplog.messages)
     return [int(m[1]) for m in lines if m]
 

@@ -10,6 +10,7 @@ recurrence and the direct solve then validate the production solver on
 real molecules.
 """
 
+import functools
 import io
 import math
 import os
@@ -52,8 +53,21 @@ def dense(mols, p=DEFAULT):
 def held(calc: MgkCalculator, a: str, b: str) -> float | None:
     """The raw value a calculator holds for two keys, or None."""
     i, j = sorted((calc._index[a], calc._index[b]))
-    value = calc._self[i] if i == j else calc._cross.get(i << 32 | j, math.nan)
+    value = calc._held(np.array([i << 32 | j]))[0]
     return None if math.isnan(value) else float(value)
+
+
+def packed_arrays(graphs) -> list[np.ndarray]:
+    """Each graph's (m, m + 3) row of the size-class arenas."""
+    arenas = mgk._Arenas()
+    classes, rows = mgk._graph_arrays(graphs, arenas)
+    return [arenas.stacks[m][r] for m, r in zip(classes.tolist(), rows.tolist())]
+
+
+def solve(arenas, pairs, p):
+    """``mgk._solve_pairs`` of (class, row) pairs of both sides."""
+    (ca, ra), (cb, rb) = (np.array(side, np.int64).T for side in zip(*pairs))
+    return mgk._solve_pairs(arenas, ca, ra, cb, rb, p)
 
 
 def held_count(calc: MgkCalculator) -> int:
@@ -260,8 +274,8 @@ def test_random_trees_match_direct_solve(g1, g2, q):
 @example(parse_smiles("CC"))
 def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
     n = len(g)
-    arrays = mgk._graph_arrays([g])[0]
-    v, lam = arrays.packed[:n, :n], arrays.packed[:n, arrays.m]
+    (packed,) = packed_arrays([g])
+    v, lam = packed[:n, :n], packed[:n, len(packed)]
     degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
     adjacency = np.zeros((n, n))
     for i, nb in enumerate(g.adjacency):
@@ -275,14 +289,14 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
 @given(alkane_trees(16))
 @example(parse_smiles("C"))
 def test_packed_arrays_are_zero_outside_the_graph(g):
-    arrays = mgk._graph_arrays([g])[0]
-    n, m = arrays.n, arrays.m
-    assert n == len(g) and m == mgk._size_class(n)
+    (packed,) = packed_arrays([g])
+    n, m = len(g), len(packed)
+    assert m == mgk._size_class(n)
     assert m % mgk._SIZE_STEP == 0 and n <= m < n + mgk._SIZE_STEP
-    assert arrays.packed.shape == (m, m + 3)
+    assert packed.shape == (m, m + 3)
     # rows n..m-1 of every column, and columns n..m-1 of V
-    assert not arrays.packed[n:].any()
-    assert not arrays.packed[:, n:m].any()
+    assert not packed[n:].any()
+    assert not packed[:, n:m].any()
 
 
 def _arrays_of_one_graph(g: MolecularGraph) -> np.ndarray:
@@ -310,11 +324,17 @@ def test_stacked_arrays_are_bitwise_those_of_one_graph_alone():
     graphs = enumerate_alkanes(4, 10)
     want = [_arrays_of_one_graph(g).tobytes() for g in graphs]
     for order in (graphs, graphs[::-1]):
-        built = mgk._graph_arrays(order)
-        got = {id(g): a for g, a in zip(order, built)}
+        got = {id(g): a for g, a in zip(order, packed_arrays(order))}
         for g, packed in zip(graphs, want):
-            assert (got[id(g)].n, got[id(g)].m) == (len(g), mgk._size_class(len(g)))
-            assert got[id(g)].packed.tobytes() == packed
+            assert got[id(g)].shape[0] == mgk._size_class(len(g))
+            assert got[id(g)].tobytes() == packed
+    # graphs added to arenas in several calls keep their bytes as the
+    # arenas grow
+    arenas = mgk._Arenas()
+    placed = [mgk._graph_arrays(graphs[lo : lo + 7], arenas) for lo in range(0, len(graphs), 7)]
+    classes, rows = (np.concatenate(side) for side in zip(*placed))
+    for m, r, packed in zip(classes.tolist(), rows.tolist(), want):
+        assert arenas.stacks[m][r].tobytes() == packed
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,12 +348,13 @@ def test_a_size_class_stack_matches_each_pair_solved_alone(data, q):
     )
     assume(len({len(g) for g in graphs}) > 1)
     p = MgkHyperparameters(q=q)
-    arrays = mgk._graph_arrays(graphs)
-    pairs = [(a, b) for a in arrays for b in arrays]
-    stacked, stacks = mgk._solve_pairs(pairs, p)
+    arenas = mgk._Arenas()
+    sides = list(zip(*mgk._graph_arrays(graphs, arenas)))
+    pairs = [(a, b) for a in sides for b in sides]
+    stacked, stacks, _ = solve(arenas, pairs, p)
     assert stacks == 1
     for pair, value in zip(pairs, stacked.tolist()):
-        alone, one = mgk._solve_pairs([pair], p)
+        alone, one, _ = solve(arenas, [pair], p)
         assert one == 1
         assert alone[0] == value
 
@@ -432,7 +453,7 @@ def test_normalized_bounds_one_iff_isomorphic():
 
 
 def test_normalized_self_skips_the_solver(monkeypatch):
-    def boom(pairs, p):
+    def boom(*args):
         raise AssertionError("solved a pair for an identical input")
 
     monkeypatch.setattr(mgk, "_solve_pairs", boom)
@@ -572,17 +593,17 @@ def test_requested_counts_the_distinct_in_band_cross_pairs_looked_up():
 
 def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
     graphs = [parse_smiles("CCCC"), parse_smiles("CCCCCCCCCC")]
-    sizes = []
-    solve = mgk._solve_pairs
+    classes = []
+    solve_pairs = mgk._solve_pairs
 
-    def count(pairs, p):
-        sizes.extend((a.n, b.n) for a, b in pairs)
-        return solve(pairs, p)
+    def count(arenas, class_a, row_a, class_b, row_b, p):
+        classes.extend(zip(class_a.tolist(), class_b.tolist()))
+        return solve_pairs(arenas, class_a, row_a, class_b, row_b, p)
 
     with monkeypatch.context() as m:
         m.setattr(mgk, "_solve_pairs", count)
         assert mgk_normalized(*graphs, SCREENING) == 0.0
-    assert sorted(sizes) == [(4, 4), (10, 10)]
+    assert sorted(classes) == [(6, 6), (12, 12)]  # the size classes of C4 and C10
 
     calc = MgkCalculator(SCREENING)
     small, large = calc.register(graphs)
@@ -591,7 +612,7 @@ def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
 
     def record(codes):
         solved.extend((calc._keys[c >> 32], calc._keys[c & mgk._LOW]) for c in codes.tolist())
-        compute(codes)
+        return compute(codes)
 
     monkeypatch.setattr(calc, "_compute_pairs", record)
     assert calc.block([small], [large])[0, 0] == 0.0
@@ -637,6 +658,91 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
         assert (min(a, b), max(a, b)) not in written
 
 
+# -- the store against a plain-dict oracle -------------------------------------------
+
+STORE_MOLS = enumerate_alkanes(4, 7)
+
+
+@functools.cache
+def store_oracle() -> tuple[list[str], dict[tuple[str, str], float]]:
+    """The keys of STORE_MOLS, and the raw value of every pair (a, b),
+    a <= b, solved alone by ``mgk_raw`` in the order of the sorted keys."""
+    keys = MgkCalculator(SCREENING).register(STORE_MOLS)
+    graph_of = dict(zip(keys, STORE_MOLS))
+    raw = {(a, b): mgk_raw(graph_of[a], graph_of[b], SCREENING)
+           for a in keys for b in keys if a <= b}
+    return keys, raw
+
+
+def _in_band(raw, a: str, b: str) -> bool:
+    d = (raw[(a, a)] - raw[(b, b)]) / SCREENING.lambda_
+    return d * d <= 53 * math.log(2)
+
+
+_subsets = st.lists(st.integers(0, len(STORE_MOLS) - 1), min_size=1, max_size=8)
+_store_ops = st.one_of(
+    st.tuples(st.just("block"), st.booleans(), st.booleans(), _subsets, _subsets),
+    st.just(("load",)),
+    st.just(("segment",)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_store_ops, max_size=12), st.randoms(use_true_random=False))
+def test_the_store_holds_what_a_dict_oracle_holds(ops, rnd):
+    """Blocks of both calculators in either argument order, loads of the
+    other one's solved pairs and solved-only segments, interleaved."""
+    keys, raw = store_oracle()
+    calc = MgkCalculator(SCREENING)
+    calc.register(STORE_MOLS)
+    other = MgkCalculator(SCREENING)
+    shuffled = list(STORE_MOLS)
+    rnd.shuffle(shuffled)
+    other.register(shuffled)
+    looked: set[tuple[str, str]] = set()
+
+    def assert_oracle_values(holder: MgkCalculator) -> int:
+        count = 0
+        for (a, b), want in raw.items():
+            value = held(holder, a, b)
+            if value is not None:
+                assert value == want
+                count += 1
+        return count
+
+    for op in ops:
+        if op[0] == "block":
+            _, mine, swap, rows, cols = op
+            rows, cols = [keys[i] for i in rows], [keys[i] for i in cols]
+            if swap:
+                rows, cols = cols, rows
+            (calc if mine else other).block(rows, cols)
+            if mine:
+                looked.update((min(a, b), max(a, b)) for a in rows for b in cols
+                              if a != b and _in_band(raw, a, b))
+        elif op[0] == "load":
+            _, data = other.segment(solved_only=True)
+            calc.load_cache(io.BytesIO(data))
+        else:
+            n, data = calc.segment(solved_only=True)
+            fresh = MgkCalculator(SCREENING)
+            assert fresh.load_cache(io.BytesIO(data)) == n == calc.pairs_solved
+            fresh.register(STORE_MOLS)
+            assert assert_oracle_values(fresh) == n
+
+    assert assert_oracle_values(calc) == held_count(calc)
+    assert calc.pairs_requested == len(looked)
+    # the same pairs, solved one at a time in another order after another
+    # registration, give the same segment bytes
+    pairs = [pair for pair in raw if held(calc, *pair) is not None]
+    rnd.shuffle(pairs)
+    ref = MgkCalculator(SCREENING)
+    ref.register(shuffled[::-1])
+    for a, b in pairs:
+        ref.block([a], [b])
+    assert ref.segment() == calc.segment()
+
+
 # -- convergence control -----------------------------------------------------------
 
 
@@ -656,6 +762,32 @@ def test_iteration_cap_raises():
     g = parse_smiles("CCCC")
     with pytest.raises(KernelConvergenceError):
         mgk_raw(g, g, p)
+
+
+@pytest.mark.parametrize("cap", [15, 2000])
+def test_cg_iterations_are_counted_per_stack(monkeypatch, cap):
+    p = MgkHyperparameters(lambda_=0.2, fp_max_iters=cap)
+    arenas = mgk._Arenas()
+    sides = list(zip(*mgk._graph_arrays([parse_smiles("CC(C)CC"), parse_smiles("CCCCCCC")], arenas)))
+    _, stacks, iterations = solve(arenas, [tuple(sides)], p)
+    assert stacks == 1 and 1 <= iterations <= cap
+
+    taken = []
+    pcg = mgk._pcg
+
+    def record(*args):
+        sums, n = pcg(*args)
+        taken.append(n)
+        return sums, n
+
+    monkeypatch.setattr(mgk, "_pcg", record)
+    calc = MgkCalculator(p)
+    keys = calc.register(enumerate_alkanes(4, 9))
+    calc.block(keys[:4], keys)
+    calc.block(keys, keys)
+    assert len(taken) == calc.stacks_solved > 2
+    assert all(1 <= n <= cap for n in taken)
+    assert calc.cg_iterations == sum(taken)
 
 
 # -- hyperparameter plumbing ---------------------------------------------------------
@@ -847,6 +979,48 @@ def _assert_rejected(path, match):
     assert repr(str(path)) in str(err.value)
     assert held_count(fresh) == 0
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_a_segment_that_contradicts_a_held_value_loads_nothing(tmp_path, kind):
+    # a C4..C6 segment, bitwise the same as a C4..C5 one on their common
+    # pairs, and a copy of it with one of those values moved by one ulp
+    small, _ = _segment(tmp_path)
+    calc = MgkCalculator(DEFAULT)
+    keys = calc.register(enumerate_alkanes(4, 6))
+    calc.block(keys, keys)
+    large = tmp_path / "large.npz"
+    n_large = calc.save_cache(str(large))
+    with np.load(large) as data:
+        arrays = {name: data[name] for name in data.files}
+    common = set(MgkCalculator(DEFAULT).register(enumerate_alkanes(4, 5)))
+    i, j = arrays["pairs"].T
+    inside = np.array([a in common and b in common for a, b in arrays["keys"][arrays["pairs"]]])
+    k = int(np.flatnonzero(inside & ((i == j) if kind == "self" else (i != j)))[0])
+    values = arrays["values"].copy()
+    values[k] = np.nextafter(values[k], math.inf)
+    moved = tmp_path / "moved.npz"
+    _rewrite(moved, arrays, values=values)
+
+    # an equal value is a no-op: two commands may both solve a pair
+    both = MgkCalculator(DEFAULT)
+    n_small = both.load_cache(str(small))
+    assert both.load_cache(str(large)) == n_large
+    assert both.segment() == calc.segment()
+
+    loaded = MgkCalculator(DEFAULT)
+    loaded.load_cache(str(small))
+    solved = MgkCalculator(DEFAULT)
+    solved.register(enumerate_alkanes(4, 5))
+    solved.block(sorted(common), sorted(common))
+    for holder in (loaded, solved):
+        before = holder.segment()
+        assert before[0] == n_small
+        with pytest.raises(ValueError, match=rf"row {k}: value .* differs from the value") as err:
+            holder.load_cache(str(moved))
+        assert repr(str(moved)) in str(err.value)
+        assert holder.segment() == before
+        assert len(holder._keys) == len(common)
 
 
 def test_cache_hyperparameter_mismatch(tmp_path):

@@ -506,7 +506,7 @@ def test_rerun_reuses_artifacts_and_is_byte_stable(staged_run, caplog):
     }
     with caplog.at_level(logging.INFO, logger="alkspace.pipeline"):
         second = run_alms(cfg)
-    assert any(m.endswith(", solved 0 kernel pairs in 0 stacks") for m in caplog.messages)
+    assert any(m.endswith(", solved 0 kernel pairs in 0 stacks (0 CG iterations)") for m in caplog.messages)
     assert second.to_dict() == report.to_dict()
     after = _workspace_bytes(cfg.out_dir)
     assert before == after
