@@ -12,23 +12,25 @@ Selection never reads property values: the variance depends on kernel
 entries only, which is what allows choosing the training set before any
 data generation happens.
 
-A step reads no more of the kernel than its outcome needs. The variance of
-a candidate is its prior minus the squared entries x_0..x_{|S|-1} of the
-forward substitution against the Cholesky factor of S, taken in factor
-(selection) order; after rows 0..j the prior minus x_0^2 + ... + x_j^2 is
-an upper bound on the variance, it only falls as j grows, and it needs
-only the kernel entries against the first j + 1 selected molecules. This is
-the monotone residual diagonal of pivoted Cholesky (Harbrecht, Peters &
-Schneider, 2012), used like the lazy evaluations of lazy greedy (Minoux,
-1978). The kernel row of each candidate is read one row block at a time,
-and a candidate whose bound falls below the threshold minus a margin of
-1e-9 is read no further: its variance is below the threshold, so it is
-abandoned, and is neither the pick nor kept. The margin lies far above the
-rounding gap between the blocked bound and the exact variance, about |S|
-ulps, so no candidate that a full read keeps or picks is dropped. The
-candidates left are scored again on their full rows by the same code as
-without the bound, so their variances, and with them every selection and
-checkpoint, are exactly those of a full read; only the kernel pairs read
+A step reads no more of the kernel than its outcome needs, and each entry
+it needs once. The variance of a candidate is its prior minus the squared
+entries x_0..x_{|S|-1} of the forward substitution against the Cholesky
+factor of S, taken in factor (selection) order; after rows 0..j the prior
+minus x_0^2 + ... + x_j^2 is an upper bound on the variance, it only falls
+as j grows, and it needs only the kernel entries against the first j + 1
+selected molecules. This is the monotone residual diagonal of pivoted
+Cholesky (Harbrecht, Peters & Schneider, 2012), used like the lazy
+evaluations of lazy greedy (Minoux, 1978). The variance pass
+(:func:`alkspace.gpr._posterior_variance`) reads the kernel row of each
+candidate one row block at a time, and a candidate whose bound falls below
+the threshold minus a margin of 1e-9 is read no further: its variance is
+below the threshold, so it is abandoned, and is neither the pick nor kept.
+The margin lies far above the rounding gap between the blocked bound and
+the variance of a full read, about |S| ulps, so no candidate that a full
+read keeps or picks is dropped. A candidate that survives every row block
+has its bound after the last one as its variance: it equals a full read's
+to rounding, and selections were checked identical to those of a full
+read on library runs from C4..C10 to C4..C14. Only the kernel pairs read
 fall.
 
 A terminated run can be continued at a strictly lower threshold: abandoned
@@ -57,23 +59,6 @@ DEFAULT_AL_NOISE = 1e-4
 # A candidate whose variance bound falls more than this below the threshold
 # is abandoned without reading the rest of its kernel row.
 _MARGIN = 1e-9
-
-# The first row block is this long, and each later one as long as all the
-# rows before it (8, 8, 16, 32, ...): a step makes about log2(|S| / 8) + 1
-# requests, and a candidate reads at most twice the rows that drop it, plus
-# 8. Stacks, not pairs, set the solver time of small requests, so this
-# schedule keeps the stacks down where subsets are sampled. Pairs solved /
-# stacks of three-stage library selections with an MgkCalculator (seed 1;
-# seeds 1 and 7 for batch 100):
-#                      C4..C12       C4..C12, batch 100           C4..C14
-#   no bound           9,181 / 131   9,877 / 258, 10,733 / 275    63,697 / 969
-#   fixed blocks of 4  5,494 / 137   5,342 / 334,  5,880 / 456    31,464 / 853
-#   doubling from 4    5,810 / 124   5,735 / 320,  6,231 / 390    34,297 / 774
-#   doubling from 8    6,495 / 126   6,494 / 264,  6,723 / 317    35,720 / 740
-# select_c12_lazy wall_s, medians of 6 rounds of 12 s perfbench runs on one
-# pinned CPU of a 2-core Xeon: 0.352 s without the bound, 0.281 s doubling
-# from 4, 0.286 s from 8.
-_ROW_BLOCK = 8
 
 
 class AlStallError(RuntimeError):
@@ -246,46 +231,10 @@ class _IncrementalLoop:
         """Posterior variances of ``subset``, clamped at 0, except that a
         candidate whose variance bound falls below ``threshold - _MARGIN``
         gets that bound, clamped alike: its variance lies below the
-        threshold too, so :func:`_partition_subset` treats both alike.
-
-        The rows of the kernel block against the selected set are read one
-        row block at a time, in factor order, and only for the candidates
-        still alive; a candidate leaves once its bound falls below
-        ``threshold - _MARGIN``. The survivors are then scored whole on
-        their full rows, as a loop without the bound would score them.
-        """
-        bound = np.array(self.provider.diag(subset), dtype=float)
+        threshold too, so :func:`_partition_subset` treats both alike."""
         cut = threshold - _MARGIN
-        alive = np.flatnonzero(bound >= cut)
-        x = np.empty((len(self.keys), len(alive)))
-        for j0, j1 in _row_blocks(len(self.keys)):
-            if not alive.size:
-                break
-            k = self.provider.block(self.keys[j0:j1], [subset[i] for i in alive])
-            gpr._require_finite(k, "kernel block between training inputs and queries")
-            k = k - self.chol[j0:j1, :j0] @ x[:j0]
-            x[j0:j1] = gpr._solve_triangular(self.chol[j0:j1, j0:j1], k)
-            bound[alive] -= np.sum(x[j0:j1] * x[j0:j1], axis=0)
-            keep = bound[alive] >= cut
-            if not keep.all():
-                alive, x = alive[keep], x[:, keep]
-        if alive.size:
-            bound[alive] = gpr._unclamped_variance(
-                self.chol, self.provider, self.keys, [subset[i] for i in alive]
-            )
-        return np.maximum(bound, 0.0)
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """The row blocks [j0, j1) that cover the first ``n`` rows of the
-    factor, in order: [0, b), [b, 2b), [2b, 4b), ... for b = _ROW_BLOCK."""
-    blocks = []
-    j0 = 0
-    while j0 < n:
-        j1 = min(max(2 * j0, _ROW_BLOCK), n)
-        blocks.append((j0, j1))
-        j0 = j1
-    return blocks
+        var = gpr._posterior_variance(self.chol, self.provider, self.keys, subset, cut)
+        return np.maximum(var, 0.0)
 
 
 def _run_loop(

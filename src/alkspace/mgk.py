@@ -561,7 +561,9 @@ class MgkCalculator:
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
         """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
-        returns the id list."""
+        returns the id list. The first graph under an id is kept as given,
+        and raw values follow its vertex numbering to the last ulps; the
+        pipeline passes only graphs parsed from canonical SMILES."""
         keys = [str(to_canonical_smiles(g)) for g in molecules]
         for i, g in zip(self._intern(keys).tolist(), molecules):
             if self._graphs[i] is None:

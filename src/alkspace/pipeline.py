@@ -14,7 +14,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .molspace import (
     descriptors,
     enumerate_alkane_smiles,
     parse_smiles,
+    to_canonical_smiles,
 )
 
 logger = logging.getLogger(__name__)
@@ -54,7 +55,7 @@ class StageError(RuntimeError):
 class GprSettings:
     """Noise levels and the temperature length scale of the composite kernel."""
 
-    al_noise: float = 1e-4
+    al_noise: float = al.DEFAULT_AL_NOISE
     regression_noise: float = 1e-2
     temperature_length_scale: float = 50.0
 
@@ -913,11 +914,16 @@ def predict_properties(
     config: PipelineConfig,
 ) -> list[PredictionRow]:
     """Fit on a dataset and predict all three properties for each molecule
-    on its own oracle temperature grid."""
+    on its own oracle temperature grid. Molecules are keyed by canonical
+    SMILES however the inputs spell them, and parsed from that form."""
+    canonical = {
+        m: str(to_canonical_smiles(parse_smiles(m)))
+        for m in {r.smiles for r in train_rows}.union(molecule_ids)
+    }
+    train_rows = [replace(r, smiles=canonical[r.smiles]) for r in train_rows]
+    query_graphs = _graphs_for([canonical[m] for m in molecule_ids])
     calc = MgkCalculator(config.kernel)
-    train_graphs = _graphs_for(sorted({r.smiles for r in train_rows}))
-    query_graphs = _graphs_for(molecule_ids)
-    calc.register(train_graphs)
+    calc.register(_graphs_for(sorted({r.smiles for r in train_rows})))
     query_keys = calc.register(query_graphs)
     model = _fit_on_rows(train_rows, calc, config)
     out: list[PredictionRow] = []

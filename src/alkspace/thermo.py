@@ -69,19 +69,17 @@ class PropertyRecord:
 
 @dataclass(frozen=True)
 class QcStatus:
-    """Per-check outcomes; None marks a check that needs data we lack.
+    """Per-check outcomes; ``solid`` is None without a diffusion coefficient.
 
-    ``energy_distribution`` and ``equilibration`` always stay None here:
-    they validate raw simulation trajectories, which the synthetic oracle
-    does not produce.
+    The paper's two trajectory checks (energy distribution, equilibration)
+    validate raw simulation trajectories, which the synthetic oracle does
+    not produce, so they do not apply here.
     """
 
     vapor: bool
     solid: bool | None
     monotonic: bool
     quadratic_fit: bool
-    energy_distribution: None = None
-    equilibration: None = None
 
     @property
     def passed(self) -> bool:

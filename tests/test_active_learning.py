@@ -479,11 +479,39 @@ def test_the_bound_solves_fewer_pairs_for_the_same_selections(monkeypatch):
     assert requested < requested_full
 
 
+def test_a_step_reads_each_kernel_entry_once(monkeypatch):
+    calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
+    ids = calc.register(enumerate_alkanes(4, 10))
+    requested = []
+
+    class Counting:
+        def block(self, keys_a, keys_b):
+            requested.extend((a, b) for a in keys_a for b in keys_b)
+            return calc.block(keys_a, keys_b)
+
+        def diag(self, keys):
+            return calc.diag(keys)
+
+    score = al._IncrementalLoop.variances
+    steps = []
+
+    def counted(loop, subset, threshold):
+        requested.clear()
+        out = score(loop, subset, threshold)
+        steps.append(list(requested))
+        return out
+
+    monkeypatch.setattr(al._IncrementalLoop, "variances", counted)
+    stages = loop_stages(ids, Counting(), 1000, 1)
+    assert len(steps) == stages[-1].iteration
+    assert all(len(set(step)) == len(step) > 0 for step in steps)
+
+
 def test_row_blocks_double_after_the_first():
-    b = al._ROW_BLOCK
-    assert al._row_blocks(0) == []
-    assert al._row_blocks(1) == [(0, 1)]
-    assert al._row_blocks(5 * b) == [(0, b), (b, 2 * b), (2 * b, 4 * b), (4 * b, 5 * b)]
+    b = gpr._ROW_BLOCK
+    assert gpr._row_blocks(0) == []
+    assert gpr._row_blocks(1) == [(0, 1)]
+    assert gpr._row_blocks(5 * b) == [(0, b), (b, 2 * b), (2 * b, 4 * b), (4 * b, 5 * b)]
 
 
 def test_continue_with_an_empty_pool_still_checkpoints(tmp_path):

@@ -220,6 +220,50 @@ def test_dataset_prediction_round_trip(tmp_path, config_file, capsys):
     assert printed["density"]["rmse"] < 50.0
 
 
+def _fit_predict(tmp_path, train_csv, molecules, name):
+    query_list = tmp_path / f"{name}.txt"
+    query_list.write_text("".join(m + "\n" for m in molecules))
+    pred_csv = str(tmp_path / f"{name}.csv")
+    args = ["--train", train_csv, "--molecules", str(query_list), "--out", pred_csv]
+    assert main(["fit-predict", *args]) == 0
+    return read_predictions(pred_csv)
+
+
+def test_fit_predict_accepts_a_training_file_that_spells_a_molecule_non_canonically(tmp_path):
+    train_list = tmp_path / "train.txt"
+    train_list.write_text("CCCC\nCCCCC\nCC(C)C\n")
+    train_csv = str(tmp_path / "train.csv")
+    assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
+    canonical_isobutane = str(to_canonical_smiles(parse_smiles("CC(C)C")))
+    assert canonical_isobutane != "CC(C)C"
+    lines = Path(train_csv).read_text().splitlines(keepends=True)
+    respelled = str(tmp_path / "respelled.csv")
+    with open(respelled, "w") as fh:
+        for line in lines:
+            smiles, rest = line.split(",", 1)
+            fh.write(("CC(C)C" if smiles == canonical_isobutane else smiles) + "," + rest)
+    assert Path(respelled).read_text() != Path(train_csv).read_text()
+    queries = ["CCCCCC", "CC(C)CC"]
+    assert _fit_predict(tmp_path, respelled, queries, "p1") == _fit_predict(
+        tmp_path, train_csv, queries, "p2"
+    )
+
+
+def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path):
+    # the two spellings number the carbons differently, and raw kernel
+    # values follow the numbering to the last digits
+    train_list = tmp_path / "train.txt"
+    train_list.write_text("CCCCCCCC\nCC(C)CCCCC\nCCC(C)(C)CCCC\nCCCCCCCCCC\n")
+    train_csv = str(tmp_path / "train.csv")
+    assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
+    a, b = "C(CC)(C)CCCC", "C(CCCC)(CC)C"
+    first = _fit_predict(tmp_path, train_csv, [a], "a")
+    assert len(first) == thermo.GRID_POINTS
+    assert {p.smiles for p in first} == {str(to_canonical_smiles(parse_smiles(a)))}
+    assert _fit_predict(tmp_path, train_csv, [b], "b") == first
+    assert _fit_predict(tmp_path, train_csv, [b, a], "ba") == first + first
+
+
 def test_evaluate_with_disjoint_truth_exits_two(tmp_path):
     a = tmp_path / "a.txt"
     a.write_text("CCCC\n")
