@@ -24,32 +24,58 @@ with D_x = d1 d2^T (degrees clamped to at least 1, so methane's lone
 vertex gives R = q^2) and A the 0/1 adjacency matrices. The raw kernel is
 start_weight^2 sum(S).
 
+Each graph is solved on its colour-refinement classes (Grohe, Kersting,
+Mladenov & Selman, "Dimension Reduction via Colour Refinement", ESA
+2014): the coarsest partition of its carbons in which all carbons of one
+class have equally many neighbours in each class. For trees these
+classes are the automorphism orbits. With P the n x c class-membership
+matrix, equitability reads A P = P B, and degrees and K_v are constant
+on classes. So the system maps an S that is constant on class pairs,
+S = P1 T P2^T, to another: A1 S A2 = P1 B1 T B2^T P2^T. Its unique
+solution is therefore constant on class pairs, the lumpability of Kemeny
+& Snell (Finite Markov Chains, 1960). Multiplying by P1^T on the left
+and P2 on the right leaves the c1 x c2 system
+
+    (W_x / K_v) * T - (1-q)^2 Ab1 T Ab2 = q^2 w1 w2^T,
+
+where Ab = P^T A P = diag(s) B holds the (symmetric) edge counts between
+classes, s the class sizes, d the class degrees (clamped to 1),
+w = s * d, W = diag(w) and W_x = w1 w2^T. The raw kernel is
+start_weight^2 s1^T T s2. Classes are numbered canonically, in the order
+of their refinement signatures, so a relabelled graph gives bitwise the
+same quotient, and a pair's value does not depend on vertex numbering.
+
 The system is solved by conjugate gradient in each graph's eigenbasis,
 the fast diagonalisation of Lynch, Rice & Thomas (Numer. Math. 1964)
 applied to the Sylvester form of random-walk kernels (Vishwanathan et
 al., "Graph Kernels", JMLR 2010). Each graph factors
-D^-1/2 A D^-1/2 = U diag(lam) U^T once; with V = D^-1/2 U, so that
-V^T D V = I and V^T A V = diag(lam), the substitution S = V1 Y V2^T turns
-the part D1 S D2 - (1-q)^2 A1 S A2 into the elementwise diagonal
+W^-1/2 Ab W^-1/2 = U diag(lam) U^T once; with V = W^-1/2 U, so that
+V^T W V = I and V^T Ab V = diag(lam), the substitution T = V1 Y V2^T
+turns the part W1 T W2 - (1-q)^2 Ab1 T Ab2 into the elementwise diagonal
 1 - (1-q)^2 lam_i mu_j, and the right-hand side into the rank-one
-q^2 (V1^T d1)(V2^T d2)^T. What remains is a correction formed in S space
-and mapped back, V1^T (c * S) V2, with c = (1/K_v - 1) D_x >= 0. The
+q^2 (V1^T w1)(V2^T w2)^T. What remains is a correction formed in T space
+and mapped back, V1^T (c * T) V2, with c = (1/K_v - 1) W_x >= 0. The
+columns of P V are D-orthonormal eigenvectors of the full pencil (A, D),
+since A P V = P B V = P diag(s)^-1 Ab V = P diag(d) V diag(lam): the
+lumped eigenbasis is the class-constant part of the full one, and the
+iteration is the full one restricted to that invariant subspace. The
 diagonal is also the preconditioner; it bounds the condition number by
 1 + (1/delta_degree - 1)/(1 - (1-q)^2) whatever the molecule size, so a
 pair takes about ten iterations.
 
 Pairs are stacked by size class: each graph's arrays are padded once, to
-its carbon count rounded up to a multiple of a small step, so pairs of
+its class count rounded up to a multiple of a small step, so pairs of
 different shapes share one stack. The padding is exact. Padded rows and
-columns of V are 0, and so are lam, V^T d and the degrees there; the
-diagonal is 1 and the right-hand side 0 on padded entries, so the padded
-rows and columns of S = V1 Y V2^T are exactly 0 and the padded entries of
-Y stay exactly 0 at every iteration. Step sizes, residuals and the stop
-test are per pair: a pair stops when its residual, in the norm of the
-eigenbasis preconditioner, falls to ``fp_tolerance`` times that of the
-right-hand side. The padded size depends only on the graph itself, so a
-pair's value is bitwise independent of the pairs batched with it and of
-request order.
+columns of V are 0, and so are lam, V^T w, the degrees and the class
+sizes there; the diagonal is 1, the right-hand side 0 and c 0 on padded
+entries, so the padded rows and columns of T = V1 Y V2^T are exactly 0,
+the padded entries of Y stay exactly 0 at every iteration, and the
+s1 s2^T weights of the raw value are 0 there. Step sizes, residuals and
+the stop test are per pair: a pair stops when its residual, in the norm
+of the eigenbasis preconditioner, falls to ``fp_tolerance`` times that
+of the right-hand side. The padded size depends only on the graph
+itself, so a pair's value is bitwise independent of the pairs batched
+with it and of request order.
 
 Normalization divides by the geometric mean of the self-kernels and, when a
 finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale by
@@ -88,24 +114,27 @@ import numpy as np
 from ._atomic import write_atomic
 from .molspace import MolecularGraph, to_canonical_smiles
 
-# Padded product-graph vertices (pairs x m1 x m2) per stacked solve; caps
+# Padded product-class entries (pairs x m1 x m2) per stacked solve; caps
 # the working memory at about this many doubles per array.
 _CHUNK_ENTRIES = 16384
 
-# A graph of n carbons is padded to n rounded up to a multiple of this
-# step, its size class; pairs are stacked by the size classes of their two
-# graphs. A larger step makes fewer, larger stacks but pads more. Medians
-# of 3 alternating perfbench runs (8 s each, one pinned CPU of a 2-core
-# Xeon), select_c12_lazy wall_s: 0.431 s at step 1 (stacks of one shape),
-# 0.380 s at 2, 0.365 s at 3, 0.371 s at 4, 0.383 s at 6; alms_c10_cold:
-# 0.557 s at 1, 0.525 s at 3, 0.524 s at 4.
-_SIZE_STEP = 3
+# A graph of c colour-refinement classes is padded to c rounded up to a
+# multiple of this step, its size class; pairs are stacked by the size
+# classes of their two graphs. A larger step makes fewer, larger stacks but
+# pads more. Medians of alternating perfbench runs (8-10 s each, one pinned
+# CPU of a 2-core Xeon), select_c12_lazy wall_s: 0.249 s at step 2, 0.235 s
+# at 3, 0.211 s at 4, 0.235 s at 5, 0.216 s at 6; cold C4..C16 run-all:
+# 13.9 s at 3, 13.7 s at 4 and 6, 16.4 s at 8 (the unlumped solver, at its
+# step 3, took 0.24 s and 16.0 s).
+_SIZE_STEP = 4
 
-# 5: npz segments of int32 index pairs into a sorted key table, with the
-# values of version 4 (stacks padded to size classes), which were CSV
-# rows. Version 3 (unpadded stacks of one shape) differs by up to 8e-16
+# 6: values of the lumped systems over colour-refinement classes, within
+# 2.0e-14 relative of version 5 over the 219,451 pairs of a cold C4..C16
+# run-all; version 5 solved every carbon, in npz segments of int32 index
+# pairs into a sorted key table. Version 4 held version 5's values as CSV
+# rows, version 3 (unpadded stacks of one shape) differs by up to 8e-16
 # relative, version 2 (the Jacobi-preconditioned solver) at about 1e-11.
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 
 # A pair of molecule indices i <= j is stored under i << 32 | j.
 _LOW = (1 << 32) - 1
@@ -140,22 +169,18 @@ class MgkHyperparameters:
     ``q`` is the per-vertex stopping probability, ``start_weight`` the
     per-vertex starting weight (unnormalized; the normalization step absorbs
     the scale). ``delta_degree`` is the off-diagonal return of the degree
-    comparator. ``delta_element`` and ``delta_bond_order`` are validated and
-    hashed like the others, so config files and cache names keep their
-    form, but enter no alkane value: all atoms are carbons and all bonds
-    single. ``lambda_`` scales the self-kernel-mismatch damping (infinite
-    disables it); an entry whose damping factor is below 2^-53 is exactly 0
-    and its pair is never solved. ``fp_tolerance`` is the relative
-    residual, in the norm of the eigenbasis preconditioner, at which a
-    pair's solve stops, and ``fp_max_iters`` caps its conjugate-gradient
-    iterations.
+    comparator; all atoms are carbons and all bonds single, so there is no
+    element or bond-order comparator. ``lambda_`` scales the
+    self-kernel-mismatch damping (infinite disables it); an entry whose
+    damping factor is below 2^-53 is exactly 0 and its pair is never
+    solved. ``fp_tolerance`` is the relative residual, in the norm of the
+    eigenbasis preconditioner, at which a pair's solve stops, and
+    ``fp_max_iters`` caps its conjugate-gradient iterations.
     """
 
     q: float = 0.05
     start_weight: float = 1.0
-    delta_element: float = 0.3
     delta_degree: float = 0.9
-    delta_bond_order: float = 0.9
     lambda_: float = math.inf
     fp_tolerance: float = 1e-10
     fp_max_iters: int = 2000
@@ -168,10 +193,8 @@ class MgkHyperparameters:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if self.start_weight <= 0.0:
             raise ValueError("start_weight must be positive")
-        for name in ("delta_element", "delta_degree", "delta_bond_order"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0,1), got {v}")
+        if not 0.0 < self.delta_degree < 1.0:
+            raise ValueError(f"delta_degree must lie in (0,1), got {self.delta_degree}")
         if not self.lambda_ > 0.0:
             raise ValueError("lambda_ must be positive (math.inf disables)")
         if not self.fp_tolerance > 0.0:
@@ -213,12 +236,15 @@ class MgkHyperparameters:
 
 
 class _Arenas:
-    """Graph arrays by size class: one (rows, m, m + 3) array per class m,
-    one row per graph, grown by doubling. A row holds V = D^-1/2 U in
-    columns 0..m-1, where D^-1/2 A D^-1/2 = U diag(lam) U^T (degrees
-    clamped to 1), then lam, V^T d (clamped degrees) and the degrees. Rows
-    n..m-1, and columns n..m-1 of V, are padding and hold 0. Filled by
-    :func:`_graph_arrays`.
+    """Graph arrays by size class: one (rows, m, m + 4) array per class m,
+    one row per graph, grown by doubling. A row holds the lumped system of
+    a graph of c colour-refinement classes: V = W^-1/2 U in columns
+    0..c-1, where W^-1/2 Ab W^-1/2 = U diag(lam) U^T, then lam, V^T w,
+    the class degrees and the class sizes (w = sizes * clamped degrees).
+    Rows c..m-1, and columns c..m-1 of V, are padding and hold 0. Filled
+    by :func:`_graph_arrays`. The arenas of all 18,027 C4..C16 graphs hold
+    35.6 MB (13.2 classes per C16 isomer on average); rows of every
+    carbon, at the unlumped solver's step 3, took 45.2 MB.
     """
 
     def __init__(self) -> None:
@@ -231,7 +257,7 @@ class _Arenas:
         lo = self.used.get(m, 0)
         stack = self.stacks.get(m)
         if stack is None or len(stack) < lo + k:
-            grown = np.zeros((max(2 * lo, lo + k), m, m + 3))
+            grown = np.zeros((max(2 * lo, lo + k), m, m + 4))
             if stack is not None:
                 grown[:lo] = stack[:lo]
             self.stacks[m] = stack = grown
@@ -239,44 +265,102 @@ class _Arenas:
         return stack, lo
 
 
+def _refine(neighbors: np.ndarray) -> np.ndarray:
+    """Colour refinement of a (k, n, 4) stack of graphs' neighbour lists
+    (-1 where there is none): each vertex's class in the coarsest
+    equitable partition of its graph, numbered 0..c-1 within the graph.
+
+    Colours start as degrees. Each round packs every vertex's signature
+    (graph, colour, sorted neighbour colours) into one int64, k (n+1)^5
+    at most, ranks the signatures with one sort and renumbers each graph's
+    ranks from 0, until no graph gains a class. A graph's classes are
+    numbered in the order of their signatures, which depend on the graph
+    only up to isomorphism: not on its vertex numbering, nor on the other
+    graphs of the stack.
+    """
+    k, n, _ = neighbors.shape
+    base = n + 1
+    start = np.arange(k)[:, None, None] * n
+    flat = np.where(neighbors >= 0, neighbors + start, -1).reshape(k * n, 4)
+    colour = np.count_nonzero(flat >= 0, axis=1)
+    graph = np.repeat(np.arange(k, dtype=np.int64), n)
+    count = -1
+    while True:
+        # index -1 reads the appended sentinel, below every colour
+        around = np.sort(np.append(colour, -1)[flat], axis=1) + 1
+        key = graph * base + colour
+        for column in around.T:
+            key = key * base + column
+        signatures, rank = np.unique(key, return_inverse=True)
+        rank = rank.reshape(k, n)
+        colour = (rank - rank.min(axis=1, keepdims=True)).ravel()
+        if len(signatures) == count:
+            return colour.reshape(k, n)
+        count = len(signatures)
+
+
 def _graph_arrays(
     graphs: Sequence[MolecularGraph], arenas: _Arenas
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write the arrays of each graph into ``arenas``; returns each graph's
-    size class and row. Graphs of one carbon count are built as one stack,
-    with one ``eigh``. LAPACK factors each matrix of a stack on its own, so
-    a graph's arrays are bitwise those it gets alone."""
+    """Write the lumped arrays of each graph into ``arenas``; returns each
+    graph's size class and row. Graphs of one carbon count are refined as
+    one stack, and those of one class count among them share one
+    ``eigh``. LAPACK factors each matrix of a stack on its own, so a
+    graph's arrays are bitwise those it gets alone. Each size class's
+    arena grows once per call, by the rows the call adds to it."""
     sizes = np.fromiter(map(len, graphs), np.int64, len(graphs))
-    rows = np.empty(len(graphs), np.int64)
+    count = np.empty(len(graphs), np.int64)
+    stacks = []
     for n in np.unique(sizes).tolist():
         members = np.flatnonzero(sizes == n)
-        m = _size_class(n)
-        edges = np.array(
-            [(k, v, u) for k, i in enumerate(members.tolist())
-             for v, nb in enumerate(graphs[i].adjacency) for u in nb],
-            dtype=np.intp,
-        ).reshape(-1, 3)
-        adjacency = np.zeros((len(members), n, n))
-        adjacency[edges[:, 0], edges[:, 1], edges[:, 2]] = 1.0
-        degrees = adjacency.sum(axis=2)
-        clamped = np.maximum(degrees, 1.0)
-        root = 1.0 / np.sqrt(clamped)
-        lam, u = np.linalg.eigh(root[:, :, None] * adjacency * root[:, None, :])
-        v = root[:, :, None] * u
-        stack, lo = arenas.reserve(m, len(members))
-        packed = stack[lo : lo + len(members)]
-        packed[:, :n, :n] = v
-        packed[:, :n, m] = lam
-        packed[:, :n, m + 1] = (v.transpose(0, 2, 1) @ clamped[:, :, None])[:, :, 0]
-        packed[:, :n, m + 2] = degrees
-        rows[members] = np.arange(lo, lo + len(members))
-    return _size_class(sizes), rows
+        neighbors = np.array(
+            [nb + (-1,) * (4 - len(nb)) for i in members.tolist() for nb in graphs[i].adjacency],
+            dtype=np.int64,
+        ).reshape(len(members), n, 4)
+        local = _refine(neighbors)
+        count[members] = local.max(axis=1) + 1
+        stacks.append((members, neighbors, local))
+    classes = _size_class(count)
+    rows = np.empty(len(graphs), np.int64)
+    for m in np.unique(classes).tolist():
+        at = np.flatnonzero(classes == m)
+        _, lo = arenas.reserve(m, len(at))
+        rows[at] = np.arange(lo, lo + len(at))
+    for members, neighbors, local in stacks:
+        degree = np.count_nonzero(neighbors >= 0, axis=2)
+        for c in np.unique(count[members]).tolist():
+            sel = np.flatnonzero(count[members] == c)
+            cls = local[sel]
+            # each graph's classes, then its class pairs, get their own cells
+            cell = (np.arange(len(sel))[:, None] * c + cls).ravel()
+            size = np.bincount(cell, minlength=len(sel) * c).reshape(-1, c).astype(float)
+            deg = np.zeros(len(sel) * c)
+            deg[cell] = degree[sel].ravel()
+            deg = deg.reshape(-1, c)
+            around = neighbors[sel]
+            g, x, slot = np.nonzero(around >= 0)
+            adjacency = np.bincount(
+                (g * c + cls[g, x]) * c + cls[g, around[g, x, slot]], minlength=len(sel) * c * c
+            ).reshape(-1, c, c).astype(float)
+            weight = size * np.maximum(deg, 1.0)
+            root = 1.0 / np.sqrt(weight)
+            lam, u = np.linalg.eigh(root[:, :, None] * adjacency * root[:, None, :])
+            v = root[:, :, None] * u
+            m = _size_class(c)
+            packed = np.zeros((len(sel), m, m + 4))
+            packed[:, :c, :c] = v
+            packed[:, :c, m] = lam
+            packed[:, :c, m + 1] = (v.transpose(0, 2, 1) @ weight[:, :, None])[:, :, 0]
+            packed[:, :c, m + 2] = deg
+            packed[:, :c, m + 3] = size
+            arenas.stacks[m][rows[members[sel]]] = packed
+    return classes, rows
 
 
-def _size_class(n):
-    """The padded size of a graph of ``n`` carbons (an int or an int
-    array): ``n`` rounded up to a multiple of _SIZE_STEP."""
-    return -(-n // _SIZE_STEP) * _SIZE_STEP
+def _size_class(c):
+    """The padded size of a graph of ``c`` colour-refinement classes (an
+    int or an int array): ``c`` rounded up to a multiple of _SIZE_STEP."""
+    return -(-c // _SIZE_STEP) * _SIZE_STEP
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -288,18 +372,19 @@ def _pcg(
     v1: np.ndarray,
     v2: np.ndarray,
     c: np.ndarray,
+    weight: np.ndarray,
     diag: np.ndarray,
     rhs: np.ndarray,
     p: MgkHyperparameters,
 ) -> tuple[np.ndarray, int]:
-    """Per-pair sums of S = V1 Y V2^T, where Y solves
-    diag*Y + V1^T (c*S) V2 = rhs, and the iterations the stack took.
+    """Per-pair ``weight``-weighted sums of T = V1 Y V2^T, where Y solves
+    diag*Y + V1^T (c*T) V2 = rhs, and the iterations the stack took.
 
     Conjugate gradient on a (k, n1, n2) stack in the eigenbasis, with the
     diagonal as preconditioner. Step sizes, residuals and the stop test
     are per pair: a pair is finished once <r, r/diag> falls to
     fp_tolerance^2 times <rhs, rhs/diag>, and its sum, accumulated from the
-    S-space directions each iteration forms anyway, is taken at that step.
+    T-space directions each iteration forms anyway, is taken at that step.
     Finished pairs leave the stack once they are a quarter of it; until
     then their slices run on without touching the others, so no pair's
     result depends on its companions. ``rhs`` becomes the residual and is
@@ -320,7 +405,7 @@ def _pcg(
     with np.errstate(divide="ignore", invalid="ignore"):
         for iteration in range(1, p.fp_max_iters + 1):
             s = v1 @ d @ v2.transpose(0, 2, 1)
-            s_sum = np.einsum("kij->k", s)
+            s_sum = _dot(s, weight)
             s *= c
             ad = v1.transpose(0, 2, 1) @ s @ v2
             # z is free until the residual update below refills it
@@ -344,8 +429,8 @@ def _pcg(
                     live, pending, total, stop, rz, rz_next = (
                         a[keep] for a in (live, pending, total, stop, rz, rz_next)
                     )
-                    v1, v2, c, r, z, d, diag, minv = (
-                        a[keep] for a in (v1, v2, c, r, z, d, diag, minv)
+                    v1, v2, c, weight, r, z, d, diag, minv = (
+                        a[keep] for a in (v1, v2, c, weight, r, z, d, diag, minv)
                     )
             d *= (rz_next / rz)[:, None, None]
             d += z
@@ -370,7 +455,7 @@ def _solve_pairs(
 
     Pairs are grouped by the size classes (m1, m2) of their graphs, in
     request order within a group, and gathered from the arenas one stack
-    of at most _CHUNK_ENTRIES padded product-graph vertices at a time.
+    of at most _CHUNK_ENTRIES padded product-class entries at a time.
     """
     scale = (1.0 - p.q) ** 2
     q2 = p.q * p.q
@@ -386,17 +471,18 @@ def _solve_pairs(
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
             a, b = arenas.stacks[m1][row_a[chunk]], arenas.stacks[m2][row_b[chunk]]
-            lam, vd1, da = (a[:, :, m1 + i] for i in range(3))
-            mu, vd2, db = (b[:, :, m2 + i] for i in range(3))
-            # c = (1/K_v - 1) D_x, formed in place; it is nonzero on some
-            # padded entries, where S is exactly 0
+            lam, vd1, da, sa = (a[:, :, m1 + i] for i in range(4))
+            mu, vd2, db, sb = (b[:, :, m2 + i] for i in range(4))
+            # c = (1/K_v - 1) W_x, formed in place; 0 on padded entries,
+            # where the class sizes are 0
             c = np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
             c -= 1.0
-            c *= np.maximum(da, 1.0)[:, :, None] * np.maximum(db, 1.0)[:, None, :]
+            c *= (sa * np.maximum(da, 1.0))[:, :, None] * (sb * np.maximum(db, 1.0))[:, None, :]
             sums, taken = _pcg(
                 np.ascontiguousarray(a[:, :, :m1]),
                 np.ascontiguousarray(b[:, :, :m2]),
                 c,
+                sa[:, :, None] * sb[:, None, :],
                 1.0 - scale * lam[:, :, None] * mu[:, None, :],
                 q2 * vd1[:, :, None] * vd2[:, None, :],
                 p,
@@ -561,9 +647,8 @@ class MgkCalculator:
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
         """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
-        returns the id list. The first graph under an id is kept as given,
-        and raw values follow its vertex numbering to the last ulps; the
-        pipeline passes only graphs parsed from canonical SMILES."""
+        returns the id list. The first graph under an id is kept; any
+        numbering of its carbons gives bitwise the same values."""
         keys = [str(to_canonical_smiles(g)) for g in molecules]
         for i, g in zip(self._intern(keys).tolist(), molecules):
             if self._graphs[i] is None:

@@ -101,6 +101,19 @@ def test_a_bad_float_config_field_exits_one_writing_nothing(tmp_path, section, k
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("key, value", [("delta_element", 0.3), ("delta_bond_order", 0.9)])
+def test_a_dropped_kernel_key_exits_one_writing_nothing(tmp_path, caplog, key, value):
+    # neither key entered any value, and both are gone from the settings
+    raw = {**CONFIG_RAW, "kernel": {**CONFIG_RAW["kernel"], key: value}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    out_dir.mkdir()
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert os.listdir(out_dir) == []
+    assert f"unknown kernel config key {key!r}" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["run-all", "compare-random"])
 def test_oversized_n_test_exits_one_before_any_kernel_work(tmp_path, command):
     # C4..C7 holds 19 molecules, so the default n_test of 200 cannot fit
@@ -250,8 +263,7 @@ def test_fit_predict_accepts_a_training_file_that_spells_a_molecule_non_canonica
 
 
 def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path):
-    # the two spellings number the carbons differently, and raw kernel
-    # values follow the numbering to the last digits
+    # the two spellings number the carbons differently
     train_list = tmp_path / "train.txt"
     train_list.write_text("CCCCCCCC\nCC(C)CCCCC\nCCC(C)(C)CCCC\nCCCCCCCCCC\n")
     train_csv = str(tmp_path / "train.csv")

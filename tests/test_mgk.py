@@ -14,9 +14,12 @@ import functools
 import io
 import math
 import os
+import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from networkx.algorithms import isomorphism
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -58,10 +61,31 @@ def held(calc: MgkCalculator, a: str, b: str) -> float | None:
 
 
 def packed_arrays(graphs) -> list[np.ndarray]:
-    """Each graph's (m, m + 3) row of the size-class arenas."""
+    """Each graph's (m, m + 4) row of the size-class arenas."""
     arenas = mgk._Arenas()
     classes, rows = mgk._graph_arrays(graphs, arenas)
     return [arenas.stacks[m][r] for m, r in zip(classes.tolist(), rows.tolist())]
+
+
+def refined_classes(g: MolecularGraph) -> list[int]:
+    """Each carbon's class in ``mgk._refine`` of the graph alone, numbered
+    from 0 within the graph."""
+    neighbors = np.array([[nb + (-1,) * (4 - len(nb)) for nb in g.adjacency]], np.int64)
+    return mgk._refine(neighbors)[0].tolist()
+
+
+def quotient(g: MolecularGraph, classes: list[int]):
+    """Edge counts between classes, class sizes and class degrees, by loops."""
+    c = max(classes) + 1
+    edges = np.zeros((c, c))
+    sizes = np.zeros(c)
+    degrees = np.zeros(c)
+    for v, nb in enumerate(g.adjacency):
+        sizes[classes[v]] += 1
+        degrees[classes[v]] = len(nb)
+        for u in nb:
+            edges[classes[v], classes[u]] += 1
+    return edges, sizes, degrees
 
 
 def solve(arenas, pairs, p):
@@ -272,17 +296,34 @@ def test_random_trees_match_direct_solve(g1, g2, q):
 @given(alkane_trees())
 @example(parse_smiles("C"))
 @example(parse_smiles("CC"))
+@example(parse_smiles("CC(C)(C)C(C)(C)C"))
 def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
+    # V diagonalises the class weights W = diag(s * d) and the class edge
+    # counts Ab = P^T A P; lifted to the carbons, P V diagonalises the
+    # clamped degrees D and the adjacency A of the whole graph
     n = len(g)
+    classes = refined_classes(g)
+    c = max(classes) + 1
+    edges, sizes, degrees = quotient(g, classes)
     (packed,) = packed_arrays([g])
-    v, lam = packed[:n, :n], packed[:n, len(packed)]
-    degrees = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
+    m = len(packed)
+    v, lam = packed[:c, :c], packed[:c, m]
+    weight = sizes * np.maximum(degrees, 1.0)
+    assert np.array_equal(packed[:c, m + 2], degrees)
+    assert np.array_equal(packed[:c, m + 3], sizes)
+    np.testing.assert_allclose(v.T @ np.diag(weight) @ v, np.eye(c), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ edges @ v, np.diag(lam), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(packed[:c, m + 1], v.T @ weight, rtol=0.0, atol=1e-12)
+    member = np.zeros((n, c))
+    member[np.arange(n), classes] = 1.0
+    lifted = member @ v
     adjacency = np.zeros((n, n))
     for i, nb in enumerate(g.adjacency):
-        for j in nb:
-            adjacency[i, j] = 1.0
-    np.testing.assert_allclose(v.T @ degrees @ v, np.eye(n), rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(v.T @ adjacency @ v, np.diag(lam), rtol=0.0, atol=1e-12)
+        adjacency[i, list(nb)] = 1.0
+    clamped = np.diag([max(len(nb), 1) for nb in g.adjacency]).astype(float)
+    np.testing.assert_allclose(lifted.T @ clamped @ lifted, np.eye(c), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(lifted.T @ adjacency @ lifted, np.diag(lam), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(adjacency @ lifted, clamped @ lifted * lam, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,32 +331,48 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
 @example(parse_smiles("C"))
 def test_packed_arrays_are_zero_outside_the_graph(g):
     (packed,) = packed_arrays([g])
-    n, m = len(g), len(packed)
-    assert m == mgk._size_class(n)
-    assert m % mgk._SIZE_STEP == 0 and n <= m < n + mgk._SIZE_STEP
-    assert packed.shape == (m, m + 3)
-    # rows n..m-1 of every column, and columns n..m-1 of V
-    assert not packed[n:].any()
-    assert not packed[:, n:m].any()
+    c, m = max(refined_classes(g)) + 1, len(packed)
+    assert m == mgk._size_class(c)
+    assert m % mgk._SIZE_STEP == 0 and c <= m < c + mgk._SIZE_STEP
+    assert packed.shape == (m, m + 4)
+    # every carbon is in one class, each class is nonempty
+    sizes = packed[:, m + 3]
+    assert sizes.sum() == len(g) and (sizes[:c] >= 1).all()
+    # rows c..m-1 of every column, and columns c..m-1 of V
+    assert not packed[c:].any()
+    assert not packed[:, c:m].any()
+
+
+def _classes_of_one_graph(g: MolecularGraph) -> list[int]:
+    """Colour refinement by dict and loop: colours start as degrees, and
+    each round numbers the distinct (colour, sorted neighbour colours)
+    signatures in sorted order, until the number of classes stays."""
+    colour = [len(nb) for nb in g.adjacency]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in nb)))
+                     for v, nb in enumerate(g.adjacency)]
+        rank = {key: i for i, key in enumerate(sorted(set(signature)))}
+        refined = [rank[key] for key in signature]
+        if len(set(refined)) == len(set(colour)):
+            return refined
+        colour = refined
 
 
 def _arrays_of_one_graph(g: MolecularGraph) -> np.ndarray:
     """``packed`` as built one graph at a time, with one eigh per graph."""
-    n = len(g)
-    m = mgk._size_class(n)
-    adjacency = np.zeros((n, n))
-    for i, nb in enumerate(g.adjacency):
-        adjacency[i, list(nb)] = 1.0
-    degrees = np.array([len(nb) for nb in g.adjacency], dtype=float)
-    clamped = np.maximum(degrees, 1.0)
-    root = 1.0 / np.sqrt(clamped)
-    lam, u = np.linalg.eigh(root[:, None] * adjacency * root[None, :])
+    edges, sizes, degrees = quotient(g, _classes_of_one_graph(g))
+    c = len(sizes)
+    m = mgk._size_class(c)
+    weight = sizes * np.maximum(degrees, 1.0)
+    root = 1.0 / np.sqrt(weight)
+    lam, u = np.linalg.eigh(root[:, None] * edges * root[None, :])
     v = root[:, None] * u
-    packed = np.zeros((m, m + 3))
-    packed[:n, :n] = v
-    packed[:n, m] = lam
-    packed[:n, m + 1] = v.T @ clamped
-    packed[:n, m + 2] = degrees
+    packed = np.zeros((m, m + 4))
+    packed[:c, :c] = v
+    packed[:c, m] = lam
+    packed[:c, m + 1] = v.T @ weight
+    packed[:c, m + 2] = degrees
+    packed[:c, m + 3] = sizes
     return packed
 
 
@@ -326,7 +383,7 @@ def test_stacked_arrays_are_bitwise_those_of_one_graph_alone():
     for order in (graphs, graphs[::-1]):
         got = {id(g): a for g, a in zip(order, packed_arrays(order))}
         for g, packed in zip(graphs, want):
-            assert got[id(g)].shape[0] == mgk._size_class(len(g))
+            assert got[id(g)].shape[0] == mgk._size_class(max(_classes_of_one_graph(g)) + 1)
             assert got[id(g)].tobytes() == packed
     # graphs added to arenas in several calls keep their bytes as the
     # arenas grow
@@ -337,19 +394,26 @@ def test_stacked_arrays_are_bitwise_those_of_one_graph_alone():
         assert arenas.stacks[m][r].tobytes() == packed
 
 
+# C1..C10 by the size class of their class counts
+_BY_SIZE_CLASS: dict[int, list[MolecularGraph]] = {}
+for _g in enumerate_alkanes(1, 10):
+    _BY_SIZE_CLASS.setdefault(mgk._size_class(max(_classes_of_one_graph(_g)) + 1), []).append(_g)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.sampled_from([0.05, 0.2, 0.5]))
 def test_a_size_class_stack_matches_each_pair_solved_alone(data, q):
-    # graphs of different carbon counts in one size class share one stack,
-    # and each pair's value is bitwise what it is in a stack of its own
-    top = data.draw(st.integers(1, 4)) * mgk._SIZE_STEP
-    graphs = data.draw(
-        st.lists(alkane_trees(top, top - mgk._SIZE_STEP + 1), min_size=2, max_size=4)
-    )
+    # graphs of different class and carbon counts in one size class share
+    # one stack, and each pair's value is bitwise what it is in a stack of
+    # its own
+    top = data.draw(st.sampled_from(sorted(_BY_SIZE_CLASS)))
+    graphs = data.draw(st.lists(st.sampled_from(_BY_SIZE_CLASS[top]), min_size=2, max_size=4))
+    assume(len({max(_classes_of_one_graph(g)) for g in graphs}) > 1)
     assume(len({len(g) for g in graphs}) > 1)
     p = MgkHyperparameters(q=q)
     arenas = mgk._Arenas()
     sides = list(zip(*mgk._graph_arrays(graphs, arenas)))
+    assert {m for m, _ in sides} == {top}
     pairs = [(a, b) for a in sides for b in sides]
     stacked, stacks, _ = solve(arenas, pairs, p)
     assert stacks == 1
@@ -398,8 +462,116 @@ def test_isomorphism_invariance_under_relabeling():
         for _ in range(3):
             perm = list(rng.permutation(len(g)))
             h = _permuted(g, perm)
-            assert mgk_raw(h, h, DEFAULT) == pytest.approx(base, abs=1e-12)
-            assert mgk_raw(g, h, DEFAULT) == pytest.approx(base, abs=1e-12)
+            assert mgk_raw(h, h, DEFAULT) == base
+            assert mgk_raw(g, h, DEFAULT) == base
+
+
+def _relabelled(g: MolecularGraph, rnd: random.Random) -> tuple[MolecularGraph, list[int]]:
+    """``g`` under a random vertex numbering, each neighbour list shuffled,
+    and the new number of each vertex."""
+    perm = rnd.sample(range(len(g)), len(g))
+    neighbors: list[list[int]] = [[] for _ in perm]
+    for old, nb in enumerate(g.adjacency):
+        neighbors[perm[old]] = rnd.sample([perm[u] for u in nb], len(nb))
+    return MolecularGraph(neighbors), perm
+
+
+def _block_of(graphs, p=DEFAULT) -> np.ndarray:
+    calc = MgkCalculator(p)
+    keys = calc.register(graphs)
+    return calc.block(keys, keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alkane_trees(13),
+    alkane_trees(13),
+    st.randoms(use_true_random=False),
+    st.sampled_from([math.inf, 0.2]),
+)
+@example(parse_smiles("C(CC)(C)CCCC"), parse_smiles("CCCCCCCC"), random.Random(0), math.inf)
+@example(parse_smiles("C(CCCC)(CC)C"), parse_smiles("CCCCCCCC"), random.Random(1), math.inf)
+def test_values_are_bitwise_independent_of_vertex_numbering(g1, g2, rnd, lam):
+    p = MgkHyperparameters(lambda_=lam)
+    (h1, _), (h2, _) = _relabelled(g1, rnd), _relabelled(g2, rnd)
+    assert mgk_raw(h1, h2, p) == mgk_raw(g1, g2, p)
+    assert mgk_raw(h2, h1, p) == mgk_raw(g2, g1, p)
+    assert np.array_equal(_block_of([h1, h2], p), _block_of([g1, g2], p))
+    assert packed_arrays([h1])[0].tobytes() == packed_arrays([g1])[0].tobytes()
+
+
+def test_two_spellings_of_one_molecule_give_bitwise_equal_values():
+    # the two spellings number the carbons differently
+    octane = parse_smiles("CCCCCCCC")
+    a, b = parse_smiles("C(CC)(C)CCCC"), parse_smiles("C(CCCC)(CC)C")
+    assert a.adjacency != b.adjacency
+    assert mgk_raw(a, octane, DEFAULT) == mgk_raw(b, octane, DEFAULT)
+    assert mgk_normalized(a, octane, DEFAULT) == mgk_normalized(b, octane, DEFAULT)
+    assert np.array_equal(_block_of([a, octane]), _block_of([b, octane]))
+
+
+# -- colour refinement against independent oracles ----------------------------------
+
+
+def _automorphism_orbits(g: MolecularGraph) -> set[frozenset[int]]:
+    """Orbits of the automorphism group, from networkx's isomorphism search."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(g)))
+    graph.add_edges_from((v, u) for v, nb in enumerate(g.adjacency) for u in nb)
+    orbit = [{v} for v in range(len(g))]
+    for mapping in isomorphism.GraphMatcher(graph, graph).isomorphisms_iter():
+        for v, u in mapping.items():
+            orbit[v].add(u)
+    return {frozenset(o) for o in orbit}
+
+
+def _partition(classes: list[int]) -> set[frozenset[int]]:
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(classes):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def test_refinement_classes_are_the_automorphism_orbits_up_to_c10():
+    graphs = enumerate_alkanes(1, 10)
+    assert len(graphs) == 150
+    rnd = random.Random(3)
+    for g in graphs:
+        orbits = _automorphism_orbits(g)
+        assert _partition(refined_classes(g)) == orbits
+        # the same orbits, renumbered, for the graph renumbered
+        h, perm = _relabelled(g, rnd)
+        assert _partition([refined_classes(h)[perm[v]] for v in range(len(g))]) == orbits
+
+
+def _assert_equitable(g: MolecularGraph, classes: list[int]) -> None:
+    """Every carbon of a class has the same number of neighbours in each
+    class, and classes are numbered 0..c-1."""
+    c = max(classes) + 1
+    assert set(classes) == set(range(c))
+    counts: dict[int, list[int]] = {}
+    for v, nb in enumerate(g.adjacency):
+        row = [0] * c
+        for u in nb:
+            row[classes[u]] += 1
+        assert counts.setdefault(classes[v], row) == row
+
+
+def test_every_partition_up_to_c12_is_equitable():
+    for g in enumerate_alkanes(1, 12):
+        _assert_equitable(g, refined_classes(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(alkane_trees(n, n), min_size=1, max_size=5)))
+def test_a_refined_stack_is_equitable_and_numbered_as_each_graph_alone(graphs):
+    # graphs of one carbon count refined together, as _graph_arrays does
+    neighbors = np.array([[nb + (-1,) * (4 - len(nb)) for nb in g.adjacency] for g in graphs],
+                         np.int64)
+    for g, row in zip(graphs, mgk._refine(neighbors)):
+        classes = row.tolist()
+        _assert_equitable(g, classes)
+        assert classes == refined_classes(g) == _classes_of_one_graph(g)
 
 
 def test_raw_values_independent_of_batch_and_request_order():
@@ -603,7 +775,8 @@ def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mgk, "_solve_pairs", count)
         assert mgk_normalized(*graphs, SCREENING) == 0.0
-    assert sorted(classes) == [(6, 6), (12, 12)]  # the size classes of C4 and C10
+    # butane has 2 colour classes and decane 5
+    assert sorted(classes) == [(mgk._size_class(2),) * 2, (mgk._size_class(5),) * 2]
 
     calc = MgkCalculator(SCREENING)
     small, large = calc.register(graphs)
@@ -799,9 +972,9 @@ def test_cg_iterations_are_counted_per_stack(monkeypatch, cap):
         {"q": 0.0},
         {"q": 1.0},
         {"start_weight": 0.0},
-        {"delta_element": 0.0},
+        {"delta_degree": 0.0},
         {"delta_degree": 1.0},
-        {"delta_bond_order": 1.5},
+        {"start_weight": -1.0},
         {"lambda_": 0.0},
         {"fp_tolerance": 0.0},
         {"fp_max_iters": 0},
@@ -812,13 +985,21 @@ def test_hyperparameter_validation(kwargs):
         MgkHyperparameters(**kwargs)
 
 
-_FLOAT_FIELDS = ("q", "start_weight", "delta_element", "delta_degree",
-                 "delta_bond_order", "lambda_", "fp_tolerance")
+_FLOAT_FIELDS = ("q", "start_weight", "delta_degree", "lambda_", "fp_tolerance")
+# fields that entered no alkane value and were dropped; a config key of
+# either name is unknown, whatever its value
+_DROPPED_FIELDS = ("delta_element", "delta_bond_order")
 
 
-@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+@pytest.mark.parametrize("field", _FLOAT_FIELDS + _DROPPED_FIELDS)
 @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, "0.5", None])
 def test_a_float_hyperparameter_must_be_a_finite_number(field, value):
+    if field in _DROPPED_FIELDS:
+        with pytest.raises(ValueError, match=f"unknown kernel config key '{field}'"):
+            MgkHyperparameters.from_dict({field: value})
+        with pytest.raises(TypeError):
+            MgkHyperparameters(**{field: value})
+        return
     if field == "lambda_" and value == math.inf:
         assert MgkHyperparameters(lambda_=value).to_dict()["lambda"] is None
         return
@@ -1031,12 +1212,13 @@ def test_cache_hyperparameter_mismatch(tmp_path):
     assert held_count(other) == 0
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 5])
 def test_cache_rejects_an_older_version_file(tmp_path, version):
     # version-2 values came from the Jacobi-preconditioned solver, version-3
-    # ones from stacks of one shape, without size-class padding
+    # ones from stacks of one shape, without size-class padding, and
+    # version-5 ones from unlumped systems over every carbon
     path, arrays = _segment(tmp_path)
-    assert int(arrays["version"]) == mgk._CACHE_VERSION == 5
+    assert int(arrays["version"]) == mgk._CACHE_VERSION == 6
     _rewrite(path, arrays, version=np.int64(version))
     _assert_rejected(path, "hyperparameters/version")
 
