@@ -12,12 +12,12 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from . import active_learning as al
-from . import pipeline, thermo
-from ._atomic import json_text, write_atomic, write_json
-from .molspace import enumerate_alkane_smiles
-from .pipeline import ConfigError, PipelineConfig, _Workspace
+from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 logger = logging.getLogger("alkspace")
 
@@ -114,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    from .pipeline import PipelineConfig
+
     config = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
@@ -126,11 +128,18 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 # -- commands ----------------------------------------------------------------
+# Each command imports the modules it runs, and loads the config itself.
 
 
-def cmd_enumerate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    lo = config.min_carbons if args.min_carbons is None else args.min_carbons
-    hi = config.max_carbons if args.max_carbons is None else args.max_carbons
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    from ._atomic import write_atomic
+    from .molspace import enumerate_alkane_smiles
+
+    lo, hi = args.min_carbons, args.max_carbons
+    if args.config or lo is None or hi is None:
+        config = _load_config(args)
+        lo = config.min_carbons if lo is None else lo
+        hi = config.max_carbons if hi is None else hi
     if not 1 <= lo <= hi:
         raise ConfigError(f"bad carbon range [{lo}, {hi}]")
     ids = enumerate_alkane_smiles(lo, hi)
@@ -146,7 +155,10 @@ def cmd_enumerate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_al(args: argparse.Namespace) -> int:
+    from .pipeline import _Workspace
+
+    config = _load_config(args)
     threshold = config.thresholds[0] if args.threshold is None else args.threshold
     config = replace(config, thresholds=(threshold,))
     ws = _Workspace(config)
@@ -161,7 +173,11 @@ def cmd_al(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_al_continue(args: argparse.Namespace) -> int:
+    from . import active_learning as al
+    from .pipeline import _Workspace
+
+    config = _load_config(args)
     ws = _Workspace(config)
     ids = ws.molecule_ids()
     state = ws.checkpoint(args.checkpoint, ids)
@@ -181,7 +197,10 @@ def cmd_al_continue(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import pipeline, thermo
+
+    config = _load_config(args)
     ids = pipeline.load_molecule_file(args.molecules)
     series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
     rows = thermo.write_dataset(args.out, series)
@@ -190,7 +209,10 @@ def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_fit_predict(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_fit_predict(args: argparse.Namespace) -> int:
+    from . import pipeline, thermo
+
+    config = _load_config(args)
     train_rows = thermo.read_dataset(args.train)
     ids = pipeline.load_molecule_file(args.molecules)
     preds = pipeline.predict_properties(train_rows, ids, config)
@@ -199,7 +221,11 @@ def cmd_fit_predict(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import pipeline, thermo
+    from ._atomic import json_text, write_json
+
+    _load_config(args)  # unused, but a bad --config still exits 1
     preds = pipeline.read_predictions(args.pred)
     truths = thermo.read_dataset(args.truth)
     metrics = pipeline.evaluate_predictions(preds, truths)
@@ -210,7 +236,10 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_compare_random(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_compare_random(args: argparse.Namespace) -> int:
+    from . import pipeline
+
+    config = _load_config(args)
     report = pipeline.compare_al_random(config)
     for prop in sorted(report.median_rmse_al):
         print(
@@ -222,7 +251,10 @@ def cmd_compare_random(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_run_all(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_run_all(args: argparse.Namespace) -> int:
+    from . import pipeline
+
+    config = _load_config(args)
     report = pipeline.run_alms(config)
     for stage in report.stages:
         for prop in sorted(stage.metrics):
@@ -253,8 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        config = _load_config(args)
-        return int(args.func(args, config))
+        return int(args.func(args))
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 1

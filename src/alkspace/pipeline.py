@@ -22,6 +22,7 @@ import numpy as np
 from . import active_learning as al
 from . import gpr, thermo
 from ._atomic import read_csv, read_json, write_atomic, write_csv, write_json
+from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
     MolecularGraph,
@@ -38,10 +39,6 @@ PROPERTIES = ("density", "heat_capacity", "hov")
 PREDICTION_HEADER = ["smiles", "temperature_K", "density_kgm3", "cp_Jmolk", "hvap_kJmol"]
 
 _HASH_CHARS = 12
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent pipeline configuration."""
 
 
 class StageError(RuntimeError):
@@ -915,15 +912,15 @@ def predict_properties(
 ) -> list[PredictionRow]:
     """Fit on a dataset and predict all three properties for each molecule
     on its own oracle temperature grid. Molecules are keyed by canonical
-    SMILES however the inputs spell them, and parsed from that form."""
-    canonical = {
-        m: str(to_canonical_smiles(parse_smiles(m)))
-        for m in {r.smiles for r in train_rows}.union(molecule_ids)
-    }
+    SMILES however the inputs spell them; each spelling is parsed once, and
+    kernel values do not depend on which spelling's graph a key keeps."""
+    graphs = {m: parse_smiles(m) for m in {r.smiles for r in train_rows}.union(molecule_ids)}
+    canonical = {m: str(to_canonical_smiles(g)) for m, g in graphs.items()}
+    train_graphs = {canonical[r.smiles]: graphs[r.smiles] for r in train_rows}
     train_rows = [replace(r, smiles=canonical[r.smiles]) for r in train_rows]
-    query_graphs = _graphs_for([canonical[m] for m in molecule_ids])
+    query_graphs = [graphs[m] for m in molecule_ids]
     calc = MgkCalculator(config.kernel)
-    calc.register(_graphs_for(sorted({r.smiles for r in train_rows})))
+    calc.register([train_graphs[k] for k in sorted(train_graphs)])
     query_keys = calc.register(query_graphs)
     model = _fit_on_rows(train_rows, calc, config)
     out: list[PredictionRow] = []

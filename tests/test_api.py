@@ -3,19 +3,69 @@
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import alkspace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _fresh_interpreter(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_star_import_resolves_every_export():
-    namespace: dict = {}
-    exec("from alkspace import *", namespace)
-    assert set(alkspace.__all__) <= set(namespace)
+    # in a new interpreter, so that every name goes through the lazy lookup
+    code = (
+        "import sys\n"
+        "from alkspace import *\n"
+        "import alkspace\n"
+        "print(sorted(n for n in alkspace.__all__ if globals().get(n) is not getattr("
+        "sys.modules[getattr(alkspace, n).__module__], n)))\n"
+    )
+    assert _fresh_interpreter(code) == ["[]"]
     assert alkspace.__all__ == sorted(alkspace.__all__)
     assert len(set(alkspace.__all__)) == len(alkspace.__all__)
+
+
+def test_every_export_is_the_object_its_module_defines():
+    for name in alkspace.__all__:
+        obj = getattr(alkspace, name)
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("alkspace."), name
+        assert getattr(module, name) is obj, name
+    assert set(alkspace.__all__) <= set(dir(alkspace))
+    assert alkspace.ConfigError is alkspace.pipeline.ConfigError is alkspace.errors.ConfigError
+
+
+def test_an_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        alkspace.no_such_name  # noqa: B018 - the lookup is the test
+    assert not hasattr(alkspace, "_no_such_private")
+
+
+def test_a_bare_import_loads_no_submodule():
+    code = "import sys, alkspace\nprint(sorted(m for m in sys.modules if m.startswith('alkspace.')))\n"
+    assert _fresh_interpreter(code) == ["[]"]
+
+
+def test_enumerate_with_bounds_loads_no_numpy_and_no_kernel_module():
+    heavy = ["numpy", "alkspace.pipeline", "alkspace.mgk", "alkspace.gpr",
+             "alkspace.active_learning", "alkspace.thermo"]
+    code = (
+        "import sys\n"
+        "from alkspace.cli import main\n"
+        "assert main(['enumerate', '4', '8', '--count']) == 0\n"
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
+    )
+    assert _fresh_interpreter(code) == ["37", "[]"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -169,6 +169,22 @@ def test_enumerate_uses_config_range(config_file, capsys):
     assert capsys.readouterr().out.strip() == "37"  # C4 through C8
 
 
+def test_enumerate_takes_an_omitted_bound_from_the_config(config_file, capsys):
+    assert main(["enumerate", "5", "--count", "--config", config_file]) == 0
+    assert capsys.readouterr().out.strip() == "35"  # C5 through C8
+    assert main(["enumerate", "11", "--count"]) == 0  # the default config ends at C12
+    assert capsys.readouterr().out.strip() == str(len(enumerate_alkane_smiles(11, 12)))
+
+
+def test_enumerate_with_both_bounds_still_checks_a_given_config(tmp_path, config_file, capsys):
+    assert main(["enumerate", "4", "5", "--count", "--config", config_file]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"chemical_space": {"min_carbons": 0}}))
+    assert main(["enumerate", "4", "5", "--count", "--config", str(bad)]) == 1
+    assert capsys.readouterr().out == ""
+
+
 # -- config plumbing --------------------------------------------------------------
 
 

@@ -428,6 +428,40 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     assert out == predict_properties(train_rows, ["CC(C)C"], cfg)
 
 
+def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
+    """Inputs spelled with other vertex numberings predict the bytes that
+    their canonical spellings do, and each distinct spelling is parsed
+    exactly once."""
+    from alkspace.molspace import parse_smiles, to_canonical_smiles
+
+    cfg = PipelineConfig.from_dict({"kernel": {"lambda": 0.2}})
+    respell = {"CCCCCC": "C(C)CCCC", "CC(C)CCC": "C(CCC)(C)C", "CCC(C)(C)C": "C(C)(C)(C)CC"}
+    queries = ["C(CC)(C)CCCC", "CC(C)C(C)C", "CCCCCC"]
+    canonical = {s: str(to_canonical_smiles(parse_smiles(s))) for s in [*respell, *queries]}
+    assert all(canonical[s] != s for s in queries)
+    train_path = str(tmp_path / "train.csv")
+    thermo.write_dataset(train_path, pipeline.simulate_molecules(list(respell), 0.0, 7))
+    train_rows = thermo.read_dataset(train_path)
+
+    def predicted(rows, molecules, name):
+        path = tmp_path / f"{name}.csv"
+        write_predictions(str(path), predict_properties(rows, molecules, cfg))
+        return path.read_bytes()
+
+    expected = predicted(train_rows, [canonical[q] for q in queries], "canonical")
+    by_canonical = {canonical[s]: respelled for s, respelled in respell.items()}
+    respelled_rows = [dataclasses.replace(r, smiles=by_canonical[r.smiles]) for r in train_rows]
+    parsed: list[str] = []
+
+    def counting_parse(smiles):
+        parsed.append(smiles)
+        return parse_smiles(smiles)
+
+    monkeypatch.setattr(pipeline, "parse_smiles", counting_parse)
+    assert predicted(respelled_rows, queries, "respelled") == expected
+    assert sorted(parsed) == sorted({*respell.values(), *queries})
+
+
 # -- the staged run -------------------------------------------------------------------
 
 
