@@ -12,30 +12,57 @@ Selection never reads property values: the variance depends on kernel
 entries only, which is what allows choosing the training set before any
 data generation happens.
 
-A step reads no more of the kernel than its outcome needs, and each entry
-it needs once. The variance of a candidate is its prior minus the squared
-entries x_0..x_{|S|-1} of the forward substitution against the Cholesky
-factor of S, taken in factor (selection) order; after rows 0..j the prior
-minus x_0^2 + ... + x_j^2 is an upper bound on the variance, it only falls
-as j grows, and it needs only the kernel entries against the first j + 1
-selected molecules. This is the monotone residual diagonal of pivoted
-Cholesky (Harbrecht, Peters & Schneider, 2012), used like the lazy
-evaluations of lazy greedy (Minoux, 1978). The variance pass
-(:func:`alkspace.gpr._posterior_variance`) reads the kernel row of each
-candidate one row block at a time, and a candidate whose bound falls below
-the threshold minus a margin of 1e-9 is read no further: its variance is
-below the threshold, so it is abandoned, and is neither the pick nor kept.
-The margin lies far above the rounding gap between the blocked bound and
-the variance of a full read, about |S| ulps, so no candidate that a full
-read keeps or picks is dropped. A candidate that survives every row block
-has its bound after the last one as its variance: it equals a full read's
-to rounding, and selections were checked identical to those of a full
-read on library runs from C4..C10 to C4..C14. Only the kernel pairs read
-fall.
+A step reads no more of the kernel than its outcome needs, and solves no
+row of a candidate's substitution that an earlier step solved. The variance
+of a candidate is its prior minus the squared entries x_0..x_{|S|-1} of the
+forward substitution against the Cholesky factor of S, taken in factor
+(selection) order; after rows 0..j the prior minus x_0^2 + ... + x_j^2 is
+an upper bound on the variance, it only falls as j grows, and it needs only
+the kernel entries against the first j + 1 selected molecules. This is the
+monotone residual diagonal of pivoted Cholesky (Harbrecht, Peters &
+Schneider, 2012), used like the lazy evaluations of lazy greedy (Minoux,
+1978). Growing S appends rows to the factor and changes none, so a
+candidate's prefix x_0..x_j and its bound stay valid for every later S.
+
+The selection engine (:class:`_Engine`) therefore carries, for every
+molecule, its prefix, the number of its rows known and its running bound,
+across steps and stages. A step solves each candidate only in the rows it
+lacks, in the row blocks of :func:`alkspace.gpr._row_blocks`; a block is
+one request over the candidates lacking rows in it, from the first row any
+of them lacks, so where their known rows differ (a stage's first step, or a
+batch below the pool size) some known entries are requested again, as store
+lookups. A candidate whose bound falls below the threshold minus a margin
+of 1e-9 is read no further; one whose carried bound is already below,
+typically an abandoned molecule returned to the pool at a lower threshold,
+is abandoned without a kernel request. Its variance is below the threshold,
+so it is abandoned, and is neither the pick nor kept. The margin lies far
+above the rounding gap between the blocked bound and the variance of a full
+read, about |S| ulps, so no candidate that a full read keeps or picks is
+dropped. A candidate read to the last row has its bound as its variance: it
+equals a full read's to rounding, and selections were checked identical to
+those of a full read on library runs from C4..C10 to C4..C14. Only the
+kernel pairs read fall. A selection's column K(S, pick) is requested once
+more to extend the factor.
 
 A terminated run can be continued at a strictly lower threshold: abandoned
 molecules return to the pool while the selected set is retained, producing
-nested selected sets across stages.
+nested selected sets across stages. The engine travels with the terminal
+state, in memory only: it is no part of equality, repr or checkpoints, so
+a state loaded from a checkpoint, or made by ``dataclasses.replace``,
+starts from row 0. A continuation takes the engine over from the state it
+continues, so a second continuation of that state starts from row 0 too.
+It requests K(S, S), as a fresh start does, and reuses the engine only if
+that block is bitwise the one the factor was built from, the noise is the
+same and S is the same in the same order; otherwise it factors K(S, S)
+afresh. A factor that needed jitter (a numerically singular S) is never
+carried to a later stage, and a jittered refactorization within a stage
+drops every carried prefix and bound.
+
+Inside a run the pool and the abandoned set are sorted int arrays of
+positions in the sorted id list, and the subset draw over the pool array
+makes the draws it made over the sorted pool of ids; the string
+:class:`AlState` is built only for ``on_step``, checkpoints and the
+return value.
 
 States checkpoint to JSON, including the generator state of the RNG, so an
 interrupted or continued run replays bit-identically.
@@ -43,7 +70,7 @@ interrupted or continued run replays bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,6 +114,9 @@ class AlState:
     seed: int
     iteration: int
     rng_state: dict | None = None
+    # the selection engine a terminal state carries to its continuation;
+    # in memory only, and no part of equality or repr (see _take_engine)
+    _engine: "_Engine | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.threshold >= 0.0 and np.isfinite(self.threshold)):
@@ -148,93 +178,121 @@ def al_init(
     )
 
 
-def _draw_subset(state: AlState, rng: np.random.Generator) -> list[str]:
-    """Working subset T: the whole pool when it fits the batch size (no RNG
-    consumed), else a seeded sample without replacement."""
-    pool_sorted = sorted(state.pool)
-    if len(pool_sorted) <= state.batch:
-        return pool_sorted
-    picks = rng.choice(len(pool_sorted), size=state.batch, replace=False)
-    return sorted(pool_sorted[i] for i in picks)
+def _draw_subset(
+    pool: np.ndarray, batch: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Working subset T of the sorted positions ``pool``: the whole pool when
+    it fits the batch size (no RNG consumed), else a seeded sample without
+    replacement, sorted."""
+    if pool.size <= batch:
+        return pool
+    return np.sort(pool[rng.choice(pool.size, size=batch, replace=False)])
 
 
 def _partition_subset(
-    subset: Sequence[str], variances: np.ndarray, threshold: float
-) -> tuple[str | None, list[str]]:
-    """Returns (selection or None, abandoned ids) for one scored subset.
+    subset: np.ndarray, variances: np.ndarray, threshold: float
+) -> tuple[int | None, np.ndarray]:
+    """Returns (selection or None, abandoned positions) for one scored
+    sorted subset.
 
     The selection is the highest-variance candidate when it exceeds the
-    threshold, ties broken toward the smallest id; candidates strictly
-    below the threshold are abandoned; the rest stay pooled.
+    threshold, ties broken toward the smallest id (the first position);
+    candidates strictly below the threshold are abandoned; the rest stay
+    pooled.
     """
-    vmax = float(np.max(variances))
-    pick: str | None = None
-    if vmax > threshold:
-        pick = min(m for m, v in zip(subset, variances) if v == vmax)
-    dropped = [
-        m for m, v in zip(subset, variances) if v < threshold and m != pick
-    ]
-    return pick, dropped
+    top = int(np.argmax(variances))
+    pick = int(subset[top]) if variances[top] > threshold else None
+    below = variances < threshold
+    if pick is not None:
+        below[top] = False
+    return pick, subset[below]
 
 
-def _apply_outcome(
-    state: AlState,
-    pick: str | None,
-    dropped: Sequence[str],
-    rng_state: dict,
-) -> AlState:
-    if pick is None and not dropped:
-        raise AlStallError(
-            f"no selection and no abandonment at iteration {state.iteration} "
-            f"(threshold {state.threshold}); the run would never terminate"
-        )
-    selected = state.selected + (pick,) if pick is not None else state.selected
-    removed = set(dropped) | ({pick} if pick is not None else set())
-    return replace(
-        state,
-        selected=selected,
-        pool=state.pool - removed,
-        abandoned=state.abandoned | set(dropped),
-        iteration=state.iteration + 1,
-        rng_state=rng_state,
-    )
-
-
-class _IncrementalLoop:
-    """The selection engine: scores candidates against a Cholesky factor of
-    the selected set, extended once per selection.
+class _Engine:
+    """The selection engine: the Cholesky factor of S, extended once per
+    selection, and for every molecule, by position in the sorted id list
+    ``ids``, its carried forward-substitution prefix ``x[:known[i], i]``
+    and running bound ``bound[i]`` (NaN until its prior is read).
 
     Equivalent to a fresh GP fit per step (tests check it against one
     built from gpr.fit); the factor grows in selection order, which resume
     reconstructs exactly.
     """
 
-    def __init__(self, state: AlState, provider: KernelProvider, noise: float):
-        self.provider = provider
+    def __init__(self, ids: list[str], keys: list[str], k: np.ndarray, noise: float):
+        self.ids = ids
+        self.keys = keys
         self.noise = noise
-        self.chol, _ = gpr._factor(provider, state.selected, noise)
-        self.keys = list(state.selected)
+        self.basis = k
+        self.chol, jitter = gpr._factor(k, noise)
+        # a later stage would factor K(S, S) afresh, escalating jitter anew
+        self.exact = jitter == 0.0
+        self.x = np.empty((_rows_for(len(keys)), len(ids)))
+        self.known = np.zeros(len(ids), np.int64)
+        self.bound = np.full(len(ids), np.nan)
 
-    def sync(self, state: AlState) -> None:
-        """Extend the factor to cover selections made since last sync."""
-        for key in state.selected[len(self.keys) :]:
-            cross = self.provider.block(self.keys, [key])[:, 0]
-            diag = float(self.provider.diag([key])[0]) + self.noise
-            try:
-                self.chol = gpr.extend_cholesky(self.chol, cross, diag)
-            except gpr.FitError:
-                # Numerically singular extension: rebuild with jitter.
-                self.chol, _ = gpr._factor(self.provider, self.keys + [key], self.noise)
-            self.keys.append(key)
+    def fits(self, ids: list[str], keys: list[str], k: np.ndarray, noise: float) -> bool:
+        """Whether this engine may carry on for S = ``keys`` whose kernel
+        block the provider gives as ``k``: same ids, S in the same order, the
+        same noise, and ``k`` bitwise the block its factor was built from."""
+        return (
+            self.exact and self.noise == noise and self.keys == keys
+            and self.ids == ids and self.basis.tobytes() == k.tobytes()
+        )
 
-    def variances(self, subset: Sequence[str], threshold: float) -> np.ndarray:
-        """Posterior variances of ``subset``, clamped at 0, except that a
-        candidate whose variance bound falls below ``threshold - _MARGIN``
-        gets that bound, clamped alike: its variance lies below the
+    def variances(
+        self, provider: KernelProvider, subset: np.ndarray, threshold: float
+    ) -> np.ndarray:
+        """Posterior variances at the positions ``subset``, clamped at 0,
+        except that a candidate whose variance bound falls below ``threshold -
+        _MARGIN`` gets that bound, clamped alike: its variance lies below the
         threshold too, so :func:`_partition_subset` treats both alike."""
-        cut = threshold - _MARGIN
-        var = gpr._posterior_variance(self.chol, self.provider, self.keys, subset, cut)
-        return np.maximum(var, 0.0)
+        fresh = subset[np.isnan(self.bound[subset])]
+        if fresh.size:
+            self.bound[fresh] = provider.diag([self.ids[i] for i in fresh])
+        gpr._forward(
+            self.chol, provider, self.keys, self.ids, threshold - _MARGIN,
+            self.x, self.known, self.bound, subset,
+        )
+        return np.maximum(self.bound[subset], 0.0)
+
+    def extend(self, provider: KernelProvider, pick: int) -> None:
+        """Grow S by the molecule at position ``pick``."""
+        key = self.ids[pick]
+        keys = self.keys + [key]
+        n = len(self.keys)
+        cross = provider.block(self.keys, [key])[:, 0]
+        diag = float(provider.diag([key])[0])
+        basis = np.empty((n + 1, n + 1))
+        basis[:n, :n] = self.basis
+        basis[:n, n] = basis[n, :n] = cross
+        basis[n, n] = diag
+        try:
+            chol = gpr.extend_cholesky(self.chol, cross, diag + self.noise)
+        except gpr.FitError:
+            # Numerically singular extension: rebuild with jitter. Prefixes
+            # against the old factor no longer hold.
+            chol, _ = gpr._factor(provider.block(keys, keys), self.noise)
+            self.exact = False
+            self.known[:] = 0
+            self.bound[:] = np.nan
+        if n + 1 > len(self.x):
+            x = np.empty((_rows_for(n + 1), len(self.ids)))
+            x[:n] = self.x[:n]
+            self.x = x
+        self.chol, self.basis, self.keys = chol, basis, keys
+
+
+def _take_engine(state: AlState) -> _Engine | None:
+    """The engine ``state`` carries, which the run continuing it takes
+    over: removed in one step, so two runs never share one engine, and a
+    second continuation of ``state`` starts a new one."""
+    return vars(state).pop("_engine", None)
+
+
+def _rows_for(n: int) -> int:
+    """Rows to allocate for prefixes of ``n`` rows: n rounded up to 16."""
+    return -(-n // 16) * 16
 
 
 def _run_loop(
@@ -244,24 +302,61 @@ def _run_loop(
     checkpoint_path: str | None,
     checkpoint_every: int,
     on_step: Callable[[AlState], None] | None,
+    engine: _Engine | None = None,
 ) -> AlState:
     """Steps ``state`` until the pool is empty; a state that starts with an
-    empty pool is only checkpointed."""
+    empty pool is only checkpointed. ``engine``, carried from an earlier
+    stage, is reused if it fits; the terminal state carries the engine on.
+
+    The pool and the abandoned set are sorted int arrays of positions in the
+    sorted id list; an AlState is built only for ``on_step``, a checkpoint
+    or the return value.
+    """
     if state.pool:
-        loop = _IncrementalLoop(state, kernel_provider, noise)
-    while state.pool:
+        ids = sorted(state.universe)
+        keys = list(state.selected)
+        k = np.array(kernel_provider.block(keys, keys), dtype=float)
+        if engine is None or not engine.fits(ids, keys, k, noise):
+            engine = _Engine(ids, keys, k, noise)
+        position = {m: i for i, m in enumerate(ids)}.__getitem__
+        pool = np.sort(np.fromiter(map(position, state.pool), np.int64, len(state.pool)))
+        abandoned = np.sort(
+            np.fromiter(map(position, state.abandoned), np.int64, len(state.abandoned))
+        )
         rng = _fresh_rng(state)
-        subset = _draw_subset(state, rng)
-        variances = loop.variances(subset, state.threshold)
-        pick, dropped = _partition_subset(subset, variances, state.threshold)
-        state = _apply_outcome(state, pick, dropped, rng.bit_generator.state)
-        loop.sync(state)
-        if on_step is not None:
-            on_step(state)
-        if checkpoint_path and state.iteration % checkpoint_every == 0:
-            save_checkpoint(state, checkpoint_path)
+        iteration = state.iteration
+        while pool.size:
+            subset = _draw_subset(pool, state.batch, rng)
+            variances = engine.variances(kernel_provider, subset, state.threshold)
+            pick, dropped = _partition_subset(subset, variances, state.threshold)
+            if pick is None and not dropped.size:
+                raise AlStallError(
+                    f"no selection and no abandonment at iteration {iteration} "
+                    f"(threshold {state.threshold}); the run would never terminate"
+                )
+            removed = dropped if pick is None else np.append(dropped, pick)
+            pool = np.delete(pool, np.searchsorted(pool, removed))
+            abandoned = np.insert(abandoned, np.searchsorted(abandoned, dropped), dropped)
+            if pick is not None:
+                engine.extend(kernel_provider, pick)
+            iteration += 1
+            due = bool(checkpoint_path) and iteration % checkpoint_every == 0
+            if on_step is not None or due or not pool.size:
+                state = replace(
+                    state,
+                    selected=tuple(engine.keys),
+                    pool=frozenset(map(ids.__getitem__, pool.tolist())),
+                    abandoned=frozenset(map(ids.__getitem__, abandoned.tolist())),
+                    iteration=iteration,
+                    rng_state=rng.bit_generator.state,
+                )
+                if on_step is not None:
+                    on_step(state)
+                if due:
+                    save_checkpoint(state, checkpoint_path)
     if checkpoint_path:
         save_checkpoint(state, checkpoint_path)
+    object.__setattr__(state, "_engine", engine)
     return state
 
 
@@ -295,7 +390,8 @@ def al_resume(
 ) -> AlState:
     """Continue an interrupted run from a (checkpoint) state."""
     return _run_loop(
-        state, kernel_provider, noise, checkpoint_path, checkpoint_every, on_step
+        state, kernel_provider, noise, checkpoint_path, checkpoint_every, on_step,
+        _take_engine(state),
     )
 
 
@@ -329,7 +425,8 @@ def al_continue(
         threshold=lower_threshold,
     )
     return _run_loop(
-        state, kernel_provider, noise, checkpoint_path, checkpoint_every, on_step
+        state, kernel_provider, noise, checkpoint_path, checkpoint_every, on_step,
+        _take_engine(terminal_state),
     )
 
 

@@ -42,16 +42,14 @@ _SOLVE_BLOCK = 64
 # requests, and a query reads at most twice the rows that drop it, plus 8.
 # Stacks, not pairs, set the solver time of small requests, so this keeps
 # the stacks down where active learning samples subsets. Pairs solved /
-# stacks of three-stage library selections with an MgkCalculator (seed 1;
-# seeds 1 and 7 for batch 100):
+# stacks of three-stage library selections with an MgkCalculator, each
+# candidate's rows carried across steps and stages (seed 1; seeds 1 and 7
+# for batch 100):
 #                      C4..C12       C4..C12, batch 100           C4..C14
-#   no bound           9,181 / 131   9,877 / 258, 10,733 / 275    63,697 / 969
-#   fixed blocks of 4  5,494 / 137   5,342 / 334,  5,880 / 456    31,464 / 853
-#   doubling from 4    5,810 / 124   5,735 / 320,  6,231 / 390    34,297 / 774
-#   doubling from 8    6,495 / 126   6,494 / 264,  6,723 / 317    35,720 / 740
-# select_c12_lazy wall_s, medians of 6 rounds of 12 s perfbench runs on one
-# pinned CPU of a 2-core Xeon: 0.352 s without the bound, 0.281 s doubling
-# from 4, 0.286 s from 8.
+#   no bound           9,181 / 120   9,877 / 258, 10,733 / 254    63,697 / 721
+#   fixed blocks of 4  5,162 / 147   5,188 / 520,  5,683 / 516    28,891 / 925
+#   doubling from 4    5,207 / 134   5,424 / 497,  5,769 / 422    30,804 / 788
+#   doubling from 8    5,207 / 126   5,711 / 403,  5,941 / 371    31,061 / 701
 _ROW_BLOCK = 8
 
 
@@ -136,14 +134,12 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(ends, ends[1:]))
 
 
-def _factor(
-    provider: KernelProvider, keys: Sequence, noise: float
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of the kernel block of ``keys`` plus ``noise``
-    on the diagonal, and the jitter it took, escalated on failure. The block
-    is symmetrized first to guard rounding asymmetry from assembly."""
-    k = provider.block(keys, keys)
-    a = (k + k.T) / 2.0 + noise * np.eye(len(keys))
+def _factor(k: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the kernel block ``k`` of some inputs against
+    themselves plus ``noise`` on the diagonal, and the jitter it took,
+    escalated on failure. The block is symmetrized first to guard rounding
+    asymmetry from assembly."""
+    a = (k + k.T) / 2.0 + noise * np.eye(len(k))
     _require_finite(a, "kernel matrix of the training inputs")
     jitter = 0.0
     for _ in range(_JITTER_RETRIES + 1):
@@ -215,7 +211,7 @@ def fit(
     y_std = np.where(y_std > 0.0, y_std, 1.0)
     ys = (y - y_mean) / y_std
 
-    chol, jitter = _factor(kernel_provider, keys, noise)
+    chol, jitter = _factor(kernel_provider.block(keys, keys), noise)
     alpha = _solve_triangular(chol.T, _solve_triangular(chol, ys), lower=False)
     return GprModel(
         training_keys=keys,
@@ -253,43 +249,53 @@ def predict_variance_with_diagnostics(
     queries = tuple(queries)
     if len(queries) == 0:
         return np.zeros(0), 0
-    var = _posterior_variance(
+    # prior minus what the training inputs explain, read in one request;
+    # negative entries are rounding residue
+    var = np.array(model.kernel_provider.diag(queries), dtype=float)
+    n, m = len(model.training_keys), len(queries)
+    _forward(
         model.chol_factor, model.kernel_provider, model.training_keys, queries,
-        -math.inf,
+        -math.inf, np.empty((n, m)), np.zeros(m, np.int64), var, np.arange(m),
     )
     clamped = int(np.count_nonzero(var < 0.0))
     return np.maximum(var, 0.0), clamped
 
 
-def _posterior_variance(
+def _forward(
     chol: np.ndarray, provider: KernelProvider, keys: Sequence, queries: Sequence,
-    cut: float,
-) -> np.ndarray:
-    """Prior variance minus what the training inputs ``keys`` (factor
-    ``chol``) explain, at the queries; negative entries are rounding residue.
+    cut: float, x: np.ndarray, known: np.ndarray, bound: np.ndarray, among: np.ndarray,
+) -> None:
+    """Advance in place the forward substitution against ``chol``, the factor
+    of the training inputs ``keys``, of the queries at the indices ``among``.
 
-    After each row block of the forward substitution the running value
-    bounds the variance from above (see :mod:`alkspace.active_learning`).
-    With a finite ``cut`` the block is read in :func:`_row_blocks` order,
-    and a query below ``cut`` is read no further and keeps its bound; with
-    -inf it is read in one request.
+    Query i holds its first ``known[i]`` rows in ``x[:known[i], i]`` and its
+    prior minus their squares in ``bound[i]``, an upper bound on its variance
+    (see :mod:`alkspace.active_learning`); only the rows it lacks are solved.
+    With a finite ``cut`` rows are read in :func:`_row_blocks` order and a
+    query whose bound is or falls below ``cut`` is read no further; with
+    -inf all at once. A block is one request, over the queries lacking rows
+    in it, from the first row any of them lacks: the molecule kernel's cost
+    goes by requests (stacked solves), not by entries looked up again.
     """
-    bound = np.array(provider.diag(queries), dtype=float)
     n = len(keys)
-    alive = np.flatnonzero(bound >= cut)
-    x = np.empty((n, len(alive)))
+    alive = among[(bound[among] >= cut) & (known[among] < n)]
     for j0, j1 in _row_blocks(n) if math.isfinite(cut) else [(0, n)]:
-        if not alive.size:
-            break
-        k = provider.block(keys[j0:j1], [queries[i] for i in alive])
-        _require_finite(k, "kernel block between training inputs and queries")
-        k = k - chol[j0:j1, :j0] @ x[:j0]
-        x[j0:j1] = _solve_triangular(chol[j0:j1, j0:j1], k)
-        bound[alive] -= np.sum(x[j0:j1] * x[j0:j1], axis=0)
-        keep = bound[alive] >= cut
-        if not keep.all():
-            alive, x = alive[keep], x[:, keep]
-    return bound
+        need = alive[known[alive] < j1]
+        if not need.size:
+            continue
+        starts = np.maximum(known[need], j0)
+        m = int(starts.min())
+        block = provider.block(keys[m:j1], [queries[i] for i in need])
+        _require_finite(block, "kernel block between training inputs and queries")
+        for s in np.unique(starts).tolist():
+            cols = np.flatnonzero(starts == s)
+            g = need[cols]
+            k = block[s - m:, cols] - chol[s:j1, :s] @ x[:s, g]
+            xs = _solve_triangular(chol[s:j1, s:j1], k)
+            x[s:j1, g] = xs
+            bound[g] -= np.sum(xs * xs, axis=0)
+            known[g] = j1
+        alive = alive[bound[alive] >= cut]
 
 
 def predict_variance(model: GprModel, queries: Sequence) -> np.ndarray:

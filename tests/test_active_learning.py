@@ -6,7 +6,9 @@ equivalence and resume tests additionally run on a real molecule kernel.
 
 import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -308,19 +310,25 @@ def test_run_matches_manual_step_loop():
     assert [s.rng_state for s in run_states] == [s.rng_state for s in manual]
 
 
+def new_engine(state, provider, noise=al.DEFAULT_AL_NOISE):
+    """The sorted ids of ``state`` and a selection engine started on it."""
+    ids, keys = sorted(state.universe), list(state.selected)
+    return ids, al._Engine(ids, keys, provider.block(keys, keys), noise)
+
+
 def test_incremental_variances_match_full_refit():
     ids, provider = molecule_provider(7, lambda_=0.2)
     steps = []
     al_run(ids, 0.5, batch=6, seed=2, kernel_provider=provider, on_step=steps.append)
     state = next(s for s in steps if len(s.selected) >= 6 or not s.pool)
     assert len(state.selected) >= 4
-    loop = al._IncrementalLoop(state, provider, al.DEFAULT_AL_NOISE)
-    queries = sorted(ids)[:8]
+    ids, engine = new_engine(state, provider)
+    queries = np.arange(8)
     model = gpr.fit(
         state.selected, np.zeros(len(state.selected)), al.DEFAULT_AL_NOISE, provider
     )
-    assert loop.variances(queries, 0.0) == pytest.approx(
-        gpr.predict_variance(model, queries), abs=1e-8
+    assert engine.variances(provider, queries, 0.0) == pytest.approx(
+        gpr.predict_variance(model, ids[:8]), abs=1e-8
     )
 
 
@@ -382,13 +390,15 @@ def test_size_screen_leaves_selections_unchanged(seed, monkeypatch):
 def random_kernel(seed, n):
     """Ids and a provider over a random unit-diagonal positive-semidefinite
     kernel: a Gram matrix of low rank plus a random ridge, so variances
-    spread over [0, 1]."""
+    spread over [0, 1]. The matrix is exactly symmetric, as a kernel's
+    block of a key list against itself is."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, rng.integers(1, 7)))
     k = x @ x.T + rng.uniform(0.0, 0.5) * np.eye(n)
+    k = (k + k.T) / 2.0
     d = np.sqrt(np.diag(k))
     ids = [f"m{i:02d}" for i in range(n)]
-    return ids, DictProvider(ids, k / d[:, None] / d[None, :])
+    return ids, DictProvider(ids, k / np.outer(d, d))
 
 
 def loop_stages(ids, provider, batch, seed, thresholds=(0.5, 0.4, 0.3)):
@@ -399,17 +409,23 @@ def loop_stages(ids, provider, batch, seed, thresholds=(0.5, 0.4, 0.3)):
     return out
 
 
+def oracle_continue(state, threshold, provider, noise=al.DEFAULT_AL_NOISE):
+    """The continuation of a terminal state at ``threshold``, stepped by
+    refit_step."""
+    state = replace(state, pool=state.abandoned, abandoned=frozenset(), threshold=threshold)
+    while state.pool:
+        state = refit_step(state, provider, noise)
+    return state
+
+
 def oracle_stages(ids, provider, batch, seed, thresholds=(0.5, 0.4, 0.3)):
     """The terminal states of :func:`loop_stages`, stepped by refit_step."""
     state = al_init(ids, thresholds[0], batch, seed)
-    out = []
-    for threshold in thresholds:
-        if out:
-            state = replace(state, pool=state.abandoned, abandoned=frozenset(),
-                            threshold=threshold)
-        while state.pool:
-            state = refit_step(state, provider)
-        out.append(state)
+    while state.pool:
+        state = refit_step(state, provider)
+    out = [state]
+    for threshold in thresholds[1:]:
+        out.append(oracle_continue(out[-1], threshold, provider))
     return out
 
 
@@ -421,20 +437,22 @@ def test_the_blocked_bound_never_falls_below_the_exact_variance(seed, n_selected
         selected=tuple(ids[:n_selected]), pool=frozenset(ids[n_selected:]),
         abandoned=frozenset(), threshold=threshold, batch=100, seed=0, iteration=0,
     )
-    loop = al._IncrementalLoop(state, provider, al.DEFAULT_AL_NOISE)
-    subset = sorted(state.pool)
-    scored = loop.variances(subset, threshold)
+    _, engine = new_engine(state, provider)
+    subset = np.arange(n_selected, len(ids))
+    scored = engine.variances(provider, subset, threshold)
     # no variance falls below 0 - _MARGIN, so at 0 every candidate is exact
-    exact = loop.variances(subset, 0.0)
+    exact = new_engine(state, provider)[1].variances(provider, subset, 0.0)
     model = gpr.fit(state.selected, np.zeros(n_selected), al.DEFAULT_AL_NOISE, provider)
-    assert exact == pytest.approx(gpr.predict_variance(model, subset), abs=1e-9)
+    assert exact == pytest.approx(gpr.predict_variance(model, ids[n_selected:]), abs=1e-9)
     assert np.all(scored >= exact - al._MARGIN)
     # a candidate is scored exactly, or by a bound below the threshold
     bounded = scored < threshold - al._MARGIN
     assert np.all(bounded | np.isclose(scored, exact, rtol=0.0, atol=1e-12))
-    assert al._partition_subset(subset, scored, threshold) == al._partition_subset(
-        subset, exact, threshold
-    )
+    pick, dropped = al._partition_subset(subset, scored, threshold)
+    exact_pick, exact_dropped = al._partition_subset(subset, exact, threshold)
+    assert (pick, dropped.tolist()) == (exact_pick, exact_dropped.tolist())
+    # the bounded candidates carry on from their rows to the exact variance
+    assert engine.variances(provider, subset, 0.0) == pytest.approx(exact, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -459,6 +477,156 @@ def test_three_stages_select_what_the_refit_oracle_selects(max_carbons, batch, s
     calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
     ids = calc.register(enumerate_alkanes(4, max_carbons))
     assert loop_stages(ids, calc, batch, seed) == oracle_stages(ids, calc, batch, seed)
+
+
+# -- the carried engine -------------------------------------------------------------
+
+
+class Forwarding:
+    """A provider that forwards every request to another one."""
+
+    def __init__(self, provider):
+        self.provider = provider
+
+    def block(self, keys_a, keys_b):
+        return self.provider.block(keys_a, keys_b)
+
+    def diag(self, keys):
+        return self.provider.diag(keys)
+
+
+# three distinct thresholds, highest first
+thresholds3 = st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3, unique=True).map(
+    lambda ts: tuple(sorted(ts, reverse=True))
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), thresholds3)
+def test_carried_stages_match_the_refit_oracle(seed, batch, thresholds):
+    ids, provider = random_kernel(seed, 24)
+    stages = [al_run(ids, thresholds[0], batch, seed % 1000, provider)]
+    engine = stages[0]._engine
+    for threshold in thresholds[1:]:
+        stages.append(al_continue(stages[-1], threshold, provider))
+    assert stages == oracle_stages(ids, provider, batch, seed % 1000, thresholds)
+    # each continuation took over the engine of the stage before
+    assert stages[2]._engine is engine
+    assert stages[0]._engine is stages[1]._engine is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), thresholds3)
+def test_continuations_of_one_terminal_state_match_the_refit_oracle(seed, batch, thresholds):
+    ids, provider = random_kernel(seed, 24)
+    _, other = random_kernel(seed + 1, 24)
+    high, mid, low = thresholds
+
+    def first():
+        # the benchmark's tracer wraps the provider afresh for every call
+        return al_run(ids, high, batch, seed % 1000, Forwarding(provider))
+
+    state = first()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "first.json")
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+    assert loaded._engine is None
+    runs, engines = {}, {}
+    for name, start, threshold, kernel, noise in [
+        ("mid", state, mid, Forwarding(provider), al.DEFAULT_AL_NOISE),
+        ("low", state, low, Forwarding(provider), al.DEFAULT_AL_NOISE),
+        ("other kernel", first(), mid, other, al.DEFAULT_AL_NOISE),
+        ("other noise", first(), mid, provider, 1e-3),
+        ("checkpoint copy", loaded, mid, provider, al.DEFAULT_AL_NOISE),
+    ]:
+        engines[name] = start._engine
+        runs[name] = al_continue(start, threshold, kernel, noise=noise)
+        want = oracle_continue(state, threshold, getattr(kernel, "provider", kernel), noise)
+        assert runs[name] == want, name
+    assert runs["checkpoint copy"] == runs["mid"]
+    # the first continuation took the engine over; the second continuation of
+    # that state, another kernel or another noise start one of their own
+    assert runs["mid"]._engine is engines["mid"] is not None
+    assert engines["low"] is None
+    for name in ("other kernel", "other noise"):
+        assert engines[name] is not None and runs[name]._engine is not engines[name]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 12))
+def test_runs_with_a_refactorized_extension_match_the_refit_oracle(seed, batch, failing):
+    ids, provider = random_kernel(seed, 24)
+    extend = gpr.extend_cholesky
+    calls = []
+
+    def fail_once(chol, cross, new_diag):
+        calls.append(len(chol))
+        if len(calls) == failing + 1:
+            raise gpr.FitError("numerically singular extension")
+        return extend(chol, cross, new_diag)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gpr, "extend_cholesky", fail_once)
+        stages = [al_run(ids, 0.5, batch, seed % 1000, provider)]
+        engines = [stages[0]._engine]
+        for threshold in (0.4, 0.3):
+            stages.append(al_continue(stages[-1], threshold, provider))
+            engines.append(stages[-1]._engine)
+    assert stages == oracle_stages(ids, provider, batch, seed % 1000)
+    if len(calls) > failing:
+        # the stage that refactorized hands no engine on
+        stage = next(i for i, s in enumerate(stages) if len(s.selected) > calls[failing])
+        assert all(engine is not engines[stage] for engine in engines[stage + 1 :])
+
+
+def test_a_singular_extension_drops_every_carried_prefix_and_bound():
+    ids, provider = random_kernel(3, 12)
+    # m11 duplicates m00, and with zero noise S + m11 is singular
+    values = provider.values
+    values[11] = values[0]
+    values[:, 11] = values[:, 0]
+    values[0, 0] = values[11, 11] = values[0, 11] = values[11, 0] = 1.0
+    state = AlState(
+        selected=("m00",), pool=frozenset(ids[1:]), abandoned=frozenset(),
+        threshold=0.3, batch=100, seed=0, iteration=0,
+    )
+    _, engine = new_engine(state, provider, noise=0.0)
+    subset = np.arange(1, 12)
+    engine.variances(provider, subset, 0.3)
+    assert engine.known[subset].all()
+    with pytest.raises(gpr.FitError):
+        gpr.extend_cholesky(engine.chol, provider.block(["m00"], ["m11"])[:, 0], 1.0)
+    engine.extend(provider, 11)
+    assert engine.keys == ["m00", "m11"] and not engine.exact
+    assert not engine.known.any() and np.isnan(engine.bound).all()
+    model = gpr.fit(("m00", "m11"), np.zeros(2), 0.0, provider)
+    assert model.jitter > 0.0
+    assert engine.variances(provider, subset[:-1], 0.0) == pytest.approx(
+        gpr.predict_variance(model, ids[1:11]), abs=1e-12
+    )
+
+
+def test_carrying_the_engine_solves_fewer_pairs_than_checkpoint_copies(tmp_path):
+    mols = enumerate_alkanes(4, 10)
+    path = str(tmp_path / "stage.json")
+
+    def stages(through_checkpoints):
+        calc = MgkCalculator(MgkHyperparameters(lambda_=0.2))
+        state = al_run(calc.register(mols), 0.5, 1000, 1, calc)
+        out = [state]
+        for threshold in (0.4, 0.3):
+            if through_checkpoints:
+                save_checkpoint(state, path)
+                state = load_checkpoint(path)
+            state = al_continue(state, threshold, calc)
+            out.append(state)
+        return out, calc.pairs_solved
+
+    carried, solved = stages(False)
+    copied, solved_copied = stages(True)
+    assert carried == copied
+    assert solved < solved_copied
 
 
 def test_the_bound_solves_fewer_pairs_for_the_same_selections(monkeypatch):
@@ -492,19 +660,28 @@ def test_a_step_reads_each_kernel_entry_once(monkeypatch):
         def diag(self, keys):
             return calc.diag(keys)
 
-    score = al._IncrementalLoop.variances
+    score = al._Engine.variances
     steps = []
 
-    def counted(loop, subset, threshold):
+    def counted(engine, provider, subset, threshold):
         requested.clear()
-        out = score(loop, subset, threshold)
+        out = score(engine, provider, subset, threshold)
         steps.append(list(requested))
         return out
 
-    monkeypatch.setattr(al._IncrementalLoop, "variances", counted)
+    monkeypatch.setattr(al._Engine, "variances", counted)
     stages = loop_stages(ids, Counting(), 1000, 1)
     assert len(steps) == stages[-1].iteration
     assert all(len(set(step)) == len(step) > 0 for step in steps)
+    # batch >= pool: from each stage's second step on, every candidate lacks
+    # the same rows, and no step requests an entry (in either order) that an
+    # earlier step of the run requested
+    firsts = {0} | {stage.iteration for stage in stages[:-1]}
+    earlier = set()
+    for i, step in enumerate(steps):
+        pairs = {frozenset(pair) for pair in step}
+        assert i in firsts or earlier.isdisjoint(pairs), f"step {i} re-reads"
+        earlier |= pairs
 
 
 def test_row_blocks_double_after_the_first():
