@@ -42,7 +42,7 @@ _SOURCES = {
     ),
     "thermo": (
         "PropertyRecord", "QcStatus", "ThermoSeries", "combine_heat_capacity",
-        "hov_corrected", "qc_evaluate", "read_dataset", "simulate_series",
+        "hov_corrected", "qc_evaluate", "read_dataset", "simulate_batch", "simulate_series",
         "synth_critical_temperature", "temperature_grid", "write_dataset",
     ),
 }

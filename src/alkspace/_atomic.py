@@ -5,8 +5,10 @@ so a reader never sees a partial file. JSON artifacts are one object,
 indented by one space with sorted keys and a final newline. CSV artifacts
 are written by the csv module: ``\\r\\n`` line ends, ``None`` as an empty
 field, numbers with ``str``, which for a float is its ``repr``, so a value
-reads back exactly. A CSV artifact that is read back holds a label in its
-first column and a finite number in every other.
+reads back exactly. A writer that reuses fields it formatted once joins
+them with :func:`csv_lines`, which gives the csv module's bytes. A CSV
+artifact that is read back holds a label in its first column and a finite
+number in every other.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 import json
 import math
 import os
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def write_atomic(path: str, content: str | bytes) -> None:
@@ -59,6 +61,21 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]
     write_atomic(path, buf.getvalue())
 
 
+def csv_field(value: str) -> str:
+    """``value`` as :func:`write_csv` writes it in a row of several
+    fields: quoted where the csv module quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]
+
+
+def csv_lines(rows: Iterable[Sequence[str]]) -> str:
+    """The lines :func:`write_csv` writes for rows whose fields are already
+    text that needs no quoting: a :func:`csv_field`, a number's ``str``, a
+    plain word."""
+    return "".join(f"{','.join(fields)}\r\n" for fields in rows)
+
+
 def read_json(path: str) -> dict:
     """The object a JSON artifact holds; ValueError naming the file (and,
     for a syntax error, the line) unless it parses to a JSON object."""
@@ -72,18 +89,25 @@ def read_json(path: str) -> dict:
     return obj
 
 
-def read_csv(path: str, header: Sequence[str]) -> list[tuple[str, list[float]]]:
-    """The rows of a CSV artifact as (label, the other fields as floats).
+def row_error(path: str, line: int, problem: object) -> ValueError:
+    """The error that rejects a row of a CSV artifact, naming the file and
+    the line."""
+    return ValueError(f"{path!r} line {line}: {problem}")
+
+
+def csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, str, list[float]]]:
+    """The rows of a CSV artifact as (line number, label, the other fields
+    as floats).
 
     ValueError naming the file unless its first line is ``header``, and
-    naming the file and the line for a row without one field per column or
-    with a field after the first that is not a finite number.
+    naming the file and the line (:func:`row_error`) for a row without one
+    field per column or with a field after the first that is not a finite
+    number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
             raise ValueError(f"unrecognized header in {path!r}, expected {','.join(header)}")
-        out = []
         for row in reader:
             try:
                 if len(row) != len(header):
@@ -92,6 +116,10 @@ def read_csv(path: str, header: Sequence[str]) -> list[tuple[str, list[float]]]:
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite value in {row}")
             except ValueError as exc:
-                raise ValueError(f"{path!r} line {reader.line_num}: {exc}") from None
-            out.append((row[0], values))
-    return out
+                raise row_error(path, reader.line_num, exc) from None
+            yield reader.line_num, row[0], values
+
+
+def read_csv(path: str, header: Sequence[str]) -> list[tuple[str, list[float]]]:
+    """The (label, values) of each row of :func:`csv_rows`."""
+    return [(label, values) for _, label, values in csv_rows(path, header)]

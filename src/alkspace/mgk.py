@@ -112,6 +112,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
+from .gpr import _distinct
 from .molspace import MolecularGraph, to_canonical_smiles
 
 # Padded product-class entries (pairs x m1 x m2) per stacked solve; caps
@@ -311,7 +312,7 @@ def _graph_arrays(
     sizes = np.fromiter(map(len, graphs), np.int64, len(graphs))
     count = np.empty(len(graphs), np.int64)
     stacks = []
-    for n in np.unique(sizes).tolist():
+    for n in _distinct(sizes).tolist():
         members = np.flatnonzero(sizes == n)
         neighbors = np.array(
             [nb + (-1,) * (4 - len(nb)) for i in members.tolist() for nb in graphs[i].adjacency],
@@ -322,13 +323,13 @@ def _graph_arrays(
         stacks.append((members, neighbors, local))
     classes = _size_class(count)
     rows = np.empty(len(graphs), np.int64)
-    for m in np.unique(classes).tolist():
+    for m in _distinct(classes).tolist():
         at = np.flatnonzero(classes == m)
         _, lo = arenas.reserve(m, len(at))
         rows[at] = np.arange(lo, lo + len(at))
     for members, neighbors, local in stacks:
         degree = np.count_nonzero(neighbors >= 0, axis=2)
-        for c in np.unique(count[members]).tolist():
+        for c in _distinct(count[members]).tolist():
             sel = np.flatnonzero(count[members] == c)
             cls = local[sel]
             # each graph's classes, then its class pairs, get their own cells
@@ -701,7 +702,7 @@ class MgkCalculator:
         index = self._index.__getitem__
         ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64, len(keys_a)), return_inverse=True)
         ub, cols = np.unique(np.fromiter(map(index, keys_b), np.int64, len(keys_b)), return_inverse=True)
-        both = np.union1d(ua, ub)
+        both = _distinct(np.concatenate([ua, ub]))
         missing = both[np.isnan(self._self[both])]
         if missing.size:
             self._compute_pairs(missing << 32 | missing)
@@ -732,7 +733,7 @@ class MgkCalculator:
         The cross pairs are stored as looked up, as :meth:`block` solves
         only pairs it looks up."""
         lo, hi = codes >> 32, codes & _LOW
-        self._build_arrays(np.union1d(lo, hi))
+        self._build_arrays(_distinct(np.concatenate([lo, hi])))
         rank = self._ranks()
         swap = rank[lo] > rank[hi]
         first, second = np.where(swap, hi, lo), np.where(swap, lo, hi)

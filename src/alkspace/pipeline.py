@@ -21,7 +21,9 @@ import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from ._atomic import read_csv, read_json, write_atomic, write_csv, write_json
+from ._atomic import (
+    csv_field, csv_lines, read_csv, read_json, write_atomic, write_csv, write_json,
+)
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
@@ -364,11 +366,16 @@ def split_test(
 
 
 class _Workspace:
-    """Artifact paths and cached stage products for one configuration."""
+    """Artifact paths and cached stage products for one configuration, for
+    the length of one command."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         os.makedirs(config.out_dir, exist_ok=True)
+        # the oracle series this command simulated, by molecule id, and how
+        # many times a dataset took one of them again instead
+        self._series: dict[str, thermo.ThermoSeries] = {}
+        self._reused = 0
 
     def path(self, name: str) -> str:
         return os.path.join(self.config.out_dir, name)
@@ -534,28 +541,47 @@ class _Workspace:
         """Simulated dataset for the given molecules, cached as a CSV artifact.
 
         Row order follows ``ids``; the file carries all rows with their QC
-        flag, training-side filtering happens at read time. A reused file
-        whose rows name other molecules, or the same ones in another order,
-        raises StageError.
+        flag, training-side filtering happens at read time. An existing
+        file is read (:func:`thermo.read_dataset` checks it), and raises
+        StageError if its rows name other molecules, or the same ones in
+        another order. Otherwise only the molecules this command has not
+        simulated yet are simulated, in one batch, and the file is written
+        and its rows returned from memory.
         """
         cfg = self.config
         h = _hash_obj({"members": stage_hash, "oracle": cfg.oracle_dict()})
         path = self.path(f"dataset_{tag}_{h}.csv")
-        if not os.path.exists(path):
-            t0 = time.monotonic()
-            series = simulate_molecules(ids, cfg.noise_sigma, cfg.oracle_seed)
+        if os.path.exists(path):
+            rows = thermo.read_dataset(path)
+        else:
+            new = [m for m in dict.fromkeys(ids) if m not in self._series]
+            if new:
+                t0 = time.monotonic()
+                self._series.update(
+                    zip(new, simulate_molecules(new, cfg.noise_sigma, cfg.oracle_seed))
+                )
+                logger.info(
+                    "simulated %d molecules (%s) in %.1fs",
+                    len(new), tag, time.monotonic() - t0,
+                )
+            self._reused += len(ids) - len(new)
+            series = [self._series[m] for m in ids]
             thermo.write_dataset(path, series)
-            logger.info(
-                "simulated %d molecules (%s) in %.1fs -> %s",
-                len(ids), tag, time.monotonic() - t0, path,
-            )
-        rows = thermo.read_dataset(path)
-        if list(dict.fromkeys(r.smiles for r in rows)) != list(ids):
+            logger.info("wrote %d molecules (%s) -> %s", len(ids), tag, path)
+            rows = [r for s in series for r in s.dataset_rows]
+        if [r.smiles for r in rows[:: thermo.GRID_POINTS]] != list(ids):
             raise StageError(
                 f"dataset {path} does not hold exactly the {len(ids)} requested "
                 "molecules in order; delete it to rebuild"
             )
         return rows
+
+    def log_oracle(self) -> None:
+        """Log how many molecules this command simulated, and how many
+        times a dataset reused one (never written to ``out_dir``)."""
+        logger.info(
+            "oracle: simulated %d molecules, reused %d", len(self._series), self._reused
+        )
 
     def test_set(
         self, ids: Sequence[str], final_selected: Sequence[str]
@@ -578,15 +604,14 @@ class _Workspace:
 def simulate_molecules(
     ids: Sequence[str], noise_sigma: float, seed: int
 ) -> list[thermo.ThermoSeries]:
-    """Oracle series for each molecule id; QC failures are logged."""
-    out = []
-    for m in ids:
-        series = thermo.simulate_series(parse_smiles(m), noise_sigma, seed)
+    """Oracle series for each molecule id, as one batch
+    (:func:`thermo.simulate_batch`); QC failures are logged."""
+    out = thermo.simulate_batch([parse_smiles(m) for m in ids], noise_sigma, seed)
+    for m, series in zip(ids, out):
         if not series.qc.passed:
             logger.warning(
                 "QC drop %s: failed %s", m, ",".join(series.qc.failed_checks())
             )
-        out.append(series)
     return out
 
 
@@ -611,6 +636,16 @@ def _fit_on_rows(rows: Sequence[thermo.DatasetRow], provider, cfg: PipelineConfi
         raise StageError("no QC-passing training rows")
     kernel = gpr.TemperatureProductKernel(provider, cfg.gpr.temperature_length_scale)
     return gpr.fit(keys, targets, cfg.gpr.regression_noise, kernel)
+
+
+def _median(values: Sequence[float]) -> float:
+    """The median of nonempty finite values: bitwise ``np.median``'s, which
+    on numpy >= 2.3 imports numpy.ma."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
 
 
 def _metrics_by_property(
@@ -652,6 +687,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         final_selected = states[-1].selected
         test_ids, test_rows = ws.test_set(ids, final_selected)
         test_keys, test_truth = property_table(test_rows)
+        truth_columns = test_truth.T.tolist()
 
         # every stage predicts the test set against a subset of the final
         # selection: solve those pairs in one batch rather than per stage
@@ -682,10 +718,9 @@ def run_alms(config: PipelineConfig) -> EvalReport:
                     metrics=metrics,
                 )
             )
-            for j, prop in enumerate(PROPERTIES):
+            for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
                 parity[(stage_no, prop)] = [
-                    (k[0], k[1], float(test_truth[r, j]), float(preds[r, j]))
-                    for r, k in enumerate(test_keys)
+                    (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
                 ]
             for prop in PROPERTIES:
                 m = metrics[prop]
@@ -706,6 +741,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     report_path = ws.path(f"report_{report.config_hash}.json")
     write_json(report_path, report.to_dict())
     export_plot_data(report, parity, config.out_dir)
+    ws.log_oracle()
     logger.info(
         "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
     )
@@ -728,12 +764,24 @@ def export_plot_data(
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
+    header = ["smiles", "temperature_K", "truth", "prediction"]
+    # The stages predict the same rows, so the fields of each (molecule,
+    # temperature, truth) are formatted once. 0.0 and -0.0 are equal keys
+    # that format differently, so a zero is never looked up.
+    shared: dict[tuple[str, float, float], tuple[str, str, str]] = {}
+
+    def fields(mol: str, t: float, truth: float, pred: float) -> tuple[str, ...]:
+        key = (mol, t, truth)
+        done = shared.get(key) if t and truth else None
+        if done is None:
+            done = shared[key] = (csv_field(mol), str(float(t)), str(float(truth)))
+        return (*done, str(float(pred)))
+
     for (stage, prop), rows in sorted(predictions.items()):
         path = os.path.join(
             out_dir, f"parity_stage{stage}_{prop}_{report.config_hash}.csv"
         )
-        body = [[mol, float(t), float(truth), float(pred)] for mol, t, truth, pred in rows]
-        write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], body)
+        write_atomic(path, csv_lines([header, *(fields(*row) for row in rows)]))
         written.append(path)
     summary_rows = [
         [prop, stage.stage, float(stage.threshold), stage.n_selected, stage.n_train_rows,
@@ -865,14 +913,8 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
                     comparison.random_metrics[prop].rmse,
                 )
 
-    median_al = {
-        p: float(np.median([s.al_metrics[p].rmse for s in per_seed]))
-        for p in PROPERTIES
-    }
-    median_rnd = {
-        p: float(np.median([s.random_metrics[p].rmse for s in per_seed]))
-        for p in PROPERTIES
-    }
+    median_al = {p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES}
+    median_rnd = {p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES}
     report = ComparisonReport(
         config_hash=config.content_hash(),
         n_train_molecules=len(s1.selected),
@@ -884,6 +926,7 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
     )
     path = ws.path(f"comparison_{report.config_hash}.json")
     write_json(path, report.to_dict())
+    ws.log_oracle()
     for prop in PROPERTIES:
         logger.info(
             "median rmse %s: AL=%.4g random=%.4g -> %s",

@@ -8,11 +8,20 @@ be physically plausible (density falls with temperature and branching,
 both other properties scale with size) and exactly quadratic in T so the
 quality-control regression gate is satisfiable by construction.
 
+The oracle is batched: :func:`simulate_batch` computes the grids, the
+properties, the noise and the QC verdicts of many molecules in numpy passes,
+bit for bit what evaluating each molecule one temperature at a time gives.
+A single series (:func:`simulate_series`) is a batch of one. Each molecule
+draws its noise from its own stream, so no value depends on what else the
+batch holds or in which order.
+
 Also provides the standalone thermodynamic combiners (heat-capacity sum and
-the corrected heat of vaporization) and the quality-control gates a series
-must pass before entering a training set: no vapor-like density, no
+the corrected heat of vaporization), the quality-control gates a series
+must pass before entering a training set (no vapor-like density, no
 solid-like diffusion, strict monotonicity, and a quadratic fit with
-R^2 >= 0.98.
+R^2 >= 0.98), evaluated over arrays of series, and the dataset CSV: a
+series formats its rows once, and the reader rejects a file in which a
+molecule is not one block of ``GRID_POINTS`` rows.
 """
 
 from __future__ import annotations
@@ -20,11 +29,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._atomic import read_csv, write_csv
+from ._atomic import csv_field, csv_lines, csv_rows, row_error, write_atomic
 from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
 
 R_GAS = 8.314462618  # J/(mol K)
@@ -121,6 +131,28 @@ class ThermoSeries:
     def temperatures(self) -> np.ndarray:
         return np.array([r.temperature for r in self.records])
 
+    # A series formats its values, and builds its rows, at most once, so a
+    # command writing one molecule into several datasets does neither again.
+
+    @cached_property
+    def dataset_text(self) -> str:
+        """The lines :func:`write_dataset` writes for this series."""
+        label, qc = csv_field(self.molecule_id), "1" if self.qc.passed else "0"
+        return csv_lines(
+            [label, str(r.temperature), str(r.pressure), str(r.density),
+             str(r.heat_capacity), str(r.hov), qc]
+            for r in self.records
+        )
+
+    @cached_property
+    def dataset_rows(self) -> tuple[DatasetRow, ...]:
+        """The rows :func:`read_dataset` reads back from :attr:`dataset_text`."""
+        return tuple(
+            DatasetRow(self.molecule_id, r.temperature, r.pressure, r.density,
+                       r.heat_capacity, r.hov, self.qc.passed)
+            for r in self.records
+        )
+
 
 def synth_critical_temperature(d: Descriptors) -> float:
     """Synthetic critical temperature in K.
@@ -134,11 +166,15 @@ def synth_critical_temperature(d: Descriptors) -> float:
     return 120.0 + 42.0 * n**0.75 + 8.0 * math.log(1.0 + d.wiener_index / n)
 
 
-def temperature_grid(tc: float) -> np.ndarray:
-    """Evenly spaced inclusive grid over [0.4 Tc, 0.9 Tc]."""
-    if not tc > 0:
+def temperature_grid(tc: float | np.ndarray) -> np.ndarray:
+    """Evenly spaced inclusive grid over [0.4 Tc, 0.9 Tc]; an array of
+    critical temperatures gives one grid per entry, along the last axis,
+    each bitwise the grid of that entry alone."""
+    if not np.all(np.asarray(tc) > 0):
         raise ValueError("critical temperature must be positive")
-    return np.linspace(GRID_LOW_FRACTION * tc, GRID_HIGH_FRACTION * tc, GRID_POINTS)
+    return np.linspace(
+        GRID_LOW_FRACTION * tc, GRID_HIGH_FRACTION * tc, GRID_POINTS, axis=-1
+    )
 
 
 def _series_seed(seed: int, molecule_id: str) -> np.random.Generator:
@@ -148,45 +184,54 @@ def _series_seed(seed: int, molecule_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-def simulate_series(
-    g: MolecularGraph, noise_sigma: float = 0.0, seed: int = 0
-) -> ThermoSeries:
-    """Property series of an alkane on its temperature grid.
+def simulate_batch(
+    graphs: Sequence[MolecularGraph], noise_sigma: float = 0.0, seed: int = 0
+) -> list[ThermoSeries]:
+    """Property series of each alkane on its temperature grid, computed in
+    numpy passes over the whole batch.
 
-    With ``noise_sigma`` > 0, each value is scaled by (1 + sigma * z) with
-    standard-normal z from a stream derived from (seed, molecule id);
-    isomorphic inputs under the same seed give identical series.
+    Each value is bitwise what evaluating the molecule at each grid
+    temperature in turn gives: the same operations in the same order. With
+    ``noise_sigma`` > 0, each value is scaled by (1 + sigma * z) with
+    standard-normal z from a stream derived from (seed, molecule id), drawn
+    as one (GRID_POINTS, 3) block per molecule: row by row, one z per
+    property. Isomorphic inputs under the same seed give identical series,
+    whatever else the batch holds.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    mol_id = str(to_canonical_smiles(g))
-    d = descriptors(g)
-    n = d.n_carbons
-    branch = d.n_methyl / n
-    tc = synth_critical_temperature(d)
-    rng = _series_seed(seed, mol_id) if noise_sigma > 0 else None
-    records = []
-    for t in temperature_grid(tc):
-        density = (840.0 + 2.5 * n - 60.0 * branch) - 0.55 * t - 4e-4 * t * t
-        cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
-        hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t
-        if rng is not None:
-            z = rng.standard_normal(3)
-            density *= 1.0 + noise_sigma * z[0]
-            cp *= 1.0 + noise_sigma * z[1]
-            hov *= 1.0 + noise_sigma * z[2]
-        records.append(
-            PropertyRecord(
-                molecule_id=mol_id,
-                temperature=float(t),
-                pressure=1.0,
-                density=float(density),
-                heat_capacity=float(cp),
-                hov=float(hov),
-            )
+    if not graphs:
+        return []
+    ids = [str(to_canonical_smiles(g)) for g in graphs]
+    ds = [descriptors(g) for g in graphs]
+    n = np.array([d.n_carbons for d in ds], dtype=float)[:, None]
+    branch = np.array([d.n_methyl / d.n_carbons for d in ds])[:, None]
+    t = temperature_grid(np.array([synth_critical_temperature(d) for d in ds]))
+    density = (840.0 + 2.5 * n - 60.0 * branch) - 0.55 * t - 4e-4 * t * t
+    cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
+    hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t
+    values = np.stack([density, cp, hov], axis=2)
+    if noise_sigma > 0:
+        z = np.stack([_series_seed(seed, m).standard_normal((GRID_POINTS, 3)) for m in ids])
+        values *= 1.0 + noise_sigma * z
+    return [
+        ThermoSeries(
+            molecule_id=mol_id,
+            records=tuple(
+                PropertyRecord(mol_id, ti, 1.0, *row) for ti, row in zip(temps, rows)
+            ),
+            qc=qc,
         )
-    qc = _qc_from_records(tuple(records), diffusion=None)
-    return ThermoSeries(molecule_id=mol_id, records=tuple(records), qc=qc)
+        for mol_id, temps, rows, qc in zip(ids, t.tolist(), values.tolist(), _qc(t, values))
+    ]
+
+
+def simulate_series(
+    g: MolecularGraph, noise_sigma: float = 0.0, seed: int = 0
+) -> ThermoSeries:
+    """Property series of an alkane on its temperature grid: a batch of one
+    (:func:`simulate_batch`)."""
+    return simulate_batch([g], noise_sigma, seed)[0]
 
 
 def combine_heat_capacity(
@@ -220,42 +265,55 @@ def hov_corrected(u_inter: float, temperature: float, n_carbons: int) -> float:
     return rt_kj - u_inter + correction
 
 
-def _strictly_monotone(values: Sequence[float]) -> bool:
-    inc = all(b > a for a, b in zip(values, values[1:]))
-    dec = all(b < a for a, b in zip(values, values[1:]))
-    return inc or dec
-
-
 def quadratic_fit_r2(temperatures: Sequence[float], values: Sequence[float]) -> float:
     """Coefficient of determination of a degree-2 least-squares fit."""
     t = np.asarray(temperatures, dtype=float)
     y = np.asarray(values, dtype=float)
-    coeffs = np.polyfit(t, y, 2)
-    resid = y - np.polyval(coeffs, t)
-    ss_res = float(resid @ resid)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0:
-        return 1.0 if ss_res < 1e-12 else 0.0
-    return 1.0 - ss_res / ss_tot
+    return float(_quadratic_r2(t[None, :], y[None, :, None])[0, 0])
+
+
+def _quadratic_r2(temperatures: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """R^2 of the degree-2 least-squares fit of each column of ``values``
+    (m, n, k) against its row of ``temperatures`` (m, n); shape (m, k). A
+    constant column scores 1.0 if the fit leaves no residual, else 0.0.
+
+    The fit projects onto an orthonormal basis of (1, u, u^2), u the
+    centred temperatures, from one stacked QR.
+    """
+    u = temperatures - temperatures.mean(axis=1, keepdims=True)
+    q, _ = np.linalg.qr(np.stack([np.ones_like(u), u, u * u], axis=2))
+    resid = values - q @ (q.transpose(0, 2, 1) @ values)
+    ss_res = (resid * resid).sum(axis=1)
+    centered = values - values.mean(axis=1, keepdims=True)
+    ss_tot = (centered * centered).sum(axis=1)
+    constant = ss_tot == 0.0
+    r2 = 1.0 - ss_res / np.where(constant, 1.0, ss_tot)
+    return np.where(constant, (ss_res < 1e-12).astype(float), r2)
+
+
+def _qc(
+    temperatures: np.ndarray, values: np.ndarray, diffusion: float | None = None
+) -> list[QcStatus]:
+    """The QC verdict of each series: ``temperatures`` (m, n), ``values``
+    (m, n, 3) of density, heat capacity and heat of vaporization."""
+    vapor = (values[:, :, 0] >= VAPOR_DENSITY_LIMIT).all(axis=1)
+    rising = (values[:, 1:] > values[:, :-1]).all(axis=1)
+    falling = (values[:, 1:] < values[:, :-1]).all(axis=1)
+    monotonic = (rising | falling).all(axis=1)
+    fit = (_quadratic_r2(temperatures, values) >= QC_R2_LIMIT).all(axis=1)
+    solid = None if diffusion is None else diffusion >= SOLID_DIFFUSION_LIMIT
+    return [
+        QcStatus(vapor=v, solid=solid, monotonic=m, quadratic_fit=f)
+        for v, m, f in zip(vapor.tolist(), monotonic.tolist(), fit.tolist())
+    ]
 
 
 def _qc_from_records(
     records: tuple[PropertyRecord, ...], diffusion: float | None
 ) -> QcStatus:
-    temps = [r.temperature for r in records]
-    by_property = {
-        "density": [r.density for r in records],
-        "heat_capacity": [r.heat_capacity for r in records],
-        "hov": [r.hov for r in records],
-    }
-    vapor = all(rho >= VAPOR_DENSITY_LIMIT for rho in by_property["density"])
-    solid = None if diffusion is None else diffusion >= SOLID_DIFFUSION_LIMIT
-    monotonic = all(_strictly_monotone(v) for v in by_property.values())
-    fit_ok = all(
-        quadratic_fit_r2(temps, v) >= QC_R2_LIMIT for v in by_property.values()
-    )
-    return QcStatus(vapor=vapor, solid=solid, monotonic=monotonic, quadratic_fit=fit_ok)
+    temps = np.array([[r.temperature for r in records]])
+    values = np.array([[[r.density, r.heat_capacity, r.hov] for r in records]])
+    return _qc(temps, values, diffusion)[0]
 
 
 def qc_evaluate(series: ThermoSeries, diffusion: float | None = None) -> QcStatus:
@@ -266,15 +324,16 @@ def qc_evaluate(series: ThermoSeries, diffusion: float | None = None) -> QcStatu
 
 def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
     """CSV dataset, one row per grid point, written atomically; returns the
-    row count. Rewriting the same series is byte-identical."""
-    rows = [
-        [r.molecule_id, r.temperature, r.pressure, r.density, r.heat_capacity, r.hov,
-         "1" if series.qc.passed else "0"]
-        for series in series_list
-        for r in series.records
-    ]
-    write_csv(path, DATASET_HEADER, rows)
-    return len(rows)
+    row count. Rewriting the same series is byte-identical. ValueError,
+    writing nothing, if two series are of one molecule, which
+    :func:`read_dataset` would reject."""
+    seen: set[str] = set()
+    for s in series_list:
+        if s.molecule_id in seen:
+            raise ValueError(f"{path!r}: two series of {s.molecule_id}")
+        seen.add(s.molecule_id)
+    write_atomic(path, csv_lines([DATASET_HEADER]) + "".join(s.dataset_text for s in series_list))
+    return GRID_POINTS * len(series_list)
 
 
 @dataclass(frozen=True)
@@ -291,9 +350,34 @@ class DatasetRow:
 
 
 def read_dataset(path: str) -> list[DatasetRow]:
-    """The rows of a dataset file; ValueError naming the file, and the line
-    for a malformed row (:func:`alkspace._atomic.read_csv`)."""
-    return [
-        DatasetRow(smiles, *values[:5], qc_pass=values[5] == 1.0)
-        for smiles, values in read_csv(path, DATASET_HEADER)
-    ]
+    """The rows of a dataset file.
+
+    ValueError naming the file, and the line, for a malformed row
+    (:func:`alkspace._atomic.csv_rows`), a ``qc_pass`` other than 0 or 1,
+    and a molecule whose rows are not one contiguous block of
+    ``GRID_POINTS`` rows with strictly increasing temperatures.
+    """
+    rows: list[DatasetRow] = []
+    seen: set[str] = set()
+    line = 1
+    for line, smiles, values in csv_rows(path, DATASET_HEADER):
+        if values[5] not in (0.0, 1.0):
+            raise row_error(path, line, f"qc_pass must be 0 or 1, got {values[5]!r}")
+        at = len(rows) % GRID_POINTS  # the row's place in its molecule's block
+        if at == 0:
+            if smiles in seen:
+                raise row_error(path, line, f"a second block of rows for {smiles}")
+            seen.add(smiles)
+        elif smiles != rows[-1].smiles:
+            raise row_error(
+                path, line, f"{rows[-1].smiles} has {at} rows, expected {GRID_POINTS}"
+            )
+        elif not values[0] > rows[-1].temperature:
+            raise row_error(path, line, f"temperatures of {smiles} do not strictly increase")
+        rows.append(DatasetRow(smiles, *values[:5], qc_pass=values[5] == 1.0))
+    if len(rows) % GRID_POINTS:
+        raise row_error(
+            path, line,
+            f"{rows[-1].smiles} has {len(rows) % GRID_POINTS} rows, expected {GRID_POINTS}",
+        )
+    return rows

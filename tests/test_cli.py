@@ -249,6 +249,16 @@ def test_dataset_prediction_round_trip(tmp_path, config_file, capsys):
     assert printed["density"]["rmse"] < 50.0
 
 
+def test_simulate_rejects_a_molecule_listed_twice(tmp_path, caplog):
+    # two spellings of butane would write a dataset the reader rejects
+    listed = tmp_path / "mols.txt"
+    listed.write_text("CCCC\nCC(C)C\nC(C)CC\n")
+    out = tmp_path / "d.csv"
+    assert main(["simulate", "--molecules", str(listed), "--out", str(out)]) == 2
+    assert "two series of C(CC)C" in caplog.text
+    assert not out.exists()
+
+
 def _fit_predict(tmp_path, train_csv, molecules, name):
     query_list = tmp_path / f"{name}.txt"
     query_list.write_text("".join(m + "\n" for m in molecules))
@@ -652,22 +662,25 @@ def test_console_script_runs():
 
 
 def test_run_all_leaves_scipy_unloaded(tmp_path):
-    # the GP linear algebra is numpy only, so no command pays scipy's import
+    # The GP linear algebra is numpy only, so no command pays scipy's
+    # import; nor numpy.ma's, which np.unique's hash path, np.union1d and
+    # np.median load on numpy >= 2.3 (about 10 ms).
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7},
-         "evaluation": {"n_test": 5, "control_seeds": [0]}}
+         "evaluation": {"n_test": 8, "control_seeds": [0, 1]}}
     ))
-    argv = ["run-all", "--config", str(config), "--out-dir", str(tmp_path / "ws")]
+    flags = ["--config", str(config), "--out-dir", str(tmp_path / "ws")]
     code = (
         "import sys\n"
         "from alkspace.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print('scipy' in sys.modules)\n"
+        f"assert main(['run-all', *{flags!r}]) == 0\n"
+        f"assert main(['compare-random', *{flags!r}]) == 0\n"
+        "print(sorted({'scipy', 'numpy.ma'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _solved(caplog) -> list[int]:

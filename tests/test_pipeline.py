@@ -17,6 +17,7 @@ from alkspace import active_learning as al
 from alkspace import pipeline, thermo
 from alkspace._atomic import write_atomic
 from alkspace.mgk import MgkCalculator
+from alkspace.molspace import to_canonical_smiles
 from alkspace.pipeline import (
     ComparisonReport,
     ConfigError,
@@ -728,3 +729,44 @@ def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
     for wanted in (ids[:2], ids[::-1], ws.molecule_ids()[:4]):
         with pytest.raises(StageError, match=os.path.basename(path)):
             ws.dataset_for("probe", "h", wanted)
+
+
+def test_a_fresh_dataset_is_returned_as_its_file_reads(tmp_path):
+    cfg = PipelineConfig.from_dict(
+        {**RUN_RAW, "oracle": {"noise_sigma": 0.003, "seed": 5}, "out_dir": str(tmp_path)}
+    )
+    ws = pipeline._Workspace(cfg)
+    ids = ws.molecule_ids()
+    for tag, members in (("a", ids[:12]), ("b", ids[5:20])):  # b reuses 7 of a's series
+        rows = ws.dataset_for(tag, tag, members)
+        (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith(f"dataset_{tag}_")]
+        assert rows == thermo.read_dataset(path)
+        assert rows == pipeline._Workspace(cfg).dataset_for(tag, tag, members)
+
+
+def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
+    # the benchmark's C4..C10 run-all: 104 series in four datasets, of 78 molecules
+    raw = {
+        "chemical_space": {"min_carbons": 4, "max_carbons": 10},
+        "kernel": {"lambda": 0.2},
+        "active_learning": {"thresholds": [0.5, 0.4, 0.3], "batch": 1000, "seed": 1},
+        "oracle": {"seed": 7},
+        "evaluation": {"n_test": 60, "split_seed": 11},
+    }
+    simulated = []
+
+    def counting(graphs, noise_sigma, seed):
+        simulated.extend(str(to_canonical_smiles(g)) for g in graphs)
+        return simulate_batch(graphs, noise_sigma, seed)
+
+    simulate_batch = thermo.simulate_batch
+    monkeypatch.setattr(thermo, "simulate_batch", counting)
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    run_alms(PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)}))
+    assert len(simulated) == len(set(simulated)) == 78
+    series = sum(
+        len(thermo.read_dataset(str(tmp_path / n))) // thermo.GRID_POINTS
+        for n in os.listdir(tmp_path) if n.startswith("dataset_")
+    )
+    assert series == 104
+    assert "oracle: simulated 78 molecules, reused 26" in caplog.messages

@@ -124,6 +124,97 @@ def test_branching_lowers_the_density_intercept():
     assert intercept("CC(C)(C)C") < intercept("CC(C)CC") < intercept("CCCCC")
 
 
+# -- the batched oracle against the per-temperature loop -------------------------
+
+
+def _loop_series(g, noise_sigma: float, seed: int) -> tuple[str, np.ndarray]:
+    """The oracle written one temperature at a time, three noise draws per
+    temperature: the reference for simulate_batch. Returns the molecule id
+    and the (GRID_POINTS, 4) array of temperature, density, heat capacity
+    and heat of vaporization."""
+    mol_id = str(to_canonical_smiles(g))
+    d = descriptors(g)
+    n = d.n_carbons
+    branch = d.n_methyl / n
+    tc = synth_critical_temperature(d)
+    rng = thermo._series_seed(seed, mol_id) if noise_sigma > 0 else None
+    rows = []
+    for t in np.linspace(0.4 * tc, 0.9 * tc, GRID_POINTS):
+        density = (840.0 + 2.5 * n - 60.0 * branch) - 0.55 * t - 4e-4 * t * t
+        cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
+        hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t
+        if rng is not None:
+            z = rng.standard_normal(3)
+            density *= 1.0 + noise_sigma * z[0]
+            cp *= 1.0 + noise_sigma * z[1]
+            hov *= 1.0 + noise_sigma * z[2]
+        rows.append((t, density, cp, hov))
+    return mol_id, np.array(rows)
+
+
+def _polyfit_r2(t, y) -> float:
+    """R^2 of np.polyfit's degree-2 fit: the reference for quadratic_fit_r2."""
+    resid = y - np.polyval(np.polyfit(t, y, 2), t)
+    ss_res = float(resid @ resid)
+    centered = y - y.mean()
+    ss_tot = float(centered @ centered)
+    if ss_tot == 0.0:
+        return 1.0 if ss_res < 1e-12 else 0.0
+    return 1.0 - ss_res / ss_tot
+
+
+def _loop_qc(rows: np.ndarray) -> tuple[bool, bool, bool]:
+    """(vapor, monotonic, quadratic_fit), one property at a time."""
+    t, columns = rows[:, 0], rows[:, 1:].T
+    vapor = all(rho >= thermo.VAPOR_DENSITY_LIMIT for rho in columns[0])
+    monotonic = all(
+        all(b > a for a, b in zip(v, v[1:])) or all(b < a for a, b in zip(v, v[1:]))
+        for v in columns
+    )
+    fit = all(_polyfit_r2(t, v) >= thermo.QC_R2_LIMIT for v in columns)
+    return vapor, monotonic, fit
+
+
+@pytest.fixture(scope="module")
+def c4_c13():
+    return list(enumerate_alkanes(4, 13))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3, 3e-3, 1e-2, 3e-2])
+def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed):
+    batch = thermo.simulate_batch(c4_c13, noise_sigma, seed)
+    assert len(batch) == len(c4_c13) == 1463
+    for g, series in zip(c4_c13, batch):
+        mol_id, rows = _loop_series(g, noise_sigma, seed)
+        got = np.array(
+            [(r.temperature, r.density, r.heat_capacity, r.hov) for r in series.records]
+        )
+        assert series.molecule_id == mol_id
+        assert got.tobytes() == rows.tobytes(), mol_id
+        qc = series.qc
+        assert (qc.vapor, qc.monotonic, qc.quadratic_fit) == _loop_qc(rows), mol_id
+        assert qc.solid is None
+
+
+def test_a_series_does_not_depend_on_its_batch():
+    graphs = [parse_smiles(s) for s in ("CCCC", "CC(C)CC", "CCCCCCCC", "CC(C)(C)C")]
+    alone = [simulate_series(g, 0.02, 5) for g in graphs]
+    assert thermo.simulate_batch(graphs, 0.02, 5) == alone
+    assert thermo.simulate_batch(graphs[::-1], 0.02, 5) == alone[::-1]
+    assert thermo.simulate_batch([], 0.02, 5) == []
+
+
+def test_quadratic_fit_r2_matches_polyfit():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        t = np.sort(rng.uniform(100.0, 600.0, GRID_POINTS))
+        y = rng.normal(size=3) @ np.vstack([np.ones_like(t), t, t * t]) * (
+            1.0 + rng.uniform(0.0, 0.05) * rng.standard_normal(GRID_POINTS)
+        )
+        assert quadratic_fit_r2(t, y) == pytest.approx(_polyfit_r2(t, y), abs=1e-9)
+
+
 def test_density_decreases_with_temperature():
     series = _series("CCCCCC")
     rho = [r.density for r in series.records]
@@ -289,6 +380,58 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
         path.write_text(f"{header}\r\n{good}\r\n{row}\r\n")
         with pytest.raises(ValueError, match=re.escape(f"{str(path)!r} line 3: {problem}")):
             read_dataset(str(path))
+
+
+def _block_lines(tmp_path, n_molecules: int) -> list[str]:
+    """The lines, header first, of a dataset of the first molecules of
+    C4..C8, each a block of GRID_POINTS rows."""
+    series = thermo.simulate_batch(list(enumerate_alkanes(4, 8))[:n_molecules], 0.01, 3)
+    path = tmp_path / "good.csv"
+    write_dataset(str(path), series)
+    return path.read_text().splitlines(keepends=True)
+
+
+def _second_block_of(lines: list[str], k: int) -> list[str]:
+    start = 1 + k * GRID_POINTS
+    return lines[: start + GRID_POINTS] + lines[start : start + GRID_POINTS] + lines[start + GRID_POINTS :]
+
+
+@pytest.mark.parametrize(
+    "edit, line, problem",
+    [
+        # line 2 flagged 0.5: read as False before
+        (lambda ls: ls[:1] + [ls[1].rsplit(",", 1)[0] + ",0.5\r\n"] + ls[2:], 2,
+         "qc_pass must be 0 or 1, got 0.5"),
+        (lambda ls: ls[:1] + [ls[1].rsplit(",", 1)[0] + ",2\r\n"] + ls[2:], 2,
+         "qc_pass must be 0 or 1, got 2.0"),
+        # the third molecule's 16 rows twice over: 192 rows for 11 molecules
+        (lambda ls: _second_block_of(ls, 2), 2 + 3 * GRID_POINTS, "a second block of rows for "),
+        # the second molecule's block lacks its last row
+        (lambda ls: ls[: 1 + 2 * GRID_POINTS - 1] + ls[1 + 2 * GRID_POINTS :],
+         1 + 2 * GRID_POINTS, f"has {GRID_POINTS - 1} rows, expected {GRID_POINTS}"),
+        # ... and the last molecule's too
+        (lambda ls: ls[:-1], 11 * GRID_POINTS, f"has {GRID_POINTS - 1} rows, expected {GRID_POINTS}"),
+        # two rows of one block swapped, and one row repeated in place
+        (lambda ls: ls[:3] + [ls[4], ls[3]] + ls[5:], 5, "do not strictly increase"),
+        (lambda ls: ls[:4] + [ls[3]] + ls[5:], 5, "do not strictly increase"),
+    ],
+    ids=["qc-half", "qc-two", "duplicated-block", "short-block", "short-last-block",
+         "swapped-rows", "repeated-row"],
+)
+def test_read_dataset_rejects_a_molecule_that_is_not_one_block(tmp_path, edit, line, problem):
+    lines = _block_lines(tmp_path, 11)
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(edit(lines)), newline="")
+    where = re.escape(f"{str(path)!r} line {line}: ")
+    with pytest.raises(ValueError, match=where + ".*" + re.escape(problem)):
+        read_dataset(str(path))
+
+
+def test_written_rows_are_the_rows_read_back(tmp_path):
+    series = thermo.simulate_batch(list(enumerate_alkanes(4, 9)), 0.002, 9)
+    path = str(tmp_path / "d.csv")
+    assert write_dataset(path, series) == len(series) * GRID_POINTS
+    assert read_dataset(path) == [r for s in series for r in s.dataset_rows]
 
 
 def test_record_count_scales_with_molecules(tmp_path):
