@@ -118,8 +118,3 @@ def csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, str, list[
             except ValueError as exc:
                 raise row_error(path, reader.line_num, exc) from None
             yield reader.line_num, row[0], values
-
-
-def read_csv(path: str, header: Sequence[str]) -> list[tuple[str, list[float]]]:
-    """The (label, values) of each row of :func:`csv_rows`."""
-    return [(label, values) for _, label, values in csv_rows(path, header)]

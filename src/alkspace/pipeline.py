@@ -22,7 +22,7 @@ import numpy as np
 from . import active_learning as al
 from . import gpr, thermo
 from ._atomic import (
-    csv_field, csv_lines, read_csv, read_json, write_atomic, write_csv, write_json,
+    csv_field, csv_lines, csv_rows, read_json, write_atomic, write_csv, write_json,
 )
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
@@ -994,8 +994,8 @@ def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
 
 def read_predictions(path: str) -> list[PredictionRow]:
     """The rows of a prediction file; ValueError naming the file, and the
-    line for a malformed row (:func:`alkspace._atomic.read_csv`)."""
-    return [PredictionRow(smiles, *values) for smiles, values in read_csv(path, PREDICTION_HEADER)]
+    line for a malformed row (:func:`alkspace._atomic.csv_rows`)."""
+    return [PredictionRow(smiles, *values) for _, smiles, values in csv_rows(path, PREDICTION_HEADER)]
 
 
 def evaluate_predictions(

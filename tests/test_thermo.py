@@ -427,13 +427,6 @@ def test_read_dataset_rejects_a_molecule_that_is_not_one_block(tmp_path, edit, l
         read_dataset(str(path))
 
 
-def test_written_rows_are_the_rows_read_back(tmp_path):
-    series = thermo.simulate_batch(list(enumerate_alkanes(4, 9)), 0.002, 9)
-    path = str(tmp_path / "d.csv")
-    assert write_dataset(path, series) == len(series) * GRID_POINTS
-    assert read_dataset(path) == [r for s in series for r in s.dataset_rows]
-
-
 def test_record_count_scales_with_molecules(tmp_path):
     series = [_series(s) for s in ("CCCC", "CCCCC", "CC(C)C")]
     path = str(tmp_path / "d.csv")
