@@ -203,6 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ids = pipeline.load_molecule_file(args.molecules)
     series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
+    logger.info("oracle: simulated %d molecules, reused 0", len(series))
     rows = thermo.write_dataset(args.out, series)
     n_fail = sum(1 for s in series if not s.qc.passed)
     print(f"wrote {rows} rows for {len(series)} molecules ({n_fail} QC failures) -> {args.out}")

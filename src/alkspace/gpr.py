@@ -108,15 +108,6 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an int array, by sorting: bitwise
-    ``np.unique``'s, whose hash path imports numpy.ma on numpy >= 2.3."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
 def _solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
     """Solve ``t x = b`` for a lower (or upper) triangular ``t`` by blocked
     substitution; ``b`` may be a vector or a matrix of right-hand sides.
@@ -296,7 +287,7 @@ def _forward(
         m = int(starts.min())
         block = provider.block(keys[m:j1], [queries[i] for i in need])
         _require_finite(block, "kernel block between training inputs and queries")
-        for s in _distinct(starts).tolist():
+        for s in sorted(set(starts.tolist())):
             cols = np.flatnonzero(starts == s)
             g = need[cols]
             k = block[s - m:, cols] - chol[s:j1, :s] @ x[:s, g]

@@ -112,7 +112,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .gpr import _distinct
 from .molspace import MolecularGraph, to_canonical_smiles
 
 # Padded product-class entries (pairs x m1 x m2) per stacked solve; caps
@@ -298,6 +297,16 @@ def _refine(neighbors: np.ndarray) -> np.ndarray:
         if len(signatures) == count:
             return colour.reshape(k, n)
         count = len(signatures)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int array, by sorting: bitwise
+    ``np.unique``'s, whose hash path imports numpy.ma on numpy >= 2.3
+    (with ``return_inverse`` it sorts, and does not)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _graph_arrays(

@@ -299,25 +299,25 @@ def to_canonical_smiles(g: MolecularGraph) -> CanonicalSmiles:
 
 
 def descriptors(g: MolecularGraph) -> Descriptors:
-    """Carbon count, Wiener index and methyl-group count of an alkane tree.
-
-    Each edge of a tree lies on the path of every pair it separates, so the
-    Wiener index is the sum over edges of the vertex counts on its two sides.
-    """
+    """Carbon count, Wiener index and methyl-group count of an alkane tree."""
     n = len(g)
-    order, parent = [0], [-1] * n  # breadth-first from vertex 0
-    for v in order:
-        for u in g.adjacency[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    below = [1] * n
-    wiener = 0
-    for v in reversed(order[1:]):
-        wiener += below[v] * (n - below[v])
-        below[parent[v]] += below[v]
+    total = 0
+    # BFS from every vertex; n <= 19 keeps the quadratic walk trivial.
+    for src in range(n):
+        dist = [-1] * n
+        dist[src] = 0
+        queue = [src]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for u in g.adjacency[v]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        total += sum(dist)
     n_methyl = sum(1 for nb in g.adjacency if len(nb) == 1)
-    return Descriptors(n_carbons=n, wiener_index=wiener, n_methyl=n_methyl)
+    return Descriptors(n_carbons=n, wiener_index=total // 2, n_methyl=n_methyl)
 
 
 # A rooted subtree of the enumeration: (AHU code, SMILES, the SMILES in

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from ._atomic import (
-    csv_field, csv_lines, csv_rows, read_json, write_atomic, write_csv, write_json,
-)
+from ._atomic import csv_rows, read_json, write_atomic, write_csv, write_json
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
@@ -568,7 +566,7 @@ class _Workspace:
             series = [self._series[m] for m in ids]
             thermo.write_dataset(path, series)
             logger.info("wrote %d molecules (%s) -> %s", len(ids), tag, path)
-            rows = [r for s in series for r in s.dataset_rows]
+            rows = [r for s in series for r in s.dataset_rows()]
         if [r.smiles for r in rows[:: thermo.GRID_POINTS]] != list(ids):
             raise StageError(
                 f"dataset {path} does not hold exactly the {len(ids)} requested "
@@ -679,73 +677,75 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     """
     t_start = time.monotonic()
     ws = _Workspace(config)
-    ids = ws.molecule_ids()
-    _check_n_test(config.n_test, ids)
-    with ws.kernel(ids) as calc:
-        states = ws.al_states(ids, calc)
+    try:
+        ids = ws.molecule_ids()
+        _check_n_test(config.n_test, ids)
+        with ws.kernel(ids) as calc:
+            states = ws.al_states(ids, calc)
 
-        final_selected = states[-1].selected
-        test_ids, test_rows = ws.test_set(ids, final_selected)
-        test_keys, test_truth = property_table(test_rows)
-        truth_columns = test_truth.T.tolist()
+            final_selected = states[-1].selected
+            test_ids, test_rows = ws.test_set(ids, final_selected)
+            test_keys, test_truth = property_table(test_rows)
+            truth_columns = test_truth.T.tolist()
 
-        # every stage predicts the test set against a subset of the final
-        # selection: solve those pairs in one batch rather than per stage
-        calc.block(test_ids, final_selected)
-        stage_results: list[StageResult] = []
-        parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
-        for i, state in enumerate(states):
-            stage_no = i + 1
-            train_rows = ws.dataset_for(
-                f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
-            )
-            model = _fit_on_rows(train_rows, calc, config)
-            t0 = time.monotonic()
-            preds = model.predict_mean(test_keys)
-            logger.info(
-                "stage %d: predicted %d test rows in %.1fs",
-                stage_no, len(test_keys), time.monotonic() - t0,
-            )
-            metrics = _metrics_by_property(preds, test_truth)
-            n_train_rows = int(sum(1 for r in train_rows if r.qc_pass))
-            stage_results.append(
-                StageResult(
-                    stage=stage_no,
-                    threshold=state.threshold,
-                    n_selected=len(state.selected),
-                    n_train_rows=n_train_rows,
-                    selected_fraction=len(state.selected) / len(ids),
-                    metrics=metrics,
+            # every stage predicts the test set against a subset of the final
+            # selection: solve those pairs in one batch rather than per stage
+            calc.block(test_ids, final_selected)
+            stage_results: list[StageResult] = []
+            parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
+            for i, state in enumerate(states):
+                stage_no = i + 1
+                train_rows = ws.dataset_for(
+                    f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
                 )
-            )
-            for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
-                parity[(stage_no, prop)] = [
-                    (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
-                ]
-            for prop in PROPERTIES:
-                m = metrics[prop]
+                model = _fit_on_rows(train_rows, calc, config)
+                t0 = time.monotonic()
+                preds = model.predict_mean(test_keys)
                 logger.info(
-                    "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
-                    stage_no, prop, m.rmse, m.mae,
-                    "undefined" if m.r2 is None else f"{m.r2:.4f}",
+                    "stage %d: predicted %d test rows in %.1fs",
+                    stage_no, len(test_keys), time.monotonic() - t0,
                 )
+                metrics = _metrics_by_property(preds, test_truth)
+                n_train_rows = int(sum(1 for r in train_rows if r.qc_pass))
+                stage_results.append(
+                    StageResult(
+                        stage=stage_no,
+                        threshold=state.threshold,
+                        n_selected=len(state.selected),
+                        n_train_rows=n_train_rows,
+                        selected_fraction=len(state.selected) / len(ids),
+                        metrics=metrics,
+                    )
+                )
+                for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
+                    parity[(stage_no, prop)] = [
+                        (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
+                    ]
+                for prop in PROPERTIES:
+                    m = metrics[prop]
+                    logger.info(
+                        "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
+                        stage_no, prop, m.rmse, m.mae,
+                        "undefined" if m.r2 is None else f"{m.r2:.4f}",
+                    )
 
-    report = EvalReport(
-        config_hash=config.content_hash(),
-        n_molecules=len(ids),
-        n_test_molecules=len(test_ids),
-        n_test_rows=len(test_keys),
-        stages=tuple(stage_results),
-        runtime_seconds=time.monotonic() - t_start,
-    )
-    report_path = ws.path(f"report_{report.config_hash}.json")
-    write_json(report_path, report.to_dict())
-    export_plot_data(report, parity, config.out_dir)
-    ws.log_oracle()
-    logger.info(
-        "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
-    )
-    return report
+        report = EvalReport(
+            config_hash=config.content_hash(),
+            n_molecules=len(ids),
+            n_test_molecules=len(test_ids),
+            n_test_rows=len(test_keys),
+            stages=tuple(stage_results),
+            runtime_seconds=time.monotonic() - t_start,
+        )
+        report_path = ws.path(f"report_{report.config_hash}.json")
+        write_json(report_path, report.to_dict())
+        export_plot_data(report, parity, config.out_dir)
+        logger.info(
+            "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
+        )
+        return report
+    finally:
+        ws.log_oracle()
 
 
 # -- plot-data export ---------------------------------------------------------
@@ -764,24 +764,12 @@ def export_plot_data(
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
-    header = ["smiles", "temperature_K", "truth", "prediction"]
-    # The stages predict the same rows, so the fields of each (molecule,
-    # temperature, truth) are formatted once. 0.0 and -0.0 are equal keys
-    # that format differently, so a zero is never looked up.
-    shared: dict[tuple[str, float, float], tuple[str, str, str]] = {}
-
-    def fields(mol: str, t: float, truth: float, pred: float) -> tuple[str, ...]:
-        key = (mol, t, truth)
-        done = shared.get(key) if t and truth else None
-        if done is None:
-            done = shared[key] = (csv_field(mol), str(float(t)), str(float(truth)))
-        return (*done, str(float(pred)))
-
     for (stage, prop), rows in sorted(predictions.items()):
         path = os.path.join(
             out_dir, f"parity_stage{stage}_{prop}_{report.config_hash}.csv"
         )
-        write_atomic(path, csv_lines([header, *(fields(*row) for row in rows)]))
+        body = [[mol, float(t), float(truth), float(pred)] for mol, t, truth, pred in rows]
+        write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], body)
         written.append(path)
     summary_rows = [
         [prop, stage.stage, float(stage.threshold), stage.n_selected, stage.n_train_rows,
@@ -856,84 +844,90 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         raise ConfigError("compare_al_random needs at least one control seed")
     t_start = time.monotonic()
     ws = _Workspace(config)
-    ids = ws.molecule_ids()
-    _check_n_test(config.n_test, ids)
-    with ws.kernel(ids) as calc:
-        states = ws.al_states(ids, calc)
-        s1 = states[0]
+    try:
+        ids = ws.molecule_ids()
+        _check_n_test(config.n_test, ids)
+        with ws.kernel(ids) as calc:
+            states = ws.al_states(ids, calc)
+            s1 = states[0]
 
-        if len(s1.selected) > config.n_test:
-            raise ConfigError(
-                f"cannot draw a {len(s1.selected)}-molecule control from a "
-                f"{config.n_test}-molecule test pool; raise n_test"
-            )
-        test_ids, test_rows = ws.test_set(ids, states[-1].selected)
-        rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
-        for r in test_rows:
-            rows_by_molecule.setdefault(r.smiles, []).append(r)
-
-        stage1_rows = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
-        al_model = _fit_on_rows(stage1_rows, calc, config)
-
-        controls = []
-        for seed in config.control_seeds:
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(len(test_ids), size=len(s1.selected), replace=False)
-            controls.append([test_ids[int(i)] for i in picks])
-        # each seed fits on its control and predicts the rest of the test
-        # pool: solve the pairs of all seeds in one batch
-        calc.block(sorted(set().union(*controls)), test_ids)
-
-        per_seed: list[SeedComparison] = []
-        for seed, control_ids in zip(config.control_seeds, controls):
-            control_set = set(control_ids)
-            eval_ids = [m for m in test_ids if m not in control_set]
-            if not eval_ids:
-                raise ConfigError("control set swallowed the whole test pool")
-
-            control_rows = [r for m in control_ids for r in rows_by_molecule[m]]
-            random_model = _fit_on_rows(control_rows, calc, config)
-
-            eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
-            eval_keys, truth = property_table(eval_rows)
-            al_pred = al_model.predict_mean(eval_keys)
-            rnd_pred = random_model.predict_mean(eval_keys)
-            comparison = SeedComparison(
-                seed=seed,
-                n_eval_rows=len(eval_rows),
-                al_metrics=_metrics_by_property(al_pred, truth),
-                random_metrics=_metrics_by_property(rnd_pred, truth),
-            )
-            per_seed.append(comparison)
-            for prop in PROPERTIES:
-                logger.info(
-                    "seed %d %s: rmse AL=%.4g random=%.4g",
-                    seed, prop,
-                    comparison.al_metrics[prop].rmse,
-                    comparison.random_metrics[prop].rmse,
+            if len(s1.selected) > config.n_test:
+                raise ConfigError(
+                    f"cannot draw a {len(s1.selected)}-molecule control from a "
+                    f"{config.n_test}-molecule test pool; raise n_test"
                 )
+            test_ids, test_rows = ws.test_set(ids, states[-1].selected)
+            rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
+            for r in test_rows:
+                rows_by_molecule.setdefault(r.smiles, []).append(r)
 
-    median_al = {p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES}
-    median_rnd = {p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES}
-    report = ComparisonReport(
-        config_hash=config.content_hash(),
-        n_train_molecules=len(s1.selected),
-        seeds=tuple(config.control_seeds),
-        per_seed=tuple(per_seed),
-        median_rmse_al=median_al,
-        median_rmse_random=median_rnd,
-        runtime_seconds=time.monotonic() - t_start,
-    )
-    path = ws.path(f"comparison_{report.config_hash}.json")
-    write_json(path, report.to_dict())
-    ws.log_oracle()
-    for prop in PROPERTIES:
-        logger.info(
-            "median rmse %s: AL=%.4g random=%.4g -> %s",
-            prop, median_al[prop], median_rnd[prop],
-            "AL wins" if report.al_wins(prop) else "random wins",
+            stage1_rows = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
+            al_model = _fit_on_rows(stage1_rows, calc, config)
+
+            controls = []
+            for seed in config.control_seeds:
+                rng = np.random.default_rng(seed)
+                picks = rng.choice(len(test_ids), size=len(s1.selected), replace=False)
+                controls.append([test_ids[int(i)] for i in picks])
+            # each seed fits on its control and predicts the rest of the test
+            # pool: solve the pairs of all seeds in one batch
+            calc.block(sorted(set().union(*controls)), test_ids)
+
+            per_seed: list[SeedComparison] = []
+            for seed, control_ids in zip(config.control_seeds, controls):
+                control_set = set(control_ids)
+                eval_ids = [m for m in test_ids if m not in control_set]
+                if not eval_ids:
+                    raise ConfigError("control set swallowed the whole test pool")
+
+                control_rows = [r for m in control_ids for r in rows_by_molecule[m]]
+                random_model = _fit_on_rows(control_rows, calc, config)
+
+                eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
+                eval_keys, truth = property_table(eval_rows)
+                al_pred = al_model.predict_mean(eval_keys)
+                rnd_pred = random_model.predict_mean(eval_keys)
+                comparison = SeedComparison(
+                    seed=seed,
+                    n_eval_rows=len(eval_rows),
+                    al_metrics=_metrics_by_property(al_pred, truth),
+                    random_metrics=_metrics_by_property(rnd_pred, truth),
+                )
+                per_seed.append(comparison)
+                for prop in PROPERTIES:
+                    logger.info(
+                        "seed %d %s: rmse AL=%.4g random=%.4g",
+                        seed, prop,
+                        comparison.al_metrics[prop].rmse,
+                        comparison.random_metrics[prop].rmse,
+                    )
+
+        median_al = {
+            p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+        }
+        median_rnd = {
+            p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+        }
+        report = ComparisonReport(
+            config_hash=config.content_hash(),
+            n_train_molecules=len(s1.selected),
+            seeds=tuple(config.control_seeds),
+            per_seed=tuple(per_seed),
+            median_rmse_al=median_al,
+            median_rmse_random=median_rnd,
+            runtime_seconds=time.monotonic() - t_start,
         )
-    return report
+        path = ws.path(f"comparison_{report.config_hash}.json")
+        write_json(path, report.to_dict())
+        for prop in PROPERTIES:
+            logger.info(
+                "median rmse %s: AL=%.4g random=%.4g -> %s",
+                prop, median_al[prop], median_rnd[prop],
+                "AL wins" if report.al_wins(prop) else "random wins",
+            )
+        return report
+    finally:
+        ws.log_oracle()
 
 
 # -- standalone fit/predict/evaluate (CLI building blocks) --------------------
@@ -995,7 +989,8 @@ def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
 def read_predictions(path: str) -> list[PredictionRow]:
     """The rows of a prediction file; ValueError naming the file, and the
     line for a malformed row (:func:`alkspace._atomic.csv_rows`)."""
-    return [PredictionRow(smiles, *values) for _, smiles, values in csv_rows(path, PREDICTION_HEADER)]
+    rows = csv_rows(path, PREDICTION_HEADER)
+    return [PredictionRow(smiles, *values) for _, smiles, values in rows]
 
 
 def evaluate_predictions(

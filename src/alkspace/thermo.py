@@ -19,9 +19,9 @@ Also provides the standalone thermodynamic combiners (heat-capacity sum and
 the corrected heat of vaporization), the quality-control gates a series
 must pass before entering a training set (no vapor-like density, no
 solid-like diffusion, strict monotonicity, and a quadratic fit with
-R^2 >= 0.98), evaluated over arrays of series, and the dataset CSV: a
-series formats its rows once, and the reader rejects a file in which a
-molecule is not one block of ``GRID_POINTS`` rows.
+R^2 >= 0.98), evaluated over arrays of series, and the dataset CSV, whose
+reader rejects a file in which a molecule is not one block of
+``GRID_POINTS`` rows.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._atomic import csv_field, csv_lines, csv_rows, row_error, write_atomic
+from ._atomic import csv_rows, row_error, write_csv
 from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
 
 R_GAS = 8.314462618  # J/(mol K)
@@ -131,27 +130,14 @@ class ThermoSeries:
     def temperatures(self) -> np.ndarray:
         return np.array([r.temperature for r in self.records])
 
-    # A series formats its values, and builds its rows, at most once, so a
-    # command writing one molecule into several datasets does neither again.
-
-    @cached_property
-    def dataset_text(self) -> str:
-        """The lines :func:`write_dataset` writes for this series."""
-        label, qc = csv_field(self.molecule_id), "1" if self.qc.passed else "0"
-        return csv_lines(
-            [label, str(r.temperature), str(r.pressure), str(r.density),
-             str(r.heat_capacity), str(r.hov), qc]
-            for r in self.records
-        )
-
-    @cached_property
-    def dataset_rows(self) -> tuple[DatasetRow, ...]:
-        """The rows :func:`read_dataset` reads back from :attr:`dataset_text`."""
-        return tuple(
+    def dataset_rows(self) -> list[DatasetRow]:
+        """The rows :func:`read_dataset` reads back from a file
+        :func:`write_dataset` wrote of this series."""
+        return [
             DatasetRow(self.molecule_id, r.temperature, r.pressure, r.density,
                        r.heat_capacity, r.hov, self.qc.passed)
             for r in self.records
-        )
+        ]
 
 
 def synth_critical_temperature(d: Descriptors) -> float:
@@ -332,8 +318,14 @@ def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
         if s.molecule_id in seen:
             raise ValueError(f"{path!r}: two series of {s.molecule_id}")
         seen.add(s.molecule_id)
-    write_atomic(path, csv_lines([DATASET_HEADER]) + "".join(s.dataset_text for s in series_list))
-    return GRID_POINTS * len(series_list)
+    rows = [
+        [r.molecule_id, r.temperature, r.pressure, r.density, r.heat_capacity, r.hov,
+         "1" if series.qc.passed else "0"]
+        for series in series_list
+        for r in series.records
+    ]
+    write_csv(path, DATASET_HEADER, rows)
+    return len(rows)
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,30 @@ def test_simulate_rejects_a_molecule_listed_twice(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_simulate_logs_the_molecules_it_simulated(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    listed = tmp_path / "mols.txt"
+    listed.write_text("CCCC\nCC(C)C\n")
+    assert main(["simulate", "--molecules", str(listed), "--out", str(tmp_path / "d.csv")]) == 0
+    assert "oracle: simulated 2 molecules, reused 0" in caplog.messages
+
+
+def test_a_failed_stage_still_logs_the_molecules_simulated(tmp_path, caplog):
+    # at this noise both stage-1 molecules fail QC, after the test set's 5
+    raw = {
+        "chemical_space": {"min_carbons": 4, "max_carbons": 7},
+        "oracle": {"noise_sigma": 0.05, "seed": 7},
+        "evaluation": {"n_test": 5, "split_seed": 3},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    caplog.set_level(logging.INFO)
+    argv = ["--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert main(["run-all", *argv]) == 2
+    assert "no QC-passing training rows" in caplog.text
+    assert "oracle: simulated 7 molecules, reused 0" in caplog.messages
+
+
 def _fit_predict(tmp_path, train_csv, molecules, name):
     query_list = tmp_path / f"{name}.txt"
     query_list.write_text("".join(m + "\n" for m in molecules))
