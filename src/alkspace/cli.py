@@ -177,10 +177,16 @@ def cmd_al_continue(args: argparse.Namespace) -> int:
     from . import active_learning as al
     from .pipeline import _Workspace
 
-    config = _load_config(args)
+    # a threshold outside (0, 1] is a config error, as for `al`
+    config = replace(_load_config(args), thresholds=(args.threshold,))
     ws = _Workspace(config)
     ids = ws.molecule_ids()
     state = ws.checkpoint(args.checkpoint, ids)
+    if not args.threshold < state.threshold:
+        raise ConfigError(
+            f"--threshold {args.threshold:g} must lie strictly below the "
+            f"checkpoint's {state.threshold:g}"
+        )
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)),
         f"al_continue_U{args.threshold:g}.json",
@@ -214,9 +220,9 @@ def cmd_fit_predict(args: argparse.Namespace) -> int:
     from . import pipeline, thermo
 
     config = _load_config(args)
-    train_rows = thermo.read_dataset(args.train)
+    train = thermo.read_dataset(args.train)
     ids = pipeline.load_molecule_file(args.molecules)
-    preds = pipeline.predict_properties(train_rows, ids, config)
+    preds = pipeline.predict_properties(train, ids, config)
     n = pipeline.write_predictions(args.out, preds)
     print(f"wrote {n} predictions for {len(ids)} molecules -> {args.out}")
     return 0

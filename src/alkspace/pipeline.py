@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
@@ -535,22 +536,24 @@ class _Workspace:
 
     # oracle datasets
 
-    def dataset_for(self, tag: str, stage_hash: str, ids: Sequence[str]) -> list[thermo.DatasetRow]:
-        """Simulated dataset for the given molecules, cached as a CSV artifact.
+    def dataset_for(
+        self, tag: str, stage_hash: str, ids: Sequence[str]
+    ) -> list[thermo.ThermoSeries]:
+        """The oracle series of the given molecules, in ``ids`` order,
+        cached as a dataset CSV artifact.
 
-        Row order follows ``ids``; the file carries all rows with their QC
-        flag, training-side filtering happens at read time. An existing
+        The file carries QC failures too; a fit drops them. An existing
         file is read (:func:`thermo.read_dataset` checks it), and raises
-        StageError if its rows name other molecules, or the same ones in
+        StageError if it holds other molecules, or the same ones in
         another order. Otherwise only the molecules this command has not
         simulated yet are simulated, in one batch, and the file is written
-        and its rows returned from memory.
+        and its series returned from memory.
         """
         cfg = self.config
         h = _hash_obj({"members": stage_hash, "oracle": cfg.oracle_dict()})
         path = self.path(f"dataset_{tag}_{h}.csv")
         if os.path.exists(path):
-            rows = thermo.read_dataset(path)
+            series = thermo.read_dataset(path)
         else:
             new = [m for m in dict.fromkeys(ids) if m not in self._series]
             if new:
@@ -566,13 +569,12 @@ class _Workspace:
             series = [self._series[m] for m in ids]
             thermo.write_dataset(path, series)
             logger.info("wrote %d molecules (%s) -> %s", len(ids), tag, path)
-            rows = [r for s in series for r in s.dataset_rows()]
-        if [r.smiles for r in rows[:: thermo.GRID_POINTS]] != list(ids):
+        if [s.molecule_id for s in series] != list(ids):
             raise StageError(
                 f"dataset {path} does not hold exactly the {len(ids)} requested "
                 "molecules in order; delete it to rebuild"
             )
-        return rows
+        return series
 
     def log_oracle(self) -> None:
         """Log how many molecules this command simulated, and how many
@@ -583,7 +585,7 @@ class _Workspace:
 
     def test_set(
         self, ids: Sequence[str], final_selected: Sequence[str]
-    ) -> tuple[list[str], list[thermo.DatasetRow]]:
+    ) -> tuple[list[str], list[thermo.ThermoSeries]]:
         """The held-out molecules, a seeded sample of those no stage
         selected, and their dataset; ConfigError if too few are left."""
         cfg = self.config
@@ -613,25 +615,29 @@ def simulate_molecules(
     return out
 
 
-def property_table(rows: Sequence) -> tuple[list[tuple[str, float]], np.ndarray]:
+def property_table(
+    series: Sequence[thermo.ThermoSeries],
+) -> tuple[list[tuple[str, float]], np.ndarray]:
     """(molecule, temperature) keys and the matrix of the properties, in
-    ``PROPERTIES`` order, of dataset or prediction rows."""
-    keys = [(r.smiles, r.temperature) for r in rows]
-    values = np.array([[r.density, r.heat_capacity, r.hov] for r in rows], dtype=float)
+    ``PROPERTIES`` order, of oracle series."""
+    keys = [(s.molecule_id, t) for s in series for t in s.temperatures]
+    values = np.array([v for s in series for v in s.values], dtype=float)
     return keys, values
 
 
-def training_arrays(
-    rows: Sequence[thermo.DatasetRow],
-) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """The :func:`property_table` of the QC-passing rows."""
-    return property_table([r for r in rows if r.qc_pass])
-
-
-def _fit_on_rows(rows: Sequence[thermo.DatasetRow], provider, cfg: PipelineConfig):
-    keys, targets = training_arrays(rows)
+def _fit_on_series(series: Sequence[thermo.ThermoSeries], provider, cfg: PipelineConfig):
+    """The property GP fitted on the QC-passing series; StageError naming
+    how many failed which gate if none passes."""
+    keys, targets = property_table([s for s in series if s.qc.passed])
     if not keys:
-        raise StageError("no QC-passing training rows")
+        gates = Counter(gate for s in series for gate in s.qc.failed_checks())
+        n = len(series)
+        message = f"no QC-passing training rows: {n} of {n} molecules failed QC"
+        if gates:
+            message += f" (by gate: {', '.join(f'{g} {k}' for g, k in sorted(gates.items()))})"
+        if cfg.noise_sigma > 0:
+            message += f"; the oracle noise_sigma is {cfg.noise_sigma:g}"
+        raise StageError(message)
     kernel = gpr.TemperatureProductKernel(provider, cfg.gpr.temperature_length_scale)
     return gpr.fit(keys, targets, cfg.gpr.regression_noise, kernel)
 
@@ -684,8 +690,8 @@ def run_alms(config: PipelineConfig) -> EvalReport:
             states = ws.al_states(ids, calc)
 
             final_selected = states[-1].selected
-            test_ids, test_rows = ws.test_set(ids, final_selected)
-            test_keys, test_truth = property_table(test_rows)
+            test_ids, test_series = ws.test_set(ids, final_selected)
+            test_keys, test_truth = property_table(test_series)
             truth_columns = test_truth.T.tolist()
 
             # every stage predicts the test set against a subset of the final
@@ -695,10 +701,12 @@ def run_alms(config: PipelineConfig) -> EvalReport:
             parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
             for i, state in enumerate(states):
                 stage_no = i + 1
-                train_rows = ws.dataset_for(
-                    f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
+                model = _fit_on_series(
+                    ws.dataset_for(
+                        f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
+                    ),
+                    calc, config,
                 )
-                model = _fit_on_rows(train_rows, calc, config)
                 t0 = time.monotonic()
                 preds = model.predict_mean(test_keys)
                 logger.info(
@@ -706,13 +714,12 @@ def run_alms(config: PipelineConfig) -> EvalReport:
                     stage_no, len(test_keys), time.monotonic() - t0,
                 )
                 metrics = _metrics_by_property(preds, test_truth)
-                n_train_rows = int(sum(1 for r in train_rows if r.qc_pass))
                 stage_results.append(
                     StageResult(
                         stage=stage_no,
                         threshold=state.threshold,
                         n_selected=len(state.selected),
-                        n_train_rows=n_train_rows,
+                        n_train_rows=len(model.training_keys),
                         selected_fraction=len(state.selected) / len(ids),
                         metrics=metrics,
                     )
@@ -856,40 +863,33 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
                     f"cannot draw a {len(s1.selected)}-molecule control from a "
                     f"{config.n_test}-molecule test pool; raise n_test"
                 )
-            test_ids, test_rows = ws.test_set(ids, states[-1].selected)
-            rows_by_molecule: dict[str, list[thermo.DatasetRow]] = {}
-            for r in test_rows:
-                rows_by_molecule.setdefault(r.smiles, []).append(r)
-
-            stage1_rows = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
-            al_model = _fit_on_rows(stage1_rows, calc, config)
+            test_ids, test_series = ws.test_set(ids, states[-1].selected)
+            stage1 = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
+            al_model = _fit_on_series(stage1, calc, config)
 
             controls = []
             for seed in config.control_seeds:
                 rng = np.random.default_rng(seed)
-                picks = rng.choice(len(test_ids), size=len(s1.selected), replace=False)
-                controls.append([test_ids[int(i)] for i in picks])
+                picks = rng.choice(len(test_series), size=len(s1.selected), replace=False)
+                controls.append([test_series[int(i)] for i in picks])
             # each seed fits on its control and predicts the rest of the test
             # pool: solve the pairs of all seeds in one batch
-            calc.block(sorted(set().union(*controls)), test_ids)
+            calc.block(sorted({s.molecule_id for c in controls for s in c}), test_ids)
 
             per_seed: list[SeedComparison] = []
-            for seed, control_ids in zip(config.control_seeds, controls):
-                control_set = set(control_ids)
-                eval_ids = [m for m in test_ids if m not in control_set]
-                if not eval_ids:
+            for seed, control in zip(config.control_seeds, controls):
+                control_ids = {s.molecule_id for s in control}
+                eval_series = [s for s in test_series if s.molecule_id not in control_ids]
+                if not eval_series:
                     raise ConfigError("control set swallowed the whole test pool")
 
-                control_rows = [r for m in control_ids for r in rows_by_molecule[m]]
-                random_model = _fit_on_rows(control_rows, calc, config)
-
-                eval_rows = [r for m in eval_ids for r in rows_by_molecule[m]]
-                eval_keys, truth = property_table(eval_rows)
+                random_model = _fit_on_series(control, calc, config)
+                eval_keys, truth = property_table(eval_series)
                 al_pred = al_model.predict_mean(eval_keys)
                 rnd_pred = random_model.predict_mean(eval_keys)
                 comparison = SeedComparison(
                     seed=seed,
-                    n_eval_rows=len(eval_rows),
+                    n_eval_rows=len(eval_keys),
                     al_metrics=_metrics_by_property(al_pred, truth),
                     random_metrics=_metrics_by_property(rnd_pred, truth),
                 )
@@ -943,41 +943,31 @@ class PredictionRow:
 
 
 def predict_properties(
-    train_rows: Sequence[thermo.DatasetRow],
+    train: Sequence[thermo.ThermoSeries],
     molecule_ids: Sequence[str],
     config: PipelineConfig,
 ) -> list[PredictionRow]:
-    """Fit on a dataset and predict all three properties for each molecule
-    on its own oracle temperature grid. Molecules are keyed by canonical
-    SMILES however the inputs spell them; each spelling is parsed once, and
-    kernel values do not depend on which spelling's graph a key keeps."""
-    graphs = {m: parse_smiles(m) for m in {r.smiles for r in train_rows}.union(molecule_ids)}
+    """Fit on oracle series and predict all three properties for each
+    molecule on its own oracle temperature grid. Molecules are keyed by
+    canonical SMILES however the inputs spell them; each spelling is parsed
+    once, and kernel values do not depend on which spelling's graph a key
+    keeps."""
+    graphs = {m: parse_smiles(m) for m in {s.molecule_id for s in train}.union(molecule_ids)}
     canonical = {m: str(to_canonical_smiles(g)) for m, g in graphs.items()}
-    train_graphs = {canonical[r.smiles]: graphs[r.smiles] for r in train_rows}
-    train_rows = [replace(r, smiles=canonical[r.smiles]) for r in train_rows]
+    train_graphs = {canonical[s.molecule_id]: graphs[s.molecule_id] for s in train}
+    train = [replace(s, molecule_id=canonical[s.molecule_id]) for s in train]
     query_graphs = [graphs[m] for m in molecule_ids]
     calc = MgkCalculator(config.kernel)
     calc.register([train_graphs[k] for k in sorted(train_graphs)])
     query_keys = calc.register(query_graphs)
-    model = _fit_on_rows(train_rows, calc, config)
-    out: list[PredictionRow] = []
-    queries: list[tuple[str, float]] = []
-    for g, key in zip(query_graphs, query_keys):
-        tc = thermo.synth_critical_temperature(descriptors(g))
-        for t in thermo.temperature_grid(tc):
-            queries.append((key, float(t)))
-    preds = model.predict_mean(queries)
-    for (key, t), row in zip(queries, preds):
-        out.append(
-            PredictionRow(
-                smiles=key,
-                temperature=t,
-                density=float(row[0]),
-                heat_capacity=float(row[1]),
-                hov=float(row[2]),
-            )
-        )
-    return out
+    model = _fit_on_series(train, calc, config)
+    grids = [
+        thermo.temperature_grid(thermo.synth_critical_temperature(descriptors(g)))
+        for g in query_graphs
+    ]
+    queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid.tolist()]
+    preds = model.predict_mean(queries).tolist()
+    return [PredictionRow(key, t, *row) for (key, t), row in zip(queries, preds)]
 
 
 def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
@@ -995,16 +985,17 @@ def read_predictions(path: str) -> list[PredictionRow]:
 
 def evaluate_predictions(
     predictions: Sequence[PredictionRow],
-    truths: Sequence[thermo.DatasetRow],
+    truths: Sequence[thermo.ThermoSeries],
 ) -> dict[str, Metrics]:
-    """Join predictions to truth rows on (molecule, temperature) and score
-    each property; every prediction must find its truth row."""
-    truth_map = {(r.smiles, r.temperature): r for r in truths}
-    keys, pm = property_table(predictions)
+    """Join predictions to the oracle series on (molecule, temperature) and
+    score each property; every prediction must find its truth."""
+    truth_map = {(s.molecule_id, t): v for s in truths for t, v in zip(s.temperatures, s.values)}
+    keys = [(r.smiles, r.temperature) for r in predictions]
     if not keys:
         raise ValueError("no predictions to evaluate")
     missing = [k for k in keys if k not in truth_map]
     if missing:
         raise ValueError(f"no truth row for {missing[0]}")
-    _, tm = property_table([truth_map[k] for k in keys])
+    pm = np.array([[r.density, r.heat_capacity, r.hov] for r in predictions])
+    tm = np.array([truth_map[k] for k in keys])
     return _metrics_by_property(pm, tm)

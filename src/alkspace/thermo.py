@@ -15,13 +15,17 @@ A single series (:func:`simulate_series`) is a batch of one. Each molecule
 draws its noise from its own stream, so no value depends on what else the
 batch holds or in which order.
 
+A :class:`ThermoSeries` is the one form of oracle data: the oracle returns
+series, the dataset CSV holds them (a block of ``GRID_POINTS`` rows each),
+and training and test sets are lists of them. The dataset reader re-runs
+the QC gates on the values it reads and rejects a ``qc_pass`` column that
+contradicts them.
+
 Also provides the standalone thermodynamic combiners (heat-capacity sum and
-the corrected heat of vaporization), the quality-control gates a series
+the corrected heat of vaporization) and the quality-control gates a series
 must pass before entering a training set (no vapor-like density, no
 solid-like diffusion, strict monotonicity, and a quadratic fit with
-R^2 >= 0.98), evaluated over arrays of series, and the dataset CSV, whose
-reader rejects a file in which a molecule is not one block of
-``GRID_POINTS`` rows.
+R^2 >= 0.98), evaluated over arrays of series.
 """
 
 from __future__ import annotations
@@ -55,25 +59,6 @@ DATASET_HEADER = [
     "hvap_kJmol",
     "qc_pass",
 ]
-
-
-@dataclass(frozen=True)
-class PropertyRecord:
-    """One (molecule, temperature) observation at 1 bar."""
-
-    molecule_id: str
-    temperature: float
-    pressure: float
-    density: float
-    heat_capacity: float
-    hov: float
-
-    def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        values = (self.density, self.heat_capacity, self.hov, self.pressure)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite property for {self.molecule_id}")
 
 
 @dataclass(frozen=True)
@@ -112,32 +97,29 @@ class QcStatus:
 
 @dataclass(frozen=True)
 class ThermoSeries:
-    """16-point property series for one molecule, plus its QC verdict."""
+    """The oracle record of one molecule at 1 bar: its ``GRID_POINTS`` grid
+    temperatures (K), the density (kg/m^3), heat capacity (J/(mol K)) and
+    heat of vaporization (kJ/mol) at each, and its QC verdict. The numbers
+    are tuples of floats, so two series compare with ``==``."""
 
     molecule_id: str
-    records: tuple[PropertyRecord, ...]
+    temperatures: tuple[float, ...]
+    values: tuple[tuple[float, float, float], ...]
     qc: QcStatus
 
     def __post_init__(self) -> None:
-        if len(self.records) != GRID_POINTS:
+        temps = self.temperatures
+        if len(temps) != GRID_POINTS or len(self.values) != GRID_POINTS:
             raise ValueError(
-                f"series needs exactly {GRID_POINTS} records, got {len(self.records)}"
+                f"series needs exactly {GRID_POINTS} temperatures and value rows, "
+                f"got {len(temps)} and {len(self.values)}"
             )
-        temps = [r.temperature for r in self.records]
+        if not (temps[0] > 0 and math.isfinite(temps[-1])):
+            raise ValueError(f"temperatures must be positive and finite, got {temps}")
         if any(b <= a for a, b in zip(temps, temps[1:])):
             raise ValueError("grid temperatures must strictly increase")
-
-    def temperatures(self) -> np.ndarray:
-        return np.array([r.temperature for r in self.records])
-
-    def dataset_rows(self) -> list[DatasetRow]:
-        """The rows :func:`read_dataset` reads back from a file
-        :func:`write_dataset` wrote of this series."""
-        return [
-            DatasetRow(self.molecule_id, r.temperature, r.pressure, r.density,
-                       r.heat_capacity, r.hov, self.qc.passed)
-            for r in self.records
-        ]
+        if not all(len(row) == 3 and all(map(math.isfinite, row)) for row in self.values):
+            raise ValueError(f"non-finite property for {self.molecule_id}")
 
 
 def synth_critical_temperature(d: Descriptors) -> float:
@@ -200,16 +182,7 @@ def simulate_batch(
     if noise_sigma > 0:
         z = np.stack([_series_seed(seed, m).standard_normal((GRID_POINTS, 3)) for m in ids])
         values *= 1.0 + noise_sigma * z
-    return [
-        ThermoSeries(
-            molecule_id=mol_id,
-            records=tuple(
-                PropertyRecord(mol_id, ti, 1.0, *row) for ti, row in zip(temps, rows)
-            ),
-            qc=qc,
-        )
-        for mol_id, temps, rows, qc in zip(ids, t.tolist(), values.tolist(), _qc(t, values))
-    ]
+    return _series_of(ids, t, values)
 
 
 def simulate_series(
@@ -294,18 +267,23 @@ def _qc(
     ]
 
 
-def _qc_from_records(
-    records: tuple[PropertyRecord, ...], diffusion: float | None
-) -> QcStatus:
-    temps = np.array([[r.temperature for r in records]])
-    values = np.array([[[r.density, r.heat_capacity, r.hov] for r in records]])
-    return _qc(temps, values, diffusion)[0]
+def _series_of(
+    ids: Sequence[str], temperatures: np.ndarray, values: np.ndarray
+) -> list[ThermoSeries]:
+    """The series of each molecule, with its QC verdict, from stacked
+    ``temperatures`` (m, n) and ``values`` (m, n, 3)."""
+    return [
+        ThermoSeries(mol_id, tuple(temps), tuple(map(tuple, rows)), qc)
+        for mol_id, temps, rows, qc in zip(
+            ids, temperatures.tolist(), values.tolist(), _qc(temperatures, values)
+        )
+    ]
 
 
 def qc_evaluate(series: ThermoSeries, diffusion: float | None = None) -> QcStatus:
     """Re-run the quality gates on a series, optionally with a measured
     diffusion coefficient (cm^2/s) for the solid check."""
-    return _qc_from_records(series.records, diffusion)
+    return _qc(np.array([series.temperatures]), np.array([series.values]), diffusion)[0]
 
 
 def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
@@ -319,57 +297,65 @@ def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
             raise ValueError(f"{path!r}: two series of {s.molecule_id}")
         seen.add(s.molecule_id)
     rows = [
-        [r.molecule_id, r.temperature, r.pressure, r.density, r.heat_capacity, r.hov,
-         "1" if series.qc.passed else "0"]
-        for series in series_list
-        for r in series.records
+        [s.molecule_id, t, 1.0, *v, "1" if s.qc.passed else "0"]
+        for s in series_list
+        for t, v in zip(s.temperatures, s.values)
     ]
     write_csv(path, DATASET_HEADER, rows)
     return len(rows)
 
 
-@dataclass(frozen=True)
-class DatasetRow:
-    """One parsed dataset line; mirrors the CSV columns."""
-
-    smiles: str
-    temperature: float
-    pressure: float
-    density: float
-    heat_capacity: float
-    hov: float
-    qc_pass: bool
-
-
-def read_dataset(path: str) -> list[DatasetRow]:
-    """The rows of a dataset file.
+def read_dataset(path: str) -> list[ThermoSeries]:
+    """The series of a dataset file, one per molecule block, with the QC
+    verdict the gates give on the values read (the file holds no diffusion
+    coefficient, so ``qc.solid`` is None).
 
     ValueError naming the file, and the line, for a malformed row
-    (:func:`alkspace._atomic.csv_rows`), a ``qc_pass`` other than 0 or 1,
-    and a molecule whose rows are not one contiguous block of
-    ``GRID_POINTS`` rows with strictly increasing temperatures.
+    (:func:`alkspace._atomic.csv_rows`), a ``pressure_bar`` other than 1.0,
+    a ``qc_pass`` other than 0 or 1, one that differs within a molecule or
+    contradicts the gates' verdict, and a molecule whose rows are not one
+    contiguous block of ``GRID_POINTS`` rows with strictly increasing
+    temperatures.
     """
-    rows: list[DatasetRow] = []
-    seen: set[str] = set()
-    line = 1
+    blocks: dict[str, tuple[int, float]] = {}  # each molecule's first line and qc_pass
+    table: list[list[float]] = []  # temperature, density, heat capacity, hov
+    line, current = 1, ""
     for line, smiles, values in csv_rows(path, DATASET_HEADER):
-        if values[5] not in (0.0, 1.0):
-            raise row_error(path, line, f"qc_pass must be 0 or 1, got {values[5]!r}")
-        at = len(rows) % GRID_POINTS  # the row's place in its molecule's block
+        temperature, pressure, flag = values[0], values[1], values[5]
+        if pressure != 1.0:
+            raise row_error(path, line, f"pressure_bar must be 1.0, got {pressure!r}")
+        if flag not in (0.0, 1.0):
+            raise row_error(path, line, f"qc_pass must be 0 or 1, got {flag!r}")
+        at = len(table) % GRID_POINTS  # the row's place in its molecule's block
         if at == 0:
-            if smiles in seen:
+            if smiles in blocks:
                 raise row_error(path, line, f"a second block of rows for {smiles}")
-            seen.add(smiles)
-        elif smiles != rows[-1].smiles:
-            raise row_error(
-                path, line, f"{rows[-1].smiles} has {at} rows, expected {GRID_POINTS}"
-            )
-        elif not values[0] > rows[-1].temperature:
+            if not temperature > 0:
+                raise row_error(path, line, f"temperature must be positive, got {temperature!r}")
+            blocks[smiles] = (line, flag)
+            current = smiles
+        elif smiles != current:
+            raise row_error(path, line, f"{current} has {at} rows, expected {GRID_POINTS}")
+        elif not temperature > table[-1][0]:
             raise row_error(path, line, f"temperatures of {smiles} do not strictly increase")
-        rows.append(DatasetRow(smiles, *values[:5], qc_pass=values[5] == 1.0))
-    if len(rows) % GRID_POINTS:
+        elif flag != blocks[smiles][1]:
+            first_line, first_flag = blocks[smiles]
+            raise row_error(
+                path, line,
+                f"qc_pass {flag:g} differs from {first_flag:g} on line {first_line}, "
+                f"in the rows of {smiles}",
+            )
+        table.append([temperature, *values[2:5]])
+    if len(table) % GRID_POINTS:
         raise row_error(
-            path, line,
-            f"{rows[-1].smiles} has {len(rows) % GRID_POINTS} rows, expected {GRID_POINTS}",
+            path, line, f"{current} has {len(table) % GRID_POINTS} rows, expected {GRID_POINTS}"
         )
-    return rows
+    stacked = np.array(table).reshape(-1, GRID_POINTS, 4)
+    series = _series_of(list(blocks), stacked[:, :, 0], stacked[:, :, 1:])
+    for s, (line, flag) in zip(series, blocks.values()):
+        if s.qc.passed != (flag == 1.0):
+            verdict = "passes" if s.qc.passed else "fails " + ",".join(s.qc.failed_checks())
+            raise row_error(
+                path, line, f"qc_pass {flag:g} contradicts the QC gates: {s.molecule_id} {verdict}"
+            )
+    return series

@@ -302,29 +302,26 @@ def test_criterion_7_thermo_formulas():
         assert series.qc.passed and series.qc.solid is None
 
         def with_density(values):
-            return tuple(
-                dataclasses.replace(r, density=float(v))
-                for r, v in zip(series.records, values)
+            return dataclasses.replace(
+                series,
+                values=tuple((float(v), cp, hov) for v, (_, cp, hov) in zip(values, series.values)),
             )
 
-        vapor = thermo._qc_from_records(
-            with_density([40.0 - 0.1 * i for i in range(16)]), None
-        )
+        vapor = thermo.qc_evaluate(with_density([40.0 - 0.1 * i for i in range(16)]))
         assert vapor.vapor is False and not vapor.passed
 
-        spiked = [r.density for r in series.records]
+        spiked = [v[0] for v in series.values]
         spiked[8] = spiked[7] + 1.0
-        bumpy = thermo._qc_from_records(with_density(spiked), None)
+        bumpy = thermo.qc_evaluate(with_density(spiked))
         assert bumpy.monotonic is False and not bumpy.passed
 
         assert qc_solid_verdicts(series) == (None, False, True)
 
-        temps = [r.temperature for r in series.records]
         step = [100.0 + 0.001 * i for i in range(8)] + [
             200.0 + 0.001 * i for i in range(8)
         ]
-        assert thermo.quadratic_fit_r2(temps, step) < 0.98
-        kinked = thermo._qc_from_records(with_density(step), None)
+        assert thermo.quadratic_fit_r2(series.temperatures, step) < 0.98
+        kinked = thermo.qc_evaluate(with_density(step))
         assert kinked.quadratic_fit is False and not kinked.passed
 
 

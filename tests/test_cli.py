@@ -220,8 +220,7 @@ def test_dataset_prediction_round_trip(tmp_path, config_file, capsys):
     metrics_json = str(tmp_path / "metrics.json")
 
     assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
-    rows = thermo.read_dataset(train_csv)
-    assert len(rows) == 4 * thermo.GRID_POINTS
+    assert len(thermo.read_dataset(train_csv)) == 4
 
     assert main(["simulate", "--molecules", str(query_list), "--out", truth_csv]) == 0
     assert (
@@ -526,8 +525,9 @@ def test_al_rejects_a_malformed_checkpoint_leaving_it(tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "row, problem",
-    [(lambda f: f[:-1], "6 fields, expected 7"), (lambda f: [*f[:3], "nan", *f[4:]], "non-finite")],
-    ids=["short-row", "nan"],
+    [(lambda f: f[:-1], "6 fields, expected 7"), (lambda f: [*f[:3], "nan", *f[4:]], "non-finite"),
+     (lambda f: [*f[:-1], "0"], "qc_pass 0 differs from 1 on line 2")],
+    ids=["short-row", "nan", "flag"],
 )
 def test_run_all_rejects_a_damaged_reused_dataset_naming_it(
     tmp_path, config_file, caplog, row, problem
@@ -618,26 +618,36 @@ def test_a_segment_contradicting_another_fails_the_stage(tmp_path, caplog):
     assert "differs from the value" in caplog.text
 
 
-def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file):
+def _al_continue_exit(tmp_path, config_file, monkeypatch, threshold: str) -> int:
+    """The exit code of al-continue at ``threshold`` from a finished
+    stage at 0.5; building a kernel calculator fails the test."""
     ckpt = str(tmp_path / "s1.json")
-    assert (
-        main(
-            [
-                "al", "--config", config_file, "--out-dir", str(tmp_path),
-                "--checkpoint", ckpt, "--threshold", "0.5",
-            ]
-        )
-        == 0
+    flags = ["--config", config_file, "--out-dir", str(tmp_path), "--checkpoint", ckpt]
+    assert main(["al", *flags, "--threshold", "0.5"]) == 0
+    monkeypatch.setattr(MgkCalculator, "__init__", None)
+    return main(["al-continue", *flags, "--threshold", threshold])
+
+
+def test_al_continue_rejects_a_higher_threshold(tmp_path, config_file, caplog, monkeypatch):
+    assert _al_continue_exit(tmp_path, config_file, monkeypatch, "0.6") == 1
+    assert "config error: --threshold 0.6 must lie strictly below the checkpoint's 0.5" in (
+        caplog.text
     )
-    assert (
-        main(
-            [
-                "al-continue", "--config", config_file, "--out-dir", str(tmp_path),
-                "--checkpoint", ckpt, "--threshold", "0.6",
-            ]
-        )
-        == 2
-    )
+
+
+@pytest.mark.parametrize(
+    "threshold, problem",
+    [("0.5", "--threshold 0.5 must lie strictly below the checkpoint's 0.5"),
+     ("0", "thresholds must lie in (0, 1], got 0.0"),
+     ("-0.1", "thresholds must lie in (0, 1], got -0.1"),
+     ("nan", "thresholds must be a finite number, got nan")],
+    ids=["equal", "zero", "negative", "nan"],
+)
+def test_al_continue_rejects_a_threshold_it_cannot_run(
+    tmp_path, config_file, caplog, monkeypatch, threshold, problem
+):
+    assert _al_continue_exit(tmp_path, config_file, monkeypatch, threshold) == 1
+    assert f"config error: {problem}" in caplog.text
 
 
 def test_al_continue_rejects_a_checkpoint_for_another_chemical_space(tmp_path, caplog):
@@ -670,6 +680,23 @@ def test_run_all_and_compare_random(tmp_path, config_file, capsys):
     printed = capsys.readouterr().out
     assert "median rmse" in printed
     assert any(n.startswith("comparison_") for n in os.listdir(out_dir))
+
+
+def test_a_noise_that_fails_every_molecule_names_the_gate(tmp_path, caplog):
+    # a 1% noise breaks the monotonic gate of every series of C4..C10
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 10},
+         "active_learning": {"thresholds": [0.5, 0.4, 0.3]},
+         "evaluation": {"n_test": 60}, "oracle": {"noise_sigma": 0.01}}
+    ))
+    assert main(["run-all", "--config", str(config), "--out-dir", str(tmp_path / "ws")]) == 2
+    (failure,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert re.fullmatch(
+        r"stage failed: no QC-passing training rows: (\d+) of \1 molecules failed QC "
+        r"\(by gate: monotonic \1(, quadratic_fit \d+)?\); the oracle noise_sigma is 0.01",
+        failure,
+    ), failure
 
 
 # -- installed entry point ---------------------------------------------------------------

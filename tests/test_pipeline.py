@@ -17,7 +17,7 @@ from alkspace import active_learning as al
 from alkspace import pipeline, thermo
 from alkspace._atomic import write_atomic
 from alkspace.mgk import MgkCalculator
-from alkspace.molspace import to_canonical_smiles
+from alkspace.molspace import parse_smiles, to_canonical_smiles
 from alkspace.pipeline import (
     ComparisonReport,
     ConfigError,
@@ -266,10 +266,10 @@ def test_write_dataset_atomic_matches_plain_write(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(thermo.DATASET_HEADER)
         for s in series:
-            for r in s.records:
+            for t, (density, cp, hov) in zip(s.temperatures, s.values):
                 writer.writerow(
-                    [r.molecule_id, repr(r.temperature), repr(r.pressure), repr(r.density),
-                     repr(r.heat_capacity), repr(r.hov), "1" if s.qc.passed else "0"]
+                    [s.molecule_id, repr(t), repr(1.0), repr(density),
+                     repr(cp), repr(hov), "1" if s.qc.passed else "0"]
                 )
     assert written == 2 * thermo.GRID_POINTS
     with open(a, "rb") as fa, open(b, "rb") as fb:
@@ -305,15 +305,39 @@ def test_a_failed_atomic_write_leaves_nothing(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["a"] and target.read_text() == "old"
 
 
-def test_training_arrays_filters_qc_failures():
-    rows = [
-        thermo.DatasetRow("CCCC", 200.0, 1.0, 600.0, 150.0, 20.0, True),
-        thermo.DatasetRow("CCCC", 210.0, 1.0, 40.0, 150.0, 20.0, False),
+def _fitted_on(series, **config):
+    cfg = PipelineConfig.from_dict({"kernel": {"lambda": 0.2}, **config})
+    calc = MgkCalculator(cfg.kernel)
+    calc.register([parse_smiles(s.molecule_id) for s in series])
+    return pipeline._fit_on_series(series, calc, cfg)
+
+
+def test_training_set_filters_qc_failures():
+    good, bad = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
+    vapor = dataclasses.replace(bad.qc, vapor=False)
+    model = _fitted_on([good, dataclasses.replace(bad, qc=vapor)])
+    assert model.training_keys == tuple((good.molecule_id, t) for t in good.temperatures)
+    assert model.dual_weights.shape == (thermo.GRID_POINTS, 3)
+    assert model.y_mean[0] == np.mean([v[0] for v in good.values])
+
+
+def test_a_training_set_without_qc_passes_names_the_gates():
+    series = pipeline.simulate_molecules(["CCCC", "CCCCC", "CC(C)C"], 0.0, 7)
+    failed = [
+        dataclasses.replace(s, qc=dataclasses.replace(s.qc, monotonic=False, vapor=i > 0))
+        for i, s in enumerate(series)
     ]
-    keys, targets = pipeline.training_arrays(rows)
-    assert keys == [("CCCC", 200.0)]
-    assert targets.shape == (1, 3)
-    assert targets[0, 0] == 600.0
+    with pytest.raises(StageError) as info:
+        _fitted_on(failed)
+    assert str(info.value) == (
+        "no QC-passing training rows: 3 of 3 molecules failed QC "
+        "(by gate: monotonic 3, vapor 1)"
+    )
+    with pytest.raises(StageError, match=r"failed QC \(by gate: monotonic 3, vapor 1\); "
+                                         r"the oracle noise_sigma is 0.02$"):
+        _fitted_on(failed, oracle={"noise_sigma": 0.02})
+    with pytest.raises(StageError, match="0 of 0 molecules failed QC$"):
+        _fitted_on([])
 
 
 # -- plot-data export -----------------------------------------------------------------
@@ -394,13 +418,12 @@ def test_read_predictions_rejects_foreign_header(tmp_path):
 
 
 def test_evaluate_predictions_joins_on_molecule_and_temperature():
-    truth = [
-        thermo.DatasetRow("CCCC", 200.0, 1.0, 600.0, 150.0, 20.0, True),
-        thermo.DatasetRow("CCCC", 210.0, 1.0, 595.0, 151.0, 19.5, True),
-    ]
+    truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
+    # the second molecule's first grid points, then the first's, so the
+    # join cannot lean on order
     preds = [
-        PredictionRow("CCCC", 200.0, 600.0, 150.0, 20.0),
-        PredictionRow("CCCC", 210.0, 595.0, 151.0, 19.5),
+        PredictionRow(s.molecule_id, s.temperatures[i], *s.values[i])
+        for s in truth[::-1] for i in (1, 0)
     ]
     metrics = evaluate_predictions(preds, truth)
     assert set(metrics) == set(pipeline.PROPERTIES)
@@ -418,23 +441,21 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     train_series = pipeline.simulate_molecules(["CCCC", "CCCCC", "CCCCCC"], 0.0, 7)
     train_path = str(tmp_path / "train.csv")
     thermo.write_dataset(train_path, train_series)
-    train_rows = thermo.read_dataset(train_path)
-    out = predict_properties(train_rows, ["CC(C)C"], cfg)
+    train = thermo.read_dataset(train_path)
+    out = predict_properties(train, ["CC(C)C"], cfg)
     assert len(out) == thermo.GRID_POINTS
-    from alkspace.molspace import descriptors, parse_smiles
+    from alkspace.molspace import descriptors
 
     tc = thermo.synth_critical_temperature(descriptors(parse_smiles("CC(C)C")))
     expected = thermo.temperature_grid(tc)
     assert [r.temperature for r in out] == pytest.approx(expected)
-    assert out == predict_properties(train_rows, ["CC(C)C"], cfg)
+    assert out == predict_properties(train, ["CC(C)C"], cfg)
 
 
 def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
     """Inputs spelled with other vertex numberings predict the bytes that
     their canonical spellings do, and each distinct spelling is parsed
     exactly once."""
-    from alkspace.molspace import parse_smiles, to_canonical_smiles
-
     cfg = PipelineConfig.from_dict({"kernel": {"lambda": 0.2}})
     respell = {"CCCCCC": "C(C)CCCC", "CC(C)CCC": "C(CCC)(C)C", "CCC(C)(C)C": "C(C)(C)(C)CC"}
     queries = ["C(CC)(C)CCCC", "CC(C)C(C)C", "CCCCCC"]
@@ -442,16 +463,18 @@ def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
     assert all(canonical[s] != s for s in queries)
     train_path = str(tmp_path / "train.csv")
     thermo.write_dataset(train_path, pipeline.simulate_molecules(list(respell), 0.0, 7))
-    train_rows = thermo.read_dataset(train_path)
+    train = thermo.read_dataset(train_path)
 
-    def predicted(rows, molecules, name):
+    def predicted(series, molecules, name):
         path = tmp_path / f"{name}.csv"
-        write_predictions(str(path), predict_properties(rows, molecules, cfg))
+        write_predictions(str(path), predict_properties(series, molecules, cfg))
         return path.read_bytes()
 
-    expected = predicted(train_rows, [canonical[q] for q in queries], "canonical")
+    expected = predicted(train, [canonical[q] for q in queries], "canonical")
     by_canonical = {canonical[s]: respelled for s, respelled in respell.items()}
-    respelled_rows = [dataclasses.replace(r, smiles=by_canonical[r.smiles]) for r in train_rows]
+    respelled = [
+        dataclasses.replace(s, molecule_id=by_canonical[s.molecule_id]) for s in train
+    ]
     parsed: list[str] = []
 
     def counting_parse(smiles):
@@ -459,7 +482,7 @@ def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
         return parse_smiles(smiles)
 
     monkeypatch.setattr(pipeline, "parse_smiles", counting_parse)
-    assert predicted(respelled_rows, queries, "respelled") == expected
+    assert predicted(respelled, queries, "respelled") == expected
     assert sorted(parsed) == sorted({*respell.values(), *queries})
 
 
@@ -722,9 +745,9 @@ def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
     cfg = PipelineConfig.from_dict({**RUN_RAW, "out_dir": str(tmp_path)})
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()[:3]
-    rows = ws.dataset_for("probe", "h", ids)
-    assert [r.smiles for r in rows][:: thermo.GRID_POINTS] == ids
-    assert ws.dataset_for("probe", "h", ids) == rows
+    series = ws.dataset_for("probe", "h", ids)
+    assert [s.molecule_id for s in series] == ids
+    assert ws.dataset_for("probe", "h", ids) == series
     (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith("dataset_probe_")]
     for wanted in (ids[:2], ids[::-1], ws.molecule_ids()[:4]):
         with pytest.raises(StageError, match=os.path.basename(path)):
@@ -738,10 +761,10 @@ def test_a_fresh_dataset_is_returned_as_its_file_reads(tmp_path):
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()
     for tag, members in (("a", ids[:12]), ("b", ids[5:20])):  # b reuses 7 of a's series
-        rows = ws.dataset_for(tag, tag, members)
+        series = ws.dataset_for(tag, tag, members)
         (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith(f"dataset_{tag}_")]
-        assert rows == thermo.read_dataset(path)
-        assert rows == pipeline._Workspace(cfg).dataset_for(tag, tag, members)
+        assert series == thermo.read_dataset(path)
+        assert series == pipeline._Workspace(cfg).dataset_for(tag, tag, members)
 
 
 def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
@@ -765,7 +788,7 @@ def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
     run_alms(PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)}))
     assert len(simulated) == len(set(simulated)) == 78
     series = sum(
-        len(thermo.read_dataset(str(tmp_path / n))) // thermo.GRID_POINTS
+        len(thermo.read_dataset(str(tmp_path / n)))
         for n in os.listdir(tmp_path) if n.startswith("dataset_")
     )
     assert series == 104

@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alkspace import thermo
 from alkspace.molspace import (
@@ -17,7 +21,6 @@ from alkspace.molspace import (
 from alkspace.thermo import (
     DATASET_HEADER,
     GRID_POINTS,
-    PropertyRecord,
     QcStatus,
     R_GAS,
     ThermoSeries,
@@ -37,10 +40,9 @@ def _series(smiles: str, **kwargs) -> ThermoSeries:
     return simulate_series(parse_smiles(smiles), **kwargs)
 
 
-def _with_density(series: ThermoSeries, values) -> tuple[PropertyRecord, ...]:
-    return tuple(
-        dataclasses.replace(r, density=float(v))
-        for r, v in zip(series.records, values)
+def _with_density(series: ThermoSeries, values) -> ThermoSeries:
+    return dataclasses.replace(
+        series, values=tuple((float(v), cp, hov) for v, (_, cp, hov) in zip(values, series.values))
     )
 
 
@@ -118,8 +120,8 @@ def test_branching_lowers_the_density_intercept():
     # removing the temperature terms isolates the per-molecule constant
     def intercept(smiles: str) -> float:
         series = _series(smiles)
-        r = series.records[0]
-        return r.density + 0.55 * r.temperature + 4e-4 * r.temperature**2
+        t, density = series.temperatures[0], series.values[0][0]
+        return density + 0.55 * t + 4e-4 * t**2
 
     assert intercept("CC(C)(C)C") < intercept("CC(C)CC") < intercept("CCCCC")
 
@@ -187,9 +189,7 @@ def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed
     assert len(batch) == len(c4_c13) == 1463
     for g, series in zip(c4_c13, batch):
         mol_id, rows = _loop_series(g, noise_sigma, seed)
-        got = np.array(
-            [(r.temperature, r.density, r.heat_capacity, r.hov) for r in series.records]
-        )
+        got = np.array([(t, *v) for t, v in zip(series.temperatures, series.values)])
         assert series.molecule_id == mol_id
         assert got.tobytes() == rows.tobytes(), mol_id
         qc = series.qc
@@ -217,13 +217,13 @@ def test_quadratic_fit_r2_matches_polyfit():
 
 def test_density_decreases_with_temperature():
     series = _series("CCCCCC")
-    rho = [r.density for r in series.records]
+    rho = [v[0] for v in series.values]
     assert all(b < a for a, b in zip(rho, rho[1:]))
 
 
 def test_heat_capacity_increases_with_temperature():
     series = _series("CCCCCC")
-    cp = [r.heat_capacity for r in series.records]
+    cp = [v[1] for v in series.values]
     assert all(b > a for a, b in zip(cp, cp[1:]))
 
 
@@ -268,7 +268,7 @@ def test_hov_corrected_validation():
 def test_qc_vapor_gate():
     series = _series("CCCC")
     low = _with_density(series, np.linspace(40.0, 39.0, GRID_POINTS))
-    status = thermo._qc_from_records(low, None)
+    status = qc_evaluate(low)
     assert status.vapor is False
     assert "vapor" in status.failed_checks()
     assert not status.passed
@@ -276,9 +276,9 @@ def test_qc_vapor_gate():
 
 def test_qc_monotonic_gate_flags_an_interior_spike():
     series = _series("CCCC")
-    rho = [r.density for r in series.records]
+    rho = [v[0] for v in series.values]
     rho[7] = rho[6] + 5.0  # spike breaks the decreasing trend
-    status = thermo._qc_from_records(_with_density(series, rho), None)
+    status = qc_evaluate(_with_density(series, rho))
     assert status.vapor is True
     assert status.monotonic is False
     assert not status.passed
@@ -298,10 +298,9 @@ def test_qc_solid_gate_uses_diffusion_when_available():
 
 def test_qc_quadratic_gate():
     series = _series("CCCC")
-    temps = [r.temperature for r in series.records]
     step = [100.0 + i * 0.001 for i in range(8)] + [200.0 + i * 0.001 for i in range(8)]
-    assert quadratic_fit_r2(temps, step) < 0.98
-    status = thermo._qc_from_records(_with_density(series, step), None)
+    assert quadratic_fit_r2(series.temperatures, step) < 0.98
+    status = qc_evaluate(_with_density(series, step))
     assert status.monotonic is True  # still strictly increasing
     assert status.quadratic_fit is False
     assert not status.passed
@@ -319,20 +318,23 @@ def test_quadratic_fit_r2_exact_cases():
 # -- domain-type validation -----------------------------------------------------------
 
 
-def test_property_record_validation():
+def test_series_validation():
+    series = _series("CCCC")
     with pytest.raises(ValueError):
-        PropertyRecord("x", 0.0, 1.0, 700.0, 200.0, 30.0)
+        dataclasses.replace(series, temperatures=(0.0, *series.temperatures[1:]))
     with pytest.raises(ValueError):
-        PropertyRecord("x", 300.0, 1.0, float("nan"), 200.0, 30.0)
+        _with_density(series, [float("nan"), *(v[0] for v in series.values[1:])])
 
 
 def test_series_needs_a_full_strictly_increasing_grid():
     series = _series("CCCC")
     with pytest.raises(ValueError):
-        ThermoSeries(series.molecule_id, series.records[:10], series.qc)
-    shuffled = series.records[:8] + series.records[8:][::-1]
+        ThermoSeries(series.molecule_id, series.temperatures[:10], series.values[:10], series.qc)
     with pytest.raises(ValueError):
-        ThermoSeries(series.molecule_id, shuffled, series.qc)
+        dataclasses.replace(series, values=series.values[:10])
+    shuffled = series.temperatures[:8] + series.temperatures[8:][::-1]
+    with pytest.raises(ValueError):
+        dataclasses.replace(series, temperatures=shuffled)
 
 
 # -- dataset files ----------------------------------------------------------------------
@@ -348,18 +350,34 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
 
-    rows = read_dataset(p1)
-    assert len(rows) == count
-    flat = [r for s in series for r in s.records]
-    for row, rec, s in zip(
-        rows, flat, [series[0]] * GRID_POINTS + [series[1]] * GRID_POINTS
-    ):
-        assert row.smiles == rec.molecule_id
-        assert row.temperature == rec.temperature  # repr round-trip is exact
-        assert row.density == rec.density
-        assert row.heat_capacity == rec.heat_capacity
-        assert row.hov == rec.hov
-        assert row.qc_pass == s.qc.passed
+    assert read_dataset(p1) == series  # repr round-trip is exact
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-3, 3e-3, 1e-2, 3e-2])
+def test_every_written_dataset_reads_back_as_written(c4_c13, tmp_path, noise_sigma, seed):
+    series = thermo.simulate_batch(c4_c13, noise_sigma, seed)
+    path = str(tmp_path / "d.csv")
+    write_dataset(path, series)
+    assert read_dataset(path) == series
+
+
+_C4_C10 = list(enumerate_alkanes(4, 10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_C4_C10) - 1), min_size=1, max_size=40, unique=True),
+    noise_sigma=st.sampled_from([0.0, 1e-3, 3e-3, 1e-2, 3e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_dataset_reads_back_as_the_series_written(picks, noise_sigma, seed):
+    # at noise 1e-2 and above every molecule fails QC, below it some do
+    series = thermo.simulate_batch([_C4_C10[i] for i in picks], noise_sigma, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_dataset(path, series)
+        assert read_dataset(path) == series
 
 
 def test_read_dataset_rejects_foreign_header(tmp_path):
@@ -382,10 +400,12 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
             read_dataset(str(path))
 
 
-def _block_lines(tmp_path, n_molecules: int) -> list[str]:
+def _block_lines(tmp_path, n_molecules: int, noise_sigma: float = 0.01) -> list[str]:
     """The lines, header first, of a dataset of the first molecules of
     C4..C8, each a block of GRID_POINTS rows."""
-    series = thermo.simulate_batch(list(enumerate_alkanes(4, 8))[:n_molecules], 0.01, 3)
+    series = thermo.simulate_batch(
+        list(enumerate_alkanes(4, 8))[:n_molecules], noise_sigma, 3
+    )
     path = tmp_path / "good.csv"
     write_dataset(str(path), series)
     return path.read_text().splitlines(keepends=True)
@@ -424,6 +444,44 @@ def test_read_dataset_rejects_a_molecule_that_is_not_one_block(tmp_path, edit, l
     path.write_text("".join(edit(lines)), newline="")
     where = re.escape(f"{str(path)!r} line {line}: ")
     with pytest.raises(ValueError, match=where + ".*" + re.escape(problem)):
+        read_dataset(str(path))
+
+
+def _edited(lines: list[str], rows: range, **fields: str) -> list[str]:
+    """``lines`` with the named columns of the given lines (1 the header)
+    set to the given text."""
+    out = list(lines)
+    for i in rows:
+        cells = out[i - 1].rstrip("\r\n").split(",")
+        for name, text in fields.items():
+            cells[DATASET_HEADER.index(name)] = text
+        out[i - 1] = ",".join(cells) + "\r\n"
+    return out
+
+
+# At noise 0.003 and seed 3 the first molecule (lines 2-17) fails the
+# monotonic gate and the third (lines 34-49) passes every gate.
+@pytest.mark.parametrize(
+    "edit, line, problem",
+    [
+        (lambda ls: _edited(ls, range(2, 18), qc_pass="1"), 2,
+         "qc_pass 1 contradicts the QC gates: C(C)(C)C fails monotonic"),
+        (lambda ls: _edited(ls, range(34, 50), qc_pass="0"), 34,
+         "qc_pass 0 contradicts the QC gates: C(C)(C)(C)C passes"),
+        (lambda ls: _edited(ls, range(40, 41), qc_pass="0"), 40,
+         "qc_pass 0 differs from 1 on line 34, in the rows of C(C)(C)(C)C"),
+        (lambda ls: _edited(ls, range(5, 6), pressure_bar="2.0"), 5,
+         "pressure_bar must be 1.0, got 2.0"),
+        (lambda ls: _edited(ls, range(18, 19), temperature_K="0.0"), 18,
+         "temperature must be positive, got 0.0"),
+    ],
+    ids=["flag-on-a-failure", "flag-off-a-pass", "mixed-flags", "pressure", "zero-kelvin"],
+)
+def test_read_dataset_rejects_rows_the_values_contradict(tmp_path, edit, line, problem):
+    lines = _block_lines(tmp_path, 4, noise_sigma=0.003)
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(edit(lines)), newline="")
+    with pytest.raises(ValueError, match=re.escape(f"{str(path)!r} line {line}: {problem}")):
         read_dataset(str(path))
 
 
