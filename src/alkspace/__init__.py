@@ -41,9 +41,8 @@ _SOURCES = {
         "split_test",
     ),
     "thermo": (
-        "QcStatus", "ThermoSeries", "combine_heat_capacity", "hov_corrected", "qc_evaluate",
-        "read_dataset", "simulate_batch", "simulate_series", "synth_critical_temperature",
-        "temperature_grid", "write_dataset",
+        "QcStatus", "ThermoSeries", "qc_evaluate", "read_dataset", "simulate_batch",
+        "simulate_series", "synth_critical_temperature", "temperature_grid", "write_dataset",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

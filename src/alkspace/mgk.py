@@ -112,7 +112,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .molspace import MolecularGraph, to_canonical_smiles
+from .molspace import MolecularGraph, parse_smiles, to_canonical_smiles
 
 # Padded product-class entries (pairs x m1 x m2) per stacked solve; caps
 # the working memory at about this many doubles per array.
@@ -614,8 +614,11 @@ class MgkCalculator:
     """Kernel evaluator over a store of raw values keyed by molecule index.
 
     :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
-    the regression and selection layers. :meth:`register` gives each
-    canonical SMILES a dense index. Raw (un-normalized) self-kernels live in
+    the regression and selection layers. :meth:`register` and
+    :meth:`register_canonical` give each canonical SMILES a dense index.
+    A molecule's graph arrays are built when one of its pairs is first
+    solved, from the graph it was registered with or else by parsing its
+    id, and no graph is kept after that. Raw (un-normalized) self-kernels live in
     one float64 vector indexed by molecule, NaN until known; the other raw
     values live in a table of sorted int64 codes ``i << 32 | j`` of the two
     indices, i < j, with a float64 value and a looked-up flag per row
@@ -630,7 +633,11 @@ class MgkCalculator:
         self.params = params
         self._index: dict[str, int] = {}
         self._keys: list[str] = []
-        self._graphs: list[MolecularGraph | None] = []
+        # whether each key was registered, so its arrays can be built; a key
+        # named only by a cache segment is not
+        self._registered = np.empty(0, bool)
+        # graphs registered by :meth:`register` whose arrays are not built
+        self._pending: dict[int, MolecularGraph] = {}
         # rank of each key in canonical-SMILES order; None once stale
         self._rank: np.ndarray | None = None
         self._arenas = _Arenas()
@@ -646,6 +653,8 @@ class MgkCalculator:
         self.pairs_solved = 0
         self.stacks_solved = 0
         self.cg_iterations = 0
+        # molecules whose graph arrays were built
+        self.graphs_built = 0
 
     @property
     def pairs_requested(self) -> int:
@@ -657,13 +666,25 @@ class MgkCalculator:
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
         """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
-        returns the id list. The first graph under an id is kept; any
-        numbering of its carbons gives bitwise the same values."""
+        returns the id list. The first graph under an id is kept until its
+        arrays are built; any numbering of its carbons gives bitwise the
+        same values."""
         keys = [str(to_canonical_smiles(g)) for g in molecules]
-        for i, g in zip(self._intern(keys).tolist(), molecules):
-            if self._graphs[i] is None:
-                self._graphs[i] = g
+        index = self._intern(keys)
+        self._registered[index] = True
+        built = self._row[index] >= 0
+        for i, g, done in zip(index.tolist(), molecules, built.tolist()):
+            if not done:
+                self._pending.setdefault(i, g)
         return keys
+
+    def register_canonical(self, keys: Sequence[str]) -> None:
+        """Record ids that are canonical SMILES already, as
+        :func:`~alkspace.molspace.enumerate_alkane_smiles` writes them,
+        without parsing them; an id's arrays are built from its parsed
+        graph, unless :meth:`register` gave one."""
+        index = self._intern(keys)
+        self._registered[index] = True
 
     def _intern(self, keys: Sequence[str]) -> np.ndarray:
         """The indices of ``keys``, giving each new one the next index."""
@@ -676,7 +697,7 @@ class MgkCalculator:
             self._self = np.concatenate([self._self, np.full(grow, np.nan)])
             self._class = np.concatenate([self._class, np.zeros(grow, np.int64)])
             self._row = np.concatenate([self._row, np.full(grow, -1, np.int64)])
-            self._graphs += [None] * grow
+            self._registered = np.concatenate([self._registered, np.zeros(grow, bool)])
         return out
 
     def _ranks(self) -> np.ndarray:
@@ -687,15 +708,22 @@ class MgkCalculator:
         return self._rank
 
     def _build_arrays(self, indices: np.ndarray) -> None:
-        """Build, in one pass, the arrays of the graphs at these distinct
-        indices that have none yet."""
-        need = indices[self._row[indices] < 0].tolist()
-        if not need:
+        """Build, in one pass, the arrays of the molecules at these distinct
+        indices that have none yet, from their registered graphs or ids;
+        KeyError for an id that was never registered."""
+        need = indices[self._row[indices] < 0]
+        if not need.size:
             return
-        graphs = [self._graphs[i] for i in need]
-        if None in graphs:
-            raise KeyError(self._keys[need[graphs.index(None)]])
-        self._class[need], self._row[need] = _graph_arrays(graphs, self._arenas)  # type: ignore[arg-type]
+        unregistered = need[~self._registered[need]]
+        if unregistered.size:
+            raise KeyError(self._keys[unregistered[0]])
+        pending = self._pending
+        graphs = [
+            pending.pop(i) if i in pending else parse_smiles(self._keys[i])
+            for i in need.tolist()
+        ]
+        self._class[need], self._row[need] = _graph_arrays(graphs, self._arenas)
+        self.graphs_built += len(need)
 
     # -- evaluation -------------------------------------------------------
 

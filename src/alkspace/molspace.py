@@ -58,17 +58,22 @@ class MolecularGraph:
     __slots__ = ("adjacency", "_canonical")
 
     def __init__(self, neighbors: Sequence[Sequence[int]]):
-        adjacency = tuple(tuple(nb) for nb in neighbors)
+        adjacency = tuple(map(tuple, neighbors))
         n = len(adjacency)
         if n == 0:
             raise GraphError("an alkane needs at least one carbon")
         ends = 0
+        # vertices after the first whose first neighbour precedes them; if
+        # all are, each reaches vertex 0 by stepping down, so the graph is
+        # connected without a search (every parsed graph is)
+        descending = 0
         for v, nb in enumerate(adjacency):
-            if len(nb) > MAX_VALENCE:
+            d = len(nb)
+            if d > MAX_VALENCE:
                 raise GraphError(
-                    f"vertex {v} has {len(nb)} neighbours, above valence {MAX_VALENCE}"
+                    f"vertex {v} has {d} neighbours, above valence {MAX_VALENCE}"
                 )
-            if len(set(nb)) != len(nb):
+            if d > 1 and len(set(nb)) != d:
                 raise GraphError(f"vertex {v} lists a neighbour twice")
             for u in nb:
                 if not 0 <= u < n:
@@ -77,8 +82,10 @@ class MolecularGraph:
                     raise GraphError(f"self-loop on vertex {v}")
                 if v not in adjacency[u]:
                     raise GraphError(f"edge ({v}, {u}) is missing from vertex {u}")
-            ends += len(nb)
-        if ends != 2 * (n - 1) or not _is_connected(adjacency):
+            ends += d
+            if d and nb[0] < v:
+                descending += 1
+        if ends != 2 * (n - 1) or (descending < n - 1 and not _is_connected(adjacency)):
             raise GraphError("an alkane must be a connected acyclic graph")
         self.adjacency = adjacency
         self._canonical: str | None = None
@@ -170,119 +177,55 @@ def parse_smiles(text: str) -> MolecularGraph:
     return MolecularGraph(neighbors)
 
 
-def _tree_centroids(neighbors: Sequence[Sequence[int]]) -> list[int]:
-    """Centroid vertex (or adjacent pair) minimising the largest component
-    left after removal. Iterative to keep deep chains cheap."""
+def _canonical_from_neighbors(neighbors: Sequence[Sequence[int]]) -> str:
+    """Canonical SMILES of the tree with these neighbour lists, built as the
+    enumerator builds it (:func:`_alkanes_of_size`): the subtrees hanging
+    from the centroid, or from each end of the central edge, get their AHU
+    codes and SMILES together in one post-order, and the centroid joins
+    them with :func:`_join_smiles`, between two centroids with
+    :func:`_join_halves`. Iterative to keep deep chains cheap."""
     n = len(neighbors)
-    if n == 1:
-        return [0]
-    order: list[int] = []
+    # breadth-first from vertex 0: every vertex comes after its parent, so
+    # the reversed order visits children first
     parent = [-1] * n
-    stack = [0]
-    visited = [False] * n
-    visited[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in neighbors[v]:
-            if not visited[u]:
-                visited[u] = True
-                parent[u] = v
-                stack.append(u)
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n + 1
-    centroids: list[int] = []
-    for v in range(n):
-        heaviest = n - size[v]
+    order = [0]
+    for v in order:
         for u in neighbors[v]:
             if u != parent[v]:
-                heaviest = max(heaviest, size[u])
-        if heaviest < best:
-            best = heaviest
-            centroids = [v]
-        elif heaviest == best:
-            centroids.append(v)
-    return centroids
-
-
-def _rooted_encoding(
-    root: int, neighbors: Sequence[Sequence[int]]
-) -> tuple[str, dict[int, str]]:
-    """AHU parenthesis encoding of the tree rooted at ``root``.
-
-    Returns the root code and a per-vertex code table used to order children
-    during SMILES emission. Children codes are sorted, so the encoding is
-    invariant under vertex relabeling.
-    """
-    codes: dict[int, str] = {}
-    # Post-order without recursion: (vertex, parent, expanded?)
-    stack: list[tuple[int, int, bool]] = [(root, -1, False)]
-    while stack:
-        v, par, expanded = stack.pop()
-        if not expanded:
-            stack.append((v, par, True))
-            for u in neighbors[v]:
-                if u != par:
-                    stack.append((u, v, False))
-        else:
-            child_codes = sorted(codes[u] for u in neighbors[v] if u != par)
-            codes[v] = "(" + "".join(child_codes) + ")"
-    return codes[root], codes
-
-
-def _canonical_root(neighbors: Sequence[Sequence[int]]) -> tuple[int, dict[int, str]]:
-    centroids = _tree_centroids(neighbors)
-    best_root = -1
-    best_code = None
-    best_codes: dict[int, str] = {}
-    for c in sorted(centroids):
-        code, codes = _rooted_encoding(c, neighbors)
-        if best_code is None or code < best_code:
-            best_code = code
-            best_root = c
-            best_codes = codes
-    return best_root, best_codes
-
-
-def _emit_smiles(
-    root: int, neighbors: Sequence[Sequence[int]], codes: dict[int, str]
-) -> str:
-    """Depth-first SMILES emission from the canonical root.
-
-    Children are visited in sorted encoding order; every child except the
-    last is parenthesised. Equal encodings emit equal substrings, so the
-    result depends only on the isomorphism class.
-    """
-    out: list[str] = []
-    # (vertex, parent) work items interleaved with literal tokens.
-    work: list[object] = [(root, -1)]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        v, par = item  # type: ignore[misc]
-        out.append("C")
-        children = sorted(
-            (u for u in neighbors[v] if u != par), key=codes.__getitem__
-        )
-        pending: list[object] = []
-        for u in children[:-1]:
-            pending.append("(")
-            pending.append((u, v))
-            pending.append(")")
-        if children:
-            pending.append((children[-1], v))
-        work.extend(reversed(pending))
-    return "".join(out)
-
-
-def _canonical_from_neighbors(neighbors: Sequence[Sequence[int]]) -> str:
-    root, codes = _canonical_root(neighbors)
-    return _emit_smiles(root, neighbors, codes)
+                parent[u] = v
+                order.append(u)
+    # the centroid is the deepest vertex holding more than half the carbons
+    # below it; a child holding exactly half is the second centroid
+    size = [1] * n
+    for centre in reversed(order):
+        if 2 * size[centre] > n:
+            break
+        size[parent[centre]] += size[centre]
+    other = -1
+    for u in neighbors[centre]:
+        if u != parent[centre] and 2 * size[u] == n:
+            other = u
+    # root one half at each centroid: each is the other's parent
+    parent = [-1] * n
+    parent[centre] = other
+    order = [centre]
+    if other >= 0:
+        parent[other] = centre
+        order.append(other)
+    for v in order:
+        for u in neighbors[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    trees: list[_Subtree] = [_LEAF] * n
+    for v in reversed(order):
+        if len(neighbors[v]) > 1 or parent[v] < 0:
+            children = [trees[u] for u in neighbors[v] if u != parent[v]]
+            children.sort(key=itemgetter(0))
+            trees[v] = _subtree(children)
+    if other < 0:
+        return trees[centre][1]
+    return _join_halves(trees[centre], trees[other])
 
 
 def to_canonical_smiles(g: MolecularGraph) -> CanonicalSmiles:
@@ -358,10 +301,30 @@ def _child_multisets(
 
 def _join_smiles(children: Sequence[_Subtree]) -> str:
     """SMILES of a carbon carrying ``children`` (sorted by code): every
-    branch but the last in parentheses, as :func:`_emit_smiles` writes it."""
+    branch but the last in parentheses."""
     if not children:
         return "C"
     return "C" + "".join([c[2] for c in children[:-1]]) + children[-1][1]
+
+
+def _subtree(children: Sequence[_Subtree]) -> _Subtree:
+    """The rooted subtree of a carbon carrying ``children`` (sorted by code)."""
+    smiles = _join_smiles(children)
+    code = "(" + "".join([c[0] for c in children]) + ")"
+    return (code, smiles, "(" + smiles + ")", tuple(children))
+
+
+_LEAF = _subtree([])
+
+
+def _join_halves(a: _Subtree, b: _Subtree) -> str:
+    """SMILES of the tree that joins the roots of two subtrees of equal
+    size, its two centroids, by an edge. The root is the end whose code is
+    smaller; on a tie both ends give the same string."""
+    code_at_a = "(" + "".join(sorted([*[c[0] for c in a[3]], b[0]])) + ")"
+    code_at_b = "(" + "".join(sorted([*[c[0] for c in b[3]], a[0]])) + ")"
+    root, other = (a, b) if code_at_a <= code_at_b else (b, a)
+    return _join_smiles(sorted([*root[3], other], key=itemgetter(0)))
 
 
 def _rooted_subtrees(max_size: int) -> list[list[_Subtree]]:
@@ -369,12 +332,10 @@ def _rooted_subtrees(max_size: int) -> list[list[_Subtree]]:
     indexed by carbon count."""
     levels: list[list[_Subtree]] = [[]]
     for m in range(1, max_size + 1):
-        level = []
-        for children in _child_multisets(levels, m - 1, MAX_VALENCE - 1, m - 1):
-            smiles = _join_smiles(children)
-            code = "(" + "".join([c[0] for c in children]) + ")"
-            level.append((code, smiles, "(" + smiles + ")", tuple(children)))
-        levels.append(level)
+        levels.append([
+            _subtree(children)
+            for children in _child_multisets(levels, m - 1, MAX_VALENCE - 1, m - 1)
+        ])
     return levels
 
 
@@ -387,19 +348,11 @@ def _alkanes_of_size(levels: Sequence[Sequence[_Subtree]], n: int) -> list[str]:
         for children in _child_multisets(levels, n - 1, MAX_VALENCE, (n - 1) // 2)
     ]
     if n % 2 == 0:
-        # Two centroids: an edge joins two halves of n / 2 carbons each. The
-        # root is the end whose code is smaller, as in _canonical_root; on a
-        # tie both ends give the same string.
+        # Two centroids: an edge joins two halves of n / 2 carbons each.
         half = levels[n // 2]
         for i, a in enumerate(half):
-            a_codes = [c[0] for c in a[3]]
             for b in half[i:]:
-                b_codes = [c[0] for c in b[3]]
-                code_at_a = "(" + "".join(sorted([*a_codes, b[0]])) + ")"
-                code_at_b = "(" + "".join(sorted([*b_codes, a[0]])) + ")"
-                root, other = (a, b) if code_at_a <= code_at_b else (b, a)
-                children = sorted([*root[3], other], key=itemgetter(0))
-                out.append(_join_smiles(children))
+                out.append(_join_halves(a, b))
     out.sort()
     return out
 

@@ -26,7 +26,6 @@ from ._atomic import csv_rows, read_json, write_atomic, write_csv, write_json
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
-    MolecularGraph,
     descriptors,
     enumerate_alkane_smiles,
     parse_smiles,
@@ -331,10 +330,6 @@ def load_molecule_file(path: str) -> list[str]:
     return ids
 
 
-def _graphs_for(ids: Sequence[str]) -> list[MolecularGraph]:
-    return [parse_smiles(m) for m in ids]
-
-
 # -- test split ---------------------------------------------------------------
 
 
@@ -415,17 +410,20 @@ class _Workspace:
     def kernel(self, ids: Sequence[str]) -> Iterator[MgkCalculator]:
         """A calculator with ``ids`` registered and every kernel cache
         segment ``kernel_<hash>_<digest>.npz`` of the workspace loaded, so a
-        consumer solves only the pairs no segment holds.
+        consumer solves only the pairs no segment holds. The ids are those
+        :meth:`molecule_ids` checked against the enumeration, so they are
+        registered as canonical, unparsed; a graph is built only for a
+        molecule one of whose pairs is solved.
 
         A body that finishes without error and solved pairs adds one
         segment of just those pairs, named by a digest of its bytes; no
         segment is ever rewritten. A segment that fails the checks of
         :meth:`MgkCalculator.load_cache` fails the command. The cross pairs
-        requested, and the pairs, stacks and CG iterations solved, are
-        logged on exit, never written to ``out_dir``.
+        requested, the pairs, stacks and CG iterations solved and the
+        graphs built are logged on exit, never written to ``out_dir``.
         """
         calc = MgkCalculator(self.config.kernel)
-        calc.register(_graphs_for(ids))
+        calc.register_canonical(ids)
         prefix = f"kernel_{self.kernel_hash()}_"
         for name in sorted(os.listdir(self.config.out_dir)):
             if name.startswith(prefix) and name.endswith(".npz"):
@@ -435,9 +433,10 @@ class _Workspace:
             yield calc
         finally:
             logger.info(
-                "requested %d, solved %d kernel pairs in %d stacks (%d CG iterations)",
+                "requested %d, solved %d kernel pairs in %d stacks (%d CG iterations), "
+                "built %d graphs",
                 calc.pairs_requested, calc.pairs_solved, calc.stacks_solved,
-                calc.cg_iterations,
+                calc.cg_iterations, calc.graphs_built,
             )
         if calc.pairs_solved:
             rows, data = calc.segment(solved_only=True)

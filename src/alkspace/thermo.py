@@ -1,4 +1,4 @@
-"""Deterministic synthetic property oracle and thermodynamic combiners.
+"""Deterministic synthetic property oracle and its quality-control gates.
 
 Stands in for a high-throughput simulation engine: given an alkane graph it
 produces liquid density, isobaric heat capacity and heat of vaporization on
@@ -21,11 +21,10 @@ and training and test sets are lists of them. The dataset reader re-runs
 the QC gates on the values it reads and rejects a ``qc_pass`` column that
 contradicts them.
 
-Also provides the standalone thermodynamic combiners (heat-capacity sum and
-the corrected heat of vaporization) and the quality-control gates a series
-must pass before entering a training set (no vapor-like density, no
-solid-like diffusion, strict monotonicity, and a quadratic fit with
-R^2 >= 0.98), evaluated over arrays of series.
+Also provides the quality-control gates a series must pass before entering
+a training set (no vapor-like density, no solid-like diffusion, strict
+monotonicity, and a quadratic fit with R^2 >= 0.98), evaluated over arrays
+of series.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ import numpy as np
 
 from ._atomic import csv_rows, row_error, write_csv
 from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
-
-R_GAS = 8.314462618  # J/(mol K)
 
 GRID_POINTS = 16
 GRID_LOW_FRACTION = 0.4
@@ -191,37 +188,6 @@ def simulate_series(
     """Property series of an alkane on its temperature grid: a batch of one
     (:func:`simulate_batch`)."""
     return simulate_batch([g], noise_sigma, seed)[0]
-
-
-def combine_heat_capacity(
-    c_trans: float,
-    c_rot: float,
-    c_vib: float,
-    du_inter_dt: float,
-    p_dv_dt: float,
-) -> float:
-    """Isobaric heat capacity as the sum of its five contributions,
-    all in J/(mol K)."""
-    terms = (c_trans, c_rot, c_vib, du_inter_dt, p_dv_dt)
-    if not all(math.isfinite(v) for v in terms):
-        raise ValueError("heat-capacity contributions must be finite")
-    return float(sum(terms))
-
-
-def hov_corrected(u_inter: float, temperature: float, n_carbons: int) -> float:
-    """Heat of vaporization in kJ/mol from the intermolecular energy.
-
-    H_vap = R T - u_inter + C_e, with the empirical size correction
-    C_e = -(1/15) n_C R T; u_inter enters in kJ/mol. At n_C = 15 the
-    correction cancels the R T term exactly.
-    """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    if n_carbons < 0:
-        raise ValueError("carbon count must be non-negative")
-    rt_kj = R_GAS * temperature / 1000.0
-    correction = -(n_carbons / 15.0) * rt_kj
-    return rt_kj - u_inter + correction
 
 
 def quadratic_fit_r2(temperatures: Sequence[float], values: Sequence[float]) -> float:

@@ -736,9 +736,9 @@ def test_run_all_leaves_scipy_unloaded(tmp_path):
 
 def _solved(caplog) -> list[int]:
     """N of each ``requested R, solved N kernel pairs in M stacks (I CG
-    iterations)`` line."""
+    iterations), built G graphs`` line."""
     lines = (re.fullmatch(r"requested \d+, solved (\d+) kernel pairs in \d+ stacks "
-                          r"\(\d+ CG iterations\)", m)
+                          r"\(\d+ CG iterations\), built \d+ graphs", m)
              for m in caplog.messages)
     return [int(m[1]) for m in lines if m]
 

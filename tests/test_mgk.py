@@ -1136,6 +1136,36 @@ def test_a_solved_only_segment_holds_just_the_new_pairs(tmp_path):
     assert MgkCalculator(DEFAULT).segment(solved_only=True)[0] == 0
 
 
+def test_canonical_ids_register_unparsed_and_build_graphs_when_solved():
+    # enumerated ids need no graph until one of their pairs is solved, and
+    # then give the values the graphs registered under them do
+    ids = enumerate_alkane_smiles(4, 7)
+    by_ids = MgkCalculator(SCREENING)
+    by_ids.register_canonical(ids)
+    assert by_ids.graphs_built == 0
+    by_graphs = MgkCalculator(SCREENING)
+    assert by_graphs.register(enumerate_alkanes(4, 7)) == ids
+    assert np.array_equal(by_ids.block(ids[:4], ids), by_graphs.block(ids[:4], ids))
+    assert by_ids.graphs_built == len(ids)
+    by_ids.block(ids, ids)
+    assert by_ids.graphs_built == len(ids)
+
+
+def test_a_key_named_only_by_a_segment_is_not_solved():
+    solved = MgkCalculator(DEFAULT)
+    solved.register_canonical(["CCCC", "CCCCC"])
+    want = solved.block(["CCCCC"], ["CCCC"])
+    loaded = MgkCalculator(DEFAULT)
+    loaded.register_canonical(["CCCC", "CCCCCC"])
+    loaded.load_cache(io.BytesIO(solved.segment()[1]))
+    # its held pairs are read, but a pair that needs its graph is not solved
+    assert np.array_equal(loaded.block(["CCCCC"], ["CCCC"]), want)
+    with pytest.raises(KeyError, match="CCCCC"):
+        loaded.block(["CCCCC"], ["CCCCCC"])
+    loaded.register_canonical(["CCCCC"])
+    assert loaded.block(["CCCCC"], ["CCCCCC"])[0, 0] > 0.0
+
+
 def _segment(tmp_path, p=DEFAULT):
     """A saved segment of C4..C5 and its arrays."""
     calc = MgkCalculator(p)

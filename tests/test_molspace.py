@@ -2,13 +2,15 @@
 
 Independent oracles: networkx ``is_tree`` for the graph constructor,
 networkx free-tree generation and VF2 isomorphism for the enumerator and
-canonicaliser, the former grow-and-deduplicate enumerator
-for the exact output of the constructive one, and closed-form Wiener indices
-for the descriptor code.
+canonicaliser, the former four-step canonicaliser for the exact output of
+the one-pass one, the former grow-and-deduplicate enumerator for the exact
+output of the constructive one, and closed-form Wiener indices for the
+descriptor code.
 """
 
 import functools
 import itertools
+from typing import Sequence
 
 import networkx as nx
 import pytest
@@ -43,6 +45,109 @@ def _to_nx(g: MolecularGraph) -> nx.Graph:
     return out
 
 
+def _tree_centroids(neighbors: Sequence[Sequence[int]]) -> list[int]:
+    """Centroid vertex (or adjacent pair) minimising the largest component
+    left after removal."""
+    n = len(neighbors)
+    if n == 1:
+        return [0]
+    order: list[int] = []
+    parent = [-1] * n
+    stack = [0]
+    visited = [False] * n
+    visited[0] = True
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in neighbors[v]:
+            if not visited[u]:
+                visited[u] = True
+                parent[u] = v
+                stack.append(u)
+    size = [1] * n
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+    best = n + 1
+    centroids: list[int] = []
+    for v in range(n):
+        heaviest = n - size[v]
+        for u in neighbors[v]:
+            if u != parent[v]:
+                heaviest = max(heaviest, size[u])
+        if heaviest < best:
+            best = heaviest
+            centroids = [v]
+        elif heaviest == best:
+            centroids.append(v)
+    return centroids
+
+
+def _rooted_encoding(
+    root: int, neighbors: Sequence[Sequence[int]]
+) -> tuple[str, dict[int, str]]:
+    """AHU parenthesis encoding of the tree rooted at ``root``, and the
+    code of every vertex; children codes are sorted."""
+    codes: dict[int, str] = {}
+    stack: list[tuple[int, int, bool]] = [(root, -1, False)]
+    while stack:
+        v, par, expanded = stack.pop()
+        if not expanded:
+            stack.append((v, par, True))
+            for u in neighbors[v]:
+                if u != par:
+                    stack.append((u, v, False))
+        else:
+            child_codes = sorted(codes[u] for u in neighbors[v] if u != par)
+            codes[v] = "(" + "".join(child_codes) + ")"
+    return codes[root], codes
+
+
+def _canonical_root(neighbors: Sequence[Sequence[int]]) -> tuple[int, dict[int, str]]:
+    best_root = -1
+    best_code = None
+    best_codes: dict[int, str] = {}
+    for c in sorted(_tree_centroids(neighbors)):
+        code, codes = _rooted_encoding(c, neighbors)
+        if best_code is None or code < best_code:
+            best_code = code
+            best_root = c
+            best_codes = codes
+    return best_root, best_codes
+
+
+def _emit_smiles(root: int, neighbors: Sequence[Sequence[int]], codes: dict[int, str]) -> str:
+    """Depth-first SMILES from ``root``, children in code order, every
+    child but the last in parentheses."""
+    out: list[str] = []
+    work: list[object] = [(root, -1)]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, par = item  # type: ignore[misc]
+        out.append("C")
+        children = sorted((u for u in neighbors[v] if u != par), key=codes.__getitem__)
+        pending: list[object] = []
+        for u in children[:-1]:
+            pending.append("(")
+            pending.append((u, v))
+            pending.append(")")
+        if children:
+            pending.append((children[-1], v))
+        work.extend(reversed(pending))
+    return "".join(out)
+
+
+def _four_step_canonical(neighbors: Sequence[Sequence[int]]) -> str:
+    """The former canonicaliser, kept as an oracle: find the centroids,
+    encode the whole tree from each, root it at the centroid of the smaller
+    encoding, then emit the SMILES in a second traversal."""
+    root, codes = _canonical_root(neighbors)
+    return _emit_smiles(root, neighbors, codes)
+
+
 def _alkane_trees(n: int) -> list[nx.Graph]:
     if n == 1:
         return [nx.empty_graph(1)]
@@ -70,7 +175,7 @@ def _grow_and_deduplicate(max_n: int) -> tuple[tuple[str, ...], ...]:
                     continue
                 neighbors.append([site])
                 neighbors[site].append(n - 1)
-                grown.add(_canonical_from_neighbors(neighbors))
+                grown.add(_four_step_canonical(neighbors))
                 neighbors[site].pop()
                 neighbors.pop()
         levels.append(tuple(sorted(grown)))
@@ -235,8 +340,13 @@ class TestMolecularGraph:
 
 class TestCanonicalSmiles:
     def test_roundtrip_is_identity(self):
-        for smiles in enumerate_alkane_smiles(1, 10):
+        for smiles in enumerate_alkane_smiles(1, 14):
             assert to_canonical_smiles(parse_smiles(smiles)) == smiles
+
+    @settings(max_examples=500, deadline=None)
+    @given(relabelled_trees(max_n=19))
+    def test_equals_the_four_step_oracle(self, neighbors):
+        assert _canonical_from_neighbors(neighbors) == _four_step_canonical(neighbors)
 
     def test_input_form_invariance(self):
         # Many spellings of 2-methylbutane.

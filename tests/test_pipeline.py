@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from alkspace import active_learning as al
-from alkspace import pipeline, thermo
+from alkspace import cli, mgk, molspace, pipeline, thermo
 from alkspace._atomic import write_atomic
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import parse_smiles, to_canonical_smiles
@@ -564,12 +564,33 @@ def test_rerun_reuses_artifacts_and_is_byte_stable(staged_run, caplog):
     }
     with caplog.at_level(logging.INFO, logger="alkspace.pipeline"):
         second = run_alms(cfg)
-    assert any(m.endswith(", solved 0 kernel pairs in 0 stacks (0 CG iterations)") for m in caplog.messages)
+    assert any(m.endswith(", solved 0 kernel pairs in 0 stacks (0 CG iterations), built 0 graphs")
+               for m in caplog.messages)
     assert second.to_dict() == report.to_dict()
     after = _workspace_bytes(cfg.out_dir)
     assert before == after
     for n in reused:  # inputs are reused, not rebuilt
         assert os.stat(os.path.join(cfg.out_dir, n)).st_mtime_ns == stamps[n]
+
+
+def test_a_warm_run_all_parses_and_canonicalises_nothing(staged_run, tmp_path, monkeypatch, caplog):
+    """run-all on a filled workspace registers the enumerated ids as they
+    are: it parses and canonicalises no molecule and builds no graph."""
+    cfg, _ = staged_run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RUN_RAW))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run-all parsed or canonicalised a molecule")
+
+    for module in (molspace, mgk, pipeline, thermo):
+        for name in ("parse_smiles", "to_canonical_smiles"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    assert cli.main(["run-all", "--config", str(config), "--out-dir", cfg.out_dir]) == 0
+    assert any(m.endswith(", solved 0 kernel pairs in 0 stacks (0 CG iterations), built 0 graphs")
+               for m in caplog.messages)
 
 
 def test_oversized_test_pool_is_rejected(staged_run):
@@ -688,7 +709,8 @@ def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
     @contextlib.contextmanager
     def dense(ws, ids):
         calc = MgkCalculator(ws.config.kernel)
-        yield Dense(calc, calc.register(pipeline._graphs_for(ids)))
+        calc.register_canonical(ids)
+        yield Dense(calc, ids)
 
     monkeypatch.setattr(pipeline._Workspace, "kernel", dense)
     oracle_cfg = dataclasses.replace(cfg, out_dir=str(tmp_path))

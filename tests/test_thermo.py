@@ -22,10 +22,7 @@ from alkspace.thermo import (
     DATASET_HEADER,
     GRID_POINTS,
     QcStatus,
-    R_GAS,
     ThermoSeries,
-    combine_heat_capacity,
-    hov_corrected,
     qc_evaluate,
     quadratic_fit_r2,
     read_dataset,
@@ -225,41 +222,6 @@ def test_heat_capacity_increases_with_temperature():
     series = _series("CCCCCC")
     cp = [v[1] for v in series.values]
     assert all(b > a for a, b in zip(cp, cp[1:]))
-
-
-# -- closed-form property combinators ---------------------------------------------
-
-
-def test_combine_heat_capacity_hand_arithmetic():
-    got = combine_heat_capacity(12.47, 12.47, 0.0, 0.0, 8.314)
-    assert got == pytest.approx(33.254, abs=1e-9)
-
-
-def test_combine_heat_capacity_rejects_non_finite():
-    with pytest.raises(ValueError):
-        combine_heat_capacity(float("nan"), 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        combine_heat_capacity(float("inf"), 0.0, 0.0, 0.0, 0.0)
-
-
-def test_hov_corrected_examples():
-    # no carbons: the correction vanishes and RT remains
-    assert hov_corrected(0.0, 300.0, 0) == pytest.approx(
-        R_GAS * 300.0 / 1000.0, abs=1e-9
-    )
-    # fifteen carbons cancel the RT term exactly
-    assert hov_corrected(5.0, 300.0, 15) == pytest.approx(-5.0, abs=1e-12)
-    # linear in carbon count
-    values = [hov_corrected(1.0, 300.0, n) for n in range(6)]
-    gaps = np.diff(values)
-    assert gaps == pytest.approx(np.full(5, gaps[0]), abs=1e-12)
-
-
-def test_hov_corrected_validation():
-    with pytest.raises(ValueError):
-        hov_corrected(1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        hov_corrected(1.0, 300.0, -1)
 
 
 # -- QC gates ----------------------------------------------------------------------
