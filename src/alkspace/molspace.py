@@ -217,6 +217,7 @@ def _canonical_from_neighbors(neighbors: Sequence[Sequence[int]]) -> str:
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
+    # a leaf, whose one neighbour is its parent, keeps _LEAF
     trees: list[_Subtree] = [_LEAF] * n
     for v in reversed(order):
         if len(neighbors[v]) > 1 or parent[v] < 0:
