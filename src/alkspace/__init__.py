@@ -22,10 +22,7 @@ _SOURCES = {
         "load_checkpoint", "save_checkpoint",
     ),
     "errors": ("ConfigError",),
-    "gpr": (
-        "FitError", "GprModel", "TemperatureProductKernel", "fit", "predict_mean",
-        "predict_variance",
-    ),
+    "gpr": ("FitError", "GprModel", "TemperatureProductKernel", "fit"),
     "mgk": (
         "KernelConvergenceError", "MgkCalculator", "MgkHyperparameters", "mgk_normalized",
         "mgk_raw",
@@ -42,7 +39,7 @@ _SOURCES = {
     ),
     "thermo": (
         "QcStatus", "ThermoSeries", "qc_evaluate", "read_dataset", "simulate_batch",
-        "simulate_series", "synth_critical_temperature", "temperature_grid", "write_dataset",
+        "synth_critical_temperature", "temperature_grid", "write_dataset",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

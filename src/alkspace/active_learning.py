@@ -461,7 +461,8 @@ _CHECKPOINT_FIELDS = {
 
 def load_checkpoint(path: str) -> AlState:
     """The state a checkpoint holds; ValueError naming the file, and the
-    field where one is missing or of the wrong type."""
+    field where one is missing or of the wrong type, or where ``rng_state``
+    is no state of the selection's PCG64 generator."""
     payload = read_json(path)
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
@@ -469,6 +470,13 @@ def load_checkpoint(path: str) -> AlState:
     for name, (kind, ok) in _CHECKPOINT_FIELDS.items():
         if name not in payload or not ok(payload[name]):
             raise ValueError(f"checkpoint {path!r} field {name!r} must hold {kind}")
+    if payload["rng_state"] is not None:
+        try:
+            np.random.PCG64(0).state = payload["rng_state"]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"checkpoint {path!r} field 'rng_state' is no PCG64 state ({exc!r})"
+            ) from None
     try:
         return AlState(
             selected=tuple(payload["selected"]),

@@ -8,6 +8,11 @@ opaque hashable keys. The molecule-kernel provider is
 squared-exponential factor in temperature for property regression on
 (molecule, temperature) keys.
 
+:func:`fit` returns a :class:`GprModel`, whose :meth:`~GprModel.predict_mean`
+and :meth:`~GprModel.predict_variance` are the predictors. The variance is
+one forward substitution against the training factor (:func:`_forward`),
+the same the active-learning layer advances row block by row block.
+
 Targets are standardized to zero mean and unit variance per column before
 fitting, so the posterior variance lives on the unit-prior scale regardless
 of target units. Variance depends on inputs only, never on target values,
@@ -176,10 +181,30 @@ class GprModel:
     single_target: bool
 
     def predict_mean(self, queries: Sequence) -> np.ndarray:
-        return predict_mean(self, queries)
+        """Posterior mean at the queries, de-standardized to target units."""
+        queries = tuple(queries)
+        if len(queries) == 0:
+            shape = (0,) if self.single_target else (0, self.dual_weights.shape[1])
+            return np.zeros(shape)
+        kqs = self.kernel_provider.block(queries, self.training_keys)
+        mean = self.y_mean + self.y_std * (kqs @ self.dual_weights)
+        return mean[:, 0] if self.single_target else mean
 
     def predict_variance(self, queries: Sequence) -> np.ndarray:
-        return predict_variance(self, queries)
+        """Posterior variance on the standardized unit-prior scale; entries
+        negative from finite precision are clamped to zero. Depends only on
+        kernel values, never on targets."""
+        queries = tuple(queries)
+        if len(queries) == 0:
+            return np.zeros(0)
+        # prior minus what the training inputs explain, read in one request
+        var = np.array(self.kernel_provider.diag(queries), dtype=float)
+        n, m = len(self.training_keys), len(queries)
+        _forward(
+            self.chol_factor, self.kernel_provider, self.training_keys, queries,
+            -math.inf, np.empty((n, m)), np.zeros(m, np.int64), var, np.arange(m),
+        )
+        return np.maximum(var, 0.0)
 
 
 def fit(
@@ -226,41 +251,6 @@ def fit(
     )
 
 
-def predict_mean(model: GprModel, queries: Sequence) -> np.ndarray:
-    """Posterior mean at the queries, de-standardized to target units."""
-    queries = tuple(queries)
-    if len(queries) == 0:
-        shape = (0,) if model.single_target else (0, model.dual_weights.shape[1])
-        return np.zeros(shape)
-    kqs = model.kernel_provider.block(queries, model.training_keys)
-    mean = model.y_mean + model.y_std * (kqs @ model.dual_weights)
-    return mean[:, 0] if model.single_target else mean
-
-
-def predict_variance_with_diagnostics(
-    model: GprModel, queries: Sequence
-) -> tuple[np.ndarray, int]:
-    """Posterior variance on the standardized unit-prior scale.
-
-    Returns (variances, clamp_count); clamp_count is how many entries were
-    negative from finite precision and clamped to zero. Depends only on
-    kernel values, never on targets.
-    """
-    queries = tuple(queries)
-    if len(queries) == 0:
-        return np.zeros(0), 0
-    # prior minus what the training inputs explain, read in one request;
-    # negative entries are rounding residue
-    var = np.array(model.kernel_provider.diag(queries), dtype=float)
-    n, m = len(model.training_keys), len(queries)
-    _forward(
-        model.chol_factor, model.kernel_provider, model.training_keys, queries,
-        -math.inf, np.empty((n, m)), np.zeros(m, np.int64), var, np.arange(m),
-    )
-    clamped = int(np.count_nonzero(var < 0.0))
-    return np.maximum(var, 0.0), clamped
-
-
 def _forward(
     chol: np.ndarray, provider: KernelProvider, keys: Sequence, queries: Sequence,
     cut: float, x: np.ndarray, known: np.ndarray, bound: np.ndarray, among: np.ndarray,
@@ -296,10 +286,6 @@ def _forward(
             bound[g] -= np.sum(xs * xs, axis=0)
             known[g] = j1
         alive = alive[bound[alive] >= cut]
-
-
-def predict_variance(model: GprModel, queries: Sequence) -> np.ndarray:
-    return predict_variance_with_diagnostics(model, queries)[0]
 
 
 def extend_cholesky(

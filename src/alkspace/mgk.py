@@ -95,7 +95,10 @@ Self-kernels are a float64 vector. A cross pair is an int64 code
 i << 32 | j; codes, float64 values and a looked-up flag are kept in a
 few sorted runs, searched with ``np.searchsorted`` and merged
 geometrically as pairs are added, about 17 bytes per pair. A pair's
-orientation comes from an int rank array of the canonical SMILES.
+orientation comes from an int rank array of the canonical SMILES. The
+pairs a calculator solved make one cache segment
+(:meth:`MgkCalculator.segment`); the pairs it loaded are in their own
+segments already.
 """
 
 from __future__ import annotations
@@ -588,13 +591,6 @@ class _Table:
             run = _merge(self.runs.pop(), run)
         self.runs.append(run)
 
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every code held and its value."""
-        if not self.runs:
-            return np.empty(0, np.int64), np.empty(0)
-        return (np.concatenate([codes for codes, _, _ in self.runs]),
-                np.concatenate([values for _, values, _ in self.runs]))
-
 
 def _merge(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """One sorted run from two with disjoint codes."""
@@ -625,8 +621,9 @@ class MgkCalculator:
     (:class:`_Table`). Graph arrays live in per-size-class arenas, found by
     each molecule's class and row. A pair is solved in the order of its two
     canonical SMILES, so its value does not depend on the order of
-    registration. The store is saved and loaded as cache segments
-    (:meth:`segment`, :meth:`load_cache`).
+    registration. The pairs it solved make one cache segment
+    (:meth:`segment`), and it loads the segments others wrote
+    (:meth:`load_cache`).
     """
 
     def __init__(self, params: MgkHyperparameters):
@@ -805,23 +802,32 @@ class MgkCalculator:
 
     # -- persistence ------------------------------------------------------
 
-    def segment(self, solved_only: bool = False) -> tuple[int, bytes]:
-        """The row count and the bytes of one cache segment holding every
-        raw value held, or only those this calculator solved.
+    def segment(self) -> tuple[int, bytes]:
+        """The row count and the bytes of one cache segment holding the raw
+        values this calculator solved, not those it loaded.
 
         A segment is an npz file of a sorted key table, int32 index pairs
         (i, j) into it, i <= j, in increasing order, their float64 raw
         values, the cache version and the hyperparameter hash; equal
         contents give equal bytes.
         """
-        if solved_only:
-            codes = np.concatenate([np.empty(0, np.int64), *self._solved])
-            values = self._held(codes)
-        else:
-            known = np.flatnonzero(~np.isnan(self._self))
-            cross, held = self._cross.items()
-            codes = np.concatenate([known << 32 | known, cross])
-            values = np.concatenate([self._self[known], held])
+        return self._segment_of(np.concatenate([np.empty(0, np.int64), *self._solved]))
+
+    def save_cache(self, path: str) -> int:
+        """Write every raw value held, loaded or solved, as one cache
+        segment at exactly ``path``; returns the row count. Commands write
+        :meth:`segment`; ``perfbench/tracing.py`` counts the pairs a traced
+        call solved from this row count."""
+        known = np.flatnonzero(~np.isnan(self._self))
+        cross = [codes for codes, _, _ in self._cross.runs]
+        rows, data = self._segment_of(np.concatenate([known << 32 | known, *cross]))
+        write_atomic(path, data)
+        return rows
+
+    def _segment_of(self, codes: np.ndarray) -> tuple[int, bytes]:
+        """The row count and the bytes of the segment of the held pairs with
+        these distinct codes (:meth:`segment`)."""
+        values = self._held(codes)
         lo, hi = codes >> 32, codes & _LOW
         used, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
         order = np.argsort(self._ranks()[used])
@@ -838,13 +844,6 @@ class MgkCalculator:
             params=np.str_(self.params.content_hash()),
         )
         return len(codes), buf.getvalue()
-
-    def save_cache(self, path: str) -> int:
-        """Write every raw value held as one cache segment at exactly
-        ``path``; returns the row count."""
-        rows, data = self.segment()
-        write_atomic(path, data)
-        return rows
 
     def load_cache(self, path: str) -> int:
         """Load one cache segment; returns its row count.

@@ -439,7 +439,7 @@ class _Workspace:
                 calc.cg_iterations, calc.graphs_built,
             )
         if calc.pairs_solved:
-            rows, data = calc.segment(solved_only=True)
+            rows, data = calc.segment()
             path = self.path(f"{prefix}{hashlib.sha256(data).hexdigest()[:_HASH_CHARS]}.npz")
             write_atomic(path, data)
             logger.info("wrote %d kernel entries to %s", rows, path)
@@ -663,13 +663,25 @@ def _metrics_by_property(
 # -- the full staged run ------------------------------------------------------
 
 
-def _check_n_test(n_test: int, ids: Sequence[str]) -> None:
-    """Reject, before any kernel pair is solved, a test set that cannot fit."""
-    if not 0 < n_test < len(ids):
-        raise ConfigError(
-            f"n_test={n_test} does not fit: it must be positive and below "
-            f"the {len(ids)} molecules of the chemical space"
-        )
+@contextmanager
+def _staged(config: PipelineConfig) -> Iterator[tuple]:
+    """The workspace, its checked molecule list, the kernel over it
+    (:meth:`_Workspace.kernel`) and the terminal state of every selection
+    stage: where the staged commands start. The oracle line is logged on
+    exit, after an error too."""
+    ws = _Workspace(config)
+    try:
+        ids = ws.molecule_ids()
+        # reject a test set that cannot fit before any kernel work
+        if not 0 < config.n_test < len(ids):
+            raise ConfigError(
+                f"n_test={config.n_test} does not fit: it must be positive and "
+                f"below the {len(ids)} molecules of the chemical space"
+            )
+        with ws.kernel(ids) as calc:
+            yield ws, ids, calc, ws.al_states(ids, calc)
+    finally:
+        ws.log_oracle()
 
 
 def run_alms(config: PipelineConfig) -> EvalReport:
@@ -681,77 +693,69 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     the report JSON. Returns the report with wall-clock runtime attached.
     """
     t_start = time.monotonic()
-    ws = _Workspace(config)
-    try:
-        ids = ws.molecule_ids()
-        _check_n_test(config.n_test, ids)
-        with ws.kernel(ids) as calc:
-            states = ws.al_states(ids, calc)
+    with _staged(config) as (ws, ids, calc, states):
+        final_selected = states[-1].selected
+        test_ids, test_series = ws.test_set(ids, final_selected)
+        test_keys, test_truth = property_table(test_series)
+        truth_columns = test_truth.T.tolist()
 
-            final_selected = states[-1].selected
-            test_ids, test_series = ws.test_set(ids, final_selected)
-            test_keys, test_truth = property_table(test_series)
-            truth_columns = test_truth.T.tolist()
-
-            # every stage predicts the test set against a subset of the final
-            # selection: solve those pairs in one batch rather than per stage
-            calc.block(test_ids, final_selected)
-            stage_results: list[StageResult] = []
-            parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
-            for i, state in enumerate(states):
-                stage_no = i + 1
-                model = _fit_on_series(
-                    ws.dataset_for(
-                        f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
-                    ),
-                    calc, config,
+        # every stage predicts the test set against a subset of the final
+        # selection: solve those pairs in one batch rather than per stage
+        calc.block(test_ids, final_selected)
+        stage_results: list[StageResult] = []
+        parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
+        for i, state in enumerate(states):
+            stage_no = i + 1
+            model = _fit_on_series(
+                ws.dataset_for(
+                    f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
+                ),
+                calc, config,
+            )
+            t0 = time.monotonic()
+            preds = model.predict_mean(test_keys)
+            logger.info(
+                "stage %d: predicted %d test rows in %.1fs",
+                stage_no, len(test_keys), time.monotonic() - t0,
+            )
+            metrics = _metrics_by_property(preds, test_truth)
+            stage_results.append(
+                StageResult(
+                    stage=stage_no,
+                    threshold=state.threshold,
+                    n_selected=len(state.selected),
+                    n_train_rows=len(model.training_keys),
+                    selected_fraction=len(state.selected) / len(ids),
+                    metrics=metrics,
                 )
-                t0 = time.monotonic()
-                preds = model.predict_mean(test_keys)
+            )
+            for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
+                parity[(stage_no, prop)] = [
+                    (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
+                ]
+            for prop in PROPERTIES:
+                m = metrics[prop]
                 logger.info(
-                    "stage %d: predicted %d test rows in %.1fs",
-                    stage_no, len(test_keys), time.monotonic() - t0,
+                    "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
+                    stage_no, prop, m.rmse, m.mae,
+                    "undefined" if m.r2 is None else f"{m.r2:.4f}",
                 )
-                metrics = _metrics_by_property(preds, test_truth)
-                stage_results.append(
-                    StageResult(
-                        stage=stage_no,
-                        threshold=state.threshold,
-                        n_selected=len(state.selected),
-                        n_train_rows=len(model.training_keys),
-                        selected_fraction=len(state.selected) / len(ids),
-                        metrics=metrics,
-                    )
-                )
-                for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
-                    parity[(stage_no, prop)] = [
-                        (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
-                    ]
-                for prop in PROPERTIES:
-                    m = metrics[prop]
-                    logger.info(
-                        "stage %d %s: rmse=%.4g mae=%.4g r2=%s",
-                        stage_no, prop, m.rmse, m.mae,
-                        "undefined" if m.r2 is None else f"{m.r2:.4f}",
-                    )
 
-        report = EvalReport(
-            config_hash=config.content_hash(),
-            n_molecules=len(ids),
-            n_test_molecules=len(test_ids),
-            n_test_rows=len(test_keys),
-            stages=tuple(stage_results),
-            runtime_seconds=time.monotonic() - t_start,
-        )
-        report_path = ws.path(f"report_{report.config_hash}.json")
-        write_json(report_path, report.to_dict())
-        export_plot_data(report, parity, config.out_dir)
-        logger.info(
-            "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
-        )
-        return report
-    finally:
-        ws.log_oracle()
+    report = EvalReport(
+        config_hash=config.content_hash(),
+        n_molecules=len(ids),
+        n_test_molecules=len(test_ids),
+        n_test_rows=len(test_keys),
+        stages=tuple(stage_results),
+        runtime_seconds=time.monotonic() - t_start,
+    )
+    report_path = ws.path(f"report_{report.config_hash}.json")
+    write_json(report_path, report.to_dict())
+    export_plot_data(report, parity, config.out_dir)
+    logger.info(
+        "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
+    )
+    return report
 
 
 # -- plot-data export ---------------------------------------------------------
@@ -849,84 +853,77 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
     if not config.control_seeds:
         raise ConfigError("compare_al_random needs at least one control seed")
     t_start = time.monotonic()
-    ws = _Workspace(config)
-    try:
-        ids = ws.molecule_ids()
-        _check_n_test(config.n_test, ids)
-        with ws.kernel(ids) as calc:
-            states = ws.al_states(ids, calc)
-            s1 = states[0]
+    with _staged(config) as (ws, ids, calc, states):
+        s1 = states[0]
 
-            if len(s1.selected) > config.n_test:
-                raise ConfigError(
-                    f"cannot draw a {len(s1.selected)}-molecule control from a "
-                    f"{config.n_test}-molecule test pool; raise n_test"
-                )
-            test_ids, test_series = ws.test_set(ids, states[-1].selected)
-            stage1 = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
-            al_model = _fit_on_series(stage1, calc, config)
-
-            controls = []
-            for seed in config.control_seeds:
-                rng = np.random.default_rng(seed)
-                picks = rng.choice(len(test_series), size=len(s1.selected), replace=False)
-                controls.append([test_series[int(i)] for i in picks])
-            # each seed fits on its control and predicts the rest of the test
-            # pool: solve the pairs of all seeds in one batch
-            calc.block(sorted({s.molecule_id for c in controls for s in c}), test_ids)
-
-            per_seed: list[SeedComparison] = []
-            for seed, control in zip(config.control_seeds, controls):
-                control_ids = {s.molecule_id for s in control}
-                eval_series = [s for s in test_series if s.molecule_id not in control_ids]
-                if not eval_series:
-                    raise ConfigError("control set swallowed the whole test pool")
-
-                random_model = _fit_on_series(control, calc, config)
-                eval_keys, truth = property_table(eval_series)
-                al_pred = al_model.predict_mean(eval_keys)
-                rnd_pred = random_model.predict_mean(eval_keys)
-                comparison = SeedComparison(
-                    seed=seed,
-                    n_eval_rows=len(eval_keys),
-                    al_metrics=_metrics_by_property(al_pred, truth),
-                    random_metrics=_metrics_by_property(rnd_pred, truth),
-                )
-                per_seed.append(comparison)
-                for prop in PROPERTIES:
-                    logger.info(
-                        "seed %d %s: rmse AL=%.4g random=%.4g",
-                        seed, prop,
-                        comparison.al_metrics[prop].rmse,
-                        comparison.random_metrics[prop].rmse,
-                    )
-
-        median_al = {
-            p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
-        }
-        median_rnd = {
-            p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
-        }
-        report = ComparisonReport(
-            config_hash=config.content_hash(),
-            n_train_molecules=len(s1.selected),
-            seeds=tuple(config.control_seeds),
-            per_seed=tuple(per_seed),
-            median_rmse_al=median_al,
-            median_rmse_random=median_rnd,
-            runtime_seconds=time.monotonic() - t_start,
-        )
-        path = ws.path(f"comparison_{report.config_hash}.json")
-        write_json(path, report.to_dict())
-        for prop in PROPERTIES:
-            logger.info(
-                "median rmse %s: AL=%.4g random=%.4g -> %s",
-                prop, median_al[prop], median_rnd[prop],
-                "AL wins" if report.al_wins(prop) else "random wins",
+        if len(s1.selected) > config.n_test:
+            raise ConfigError(
+                f"cannot draw a {len(s1.selected)}-molecule control from a "
+                f"{config.n_test}-molecule test pool; raise n_test"
             )
-        return report
-    finally:
-        ws.log_oracle()
+        test_ids, test_series = ws.test_set(ids, states[-1].selected)
+        stage1 = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
+        al_model = _fit_on_series(stage1, calc, config)
+
+        controls = []
+        for seed in config.control_seeds:
+            rng = np.random.default_rng(seed)
+            picks = rng.choice(len(test_series), size=len(s1.selected), replace=False)
+            controls.append([test_series[int(i)] for i in picks])
+        # each seed fits on its control and predicts the rest of the test
+        # pool: solve the pairs of all seeds in one batch
+        calc.block(sorted({s.molecule_id for c in controls for s in c}), test_ids)
+
+        per_seed: list[SeedComparison] = []
+        for seed, control in zip(config.control_seeds, controls):
+            control_ids = {s.molecule_id for s in control}
+            eval_series = [s for s in test_series if s.molecule_id not in control_ids]
+            if not eval_series:
+                raise ConfigError("control set swallowed the whole test pool")
+
+            random_model = _fit_on_series(control, calc, config)
+            eval_keys, truth = property_table(eval_series)
+            al_pred = al_model.predict_mean(eval_keys)
+            rnd_pred = random_model.predict_mean(eval_keys)
+            comparison = SeedComparison(
+                seed=seed,
+                n_eval_rows=len(eval_keys),
+                al_metrics=_metrics_by_property(al_pred, truth),
+                random_metrics=_metrics_by_property(rnd_pred, truth),
+            )
+            per_seed.append(comparison)
+            for prop in PROPERTIES:
+                logger.info(
+                    "seed %d %s: rmse AL=%.4g random=%.4g",
+                    seed, prop,
+                    comparison.al_metrics[prop].rmse,
+                    comparison.random_metrics[prop].rmse,
+                )
+
+    median_al = {
+        p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+    }
+    median_rnd = {
+        p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+    }
+    report = ComparisonReport(
+        config_hash=config.content_hash(),
+        n_train_molecules=len(s1.selected),
+        seeds=tuple(config.control_seeds),
+        per_seed=tuple(per_seed),
+        median_rmse_al=median_al,
+        median_rmse_random=median_rnd,
+        runtime_seconds=time.monotonic() - t_start,
+    )
+    path = ws.path(f"comparison_{report.config_hash}.json")
+    write_json(path, report.to_dict())
+    for prop in PROPERTIES:
+        logger.info(
+            "median rmse %s: AL=%.4g random=%.4g -> %s",
+            prop, median_al[prop], median_rnd[prop],
+            "AL wins" if report.al_wins(prop) else "random wins",
+        )
+    return report
 
 
 # -- standalone fit/predict/evaluate (CLI building blocks) --------------------

@@ -10,10 +10,9 @@ quality-control regression gate is satisfiable by construction.
 
 The oracle is batched: :func:`simulate_batch` computes the grids, the
 properties, the noise and the QC verdicts of many molecules in numpy passes,
-bit for bit what evaluating each molecule one temperature at a time gives.
-A single series (:func:`simulate_series`) is a batch of one. Each molecule
-draws its noise from its own stream, so no value depends on what else the
-batch holds or in which order.
+bit for bit what evaluating each molecule one temperature at a time gives;
+one molecule is a batch of one. Each molecule draws its noise from its own
+stream, so no value depends on what else the batch holds or in which order.
 
 A :class:`ThermoSeries` is the one form of oracle data: the oracle returns
 series, the dataset CSV holds them (a block of ``GRID_POINTS`` rows each),
@@ -180,21 +179,6 @@ def simulate_batch(
         z = np.stack([_series_seed(seed, m).standard_normal((GRID_POINTS, 3)) for m in ids])
         values *= 1.0 + noise_sigma * z
     return _series_of(ids, t, values)
-
-
-def simulate_series(
-    g: MolecularGraph, noise_sigma: float = 0.0, seed: int = 0
-) -> ThermoSeries:
-    """Property series of an alkane on its temperature grid: a batch of one
-    (:func:`simulate_batch`)."""
-    return simulate_batch([g], noise_sigma, seed)[0]
-
-
-def quadratic_fit_r2(temperatures: Sequence[float], values: Sequence[float]) -> float:
-    """Coefficient of determination of a degree-2 least-squares fit."""
-    t = np.asarray(temperatures, dtype=float)
-    y = np.asarray(values, dtype=float)
-    return float(_quadratic_r2(t[None, :], y[None, :, None])[0, 0])
 
 
 def _quadratic_r2(temperatures: np.ndarray, values: np.ndarray) -> np.ndarray:

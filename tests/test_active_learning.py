@@ -86,7 +86,7 @@ def refit_step(state, provider, noise=al.DEFAULT_AL_NOISE):
         picks = rng.choice(len(subset), size=state.batch, replace=False)
         subset = sorted(subset[i] for i in picks)
     model = gpr.fit(state.selected, np.zeros(len(state.selected)), noise, provider)
-    variances = gpr.predict_variance(model, subset)
+    variances = model.predict_variance(subset)
     vmax = variances.max()
     pick = None
     if vmax > state.threshold:
@@ -328,7 +328,7 @@ def test_incremental_variances_match_full_refit():
         state.selected, np.zeros(len(state.selected)), al.DEFAULT_AL_NOISE, provider
     )
     assert engine.variances(provider, queries, 0.0) == pytest.approx(
-        gpr.predict_variance(model, ids[:8]), abs=1e-8
+        model.predict_variance(ids[:8]), abs=1e-8
     )
 
 
@@ -343,7 +343,7 @@ def test_abandoned_molecules_stay_below_threshold_post_hoc():
     )
     abandoned = sorted(final.abandoned)
     if abandoned:
-        variances = gpr.predict_variance(model, abandoned)
+        variances = model.predict_variance(abandoned)
         assert np.all(variances < final.threshold)
 
 
@@ -443,7 +443,7 @@ def test_the_blocked_bound_never_falls_below_the_exact_variance(seed, n_selected
     # no variance falls below 0 - _MARGIN, so at 0 every candidate is exact
     exact = new_engine(state, provider)[1].variances(provider, subset, 0.0)
     model = gpr.fit(state.selected, np.zeros(n_selected), al.DEFAULT_AL_NOISE, provider)
-    assert exact == pytest.approx(gpr.predict_variance(model, ids[n_selected:]), abs=1e-9)
+    assert exact == pytest.approx(model.predict_variance(ids[n_selected:]), abs=1e-9)
     assert np.all(scored >= exact - al._MARGIN)
     # a candidate is scored exactly, or by a bound below the threshold
     bounded = scored < threshold - al._MARGIN
@@ -603,7 +603,7 @@ def test_a_singular_extension_drops_every_carried_prefix_and_bound():
     model = gpr.fit(("m00", "m11"), np.zeros(2), 0.0, provider)
     assert model.jitter > 0.0
     assert engine.variances(provider, subset[:-1], 0.0) == pytest.approx(
-        gpr.predict_variance(model, ids[1:11]), abs=1e-12
+        model.predict_variance(ids[1:11]), abs=1e-12
     )
 
 
@@ -773,10 +773,14 @@ def _without_selected(payload):
         (lambda payload: {**payload, "batch": True}, "field 'batch' must hold an integer"),
         (lambda payload: {**payload, "threshold": "0.5"}, "field 'threshold' must hold a number"),
         (lambda payload: {**payload, "rng_state": []}, "field 'rng_state' must hold an object"),
+        (lambda payload: {**payload, "rng_state": {"bit_generator": "PCG64"}},
+         "field 'rng_state' is no PCG64 state"),
+        (lambda payload: {**payload, "rng_state": {**payload["rng_state"], "bit_generator": "MT"}},
+         "field 'rng_state' is no PCG64 state"),
         (lambda payload: {**payload, "pool": payload["selected"]}, "must be disjoint"),
     ],
     ids=["string-pool", "missing-field", "json-list", "bool-batch", "string-threshold",
-         "list-rng-state", "overlap"],
+         "list-rng-state", "stateless-rng-state", "foreign-rng-state", "overlap"],
 )
 def test_a_malformed_checkpoint_is_rejected_naming_file_and_field(tmp_path, damage, message):
     ids, _ = molecule_provider(5)

@@ -523,6 +523,25 @@ def test_al_rejects_a_malformed_checkpoint_leaving_it(tmp_path, caplog):
     assert ckpt.read_bytes() == before
 
 
+def test_al_rejects_a_damaged_rng_state_naming_the_file(tmp_path, caplog):
+    # an unfinished stage checkpoint whose generator state lost its numbers
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 7}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ckpt = tmp_path / "stage1.json"
+    al.save_checkpoint(al.al_init(enumerate_alkane_smiles(4, 7), 0.5, 1000, 1), str(ckpt))
+    payload = json.loads(ckpt.read_text())
+    ckpt.write_text(json.dumps({**payload, "rng_state": {"bit_generator": "PCG64"}}))
+    before = ckpt.read_bytes()
+
+    ws = tmp_path / "ws"
+    argv = ["al", "--config", str(config), "--out-dir", str(ws), "--checkpoint", str(ckpt)]
+    assert main(argv) == 2
+    assert f"checkpoint {str(ckpt)!r} field 'rng_state' is no PCG64 state" in caplog.text
+    assert [n for n in os.listdir(ws) if n.startswith("kernel_")] == []
+    assert ckpt.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "row, problem",
     [(lambda f: f[:-1], "6 fields, expected 7"), (lambda f: [*f[:3], "nan", *f[4:]], "non-finite"),

@@ -15,6 +15,7 @@ import io
 import math
 import os
 import random
+import tempfile
 
 import networkx as nx
 import numpy as np
@@ -96,7 +97,18 @@ def solve(arenas, pairs, p):
 
 def held_count(calc: MgkCalculator) -> int:
     """How many raw values a calculator holds, solved or loaded."""
-    return calc.segment()[0]
+    cross = sum(len(codes) for codes, _, _ in calc._cross.runs)
+    return int(np.count_nonzero(~np.isnan(calc._self))) + cross
+
+
+def whole_store(calc: MgkCalculator) -> tuple[int, bytes]:
+    """The row count and bytes ``save_cache`` writes: every raw value a
+    calculator holds, solved or loaded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "whole.npz")
+        rows = calc.save_cache(path)
+        with open(path, "rb") as fh:
+            return rows, fh.read()
 
 
 # -- reference implementations ------------------------------------------------
@@ -804,8 +816,7 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mgk, "_NEGLIGIBLE_D2", math.inf)
         dense = unscreened.block(rows, keys)
-    full = str(tmp_path / "full.npz")
-    n_full = unscreened.save_cache(full)
+    n_full, full = unscreened.segment()
 
     fresh = MgkCalculator(SCREENING)
     fresh.register(mols)
@@ -816,14 +827,14 @@ def test_screen_does_not_depend_on_the_cache_state(tmp_path, monkeypatch):
 
     loaded = MgkCalculator(SCREENING)
     loaded.register(mols)
-    assert loaded.load_cache(full) == n_full
+    assert loaded.load_cache(io.BytesIO(full)) == n_full
     assert np.array_equal(loaded.block(rows, keys), want)
     assert loaded.pairs_solved == 0
 
     # the screened pairs are neither solved nor written
-    path = tmp_path / "screened.npz"
-    assert fresh.save_cache(str(path)) == held_count(fresh) == fresh.pairs_solved
-    with np.load(path) as segment:
+    n, data = fresh.segment()
+    assert n == held_count(fresh) == fresh.pairs_solved
+    with np.load(io.BytesIO(data)) as segment:
         table = segment["keys"]
         written = {(table[i], table[j]) for i, j in segment["pairs"]}
     for i, j in zip(*np.nonzero(screened)):
@@ -894,10 +905,10 @@ def test_the_store_holds_what_a_dict_oracle_holds(ops, rnd):
                 looked.update((min(a, b), max(a, b)) for a in rows for b in cols
                               if a != b and _in_band(raw, a, b))
         elif op[0] == "load":
-            _, data = other.segment(solved_only=True)
+            _, data = other.segment()
             calc.load_cache(io.BytesIO(data))
         else:
-            n, data = calc.segment(solved_only=True)
+            n, data = calc.segment()
             fresh = MgkCalculator(SCREENING)
             assert fresh.load_cache(io.BytesIO(data)) == n == calc.pairs_solved
             fresh.register(STORE_MOLS)
@@ -905,15 +916,24 @@ def test_the_store_holds_what_a_dict_oracle_holds(ops, rnd):
 
     assert assert_oracle_values(calc) == held_count(calc)
     assert calc.pairs_requested == len(looked)
-    # the same pairs, solved one at a time in another order after another
-    # registration, give the same segment bytes
-    pairs = [pair for pair in raw if held(calc, *pair) is not None]
-    rnd.shuffle(pairs)
+    # the pairs calc solved, solved one at a time in another order after
+    # another registration, give the same segment bytes; ref first loads
+    # the self-kernels calc loaded instead of solving them
+    n, data = calc.segment()
+    with np.load(io.BytesIO(data)) as segment:
+        table = segment["keys"].tolist()
+        pairs = sorted((table[i], table[j]) for i, j in segment["pairs"].tolist())
+    donor = MgkCalculator(SCREENING)
+    donor.register(STORE_MOLS)
+    for k in sorted({k for pair in pairs for k in pair} - {a for a, b in pairs if a == b}):
+        donor.block([k], [k])
     ref = MgkCalculator(SCREENING)
     ref.register(shuffled[::-1])
+    ref.load_cache(io.BytesIO(donor.segment()[1]))
+    rnd.shuffle(pairs)
     for a, b in pairs:
         ref.block([a], [b])
-    assert ref.segment() == calc.segment()
+    assert ref.segment() == (n, data)
 
 
 # -- convergence control -----------------------------------------------------------
@@ -1115,8 +1135,9 @@ def test_a_segment_loads_bitwise_into_any_registration_order(mols, rnd, lam):
     assert fresh.load_cache(path) == rows_written
     assert np.array_equal(fresh.block(rows, keys), want)
     assert fresh.pairs_solved == 0
-    # the loaded store writes the same segment back
-    assert fresh.segment() == (rows_written, data)
+    # the loaded store, written whole, is the same segment
+    assert fresh.segment()[0] == 0
+    assert whole_store(fresh) == (rows_written, data)
 
 
 def test_a_solved_only_segment_holds_just_the_new_pairs(tmp_path):
@@ -1131,9 +1152,9 @@ def test_a_solved_only_segment_holds_just_the_new_pairs(tmp_path):
     later.register(mols)
     later.load_cache(path)
     later.block(keys[:5], keys[:5])
-    n, _ = later.segment(solved_only=True)
+    n, _ = later.segment()
     assert n == later.pairs_solved == held_count(later) - first > 0
-    assert MgkCalculator(DEFAULT).segment(solved_only=True)[0] == 0
+    assert MgkCalculator(DEFAULT).segment()[0] == 0
 
 
 def test_canonical_ids_register_unparsed_and_build_graphs_when_solved():
@@ -1172,7 +1193,7 @@ def _segment(tmp_path, p=DEFAULT):
     keys = calc.register(enumerate_alkanes(4, 5))
     calc.block(keys, keys)
     path = tmp_path / "cache.npz"
-    calc.save_cache(str(path))
+    path.write_bytes(calc.segment()[1])
     with np.load(path) as data:
         return path, {name: data[name] for name in data.files}
 
@@ -1201,7 +1222,8 @@ def test_a_segment_that_contradicts_a_held_value_loads_nothing(tmp_path, kind):
     keys = calc.register(enumerate_alkanes(4, 6))
     calc.block(keys, keys)
     large = tmp_path / "large.npz"
-    n_large = calc.save_cache(str(large))
+    n_large, large_bytes = calc.segment()
+    large.write_bytes(large_bytes)
     with np.load(large) as data:
         arrays = {name: data[name] for name in data.files}
     common = set(MgkCalculator(DEFAULT).register(enumerate_alkanes(4, 5)))
@@ -1217,7 +1239,7 @@ def test_a_segment_that_contradicts_a_held_value_loads_nothing(tmp_path, kind):
     both = MgkCalculator(DEFAULT)
     n_small = both.load_cache(str(small))
     assert both.load_cache(str(large)) == n_large
-    assert both.segment() == calc.segment()
+    assert whole_store(both) == (n_large, large_bytes)
 
     loaded = MgkCalculator(DEFAULT)
     loaded.load_cache(str(small))
@@ -1225,12 +1247,12 @@ def test_a_segment_that_contradicts_a_held_value_loads_nothing(tmp_path, kind):
     solved.register(enumerate_alkanes(4, 5))
     solved.block(sorted(common), sorted(common))
     for holder in (loaded, solved):
-        before = holder.segment()
+        before = whole_store(holder)
         assert before[0] == n_small
         with pytest.raises(ValueError, match=rf"row {k}: value .* differs from the value") as err:
             holder.load_cache(str(moved))
         assert repr(str(moved)) in str(err.value)
-        assert holder.segment() == before
+        assert whole_store(holder) == before
         assert len(holder._keys) == len(common)
 
 

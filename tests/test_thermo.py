@@ -24,9 +24,7 @@ from alkspace.thermo import (
     QcStatus,
     ThermoSeries,
     qc_evaluate,
-    quadratic_fit_r2,
     read_dataset,
-    simulate_series,
     synth_critical_temperature,
     temperature_grid,
     write_dataset,
@@ -34,7 +32,13 @@ from alkspace.thermo import (
 
 
 def _series(smiles: str, **kwargs) -> ThermoSeries:
-    return simulate_series(parse_smiles(smiles), **kwargs)
+    return thermo.simulate_batch([parse_smiles(smiles)], **kwargs)[0]
+
+
+def _r2(t, y) -> float:
+    """The QC gate's R^2 (``thermo._quadratic_r2``) of one property column."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+    return float(thermo._quadratic_r2(t[None, :], y[None, :, None])[0, 0])
 
 
 def _with_density(series: ThermoSeries, values) -> ThermoSeries:
@@ -152,7 +156,7 @@ def _loop_series(g, noise_sigma: float, seed: int) -> tuple[str, np.ndarray]:
 
 
 def _polyfit_r2(t, y) -> float:
-    """R^2 of np.polyfit's degree-2 fit: the reference for quadratic_fit_r2."""
+    """R^2 of np.polyfit's degree-2 fit: the reference for the QC gate's."""
     resid = y - np.polyval(np.polyfit(t, y, 2), t)
     ss_res = float(resid @ resid)
     centered = y - y.mean()
@@ -196,7 +200,7 @@ def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed
 
 def test_a_series_does_not_depend_on_its_batch():
     graphs = [parse_smiles(s) for s in ("CCCC", "CC(C)CC", "CCCCCCCC", "CC(C)(C)C")]
-    alone = [simulate_series(g, 0.02, 5) for g in graphs]
+    alone = [thermo.simulate_batch([g], 0.02, 5)[0] for g in graphs]
     assert thermo.simulate_batch(graphs, 0.02, 5) == alone
     assert thermo.simulate_batch(graphs[::-1], 0.02, 5) == alone[::-1]
     assert thermo.simulate_batch([], 0.02, 5) == []
@@ -209,7 +213,7 @@ def test_quadratic_fit_r2_matches_polyfit():
         y = rng.normal(size=3) @ np.vstack([np.ones_like(t), t, t * t]) * (
             1.0 + rng.uniform(0.0, 0.05) * rng.standard_normal(GRID_POINTS)
         )
-        assert quadratic_fit_r2(t, y) == pytest.approx(_polyfit_r2(t, y), abs=1e-9)
+        assert _r2(t, y) == pytest.approx(_polyfit_r2(t, y), abs=1e-9)
 
 
 def test_density_decreases_with_temperature():
@@ -261,7 +265,7 @@ def test_qc_solid_gate_uses_diffusion_when_available():
 def test_qc_quadratic_gate():
     series = _series("CCCC")
     step = [100.0 + i * 0.001 for i in range(8)] + [200.0 + i * 0.001 for i in range(8)]
-    assert quadratic_fit_r2(series.temperatures, step) < 0.98
+    assert _r2(series.temperatures, step) < 0.98
     status = qc_evaluate(_with_density(series, step))
     assert status.monotonic is True  # still strictly increasing
     assert status.quadratic_fit is False
@@ -270,11 +274,11 @@ def test_qc_quadratic_gate():
 
 def test_quadratic_fit_r2_exact_cases():
     t = [1.0, 2.0, 3.0]
-    assert quadratic_fit_r2(t, [2.0, 5.0, 10.0]) == pytest.approx(1.0)
+    assert _r2(t, [2.0, 5.0, 10.0]) == pytest.approx(1.0)
     t16 = list(range(16))
     quad = [0.5 * x * x - 3.0 * x + 7.0 for x in t16]
-    assert quadratic_fit_r2(t16, quad) == pytest.approx(1.0, abs=1e-9)
-    assert quadratic_fit_r2(t16, [4.0] * 16) == 1.0
+    assert _r2(t16, quad) == pytest.approx(1.0, abs=1e-9)
+    assert _r2(t16, [4.0] * 16) == 1.0
 
 
 # -- domain-type validation -----------------------------------------------------------
