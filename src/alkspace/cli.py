@@ -133,15 +133,15 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from ._atomic import write_atomic
-    from .molspace import enumerate_alkane_smiles
+    from .molspace import DEFAULT_MAX_CARBONS, enumerate_alkane_smiles
 
     lo, hi = args.min_carbons, args.max_carbons
     if args.config or lo is None or hi is None:
         config = _load_config(args)
         lo = config.min_carbons if lo is None else lo
         hi = config.max_carbons if hi is None else hi
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"bad carbon range [{lo}, {hi}]")
+    if not 1 <= lo <= hi <= DEFAULT_MAX_CARBONS:
+        raise ConfigError(f"bad carbon range [{lo}, {hi}], at most C{DEFAULT_MAX_CARBONS}")
     ids = enumerate_alkane_smiles(lo, hi)
     if args.count:
         print(len(ids))
@@ -209,7 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     ids = pipeline.load_molecule_file(args.molecules)
     series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
-    logger.info("oracle: simulated %d molecules, reused 0", len(series))
+    logger.info("oracle: simulated %d molecules", len(series))
     rows = thermo.write_dataset(args.out, series)
     n_fail = sum(1 for s in series if not s.qc.passed)
     print(f"wrote {rows} rows for {len(series)} molecules ({n_fail} QC failures) -> {args.out}")

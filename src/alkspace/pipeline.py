@@ -26,6 +26,7 @@ from ._atomic import csv_rows, read_json, write_atomic, write_csv, write_json
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
+    DEFAULT_MAX_CARBONS,
     descriptors,
     enumerate_alkane_smiles,
     parse_smiles,
@@ -118,10 +119,10 @@ class PipelineConfig:
         for name, v in named + [("control_seeds", s) for s in self.control_seeds]:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ConfigError(f"{name} must hold integers, got {v!r}")
-        if not (1 <= self.min_carbons <= self.max_carbons):
+        if not (1 <= self.min_carbons <= self.max_carbons <= DEFAULT_MAX_CARBONS):
             raise ConfigError(
-                f"carbon range must satisfy 1 <= min <= max, got "
-                f"[{self.min_carbons}, {self.max_carbons}]"
+                f"carbon range must satisfy 1 <= min <= max <= {DEFAULT_MAX_CARBONS}, "
+                f"got [{self.min_carbons}, {self.max_carbons}]"
             )
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         if not self.thresholds:
@@ -360,16 +361,13 @@ def split_test(
 
 
 class _Workspace:
-    """Artifact paths and cached stage products for one configuration, for
-    the length of one command."""
+    """Artifact paths and stage products for one configuration, for the
+    length of one command, and how many molecules the command simulated."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         os.makedirs(config.out_dir, exist_ok=True)
-        # the oracle series this command simulated, by molecule id, and how
-        # many times a dataset took one of them again instead
-        self._series: dict[str, thermo.ThermoSeries] = {}
-        self._reused = 0
+        self.simulated = 0
 
     def path(self, name: str) -> str:
         return os.path.join(self.config.out_dir, name)
@@ -460,13 +458,17 @@ class _Workspace:
         return self.path(f"al_stage{stage}_{self.al_stage_hash(stage)}.json")
 
     def al_states(self, ids: Sequence[str], provider) -> list[al.AlState]:
-        """Terminal state per threshold stage, reusing finished checkpoints."""
+        """Terminal state per threshold stage, reusing finished checkpoints;
+        StageError naming the checkpoint if a stage's selection does not
+        start with the one of the stage before."""
         states: list[al.AlState] = []
         for stage in range(1, len(self.config.thresholds) + 1):
             prev = states[-1] if states else None
-            states.append(
-                self.al_stage(ids, provider, stage, self.al_stage_path(stage), prev)
-            )
+            path = self.al_stage_path(stage)
+            state = self.al_stage(ids, provider, stage, path, prev)
+            if prev is not None and state.selected[: len(prev.selected)] != prev.selected:
+                raise StageError(f"checkpoint {path} does not extend stage {stage - 1}")
+            states.append(state)
         return states
 
     def checkpoint(self, path: str, ids: Sequence[str]) -> al.AlState:
@@ -536,38 +538,32 @@ class _Workspace:
     # oracle datasets
 
     def dataset_for(
-        self, tag: str, stage_hash: str, ids: Sequence[str]
+        self, tag: str, members: str, ids: Sequence[str]
     ) -> list[thermo.ThermoSeries]:
         """The oracle series of the given molecules, in ``ids`` order,
-        cached as a dataset CSV artifact.
+        cached as a dataset CSV artifact named by ``tag`` and a hash of
+        ``members`` and the oracle settings.
 
         The file carries QC failures too; a fit drops them. An existing
         file is read (:func:`thermo.read_dataset` checks it), and raises
         StageError if it holds other molecules, or the same ones in
-        another order. Otherwise only the molecules this command has not
-        simulated yet are simulated, in one batch, and the file is written
-        and its series returned from memory.
+        another order. Otherwise the molecules are simulated, in one batch,
+        and the file is written and its series returned from memory.
         """
         cfg = self.config
-        h = _hash_obj({"members": stage_hash, "oracle": cfg.oracle_dict()})
+        h = _hash_obj({"members": members, "oracle": cfg.oracle_dict()})
         path = self.path(f"dataset_{tag}_{h}.csv")
         if os.path.exists(path):
             series = thermo.read_dataset(path)
         else:
-            new = [m for m in dict.fromkeys(ids) if m not in self._series]
-            if new:
-                t0 = time.monotonic()
-                self._series.update(
-                    zip(new, simulate_molecules(new, cfg.noise_sigma, cfg.oracle_seed))
-                )
-                logger.info(
-                    "simulated %d molecules (%s) in %.1fs",
-                    len(new), tag, time.monotonic() - t0,
-                )
-            self._reused += len(ids) - len(new)
-            series = [self._series[m] for m in ids]
+            t0 = time.monotonic()
+            series = simulate_molecules(ids, cfg.noise_sigma, cfg.oracle_seed)
+            self.simulated += len(series)
             thermo.write_dataset(path, series)
-            logger.info("wrote %d molecules (%s) -> %s", len(ids), tag, path)
+            logger.info(
+                "simulated %d molecules (%s) in %.1fs -> %s",
+                len(ids), tag, time.monotonic() - t0, path,
+            )
         if [s.molecule_id for s in series] != list(ids):
             raise StageError(
                 f"dataset {path} does not hold exactly the {len(ids)} requested "
@@ -575,18 +571,18 @@ class _Workspace:
             )
         return series
 
-    def log_oracle(self) -> None:
-        """Log how many molecules this command simulated, and how many
-        times a dataset reused one (never written to ``out_dir``)."""
-        logger.info(
-            "oracle: simulated %d molecules, reused %d", len(self._series), self._reused
-        )
-
-    def test_set(
+    def datasets(
         self, ids: Sequence[str], final_selected: Sequence[str]
-    ) -> tuple[list[str], list[thermo.ThermoSeries]]:
-        """The held-out molecules, a seeded sample of those no stage
-        selected, and their dataset; ConfigError if too few are left."""
+    ) -> tuple[list[thermo.ThermoSeries], list[thermo.ThermoSeries]]:
+        """The training and the test dataset of the staged run.
+
+        Training holds the final stage's selection in selection order;
+        every stage extends the one before (:meth:`al_states`), so stage k
+        trains on the first |S_k| series. The test set is a seeded sample
+        of ``n_test`` of the molecules no stage selected; ConfigError if
+        too few are left. The two are disjoint, so a command simulates no
+        molecule twice.
+        """
         cfg = self.config
         if cfg.n_test > len(ids) - len(final_selected):
             raise ConfigError(
@@ -594,10 +590,10 @@ class _Workspace:
                 f"{len(final_selected)} selected leaves too few"
             )
         test_ids = split_test(ids, final_selected, cfg.n_test, cfg.split_seed)
-        members = _hash_obj(
-            {"al": self.al_stage_hash(len(cfg.thresholds)), "split": cfg.evaluation_dict()}
-        )
-        return test_ids, self.dataset_for("test", members, test_ids)
+        n = len(cfg.thresholds)
+        members = _hash_obj({"al": self.al_stage_hash(n), "split": cfg.evaluation_dict()})
+        test = self.dataset_for("test", members, test_ids)
+        return self.dataset_for(f"stage{n}", self.al_stage_hash(n), list(final_selected)), test
 
 
 def simulate_molecules(
@@ -681,21 +677,25 @@ def _staged(config: PipelineConfig) -> Iterator[tuple]:
         with ws.kernel(ids) as calc:
             yield ws, ids, calc, ws.al_states(ids, calc)
     finally:
-        ws.log_oracle()
+        # never written to out_dir
+        logger.info("oracle: simulated %d molecules", ws.simulated)
 
 
 def run_alms(config: PipelineConfig) -> EvalReport:
     """Enumerate, select in stages, simulate, fit, and score on a held-out set.
 
     Emits (all under config.out_dir, all named by config-section hashes):
-    the molecule list, the kernel cache, one AL checkpoint and one training
-    dataset per stage, the test dataset, parity CSVs, a summary CSV, and
-    the report JSON. Returns the report with wall-clock runtime attached.
+    the molecule list, the kernel cache, one AL checkpoint per stage, the
+    training dataset of the final stage, of which each stage fits on a
+    prefix (:meth:`_Workspace.datasets`), the test dataset, parity CSVs, a
+    summary CSV, and the report JSON. Returns the report with wall-clock
+    runtime attached.
     """
     t_start = time.monotonic()
     with _staged(config) as (ws, ids, calc, states):
         final_selected = states[-1].selected
-        test_ids, test_series = ws.test_set(ids, final_selected)
+        train, test_series = ws.datasets(ids, final_selected)
+        test_ids = [s.molecule_id for s in test_series]
         test_keys, test_truth = property_table(test_series)
         truth_columns = test_truth.T.tolist()
 
@@ -706,12 +706,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
         for i, state in enumerate(states):
             stage_no = i + 1
-            model = _fit_on_series(
-                ws.dataset_for(
-                    f"stage{stage_no}", ws.al_stage_hash(stage_no), list(state.selected)
-                ),
-                calc, config,
-            )
+            model = _fit_on_series(train[: len(state.selected)], calc, config)
             t0 = time.monotonic()
             preds = model.predict_mean(test_keys)
             logger.info(
@@ -861,9 +856,9 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
                 f"cannot draw a {len(s1.selected)}-molecule control from a "
                 f"{config.n_test}-molecule test pool; raise n_test"
             )
-        test_ids, test_series = ws.test_set(ids, states[-1].selected)
-        stage1 = ws.dataset_for("stage1", ws.al_stage_hash(1), list(s1.selected))
-        al_model = _fit_on_series(stage1, calc, config)
+        train, test_series = ws.datasets(ids, states[-1].selected)
+        test_ids = [s.molecule_id for s in test_series]
+        al_model = _fit_on_series(train[: len(s1.selected)], calc, config)
 
         controls = []
         for seed in config.control_seeds:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from alkspace import active_learning as al
-from alkspace import thermo
+from alkspace import pipeline, thermo
 from alkspace.cli import _load_config, build_parser, main
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import enumerate_alkane_smiles, parse_smiles, to_canonical_smiles
@@ -59,6 +59,18 @@ def test_unreadable_config_exits_one(tmp_path):
 
 def test_inverted_carbon_range_exits_one():
     assert main(["enumerate", "9", "4"]) == 1
+
+
+def test_a_carbon_range_above_the_enumeration_limit_exits_one(tmp_path, caplog):
+    assert main(["enumerate", "4", "20", "--count"]) == 1
+    raw = {**CONFIG_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 20}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    out_dir.mkdir()
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert os.listdir(out_dir) == []
+    assert "stage failed" not in caplog.text
 
 
 def test_runtime_failure_exits_two(tmp_path):
@@ -263,11 +275,12 @@ def test_simulate_logs_the_molecules_it_simulated(tmp_path, caplog):
     listed = tmp_path / "mols.txt"
     listed.write_text("CCCC\nCC(C)C\n")
     assert main(["simulate", "--molecules", str(listed), "--out", str(tmp_path / "d.csv")]) == 0
-    assert "oracle: simulated 2 molecules, reused 0" in caplog.messages
+    assert "oracle: simulated 2 molecules" in caplog.messages
 
 
 def test_a_failed_stage_still_logs_the_molecules_simulated(tmp_path, caplog):
-    # at this noise both stage-1 molecules fail QC, after the test set's 5
+    # at this noise both stage-1 molecules fail QC; the test set's 5 and
+    # the final stage's 3 were simulated before
     raw = {
         "chemical_space": {"min_carbons": 4, "max_carbons": 7},
         "oracle": {"noise_sigma": 0.05, "seed": 7},
@@ -279,7 +292,7 @@ def test_a_failed_stage_still_logs_the_molecules_simulated(tmp_path, caplog):
     argv = ["--config", str(config), "--out-dir", str(tmp_path / "out")]
     assert main(["run-all", *argv]) == 2
     assert "no QC-passing training rows" in caplog.text
-    assert "oracle: simulated 7 molecules, reused 0" in caplog.messages
+    assert "oracle: simulated 8 molecules" in caplog.messages
 
 
 def _fit_predict(tmp_path, train_csv, molecules, name):
@@ -554,7 +567,7 @@ def test_run_all_rejects_a_damaged_reused_dataset_naming_it(
     ws = tmp_path / "ws"
     argv = ["run-all", "--config", config_file, "--out-dir", str(ws)]
     assert main(argv) == 0
-    [dataset] = [ws / n for n in os.listdir(ws) if n.startswith("dataset_stage1_")]
+    [dataset] = [ws / n for n in os.listdir(ws) if n.startswith("dataset_stage2_")]
     lines = dataset.read_text().splitlines()
     lines[5] = ",".join(row(lines[5].split(",")))
     dataset.write_text("\n".join(lines) + "\n")
@@ -563,6 +576,45 @@ def test_run_all_rejects_a_damaged_reused_dataset_naming_it(
     assert main(argv) == 2
     assert f"{str(dataset)!r} line 6: {problem}" in caplog.text
     assert dataset.read_bytes() == before
+
+
+def test_run_all_reads_no_stage_dataset_but_the_last(tmp_path, config_file):
+    """Each stage fits on a prefix of the final stage's dataset, so a
+    damaged stage-1 dataset, as an older workspace may hold, is not read."""
+    ws = tmp_path / "ws"
+    argv = ["run-all", "--config", config_file, "--out-dir", str(ws)]
+    assert main(argv) == 0
+    cfg = PipelineConfig.from_dict({**CONFIG_RAW, "out_dir": str(ws)})
+    stage1 = pipeline._Workspace(cfg).al_stage_hash(1)
+    h = pipeline._hash_obj({"members": stage1, "oracle": cfg.oracle_dict()})
+    leftover = ws / f"dataset_stage1_{h}.csv"
+    leftover.write_text("not,a,dataset\n")
+
+    assert main(argv) == 0
+    assert leftover.read_text() == "not,a,dataset\n"
+
+
+def test_run_all_rejects_a_stage_that_does_not_extend_the_one_before(
+    tmp_path, config_file, caplog
+):
+    ws = tmp_path / "ws"
+    argv = ["run-all", "--config", config_file, "--out-dir", str(ws)]
+    assert main(argv) == 0
+    [ckpt] = [ws / n for n in os.listdir(ws) if n.startswith("al_stage2_")]
+    payload = json.loads(ckpt.read_text())
+    selected = payload["selected"]
+    selected[0], selected[-1] = selected[-1], selected[0]
+    ckpt.write_text(json.dumps(payload))
+    before = ckpt.read_bytes()
+    # without the datasets, nothing else would notice that stage 1 trains
+    # on molecules it did not select
+    for name in os.listdir(ws):
+        if name.startswith("dataset_"):
+            os.remove(ws / name)
+
+    assert main(argv) == 2
+    assert f"checkpoint {ckpt} does not extend stage 1" in caplog.text
+    assert ckpt.read_bytes() == before
 
 
 def _damaged_segment_fails_the_stage(tmp_path, caplog, damage, message, beside=False):

@@ -517,9 +517,21 @@ def test_run_writes_the_full_artifact_set(staged_run):
     assert any(n.startswith("kernel_") for n in names)
     assert any(n.startswith("al_stage1_") for n in names)
     assert any(n.startswith("al_stage2_") for n in names)
-    assert any(n.startswith("dataset_stage1_") for n in names)
-    assert any(n.startswith("dataset_test_") for n in names)
+    assert sorted(n.split("_")[1] for n in names if n.startswith("dataset_")) == [
+        "stage2", "test"
+    ]
     assert not any(n.startswith(".tmp") for n in names)
+
+
+def test_the_training_dataset_is_the_last_stage_selection(staged_run):
+    cfg, _ = staged_run
+    names = os.listdir(cfg.out_dir)
+    [dataset] = [n for n in names if n.startswith("dataset_stage")]
+    [ckpt] = [n for n in names if n.startswith(f"al_stage{len(cfg.thresholds)}_")]
+    assert dataset.startswith(f"dataset_stage{len(cfg.thresholds)}_")
+    series = thermo.read_dataset(os.path.join(cfg.out_dir, dataset))
+    final = al.load_checkpoint(os.path.join(cfg.out_dir, ckpt))
+    assert [s.molecule_id for s in series] == list(final.selected)
 
 
 def test_report_invariants(staged_run):
@@ -782,7 +794,7 @@ def test_a_fresh_dataset_is_returned_as_its_file_reads(tmp_path):
     )
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()
-    for tag, members in (("a", ids[:12]), ("b", ids[5:20])):  # b reuses 7 of a's series
+    for tag, members in (("a", ids[:12]), ("b", ids[5:20])):  # b shares 7 of a's molecules
         series = ws.dataset_for(tag, tag, members)
         (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith(f"dataset_{tag}_")]
         assert series == thermo.read_dataset(path)
@@ -790,7 +802,8 @@ def test_a_fresh_dataset_is_returned_as_its_file_reads(tmp_path):
 
 
 def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
-    # the benchmark's C4..C10 run-all: 104 series in four datasets, of 78 molecules
+    # the benchmark's C4..C10 run-all: 78 molecules, 60 in the test set and
+    # 18 in the final stage's training set
     raw = {
         "chemical_space": {"min_carbons": 4, "max_carbons": 10},
         "kernel": {"lambda": 0.2},
@@ -813,5 +826,6 @@ def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
         len(thermo.read_dataset(str(tmp_path / n)))
         for n in os.listdir(tmp_path) if n.startswith("dataset_")
     )
-    assert series == 104
-    assert "oracle: simulated 78 molecules, reused 26" in caplog.messages
+    assert series == 78
+    assert "oracle: simulated 78 molecules" in caplog.messages
+    assert not any("reused" in m for m in caplog.messages)
