@@ -3,10 +3,14 @@
 Every file is written to a new file beside its path and renamed into place,
 so a reader never sees a partial file. JSON artifacts are one object,
 indented by one space with sorted keys and a final newline. CSV artifacts
-are written by the csv module: ``\\r\\n`` line ends, ``None`` as an empty
-field, numbers with ``str``, which for a float is its ``repr``, so a value
-reads back exactly. A CSV artifact that is read back holds a label in its
-first column and a finite number in every other.
+hold the bytes that the csv module's default writer would write for their
+rows, without going through it (:func:`csv_field`): ``\\r\\n`` line ends,
+``None`` as an empty field, a float as its ``repr``, so a value reads back
+exactly, and a text field quoted only where it holds a comma, a double
+quote or a line break. So a caller can render what several files share,
+such as the label and truth columns of a parity file, once. A CSV artifact
+that is read back holds a label in its first column and a finite number in
+every other.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import csv
 import json
 import math
 import os
-from typing import Iterator, Sequence
+import re
+from typing import Iterable, Iterator, Sequence
 
 
 def write_atomic(path: str, content: str | bytes) -> None:
@@ -50,21 +55,49 @@ def write_json(path: str, obj: object) -> None:
     write_atomic(path, json_text(obj))
 
 
-class _Lines(list):
-    """The lines a csv writer writes, one ``write`` call per row."""
+# A text field that holds one of these is quoted, as the csv module's
+# QUOTE_MINIMAL does with its default delimiter, quote and line terminator.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
-    write = list.append
+
+def csv_field(value: object) -> str:
+    """The text the csv module's default writer gives ``value`` in a row of
+    several fields: a float (a numpy float64 too) as ``float.__repr__``,
+    ``None`` as empty, anything else as its ``str``, in double quotes, with
+    each inner one doubled, if it holds a comma, a double quote or a line
+    break."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if value is None:
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def csv_column(values: Iterable[object]) -> list[str]:
+    """:func:`csv_field` of each value; a column of floats takes one
+    ``float.__repr__`` pass, which raises TypeError on any other value."""
+    values = list(values)
+    try:
+        return list(map(float.__repr__, values))
+    except TypeError:
+        return list(map(csv_field, values))
+
+
+def csv_line(fields: Iterable[object]) -> str:
+    """One CSV row of several fields (:func:`csv_field`), ending in ``\\r\\n``."""
+    return ",".join(map(csv_field, fields)) + "\r\n"
+
+
+def write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV artifact: the ``header`` row, then ``lines``, rows rendered
+    as :func:`csv_line` renders them."""
     # Joining the lines once makes two large allocations per file where an
     # io.StringIO grows one buffer; with io.StringIO, the peak RSS of a cold
     # C4..C10 run-all was 1.7 MB higher at some out_dir paths than at others.
-    lines = _Lines()
-    writer = csv.writer(lines)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_atomic(path, "".join(lines))
+    write_atomic(path, csv_line(header) + "".join(lines))
 
 
 def read_json(path: str) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from ._atomic import csv_rows, read_json, write_atomic, write_csv, write_json
+from ._atomic import csv_column, csv_field, csv_line, csv_rows, read_json, write_atomic, write_csv, write_json
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
@@ -703,7 +703,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         # selection: solve those pairs in one batch rather than per stage
         calc.block(test_ids, final_selected)
         stage_results: list[StageResult] = []
-        parity: dict[tuple[int, str], list[tuple[str, float, float, float]]] = {}
+        stage_columns: list[list[list[float]]] = []
         for i, state in enumerate(states):
             stage_no = i + 1
             model = _fit_on_series(train[: len(state.selected)], calc, config)
@@ -724,10 +724,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
                     metrics=metrics,
                 )
             )
-            for prop, truth, pred in zip(PROPERTIES, truth_columns, preds.T.tolist()):
-                parity[(stage_no, prop)] = [
-                    (mol, t, y, p) for (mol, t), y, p in zip(test_keys, truth, pred)
-                ]
+            stage_columns.append(preds.T.tolist())
             for prop in PROPERTIES:
                 m = metrics[prop]
                 logger.info(
@@ -746,7 +743,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     )
     report_path = ws.path(f"report_{report.config_hash}.json")
     write_json(report_path, report.to_dict())
-    export_plot_data(report, parity, config.out_dir)
+    export_plot_data(report, test_keys, truth_columns, stage_columns, config.out_dir)
     logger.info(
         "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
     )
@@ -758,24 +755,36 @@ def run_alms(config: PipelineConfig) -> EvalReport:
 
 def export_plot_data(
     report: EvalReport,
-    predictions: Mapping[tuple[int, str], Sequence[tuple[str, float, float, float]]],
+    keys: Sequence[tuple[str, float]],
+    truths: Sequence[Sequence[float]],
+    predictions: Sequence[Sequence[Sequence[float]]],
     out_dir: str,
 ) -> list[str]:
     """Parity CSV per (stage, property) plus one metrics summary CSV.
 
-    ``predictions`` maps (stage, property) to (molecule, temperature,
-    truth, prediction) rows. Deterministic inputs give identical bytes,
-    so re-export is idempotent.
+    ``keys`` are the test rows' (molecule, temperature), ``truths`` their
+    true values, one column per property in ``PROPERTIES`` order, and
+    ``predictions`` one such list of columns per stage of ``report``. The
+    label, temperature and truth of a row are rendered once per property
+    and shared by every stage's parity file, which adds only the
+    prediction. Deterministic inputs give identical bytes, so re-export is
+    idempotent.
     """
     os.makedirs(out_dir, exist_ok=True)
+    labels = {mol: csv_field(mol) for mol, _ in keys}
+    heads = [
+        labels[mol] + "," + t + "," for (mol, _), t in zip(keys, csv_column(t for _, t in keys))
+    ]
+    prefixes = [list(map(str.__add__, heads, csv_column(column))) for column in truths]
     written: list[str] = []
-    for (stage, prop), rows in sorted(predictions.items()):
-        path = os.path.join(
-            out_dir, f"parity_stage{stage}_{prop}_{report.config_hash}.csv"
-        )
-        body = [[mol, float(t), float(truth), float(pred)] for mol, t, truth, pred in rows]
-        write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], body)
-        written.append(path)
+    for stage, columns in zip(report.stages, predictions):
+        for prop, prefix, column in zip(PROPERTIES, prefixes, columns):
+            path = os.path.join(
+                out_dir, f"parity_stage{stage.stage}_{prop}_{report.config_hash}.csv"
+            )
+            lines = [p + "," + y + "\r\n" for p, y in zip(prefix, csv_column(column))]
+            write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], lines)
+            written.append(path)
     summary_rows = [
         [prop, stage.stage, float(stage.threshold), stage.n_selected, stage.n_train_rows,
          report.n_test_rows, m.rmse, m.mae, m.r2]
@@ -785,7 +794,7 @@ def export_plot_data(
     summary_path = os.path.join(out_dir, f"summary_{report.config_hash}.csv")
     header = ["property", "stage", "threshold", "n_selected", "n_train_rows",
               "n_test_rows", "rmse", "mae", "r2"]
-    write_csv(summary_path, header, summary_rows)
+    write_csv(summary_path, header, map(csv_line, summary_rows))
     written.append(summary_path)
     return written
 
@@ -962,8 +971,8 @@ def predict_properties(
 
 
 def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
-    body = [[r.smiles, r.temperature, r.density, r.heat_capacity, r.hov] for r in rows]
-    write_csv(path, PREDICTION_HEADER, body)
+    lines = [csv_line([r.smiles, r.temperature, r.density, r.heat_capacity, r.hov]) for r in rows]
+    write_csv(path, PREDICTION_HEADER, lines)
     return len(rows)
 
 

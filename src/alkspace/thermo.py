@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._atomic import csv_rows, row_error, write_csv
+from ._atomic import csv_field, csv_rows, row_error, write_csv
 from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
 
 GRID_POINTS = 16
@@ -246,13 +246,17 @@ def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
         if s.molecule_id in seen:
             raise ValueError(f"{path!r}: two series of {s.molecule_id}")
         seen.add(s.molecule_id)
-    rows = [
-        [s.molecule_id, t, 1.0, *v, "1" if s.qc.passed else "0"]
-        for s in series_list
-        for t, v in zip(s.temperatures, s.values)
-    ]
-    write_csv(path, DATASET_HEADER, rows)
-    return len(rows)
+    lines = []
+    for s in series_list:
+        # each series' label and QC flag are rendered once, for its rows
+        head = csv_field(s.molecule_id) + ","
+        tail = ",1\r\n" if s.qc.passed else ",0\r\n"
+        lines += [
+            head + csv_field(t) + ",1.0," + ",".join(map(csv_field, v)) + tail
+            for t, v in zip(s.temperatures, s.values)
+        ]
+    write_csv(path, DATASET_HEADER, lines)
+    return len(lines)
 
 
 def read_dataset(path: str) -> list[ThermoSeries]:

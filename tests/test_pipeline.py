@@ -8,10 +8,13 @@ import logging
 import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alkspace import active_learning as al
 from alkspace import cli, mgk, molspace, pipeline, thermo
@@ -362,12 +365,11 @@ def _tiny_report() -> EvalReport:
 
 def test_export_plot_data_layout_and_idempotence(tmp_path):
     report = _tiny_report()
-    preds = {
-        (1, prop): [("CCCC", 200.0, 600.0, 601.0), ("CCCCC", 210.0, 620.0, 618.0)]
-        for prop in pipeline.PROPERTIES
-    }
+    keys = [("CCCC", 200.0), ("CCCCC", 210.0)]
+    truths = [[600.0, 620.0]] * len(pipeline.PROPERTIES)
+    preds = [[[601.0, 618.0]] * len(pipeline.PROPERTIES)]
     out = str(tmp_path)
-    written = export_plot_data(report, preds, out)
+    written = export_plot_data(report, keys, truths, preds, out)
     assert len(written) == 4  # three parity files and the summary
     for path in written:
         assert os.path.exists(path)
@@ -381,9 +383,100 @@ def test_export_plot_data_layout_and_idempotence(tmp_path):
     hc = next(r for r in rows if r.startswith("heat_capacity"))
     assert hc.endswith(",")  # undefined r2 is an empty cell
     before = {p: Path(p).read_bytes() for p in written}
-    export_plot_data(report, preds, out)
+    export_plot_data(report, keys, truths, preds, out)
     after = {p: Path(p).read_bytes() for p in written}
     assert before == after
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# what a CSV field may be given: floats, edge values among them, numpy
+# float64 values (whose repr differs from their str) and ints
+_NUMBERS = st.one_of(
+    _FINITE, st.sampled_from([-0.0, 5e-324, 1e16, 0.1]),
+    _FINITE.map(np.float64), st.integers(-(10**20), 10**20),
+)
+_LABELS = st.one_of(
+    st.sampled_from(["CCCC", "a,b", 'say "x"', " lead", '","', "two\r\nlines"]),
+    st.text(alphabet='C() ,"x\n', max_size=6),
+)
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The bytes of the csv module's default writer, the independent oracle
+    of the hand-rendered artifacts."""
+    lines = []
+    writer = csv.writer(type("Sink", (), {"write": staticmethod(lines.append)})())
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_LABELS, _NUMBERS), min_size=1, max_size=12),
+    st.data(),
+)
+def test_artifact_text_is_what_csv_writer_writes(keys, data):
+    n = len(keys)
+    column = st.lists(_NUMBERS, min_size=n, max_size=n)
+    truths = [data.draw(column) for _ in pipeline.PROPERTIES]
+    n_stages = data.draw(st.integers(1, 2))
+    preds = [[data.draw(column) for _ in pipeline.PROPERTIES] for _ in range(n_stages)]
+    metric = st.builds(Metrics, _NUMBERS, _NUMBERS, st.one_of(st.none(), _NUMBERS))
+    stages = tuple(
+        StageResult(k + 1, data.draw(st.sampled_from([0.5, 1, np.float64(0.3)])),
+                    data.draw(st.integers(0, 99)), 16, 0.25,
+                    {prop: data.draw(metric) for prop in pipeline.PROPERTIES})
+        for k in range(n_stages)
+    )
+    report = EvalReport("abcdef123456", 20, 4, n, stages)
+    temps = data.draw(st.lists(st.one_of(
+        st.floats(1.0, 1e300), st.floats(1.0, 1e300).map(np.float64), st.integers(1, 10**6),
+    ), min_size=thermo.GRID_POINTS, max_size=thermo.GRID_POINTS, unique=True))
+    series = [
+        thermo.ThermoSeries(
+            label, tuple(sorted(temps)),
+            tuple(tuple(data.draw(st.lists(_NUMBERS, min_size=3, max_size=3)))
+                  for _ in range(thermo.GRID_POINTS)),
+            thermo.QcStatus(True, None, data.draw(st.booleans()), True),
+        )
+        for label in sorted({label for label, _ in keys})
+    ]
+    rows = [PredictionRow(label, t, *data.draw(st.lists(_NUMBERS, min_size=3, max_size=3)))
+            for label, t in keys]
+    with tempfile.TemporaryDirectory() as out:
+        written = export_plot_data(report, keys, truths, preds, out)
+        want = {}
+        for stage, columns in zip(stages, preds):
+            for prop, truth, pred in zip(pipeline.PROPERTIES, truths, columns):
+                path = os.path.join(out, f"parity_stage{stage.stage}_{prop}_abcdef123456.csv")
+                want[path] = _csv_writer_bytes(
+                    ["smiles", "temperature_K", "truth", "prediction"],
+                    [[label, t, y, p] for (label, t), y, p in zip(keys, truth, pred)],
+                )
+        want[os.path.join(out, "summary_abcdef123456.csv")] = _csv_writer_bytes(
+            ["property", "stage", "threshold", "n_selected", "n_train_rows",
+             "n_test_rows", "rmse", "mae", "r2"],
+            [[prop, stage.stage, float(stage.threshold), stage.n_selected,
+              stage.n_train_rows, n, m.rmse, m.mae, m.r2]
+             for stage in stages for prop, m in sorted(stage.metrics.items())],
+        )
+        assert written == list(want)
+        assert {path: Path(path).read_bytes() for path in written} == want
+
+        dataset = os.path.join(out, "dataset.csv")
+        assert thermo.write_dataset(dataset, series) == len(series) * thermo.GRID_POINTS
+        assert Path(dataset).read_bytes() == _csv_writer_bytes(thermo.DATASET_HEADER, [
+            [s.molecule_id, t, 1.0, *v, "1" if s.qc.passed else "0"]
+            for s in series for t, v in zip(s.temperatures, s.values)
+        ])
+
+        predictions = os.path.join(out, "pred.csv")
+        assert write_predictions(predictions, rows) == n
+        assert Path(predictions).read_bytes() == _csv_writer_bytes(
+            pipeline.PREDICTION_HEADER,
+            [[r.smiles, r.temperature, r.density, r.heat_capacity, r.hov] for r in rows],
+        )
 
 
 # -- prediction file round-trip ----------------------------------------------------------
