@@ -77,6 +77,12 @@ of the right-hand side. The padded size depends only on the graph
 itself, so a pair's value is bitwise independent of the pairs batched
 with it and of request order.
 
+A pair's system for (g2, g1) is the transpose of that for (g1, g2), the
+same value up to rounding. Each pair is solved with its graph of smaller
+size class first, so a shape and its mirror share stacks, and a pair of
+graphs of different size classes gets bitwise the same value in either
+order; a pair of one size class is solved in the order given.
+
 Normalization divides by the geometric mean of the self-kernels and, when a
 finite ``lambda_`` is set, damps pairs with mismatched self-kernel scale by
 exp(-d^2), d = (k11 - k22)/lambda_. Where that factor is below 2^-53, half
@@ -94,11 +100,11 @@ are one row of the arena of its size class, found by two int64 arrays
 Self-kernels are a float64 vector. A cross pair is an int64 code
 i << 32 | j; codes, float64 values and a looked-up flag are kept in a
 few sorted runs, searched with ``np.searchsorted`` and merged
-geometrically as pairs are added, about 17 bytes per pair. A pair's
-orientation comes from an int rank array of the canonical SMILES. The
-pairs a calculator solved make one cache segment
-(:meth:`MgkCalculator.segment`); the pairs it loaded are in their own
-segments already.
+geometrically as pairs are added, about 17 bytes per pair. The
+orientation of a pair of one size class comes from an int rank array of
+the canonical SMILES. The pairs a calculator solved make one cache
+segment (:meth:`MgkCalculator.segment`); the pairs it loaded are in their
+own segments already.
 """
 
 from __future__ import annotations
@@ -131,13 +137,16 @@ _CHUNK_ENTRIES = 16384
 # step 3, took 0.24 s and 16.0 s).
 _SIZE_STEP = 4
 
-# 6: values of the lumped systems over colour-refinement classes, within
-# 2.0e-14 relative of version 5 over the 219,451 pairs of a cold C4..C16
-# run-all; version 5 solved every carbon, in npz segments of int32 index
-# pairs into a sorted key table. Version 4 held version 5's values as CSV
-# rows, version 3 (unpadded stacks of one shape) differs by up to 8e-16
-# relative, version 2 (the Jacobi-preconditioned solver) at about 1e-11.
-_CACHE_VERSION = 6
+# 7: each pair solved with its smaller size class first (version 6 put the
+# first canonical SMILES first); over the 214,332 pairs of a cold C4..C16
+# run-all, the 43,641 whose orientation flips move by at most 1.7e-15
+# relative. Version 6 held the lumped systems over colour-refinement
+# classes, within 2.0e-14 relative of version 5, which solved every carbon,
+# in npz segments of int32 index pairs into a sorted key table. Version 4
+# held version 5's values as CSV rows, version 3 (unpadded stacks of one
+# shape) differs by up to 8e-16 relative, version 2 (the
+# Jacobi-preconditioned solver) at about 1e-11.
+_CACHE_VERSION = 7
 
 # A pair of molecule indices i <= j is stored under i << 32 | j.
 _LOW = (1 << 32) - 1
@@ -414,10 +423,13 @@ def _pcg(
     d = z.copy()
     rz = _dot(r, z)
     stop = p.fp_tolerance**2 * rz
+    # V2^T read from a contiguous array rather than a strided view; the
+    # products are bitwise the same
+    v2t = np.ascontiguousarray(v2.transpose(0, 2, 1))
     # a finished slice that reaches an exact zero residual divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for iteration in range(1, p.fp_max_iters + 1):
-            s = v1 @ d @ v2.transpose(0, 2, 1)
+            s = v1 @ d @ v2t
             s_sum = _dot(s, weight)
             s *= c
             ad = v1.transpose(0, 2, 1) @ s @ v2
@@ -442,8 +454,8 @@ def _pcg(
                     live, pending, total, stop, rz, rz_next = (
                         a[keep] for a in (live, pending, total, stop, rz, rz_next)
                     )
-                    v1, v2, c, weight, r, z, d, diag, minv = (
-                        a[keep] for a in (v1, v2, c, weight, r, z, d, diag, minv)
+                    v1, v2, v2t, c, weight, r, z, d, diag, minv = (
+                        a[keep] for a in (v1, v2, v2t, c, weight, r, z, d, diag, minv)
                     )
             d *= (rz_next / rz)[:, None, None]
             d += z
@@ -466,15 +478,21 @@ def _solve_pairs(
     and row in ``arenas``, in request order; the number of stacked solves
     they took and the CG iterations of those stacks.
 
-    Pairs are grouped by the size classes (m1, m2) of their graphs, in
-    request order within a group, and gathered from the arenas one stack
-    of at most _CHUNK_ENTRIES padded product-class entries at a time.
+    Each pair is solved with its smaller size class first, and a pair of
+    equal classes in the order given, so a shape (m1, m2) and its mirror
+    (m2, m1) share stacks. Pairs are grouped by the size classes (m1, m2),
+    m1 <= m2, of their graphs, in request order within a group, and
+    gathered from the arenas one stack of at most _CHUNK_ENTRIES padded
+    product-class entries at a time.
     """
     scale = (1.0 - p.q) ** 2
     q2 = p.q * p.q
     sw2 = p.start_weight**2
     out = np.empty(len(class_a))
     stacks = iterations = 0
+    flip = class_a > class_b
+    class_a, class_b = np.where(flip, class_b, class_a), np.where(flip, class_a, class_b)
+    row_a, row_b = np.where(flip, row_b, row_a), np.where(flip, row_a, row_b)
     shape = class_a << 32 | class_b
     order = np.argsort(shape, kind="stable")
     starts = np.flatnonzero(np.diff(shape[order], prepend=-1))
@@ -619,7 +637,8 @@ class MgkCalculator:
     values live in a table of sorted int64 codes ``i << 32 | j`` of the two
     indices, i < j, with a float64 value and a looked-up flag per row
     (:class:`_Table`). Graph arrays live in per-size-class arenas, found by
-    each molecule's class and row. A pair is solved in the order of its two
+    each molecule's class and row. A pair is solved with its smaller size
+    class first and, within one size class, in the order of its two
     canonical SMILES, so its value does not depend on the order of
     registration. The pairs it solved make one cache segment
     (:meth:`segment`), and it loads the segments others wrote
@@ -763,9 +782,12 @@ class MgkCalculator:
 
     def _compute_pairs(self, codes: np.ndarray) -> np.ndarray:
         """Solve and store the raw values of the pairs with these distinct
-        codes, each in the order of its two canonical SMILES; returns them.
-        The cross pairs are stored as looked up, as :meth:`block` solves
-        only pairs it looks up."""
+        codes; returns them. Each pair is handed to the solver in the order
+        of its two canonical SMILES, which :func:`_solve_pairs` keeps only
+        for two graphs of one size class: otherwise it puts the smaller
+        class first. So a value depends on neither the registration order
+        nor the vertex numbering. The cross pairs are stored as looked up,
+        as :meth:`block` solves only pairs it looks up."""
         lo, hi = codes >> 32, codes & _LOW
         self._build_arrays(_distinct(np.concatenate([lo, hi])))
         rank = self._ranks()

@@ -648,6 +648,25 @@ def test_a_version_3_kernel_cache_fails_the_stage(tmp_path, caplog):
     )
 
 
+def test_a_version_6_kernel_cache_fails_run_all_naming_it(tmp_path, config_file, caplog):
+    # version-6 values put each pair's first canonical SMILES first, not its
+    # smaller size class, so a flipped pair differs in its last bits
+    ws = tmp_path / "ws"
+    argv = ["run-all", "--config", config_file, "--out-dir", str(ws)]
+    assert main(argv) == 0
+    [segment] = [ws / n for n in os.listdir(ws) if n.startswith("kernel_")]
+    with np.load(segment) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert int(arrays["version"]) == 7
+    with open(segment, "wb") as fh:
+        np.savez(fh, **{**arrays, "version": np.int64(6)})
+    before = {name: (ws / name).read_bytes() for name in os.listdir(ws)}
+
+    assert main(argv) == 2
+    assert f"kernel cache {str(segment)!r} does not match" in caplog.text
+    assert {name: (ws / name).read_bytes() for name in os.listdir(ws)} == before
+
+
 def _negative_value(arrays):
     values = arrays["values"].copy()
     values[0] = -1.0

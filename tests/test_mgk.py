@@ -221,6 +221,41 @@ def test_symmetry_on_random_alkane_pairs():
         assert abs(mgk_raw(a, b, DEFAULT) - mgk_raw(b, a, DEFAULT)) < 1e-12
 
 
+def test_mirrored_pairs_of_different_size_classes_are_bitwise_equal():
+    # each pair is solved with its smaller size class first
+    mols = enumerate_alkanes(4, 10)
+    sizes = mgk._graph_arrays(mols, mgk._Arenas())[0]
+    rng = np.random.default_rng(5)
+    pairs = [(int(i), int(j)) for i, j in rng.integers(0, len(mols), size=(120, 2))]
+    pairs = [(i, j) for i, j in pairs if sizes[i] != sizes[j]]
+    assert len(pairs) > 40
+    for i, j in pairs:
+        assert mgk_raw(mols[i], mols[j], DEFAULT) == mgk_raw(mols[j], mols[i], DEFAULT)
+
+
+def test_mirrored_shapes_share_one_stack_per_chunk():
+    mols = enumerate_alkanes(4, 9)
+    calc = MgkCalculator(DEFAULT)
+    keys = calc.register(mols)
+    size = dict(zip(keys, mgk._graph_arrays(mols, mgk._Arenas())[0].tolist()))
+    graph_of = dict(zip(keys, mols))
+    small = [k for k in keys if size[k] == 4][:8]
+    large = [k for k in keys if size[k] == 8][:8]
+    # the calculator orders a pair by canonical SMILES, which puts the
+    # class-4 molecule first in some pairs and the class-8 one in others
+    first = {min(a, b) for a in small for b in large}
+    assert first & set(small) and first & set(large)
+    calc.block(small, large)
+    # one stack of each class's self-kernels, and one of the 64 cross pairs,
+    # within one chunk of _CHUNK_ENTRIES product-class entries
+    assert 64 * 4 * 8 <= mgk._CHUNK_ENTRIES
+    assert calc.stacks_solved == 3
+    for a in small:
+        for b in large:
+            assert held(calc, a, b) == mgk_raw(graph_of[a], graph_of[b], DEFAULT)
+            assert held(calc, a, b) == mgk_raw(graph_of[b], graph_of[a], DEFAULT)
+
+
 def test_empty_graph_rejected():
     with pytest.raises(GraphError):
         MolecularGraph([])
@@ -598,7 +633,8 @@ def test_raw_values_independent_of_batch_and_request_order():
         calc.register(mols)
         return calc
 
-    # a pair is solved in the order of its sorted keys
+    # a pair is solved in the order of its sorted keys, unless its size
+    # classes differ, when mgk_raw and the calculator put the smaller first
     graph_of = dict(zip(keys, mols))
     alone = {(a, b): mgk_raw(graph_of[a], graph_of[b], DEFAULT) for a, b in targets}
     for a, b in targets:
@@ -1264,13 +1300,14 @@ def test_cache_hyperparameter_mismatch(tmp_path):
     assert held_count(other) == 0
 
 
-@pytest.mark.parametrize("version", [2, 3, 5])
+@pytest.mark.parametrize("version", [2, 3, 5, 6])
 def test_cache_rejects_an_older_version_file(tmp_path, version):
     # version-2 values came from the Jacobi-preconditioned solver, version-3
-    # ones from stacks of one shape, without size-class padding, and
-    # version-5 ones from unlumped systems over every carbon
+    # ones from stacks of one shape, without size-class padding, version-5
+    # ones from unlumped systems over every carbon, and version-6 ones from
+    # pairs in canonical order rather than smaller size class first
     path, arrays = _segment(tmp_path)
-    assert int(arrays["version"]) == mgk._CACHE_VERSION == 6
+    assert int(arrays["version"]) == mgk._CACHE_VERSION == 7
     _rewrite(path, arrays, version=np.int64(version))
     _assert_rejected(path, "hyperparameters/version")
 

@@ -396,8 +396,8 @@ _NUMBERS = st.one_of(
     _FINITE.map(np.float64), st.integers(-(10**20), 10**20),
 )
 _LABELS = st.one_of(
-    st.sampled_from(["CCCC", "a,b", 'say "x"', " lead", '","', "two\r\nlines"]),
-    st.text(alphabet='C() ,"x\n', max_size=6),
+    st.sampled_from(["CCCC", "a,b", 'say "x"', " lead", '","', "a\rb", "two\r\nlines"]),
+    st.text(alphabet='C() ,"x\r\n', max_size=6),
 )
 
 
