@@ -423,8 +423,9 @@ def _pcg(
     d = z.copy()
     rz = _dot(r, z)
     stop = p.fp_tolerance**2 * rz
-    # V2^T read from a contiguous array rather than a strided view; the
-    # products are bitwise the same
+    # V2^T as an array of its own, copied once per stack and after each
+    # compaction: the products are bitwise those of a strided view of V2,
+    # which is slower to read on every iteration
     v2t = np.ascontiguousarray(v2.transpose(0, 2, 1))
     # a finished slice that reaches an exact zero residual divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -501,17 +502,19 @@ def _solve_pairs(
         step = max(1, _CHUNK_ENTRIES // (m1 * m2))
         for lo in range(0, len(members), step):
             chunk = members[lo : lo + step]
-            a, b = arenas.stacks[m1][row_a[chunk]], arenas.stacks[m2][row_b[chunk]]
-            lam, vd1, da, sa = (a[:, :, m1 + i] for i in range(4))
-            mu, vd2, db, sb = (b[:, :, m2 + i] for i in range(4))
+            ia, ib = row_a[chunk], row_b[chunk]
+            # V and the four class columns are gathered apart, so no copy of
+            # whole arena rows stays alive through the solve
+            lam, vd1, da, sa = arenas.stacks[m1][ia, :, m1:].transpose(2, 0, 1)
+            mu, vd2, db, sb = arenas.stacks[m2][ib, :, m2:].transpose(2, 0, 1)
             # c = (1/K_v - 1) W_x, formed in place; 0 on padded entries,
             # where the class sizes are 0
             c = np.where(da[:, :, None] == db[:, None, :], 1.0, 1.0 / p.delta_degree)
             c -= 1.0
             c *= (sa * np.maximum(da, 1.0))[:, :, None] * (sb * np.maximum(db, 1.0))[:, None, :]
             sums, taken = _pcg(
-                np.ascontiguousarray(a[:, :, :m1]),
-                np.ascontiguousarray(b[:, :, :m2]),
+                arenas.stacks[m1][ia, :, :m1],
+                arenas.stacks[m2][ib, :, :m2],
                 c,
                 sa[:, :, None] * sb[:, None, :],
                 1.0 - scale * lam[:, :, None] * mu[:, None, :],

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import active_learning as al
 from . import gpr, thermo
-from ._atomic import csv_column, csv_field, csv_line, csv_rows, read_json, write_atomic, write_csv, write_json
+from ._atomic import (
+    csv_column, csv_field, csv_line, csv_rows, read_json, write_atomic, write_csv, write_json,
+)
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
