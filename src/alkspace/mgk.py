@@ -123,8 +123,11 @@ import numpy as np
 from ._atomic import write_atomic
 from .molspace import MolecularGraph, parse_smiles, to_canonical_smiles
 
-# Padded product-class entries (pairs x m1 x m2) per stacked solve; caps
-# the working memory at about this many doubles per array.
+# Padded product-class entries (pairs x m1 x m2) per stacked solve: each
+# product-class array of a stack (c, the weights, the diagonal, the
+# iterates) holds at most this many doubles. V2 and its transpose hold
+# pairs x m2 x m2, m2/m1 times as many since m1 <= m2: up to 4 times at
+# C16 and 5 times at C19, whose size classes run from 4 to 20.
 _CHUNK_ENTRIES = 16384
 
 # A graph of c colour-refinement classes is padded to c rounded up to a
@@ -407,14 +410,13 @@ def _pcg(
     are per pair: a pair is finished once <r, r/diag> falls to
     fp_tolerance^2 times <rhs, rhs/diag>, and its sum, accumulated from the
     T-space directions each iteration forms anyway, is taken at that step.
-    Finished pairs leave the stack once they are a quarter of it; until
-    then their slices run on without touching the others, so no pair's
-    result depends on its companions. ``rhs`` becomes the residual and is
+    A finished pair keeps its slice until the stack's last pair stops; each
+    slice of a stacked product is computed on its own, so no pair's result
+    depends on its companions. ``rhs`` becomes the residual and is
     overwritten.
     """
     k = len(rhs)
     out = np.empty(k)
-    live = np.arange(k)
     pending = np.ones(k, dtype=bool)
     total = np.zeros(k)
     minv = 1.0 / diag
@@ -423,9 +425,9 @@ def _pcg(
     d = z.copy()
     rz = _dot(r, z)
     stop = p.fp_tolerance**2 * rz
-    # V2^T as an array of its own, copied once per stack and after each
-    # compaction: the products are bitwise those of a strided view of V2,
-    # which is slower to read on every iteration
+    # V2^T as an array of its own, copied once per stack: the products are
+    # bitwise those of a strided view of V2, which is slower to read on
+    # every iteration
     v2t = np.ascontiguousarray(v2.transpose(0, 2, 1))
     # a finished slice that reaches an exact zero residual divides 0 by 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -445,19 +447,10 @@ def _pcg(
             rz_next = _dot(r, z)
             done = pending & (rz_next <= stop)
             if done.any():
-                out[live[done]] = total[done]
+                out[done] = total[done]
                 pending &= ~done
-                remaining = np.count_nonzero(pending)
-                if remaining == 0:
+                if not pending.any():
                     return out, iteration
-                if 4 * remaining <= 3 * len(pending):
-                    keep = pending
-                    live, pending, total, stop, rz, rz_next = (
-                        a[keep] for a in (live, pending, total, stop, rz, rz_next)
-                    )
-                    v1, v2, v2t, c, weight, r, z, d, diag, minv = (
-                        a[keep] for a in (v1, v2, v2t, c, weight, r, z, d, diag, minv)
-                    )
             d *= (rz_next / rz)[:, None, None]
             d += z
             rz = rz_next

@@ -41,7 +41,7 @@ class GraphError(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """Requested carbon count exceeds the configured enumeration limit."""
+    """Requested carbon count exceeds the enumeration limit, DEFAULT_MAX_CARBONS."""
 
 
 class MolecularGraph:
@@ -358,9 +358,7 @@ def _alkanes_of_size(levels: Sequence[Sequence[_Subtree]], n: int) -> list[str]:
     return out
 
 
-def enumerate_alkane_smiles(
-    min_n: int, max_n: int, *, hard_limit: int = DEFAULT_MAX_CARBONS
-) -> list[CanonicalSmiles]:
+def enumerate_alkane_smiles(min_n: int, max_n: int) -> list[CanonicalSmiles]:
     """Canonical SMILES of every alkane isomer with ``min_n..max_n`` carbons.
 
     Each isomer is built once, directly in canonical form, from its
@@ -375,9 +373,9 @@ def enumerate_alkane_smiles(
     """
     if not (1 <= min_n <= max_n):
         raise ValueError(f"need 1 <= min_n <= max_n, got ({min_n}, {max_n})")
-    if max_n > hard_limit:
+    if max_n > DEFAULT_MAX_CARBONS:
         raise EnumerationLimitError(
-            f"max_n={max_n} exceeds the enumeration limit {hard_limit}"
+            f"max_n={max_n} exceeds the enumeration limit {DEFAULT_MAX_CARBONS}"
         )
     levels = _rooted_subtrees(max_n // 2)
     out: list[CanonicalSmiles] = []
@@ -386,8 +384,6 @@ def enumerate_alkane_smiles(
     return out
 
 
-def enumerate_alkanes(
-    min_n: int, max_n: int, *, hard_limit: int = DEFAULT_MAX_CARBONS
-) -> list[MolecularGraph]:
+def enumerate_alkanes(min_n: int, max_n: int) -> list[MolecularGraph]:
     """Like :func:`enumerate_alkane_smiles` but materialised as graphs."""
-    return [parse_smiles(s) for s in enumerate_alkane_smiles(min_n, max_n, hard_limit=hard_limit)]
+    return [parse_smiles(s) for s in enumerate_alkane_smiles(min_n, max_n)]

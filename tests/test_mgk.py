@@ -256,6 +256,37 @@ def test_mirrored_shapes_share_one_stack_per_chunk():
             assert held(calc, a, b) == mgk_raw(graph_of[b], graph_of[a], DEFAULT)
 
 
+def test_finished_slices_do_not_disturb_the_rest_of_their_stack(monkeypatch):
+    # all of size class 4: one stack of the 10 self pairs, which takes 6
+    # iterations, and one of the 45 cross pairs, which takes 8. Methane's
+    # pairs finish at iteration 1, its self pair with an exactly zero
+    # residual, so its slice divides 0 by 0 while the others run on.
+    smiles = "C CC CCC CC(C)C CCCC CCC(C)C CC(C)(C)C CCCCC CCCCCC CCC(C)CC"
+    mols = [parse_smiles(s) for s in smiles.split()]
+    taken = []
+    pcg = mgk._pcg
+
+    def record(*args):
+        sums, n = pcg(*args)
+        taken.append(n)
+        return sums, n
+
+    monkeypatch.setattr(mgk, "_pcg", record)
+    calc = MgkCalculator(DEFAULT)
+    keys = calc.register(mols)
+    calc.block(keys, keys)
+    assert taken == [6, 8]
+    assert calc.stacks_solved == 2 and calc.cg_iterations == 14
+    monkeypatch.undo()
+    for a in keys:
+        for b in keys:
+            alone = MgkCalculator(DEFAULT)
+            alone.register(mols)
+            alone.block([a], [b])
+            value = held(calc, a, b)
+            assert math.isfinite(value) and value == held(alone, a, b)
+
+
 def test_empty_graph_rejected():
     with pytest.raises(GraphError):
         MolecularGraph([])

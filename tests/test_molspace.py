@@ -478,9 +478,7 @@ class TestEnumeration:
             enumerate_alkane_smiles(0, 4)
 
     def test_hard_limit(self):
-        with pytest.raises(EnumerationLimitError):
-            enumerate_alkane_smiles(4, 25)
-        # Lowered override is enforced; a raised one is accepted.
-        with pytest.raises(EnumerationLimitError):
-            enumerate_alkane_smiles(4, 10, hard_limit=9)
-        assert len(enumerate_alkane_smiles(4, 6, hard_limit=25)) == 10
+        # the limit is DEFAULT_MAX_CARBONS, 19; the first count beyond it fails
+        for max_n in (20, 25):
+            with pytest.raises(EnumerationLimitError):
+                enumerate_alkane_smiles(4, max_n)
