@@ -24,8 +24,7 @@ _SOURCES = {
     "errors": ("ConfigError",),
     "gpr": ("FitError", "GprModel", "TemperatureProductKernel", "fit"),
     "mgk": (
-        "KernelConvergenceError", "MgkCalculator", "MgkHyperparameters", "mgk_normalized",
-        "mgk_raw",
+        "KernelConvergenceError", "MgkCalculator", "MgkHyperparameters", "mgk_raw",
     ),
     "molspace": (
         "CanonicalSmiles", "Descriptors", "EnumerationLimitError", "GraphError",

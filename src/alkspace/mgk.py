@@ -121,7 +121,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .molspace import MolecularGraph, parse_smiles, to_canonical_smiles
+from .molspace import MolecularGraph, SmilesError, parse_smiles, to_canonical_smiles
 
 # Padded product-class entries (pairs x m1 x m2) per stacked solve: each
 # product-class array of a stack (c, the weights, the diagonal, the
@@ -182,8 +182,10 @@ class MgkHyperparameters:
     """Random-walk and micro-kernel parameters.
 
     ``q`` is the per-vertex stopping probability, ``start_weight`` the
-    per-vertex starting weight (unnormalized; the normalization step absorbs
-    the scale). ``delta_degree`` is the off-diagonal return of the degree
+    per-vertex starting weight. Raw values scale by its square, and the size
+    damping reads raw self-kernels, so it acts as ``lambda_`` divided by its
+    square would, and cancels at an infinite ``lambda_``.
+    ``delta_degree`` is the off-diagonal return of the degree
     comparator; all atoms are carbons and all bonds single, so there is no
     element or bond-order comparator. ``lambda_`` scales the
     self-kernel-mismatch damping (infinite disables it); an entry whose
@@ -324,29 +326,69 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _graph_arrays(
-    graphs: Sequence[MolecularGraph], arenas: _Arenas
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write the lumped arrays of each graph into ``arenas``; returns each
-    graph's size class and row. Graphs of one carbon count are refined as
-    one stack, and those of one class count among them share one
-    ``eigh``. LAPACK factors each matrix of a stack on its own, so a
-    graph's arrays are bitwise those it gets alone. Each size class's
+def _neighbor_table(ids: Sequence[str], n: int) -> np.ndarray:
+    """The (k, n, 4) neighbour lists of k alkane SMILES of n carbons each,
+    read in one pass: bitwise :func:`~alkspace.molspace.parse_smiles`'
+    adjacency, each carbon's parent first, padded with -1.
+
+    A carbon's branch depth is the count of ``(`` minus ``)`` before it.
+    Its parent is the last carbon before it at its own depth, or one level
+    up if the carbon opens a branch. SmilesError for an id that is no
+    alkane SMILES, or that holds whitespace or ``((``, as no canonical id
+    does."""
+    if not n:
+        parse_smiles(ids[0])  # raises: an alkane has a carbon
+    total = len(ids) * n
+    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
+    # one byte per character: anything not ASCII reads "?"
+    text = np.frombuffer("".join(ids).encode("ascii", "replace"), np.uint8)
+    carbon, opens, closes = text == ord("C"), text == ord("("), text == ord(")")
+    depth = np.cumsum(opens.astype(np.int64) - closes)
+    at = np.flatnonzero(carbon)
+    order = np.arange(total)
+    local = order % n
+    # carbons sorted by depth, then position
+    keys = np.sort(depth[at] * total + order)
+    parent = keys[np.searchsorted(keys, (depth[at] - opens[at - 1]) * total + order) - 1] % total
+    # each carbon's parent, then its children in order; an id's first carbon is its root
+    child = np.flatnonzero(local)[np.argsort(parent[local > 0], kind="stable")]
+    owner = parent[child]
+    slot = np.arange(len(child)) - np.searchsorted(owner, owner) + (local[owner] > 0)
+    # each id starts with a carbon and ends at depth 0, a carbon follows
+    # each "(", and none has more than four neighbours
+    wrong = ~(carbon | opens | closes) | (depth < 0)
+    wrong[:-1] |= opens[:-1] & ~carbon[1:]
+    if (wrong.any() or depth[ends - 1].any() or (slot > 3).any()
+            or (text[np.append(0, ends[:-1])] != ord("C")).any()):
+        for key in ids:
+            parse_smiles(key)
+        # of the ids parse_smiles reads, the reader rejects only these
+        spelled = next(key for key in ids if key != key.strip() or "((" in key)
+        raise SmilesError(f"{spelled!r}: no canonical id holds whitespace or '(('")
+    table = np.full((total, 4), -1, np.int64)
+    table[child, 0] = local[parent[child]]
+    table[owner, slot] = local[child]
+    return table.reshape(len(ids), n, 4)
+
+
+def _graph_arrays(ids: Sequence[str], arenas: _Arenas) -> tuple[np.ndarray, np.ndarray]:
+    """Write the lumped arrays of each SMILES id's molecule into ``arenas``;
+    returns each one's size class and row. Ids of one carbon count are read
+    and refined as one stack, and those of one class count among them share
+    one ``eigh``. LAPACK factors each matrix of a stack on its own, so a
+    molecule's arrays are bitwise those it gets alone. Each size class's
     arena grows once per call, by the rows the call adds to it."""
-    sizes = np.fromiter(map(len, graphs), np.int64, len(graphs))
-    count = np.empty(len(graphs), np.int64)
+    sizes = np.fromiter(map(str.count, ids, repeat("C")), np.int64, len(ids))
+    count = np.empty(len(ids), np.int64)
     stacks = []
     for n in _distinct(sizes).tolist():
         members = np.flatnonzero(sizes == n)
-        neighbors = np.array(
-            [nb + (-1,) * (4 - len(nb)) for i in members.tolist() for nb in graphs[i].adjacency],
-            dtype=np.int64,
-        ).reshape(len(members), n, 4)
+        neighbors = _neighbor_table([ids[i] for i in members.tolist()], n)
         local = _refine(neighbors)
         count[members] = local.max(axis=1) + 1
         stacks.append((members, neighbors, local))
     classes = _size_class(count)
-    rows = np.empty(len(graphs), np.int64)
+    rows = np.empty(len(ids), np.int64)
     for m in _distinct(classes).tolist():
         at = np.flatnonzero(classes == m)
         _, lo = arenas.reserve(m, len(at))
@@ -521,9 +563,9 @@ def _solve_pairs(
 
 
 def mgk_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) -> float:
-    """Un-normalized marginalized graph kernel value (non-negative)."""
+    """Un-normalized kernel value (non-negative) of two graphs' canonical ids."""
     arenas = _Arenas()
-    classes, rows = _graph_arrays([g1, g2], arenas)
+    classes, rows = _graph_arrays([to_canonical_smiles(g1), to_canonical_smiles(g2)], arenas)
     return float(_solve_pairs(arenas, classes[:1], rows[:1], classes[1:], rows[1:], p)[0][0])
 
 
@@ -547,19 +589,6 @@ def _normalize(k12, k11, k22, p: MgkHyperparameters):
         d = (k11 - k22) / p.lambda_
         out = np.where(_negligible(k11, k22, p), 0.0, out * np.exp(-(d * d)))
     return out
-
-
-def mgk_normalized(
-    g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters
-) -> float:
-    """Normalized kernel in [0, 1]: the entry :meth:`MgkCalculator.block`
-    gives the pair, so exactly 1 for isomorphic inputs, and 0, without
-    solving the pair, where the size damping is below 2^-53."""
-    if g1 is g2:
-        return 1.0
-    calc = MgkCalculator(p)
-    a, b = calc.register([g1, g2])
-    return float(calc.block([a], [b])[0, 0])
 
 
 class _Table:
@@ -626,9 +655,8 @@ class MgkCalculator:
     :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
     the regression and selection layers. :meth:`register` and
     :meth:`register_canonical` give each canonical SMILES a dense index.
-    A molecule's graph arrays are built when one of its pairs is first
-    solved, from the graph it was registered with or else by parsing its
-    id, and no graph is kept after that. Raw (un-normalized) self-kernels live in
+    A molecule's graph arrays are read from its id when one of its pairs is
+    first solved; no graph is kept. Raw (un-normalized) self-kernels live in
     one float64 vector indexed by molecule, NaN until known; the other raw
     values live in a table of sorted int64 codes ``i << 32 | j`` of the two
     indices, i < j, with a float64 value and a looked-up flag per row
@@ -648,8 +676,6 @@ class MgkCalculator:
         # whether each key was registered, so its arrays can be built; a key
         # named only by a cache segment is not
         self._registered = np.empty(0, bool)
-        # graphs registered by :meth:`register` whose arrays are not built
-        self._pending: dict[int, MolecularGraph] = {}
         # rank of each key in canonical-SMILES order; None once stale
         self._rank: np.ndarray | None = None
         self._arenas = _Arenas()
@@ -677,24 +703,17 @@ class MgkCalculator:
     # -- registry ---------------------------------------------------------
 
     def register(self, molecules: Sequence[MolecularGraph]) -> list[str]:
-        """Record graphs under their canonical ids (:func:`to_canonical_smiles`);
-        returns the id list. The first graph under an id is kept until its
-        arrays are built; any numbering of its carbons gives bitwise the
-        same values."""
+        """Record graphs under their canonical ids (:func:`to_canonical_smiles`),
+        as :meth:`register_canonical` does; returns the id list."""
         keys = [str(to_canonical_smiles(g)) for g in molecules]
-        index = self._intern(keys)
-        self._registered[index] = True
-        built = self._row[index] >= 0
-        for i, g, done in zip(index.tolist(), molecules, built.tolist()):
-            if not done:
-                self._pending.setdefault(i, g)
+        self.register_canonical(keys)
         return keys
 
     def register_canonical(self, keys: Sequence[str]) -> None:
         """Record ids that are canonical SMILES already, as
         :func:`~alkspace.molspace.enumerate_alkane_smiles` writes them,
-        without parsing them; an id's arrays are built from its parsed
-        graph, unless :meth:`register` gave one."""
+        without parsing them; an id's arrays are read from it when one of
+        its pairs is first solved (:func:`_neighbor_table`)."""
         index = self._intern(keys)
         self._registered[index] = True
 
@@ -721,20 +740,16 @@ class MgkCalculator:
 
     def _build_arrays(self, indices: np.ndarray) -> None:
         """Build, in one pass, the arrays of the molecules at these distinct
-        indices that have none yet, from their registered graphs or ids;
-        KeyError for an id that was never registered."""
+        indices that have none yet, from their ids; KeyError for an id that
+        was never registered, SmilesError for one that is no alkane SMILES."""
         need = indices[self._row[indices] < 0]
         if not need.size:
             return
         unregistered = need[~self._registered[need]]
         if unregistered.size:
             raise KeyError(self._keys[unregistered[0]])
-        pending = self._pending
-        graphs = [
-            pending.pop(i) if i in pending else parse_smiles(self._keys[i])
-            for i in need.tolist()
-        ]
-        self._class[need], self._row[need] = _graph_arrays(graphs, self._arenas)
+        keys = [self._keys[i] for i in need.tolist()]
+        self._class[need], self._row[need] = _graph_arrays(keys, self._arenas)
         self.graphs_built += len(need)
 
     # -- evaluation -------------------------------------------------------

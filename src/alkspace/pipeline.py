@@ -149,11 +149,9 @@ class PipelineConfig:
 
     # section dicts double as hash inputs for artifact names
 
-    def _section(self, name: str) -> dict[str, object]:
+    def section(self, name: str) -> dict[str, object]:
+        """The flat JSON section ``name`` (a key of ``_CONFIG_KEYS``)."""
         return {key: getattr(self, f) for key, f in _CONFIG_KEYS[name].items()}
-
-    def space_dict(self) -> dict[str, object]:
-        return self._section("chemical_space")
 
     def al_dict(self, n_stages: int | None = None) -> dict[str, object]:
         ts = self.thresholds if n_stages is None else self.thresholds[:n_stages]
@@ -164,14 +162,8 @@ class PipelineConfig:
             "al_noise": self.gpr.al_noise,
         }
 
-    def oracle_dict(self) -> dict[str, object]:
-        return self._section("oracle")
-
-    def evaluation_dict(self) -> dict[str, object]:
-        return self._section("evaluation")
-
     def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {name: self._section(name) for name in _CONFIG_KEYS}
+        out: dict[str, object] = {name: self.section(name) for name in _CONFIG_KEYS}
         out.update(kernel=self.kernel.to_dict(), gpr=self.gpr.to_dict(), out_dir=self.out_dir)
         return out
 
@@ -209,9 +201,6 @@ class PipelineConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         return cls.from_dict(raw)
-
-    def to_json(self, path: str) -> None:
-        write_json(path, self.to_dict())
 
     def content_hash(self) -> str:
         # out_dir names the workspace, it does not influence results
@@ -380,7 +369,7 @@ class _Workspace:
         """The configured carbon range, enumerated; an existing molecule
         file must hold exactly that list."""
         cfg = self.config
-        path = self.path(f"molecules_{_hash_obj(cfg.space_dict())}.txt")
+        path = self.path(f"molecules_{_hash_obj(cfg.section('chemical_space'))}.txt")
         t0 = time.monotonic()
         ids = [str(s) for s in enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)]
         text = "\n".join(ids) + "\n"
@@ -404,7 +393,7 @@ class _Workspace:
 
     def kernel_hash(self) -> str:
         cfg = self.config
-        return _hash_obj({"space": cfg.space_dict(), "kernel": cfg.kernel.to_dict()})
+        return _hash_obj({"space": cfg.section("chemical_space"), "kernel": cfg.kernel.to_dict()})
 
     @contextmanager
     def kernel(self, ids: Sequence[str]) -> Iterator[MgkCalculator]:
@@ -412,8 +401,8 @@ class _Workspace:
         segment ``kernel_<hash>_<digest>.npz`` of the workspace loaded, so a
         consumer solves only the pairs no segment holds. The ids are those
         :meth:`molecule_ids` checked against the enumeration, so they are
-        registered as canonical, unparsed; a graph is built only for a
-        molecule one of whose pairs is solved.
+        registered as canonical, unparsed; a molecule's graph arrays are
+        read from its id only when one of its pairs is solved.
 
         A body that finishes without error and solved pairs adds one
         segment of just those pairs, named by a digest of its bytes; no
@@ -450,7 +439,7 @@ class _Workspace:
         cfg = self.config
         return _hash_obj(
             {
-                "space": cfg.space_dict(),
+                "space": cfg.section("chemical_space"),
                 "kernel": cfg.kernel.to_dict(),
                 "al": cfg.al_dict(n_stages),
             }
@@ -553,7 +542,7 @@ class _Workspace:
         and the file is written and its series returned from memory.
         """
         cfg = self.config
-        h = _hash_obj({"members": members, "oracle": cfg.oracle_dict()})
+        h = _hash_obj({"members": members, "oracle": cfg.section("oracle")})
         path = self.path(f"dataset_{tag}_{h}.csv")
         if os.path.exists(path):
             series = thermo.read_dataset(path)
@@ -593,7 +582,7 @@ class _Workspace:
             )
         test_ids = split_test(ids, final_selected, cfg.n_test, cfg.split_seed)
         n = len(cfg.thresholds)
-        members = _hash_obj({"al": self.al_stage_hash(n), "split": cfg.evaluation_dict()})
+        members = _hash_obj({"al": self.al_stage_hash(n), "split": cfg.section("evaluation")})
         test = self.dataset_for("test", members, test_ids)
         return self.dataset_for(f"stage{n}", self.al_stage_hash(n), list(final_selected)), test
 
@@ -952,20 +941,17 @@ def predict_properties(
     """Fit on oracle series and predict all three properties for each
     molecule on its own oracle temperature grid. Molecules are keyed by
     canonical SMILES however the inputs spell them; each spelling is parsed
-    once, and kernel values do not depend on which spelling's graph a key
-    keeps."""
+    once."""
     graphs = {m: parse_smiles(m) for m in {s.molecule_id for s in train}.union(molecule_ids)}
     canonical = {m: str(to_canonical_smiles(g)) for m, g in graphs.items()}
-    train_graphs = {canonical[s.molecule_id]: graphs[s.molecule_id] for s in train}
     train = [replace(s, molecule_id=canonical[s.molecule_id]) for s in train]
-    query_graphs = [graphs[m] for m in molecule_ids]
+    query_keys = [canonical[m] for m in molecule_ids]
     calc = MgkCalculator(config.kernel)
-    calc.register([train_graphs[k] for k in sorted(train_graphs)])
-    query_keys = calc.register(query_graphs)
+    calc.register_canonical(sorted({s.molecule_id for s in train}) + query_keys)
     model = _fit_on_series(train, calc, config)
     grids = [
-        thermo.temperature_grid(thermo.synth_critical_temperature(descriptors(g)))
-        for g in query_graphs
+        thermo.temperature_grid(thermo.synth_critical_temperature(descriptors(graphs[m])))
+        for m in molecule_ids
     ]
     queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid.tolist()]
     preds = model.predict_mean(queries).tolist()

@@ -374,7 +374,7 @@ def test_cold_run_with_a_truncated_molecule_list_exits_two(tmp_path, config_file
 
     cfg = PipelineConfig.from_json(config_file)
     ids = enumerate_alkane_smiles(cfg.min_carbons, cfg.max_carbons)
-    name = f"molecules_{_hash_obj(cfg.space_dict())}.txt"
+    name = f"molecules_{_hash_obj(cfg.section('chemical_space'))}.txt"
     (tmp_path / name).write_text("\n".join(ids[:10]) + "\n")
     assert main(["run-all", "--config", config_file, "--out-dir", str(tmp_path)]) == 2
     assert name in caplog.text
@@ -586,7 +586,7 @@ def test_run_all_reads_no_stage_dataset_but_the_last(tmp_path, config_file):
     assert main(argv) == 0
     cfg = PipelineConfig.from_dict({**CONFIG_RAW, "out_dir": str(ws)})
     stage1 = pipeline._Workspace(cfg).al_stage_hash(1)
-    h = pipeline._hash_obj({"members": stage1, "oracle": cfg.oracle_dict()})
+    h = pipeline._hash_obj({"members": stage1, "oracle": cfg.section("oracle")})
     leftover = ws / f"dataset_stage1_{h}.csv"
     leftover.write_text("not,a,dataset\n")
 

@@ -15,6 +15,7 @@ import io
 import math
 import os
 import random
+import re
 import tempfile
 
 import networkx as nx
@@ -30,15 +31,16 @@ from alkspace.mgk import (
     KernelConvergenceError,
     MgkCalculator,
     MgkHyperparameters,
-    mgk_normalized,
     mgk_raw,
 )
 from alkspace.molspace import (
     GraphError,
     MolecularGraph,
+    SmilesError,
     enumerate_alkane_smiles,
     enumerate_alkanes,
     parse_smiles,
+    to_canonical_smiles,
 )
 
 DEFAULT = MgkHyperparameters()
@@ -54,6 +56,18 @@ def dense(mols, p=DEFAULT):
     return calc.block(keys, keys)
 
 
+def normalized(g1: MolecularGraph, g2: MolecularGraph, p=DEFAULT) -> float:
+    """The normalized entry the calculator gives two graphs."""
+    calc = MgkCalculator(p)
+    a, b = calc.register([g1, g2])
+    return float(calc.block([a], [b])[0, 0])
+
+
+def canonical(graphs) -> list[str]:
+    """The graphs' canonical SMILES ids."""
+    return [to_canonical_smiles(g) for g in graphs]
+
+
 def held(calc: MgkCalculator, a: str, b: str) -> float | None:
     """The raw value a calculator holds for two keys, or None."""
     i, j = sorted((calc._index[a], calc._index[b]))
@@ -61,10 +75,10 @@ def held(calc: MgkCalculator, a: str, b: str) -> float | None:
     return None if math.isnan(value) else float(value)
 
 
-def packed_arrays(graphs) -> list[np.ndarray]:
-    """Each graph's (m, m + 4) row of the size-class arenas."""
+def packed_arrays(ids) -> list[np.ndarray]:
+    """Each SMILES id's (m, m + 4) row of the size-class arenas."""
     arenas = mgk._Arenas()
-    classes, rows = mgk._graph_arrays(graphs, arenas)
+    classes, rows = mgk._graph_arrays(ids, arenas)
     return [arenas.stacks[m][r] for m, r in zip(classes.tolist(), rows.tolist())]
 
 
@@ -224,7 +238,7 @@ def test_symmetry_on_random_alkane_pairs():
 def test_mirrored_pairs_of_different_size_classes_are_bitwise_equal():
     # each pair is solved with its smaller size class first
     mols = enumerate_alkanes(4, 10)
-    sizes = mgk._graph_arrays(mols, mgk._Arenas())[0]
+    sizes = mgk._graph_arrays(canonical(mols), mgk._Arenas())[0]
     rng = np.random.default_rng(5)
     pairs = [(int(i), int(j)) for i, j in rng.integers(0, len(mols), size=(120, 2))]
     pairs = [(i, j) for i, j in pairs if sizes[i] != sizes[j]]
@@ -237,7 +251,7 @@ def test_mirrored_shapes_share_one_stack_per_chunk():
     mols = enumerate_alkanes(4, 9)
     calc = MgkCalculator(DEFAULT)
     keys = calc.register(mols)
-    size = dict(zip(keys, mgk._graph_arrays(mols, mgk._Arenas())[0].tolist()))
+    size = dict(zip(keys, mgk._graph_arrays(keys, mgk._Arenas())[0].tolist()))
     graph_of = dict(zip(keys, mols))
     small = [k for k in keys if size[k] == 4][:8]
     large = [k for k in keys if size[k] == 8][:8]
@@ -383,7 +397,7 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
     classes = refined_classes(g)
     c = max(classes) + 1
     edges, sizes, degrees = quotient(g, classes)
-    (packed,) = packed_arrays([g])
+    (packed,) = packed_arrays(canonical([g]))
     m = len(packed)
     v, lam = packed[:c, :c], packed[:c, m]
     weight = sizes * np.maximum(degrees, 1.0)
@@ -408,7 +422,7 @@ def test_eigenbasis_diagonalises_degrees_and_adjacency(g):
 @given(alkane_trees(16))
 @example(parse_smiles("C"))
 def test_packed_arrays_are_zero_outside_the_graph(g):
-    (packed,) = packed_arrays([g])
+    (packed,) = packed_arrays(canonical([g]))
     c, m = max(refined_classes(g)) + 1, len(packed)
     assert m == mgk._size_class(c)
     assert m % mgk._SIZE_STEP == 0 and c <= m < c + mgk._SIZE_STEP
@@ -457,16 +471,17 @@ def _arrays_of_one_graph(g: MolecularGraph) -> np.ndarray:
 def test_stacked_arrays_are_bitwise_those_of_one_graph_alone():
     # cache values depend on these bytes, so a stack must not change them
     graphs = enumerate_alkanes(4, 10)
+    ids = canonical(graphs)
     want = [_arrays_of_one_graph(g).tobytes() for g in graphs]
-    for order in (graphs, graphs[::-1]):
-        got = {id(g): a for g, a in zip(order, packed_arrays(order))}
-        for g, packed in zip(graphs, want):
-            assert got[id(g)].shape[0] == mgk._size_class(max(_classes_of_one_graph(g)) + 1)
-            assert got[id(g)].tobytes() == packed
-    # graphs added to arenas in several calls keep their bytes as the
+    for order in (ids, ids[::-1]):
+        got = dict(zip(order, packed_arrays(order)))
+        for g, key, packed in zip(graphs, ids, want):
+            assert got[key].shape[0] == mgk._size_class(max(_classes_of_one_graph(g)) + 1)
+            assert got[key].tobytes() == packed
+    # molecules added to arenas in several calls keep their bytes as the
     # arenas grow
     arenas = mgk._Arenas()
-    placed = [mgk._graph_arrays(graphs[lo : lo + 7], arenas) for lo in range(0, len(graphs), 7)]
+    placed = [mgk._graph_arrays(ids[lo : lo + 7], arenas) for lo in range(0, len(ids), 7)]
     classes, rows = (np.concatenate(side) for side in zip(*placed))
     for m, r, packed in zip(classes.tolist(), rows.tolist(), want):
         assert arenas.stacks[m][r].tobytes() == packed
@@ -490,7 +505,7 @@ def test_a_size_class_stack_matches_each_pair_solved_alone(data, q):
     assume(len({len(g) for g in graphs}) > 1)
     p = MgkHyperparameters(q=q)
     arenas = mgk._Arenas()
-    sides = list(zip(*mgk._graph_arrays(graphs, arenas)))
+    sides = list(zip(*mgk._graph_arrays(canonical(graphs), arenas)))
     assert {m for m, _ in sides} == {top}
     pairs = [(a, b) for a in sides for b in sides]
     stacked, stacks, _ = solve(arenas, pairs, p)
@@ -554,6 +569,22 @@ def _relabelled(g: MolecularGraph, rnd: random.Random) -> tuple[MolecularGraph, 
     return MolecularGraph(neighbors), perm
 
 
+def _spelling(g: MolecularGraph, rnd: random.Random) -> str:
+    """``g`` written as SMILES from a random root, each carbon's children in
+    random order, its last child in a branch of its own or not at random."""
+
+    def write(v: int, parent: int) -> str:
+        children = [u for u in g.adjacency[v] if u != parent]
+        rnd.shuffle(children)
+        text = "C" + "".join(f"({write(u, v)})" for u in children[:-1])
+        if children:
+            last = write(children[-1], v)
+            text += f"({last})" if rnd.random() < 0.5 else last
+        return text
+
+    return write(rnd.randrange(len(g)), -1)
+
+
 def _block_of(graphs, p=DEFAULT) -> np.ndarray:
     calc = MgkCalculator(p)
     keys = calc.register(graphs)
@@ -575,7 +606,9 @@ def test_values_are_bitwise_independent_of_vertex_numbering(g1, g2, rnd, lam):
     assert mgk_raw(h1, h2, p) == mgk_raw(g1, g2, p)
     assert mgk_raw(h2, h1, p) == mgk_raw(g2, g1, p)
     assert np.array_equal(_block_of([h1, h2], p), _block_of([g1, g2], p))
-    assert packed_arrays([h1])[0].tobytes() == packed_arrays([g1])[0].tobytes()
+    # a spelling of g1 from another root numbers its carbons otherwise
+    spelled, (key,) = _spelling(g1, rnd), canonical([g1])
+    assert packed_arrays([spelled])[0].tobytes() == packed_arrays([key])[0].tobytes()
 
 
 def test_two_spellings_of_one_molecule_give_bitwise_equal_values():
@@ -584,8 +617,59 @@ def test_two_spellings_of_one_molecule_give_bitwise_equal_values():
     a, b = parse_smiles("C(CC)(C)CCCC"), parse_smiles("C(CCCC)(CC)C")
     assert a.adjacency != b.adjacency
     assert mgk_raw(a, octane, DEFAULT) == mgk_raw(b, octane, DEFAULT)
-    assert mgk_normalized(a, octane, DEFAULT) == mgk_normalized(b, octane, DEFAULT)
+    spelled = packed_arrays(["C(CC)(C)CCCC", "C(CCCC)(CC)C"])
+    assert spelled[0].tobytes() == spelled[1].tobytes()
     assert np.array_equal(_block_of([a, octane]), _block_of([b, octane]))
+
+
+# -- reading ids -------------------------------------------------------------------
+
+
+def _padded(smiles: str) -> list[list[int]]:
+    """``parse_smiles``' neighbour lists of ``smiles``, padded with -1."""
+    return [list(nb) + [-1] * (4 - len(nb)) for nb in parse_smiles(smiles).adjacency]
+
+
+def test_the_reader_gives_parse_smiles_lists_for_every_id_up_to_c12():
+    for n in range(1, 13):
+        ids = enumerate_alkane_smiles(n, n)
+        table = mgk._neighbor_table(ids, n)
+        assert table.dtype == np.int64 and table.shape == (len(ids), n, 4)
+        assert table.tolist() == [_padded(s) for s in ids]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 19).flatmap(lambda n: st.lists(alkane_trees(n, n), min_size=1, max_size=6)),
+    st.randoms(use_true_random=False),
+)
+def test_the_reader_gives_parse_smiles_lists_for_any_spelling(graphs, rnd):
+    # one carbon count, spelled from random roots in random child order
+    spellings = [_spelling(g, rnd) for g in graphs]
+    table = mgk._neighbor_table(spellings, len(graphs[0]))
+    assert table.tolist() == [_padded(s) for s in spellings]
+
+
+@pytest.mark.parametrize(
+    "bad", ["CC)C", "(C)C", "C()C", "CC(C", "C((C))C", "CC(C)(C)(C)C", "CX", "X"]
+)
+def test_a_malformed_id_raises_parse_smiles_error_when_solved(bad):
+    with pytest.raises(SmilesError) as parsed:
+        parse_smiles(bad)
+    calc = MgkCalculator(DEFAULT)
+    calc.register_canonical(["CCCC", bad, "CC(C)C"])
+    with pytest.raises(SmilesError, match=re.escape(str(parsed.value))):
+        calc.block(["CCCC", bad], ["CC(C)C"])
+
+
+@pytest.mark.parametrize("spelling", [" CCC", "CCC\n", "C((C)C)"])
+def test_an_id_parse_smiles_reads_but_no_canonical_id_holds_raises(spelling):
+    # whitespace, and a "(" not followed by a carbon, are never in an id
+    parse_smiles(spelling)
+    calc = MgkCalculator(DEFAULT)
+    calc.register_canonical([spelling])
+    with pytest.raises(SmilesError, match="no canonical id holds"):
+        calc.block([spelling], [spelling])
 
 
 # -- colour refinement against independent oracles ----------------------------------
@@ -686,7 +770,7 @@ def test_raw_values_independent_of_batch_and_request_order():
 
 def test_normalized_self_is_exactly_one():
     g = parse_smiles("CC(C)CC")
-    assert mgk_normalized(g, g, DEFAULT) == 1.0
+    assert normalized(g, g) == 1.0
 
 
 def test_normalized_bounds_one_iff_isomorphic():
@@ -700,33 +784,22 @@ def test_normalized_bounds_one_iff_isomorphic():
     # an isomorphic relabeling is indistinguishable
     g = parse_smiles("CCCC(C)C")
     h = _permuted(g, [5, 3, 1, 0, 2, 4])
-    assert mgk_normalized(g, h, DEFAULT) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_normalized_self_skips_the_solver(monkeypatch):
-    def boom(*args):
-        raise AssertionError("solved a pair for an identical input")
-
-    monkeypatch.setattr(mgk, "_solve_pairs", boom)
-    g = parse_smiles("CCCC")
-    assert mgk_normalized(g, g, DEFAULT) == 1.0
-
-
-def test_normalized_is_the_calculator_entry_bitwise():
-    p = MgkHyperparameters(lambda_=0.2)
-    graphs = enumerate_alkanes(1, 10)[::9]
-    calc = MgkCalculator(p)
-    keys = calc.register(graphs)
-    whole = calc.block(keys, keys)
-    alone = np.array([[mgk_normalized(g, h, p) for h in graphs] for g in graphs])
-    assert np.array_equal(alone, whole)
-    # pairs both inside and outside the band of solved pairs
-    assert (whole == 0.0).any() and ((whole > 0.0) & (whole < 1.0)).any()
+    assert normalized(g, h) == 1.0
 
 
 def test_butane_isobutane_strictly_between_zero_and_one():
-    v = mgk_normalized(parse_smiles("CCCC"), parse_smiles("CC(C)C"), DEFAULT)
+    v = normalized(parse_smiles("CCCC"), parse_smiles("CC(C)C"))
     assert 0.0 < v < 1.0
+
+
+def test_start_weight_only_rescales_lambda():
+    # raw values scale by start_weight^2 = 4 exactly, and so do the
+    # self-kernel differences the size damping reads
+    mols = enumerate_alkanes(4, 9)
+    heavy = dense(mols, MgkHyperparameters(start_weight=2.0, lambda_=0.2))
+    assert np.array_equal(heavy, dense(mols, MgkHyperparameters(lambda_=0.05)))
+    assert not np.array_equal(heavy, dense(mols, MgkHyperparameters(lambda_=0.2)))
+    assert np.array_equal(dense(mols, MgkHyperparameters(start_weight=2.0)), dense(mols))
 
 
 def test_lambda_finite_matches_manual_formula():
@@ -738,9 +811,9 @@ def test_lambda_finite_matches_manual_formula():
     k11 = mgk_raw(g1, g1, p)
     k22 = mgk_raw(g2, g2, p)
     manual = k12 / math.sqrt(k11 * k22) * math.exp(-(((k11 - k22) / lam) ** 2))
-    assert mgk_normalized(g1, g2, p) == pytest.approx(manual, rel=1e-12)
+    assert normalized(g1, g2, p) == pytest.approx(manual, rel=1e-12)
     plain = k12 / math.sqrt(k11 * k22)
-    assert mgk_normalized(g1, g2, DEFAULT) == pytest.approx(plain, rel=1e-12)
+    assert normalized(g1, g2) == pytest.approx(plain, rel=1e-12)
 
 
 # -- size screen -------------------------------------------------------------------
@@ -853,7 +926,7 @@ def test_normalized_skips_the_solve_of_a_screened_pair(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(mgk, "_solve_pairs", count)
-        assert mgk_normalized(*graphs, SCREENING) == 0.0
+        assert normalized(*graphs, SCREENING) == 0.0
     # butane has 2 colour classes and decane 5
     assert sorted(classes) == [(mgk._size_class(2),) * 2, (mgk._size_class(5),) * 2]
 
@@ -1028,7 +1101,7 @@ def test_iteration_cap_raises():
 def test_cg_iterations_are_counted_per_stack(monkeypatch, cap):
     p = MgkHyperparameters(lambda_=0.2, fp_max_iters=cap)
     arenas = mgk._Arenas()
-    sides = list(zip(*mgk._graph_arrays([parse_smiles("CC(C)CC"), parse_smiles("CCCCCCC")], arenas)))
+    sides = list(zip(*mgk._graph_arrays(["CC(C)CC", "CCCCCCC"], arenas)))
     _, stacks, iterations = solve(arenas, [tuple(sides)], p)
     assert stacks == 1 and 1 <= iterations <= cap
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from alkspace import active_learning as al
 from alkspace import cli, mgk, molspace, pipeline, thermo
-from alkspace._atomic import write_atomic
+from alkspace._atomic import write_atomic, write_json
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import parse_smiles, to_canonical_smiles
 from alkspace.pipeline import (
@@ -68,7 +68,7 @@ def test_to_dict_roundtrip():
 def test_json_roundtrip(tmp_path):
     cfg = PipelineConfig.from_dict(RUN_RAW)
     path = str(tmp_path / "cfg.json")
-    cfg.to_json(path)
+    write_json(path, cfg.to_dict())
     assert PipelineConfig.from_json(path) == cfg
 
 
@@ -844,7 +844,7 @@ def test_a_molecule_list_unlike_the_enumeration_is_rejected(tmp_path):
     cfg = PipelineConfig.from_dict({**RUN_RAW, "out_dir": str(tmp_path)})
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()
-    path = ws.path(f"molecules_{pipeline._hash_obj(cfg.space_dict())}.txt")
+    path = ws.path(f"molecules_{pipeline._hash_obj(cfg.section('chemical_space'))}.txt")
     assert ws.molecule_ids() == ids
     with open(path, "w") as fh:
         fh.write("\n".join(ids[:-5]) + "\n")
