@@ -41,8 +41,8 @@ read, about |S| ulps, so no candidate that a full read keeps or picks is
 dropped. A candidate read to the last row has its bound as its variance: it
 equals a full read's to rounding, and selections were checked identical to
 those of a full read on library runs from C4..C10 to C4..C14. Only the
-kernel pairs read fall. A selection's column K(S, pick) is requested once
-more to extend the factor.
+kernel pairs read fall. A selection's column K(S + pick, pick) is
+requested once more to extend the factor.
 
 A terminated run can be continued at a strictly lower threshold: abandoned
 molecules return to the pool while the selected set is retained, producing
@@ -212,7 +212,7 @@ class _Engine:
     """The selection engine: the Cholesky factor of S, extended once per
     selection, and for every molecule, by position in the sorted id list
     ``ids``, its carried forward-substitution prefix ``x[:known[i], i]``
-    and running bound ``bound[i]`` (NaN until its prior is read).
+    and running bound ``bound[i]`` (NaN until it is first scored).
 
     Equivalent to a fresh GP fit per step (tests check it against one
     built from gpr.fit); the factor grows in selection order, which resume
@@ -247,9 +247,9 @@ class _Engine:
         except that a candidate whose variance bound falls below ``threshold -
         _MARGIN`` gets that bound, clamped alike: its variance lies below the
         threshold too, so :func:`_partition_subset` treats both alike."""
+        # a fresh bound is the unit prior (gpr.KernelProvider)
         fresh = subset[np.isnan(self.bound[subset])]
-        if fresh.size:
-            self.bound[fresh] = provider.diag([self.ids[i] for i in fresh])
+        self.bound[fresh] = 1.0
         gpr._forward(
             self.chol, provider, self.keys, self.ids, threshold - _MARGIN,
             self.x, self.known, self.bound, subset,
@@ -261,8 +261,10 @@ class _Engine:
         key = self.ids[pick]
         keys = self.keys + [key]
         n = len(self.keys)
-        cross = provider.block(self.keys, [key])[:, 0]
-        diag = float(provider.diag([key])[0])
+        # K(pick, pick) as the provider gives it, not 1.0: fits compares
+        # the basis bitwise with the provider's K(S, S)
+        column = provider.block(keys, [key])[:, 0]
+        cross, diag = column[:n], float(column[n])
         basis = np.empty((n + 1, n + 1))
         basis[:n, :n] = self.basis
         basis[:n, n] = basis[n, :n] = cross

@@ -1,9 +1,9 @@
 """Exact Gaussian-process regression over kernel providers.
 
 A kernel provider is any object with ``block(keys_a, keys_b) -> ndarray``
-and ``diag(keys) -> ndarray`` evaluating a positive-semidefinite kernel on
-opaque hashable keys. The molecule-kernel provider is
-:class:`alkspace.mgk.MgkCalculator`, keyed by canonical SMILES;
+evaluating a positive-semidefinite kernel with a unit diagonal on opaque
+hashable keys, so every key's prior variance is 1. The molecule-kernel
+provider is :class:`alkspace.mgk.MgkCalculator`, keyed by canonical SMILES;
 :class:`TemperatureProductKernel` pairs a molecule kernel with a
 squared-exponential factor in temperature for property regression on
 (molecule, temperature) keys.
@@ -65,8 +65,6 @@ class FitError(RuntimeError):
 class KernelProvider(Protocol):
     def block(self, keys_a: Sequence, keys_b: Sequence) -> np.ndarray: ...
 
-    def diag(self, keys: Sequence) -> np.ndarray: ...
-
 
 class TemperatureProductKernel:
     """Provider over (molecule_id, temperature) keys.
@@ -98,10 +96,6 @@ class TemperatureProductKernel:
         np.divide(w, 2.0 * self.length_scale**2, out=w)
         np.exp(w, out=w)
         return np.multiply(kmol, w, out=w)
-
-    def diag(self, keys: Sequence) -> np.ndarray:
-        mols, _ = self._split(keys)
-        return self.molecule_provider.diag(mols)
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -197,8 +191,8 @@ class GprModel:
         queries = tuple(queries)
         if len(queries) == 0:
             return np.zeros(0)
-        # prior minus what the training inputs explain, read in one request
-        var = np.array(self.kernel_provider.diag(queries), dtype=float)
+        # unit prior minus what the training inputs explain, in one request
+        var = np.ones(len(queries))
         n, m = len(self.training_keys), len(queries)
         _forward(
             self.chol_factor, self.kernel_provider, self.training_keys, queries,

@@ -1,7 +1,7 @@
 """Marginalized graph kernel between alkane trees.
 
 Similarity is the expected weight of simultaneous random walks on both
-graphs: each walk starts on every vertex (weight ``start_weight``), stops at
+graphs: each walk starts on every vertex with unit weight, stops at
 a vertex with probability ``q``, or hops to a uniformly chosen neighbour.
 Matched vertices are scored by a Kronecker delta on their degree,
 K_v = 1 for equal degrees and ``delta_degree`` otherwise; every atom is a
@@ -12,7 +12,7 @@ The infinite walk-length sum is the fixed point of
               p_t(u|v) p_t(u'|v') K_v(u,u') R(u,u')
 
 with p_t(u|v) = (1-q)/degree(v), and the raw kernel is
-sum_{v,v'} start_weight^2 K_v(v,v') R(v,v').
+sum_{v,v'} K_v(v,v') R(v,v').
 
 Writing S = K_v * R (elementwise) and multiplying through by the degrees
 turns the fixed point into one symmetric positive-definite system on the
@@ -22,7 +22,7 @@ product graph,
 
 with D_x = d1 d2^T (degrees clamped to at least 1, so methane's lone
 vertex gives R = q^2) and A the 0/1 adjacency matrices. The raw kernel is
-start_weight^2 sum(S).
+sum(S).
 
 Each graph is solved on its colour-refinement classes (Grohe, Kersting,
 Mladenov & Selman, "Dimension Reduction via Colour Refinement", ESA
@@ -41,7 +41,7 @@ and P2 on the right leaves the c1 x c2 system
 where Ab = P^T A P = diag(s) B holds the (symmetric) edge counts between
 classes, s the class sizes, d the class degrees (clamped to 1),
 w = s * d, W = diag(w) and W_x = w1 w2^T. The raw kernel is
-start_weight^2 s1^T T s2. Classes are numbered canonically, in the order
+s1^T T s2. Classes are numbered canonically, in the order
 of their refinement signatures, so a relabelled graph gives bitwise the
 same quotient, and a pair's value does not depend on vertex numbering.
 
@@ -181,22 +181,19 @@ def _require_real(
 class MgkHyperparameters:
     """Random-walk and micro-kernel parameters.
 
-    ``q`` is the per-vertex stopping probability, ``start_weight`` the
-    per-vertex starting weight. Raw values scale by its square, and the size
-    damping reads raw self-kernels, so it acts as ``lambda_`` divided by its
-    square would, and cancels at an infinite ``lambda_``.
-    ``delta_degree`` is the off-diagonal return of the degree
-    comparator; all atoms are carbons and all bonds single, so there is no
-    element or bond-order comparator. ``lambda_`` scales the
-    self-kernel-mismatch damping (infinite disables it); an entry whose
-    damping factor is below 2^-53 is exactly 0 and its pair is never
-    solved. ``fp_tolerance`` is the relative residual, in the norm of the
-    eigenbasis preconditioner, at which a pair's solve stops, and
-    ``fp_max_iters`` caps its conjugate-gradient iterations.
+    ``q`` is the per-vertex stopping probability; every vertex starts its
+    walks with unit weight, as a common weight w would scale raw values by
+    w^2 and so act only as ``lambda_`` / w^2 does. ``delta_degree`` is the
+    off-diagonal return of the degree comparator; all atoms are carbons and
+    all bonds single, so there is no element or bond-order comparator.
+    ``lambda_`` scales the self-kernel-mismatch damping (infinite disables
+    it); an entry whose damping factor is below 2^-53 is exactly 0 and its
+    pair is never solved. ``fp_tolerance`` is the relative residual, in the
+    norm of the eigenbasis preconditioner, at which a pair's solve stops,
+    and ``fp_max_iters`` caps its conjugate-gradient iterations.
     """
 
     q: float = 0.05
-    start_weight: float = 1.0
     delta_degree: float = 0.9
     lambda_: float = math.inf
     fp_tolerance: float = 1e-10
@@ -208,8 +205,6 @@ class MgkHyperparameters:
             _require_real(f.name, getattr(self, f.name), inf=f.name == "lambda_")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
-        if self.start_weight <= 0.0:
-            raise ValueError("start_weight must be positive")
         if not 0.0 < self.delta_degree < 1.0:
             raise ValueError(f"delta_degree must lie in (0,1), got {self.delta_degree}")
         if not self.lambda_ > 0.0:
@@ -223,17 +218,16 @@ class MgkHyperparameters:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "MgkHyperparameters":
-        """Build from a config mapping; the file key for lambda_ is "lambda"
-        and a null value means infinity."""
-        known = {f.name for f in fields(cls)}
+        """Build from a config mapping; the file key for lambda_ is "lambda",
+        not the field name, and a null value means infinity."""
+        known = {f.name for f in fields(cls)} - {"lambda_"}
         kwargs: dict[str, object] = {}
         for key, value in raw.items():
-            name = "lambda_" if key == "lambda" else key
-            if name not in known:
+            if key == "lambda":
+                key, value = "lambda_", math.inf if value is None else value
+            elif key not in known:
                 raise ValueError(f"unknown kernel config key {key!r}")
-            if name == "lambda_" and value is None:
-                value = math.inf
-            kwargs[name] = value
+            kwargs[key] = value
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def to_dict(self) -> dict[str, object]:
@@ -246,8 +240,12 @@ class MgkHyperparameters:
         return out
 
     def content_hash(self) -> str:
-        # every field but the last, fp_max_iters, is hashed as a float
-        parts = [repr(float(getattr(self, f.name))) for f in fields(self)[:-1]]
+        """Hash of the fields raw values depend on: all but ``lambda_``,
+        which only normalizes and screens, so one store of raw values
+        serves every ``lambda_``."""
+        # fp_max_iters, the last field, is hashed as an int, the rest as floats
+        names = [f.name for f in fields(self) if f.name != "lambda_"]
+        parts = [repr(float(getattr(self, name))) for name in names[:-1]]
         parts.append(repr(int(self.fp_max_iters)))
         return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
@@ -523,7 +521,6 @@ def _solve_pairs(
     """
     scale = (1.0 - p.q) ** 2
     q2 = p.q * p.q
-    sw2 = p.start_weight**2
     out = np.empty(len(class_a))
     stacks = iterations = 0
     flip = class_a > class_b
@@ -556,7 +553,7 @@ def _solve_pairs(
                 q2 * vd1[:, :, None] * vd2[:, None, :],
                 p,
             )
-            out[chunk] = sw2 * sums
+            out[chunk] = sums
             stacks += 1
             iterations += taken
     return out, stacks, iterations
@@ -652,9 +649,9 @@ def _merge(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> tuple[np.nda
 class MgkCalculator:
     """Kernel evaluator over a store of raw values keyed by molecule index.
 
-    :meth:`block` and :meth:`diag` make it the molecule-kernel provider of
-    the regression and selection layers. :meth:`register` and
-    :meth:`register_canonical` give each canonical SMILES a dense index.
+    :meth:`block` makes it the molecule-kernel provider of the regression
+    and selection layers. :meth:`register` and :meth:`register_canonical`
+    give each canonical SMILES a dense index.
     A molecule's graph arrays are read from its id when one of its pairs is
     first solved; no graph is kept. Raw (un-normalized) self-kernels live in
     one float64 vector indexed by molecule, NaN until known; the other raw
@@ -760,8 +757,9 @@ class MgkCalculator:
         The missing self-kernels are solved first; of the cross pairs, only
         those whose entry is not screened to 0 (:func:`_normalize`) are read
         or solved. Values are normalized once per distinct pair of keys and
-        then expanded to the requested rows and columns, so the block of a
-        key list against itself is exactly symmetric with a unit diagonal.
+        then expanded to the requested rows and columns, so an entry of a
+        key against itself is exactly 1.0, and the block of a key list
+        against itself is exactly symmetric.
         """
         index = self._index.__getitem__
         ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64, len(keys_a)), return_inverse=True)
@@ -787,9 +785,6 @@ class MgkCalculator:
         values = _normalize(k12, k11, k22, self.params)
         values[ia[same], ib[same]] = 1.0
         return values[np.ix_(rows, cols)]
-
-    def diag(self, keys: Sequence[str]) -> np.ndarray:
-        return np.ones(len(keys))
 
     def _compute_pairs(self, codes: np.ndarray) -> np.ndarray:
         """Solve and store the raw values of the pairs with these distinct
@@ -841,8 +836,9 @@ class MgkCalculator:
 
         A segment is an npz file of a sorted key table, int32 index pairs
         (i, j) into it, i <= j, in increasing order, their float64 raw
-        values, the cache version and the hyperparameter hash; equal
-        contents give equal bytes.
+        values, the cache version and the hash of the hyperparameters the
+        raw values depend on (:meth:`MgkHyperparameters.content_hash`, which
+        leaves out ``lambda_``); equal contents give equal bytes.
         """
         return self._segment_of(np.concatenate([np.empty(0, np.int64), *self._solved]))
 
@@ -882,12 +878,12 @@ class MgkCalculator:
         """Load one cache segment; returns its row count.
 
         ValueError, naming the file, if the segment was written under other
-        hyperparameters or another version, holds a value that is not a
-        finite positive number or an index outside its key table, its key
-        table or rows are not strictly increasing, rows in (i, j) with
-        i <= j, or it holds a pair already held with another value. Then
-        nothing is loaded. A pair held with the same value is skipped: two
-        commands may both solve it.
+        hyperparameters (``lambda_`` aside) or another version, holds a
+        value that is not a finite positive number or an index outside its
+        key table, its key table or rows are not strictly increasing, rows
+        in (i, j) with i <= j, or it holds a pair already held with another
+        value. Then nothing is loaded. A pair held with the same value is
+        skipped: two commands may both solve it.
         """
 
         def bad(problem: str) -> ValueError:

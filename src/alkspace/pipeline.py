@@ -392,8 +392,13 @@ class _Workspace:
     # kernel
 
     def kernel_hash(self) -> str:
+        """The name prefix of the workspace's kernel segments: the space and
+        the settings raw values depend on, so one store serves every
+        ``lambda``."""
         cfg = self.config
-        return _hash_obj({"space": cfg.section("chemical_space"), "kernel": cfg.kernel.to_dict()})
+        return _hash_obj(
+            {"space": cfg.section("chemical_space"), "kernel": cfg.kernel.content_hash()}
+        )
 
     @contextmanager
     def kernel(self, ids: Sequence[str]) -> Iterator[MgkCalculator]:

@@ -114,19 +114,12 @@ def _truncated_walk_sum(
                         acc += pv * pw * kv(u, x) * r[(u, x)]
                 nxt[(v, w)] = acc
         r = nxt
-    sw2 = p.start_weight * p.start_weight
-    return sum(
-        sw2 * kv(v, w) * r[(v, w)]
-        for v in range(n1)
-        for w in range(n2)
-    )
+    return sum(kv(v, w) * r[(v, w)] for v in range(n1) for w in range(n2))
 
 
 def _truncation_tail(p: MgkHyperparameters, n1: int, n2: int, hops: int) -> float:
     decay = (1.0 - p.q) ** 2
-    return (
-        p.start_weight**2 * n1 * n2 * p.q * p.q * decay ** (hops + 1) / (1.0 - decay)
-    )
+    return n1 * n2 * p.q * p.q * decay ** (hops + 1) / (1.0 - decay)
 
 
 def test_criterion_2_kernel_against_walk_oracle():
@@ -164,9 +157,6 @@ class _Rbf:
         xa = np.asarray(a, dtype=float)[:, None]
         xb = np.asarray(b, dtype=float)[None, :]
         return np.exp(-0.5 * (xa - xb) ** 2)
-
-    def diag(self, keys):
-        return np.ones(len(keys))
 
 
 def test_criterion_3_gpr_exactness():

@@ -44,9 +44,6 @@ class DictProvider:
         ib = [self.index[k] for k in keys_b]
         return self.values[np.ix_(ia, ib)]
 
-    def diag(self, keys):
-        return np.array([self.values[self.index[k], self.index[k]] for k in keys])
-
 
 def identity_provider(ids):
     return DictProvider(ids, np.eye(len(ids)))
@@ -261,9 +258,6 @@ def test_step_is_transactional_on_provider_failure():
     class Boom:
         def block(self, *_):
             raise RuntimeError("provider failure")
-
-        def diag(self, keys):
-            return np.ones(len(keys))
 
     state = al_init(ids, threshold=0.5, batch=2, seed=0)
     snapshot = (state.selected, state.pool, state.abandoned, state.iteration)
@@ -491,9 +485,6 @@ class Forwarding:
     def block(self, keys_a, keys_b):
         return self.provider.block(keys_a, keys_b)
 
-    def diag(self, keys):
-        return self.provider.diag(keys)
-
 
 # three distinct thresholds, highest first
 thresholds3 = st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3, unique=True).map(
@@ -546,11 +537,14 @@ def test_continuations_of_one_terminal_state_match_the_refit_oracle(seed, batch,
         assert runs[name] == want, name
     assert runs["checkpoint copy"] == runs["mid"]
     # the first continuation took the engine over; the second continuation of
-    # that state, another kernel or another noise start one of their own
+    # that state, another kernel or another noise start one of their own,
+    # unless the first stage abandoned nothing: then no step runs, and the
+    # engine is passed on as it is
     assert runs["mid"]._engine is engines["mid"] is not None
     assert engines["low"] is None
     for name in ("other kernel", "other noise"):
-        assert engines[name] is not None and runs[name]._engine is not engines[name]
+        assert engines[name] is not None
+        assert (runs[name]._engine is engines[name]) == (not state.abandoned)
 
 
 @settings(max_examples=25, deadline=None)
@@ -657,9 +651,6 @@ def test_a_step_reads_each_kernel_entry_once(monkeypatch):
             requested.extend((a, b) for a in keys_a for b in keys_b)
             return calc.block(keys_a, keys_b)
 
-        def diag(self, keys):
-            return calc.diag(keys)
-
     score = al._Engine.variances
     steps = []
 
@@ -699,8 +690,6 @@ def test_continue_with_an_empty_pool_still_checkpoints(tmp_path):
     class Unused:
         def block(self, *_):
             raise AssertionError("an empty pool needs no kernel")
-
-        diag = block
 
     path = str(tmp_path / "next.json")
     out = al_continue(state, 0.05, Unused(), checkpoint_path=path)

@@ -113,9 +113,14 @@ def test_a_bad_float_config_field_exits_one_writing_nothing(tmp_path, section, k
     assert os.listdir(out_dir) == []
 
 
-@pytest.mark.parametrize("key, value", [("delta_element", 0.3), ("delta_bond_order", 0.9)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("delta_element", 0.3), ("delta_bond_order", 0.9), ("start_weight", 1.0), ("lambda_", 5.0)],
+)
 def test_a_dropped_kernel_key_exits_one_writing_nothing(tmp_path, caplog, key, value):
-    # neither key entered any value, and both are gone from the settings
+    # the two deltas entered no value and start_weight only rescaled lambda,
+    # so all three are gone from the settings; lambda_ is the field's name,
+    # whose file key is "lambda", which the config sets too
     raw = {**CONFIG_RAW, "kernel": {**CONFIG_RAW["kernel"], key: value}}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))

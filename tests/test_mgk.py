@@ -152,11 +152,10 @@ def dp_truncated_raw(
                         acc += pv * pw * _kv(g1, u, g2, x, p) * r[(u, x)]
                 nxt[(v, w)] = acc
         r = nxt
-    sw2 = p.start_weight * p.start_weight
     total = 0.0
     for v in range(n1):
         for w in range(n2):
-            total += sw2 * _kv(g1, v, g2, w, p) * r[(v, w)]
+            total += _kv(g1, v, g2, w, p) * r[(v, w)]
     return total
 
 
@@ -178,7 +177,7 @@ def brute_force_raw(
     for hops in range(max_hops + 1):
         for w1 in _walks(g1, hops):
             for w2 in _walks(g2, hops):
-                weight = p.start_weight * p.start_weight * _kv(g1, w1[0], g2, w2[0], p)
+                weight = _kv(g1, w1[0], g2, w2[0], p)
                 for i in range(1, hops + 1):
                     weight *= (1.0 - p.q) / len(g1.adjacency[w1[i - 1]])
                     weight *= (1.0 - p.q) / len(g2.adjacency[w2[i - 1]])
@@ -202,7 +201,7 @@ def direct_raw(g1: MolecularGraph, g2: MolecularGraph, p: MgkHyperparameters) ->
                     )
     r = np.linalg.solve(np.eye(n1 * n2) - w, np.full(n1 * n2, p.q * p.q))
     kv = [_kv(g1, v, g2, x, p) for v in range(n1) for x in range(n2)]
-    return p.start_weight**2 * float(np.dot(kv, r))
+    return float(np.dot(kv, r))
 
 
 def truncation_tail_bound(
@@ -212,7 +211,7 @@ def truncation_tail_bound(
     n1, n2 = len(g1), len(g2)
     c = (1.0 - p.q) ** 2
     tail = p.q * p.q * c ** (hops + 1) / (1.0 - c)
-    return p.start_weight**2 * n1 * n2 * tail
+    return n1 * n2 * tail
 
 
 # -- closed forms and symmetry -------------------------------------------------
@@ -222,8 +221,6 @@ def test_single_vertex_closed_form():
     c1 = parse_smiles("C")
     p = DEFAULT
     assert mgk_raw(c1, c1, p) == pytest.approx(p.q**2, rel=1e-12)
-    heavy = MgkHyperparameters(start_weight=2.0)
-    assert mgk_raw(c1, c1, heavy) == pytest.approx(4.0 * heavy.q**2, rel=1e-12)
 
 
 def test_symmetry_on_random_alkane_pairs():
@@ -792,16 +789,6 @@ def test_butane_isobutane_strictly_between_zero_and_one():
     assert 0.0 < v < 1.0
 
 
-def test_start_weight_only_rescales_lambda():
-    # raw values scale by start_weight^2 = 4 exactly, and so do the
-    # self-kernel differences the size damping reads
-    mols = enumerate_alkanes(4, 9)
-    heavy = dense(mols, MgkHyperparameters(start_weight=2.0, lambda_=0.2))
-    assert np.array_equal(heavy, dense(mols, MgkHyperparameters(lambda_=0.05)))
-    assert not np.array_equal(heavy, dense(mols, MgkHyperparameters(lambda_=0.2)))
-    assert np.array_equal(dense(mols, MgkHyperparameters(start_weight=2.0)), dense(mols))
-
-
 def test_lambda_finite_matches_manual_formula():
     g1 = parse_smiles("CCCC")
     g2 = parse_smiles("CCCCCC")
@@ -1131,10 +1118,8 @@ def test_cg_iterations_are_counted_per_stack(monkeypatch, cap):
     [
         {"q": 0.0},
         {"q": 1.0},
-        {"start_weight": 0.0},
         {"delta_degree": 0.0},
         {"delta_degree": 1.0},
-        {"start_weight": -1.0},
         {"lambda_": 0.0},
         {"fp_tolerance": 0.0},
         {"fp_max_iters": 0},
@@ -1145,10 +1130,11 @@ def test_hyperparameter_validation(kwargs):
         MgkHyperparameters(**kwargs)
 
 
-_FLOAT_FIELDS = ("q", "start_weight", "delta_degree", "lambda_", "fp_tolerance")
-# fields that entered no alkane value and were dropped; a config key of
-# either name is unknown, whatever its value
-_DROPPED_FIELDS = ("delta_element", "delta_bond_order")
+_FLOAT_FIELDS = ("q", "delta_degree", "lambda_", "fp_tolerance")
+# dropped fields: the two deltas entered no alkane value, and start_weight
+# only rescaled lambda_; a config key of any of these names is unknown,
+# whatever its value
+_DROPPED_FIELDS = ("delta_element", "delta_bond_order", "start_weight")
 
 
 @pytest.mark.parametrize("field", _FLOAT_FIELDS + _DROPPED_FIELDS)
@@ -1175,6 +1161,10 @@ def test_from_dict_lambda_key_and_null():
     assert p.lambda_ == 0.25
     with pytest.raises(ValueError):
         MgkHyperparameters.from_dict({"qq": 0.1})
+    # the field's name is no file key, not even beside "lambda"
+    for raw in ({"lambda_": 5.0}, {"lambda": 0.2, "lambda_": 5.0}):
+        with pytest.raises(ValueError, match="unknown kernel config key 'lambda_'"):
+            MgkHyperparameters.from_dict(raw)
 
 
 def test_dict_roundtrip():
@@ -1230,6 +1220,20 @@ def test_block_with_repeated_keys_matches_entrywise_values():
         for j, b in enumerate(cols):
             if a == b:
                 assert got[i, j] == 1.0
+    # the unit diagonal the selection engine and gpr rely on: a shuffled
+    # list with repeats against another, on calculators that solve every
+    # self-kernel in this one call, is exactly 1.0 wherever the keys agree
+    rng = np.random.default_rng(4)
+    for lam in (math.inf, 0.2):
+        fresh = MgkCalculator(MgkHyperparameters(lambda_=lam))
+        fresh.register(mols)
+        rows = [keys[i] for i in rng.integers(0, len(keys), 40)]
+        cols = [keys[i] for i in rng.permutation(len(keys))] + rows[:7]
+        got = fresh.block(rows, cols)
+        equal = np.array(rows)[:, None] == np.array(cols)[None, :]
+        assert equal.sum() > len(rows)
+        assert (got[equal] == 1.0).all()
+        assert (got[~equal] < 1.0).all()
 
 
 def test_cache_roundtrip_bitwise(tmp_path):
@@ -1278,6 +1282,15 @@ def test_a_segment_loads_bitwise_into_any_registration_order(mols, rnd, lam):
     # the loaded store, written whole, is the same segment
     assert fresh.segment()[0] == 0
     assert whole_store(fresh) == (rows_written, data)
+    # raw values do not depend on lambda_, so the segment serves the other
+    # lambda_ too, and a calculator there solves only the pairs it lacks
+    other = MgkHyperparameters(lambda_=0.2 if math.isinf(lam) else math.inf)
+    loaded, alone = MgkCalculator(other), MgkCalculator(other)
+    loaded.register(shuffled)
+    alone.register(mols)
+    assert loaded.load_cache(io.BytesIO(data)) == rows_written
+    assert np.array_equal(loaded.block(rows, keys), alone.block(rows, keys))
+    assert loaded.pairs_solved < alone.pairs_solved
 
 
 def test_a_solved_only_segment_holds_just_the_new_pairs(tmp_path):

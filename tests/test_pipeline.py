@@ -809,9 +809,6 @@ def test_lazy_kernel_matches_a_dense_oracle(staged_run, tmp_path, monkeypatch):
             cols = [self.index[k] for k in keys_b]
             return self.values[np.ix_(rows, cols)]
 
-        def diag(self, keys):
-            return np.diagonal(self.values)[[self.index[k] for k in keys]]
-
     @contextlib.contextmanager
     def dense(ws, ids):
         calc = MgkCalculator(ws.config.kernel)
@@ -867,6 +864,36 @@ def test_an_old_csv_kernel_cache_is_ignored(tmp_path):
     assert old.read_bytes() == before
     (segment,) = [n for n in os.listdir(tmp_path) if n.endswith(".npz")]
     assert segment.startswith(f"kernel_{ws.kernel_hash()}_")
+
+
+def test_one_kernel_store_serves_every_lambda(tmp_path, caplog):
+    # segments are named by the space and the settings raw values depend on,
+    # which leave lambda out: a null-lambda run-all on the workspace a run at
+    # 0.2 filled solves no pair, and writes what it writes into a fresh one
+    raw = {
+        "chemical_space": {"min_carbons": 4, "max_carbons": 7},
+        "active_learning": {"thresholds": [0.5, 0.4]},
+        "evaluation": {"n_test": 8, "control_seeds": [0, 1]},
+    }
+    shared, fresh = str(tmp_path / "shared"), str(tmp_path / "fresh")
+    run_alms(PipelineConfig.from_dict({**raw, "kernel": {"lambda": 0.2}, "out_dir": shared}))
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    solved = []
+    for out_dir in (shared, fresh):
+        caplog.clear()
+        run_alms(PipelineConfig.from_dict({**raw, "kernel": {"lambda": None}, "out_dir": out_dir}))
+        (line,) = [m for m in caplog.messages if ", solved " in m]
+        solved.append(int(re.search(r", solved (\d+) kernel pairs", line).group(1)))
+    assert solved[0] == 0 < solved[1]
+    want, got = _workspace_bytes(fresh), _workspace_bytes(shared)
+    # one store under one name prefix: the 0.2 run's segment, which the null
+    # run, solving nothing, did not add to
+    (segment,) = [n for n in want if n.startswith("kernel_")]
+    (filled,) = [n for n in got if n.startswith("kernel_")]
+    assert filled.rsplit("_", 1)[0] == segment.rsplit("_", 1)[0]
+    for name, data in want.items():
+        if name != segment:
+            assert got[name] == data, name
 
 
 def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
