@@ -1118,8 +1118,10 @@ def test_cg_iterations_are_counted_per_stack(monkeypatch, cap):
     [
         {"q": 0.0},
         {"q": 1.0},
+        {"lambda_": -1.0},
         {"delta_degree": 0.0},
         {"delta_degree": 1.0},
+        {"fp_max_iters": 3.0},
         {"lambda_": 0.0},
         {"fp_tolerance": 0.0},
         {"fp_max_iters": 0},
