@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from alkspace import active_learning as al
 from alkspace import cli, mgk, molspace, pipeline, thermo
-from alkspace._atomic import write_atomic, write_json
+from alkspace._atomic import json_text, write_atomic, write_json
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import parse_smiles, to_canonical_smiles
 from alkspace.pipeline import (
@@ -30,6 +31,7 @@ from alkspace.pipeline import (
     Metrics,
     PipelineConfig,
     PredictionRow,
+    SeedComparison,
     StageError,
     StageResult,
     compare_al_random,
@@ -225,6 +227,106 @@ def test_rmse_dominates_mae():
         t = rng.normal(size=30)
         m = evaluate(p, t)
         assert m.rmse >= m.mae
+
+
+# -- pinned artifact names and report bytes -------------------------------------------
+
+# the example config of the README
+README_RAW = {
+    "chemical_space": {"min_carbons": 4, "max_carbons": 12},
+    "kernel": {"q": 0.05, "lambda": 0.2},
+    "gpr": {"al_noise": 1e-4, "regression_noise": 1e-2, "temperature_length_scale": 50.0},
+    "active_learning": {"thresholds": [0.5, 0.4, 0.3], "batch": 1000, "seed": 1,
+                        "checkpoint_every": 25},
+    "oracle": {"noise_sigma": 0.0, "seed": 7},
+    "evaluation": {"n_test": 200, "split_seed": 11, "control_seeds": [0, 1, 2, 3, 4]},
+    "out_dir": "out",
+}
+
+
+def test_artifact_names_are_pinned(tmp_path):
+    """A renamed config key or section renames every artifact of a
+    workspace, which then rebuilds from scratch: the names of the README
+    config are pinned."""
+    cfg = PipelineConfig.from_dict({**README_RAW, "out_dir": str(tmp_path)})
+    ws = pipeline._Workspace(cfg)
+    assert cfg.content_hash() == "411a6ff2d139"
+    assert ws.kernel_hash() == "c8c8a44a71e9"
+    assert [ws.al_stage_hash(n) for n in (1, 2, 3)] == [
+        "bef8b2a8d975", "b1d0e37483d6", "2c264c6a347e"
+    ]
+
+
+def _pinned_metrics(rmse, mae, r2):
+    return {"mae": mae, "r2": r2, "r2_defined": r2 is not None, "rmse": rmse}
+
+
+def test_report_bytes_are_pinned():
+    """The report and comparison files of hand-built records: their keys,
+    and the bytes json_text gives them."""
+    stage_metrics = {
+        "density": Metrics(1.5, 0.25, 0.875),
+        "heat_capacity": Metrics(0.1, 0.0625, None),
+        "hov": Metrics(2.0, 1.0, -0.5),
+    }
+    report = EvalReport(
+        "0123456789ab", 37, 20, 320, (StageResult(1, 0.5, 9, 144, 9 / 37, stage_metrics),)
+    )
+    text = json_text(report.to_dict())
+    assert text == json_text({
+        "config_hash": "0123456789ab", "n_molecules": 37, "n_test_molecules": 20,
+        "n_test_rows": 320,
+        "stages": [{
+            "metrics": {
+                "density": _pinned_metrics(1.5, 0.25, 0.875),
+                "heat_capacity": _pinned_metrics(0.1, 0.0625, None),
+                "hov": _pinned_metrics(2.0, 1.0, -0.5),
+            },
+            "n_selected": 9, "n_train_rows": 144, "selected_fraction": 9 / 37,
+            "stage": 1, "threshold": 0.5,
+        }],
+    })
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b32e4e0eb5fc176a"
+
+    al_metrics = {
+        "density": Metrics(1.0, 0.5, 0.9),
+        "heat_capacity": Metrics(3.0, 2.0, 0.5),
+        "hov": Metrics(0.5, 0.25, 0.99),
+    }
+    random_metrics = {
+        "density": Metrics(2.0, 1.0, 0.8),
+        "heat_capacity": Metrics(1.0, 0.5, None),
+        "hov": Metrics(0.5, 0.25, 0.98),
+    }
+    comparison = ComparisonReport(
+        "0123456789ab", 9, (0,), (SeedComparison(0, 176, al_metrics, random_metrics),),
+        {"density": 1.0, "heat_capacity": 3.0, "hov": 0.5},
+        {"density": 2.0, "heat_capacity": 1.0, "hov": 0.5},
+    )
+    text = json_text(comparison.to_dict())
+    assert text == json_text({
+        "al_wins": {"density": True, "heat_capacity": False, "hov": True},
+        "config_hash": "0123456789ab",
+        "median_rmse_al": {"density": 1.0, "heat_capacity": 3.0, "hov": 0.5},
+        "median_rmse_random": {"density": 2.0, "heat_capacity": 1.0, "hov": 0.5},
+        "n_train_molecules": 9,
+        "per_seed": [{
+            "al": {
+                "density": _pinned_metrics(1.0, 0.5, 0.9),
+                "heat_capacity": _pinned_metrics(3.0, 2.0, 0.5),
+                "hov": _pinned_metrics(0.5, 0.25, 0.99),
+            },
+            "n_eval_rows": 176,
+            "random": {
+                "density": _pinned_metrics(2.0, 1.0, 0.8),
+                "heat_capacity": _pinned_metrics(1.0, 0.5, None),
+                "hov": _pinned_metrics(0.5, 0.25, 0.98),
+            },
+            "seed": 0,
+        }],
+        "seeds": [0],
+    })
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "81a561a4574d36f5"
 
 
 # -- test split -------------------------------------------------------------------
