@@ -212,7 +212,8 @@ class _Engine:
     """The selection engine: the Cholesky factor of S, extended once per
     selection, and for every molecule, by position in the sorted id list
     ``ids``, its carried forward-substitution prefix ``x[:known[i], i]``
-    and running bound ``bound[i]`` (NaN until it is first scored).
+    and running bound ``bound[i]``, the unit prior (gpr.KernelProvider)
+    until it is first scored.
 
     Equivalent to a fresh GP fit per step (tests check it against one
     built from gpr.fit); the factor grows in selection order, which resume
@@ -229,7 +230,7 @@ class _Engine:
         self.exact = jitter == 0.0
         self.x = np.empty((_rows_for(len(keys)), len(ids)))
         self.known = np.zeros(len(ids), np.int64)
-        self.bound = np.full(len(ids), np.nan)
+        self.bound = np.ones(len(ids))
 
     def fits(self, ids: list[str], keys: list[str], k: np.ndarray, noise: float) -> bool:
         """Whether this engine may carry on for S = ``keys`` whose kernel
@@ -247,9 +248,6 @@ class _Engine:
         except that a candidate whose variance bound falls below ``threshold -
         _MARGIN`` gets that bound, clamped alike: its variance lies below the
         threshold too, so :func:`_partition_subset` treats both alike."""
-        # a fresh bound is the unit prior (gpr.KernelProvider)
-        fresh = subset[np.isnan(self.bound[subset])]
-        self.bound[fresh] = 1.0
         gpr._forward(
             self.chol, provider, self.keys, self.ids, threshold - _MARGIN,
             self.x, self.known, self.bound, subset,
@@ -277,7 +275,7 @@ class _Engine:
             chol, _ = gpr._factor(provider.block(keys, keys), self.noise)
             self.exact = False
             self.known[:] = 0
-            self.bound[:] = np.nan
+            self.bound[:] = 1.0
         if n + 1 > len(self.x):
             x = np.empty((_rows_for(n + 1), len(self.ids)))
             x[:n] = self.x[:n]

@@ -11,7 +11,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
@@ -165,7 +165,7 @@ def cmd_al(args: argparse.Namespace) -> int:
     ids = ws.molecule_ids()
     path = args.checkpoint or ws.al_stage_path(1)
     with ws.kernel(ids) as calc:
-        state = ws.al_stage(ids, calc, 1, path)
+        state = ws.al_stage(ids, calc, threshold, path)
     print(
         f"selected {len(state.selected)} of {len(ids)} molecules "
         f"at threshold {state.threshold} -> {path}"
@@ -174,30 +174,26 @@ def cmd_al(args: argparse.Namespace) -> int:
 
 
 def cmd_al_continue(args: argparse.Namespace) -> int:
-    from . import active_learning as al
     from .pipeline import _Workspace
 
     # a threshold outside (0, 1] is a config error, as for `al`
     config = replace(_load_config(args), thresholds=(args.threshold,))
     ws = _Workspace(config)
     ids = ws.molecule_ids()
-    state = ws.checkpoint(args.checkpoint, ids)
-    if not args.threshold < state.threshold:
+    prev = ws.checkpoint(args.checkpoint, ids)
+    if not args.threshold < prev.threshold:
         raise ConfigError(
             f"--threshold {args.threshold:g} must lie strictly below the "
-            f"checkpoint's {state.threshold:g}"
+            f"checkpoint's {prev.threshold:g}"
         )
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)),
         f"al_continue_U{args.threshold:g}.json",
     )
     with ws.kernel(ids) as calc:
-        new_state = al.al_continue(
-            state, args.threshold, calc, noise=config.gpr.al_noise,
-            checkpoint_path=out, checkpoint_every=config.checkpoint_every,
-        )
+        state = ws.al_stage(ids, calc, args.threshold, out, prev)
     print(
-        f"selected {len(new_state.selected)} molecules "
+        f"selected {len(state.selected)} molecules "
         f"at threshold {args.threshold} -> {out}"
     )
     return 0
@@ -236,7 +232,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     preds = pipeline.read_predictions(args.pred)
     truths = thermo.read_dataset(args.truth)
     metrics = pipeline.evaluate_predictions(preds, truths)
-    payload = {k: m.to_dict() for k, m in metrics.items()}
+    payload = {k: asdict(m) for k, m in metrics.items()}
     print(json_text(payload), end="")
     if args.out:
         write_json(args.out, payload)
@@ -252,7 +248,7 @@ def cmd_compare_random(args: argparse.Namespace) -> int:
         print(
             f"{prop}: median rmse AL={report.median_rmse_al[prop]:.6g} "
             f"random={report.median_rmse_random[prop]:.6g} "
-            f"({'AL' if report.al_wins(prop) else 'random'} wins)"
+            f"({'AL' if report.al_wins[prop] else 'random'} wins)"
         )
     print(f"comparison_{report.config_hash}.json in {config.out_dir}")
     return 0

@@ -51,28 +51,6 @@ class StageError(RuntimeError):
 # -- configuration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GprSettings:
-    """Noise levels and the temperature length scale of the composite kernel."""
-
-    al_noise: float = al.DEFAULT_AL_NOISE
-    regression_noise: float = 1e-2
-    temperature_length_scale: float = 50.0
-
-    def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
-            _require_real(name, value, ConfigError)
-        for name in ("al_noise", "regression_noise"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        if not self.temperature_length_scale > 0.0:
-            raise ConfigError("temperature_length_scale must be positive")
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
 # The flat sections of the JSON form: file key -> field name.
 _CONFIG_KEYS = {
     "chemical_space": {"min_carbons": "min_carbons", "max_carbons": "max_carbons"},
@@ -84,6 +62,10 @@ _CONFIG_KEYS = {
     "evaluation": {
         "n_test": "n_test", "split_seed": "split_seed", "control_seeds": "control_seeds",
     },
+    "gpr": {
+        "al_noise": "al_noise", "regression_noise": "regression_noise",
+        "temperature_length_scale": "temperature_length_scale",
+    },
 }
 
 _INT_FIELDS = (
@@ -91,19 +73,25 @@ _INT_FIELDS = (
     "oracle_seed", "n_test", "split_seed",
 )
 
+# finite and non-negative; the length scale must also be positive
+_FLOAT_FIELDS = ("noise_sigma", "al_noise", "regression_noise", "temperature_length_scale")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a run depends on; two equal configs give identical outputs.
 
     The JSON form groups the fields into sections (chemical_space, kernel,
-    gpr, active_learning, oracle, evaluation) plus a top-level out_dir.
+    gpr, active_learning, oracle, evaluation) plus a top-level out_dir;
+    every section but kernel is flat (``_CONFIG_KEYS``).
     """
 
     min_carbons: int = 4
     max_carbons: int = 12
     kernel: MgkHyperparameters = field(default_factory=MgkHyperparameters)
-    gpr: GprSettings = field(default_factory=GprSettings)
+    al_noise: float = al.DEFAULT_AL_NOISE
+    regression_noise: float = 1e-2
+    temperature_length_scale: float = 50.0
     thresholds: tuple[float, ...] = (0.5, 0.4, 0.3)
     batch: int = 1000
     al_seed: int = 1
@@ -139,9 +127,13 @@ class PipelineConfig:
             raise ConfigError("batch must be at least 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be at least 1")
-        _require_real("noise_sigma", self.noise_sigma, ConfigError)
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            _require_real(name, value, ConfigError)
+            if value < 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        if not self.temperature_length_scale > 0.0:
+            raise ConfigError("temperature_length_scale must be positive")
         if self.n_test < 0:
             raise ConfigError("n_test must be non-negative")
         if len(set(self.control_seeds)) != len(self.control_seeds):
@@ -159,17 +151,17 @@ class PipelineConfig:
             "thresholds": list(ts),
             "batch": self.batch,
             "seed": self.al_seed,
-            "al_noise": self.gpr.al_noise,
+            "al_noise": self.al_noise,
         }
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {name: self.section(name) for name in _CONFIG_KEYS}
-        out.update(kernel=self.kernel.to_dict(), gpr=self.gpr.to_dict(), out_dir=self.out_dir)
+        out.update(kernel=self.kernel.to_dict(), out_dir=self.out_dir)
         return out
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "PipelineConfig":
-        unknown = set(raw) - {*_CONFIG_KEYS, "kernel", "gpr", "out_dir"}
+        unknown = set(raw) - {*_CONFIG_KEYS, "kernel", "out_dir"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
@@ -187,7 +179,6 @@ class PipelineConfig:
             kwargs.update((keys[key], value) for key, value in sec.items())
         try:
             kwargs["kernel"] = MgkHyperparameters.from_dict(section("kernel"))
-            kwargs["gpr"] = GprSettings(**section("gpr"))  # type: ignore[arg-type]
             return cls(**kwargs)  # type: ignore[arg-type]
         except ConfigError:
             raise
@@ -212,26 +203,22 @@ class PipelineConfig:
 # -- metrics ---------------------------------------------------------------
 
 
+# The report records below are written as ``dataclasses.asdict``: their
+# field names are the keys of the report and comparison files.
+
+
 @dataclass(frozen=True)
 class Metrics:
-    """Error summary of one prediction column; r2 is None when the truth
-    column has zero variance."""
+    """Error summary of one prediction column; r2 is None, and r2_defined
+    False, when the truth column has zero variance."""
 
     rmse: float
     mae: float
     r2: float | None
+    r2_defined: bool = field(init=False)
 
-    @property
-    def r2_defined(self) -> bool:
-        return self.r2 is not None
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "r2": self.r2,
-            "r2_defined": self.r2_defined,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r2_defined", self.r2 is not None)
 
 
 def evaluate(predictions: Sequence[float], truths: Sequence[float]) -> Metrics:
@@ -269,40 +256,16 @@ class StageResult:
     selected_fraction: float
     metrics: Mapping[str, Metrics]
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "stage": self.stage,
-            "threshold": self.threshold,
-            "n_selected": self.n_selected,
-            "n_train_rows": self.n_train_rows,
-            "selected_fraction": self.selected_fraction,
-            "metrics": {k: m.to_dict() for k, m in sorted(self.metrics.items())},
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-property, per-stage error metrics of a full run.
-
-    ``runtime_seconds`` is informational and excluded from the serialized
-    form so that reruns of one config produce byte-identical report files.
-    """
+    """Per-property, per-stage error metrics of a full run."""
 
     config_hash: str
     n_molecules: int
     n_test_molecules: int
     n_test_rows: int
     stages: tuple[StageResult, ...]
-    runtime_seconds: float | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "config_hash": self.config_hash,
-            "n_molecules": self.n_molecules,
-            "n_test_molecules": self.n_test_molecules,
-            "n_test_rows": self.n_test_rows,
-            "stages": [s.to_dict() for s in self.stages],
-        }
 
 
 # -- small shared helpers ----------------------------------------------------
@@ -454,17 +417,12 @@ class _Workspace:
         return self.path(f"al_stage{stage}_{self.al_stage_hash(stage)}.json")
 
     def al_states(self, ids: Sequence[str], provider) -> list[al.AlState]:
-        """Terminal state per threshold stage, reusing finished checkpoints;
-        StageError naming the checkpoint if a stage's selection does not
-        start with the one of the stage before."""
+        """Terminal state per threshold stage (:meth:`al_stage`), each
+        continuing the one before."""
         states: list[al.AlState] = []
-        for stage in range(1, len(self.config.thresholds) + 1):
+        for stage, threshold in enumerate(self.config.thresholds, 1):
             prev = states[-1] if states else None
-            path = self.al_stage_path(stage)
-            state = self.al_stage(ids, provider, stage, path, prev)
-            if prev is not None and state.selected[: len(prev.selected)] != prev.selected:
-                raise StageError(f"checkpoint {path} does not extend stage {stage - 1}")
-            states.append(state)
+            states.append(self.al_stage(ids, provider, threshold, self.al_stage_path(stage), prev))
         return states
 
     def checkpoint(self, path: str, ids: Sequence[str]) -> al.AlState:
@@ -479,55 +437,58 @@ class _Workspace:
         self,
         ids: Sequence[str],
         provider,
-        stage: int,
+        threshold: float,
         path: str,
         prev: al.AlState | None = None,
     ) -> al.AlState:
-        """Terminal state of selection stage ``stage`` (from 1), checkpointed
-        at ``path``.
+        """Terminal state of the selection at ``threshold``, checkpointed at
+        ``path``: a run over ``ids`` at the configured batch and seed, or,
+        given ``prev``, the terminal state of the stage before, the
+        continuation of ``prev`` at its batch and seed.
 
-        An existing checkpoint must cover exactly ``ids`` and hold the
-        configured threshold, batch and seed, or StageError names it and the
-        field and it is left as it is; a finished one is reused and an
-        unfinished one resumed. A checkpoint does not store the selection's
-        GP noise, so that is not checked. Without one, stage 1 starts a run
-        over ``ids`` and a later stage continues ``prev``, the terminal state
-        of the stage before, at its own threshold.
+        An existing checkpoint must cover exactly ``ids``, hold
+        ``threshold`` and that batch and seed, and, given ``prev``, a
+        selection that starts with ``prev``'s; otherwise StageError names
+        it (and the field) and it is left as it is. A finished one is
+        reused and an unfinished one resumed. A checkpoint does not store
+        the selection's GP noise, so that is not checked.
         """
         cfg = self.config
-        threshold = cfg.thresholds[stage - 1]
+        batch, seed = (cfg.batch, cfg.al_seed) if prev is None else (prev.batch, prev.seed)
         kwargs = dict(
-            noise=cfg.gpr.al_noise, checkpoint_path=path,
+            noise=cfg.al_noise, checkpoint_path=path,
             checkpoint_every=cfg.checkpoint_every,
         )
         if os.path.exists(path):
             loaded = self.checkpoint(path, ids)
-            for field, want in (
-                ("threshold", threshold), ("batch", cfg.batch), ("seed", cfg.al_seed)
-            ):
+            for field, want in (("threshold", threshold), ("batch", batch), ("seed", seed)):
                 got = getattr(loaded, field)
                 if got != want:
                     raise StageError(
                         f"checkpoint {path} holds {field} {got!r}, but the "
-                        f"configuration asks for {want!r}"
+                        f"stage asks for {want!r}"
                     )
+            if prev is not None and loaded.selected[: len(prev.selected)] != prev.selected:
+                raise StageError(
+                    f"checkpoint {path} does not extend the selection at "
+                    f"threshold {prev.threshold:g}"
+                )
             if loaded.is_terminal:
                 logger.info(
-                    "stage %d: reusing finished selection %s (|S|=%d)",
-                    stage, path, len(loaded.selected),
+                    "U_t=%g: reusing finished selection %s (|S|=%d)",
+                    threshold, path, len(loaded.selected),
                 )
                 return loaded
-            logger.info("stage %d: resuming from %s", stage, path)
+            logger.info("U_t=%g: resuming from %s", threshold, path)
             return al.al_resume(loaded, provider, **kwargs)
         t0 = time.monotonic()
         if prev is None:
-            state = al.al_run(ids, threshold, cfg.batch, cfg.al_seed, provider, **kwargs)
+            state = al.al_run(ids, threshold, batch, seed, provider, **kwargs)
         else:
             state = al.al_continue(prev, threshold, provider, **kwargs)
         logger.info(
-            "stage %d (U_t=%g): |S|=%d after %d iterations, %.1fs",
-            stage, threshold, len(state.selected), state.iteration,
-            time.monotonic() - t0,
+            "U_t=%g: |S|=%d after %d iterations, %.1fs",
+            threshold, len(state.selected), state.iteration, time.monotonic() - t0,
         )
         return state
 
@@ -629,8 +590,8 @@ def _fit_on_series(series: Sequence[thermo.ThermoSeries], provider, cfg: Pipelin
         if cfg.noise_sigma > 0:
             message += f"; the oracle noise_sigma is {cfg.noise_sigma:g}"
         raise StageError(message)
-    kernel = gpr.TemperatureProductKernel(provider, cfg.gpr.temperature_length_scale)
-    return gpr.fit(keys, targets, cfg.gpr.regression_noise, kernel)
+    kernel = gpr.TemperatureProductKernel(provider, cfg.temperature_length_scale)
+    return gpr.fit(keys, targets, cfg.regression_noise, kernel)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -684,8 +645,8 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     the molecule list, the kernel cache, one AL checkpoint per stage, the
     training dataset of the final stage, of which each stage fits on a
     prefix (:meth:`_Workspace.datasets`), the test dataset, parity CSVs, a
-    summary CSV, and the report JSON. Returns the report with wall-clock
-    runtime attached.
+    summary CSV, and the report JSON, which holds the returned report. The
+    wall-clock runtime is logged, not recorded.
     """
     t_start = time.monotonic()
     with _staged(config) as (ws, ids, calc, states):
@@ -735,14 +696,11 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         n_test_molecules=len(test_ids),
         n_test_rows=len(test_keys),
         stages=tuple(stage_results),
-        runtime_seconds=time.monotonic() - t_start,
     )
     report_path = ws.path(f"report_{report.config_hash}.json")
-    write_json(report_path, report.to_dict())
+    write_json(report_path, asdict(report))
     export_plot_data(report, test_keys, truth_columns, stage_columns, config.out_dir)
-    logger.info(
-        "run complete in %.1fs, report at %s", report.runtime_seconds, report_path
-    )
+    logger.info("run complete in %.1fs, report at %s", time.monotonic() - t_start, report_path)
     return report
 
 
@@ -804,21 +762,14 @@ class SeedComparison:
 
     seed: int
     n_eval_rows: int
-    al_metrics: Mapping[str, Metrics]
-    random_metrics: Mapping[str, Metrics]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "n_eval_rows": self.n_eval_rows,
-            "al": {k: m.to_dict() for k, m in sorted(self.al_metrics.items())},
-            "random": {k: m.to_dict() for k, m in sorted(self.random_metrics.items())},
-        }
+    al: Mapping[str, Metrics]
+    random: Mapping[str, Metrics]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Stage-1 AL selection versus equally sized random selections."""
+    """Stage-1 AL selection versus equally sized random selections; AL
+    wins a property where its median RMSE is at most the random one's."""
 
     config_hash: str
     n_train_molecules: int
@@ -826,21 +777,11 @@ class ComparisonReport:
     per_seed: tuple[SeedComparison, ...]
     median_rmse_al: Mapping[str, float]
     median_rmse_random: Mapping[str, float]
-    runtime_seconds: float | None = None
+    al_wins: Mapping[str, bool] = field(init=False)
 
-    def al_wins(self, prop: str) -> bool:
-        return self.median_rmse_al[prop] <= self.median_rmse_random[prop]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "config_hash": self.config_hash,
-            "n_train_molecules": self.n_train_molecules,
-            "seeds": list(self.seeds),
-            "per_seed": [s.to_dict() for s in self.per_seed],
-            "median_rmse_al": dict(sorted(self.median_rmse_al.items())),
-            "median_rmse_random": dict(sorted(self.median_rmse_random.items())),
-            "al_wins": {p: self.al_wins(p) for p in sorted(self.median_rmse_al)},
-        }
+    def __post_init__(self) -> None:
+        wins = {p: m <= self.median_rmse_random[p] for p, m in self.median_rmse_al.items()}
+        object.__setattr__(self, "al_wins", wins)
 
 
 def compare_al_random(config: PipelineConfig) -> ComparisonReport:
@@ -848,7 +789,9 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
 
     Controls are drawn from the held-out test pool with dedicated seeds;
     both arms are evaluated on the test rows not used by the control, and
-    per-property medians over seeds are reported.
+    per-property medians over seeds are reported. ConfigError, before any
+    molecule is simulated, unless the stage-1 selection is smaller than
+    the test pool. The wall-clock runtime is logged, not recorded.
     """
     if not config.control_seeds:
         raise ConfigError("compare_al_random needs at least one control seed")
@@ -856,10 +799,10 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
     with _staged(config) as (ws, ids, calc, states):
         s1 = states[0]
 
-        if len(s1.selected) > config.n_test:
+        if len(s1.selected) >= config.n_test:
             raise ConfigError(
                 f"cannot draw a {len(s1.selected)}-molecule control from a "
-                f"{config.n_test}-molecule test pool; raise n_test"
+                f"{config.n_test}-molecule test pool and score on the rest; raise n_test"
             )
         train, test_series = ws.datasets(ids, states[-1].selected)
         test_ids = [s.molecule_id for s in test_series]
@@ -878,8 +821,6 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         for seed, control in zip(config.control_seeds, controls):
             control_ids = {s.molecule_id for s in control}
             eval_series = [s for s in test_series if s.molecule_id not in control_ids]
-            if not eval_series:
-                raise ConfigError("control set swallowed the whole test pool")
 
             random_model = _fit_on_series(control, calc, config)
             eval_keys, truth = property_table(eval_series)
@@ -888,23 +829,23 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
             comparison = SeedComparison(
                 seed=seed,
                 n_eval_rows=len(eval_keys),
-                al_metrics=_metrics_by_property(al_pred, truth),
-                random_metrics=_metrics_by_property(rnd_pred, truth),
+                al=_metrics_by_property(al_pred, truth),
+                random=_metrics_by_property(rnd_pred, truth),
             )
             per_seed.append(comparison)
             for prop in PROPERTIES:
                 logger.info(
                     "seed %d %s: rmse AL=%.4g random=%.4g",
                     seed, prop,
-                    comparison.al_metrics[prop].rmse,
-                    comparison.random_metrics[prop].rmse,
+                    comparison.al[prop].rmse,
+                    comparison.random[prop].rmse,
                 )
 
     median_al = {
-        p: _median([s.al_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+        p: _median([s.al[p].rmse for s in per_seed]) for p in PROPERTIES
     }
     median_rnd = {
-        p: _median([s.random_metrics[p].rmse for s in per_seed]) for p in PROPERTIES
+        p: _median([s.random[p].rmse for s in per_seed]) for p in PROPERTIES
     }
     report = ComparisonReport(
         config_hash=config.content_hash(),
@@ -913,16 +854,16 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
         per_seed=tuple(per_seed),
         median_rmse_al=median_al,
         median_rmse_random=median_rnd,
-        runtime_seconds=time.monotonic() - t_start,
     )
     path = ws.path(f"comparison_{report.config_hash}.json")
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
     for prop in PROPERTIES:
         logger.info(
             "median rmse %s: AL=%.4g random=%.4g -> %s",
             prop, median_al[prop], median_rnd[prop],
-            "AL wins" if report.al_wins(prop) else "random wins",
+            "AL wins" if report.al_wins[prop] else "random wins",
         )
+    logger.info("comparison complete in %.1fs, report at %s", time.monotonic() - t_start, path)
     return report
 
 

@@ -229,7 +229,7 @@ def test_criterion_4_selection_soundness(full_run):
 
         state = al.al_run(
             ids, cfg.thresholds[0], cfg.batch, cfg.al_seed, calc,
-            noise=cfg.gpr.al_noise, on_step=check_partition,
+            noise=cfg.al_noise, on_step=check_partition,
         )
         assert state == states[0]
         assert calc.pairs_solved == 0
@@ -240,7 +240,7 @@ def test_criterion_4_selection_soundness(full_run):
             model = gpr.fit(
                 list(s.selected),
                 np.zeros((len(s.selected), 1)),
-                cfg.gpr.al_noise,
+                cfg.al_noise,
                 calc,
             )
             leftovers = sorted(s.abandoned)
@@ -256,7 +256,7 @@ def test_criterion_5_beats_random(full_run):
     with criterion(5, "median RMSE of selection <= random for 2 of 3 properties"):
         comparison = compare_al_random(cfg)
         assert comparison.seeds == (0, 1, 2, 3, 4)
-        wins = [p for p in sorted(comparison.median_rmse_al) if comparison.al_wins(p)]
+        wins = [p for p in sorted(comparison.median_rmse_al) if comparison.al_wins[p]]
         assert len(wins) >= 2, (
             f"selection wins only on {wins}: "
             f"AL={comparison.median_rmse_al} random={comparison.median_rmse_random}"

@@ -593,7 +593,7 @@ def test_a_singular_extension_drops_every_carried_prefix_and_bound():
         gpr.extend_cholesky(engine.chol, provider.block(["m00"], ["m11"])[:, 0], 1.0)
     engine.extend(provider, 11)
     assert engine.keys == ["m00", "m11"] and not engine.exact
-    assert not engine.known.any() and np.isnan(engine.bound).all()
+    assert not engine.known.any() and (engine.bound == 1.0).all()
     model = gpr.fit(("m00", "m11"), np.zeros(2), 0.0, provider)
     assert model.jitter > 0.0
     assert engine.variances(provider, subset[:-1], 0.0) == pytest.approx(

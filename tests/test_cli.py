@@ -155,6 +155,21 @@ def test_a_test_set_larger_than_the_unselected_rest_exits_one(tmp_path, command,
     assert "n_test=35 does not fit" in caplog.text
 
 
+def test_a_control_as_large_as_the_test_pool_exits_one_simulating_nothing(tmp_path, caplog):
+    # stage 1 at 0.5 selects 8 of the 37 C4..C8 molecules: an 8-molecule
+    # control would leave no test row to score on
+    raw = {**CONFIG_RAW, "active_learning": {"thresholds": [0.5]},
+           "evaluation": {"n_test": 8, "control_seeds": [0]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    ws = tmp_path / "ws"
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    assert main(["compare-random", "--config", str(config), "--out-dir", str(ws)]) == 1
+    assert "cannot draw a 8-molecule control from a 8-molecule test pool" in caplog.text
+    assert "oracle: simulated 0 molecules" in caplog.messages
+    assert [n for n in os.listdir(ws) if n.startswith("dataset_")] == []
+
+
 # -- enumerate -----------------------------------------------------------------
 
 
@@ -467,7 +482,7 @@ def test_al_resumes_an_interrupted_checkpoint(tmp_path, config_file):
 
     with ws.kernel(ids) as calc, pytest.raises(_Interrupt):
         al.al_run(
-            ids, 0.5, cfg.batch, cfg.al_seed, calc, noise=cfg.gpr.al_noise,
+            ids, 0.5, cfg.batch, cfg.al_seed, calc, noise=cfg.al_noise,
             checkpoint_path=ckpt, checkpoint_every=1, on_step=die,
         )
     mid = al.load_checkpoint(ckpt)
@@ -618,7 +633,7 @@ def test_run_all_rejects_a_stage_that_does_not_extend_the_one_before(
             os.remove(ws / name)
 
     assert main(argv) == 2
-    assert f"checkpoint {ckpt} does not extend stage 1" in caplog.text
+    assert f"checkpoint {ckpt} does not extend the selection at threshold 0.5" in caplog.text
     assert ckpt.read_bytes() == before
 
 
@@ -757,6 +772,88 @@ def test_al_continue_rejects_a_checkpoint_for_another_chemical_space(tmp_path, c
     assert ckpt.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["c7.json", "ws"]
     assert [n for n in os.listdir(ws) if not n.startswith("molecules_")] == []
+
+
+def _continued(tmp_path, config_file, caplog):
+    """A C4..C8 workspace with a finished stage at 0.5 (``s1.json``) and
+    its finished continuation at 0.4 (``s2.json``), and the argv that
+    continues ``s1.json`` at 0.4 into a given ``--out``."""
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    flags = ["--config", config_file, "--out-dir", str(tmp_path)]
+    assert main(["al", *flags, "--threshold", "0.5", "--checkpoint", str(tmp_path / "s1.json")]) == 0
+
+    def argv(out):
+        return ["al-continue", *flags, "--checkpoint", str(tmp_path / "s1.json"),
+                "--threshold", "0.4", "--out", str(out)]
+
+    assert main(argv(tmp_path / "s2.json")) == 0
+    return argv
+
+
+def test_al_continue_resumes_an_interrupted_continuation(tmp_path, config_file, caplog):
+    argv = _continued(tmp_path, config_file, caplog)
+    cfg = dataclasses.replace(PipelineConfig.from_json(config_file), out_dir=str(tmp_path))
+    ws = pipeline._Workspace(cfg)
+    ids = ws.molecule_ids()
+    prev = al.load_checkpoint(str(tmp_path / "s1.json"))
+    out = tmp_path / "interrupted.json"
+
+    # stop the continuation at its second step, after the first step's checkpoint
+    def die(state):
+        if state.iteration == prev.iteration + 2:
+            raise _Interrupt
+
+    with ws.kernel(ids) as calc, pytest.raises(_Interrupt):
+        al.al_continue(prev, 0.4, calc, noise=cfg.al_noise, checkpoint_path=str(out),
+                       checkpoint_every=1, on_step=die)
+    mid = al.load_checkpoint(str(out))
+    assert mid.iteration == prev.iteration + 1 and not mid.is_terminal
+
+    caplog.clear()
+    assert main(argv(out)) == 0
+    assert f"U_t=0.4: resuming from {out}" in caplog.messages
+    assert out.read_bytes() == (tmp_path / "s2.json").read_bytes()
+
+
+def test_al_continue_reuses_a_finished_continuation(tmp_path, config_file, caplog):
+    argv = _continued(tmp_path, config_file, caplog)
+    out = tmp_path / "s2.json"
+    before, stamp = out.read_bytes(), os.stat(out).st_mtime_ns
+    state = al.load_checkpoint(str(out))
+
+    caplog.clear()
+    assert main(argv(out)) == 0
+    assert f"U_t=0.4: reusing finished selection {out} (|S|={len(state.selected)})" in (
+        caplog.messages
+    )
+    assert _solved(caplog) == [0]
+    assert (out.read_bytes(), os.stat(out).st_mtime_ns) == (before, stamp)
+
+
+def _swap_ends(payload):
+    selected = payload["selected"]
+    selected[0], selected[-1] = selected[-1], selected[0]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [(lambda p: {**p, "threshold": 0.45}, "holds threshold 0.45, but the stage asks for 0.4"),
+     (lambda p: {**p, "batch": 7}, "holds batch 7, but the stage asks for 1000"),
+     (_swap_ends, "does not extend the selection at threshold 0.5")],
+    ids=["threshold", "batch", "not-extending"],
+)
+def test_al_continue_rejects_an_out_file_it_cannot_reuse(
+    tmp_path, config_file, caplog, damage, problem
+):
+    argv = _continued(tmp_path, config_file, caplog)
+    out = tmp_path / "s2.json"
+    out.write_text(json.dumps(damage(json.loads(out.read_text()))))
+    before = out.read_bytes()
+
+    assert main(argv(out)) == 2
+    assert f"checkpoint {out} {problem}" in caplog.text
+    assert out.read_bytes() == before
 
 
 # -- full workflow ------------------------------------------------------------------
