@@ -186,9 +186,12 @@ def cmd_al_continue(args: argparse.Namespace) -> int:
             f"--threshold {args.threshold:g} must lie strictly below the "
             f"checkpoint's {prev.threshold:g}"
         )
+    # named after the checkpoint it continues, so continuations of two
+    # checkpoints of one directory at one threshold do not collide
+    source = os.path.abspath(args.checkpoint)
+    stem = os.path.splitext(os.path.basename(source))[0]
     out = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(args.checkpoint)),
-        f"al_continue_U{args.threshold:g}.json",
+        os.path.dirname(source), f"al_continue_{stem}_U{args.threshold:g}.json",
     )
     with ws.kernel(ids) as calc:
         state = ws.al_stage(ids, calc, args.threshold, out, prev)

@@ -759,7 +759,9 @@ class MgkCalculator:
         or solved. Values are normalized once per distinct pair of keys and
         then expanded to the requested rows and columns, so an entry of a
         key against itself is exactly 1.0, and the block of a key list
-        against itself is exactly symmetric.
+        against itself is exactly symmetric. The block is a new float64
+        array that the caller owns and may overwrite, as the provider
+        contract of :mod:`alkspace.gpr` asks; no later block reads it.
         """
         index = self._index.__getitem__
         ua, rows = np.unique(np.fromiter(map(index, keys_a), np.int64, len(keys_a)), return_inverse=True)

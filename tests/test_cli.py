@@ -774,6 +774,23 @@ def test_al_continue_rejects_a_checkpoint_for_another_chemical_space(tmp_path, c
     assert [n for n in os.listdir(ws) if not n.startswith("molecules_")] == []
 
 
+def test_al_continue_names_its_default_out_after_the_checkpoint(tmp_path, config_file):
+    """Continuations of two checkpoints of one directory at one threshold,
+    without --out, each write a file of their own."""
+    flags = ["--config", config_file, "--out-dir", str(tmp_path)]
+    for name, seed in (("a", "1"), ("b", "2")):
+        ckpt = str(tmp_path / f"{name}.json")
+        assert main(["al", *flags, "--threshold", "0.5", "--seed", seed, "--checkpoint", ckpt]) == 0
+    for name in "ab":
+        ckpt = str(tmp_path / f"{name}.json")
+        assert main(["al-continue", *flags, "--checkpoint", ckpt, "--threshold", "0.4"]) == 0
+    for name, seed in (("a", 1), ("b", 2)):
+        prev = al.load_checkpoint(str(tmp_path / f"{name}.json"))
+        state = al.load_checkpoint(str(tmp_path / f"al_continue_{name}_U0.4.json"))
+        assert (prev.seed, state.seed, state.threshold) == (seed, seed, 0.4)
+        assert state.selected[: len(prev.selected)] == prev.selected
+
+
 def _continued(tmp_path, config_file, caplog):
     """A C4..C8 workspace with a finished stage at 0.5 (``s1.json``) and
     its finished continuation at 0.4 (``s2.json``), and the argv that
@@ -968,5 +985,5 @@ def test_a_workspace_only_grows_by_new_files(tmp_path, config_file, caplog):
     assert _solved(caplog) == [0]
     stage1 = [n for n in seen if n.startswith("al_stage1_")]
     added = run("al-continue", "--checkpoint", str(ws / stage1[0]), "--threshold", "0.45")
-    assert "al_continue_U0.45.json" in added
+    assert f"al_continue_{Path(stage1[0]).stem}_U0.45.json" in added
     assert len(segments(added)) == (1 if _solved(caplog)[0] else 0)

@@ -4,6 +4,8 @@ Closed forms are recomputed in the tests with plain numpy linear solves,
 independent of the Cholesky path used by the implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,23 @@ def test_duplicate_inputs_with_zero_noise_fall_back_to_jitter():
     assert model.predict_mean([1.0])[0] == pytest.approx(2.0, abs=1e-5)
 
 
+def test_factor_is_bitwise_that_of_the_symmetrized_shifted_block():
+    """(K + K^T) / 2 + noise I, and jitter on its diagonal, formed in one
+    array give the factor of the same matrix formed term by term."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3, 3, size=40)
+    k = RBF.block(x, x) + rng.normal(scale=1e-15, size=(40, 40))
+    chol, jitter = gpr._factor(k, 1e-3)
+    want = np.linalg.cholesky((k + k.T) / 2.0 + 1e-3 * np.eye(40))
+    assert jitter == 0.0 and chol.tobytes() == want.tobytes()
+    twice = np.vstack([k[:20], k[:20]])[:, :20]
+    twice = np.hstack([twice, twice])
+    chol, jitter = gpr._factor(twice, 0.0)
+    shifted = (twice + twice.T) / 2.0 + 0.0 * np.eye(40)
+    want = np.linalg.cholesky(shifted + jitter * np.eye(40))
+    assert jitter > 0.0 and chol.tobytes() == want.tobytes()
+
+
 def test_affine_equivariance_of_predictions():
     rng = np.random.default_rng(4)
     x = list(rng.uniform(-2, 2, size=10))
@@ -237,6 +256,23 @@ def test_temperature_product_kernel_formula():
     assert np.array_equal(np.diag(block), np.ones(2))
 
 
+@pytest.mark.parametrize("entries", [1, 7, 40, 1 << 14])
+def test_temperature_product_kernel_in_row_blocks_is_the_whole_product(monkeypatch, entries):
+    """The factor formed a few rows at a time into the molecule block gives
+    bitwise the product of the molecule block and the whole factor."""
+    monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", entries)
+    mols = RbfProvider(length_scale=2.0)
+    kern = TemperatureProductKernel(mols, length_scale=30.0)
+    rng = np.random.default_rng(3)
+    keys_a = [(float(m), float(t)) for m, t in zip(rng.uniform(0, 5, 23), rng.uniform(250, 400, 23))]
+    keys_b = [(float(m), float(t)) for m, t in zip(rng.uniform(0, 5, 9), rng.uniform(250, 400, 9))]
+    t_a = np.array([t for _, t in keys_a])[:, None]
+    t_b = np.array([t for _, t in keys_b])[None, :]
+    factor = np.exp(-((t_a - t_b) ** 2) / (2.0 * 30.0**2))
+    want = mols.block([m for m, _ in keys_a], [m for m, _ in keys_b]) * factor
+    assert kern.block(keys_a, keys_b).tobytes() == want.tobytes()
+
+
 def test_temperature_kernel_reduces_to_molecule_kernel_at_equal_t():
     kern = TemperatureProductKernel(TwoMoleculeProvider(), length_scale=10.0)
     block = kern.block([("a", 300.0)], [("b", 300.0)])
@@ -252,6 +288,27 @@ def test_composite_config_validation():
 
 
 # -- incremental Cholesky -------------------------------------------------------
+
+
+def test_prediction_memory_is_set_by_the_block_budget():
+    """20,000 query rows against 288 training rows, 18 molecules at 16
+    temperatures: the whole cross block takes 46 MB, and unblocked the
+    traced peak is 133 MB for the mean and 221 MB for the variance. In
+    blocks of 2 MB it stays under 16 MB."""
+    kern = TemperatureProductKernel(RbfProvider(length_scale=3.0), length_scale=50.0)
+    grid = [250.0 + 10.0 * t for t in range(16)]
+    train = [(float(m), t) for m in range(18) for t in grid]
+    rng = np.random.default_rng(0)
+    model = fit(train, rng.normal(size=(len(train), 3)), noise=1e-2, kernel_provider=kern)
+    queries = [(m / 70.0, grid[i % 16]) for i, m in enumerate(range(20_000))]
+    for predict in (model.predict_mean, model.predict_variance):
+        tracemalloc.start()
+        try:
+            predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, predict.__name__
 
 
 def test_extend_cholesky_matches_full_factorization():

@@ -1238,6 +1238,24 @@ def test_block_with_repeated_keys_matches_entrywise_values():
         assert (got[~equal] < 1.0).all()
 
 
+def test_a_returned_block_is_the_callers_to_overwrite():
+    """The provider contract: a block is a new array, so overwriting one
+    changes no later block, whether its values were solved or held."""
+    mols = enumerate_alkanes(4, 7)
+    requests = [(slice(None), slice(None)), (slice(0, 3), slice(None)),
+                (slice(5, 6), slice(5, 6)), (slice(None), slice(2, 4))]
+    for lam in (math.inf, 0.2):
+        calc = MgkCalculator(MgkHyperparameters(lambda_=lam))
+        keys = calc.register(mols)
+        fresh = MgkCalculator(MgkHyperparameters(lambda_=lam))
+        fresh.register(mols)
+        for _ in range(2):
+            for a, b in requests:
+                got = calc.block(keys[a], keys[b])
+                assert got.tobytes() == fresh.block(keys[a], keys[b]).tobytes()
+                got[...] = -1.0
+
+
 def test_cache_roundtrip_bitwise(tmp_path):
     mols = enumerate_alkanes(4, 6)
     calc = MgkCalculator(DEFAULT)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alkspace import active_learning as al
-from alkspace import cli, mgk, molspace, pipeline, thermo
+from alkspace import cli, gpr, mgk, molspace, pipeline, thermo
 from alkspace._atomic import json_text, write_atomic, write_json
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import parse_smiles, to_canonical_smiles
@@ -795,6 +795,40 @@ def test_a_warm_run_all_parses_and_canonicalises_nothing(staged_run, tmp_path, m
     assert cli.main(["run-all", "--config", str(config), "--out-dir", cfg.out_dir]) == 0
     assert any(m.endswith(", solved 0 kernel pairs in 0 stacks (0 CG iterations), built 0 graphs")
                for m in caplog.messages)
+
+
+def test_predictions_do_not_depend_on_their_companions(tmp_path, monkeypatch):
+    """The C4..C10 test rows against the final stage's model: their means
+    predicted whole, one molecule at a time, one row at a time and in
+    blocks of 1 and 7 rows are bitwise equal, and their variances in blocks
+    of 1 and 7 rows match the unblocked ones within 1e-12."""
+    raw = {**RUN_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 10},
+           "active_learning": {"thresholds": [0.5, 0.4, 0.3], "batch": 1000, "seed": 1},
+           "evaluation": {"n_test": 60, "split_seed": 11, "control_seeds": [0]}}
+    cfg = PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)})
+    with pipeline._staged(cfg) as (ws, ids, calc, states):
+        train, test_series = ws.datasets(ids, states[-1].selected)
+        model = pipeline._fit_on_series(train, calc, cfg)
+        keys, _ = pipeline.property_table(test_series)
+        n = len(model.training_keys)
+
+        def predicted(rows):
+            monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", rows * n)
+            return model.predict_mean(keys), model.predict_variance(keys)
+
+        whole, variance = predicted(len(keys))
+        means = [
+            np.concatenate([model.predict_mean(pipeline.property_table([s])[0])
+                            for s in test_series]),
+            np.concatenate([model.predict_mean([k]) for k in keys]),
+        ]
+        for rows in (1, 7):
+            mean, blocked_variance = predicted(rows)
+            means.append(mean)
+            np.testing.assert_allclose(blocked_variance, variance, rtol=0, atol=1e-12)
+    assert whole.shape == (len(keys), 3) and len(keys) > 7
+    for mean in means:
+        assert mean.tobytes() == whole.tobytes()
 
 
 def test_oversized_test_pool_is_rejected(staged_run):
