@@ -27,7 +27,7 @@ _SOURCES = {
         "KernelConvergenceError", "MgkCalculator", "MgkHyperparameters", "mgk_raw",
     ),
     "molspace": (
-        "CanonicalSmiles", "Descriptors", "EnumerationLimitError", "GraphError",
+        "CanonicalSmiles", "EnumerationLimitError", "GraphError",
         "MolecularGraph", "SmilesError", "descriptors", "enumerate_alkane_smiles",
         "enumerate_alkanes", "parse_smiles", "to_canonical_smiles",
     ),

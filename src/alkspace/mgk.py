@@ -121,7 +121,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .molspace import MolecularGraph, SmilesError, parse_smiles, to_canonical_smiles
+from .molspace import MolecularGraph, _neighbor_table, to_canonical_smiles
 
 # Padded product-class entries (pairs x m1 x m2) per stacked solve: each
 # product-class array of a stack (c, the weights, the diagonal, the
@@ -322,51 +322,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
-
-
-def _neighbor_table(ids: Sequence[str], n: int) -> np.ndarray:
-    """The (k, n, 4) neighbour lists of k alkane SMILES of n carbons each,
-    read in one pass: bitwise :func:`~alkspace.molspace.parse_smiles`'
-    adjacency, each carbon's parent first, padded with -1.
-
-    A carbon's branch depth is the count of ``(`` minus ``)`` before it.
-    Its parent is the last carbon before it at its own depth, or one level
-    up if the carbon opens a branch. SmilesError for an id that is no
-    alkane SMILES, or that holds whitespace or ``((``, as no canonical id
-    does."""
-    if not n:
-        parse_smiles(ids[0])  # raises: an alkane has a carbon
-    total = len(ids) * n
-    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
-    # one byte per character: anything not ASCII reads "?"
-    text = np.frombuffer("".join(ids).encode("ascii", "replace"), np.uint8)
-    carbon, opens, closes = text == ord("C"), text == ord("("), text == ord(")")
-    depth = np.cumsum(opens.astype(np.int64) - closes)
-    at = np.flatnonzero(carbon)
-    order = np.arange(total)
-    local = order % n
-    # carbons sorted by depth, then position
-    keys = np.sort(depth[at] * total + order)
-    parent = keys[np.searchsorted(keys, (depth[at] - opens[at - 1]) * total + order) - 1] % total
-    # each carbon's parent, then its children in order; an id's first carbon is its root
-    child = np.flatnonzero(local)[np.argsort(parent[local > 0], kind="stable")]
-    owner = parent[child]
-    slot = np.arange(len(child)) - np.searchsorted(owner, owner) + (local[owner] > 0)
-    # each id starts with a carbon and ends at depth 0, a carbon follows
-    # each "(", and none has more than four neighbours
-    wrong = ~(carbon | opens | closes) | (depth < 0)
-    wrong[:-1] |= opens[:-1] & ~carbon[1:]
-    if (wrong.any() or depth[ends - 1].any() or (slot > 3).any()
-            or (text[np.append(0, ends[:-1])] != ord("C")).any()):
-        for key in ids:
-            parse_smiles(key)
-        # of the ids parse_smiles reads, the reader rejects only these
-        spelled = next(key for key in ids if key != key.strip() or "((" in key)
-        raise SmilesError(f"{spelled!r}: no canonical id holds whitespace or '(('")
-    table = np.full((total, 4), -1, np.int64)
-    table[child, 0] = local[parent[child]]
-    table[owner, slot] = local[child]
-    return table.reshape(len(ids), n, 4)
 
 
 def _graph_arrays(ids: Sequence[str], arenas: _Arenas) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 Covers the molecule-handling layer of the toolkit: a minimal SMILES parser
 restricted to the alkane grammar (carbon atoms and parenthesised branches,
 nothing else), a deterministic tree canonicaliser, exhaustive isomer
-enumeration that builds each tree once from its centroid, and the
-topological descriptors the synthetic property oracle consumes.
+enumeration that builds each tree once from its centroid, and the numpy
+reader of ids (:func:`_neighbor_table`) behind the kernel's neighbour lists
+and the oracle's :func:`descriptors`, the only code here importing numpy.
 
 A molecule is a :class:`MolecularGraph`, the neighbour lists of its carbon
 tree. Every atom is a carbon and every bond is single, so elements, bond
@@ -18,10 +19,12 @@ exactly when they are isomorphic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from operator import itemgetter
-from typing import Iterator, NewType, Sequence
+from typing import TYPE_CHECKING, Iterator, NewType, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_VALENCE = 4
 
@@ -95,15 +98,6 @@ class MolecularGraph:
 
     def __repr__(self) -> str:
         return f"MolecularGraph({len(self.adjacency)} carbons)"
-
-
-@dataclass(frozen=True)
-class Descriptors:
-    """Topological descriptors feeding the synthetic property oracle."""
-
-    n_carbons: int
-    wiener_index: int
-    n_methyl: int
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]]) -> bool:
@@ -242,26 +236,75 @@ def to_canonical_smiles(g: MolecularGraph) -> CanonicalSmiles:
     return CanonicalSmiles(g._canonical)
 
 
-def descriptors(g: MolecularGraph) -> Descriptors:
-    """Carbon count, Wiener index and methyl-group count of an alkane tree."""
-    n = len(g)
-    total = 0
-    # BFS from every vertex; n <= 19 keeps the quadratic walk trivial.
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = [src]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in g.adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        total += sum(dist)
-    n_methyl = sum(1 for nb in g.adjacency if len(nb) == 1)
-    return Descriptors(n_carbons=n, wiener_index=total // 2, n_methyl=n_methyl)
+def _neighbor_table(ids: Sequence[str], n: int) -> np.ndarray:
+    """The (k, n, 4) neighbour lists of k alkane SMILES of n carbons each,
+    read in one pass: bitwise :func:`~alkspace.molspace.parse_smiles`'
+    adjacency, each carbon's parent first, padded with -1.
+
+    A carbon's branch depth is the count of ``(`` minus ``)`` before it.
+    Its parent is the last carbon before it at its own depth, or one level
+    up if the carbon opens a branch. SmilesError for an id that is no
+    alkane SMILES, or that holds whitespace or ``((``, as no canonical id
+    does."""
+    import numpy as np
+
+    if not n:
+        parse_smiles(ids[0])  # raises: an alkane has a carbon
+    total = len(ids) * n
+    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
+    # one byte per character: anything not ASCII reads "?"
+    text = np.frombuffer("".join(ids).encode("ascii", "replace"), np.uint8)
+    carbon, opens, closes = text == ord("C"), text == ord("("), text == ord(")")
+    depth = np.cumsum(opens.astype(np.int64) - closes)
+    at = np.flatnonzero(carbon)
+    order = np.arange(total)
+    local = order % n
+    # carbons sorted by depth, then position
+    keys = np.sort(depth[at] * total + order)
+    parent = keys[np.searchsorted(keys, (depth[at] - opens[at - 1]) * total + order) - 1] % total
+    # each carbon's parent, then its children in order; an id's first carbon is its root
+    child = np.flatnonzero(local)[np.argsort(parent[local > 0], kind="stable")]
+    owner = parent[child]
+    slot = np.arange(len(child)) - np.searchsorted(owner, owner) + (local[owner] > 0)
+    # each id starts with a carbon and ends at depth 0, a carbon follows
+    # each "(", and none has more than four neighbours
+    wrong = ~(carbon | opens | closes) | (depth < 0)
+    wrong[:-1] |= opens[:-1] & ~carbon[1:]
+    if (wrong.any() or depth[ends - 1].any() or (slot > 3).any()
+            or (text[np.append(0, ends[:-1])] != ord("C")).any()):
+        for key in ids:
+            parse_smiles(key)
+        # of the ids parse_smiles reads, the reader rejects only these
+        spelled = next(key for key in ids if key != key.strip() or "((" in key)
+        raise SmilesError(f"{spelled!r}: no canonical id holds whitespace or '(('")
+    table = np.full((total, 4), -1, np.int64)
+    table[child, 0] = local[parent[child]]
+    table[owner, slot] = local[child]
+    return table.reshape(len(ids), n, 4)
+
+
+def descriptors(ids: Sequence[str]) -> np.ndarray:
+    """The (k, 3) int array of the carbon count, Wiener index and methyl
+    count of each alkane SMILES, read one carbon count at a time. In a tree
+    the Wiener index is the sum over edges of s (n - s), s the carbons below
+    the edge (Wiener, J. Am. Chem. Soc. 69, 17, 1947); a methyl is a carbon
+    of one neighbour. SmilesError as :func:`_neighbor_table` raises it."""
+    import numpy as np
+
+    sizes = np.fromiter(map(str.count, ids, repeat("C")), np.int64, len(ids))
+    out = np.zeros((len(ids), 3), np.int64)
+    out[:, 0] = sizes
+    for n in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == n)
+        table = _neighbor_table([ids[i] for i in members.tolist()], n)
+        # each carbon follows its parent: sweeping back sums subtrees first
+        below = np.ones((len(members), n), np.int64)
+        rows = np.arange(len(members))
+        for v in range(n - 1, 0, -1):
+            below[rows, table[:, v, 0]] += below[:, v]
+        out[members, 1] = (below[:, 1:] * (n - below[:, 1:])).sum(axis=1)
+        out[members, 2] = (np.count_nonzero(table >= 0, axis=2) == 1).sum(axis=1)
+    return out
 
 
 # A rooted subtree of the enumeration: (AHU code, SMILES, the SMILES in

@@ -23,7 +23,8 @@ import numpy as np
 from . import active_learning as al
 from . import gpr, thermo
 from ._atomic import (
-    csv_column, csv_field, csv_line, csv_rows, read_json, write_atomic, write_csv, write_json,
+    csv_column, csv_field, csv_line, csv_rows, read_json, row_error, write_atomic, write_csv,
+    write_json,
 )
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
@@ -138,6 +139,8 @@ class PipelineConfig:
             raise ConfigError("n_test must be non-negative")
         if len(set(self.control_seeds)) != len(self.control_seeds):
             raise ConfigError("control_seeds must be distinct")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
 
     # section dicts double as hash inputs for artifact names
 
@@ -514,7 +517,7 @@ class _Workspace:
             series = thermo.read_dataset(path)
         else:
             t0 = time.monotonic()
-            series = simulate_molecules(ids, cfg.noise_sigma, cfg.oracle_seed)
+            series = _simulate(ids, cfg.noise_sigma, cfg.oracle_seed)
             self.simulated += len(series)
             thermo.write_dataset(path, series)
             logger.info(
@@ -556,14 +559,17 @@ class _Workspace:
 def simulate_molecules(
     ids: Sequence[str], noise_sigma: float, seed: int
 ) -> list[thermo.ThermoSeries]:
-    """Oracle series for each molecule id, as one batch
-    (:func:`thermo.simulate_batch`); QC failures are logged."""
-    out = thermo.simulate_batch([parse_smiles(m) for m in ids], noise_sigma, seed)
-    for m, series in zip(ids, out):
-        if not series.qc.passed:
-            logger.warning(
-                "QC drop %s: failed %s", m, ",".join(series.qc.failed_checks())
-            )
+    """Oracle series for each molecule id, of any spelling, keyed by its
+    canonical SMILES (:func:`_simulate`)."""
+    return _simulate([str(to_canonical_smiles(parse_smiles(m))) for m in ids], noise_sigma, seed)
+
+
+def _simulate(ids: Sequence[str], noise_sigma: float, seed: int) -> list[thermo.ThermoSeries]:
+    """:func:`thermo.simulate_batch` of canonical ids; QC failures are logged."""
+    out = thermo.simulate_batch(ids, noise_sigma, seed)
+    for s in out:
+        if not s.qc.passed:
+            logger.warning("QC drop %s: failed %s", s.molecule_id, ",".join(s.qc.failed_checks()))
     return out
 
 
@@ -870,66 +876,61 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
 # -- standalone fit/predict/evaluate (CLI building blocks) --------------------
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    smiles: str
-    temperature: float
-    density: float
-    heat_capacity: float
-    hov: float
-
-
 def predict_properties(
     train: Sequence[thermo.ThermoSeries],
     molecule_ids: Sequence[str],
     config: PipelineConfig,
-) -> list[PredictionRow]:
-    """Fit on oracle series and predict all three properties for each
-    molecule on its own oracle temperature grid. Molecules are keyed by
-    canonical SMILES however the inputs spell them; each spelling is parsed
-    once."""
-    graphs = {m: parse_smiles(m) for m in {s.molecule_id for s in train}.union(molecule_ids)}
-    canonical = {m: str(to_canonical_smiles(g)) for m, g in graphs.items()}
+) -> tuple[list[tuple[str, float]], np.ndarray]:
+    """Fit on oracle series and predict each molecule's properties on its
+    oracle temperature grid, as :func:`property_table` holds them; molecules
+    are keyed by canonical SMILES however spelled, each spelling parsed once."""
+    spellings = {s.molecule_id for s in train}.union(molecule_ids)
+    canonical = {m: str(to_canonical_smiles(parse_smiles(m))) for m in spellings}
     train = [replace(s, molecule_id=canonical[s.molecule_id]) for s in train]
     query_keys = [canonical[m] for m in molecule_ids]
     calc = MgkCalculator(config.kernel)
     calc.register_canonical(sorted({s.molecule_id for s in train}) + query_keys)
     model = _fit_on_series(train, calc, config)
-    grids = [
-        thermo.temperature_grid(thermo.synth_critical_temperature(descriptors(graphs[m])))
-        for m in molecule_ids
-    ]
-    queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid.tolist()]
-    preds = model.predict_mean(queries).tolist()
-    return [PredictionRow(key, t, *row) for (key, t), row in zip(queries, preds)]
+    tc = [thermo.synth_critical_temperature(n, w) for n, w, _ in descriptors(query_keys).tolist()]
+    grids = thermo.temperature_grid(np.array(tc)).tolist()
+    queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid]
+    return queries, model.predict_mean(queries)
 
 
-def write_predictions(path: str, rows: Sequence[PredictionRow]) -> int:
-    lines = [csv_line([r.smiles, r.temperature, r.density, r.heat_capacity, r.hov]) for r in rows]
-    write_csv(path, PREDICTION_HEADER, lines)
-    return len(rows)
+def write_predictions(path: str, keys: Sequence[tuple[str, float]], values: np.ndarray) -> int:
+    """Write the rows of a prediction file atomically; returns their count."""
+    labels = {m: csv_field(m) + "," for m, _ in keys}
+    lines = [labels[m] + t for (m, _), t in zip(keys, csv_column(t for _, t in keys))]
+    for column in values.T.tolist():
+        lines = list(map(",".join, zip(lines, csv_column(column))))
+    write_csv(path, PREDICTION_HEADER, [line + "\r\n" for line in lines])
+    return len(lines)
 
 
-def read_predictions(path: str) -> list[PredictionRow]:
-    """The rows of a prediction file; ValueError naming the file, and the
-    line for a malformed row (:func:`alkspace._atomic.csv_rows`)."""
-    rows = csv_rows(path, PREDICTION_HEADER)
-    return [PredictionRow(smiles, *values) for _, smiles, values in rows]
+def read_predictions(path: str) -> tuple[list[tuple[str, float]], np.ndarray]:
+    """The keys and property matrix of a prediction file; ValueError naming the
+    file and the line of a malformed row (:func:`csv_rows`) or a repeated key."""
+    lines: dict[tuple[str, float], int] = {}  # each key's line
+    values = []
+    for line, smiles, row in csv_rows(path, PREDICTION_HEADER):
+        if (first := lines.setdefault((smiles, row[0]), line)) != line:
+            raise row_error(path, line, f"{smiles} at {row[0]!r} K repeats line {first}")
+        values.append(row[1:])
+    return list(lines), np.array(values, dtype=float).reshape(-1, 3)
 
 
 def evaluate_predictions(
-    predictions: Sequence[PredictionRow],
+    keys: Sequence[tuple[str, float]],
+    predictions: np.ndarray,
     truths: Sequence[thermo.ThermoSeries],
 ) -> dict[str, Metrics]:
     """Join predictions to the oracle series on (molecule, temperature) and
     score each property; every prediction must find its truth."""
     truth_map = {(s.molecule_id, t): v for s in truths for t, v in zip(s.temperatures, s.values)}
-    keys = [(r.smiles, r.temperature) for r in predictions]
     if not keys:
         raise ValueError("no predictions to evaluate")
     missing = [k for k in keys if k not in truth_map]
     if missing:
         raise ValueError(f"no truth row for {missing[0]}")
-    pm = np.array([[r.density, r.heat_capacity, r.hov] for r in predictions])
     tm = np.array([truth_map[k] for k in keys])
-    return _metrics_by_property(pm, tm)
+    return _metrics_by_property(predictions, tm)

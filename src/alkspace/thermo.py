@@ -1,18 +1,20 @@
 """Deterministic synthetic property oracle and its quality-control gates.
 
-Stands in for a high-throughput simulation engine: given an alkane graph it
-produces liquid density, isobaric heat capacity and heat of vaporization on
-a 16-point temperature grid between 40% and 90% of a synthetic critical
-temperature, all at 1 bar. The functional forms are invented but chosen to
-be physically plausible (density falls with temperature and branching,
-both other properties scale with size) and exactly quadratic in T so the
-quality-control regression gate is satisfiable by construction.
+Stands in for a high-throughput simulation engine: given an alkane's
+canonical SMILES it produces liquid density, isobaric heat capacity and
+heat of vaporization on a 16-point temperature grid between 40% and 90% of
+a synthetic critical temperature, all at 1 bar. The functional forms are
+invented but physically plausible (density falls with temperature and
+branching, both other properties scale with size) and exactly quadratic in
+T, so the quality-control regression gate is satisfiable by construction.
 
-The oracle is batched: :func:`simulate_batch` computes the grids, the
-properties, the noise and the QC verdicts of many molecules in numpy passes,
-bit for bit what evaluating each molecule one temperature at a time gives;
-one molecule is a batch of one. Each molecule draws its noise from its own
-stream, so no value depends on what else the batch holds or in which order.
+The oracle is batched: :func:`simulate_batch` reads the descriptors of many
+ids in one numpy pass (:func:`alkspace.molspace.descriptors`), parsing no
+graph, and computes the grids, the properties, the noise and the QC
+verdicts in numpy passes, bit for bit what evaluating each molecule one
+temperature at a time gives; one molecule is a batch of one. Each molecule
+draws its noise from its own stream, so no value depends on what else the
+batch holds or in which order.
 
 A :class:`ThermoSeries` is the one form of oracle data: the oracle returns
 series, the dataset CSV holds them (a block of ``GRID_POINTS`` rows each),
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ._atomic import csv_field, csv_rows, row_error, write_csv
-from .molspace import Descriptors, MolecularGraph, descriptors, to_canonical_smiles
+from .molspace import descriptors
 
 GRID_POINTS = 16
 GRID_LOW_FRACTION = 0.4
@@ -118,16 +120,15 @@ class ThermoSeries:
             raise ValueError(f"non-finite property for {self.molecule_id}")
 
 
-def synth_critical_temperature(d: Descriptors) -> float:
+def synth_critical_temperature(n_carbons: int, wiener_index: int) -> float:
     """Synthetic critical temperature in K.
 
     Grows with carbon count and, through the Wiener index per carbon, with
     chain extension, so the linear isomer tops its branched peers.
     """
-    if d.n_carbons < 1:
+    if n_carbons < 1:
         raise ValueError("need at least one carbon")
-    n = d.n_carbons
-    return 120.0 + 42.0 * n**0.75 + 8.0 * math.log(1.0 + d.wiener_index / n)
+    return 120.0 + 42.0 * n_carbons**0.75 + 8.0 * math.log(1.0 + wiener_index / n_carbons)
 
 
 def temperature_grid(tc: float | np.ndarray) -> np.ndarray:
@@ -149,28 +150,27 @@ def _series_seed(seed: int, molecule_id: str) -> np.random.Generator:
 
 
 def simulate_batch(
-    graphs: Sequence[MolecularGraph], noise_sigma: float = 0.0, seed: int = 0
+    ids: Sequence[str], noise_sigma: float = 0.0, seed: int = 0
 ) -> list[ThermoSeries]:
-    """Property series of each alkane on its temperature grid, computed in
-    numpy passes over the whole batch.
+    """Property series of each alkane, given by its canonical SMILES, on its
+    temperature grid, computed in numpy passes over the whole batch.
 
     Each value is bitwise what evaluating the molecule at each grid
     temperature in turn gives: the same operations in the same order. With
     ``noise_sigma`` > 0, each value is scaled by (1 + sigma * z) with
     standard-normal z from a stream derived from (seed, molecule id), drawn
     as one (GRID_POINTS, 3) block per molecule: row by row, one z per
-    property. Isomorphic inputs under the same seed give identical series,
-    whatever else the batch holds.
+    property. A molecule under the same seed gets the same series, whatever
+    else the batch holds.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    if not graphs:
+    if not ids:
         return []
-    ids = [str(to_canonical_smiles(g)) for g in graphs]
-    ds = [descriptors(g) for g in graphs]
-    n = np.array([d.n_carbons for d in ds], dtype=float)[:, None]
-    branch = np.array([d.n_methyl / d.n_carbons for d in ds])[:, None]
-    t = temperature_grid(np.array([synth_critical_temperature(d) for d in ds]))
+    d = descriptors(ids)
+    n = d[:, :1].astype(float)
+    branch = (d[:, 2] / d[:, 0])[:, None]
+    t = temperature_grid(np.array([synth_critical_temperature(k, w) for k, w, _ in d.tolist()]))
     density = (840.0 + 2.5 * n - 60.0 * branch) - 0.55 * t - 4e-4 * t * t
     cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
     hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t

@@ -29,6 +29,7 @@ from alkspace.molspace import (
     enumerate_alkane_smiles,
     enumerate_alkanes,
     parse_smiles,
+    to_canonical_smiles,
 )
 from alkspace.pipeline import PipelineConfig, compare_al_random, run_alms
 
@@ -283,7 +284,7 @@ def test_criterion_6_data_efficiency(full_run):
 
 def test_criterion_7_thermo_formulas():
     with criterion(7, "QC gate fixtures"):
-        [series] = thermo.simulate_batch([parse_smiles("CCCC")])
+        [series] = thermo.simulate_batch([to_canonical_smiles(parse_smiles("CCCC"))])
         assert series.qc.passed and series.qc.solid is None
 
         def with_density(values):

@@ -113,6 +113,15 @@ def test_a_bad_float_config_field_exits_one_writing_nothing(tmp_path, section, k
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("value", [5, None, ""])
+def test_a_non_string_out_dir_exits_one(tmp_path, caplog, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG_RAW, "out_dir": value}))
+    assert main(["run-all", "--config", str(config)]) == 1
+    assert f"config error: out_dir must be a non-empty path string, got {value!r}" in caplog.text
+    assert "stage failed" not in caplog.text
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("delta_element", 0.3), ("delta_bond_order", 0.9), ("start_weight", 1.0), ("lambda_", 5.0)],
@@ -265,8 +274,8 @@ def test_dataset_prediction_round_trip(tmp_path, config_file, capsys):
         )
         == 0
     )
-    preds = read_predictions(pred_csv)
-    assert len(preds) == thermo.GRID_POINTS
+    keys, values = read_predictions(pred_csv)
+    assert len(keys) == thermo.GRID_POINTS and values.shape == (thermo.GRID_POINTS, 3)
     capsys.readouterr()
 
     assert (
@@ -315,13 +324,14 @@ def test_a_failed_stage_still_logs_the_molecules_simulated(tmp_path, caplog):
     assert "oracle: simulated 8 molecules" in caplog.messages
 
 
-def _fit_predict(tmp_path, train_csv, molecules, name):
+def _fit_predict(tmp_path, train_csv, molecules, name) -> bytes:
+    """The bytes of the prediction file ``fit-predict`` writes."""
     query_list = tmp_path / f"{name}.txt"
     query_list.write_text("".join(m + "\n" for m in molecules))
-    pred_csv = str(tmp_path / f"{name}.csv")
-    args = ["--train", train_csv, "--molecules", str(query_list), "--out", pred_csv]
+    pred_csv = tmp_path / f"{name}.csv"
+    args = ["--train", train_csv, "--molecules", str(query_list), "--out", str(pred_csv)]
     assert main(["fit-predict", *args]) == 0
-    return read_predictions(pred_csv)
+    return pred_csv.read_bytes()
 
 
 def test_fit_predict_accepts_a_training_file_that_spells_a_molecule_non_canonically(tmp_path):
@@ -352,10 +362,12 @@ def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path
     assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
     a, b = "C(CC)(C)CCCC", "C(CCCC)(CC)C"
     first = _fit_predict(tmp_path, train_csv, [a], "a")
-    assert len(first) == thermo.GRID_POINTS
-    assert {p.smiles for p in first} == {str(to_canonical_smiles(parse_smiles(a)))}
+    keys, _ = read_predictions(str(tmp_path / "a.csv"))
+    assert len(keys) == thermo.GRID_POINTS
+    assert {m for m, _ in keys} == {str(to_canonical_smiles(parse_smiles(a)))}
     assert _fit_predict(tmp_path, train_csv, [b], "b") == first
-    assert _fit_predict(tmp_path, train_csv, [b, a], "ba") == first + first
+    _, rows = first.split(b"\r\n", 1)
+    assert _fit_predict(tmp_path, train_csv, [b, a], "ba") == first + rows
 
 
 def test_evaluate_with_disjoint_truth_exits_two(tmp_path):
@@ -387,6 +399,25 @@ def test_evaluate_with_a_nan_prediction_exits_two(tmp_path, caplog):
         fh.write("\n".join(lines) + "\n")
     assert main(["evaluate", "--pred", pred, "--truth", truth]) == 2
     assert "p.csv' line 4: non-finite value" in caplog.text
+
+
+def test_evaluate_with_a_repeated_prediction_row_exits_two(tmp_path, caplog):
+    # three rows of the file appended to it would each be scored twice
+    mols = tmp_path / "m.txt"
+    mols.write_text("CCCC\nCCCCC\n")
+    truth = str(tmp_path / "t.csv")
+    pred = str(tmp_path / "p.csv")
+    assert main(["simulate", "--molecules", str(mols), "--out", truth]) == 0
+    assert main(["fit-predict", "--train", truth, "--molecules", str(mols), "--out", pred]) == 0
+    assert main(["evaluate", "--pred", pred, "--truth", truth]) == 0
+    lines = Path(pred).read_text().splitlines(keepends=True)
+    Path(pred).write_text("".join(lines + lines[1:4]))
+    assert main(["evaluate", "--pred", pred, "--truth", truth]) == 2
+    molecule, temperature = lines[1].split(",")[:2]
+    assert (
+        f"p.csv' line {len(lines) + 1}: {molecule} at {temperature} K repeats line 2"
+        in caplog.text
+    )
 
 
 def test_cold_run_with_a_truncated_molecule_list_exits_two(tmp_path, config_file, caplog):

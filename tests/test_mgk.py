@@ -25,7 +25,7 @@ from networkx.algorithms import isomorphism
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alkspace import mgk
+from alkspace import mgk, molspace
 
 from alkspace.mgk import (
     KernelConvergenceError,
@@ -630,7 +630,7 @@ def _padded(smiles: str) -> list[list[int]]:
 def test_the_reader_gives_parse_smiles_lists_for_every_id_up_to_c12():
     for n in range(1, 13):
         ids = enumerate_alkane_smiles(n, n)
-        table = mgk._neighbor_table(ids, n)
+        table = molspace._neighbor_table(ids, n)
         assert table.dtype == np.int64 and table.shape == (len(ids), n, 4)
         assert table.tolist() == [_padded(s) for s in ids]
 
@@ -643,7 +643,7 @@ def test_the_reader_gives_parse_smiles_lists_for_every_id_up_to_c12():
 def test_the_reader_gives_parse_smiles_lists_for_any_spelling(graphs, rnd):
     # one carbon count, spelled from random roots in random child order
     spellings = [_spelling(g, rnd) for g in graphs]
-    table = mgk._neighbor_table(spellings, len(graphs[0]))
+    table = molspace._neighbor_table(spellings, len(graphs[0]))
     assert table.tolist() == [_padded(s) for s in spellings]
 
 

@@ -4,8 +4,8 @@ Independent oracles: networkx ``is_tree`` for the graph constructor,
 networkx free-tree generation and VF2 isomorphism for the enumerator and
 canonicaliser, the former four-step canonicaliser for the exact output of
 the one-pass one, the former grow-and-deduplicate enumerator for the exact
-output of the constructive one, and closed-form Wiener indices for the
-descriptor code.
+output of the constructive one, and networkx Wiener indices and degrees
+with closed-form Wiener indices for the descriptors read from ids.
 """
 
 import functools
@@ -397,33 +397,56 @@ class TestCanonicalSmiles:
             MolecularGraph([[1, 2], [0, 2], [0, 1]])
 
 
+def _written(neighbors: Sequence[Sequence[int]], v: int = 0, parent: int = -1) -> str:
+    """SMILES of a tree from vertex ``v``, children in list order, every
+    branch but the last in parentheses."""
+    children = [_written(neighbors, u, v) for u in neighbors[v] if u != parent]
+    return "C" + "".join(f"({c})" for c in children[:-1]) + "".join(children[-1:])
+
+
+def _nx_descriptors(smiles: str) -> list[int]:
+    """Carbon count, networkx's Wiener index and the count of degree-1
+    carbons of a SMILES."""
+    g = _to_nx(parse_smiles(smiles))
+    return [len(g), round(nx.wiener_index(g)), sum(1 for _, d in g.degree if d == 1)]
+
+
 class TestDescriptors:
     @pytest.mark.parametrize("n", range(4, 20))
     def test_wiener_linear_chain(self, n):
         # Closed form for a path: n(n^2 - 1)/6.
-        g = parse_smiles("C" * n)
-        assert descriptors(g).wiener_index == n * (n * n - 1) // 6
+        assert descriptors(["C" * n])[0, 1] == n * (n * n - 1) // 6
 
     def test_wiener_star(self):
         # Neopentane: 4 center-leaf pairs at distance 1, 6 leaf pairs at 2.
-        g = parse_smiles("CC(C)(C)C")
-        assert descriptors(g).wiener_index == 4 + 12
+        assert descriptors(["CC(C)(C)C"])[0, 1] == 4 + 12
 
     def test_wiener_matches_networkx(self):
-        for smiles in enumerate_alkane_smiles(7, 7):
-            g = parse_smiles(smiles)
-            expected = nx.wiener_index(_to_nx(g))
-            assert descriptors(g).wiener_index == round(expected)
+        # every C4..C12 isomer, mixed carbon counts in one call
+        ids = enumerate_alkane_smiles(4, 12)[::-1]
+        got = descriptors(ids)
+        assert got.dtype.kind == "i" and got.shape == (len(ids), 3)
+        assert got.tolist() == [_nx_descriptors(s) for s in ids]
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_trees(max_n=19))
+    def test_any_spelling_reads_as_networkx(self, neighbors):
+        spelling = _written(neighbors)
+        canonical = to_canonical_smiles(parse_smiles(spelling))
+        assert descriptors([spelling, canonical]).tolist() == [_nx_descriptors(spelling)] * 2
 
     def test_methyl_counts(self):
-        assert descriptors(parse_smiles("CCCC")).n_methyl == 2
-        assert descriptors(parse_smiles("CC(C)C")).n_methyl == 3
-        assert descriptors(parse_smiles("CC(C)(C)C")).n_methyl == 4
+        assert descriptors(["CCCC", "CC(C)C", "CC(C)(C)C"])[:, 2].tolist() == [2, 3, 4]
 
     def test_methane_degenerate(self):
         # Methane's lone carbon has heavy degree 0, so no methyl groups.
-        d = descriptors(parse_smiles("C"))
-        assert (d.n_carbons, d.wiener_index, d.n_methyl) == (1, 0, 0)
+        assert descriptors(["C"]).tolist() == [[1, 0, 0]]
+        assert descriptors([]).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", ["", "CX", "CC)C", "C(C", " CCC"])
+    def test_a_malformed_id_raises(self, bad):
+        with pytest.raises(SmilesError):
+            descriptors(["CCCC", bad])
 
 
 class TestEnumeration:

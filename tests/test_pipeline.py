@@ -29,7 +29,6 @@ from alkspace.pipeline import (
     EvalReport,
     Metrics,
     PipelineConfig,
-    PredictionRow,
     SeedComparison,
     StageError,
     StageResult,
@@ -544,8 +543,9 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
         )
         for label in sorted({label for label, _ in keys})
     ]
-    rows = [PredictionRow(label, t, *data.draw(st.lists(_NUMBERS, min_size=3, max_size=3)))
-            for label, t in keys]
+    values = np.array(data.draw(st.lists(
+        st.lists(_NUMBERS, min_size=3, max_size=3), min_size=n, max_size=n,
+    )), dtype=float).reshape(n, 3)
     with tempfile.TemporaryDirectory() as out:
         written = export_plot_data(report, keys, truths, preds, out)
         want = {}
@@ -574,10 +574,10 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
         ])
 
         predictions = os.path.join(out, "pred.csv")
-        assert write_predictions(predictions, rows) == n
+        assert write_predictions(predictions, keys, values) == n
         assert Path(predictions).read_bytes() == _csv_writer_bytes(
             pipeline.PREDICTION_HEADER,
-            [[r.smiles, r.temperature, r.density, r.heat_capacity, r.hov] for r in rows],
+            [[label, t, *row] for (label, t), row in zip(keys, values.tolist())],
         )
 
 
@@ -585,13 +585,33 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
 
 
 def test_prediction_roundtrip(tmp_path):
-    rows = [
-        PredictionRow("CCCC", 200.0, 601.25, 150.5, 22.125),
-        PredictionRow("CC(C)C", 210.1, 598.0, 149.0, 21.5),
-    ]
+    keys = [("CCCC", 200.0), ("CC(C)C", 210.1)]
+    values = np.array([[601.25, 150.5, 22.125], [598.0, 149.0, 21.5]])
     path = str(tmp_path / "pred.csv")
-    assert write_predictions(path, rows) == 2
-    assert read_predictions(path) == rows
+    assert write_predictions(path, keys, values) == 2
+    got_keys, got = read_predictions(path)
+    assert got_keys == keys
+    assert got.tobytes() == values.tobytes()
+
+
+def test_read_predictions_rejects_a_repeated_row(tmp_path):
+    """A molecule's row at one temperature comes once: a repeat would be
+    scored twice."""
+    truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
+    keys, values = pipeline.property_table(truth)
+    path = tmp_path / "pred.csv"
+    write_predictions(str(path), keys, values)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # three rows of the file appended to it, as `cat` would
+    path.write_bytes(b"".join(lines + lines[5:8]))
+    with pytest.raises(ValueError, match=re.escape(
+        f"{str(path)!r} line {len(lines) + 1}: {keys[4][0]} at {keys[4][1]!r} K repeats line 6"
+    )):
+        read_predictions(str(path))
+    # the same temperature of another molecule is another row
+    other = [(s.molecule_id, keys[0][1]) for s in truth]
+    write_predictions(str(path), other, values[:2])
+    assert read_predictions(str(path))[0] == other
 
 
 def test_read_predictions_rejects_foreign_header(tmp_path):
@@ -616,17 +636,15 @@ def test_evaluate_predictions_joins_on_molecule_and_temperature():
     truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
     # the second molecule's first grid points, then the first's, so the
     # join cannot lean on order
-    preds = [
-        PredictionRow(s.molecule_id, s.temperatures[i], *s.values[i])
-        for s in truth[::-1] for i in (1, 0)
-    ]
-    metrics = evaluate_predictions(preds, truth)
+    keys = [(s.molecule_id, s.temperatures[i]) for s in truth[::-1] for i in (1, 0)]
+    values = np.array([s.values[i] for s in truth[::-1] for i in (1, 0)])
+    metrics = evaluate_predictions(keys, values, truth)
     assert set(metrics) == set(pipeline.PROPERTIES)
     assert metrics["density"].rmse == 0.0
-    with pytest.raises(ValueError):
-        evaluate_predictions([PredictionRow("CCCC", 999.0, 0, 0, 0)], truth)
-    with pytest.raises(ValueError):
-        evaluate_predictions([], truth)
+    with pytest.raises(ValueError, match="no truth row"):
+        evaluate_predictions([("CCCC", 999.0)], np.zeros((1, 3)), truth)
+    with pytest.raises(ValueError, match="no predictions"):
+        evaluate_predictions([], np.zeros((0, 3)), truth)
 
 
 def test_predict_properties_covers_each_oracle_grid(tmp_path):
@@ -637,14 +655,12 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     train_path = str(tmp_path / "train.csv")
     thermo.write_dataset(train_path, train_series)
     train = thermo.read_dataset(train_path)
-    out = predict_properties(train, ["CC(C)C"], cfg)
-    assert len(out) == thermo.GRID_POINTS
-    from alkspace.molspace import descriptors
-
-    tc = thermo.synth_critical_temperature(descriptors(parse_smiles("CC(C)C")))
-    expected = thermo.temperature_grid(tc)
-    assert [r.temperature for r in out] == pytest.approx(expected)
-    assert out == predict_properties(train, ["CC(C)C"], cfg)
+    keys, values = predict_properties(train, ["CC(C)C"], cfg)
+    assert values.shape == (thermo.GRID_POINTS, 3)
+    [truth] = pipeline.simulate_molecules(["CC(C)C"], 0.0, 7)
+    assert keys == [(truth.molecule_id, t) for t in truth.temperatures]
+    again = predict_properties(train, ["CC(C)C"], cfg)
+    assert again[0] == keys and again[1].tobytes() == values.tobytes()
 
 
 def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
@@ -662,7 +678,7 @@ def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
 
     def predicted(series, molecules, name):
         path = tmp_path / f"{name}.csv"
-        write_predictions(str(path), predict_properties(series, molecules, cfg))
+        write_predictions(str(path), *predict_properties(series, molecules, cfg))
         return path.read_bytes()
 
     expected = predicted(train, [canonical[q] for q in queries], "canonical")
@@ -1065,12 +1081,16 @@ def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):
     }
     simulated = []
 
-    def counting(graphs, noise_sigma, seed):
-        simulated.extend(str(to_canonical_smiles(g)) for g in graphs)
-        return simulate_batch(graphs, noise_sigma, seed)
+    def counting(ids, noise_sigma, seed):
+        simulated.extend(ids)
+        return simulate_batch(ids, noise_sigma, seed)
+
+    def unparsed(smiles):
+        raise AssertionError(f"the workspace's checked ids are not parsed again: {smiles}")
 
     simulate_batch = thermo.simulate_batch
     monkeypatch.setattr(thermo, "simulate_batch", counting)
+    monkeypatch.setattr(pipeline, "parse_smiles", unparsed)
     caplog.set_level(logging.INFO, logger="alkspace.pipeline")
     run_alms(PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)}))
     assert len(simulated) == len(set(simulated)) == 78

@@ -1,23 +1,21 @@
 """Synthetic-oracle tests: formulas, grids, QC gates, dataset files."""
 
 import dataclasses
+import functools
+import hashlib
 import math
 import os
 import re
 import tempfile
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alkspace import thermo
-from alkspace.molspace import (
-    descriptors,
-    enumerate_alkanes,
-    parse_smiles,
-    to_canonical_smiles,
-)
+from alkspace.molspace import enumerate_alkane_smiles, parse_smiles, to_canonical_smiles
 from alkspace.thermo import (
     DATASET_HEADER,
     GRID_POINTS,
@@ -31,8 +29,20 @@ from alkspace.thermo import (
 )
 
 
+def _canonical(smiles: str) -> str:
+    return str(to_canonical_smiles(parse_smiles(smiles)))
+
+
 def _series(smiles: str, **kwargs) -> ThermoSeries:
-    return thermo.simulate_batch([parse_smiles(smiles)], **kwargs)[0]
+    return thermo.simulate_batch([_canonical(smiles)], **kwargs)[0]
+
+
+@functools.cache
+def _nx_critical_temperature(smiles: str) -> float:
+    """The synthetic critical temperature from networkx's Wiener index."""
+    g = parse_smiles(smiles)
+    edges = [(v, u) for v, nb in enumerate(g.adjacency) for u in nb]
+    return synth_critical_temperature(len(g), round(nx.wiener_index(nx.Graph(edges))))
 
 
 def _r2(t, y) -> float:
@@ -51,20 +61,15 @@ def _with_density(series: ThermoSeries, values) -> ThermoSeries:
 
 
 def test_critical_temperature_increases_with_chain_length():
-    values = [
-        synth_critical_temperature(descriptors(parse_smiles("C" * n)))
-        for n in range(1, 20)
-    ]
+    # a path's Wiener index is n(n^2 - 1)/6
+    values = [synth_critical_temperature(n, n * (n * n - 1) // 6) for n in range(1, 20)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_linear_isomer_has_the_highest_critical_temperature():
     for n in range(4, 10):
-        by_isomer = {
-            to_canonical_smiles(g): synth_critical_temperature(descriptors(g))
-            for g in enumerate_alkanes(n, n)
-        }
-        linear = to_canonical_smiles(parse_smiles("C" * n))
+        by_isomer = {s: _nx_critical_temperature(s) for s in enumerate_alkane_smiles(n, n)}
+        linear = _canonical("C" * n)
         best = by_isomer.pop(linear)
         # strictly above every branched isomer
         assert all(v < best for v in by_isomer.values())
@@ -130,16 +135,15 @@ def test_branching_lowers_the_density_intercept():
 # -- the batched oracle against the per-temperature loop -------------------------
 
 
-def _loop_series(g, noise_sigma: float, seed: int) -> tuple[str, np.ndarray]:
+def _loop_series(mol_id: str, noise_sigma: float, seed: int) -> np.ndarray:
     """The oracle written one temperature at a time, three noise draws per
-    temperature: the reference for simulate_batch. Returns the molecule id
-    and the (GRID_POINTS, 4) array of temperature, density, heat capacity
-    and heat of vaporization."""
-    mol_id = str(to_canonical_smiles(g))
-    d = descriptors(g)
-    n = d.n_carbons
-    branch = d.n_methyl / n
-    tc = synth_critical_temperature(d)
+    temperature, with networkx as the descriptor oracle: the reference for
+    simulate_batch. Returns the (GRID_POINTS, 4) array of temperature,
+    density, heat capacity and heat of vaporization."""
+    g = parse_smiles(mol_id)
+    n = len(g)
+    branch = sum(1 for nb in g.adjacency if len(nb) == 1) / n
+    tc = _nx_critical_temperature(mol_id)
     rng = thermo._series_seed(seed, mol_id) if noise_sigma > 0 else None
     rows = []
     for t in np.linspace(0.4 * tc, 0.9 * tc, GRID_POINTS):
@@ -152,7 +156,7 @@ def _loop_series(g, noise_sigma: float, seed: int) -> tuple[str, np.ndarray]:
             cp *= 1.0 + noise_sigma * z[1]
             hov *= 1.0 + noise_sigma * z[2]
         rows.append((t, density, cp, hov))
-    return mol_id, np.array(rows)
+    return np.array(rows)
 
 
 def _polyfit_r2(t, y) -> float:
@@ -180,7 +184,7 @@ def _loop_qc(rows: np.ndarray) -> tuple[bool, bool, bool]:
 
 @pytest.fixture(scope="module")
 def c4_c13():
-    return list(enumerate_alkanes(4, 13))
+    return [str(s) for s in enumerate_alkane_smiles(4, 13)]
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -188,8 +192,8 @@ def c4_c13():
 def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed):
     batch = thermo.simulate_batch(c4_c13, noise_sigma, seed)
     assert len(batch) == len(c4_c13) == 1463
-    for g, series in zip(c4_c13, batch):
-        mol_id, rows = _loop_series(g, noise_sigma, seed)
+    for mol_id, series in zip(c4_c13, batch):
+        rows = _loop_series(mol_id, noise_sigma, seed)
         got = np.array([(t, *v) for t, v in zip(series.temperatures, series.values)])
         assert series.molecule_id == mol_id
         assert got.tobytes() == rows.tobytes(), mol_id
@@ -199,10 +203,10 @@ def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed
 
 
 def test_a_series_does_not_depend_on_its_batch():
-    graphs = [parse_smiles(s) for s in ("CCCC", "CC(C)CC", "CCCCCCCC", "CC(C)(C)C")]
-    alone = [thermo.simulate_batch([g], 0.02, 5)[0] for g in graphs]
-    assert thermo.simulate_batch(graphs, 0.02, 5) == alone
-    assert thermo.simulate_batch(graphs[::-1], 0.02, 5) == alone[::-1]
+    ids = [_canonical(s) for s in ("CCCC", "CC(C)CC", "CCCCCCCC", "CC(C)(C)C")]
+    alone = [thermo.simulate_batch([m], 0.02, 5)[0] for m in ids]
+    assert thermo.simulate_batch(ids, 0.02, 5) == alone
+    assert thermo.simulate_batch(ids[::-1], 0.02, 5) == alone[::-1]
     assert thermo.simulate_batch([], 0.02, 5) == []
 
 
@@ -319,6 +323,18 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
     assert read_dataset(p1) == series  # repr round-trip is exact
 
 
+def test_the_c4_c11_dataset_bytes_are_pinned(tmp_path):
+    # every C4..C11 molecule at noise 0.003, 9 of them failing QC: the
+    # oracle's descriptors, grids, noise streams and file format at once
+    series = thermo.simulate_batch(enumerate_alkane_smiles(4, 11), 0.003, 7)
+    path = tmp_path / "d.csv"
+    assert write_dataset(str(path), series) == 306 * GRID_POINTS
+    assert sum(not s.qc.passed for s in series) == 9
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3affe8602aac025512977db9d5d62acc9a44a0f1165507010a622dce6b98cb2c"
+    )
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3, 3e-3, 1e-2, 3e-2])
 def test_every_written_dataset_reads_back_as_written(c4_c13, tmp_path, noise_sigma, seed):
@@ -328,7 +344,7 @@ def test_every_written_dataset_reads_back_as_written(c4_c13, tmp_path, noise_sig
     assert read_dataset(path) == series
 
 
-_C4_C10 = list(enumerate_alkanes(4, 10))
+_C4_C10 = [str(s) for s in enumerate_alkane_smiles(4, 10)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +386,7 @@ def _block_lines(tmp_path, n_molecules: int, noise_sigma: float = 0.01) -> list[
     """The lines, header first, of a dataset of the first molecules of
     C4..C8, each a block of GRID_POINTS rows."""
     series = thermo.simulate_batch(
-        list(enumerate_alkanes(4, 8))[:n_molecules], noise_sigma, 3
+        enumerate_alkane_smiles(4, 8)[:n_molecules], noise_sigma, 3
     )
     path = tmp_path / "good.csv"
     write_dataset(str(path), series)
