@@ -37,7 +37,7 @@ _SOURCES = {
         "split_test",
     ),
     "thermo": (
-        "QcStatus", "ThermoSeries", "qc_evaluate", "read_dataset", "simulate_batch",
+        "Dataset", "qc_evaluate", "read_dataset", "simulate_batch",
         "synth_critical_temperature", "temperature_grid", "write_dataset",
     ),
 }

@@ -207,11 +207,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     ids = pipeline.load_molecule_file(args.molecules)
-    series = pipeline.simulate_molecules(ids, config.noise_sigma, config.oracle_seed)
-    logger.info("oracle: simulated %d molecules", len(series))
-    rows = thermo.write_dataset(args.out, series)
-    n_fail = sum(1 for s in series if not s.qc.passed)
-    print(f"wrote {rows} rows for {len(series)} molecules ({n_fail} QC failures) -> {args.out}")
+    data = pipeline.simulate_molecules(
+        ids, config.noise_sigma, config.oracle_seed, repr(args.molecules)
+    )
+    logger.info("oracle: simulated %d molecules", len(data))
+    rows = thermo.write_dataset(args.out, data)
+    n_fail = len(data) - int(data.passed.sum())
+    print(f"wrote {rows} rows for {len(data)} molecules ({n_fail} QC failures) -> {args.out}")
     return 0
 
 
@@ -221,7 +223,9 @@ def cmd_fit_predict(args: argparse.Namespace) -> int:
     config = _load_config(args)
     train = thermo.read_dataset(args.train)
     ids = pipeline.load_molecule_file(args.molecules)
-    keys, values = pipeline.predict_properties(train, ids, config)
+    keys, values = pipeline.predict_properties(
+        train, ids, config, (repr(args.train), repr(args.molecules))
+    )
     n = pipeline.write_predictions(args.out, keys, values)
     print(f"wrote {n} predictions for {len(ids)} molecules -> {args.out}")
     return 0

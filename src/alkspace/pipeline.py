@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
@@ -497,10 +496,8 @@ class _Workspace:
 
     # oracle datasets
 
-    def dataset_for(
-        self, tag: str, members: str, ids: Sequence[str]
-    ) -> list[thermo.ThermoSeries]:
-        """The oracle series of the given molecules, in ``ids`` order,
+    def dataset_for(self, tag: str, members: str, ids: Sequence[str]) -> thermo.Dataset:
+        """The oracle data of the given molecules, in ``ids`` order,
         cached as a dataset CSV artifact named by ``tag`` and a hash of
         ``members`` and the oracle settings.
 
@@ -508,37 +505,37 @@ class _Workspace:
         file is read (:func:`thermo.read_dataset` checks it), and raises
         StageError if it holds other molecules, or the same ones in
         another order. Otherwise the molecules are simulated, in one batch,
-        and the file is written and its series returned from memory.
+        and the file is written and its data returned from memory.
         """
         cfg = self.config
         h = _hash_obj({"members": members, "oracle": cfg.section("oracle")})
         path = self.path(f"dataset_{tag}_{h}.csv")
         if os.path.exists(path):
-            series = thermo.read_dataset(path)
+            data = thermo.read_dataset(path)
         else:
             t0 = time.monotonic()
-            series = _simulate(ids, cfg.noise_sigma, cfg.oracle_seed)
-            self.simulated += len(series)
-            thermo.write_dataset(path, series)
+            data = _simulate(ids, cfg.noise_sigma, cfg.oracle_seed)
+            self.simulated += len(data)
+            thermo.write_dataset(path, data)
             logger.info(
                 "simulated %d molecules (%s) in %.1fs -> %s",
                 len(ids), tag, time.monotonic() - t0, path,
             )
-        if [s.molecule_id for s in series] != list(ids):
+        if data.ids != tuple(ids):
             raise StageError(
                 f"dataset {path} does not hold exactly the {len(ids)} requested "
                 "molecules in order; delete it to rebuild"
             )
-        return series
+        return data
 
     def datasets(
         self, ids: Sequence[str], final_selected: Sequence[str]
-    ) -> tuple[list[thermo.ThermoSeries], list[thermo.ThermoSeries]]:
+    ) -> tuple[thermo.Dataset, thermo.Dataset]:
         """The training and the test dataset of the staged run.
 
         Training holds the final stage's selection in selection order;
         every stage extends the one before (:meth:`al_states`), so stage k
-        trains on the first |S_k| series. The test set is a seeded sample
+        trains on the first |S_k| molecules. The test set is a seeded sample
         of ``n_test`` of the molecules no stage selected; ConfigError if
         too few are left. The two are disjoint, so a command simulates no
         molecule twice.
@@ -556,43 +553,48 @@ class _Workspace:
         return self.dataset_for(f"stage{n}", self.al_stage_hash(n), list(final_selected)), test
 
 
+def canonical_ids(ids: Sequence[str], source: str) -> tuple[str, ...]:
+    """The canonical SMILES of each molecule id, however spelled, each id
+    parsed once; ValueError naming ``source`` and both spellings if two ids
+    are one molecule."""
+    spelling: dict[str, str] = {}  # each canonical id's spelling in ``ids``
+    for mol in ids:
+        key = str(to_canonical_smiles(parse_smiles(mol)))
+        if key in spelling:
+            raise ValueError(f"{source} names {key} twice, as {spelling[key]} and {mol}")
+        spelling[key] = mol
+    return tuple(spelling)
+
+
 def simulate_molecules(
-    ids: Sequence[str], noise_sigma: float, seed: int
-) -> list[thermo.ThermoSeries]:
-    """Oracle series for each molecule id, of any spelling, keyed by its
-    canonical SMILES (:func:`_simulate`)."""
-    return _simulate([str(to_canonical_smiles(parse_smiles(m))) for m in ids], noise_sigma, seed)
+    ids: Sequence[str], noise_sigma: float, seed: int, source: str = "the molecule list"
+) -> thermo.Dataset:
+    """Oracle data of each molecule id, of any spelling, keyed by its
+    canonical SMILES (:func:`canonical_ids`, which names ``source``)."""
+    return _simulate(canonical_ids(ids, source), noise_sigma, seed)
 
 
-def _simulate(ids: Sequence[str], noise_sigma: float, seed: int) -> list[thermo.ThermoSeries]:
+def _simulate(ids: Sequence[str], noise_sigma: float, seed: int) -> thermo.Dataset:
     """:func:`thermo.simulate_batch` of canonical ids; QC failures are logged."""
-    out = thermo.simulate_batch(ids, noise_sigma, seed)
-    for s in out:
-        if not s.qc.passed:
-            logger.warning("QC drop %s: failed %s", s.molecule_id, ",".join(s.qc.failed_checks()))
-    return out
+    data = thermo.simulate_batch(ids, noise_sigma, seed)
+    for mol, gates in zip(data.ids, data.failed.tolist()):
+        if any(gates):
+            failed = ",".join(g for g, f in zip(thermo.QC_GATES, gates) if f)
+            logger.warning("QC drop %s: failed %s", mol, failed)
+    return data
 
 
-def property_table(
-    series: Sequence[thermo.ThermoSeries],
-) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """(molecule, temperature) keys and the matrix of the properties, in
-    ``PROPERTIES`` order, of oracle series."""
-    keys = [(s.molecule_id, t) for s in series for t in s.temperatures]
-    values = np.array([v for s in series for v in s.values], dtype=float)
-    return keys, values
-
-
-def _fit_on_series(series: Sequence[thermo.ThermoSeries], provider, cfg: PipelineConfig):
-    """The property GP fitted on the QC-passing series; StageError naming
-    how many failed which gate if none passes."""
-    keys, targets = property_table([s for s in series if s.qc.passed])
+def _fit_on_series(data: thermo.Dataset, provider, cfg: PipelineConfig):
+    """The property GP fitted on the QC-passing molecules of ``data``;
+    StageError naming how many failed which gate if none passes."""
+    keys, targets = data.take(data.passed).rows()
     if not keys:
-        gates = Counter(gate for s in series for gate in s.qc.failed_checks())
-        n = len(series)
+        counts = data.failed.sum(axis=0).tolist()
+        gates = sorted((g, k) for g, k in zip(thermo.QC_GATES, counts) if k)
+        n = len(data)
         message = f"no QC-passing training rows: {n} of {n} molecules failed QC"
         if gates:
-            message += f" (by gate: {', '.join(f'{g} {k}' for g, k in sorted(gates.items()))})"
+            message += f" (by gate: {', '.join(f'{g} {k}' for g, k in gates)})"
         if cfg.noise_sigma > 0:
             message += f"; the oracle noise_sigma is {cfg.noise_sigma:g}"
         raise StageError(message)
@@ -657,19 +659,18 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     t_start = time.monotonic()
     with _staged(config) as (ws, ids, calc, states):
         final_selected = states[-1].selected
-        train, test_series = ws.datasets(ids, final_selected)
-        test_ids = [s.molecule_id for s in test_series]
-        test_keys, test_truth = property_table(test_series)
+        train, test = ws.datasets(ids, final_selected)
+        test_keys, test_truth = test.rows()
         truth_columns = test_truth.T.tolist()
 
         # every stage predicts the test set against a subset of the final
         # selection: solve those pairs in one batch rather than per stage
-        calc.block(test_ids, final_selected)
+        calc.block(test.ids, final_selected)
         stage_results: list[StageResult] = []
         stage_columns: list[list[list[float]]] = []
         for i, state in enumerate(states):
             stage_no = i + 1
-            model = _fit_on_series(train[: len(state.selected)], calc, config)
+            model = _fit_on_series(train.take(slice(len(state.selected))), calc, config)
             t0 = time.monotonic()
             preds = model.predict_mean(test_keys)
             logger.info(
@@ -699,7 +700,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     report = EvalReport(
         config_hash=config.content_hash(),
         n_molecules=len(ids),
-        n_test_molecules=len(test_ids),
+        n_test_molecules=len(test),
         n_test_rows=len(test_keys),
         stages=tuple(stage_results),
     )
@@ -810,26 +811,23 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
                 f"cannot draw a {len(s1.selected)}-molecule control from a "
                 f"{config.n_test}-molecule test pool and score on the rest; raise n_test"
             )
-        train, test_series = ws.datasets(ids, states[-1].selected)
-        test_ids = [s.molecule_id for s in test_series]
-        al_model = _fit_on_series(train[: len(s1.selected)], calc, config)
+        train, test = ws.datasets(ids, states[-1].selected)
+        al_model = _fit_on_series(train.take(slice(len(s1.selected))), calc, config)
 
-        controls = []
-        for seed in config.control_seeds:
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(len(test_series), size=len(s1.selected), replace=False)
-            controls.append([test_series[int(i)] for i in picks])
+        picks = [
+            np.random.default_rng(seed).choice(len(test), size=len(s1.selected), replace=False)
+            for seed in config.control_seeds
+        ]
         # each seed fits on its control and predicts the rest of the test
         # pool: solve the pairs of all seeds in one batch
-        calc.block(sorted({s.molecule_id for c in controls for s in c}), test_ids)
+        calc.block(sorted({test.ids[i] for p in picks for i in p.tolist()}), test.ids)
 
         per_seed: list[SeedComparison] = []
-        for seed, control in zip(config.control_seeds, controls):
-            control_ids = {s.molecule_id for s in control}
-            eval_series = [s for s in test_series if s.molecule_id not in control_ids]
-
-            random_model = _fit_on_series(control, calc, config)
-            eval_keys, truth = property_table(eval_series)
+        for seed, pick in zip(config.control_seeds, picks):
+            rest = np.ones(len(test), dtype=bool)
+            rest[pick] = False
+            random_model = _fit_on_series(test.take(pick), calc, config)
+            eval_keys, truth = test.take(rest).rows()
             al_pred = al_model.predict_mean(eval_keys)
             rnd_pred = random_model.predict_mean(eval_keys)
             comparison = SeedComparison(
@@ -877,19 +875,20 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
 
 
 def predict_properties(
-    train: Sequence[thermo.ThermoSeries],
+    train: thermo.Dataset,
     molecule_ids: Sequence[str],
     config: PipelineConfig,
+    sources: tuple[str, str] = ("the training data", "the query"),
 ) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """Fit on oracle series and predict each molecule's properties on its
-    oracle temperature grid, as :func:`property_table` holds them; molecules
-    are keyed by canonical SMILES however spelled, each spelling parsed once."""
-    spellings = {s.molecule_id for s in train}.union(molecule_ids)
-    canonical = {m: str(to_canonical_smiles(parse_smiles(m))) for m in spellings}
-    train = [replace(s, molecule_id=canonical[s.molecule_id]) for s in train]
-    query_keys = [canonical[m] for m in molecule_ids]
+    """Fit on oracle data and predict each molecule's properties on its
+    oracle temperature grid, as :meth:`thermo.Dataset.rows` gives them.
+    Molecules are keyed by canonical SMILES however spelled; ValueError
+    (:func:`canonical_ids`) if the training data or the query names a
+    molecule twice, calling that input by its entry of ``sources``."""
+    train = replace(train, ids=canonical_ids(train.ids, sources[0]))
+    query_keys = canonical_ids(molecule_ids, sources[1])
     calc = MgkCalculator(config.kernel)
-    calc.register_canonical(sorted({s.molecule_id for s in train}) + query_keys)
+    calc.register_canonical(sorted(train.ids) + list(query_keys))
     model = _fit_on_series(train, calc, config)
     tc = [thermo.synth_critical_temperature(n, w) for n, w, _ in descriptors(query_keys).tolist()]
     grids = thermo.temperature_grid(np.array(tc)).tolist()
@@ -922,15 +921,16 @@ def read_predictions(path: str) -> tuple[list[tuple[str, float]], np.ndarray]:
 def evaluate_predictions(
     keys: Sequence[tuple[str, float]],
     predictions: np.ndarray,
-    truths: Sequence[thermo.ThermoSeries],
+    truths: thermo.Dataset,
 ) -> dict[str, Metrics]:
-    """Join predictions to the oracle series on (molecule, temperature) and
-    score each property; every prediction must find its truth."""
-    truth_map = {(s.molecule_id, t): v for s in truths for t, v in zip(s.temperatures, s.values)}
+    """Join predictions to the rows of the oracle data on (molecule,
+    temperature) and score each property; every prediction must find its
+    truth."""
+    truth_keys, truth_values = truths.rows()
+    row_of = {key: i for i, key in enumerate(truth_keys)}
     if not keys:
         raise ValueError("no predictions to evaluate")
-    missing = [k for k in keys if k not in truth_map]
+    missing = [k for k in keys if k not in row_of]
     if missing:
         raise ValueError(f"no truth row for {missing[0]}")
-    tm = np.array([truth_map[k] for k in keys])
-    return _metrics_by_property(predictions, tm)
+    return _metrics_by_property(predictions, truth_values[[row_of[k] for k in keys]])

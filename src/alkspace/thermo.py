@@ -16,16 +16,18 @@ temperature at a time gives; one molecule is a batch of one. Each molecule
 draws its noise from its own stream, so no value depends on what else the
 batch holds or in which order.
 
-A :class:`ThermoSeries` is the one form of oracle data: the oracle returns
-series, the dataset CSV holds them (a block of ``GRID_POINTS`` rows each),
-and training and test sets are lists of them. The dataset reader re-runs
-the QC gates on the values it reads and rejects a ``qc_pass`` column that
-contradicts them.
+A :class:`Dataset` is the one form of oracle data: the ids of ``m``
+molecules and arrays of their grid temperatures, property values and
+failed QC gates. The oracle returns one, the dataset CSV holds one (a
+block of ``GRID_POINTS`` rows per molecule), and training and test sets
+are prefixes and subsets of one (:meth:`Dataset.take`). The dataset reader
+re-runs the QC gates on the values it reads and rejects a ``qc_pass``
+column that contradicts them.
 
-Also provides the quality-control gates a series must pass before entering
-a training set (no vapor-like density, no solid-like diffusion, strict
-monotonicity, and a quadratic fit with R^2 >= 0.98), evaluated over arrays
-of series.
+Also provides the quality-control gates a molecule must pass before
+entering a training set (no vapor-like density, no solid-like diffusion,
+strict monotonicity, and a quadratic fit with R^2 >= 0.98), evaluated over
+arrays of molecules.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._atomic import csv_field, csv_rows, row_error, write_csv
+from ._atomic import csv_column, csv_field, csv_rows, row_error, write_csv
 from .molspace import descriptors
 
 GRID_POINTS = 16
@@ -59,65 +61,84 @@ DATASET_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class QcStatus:
-    """Per-check outcomes; ``solid`` is None without a diffusion coefficient.
+# The QC gates, in the column order of :attr:`Dataset.failed`. The paper's
+# two trajectory checks (energy distribution, equilibration) validate raw
+# simulation trajectories, which the synthetic oracle does not produce, so
+# they do not apply here.
+QC_GATES = ("vapor", "solid", "monotonic", "quadratic_fit")
 
-    The paper's two trajectory checks (energy distribution, equilibration)
-    validate raw simulation trajectories, which the synthetic oracle does
-    not produce, so they do not apply here.
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Oracle data of ``m`` molecules at 1 bar: their distinct ids, the
+    ``(m, GRID_POINTS)`` grid temperatures (K), the ``(m, GRID_POINTS, 3)``
+    density (kg/m^3), heat capacity (J/(mol K)) and heat of vaporization
+    (kJ/mol) at each, and the ``(m, len(QC_GATES))`` bool array of the gates
+    each failed. The record holds its arrays C-contiguous and read-only, so
+    a :meth:`take` or :meth:`rows` view of them cannot change it.
+
+    ValueError naming the first bad molecule unless every grid is positive,
+    finite and strictly increasing, every value finite and every id
+    distinct; ValueError for arrays of other shapes.
     """
 
-    vapor: bool
-    solid: bool | None
-    monotonic: bool
-    quadratic_fit: bool
-
-    @property
-    def passed(self) -> bool:
-        applicable = [self.vapor, self.monotonic, self.quadratic_fit]
-        if self.solid is not None:
-            applicable.append(self.solid)
-        return all(applicable)
-
-    def failed_checks(self) -> list[str]:
-        out = []
-        if not self.vapor:
-            out.append("vapor")
-        if self.solid is False:
-            out.append("solid")
-        if not self.monotonic:
-            out.append("monotonic")
-        if not self.quadratic_fit:
-            out.append("quadratic_fit")
-        return out
-
-
-@dataclass(frozen=True)
-class ThermoSeries:
-    """The oracle record of one molecule at 1 bar: its ``GRID_POINTS`` grid
-    temperatures (K), the density (kg/m^3), heat capacity (J/(mol K)) and
-    heat of vaporization (kJ/mol) at each, and its QC verdict. The numbers
-    are tuples of floats, so two series compare with ``==``."""
-
-    molecule_id: str
-    temperatures: tuple[float, ...]
-    values: tuple[tuple[float, float, float], ...]
-    qc: QcStatus
+    ids: tuple[str, ...]
+    temperatures: np.ndarray
+    values: np.ndarray
+    failed: np.ndarray
 
     def __post_init__(self) -> None:
-        temps = self.temperatures
-        if len(temps) != GRID_POINTS or len(self.values) != GRID_POINTS:
-            raise ValueError(
-                f"series needs exactly {GRID_POINTS} temperatures and value rows, "
-                f"got {len(temps)} and {len(self.values)}"
-            )
-        if not (temps[0] > 0 and math.isfinite(temps[-1])):
-            raise ValueError(f"temperatures must be positive and finite, got {temps}")
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise ValueError("grid temperatures must strictly increase")
-        if not all(len(row) == 3 and all(map(math.isfinite, row)) for row in self.values):
-            raise ValueError(f"non-finite property for {self.molecule_id}")
+        ids = tuple(self.ids)
+        m = len(ids)
+        fields = {"ids": ids}
+        for name, dtype, shape in (
+            ("temperatures", float, (m, GRID_POINTS)),
+            ("values", float, (m, GRID_POINTS, 3)),
+            ("failed", bool, (m, len(QC_GATES))),
+        ):
+            array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+            array.setflags(write=False)
+            fields[name] = array
+        t, values = fields["temperatures"], fields["values"]
+        for problem, bad in (
+            ("temperatures must be positive and finite", ~(t[:, 0] > 0) | ~np.isfinite(t[:, -1])),
+            ("grid temperatures must strictly increase", ~(t[:, 1:] > t[:, :-1]).all(axis=1)),
+            ("non-finite property", ~np.isfinite(values).all(axis=(1, 2))),
+        ):
+            if bad.any():
+                raise ValueError(f"{problem}: {ids[int(bad.argmax())]}")
+        seen: set[str] = set()
+        for mol in ids:
+            if mol in seen:
+                raise ValueError(f"two entries for {mol}")
+            seen.add(mol)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Whether each molecule passed every gate, an ``(m,)`` bool array."""
+        return ~self.failed.any(axis=1)
+
+    def take(self, index: slice | Sequence[int] | np.ndarray) -> Dataset:
+        """The molecules at ``index`` along the molecule axis, in its order:
+        a slice (a prefix is a view), positions or a boolean mask."""
+        picked = np.arange(len(self))[index].tolist()
+        return Dataset(
+            tuple(self.ids[i] for i in picked),
+            self.temperatures[index], self.values[index], self.failed[index],
+        )
+
+    def rows(self) -> tuple[list[tuple[str, float]], np.ndarray]:
+        """The (molecule, temperature) key of each row, molecule by
+        molecule, and the ``(GRID_POINTS * m, 3)`` array of its properties."""
+        keys = [(mol, t) for mol, grid in zip(self.ids, self.temperatures.tolist()) for t in grid]
+        return keys, self.values.reshape(-1, 3)
 
 
 def synth_critical_temperature(n_carbons: int, wiener_index: int) -> float:
@@ -149,10 +170,8 @@ def _series_seed(seed: int, molecule_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, key]))
 
 
-def simulate_batch(
-    ids: Sequence[str], noise_sigma: float = 0.0, seed: int = 0
-) -> list[ThermoSeries]:
-    """Property series of each alkane, given by its canonical SMILES, on its
+def simulate_batch(ids: Sequence[str], noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
+    """The oracle data of each alkane, given by its canonical SMILES, on its
     temperature grid, computed in numpy passes over the whole batch.
 
     Each value is bitwise what evaluating the molecule at each grid
@@ -160,13 +179,11 @@ def simulate_batch(
     ``noise_sigma`` > 0, each value is scaled by (1 + sigma * z) with
     standard-normal z from a stream derived from (seed, molecule id), drawn
     as one (GRID_POINTS, 3) block per molecule: row by row, one z per
-    property. A molecule under the same seed gets the same series, whatever
-    else the batch holds.
+    property. A molecule under the same seed gets the same data, whatever
+    else the batch holds. ValueError if an id repeats.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    if not ids:
-        return []
     d = descriptors(ids)
     n = d[:, :1].astype(float)
     branch = (d[:, 2] / d[:, 0])[:, None]
@@ -175,10 +192,10 @@ def simulate_batch(
     cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
     hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t
     values = np.stack([density, cp, hov], axis=2)
-    if noise_sigma > 0:
+    if noise_sigma > 0 and len(ids):
         z = np.stack([_series_seed(seed, m).standard_normal((GRID_POINTS, 3)) for m in ids])
         values *= 1.0 + noise_sigma * z
-    return _series_of(ids, t, values)
+    return Dataset(tuple(ids), t, values, qc_evaluate(t, values))
 
 
 def _quadratic_r2(temperatures: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -200,69 +217,46 @@ def _quadratic_r2(temperatures: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(constant, (ss_res < 1e-12).astype(float), r2)
 
 
-def _qc(
-    temperatures: np.ndarray, values: np.ndarray, diffusion: float | None = None
-) -> list[QcStatus]:
-    """The QC verdict of each series: ``temperatures`` (m, n), ``values``
-    (m, n, 3) of density, heat capacity and heat of vaporization."""
+def qc_evaluate(
+    temperatures: np.ndarray, values: np.ndarray, diffusion: float | np.ndarray | None = None
+) -> np.ndarray:
+    """The gates each molecule fails, an (m, len(QC_GATES)) bool array, from
+    its ``temperatures`` (m, n) and ``values`` (m, n, 3) of density, heat
+    capacity and heat of vaporization. The solid gate reads a measured
+    diffusion coefficient (cm^2/s), one for all molecules or one each;
+    without one it does not apply, and does not fail."""
     vapor = (values[:, :, 0] >= VAPOR_DENSITY_LIMIT).all(axis=1)
     rising = (values[:, 1:] > values[:, :-1]).all(axis=1)
     falling = (values[:, 1:] < values[:, :-1]).all(axis=1)
     monotonic = (rising | falling).all(axis=1)
     fit = (_quadratic_r2(temperatures, values) >= QC_R2_LIMIT).all(axis=1)
-    solid = None if diffusion is None else diffusion >= SOLID_DIFFUSION_LIMIT
-    return [
-        QcStatus(vapor=v, solid=solid, monotonic=m, quadratic_fit=f)
-        for v, m, f in zip(vapor.tolist(), monotonic.tolist(), fit.tolist())
-    ]
+    solid = True if diffusion is None else np.asarray(diffusion) >= SOLID_DIFFUSION_LIMIT
+    return ~np.stack(np.broadcast_arrays(vapor, solid, monotonic, fit), axis=1)
 
 
-def _series_of(
-    ids: Sequence[str], temperatures: np.ndarray, values: np.ndarray
-) -> list[ThermoSeries]:
-    """The series of each molecule, with its QC verdict, from stacked
-    ``temperatures`` (m, n) and ``values`` (m, n, 3)."""
-    return [
-        ThermoSeries(mol_id, tuple(temps), tuple(map(tuple, rows)), qc)
-        for mol_id, temps, rows, qc in zip(
-            ids, temperatures.tolist(), values.tolist(), _qc(temperatures, values)
-        )
-    ]
-
-
-def qc_evaluate(series: ThermoSeries, diffusion: float | None = None) -> QcStatus:
-    """Re-run the quality gates on a series, optionally with a measured
-    diffusion coefficient (cm^2/s) for the solid check."""
-    return _qc(np.array([series.temperatures]), np.array([series.values]), diffusion)[0]
-
-
-def write_dataset(path: str, series_list: Sequence[ThermoSeries]) -> int:
+def write_dataset(path: str, data: Dataset) -> int:
     """CSV dataset, one row per grid point, written atomically; returns the
-    row count. Rewriting the same series is byte-identical. ValueError,
-    writing nothing, if two series are of one molecule, which
-    :func:`read_dataset` would reject."""
-    seen: set[str] = set()
-    for s in series_list:
-        if s.molecule_id in seen:
-            raise ValueError(f"{path!r}: two series of {s.molecule_id}")
-        seen.add(s.molecule_id)
-    lines = []
-    for s in series_list:
-        # each series' label and QC flag are rendered once, for its rows
-        head = csv_field(s.molecule_id) + ","
-        tail = ",1\r\n" if s.qc.passed else ",0\r\n"
-        lines += [
-            head + csv_field(t) + ",1.0," + ",".join(map(csv_field, v)) + tail
-            for t, v in zip(s.temperatures, s.values)
-        ]
+    row count. Rewriting the same data is byte-identical. Each molecule's
+    label and QC flag are rendered once, the numbers a column at a time
+    (:func:`alkspace._atomic.csv_column`)."""
+    def per_row(texts: list[str]) -> list[str]:
+        return [text for text in texts for _ in range(GRID_POINTS)]
+
+    temperatures = csv_column(data.temperatures.ravel().tolist())
+    heads = per_row([csv_field(mol) + "," for mol in data.ids])
+    lines = [head + t + ",1.0" for head, t in zip(heads, temperatures)]
+    for column in data.values.reshape(-1, 3).T.tolist():
+        lines = list(map(",".join, zip(lines, csv_column(column))))
+    tails = per_row([",1\r\n" if ok else ",0\r\n" for ok in data.passed.tolist()])
+    lines = list(map(str.__add__, lines, tails))
     write_csv(path, DATASET_HEADER, lines)
     return len(lines)
 
 
-def read_dataset(path: str) -> list[ThermoSeries]:
-    """The series of a dataset file, one per molecule block, with the QC
-    verdict the gates give on the values read (the file holds no diffusion
-    coefficient, so ``qc.solid`` is None).
+def read_dataset(path: str) -> Dataset:
+    """The oracle data of a dataset file, a molecule per block of rows, with
+    the failed gates the QC gates give on the values read (the file holds
+    no diffusion coefficient, so the solid gate does not fail).
 
     ValueError naming the file, and the line, for a malformed row
     (:func:`alkspace._atomic.csv_rows`), a ``pressure_bar`` other than 1.0,
@@ -304,12 +298,12 @@ def read_dataset(path: str) -> list[ThermoSeries]:
         raise row_error(
             path, line, f"{current} has {len(table) % GRID_POINTS} rows, expected {GRID_POINTS}"
         )
-    stacked = np.array(table).reshape(-1, GRID_POINTS, 4)
-    series = _series_of(list(blocks), stacked[:, :, 0], stacked[:, :, 1:])
-    for s, (line, flag) in zip(series, blocks.values()):
-        if s.qc.passed != (flag == 1.0):
-            verdict = "passes" if s.qc.passed else "fails " + ",".join(s.qc.failed_checks())
-            raise row_error(
-                path, line, f"qc_pass {flag:g} contradicts the QC gates: {s.molecule_id} {verdict}"
-            )
-    return series
+    stacked = np.array(table, dtype=float).reshape(-1, GRID_POINTS, 4)
+    temperatures, values = stacked[:, :, 0], stacked[:, :, 1:]
+    failed = qc_evaluate(temperatures, values)
+    for (mol, (line, flag)), gates in zip(blocks.items(), failed.tolist()):
+        if any(gates) == (flag == 1.0):
+            fails = ",".join(g for g, f in zip(QC_GATES, gates) if f)
+            verdict = "fails " + fails if fails else "passes"
+            raise row_error(path, line, f"qc_pass {flag:g} contradicts the QC gates: {mol} {verdict}")
+    return Dataset(tuple(blocks), temperatures, values, failed)

@@ -5,7 +5,6 @@ Each test prints a single [criterion N] PASS or FAIL line (visible with
 Criteria 4, 5 and 6 share one full-scale C4..C12 workspace fixture.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -284,37 +283,43 @@ def test_criterion_6_data_efficiency(full_run):
 
 def test_criterion_7_thermo_formulas():
     with criterion(7, "QC gate fixtures"):
-        [series] = thermo.simulate_batch([to_canonical_smiles(parse_smiles("CCCC"))])
-        assert series.qc.passed and series.qc.solid is None
+        series = thermo.simulate_batch([to_canonical_smiles(parse_smiles("CCCC"))])
+        solid = thermo.QC_GATES.index("solid")
+        assert series.passed.tolist() == [True] and not series.failed[0, solid]
 
         def with_density(values):
-            return dataclasses.replace(
-                series,
-                values=tuple((float(v), cp, hov) for v, (_, cp, hov) in zip(values, series.values)),
-            )
+            out = series.values.copy()
+            out[0, :, 0] = values
+            return out
 
-        vapor = thermo.qc_evaluate(with_density([40.0 - 0.1 * i for i in range(16)]))
-        assert vapor.vapor is False and not vapor.passed
+        def failed(values, diffusion=None):
+            gates = thermo.qc_evaluate(series.temperatures, values, diffusion)[0]
+            return dict(zip(thermo.QC_GATES, gates.tolist()))
 
-        spiked = [v[0] for v in series.values]
+        vapor = failed(with_density([40.0 - 0.1 * i for i in range(16)]))
+        assert vapor["vapor"] is True and any(vapor.values())
+
+        spiked = series.values[0, :, 0].tolist()
         spiked[8] = spiked[7] + 1.0
-        bumpy = thermo.qc_evaluate(with_density(spiked))
-        assert bumpy.monotonic is False and not bumpy.passed
+        bumpy = failed(with_density(spiked))
+        assert bumpy["monotonic"] is True and any(bumpy.values())
 
-        assert qc_solid_verdicts(series) == (None, False, True)
+        assert qc_solid_verdicts(series) == (False, True, False)
 
         step = [100.0 + 0.001 * i for i in range(8)] + [
             200.0 + 0.001 * i for i in range(8)
         ]
-        kinked = thermo.qc_evaluate(with_density(step))
-        assert kinked.quadratic_fit is False and not kinked.passed
+        kinked = failed(with_density(step))
+        assert kinked["quadratic_fit"] is True and any(kinked.values())
 
 
 def qc_solid_verdicts(series):
-    return (
-        thermo.qc_evaluate(series, diffusion=None).solid,
-        thermo.qc_evaluate(series, diffusion=1e-9).solid,
-        thermo.qc_evaluate(series, diffusion=1e-5).solid,
+    """Whether the solid gate fails without a diffusion coefficient, at a
+    frozen one and at a mobile one."""
+    solid = thermo.QC_GATES.index("solid")
+    return tuple(
+        bool(thermo.qc_evaluate(series.temperatures, series.values, diffusion)[0, solid])
+        for diffusion in (None, 1e-9, 1e-5)
     )
 
 

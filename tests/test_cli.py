@@ -295,7 +295,8 @@ def test_simulate_rejects_a_molecule_listed_twice(tmp_path, caplog):
     listed.write_text("CCCC\nCC(C)C\nC(C)CC\n")
     out = tmp_path / "d.csv"
     assert main(["simulate", "--molecules", str(listed), "--out", str(out)]) == 2
-    assert "two series of C(CC)C" in caplog.text
+    assert f"{str(listed)!r} names C(CC)C twice, as CCCC and C(C)CC" in caplog.text
+    assert "oracle: simulated" not in caplog.text  # rejected before any simulation
     assert not out.exists()
 
 
@@ -354,7 +355,7 @@ def test_fit_predict_accepts_a_training_file_that_spells_a_molecule_non_canonica
     )
 
 
-def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path):
+def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path, caplog):
     # the two spellings number the carbons differently
     train_list = tmp_path / "train.txt"
     train_list.write_text("CCCCCCCC\nCC(C)CCCCC\nCCC(C)(C)CCCC\nCCCCCCCCCC\n")
@@ -366,8 +367,34 @@ def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path
     assert len(keys) == thermo.GRID_POINTS
     assert {m for m, _ in keys} == {str(to_canonical_smiles(parse_smiles(a)))}
     assert _fit_predict(tmp_path, train_csv, [b], "b") == first
-    _, rows = first.split(b"\r\n", 1)
-    assert _fit_predict(tmp_path, train_csv, [b, a], "ba") == first + rows
+    # both spellings in one query file: one molecule, listed twice
+    query, out = tmp_path / "ba.txt", tmp_path / "ba.csv"
+    query.write_text(f"{b}\n{a}\n")
+    assert main(["fit-predict", "--train", train_csv, "--molecules", str(query),
+                 "--out", str(out)]) == 2
+    canonical = str(to_canonical_smiles(parse_smiles(a)))
+    assert f"{str(query)!r} names {canonical} twice, as {b} and {a}" in caplog.text
+    assert not out.exists()
+
+
+def test_fit_predict_rejects_a_training_file_that_holds_a_molecule_twice(tmp_path, caplog):
+    train_list = tmp_path / "train.txt"
+    train_list.write_text("CCCC\nCCCCC\nCC(C)C\n")
+    train_csv = tmp_path / "train.csv"
+    assert main(["simulate", "--molecules", str(train_list), "--out", str(train_csv)]) == 0
+    # butane's block again, spelled CCCC: a second block of one molecule
+    lines = train_csv.read_text().splitlines(keepends=True)
+    butane = str(to_canonical_smiles(parse_smiles("CCCC")))
+    twice = tmp_path / "twice.csv"
+    twice.write_text("".join(lines + [
+        "CCCC," + line.split(",", 1)[1] for line in lines if line.startswith(butane + ",")
+    ]), newline="")
+    query, out = tmp_path / "q.txt", tmp_path / "p.csv"
+    query.write_text("CCCCCC\n")
+    assert main(["fit-predict", "--train", str(twice), "--molecules", str(query),
+                 "--out", str(out)]) == 2
+    assert f"{str(twice)!r} names {butane} twice, as {butane} and CCCC" in caplog.text
+    assert not out.exists()
 
 
 def test_evaluate_with_disjoint_truth_exits_two(tmp_path):

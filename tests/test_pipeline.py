@@ -44,6 +44,12 @@ from alkspace.pipeline import (
     write_predictions,
 )
 
+def _same(a: thermo.Dataset, b: thermo.Dataset) -> bool:
+    """Whether two datasets hold the same ids and, bit for bit, arrays."""
+    arrays = ("temperatures", "values", "failed")
+    return a.ids == b.ids and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays)
+
+
 RUN_RAW = {
     "chemical_space": {"min_carbons": 4, "max_carbons": 8},
     "kernel": {"lambda": 0.2},
@@ -369,11 +375,14 @@ def test_write_dataset_atomic_matches_plain_write(tmp_path):
     with open(b, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(thermo.DATASET_HEADER)
-        for s in series:
-            for t, (density, cp, hov) in zip(s.temperatures, s.values):
+        for mol, temps, values, passed in zip(
+            series.ids, series.temperatures.tolist(), series.values.tolist(),
+            series.passed.tolist(),
+        ):
+            for t, (density, cp, hov) in zip(temps, values):
                 writer.writerow(
-                    [s.molecule_id, repr(t), repr(1.0), repr(density),
-                     repr(cp), repr(hov), "1" if s.qc.passed else "0"]
+                    [mol, repr(t), repr(1.0), repr(density),
+                     repr(cp), repr(hov), "1" if passed else "0"]
                 )
     assert written == 2 * thermo.GRID_POINTS
     with open(a, "rb") as fa, open(b, "rb") as fb:
@@ -412,25 +421,29 @@ def test_a_failed_atomic_write_leaves_nothing(tmp_path, monkeypatch):
 def _fitted_on(series, **config):
     cfg = PipelineConfig.from_dict({"kernel": {"lambda": 0.2}, **config})
     calc = MgkCalculator(cfg.kernel)
-    calc.register([parse_smiles(s.molecule_id) for s in series])
+    calc.register([parse_smiles(m) for m in series.ids])
     return pipeline._fit_on_series(series, calc, cfg)
 
 
+def _failing(data: thermo.Dataset, gate: str, molecules) -> thermo.Dataset:
+    """``data`` with ``gate`` failed for the molecules at ``molecules``."""
+    failed = data.failed.copy()
+    failed[molecules, thermo.QC_GATES.index(gate)] = True
+    return dataclasses.replace(data, failed=failed)
+
+
 def test_training_set_filters_qc_failures():
-    good, bad = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
-    vapor = dataclasses.replace(bad.qc, vapor=False)
-    model = _fitted_on([good, dataclasses.replace(bad, qc=vapor)])
-    assert model.training_keys == tuple((good.molecule_id, t) for t in good.temperatures)
+    data = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
+    model = _fitted_on(_failing(data, "vapor", [1]))
+    good = data.ids[0]
+    assert model.training_keys == tuple((good, t) for t in data.temperatures[0].tolist())
     assert model.dual_weights.shape == (thermo.GRID_POINTS, 3)
-    assert model.y_mean[0] == np.mean([v[0] for v in good.values])
+    assert model.y_mean[0] == np.mean(data.values[0, :, 0].tolist())
 
 
 def test_a_training_set_without_qc_passes_names_the_gates():
     series = pipeline.simulate_molecules(["CCCC", "CCCCC", "CC(C)C"], 0.0, 7)
-    failed = [
-        dataclasses.replace(s, qc=dataclasses.replace(s.qc, monotonic=False, vapor=i > 0))
-        for i, s in enumerate(series)
-    ]
+    failed = _failing(_failing(series, "monotonic", [0, 1, 2]), "vapor", [0])
     with pytest.raises(StageError) as info:
         _fitted_on(failed)
     assert str(info.value) == (
@@ -441,7 +454,7 @@ def test_a_training_set_without_qc_passes_names_the_gates():
                                          r"the oracle noise_sigma is 0.02$"):
         _fitted_on(failed, oracle={"noise_sigma": 0.02})
     with pytest.raises(StageError, match="0 of 0 molecules failed QC$"):
-        _fitted_on([])
+        _fitted_on(series.take(slice(0)))
 
 
 # -- plot-data export -----------------------------------------------------------------
@@ -534,15 +547,17 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
     temps = data.draw(st.lists(st.one_of(
         st.floats(1.0, 1e300), st.floats(1.0, 1e300).map(np.float64), st.integers(1, 10**6),
     ), min_size=thermo.GRID_POINTS, max_size=thermo.GRID_POINTS, unique=True))
-    series = [
-        thermo.ThermoSeries(
-            label, tuple(sorted(temps)),
-            tuple(tuple(data.draw(st.lists(_NUMBERS, min_size=3, max_size=3)))
-                  for _ in range(thermo.GRID_POINTS)),
-            thermo.QcStatus(True, None, data.draw(st.booleans()), True),
-        )
-        for label in sorted({label for label, _ in keys})
-    ]
+    labels = sorted({label for label, _ in keys})
+    series = thermo.Dataset(
+        tuple(labels),
+        np.array([sorted(temps)] * len(labels), dtype=float),
+        np.array([
+            [data.draw(st.lists(_NUMBERS, min_size=3, max_size=3))
+             for _ in range(thermo.GRID_POINTS)]
+            for _ in labels
+        ], dtype=float),
+        np.array([[False, False, data.draw(st.booleans()), False] for _ in labels]),
+    )
     values = np.array(data.draw(st.lists(
         st.lists(_NUMBERS, min_size=3, max_size=3), min_size=n, max_size=n,
     )), dtype=float).reshape(n, 3)
@@ -569,8 +584,12 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
         dataset = os.path.join(out, "dataset.csv")
         assert thermo.write_dataset(dataset, series) == len(series) * thermo.GRID_POINTS
         assert Path(dataset).read_bytes() == _csv_writer_bytes(thermo.DATASET_HEADER, [
-            [s.molecule_id, t, 1.0, *v, "1" if s.qc.passed else "0"]
-            for s in series for t, v in zip(s.temperatures, s.values)
+            [mol, t, 1.0, *v, "1" if passed else "0"]
+            for mol, temps, values, passed in zip(
+                series.ids, series.temperatures.tolist(), series.values.tolist(),
+                series.passed.tolist(),
+            )
+            for t, v in zip(temps, values)
         ])
 
         predictions = os.path.join(out, "pred.csv")
@@ -598,7 +617,7 @@ def test_read_predictions_rejects_a_repeated_row(tmp_path):
     """A molecule's row at one temperature comes once: a repeat would be
     scored twice."""
     truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
-    keys, values = pipeline.property_table(truth)
+    keys, values = truth.rows()
     path = tmp_path / "pred.csv"
     write_predictions(str(path), keys, values)
     lines = path.read_bytes().splitlines(keepends=True)
@@ -609,7 +628,7 @@ def test_read_predictions_rejects_a_repeated_row(tmp_path):
     )):
         read_predictions(str(path))
     # the same temperature of another molecule is another row
-    other = [(s.molecule_id, keys[0][1]) for s in truth]
+    other = [(mol, keys[0][1]) for mol in truth.ids]
     write_predictions(str(path), other, values[:2])
     assert read_predictions(str(path))[0] == other
 
@@ -636,8 +655,9 @@ def test_evaluate_predictions_joins_on_molecule_and_temperature():
     truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
     # the second molecule's first grid points, then the first's, so the
     # join cannot lean on order
-    keys = [(s.molecule_id, s.temperatures[i]) for s in truth[::-1] for i in (1, 0)]
-    values = np.array([s.values[i] for s in truth[::-1] for i in (1, 0)])
+    temps = truth.temperatures.tolist()
+    keys = [(truth.ids[j], temps[j][i]) for j in (1, 0) for i in (1, 0)]
+    values = np.array([truth.values[j, i] for j in (1, 0) for i in (1, 0)])
     metrics = evaluate_predictions(keys, values, truth)
     assert set(metrics) == set(pipeline.PROPERTIES)
     assert metrics["density"].rmse == 0.0
@@ -657,8 +677,8 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     train = thermo.read_dataset(train_path)
     keys, values = predict_properties(train, ["CC(C)C"], cfg)
     assert values.shape == (thermo.GRID_POINTS, 3)
-    [truth] = pipeline.simulate_molecules(["CC(C)C"], 0.0, 7)
-    assert keys == [(truth.molecule_id, t) for t in truth.temperatures]
+    truth = pipeline.simulate_molecules(["CC(C)C"], 0.0, 7)
+    assert keys == [(truth.ids[0], t) for t in truth.temperatures[0].tolist()]
     again = predict_properties(train, ["CC(C)C"], cfg)
     assert again[0] == keys and again[1].tobytes() == values.tobytes()
 
@@ -683,9 +703,7 @@ def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
 
     expected = predicted(train, [canonical[q] for q in queries], "canonical")
     by_canonical = {canonical[s]: respelled for s, respelled in respell.items()}
-    respelled = [
-        dataclasses.replace(s, molecule_id=by_canonical[s.molecule_id]) for s in train
-    ]
+    respelled = dataclasses.replace(train, ids=tuple(by_canonical[m] for m in train.ids))
     parsed: list[str] = []
 
     def counting_parse(smiles):
@@ -742,7 +760,7 @@ def test_the_training_dataset_is_the_last_stage_selection(staged_run):
     assert dataset.startswith(f"dataset_stage{len(cfg.thresholds)}_")
     series = thermo.read_dataset(os.path.join(cfg.out_dir, dataset))
     final = al.load_checkpoint(os.path.join(cfg.out_dir, ckpt))
-    assert [s.molecule_id for s in series] == list(final.selected)
+    assert list(series.ids) == list(final.selected)
 
 
 def test_report_invariants(staged_run):
@@ -823,9 +841,9 @@ def test_predictions_do_not_depend_on_their_companions(tmp_path, monkeypatch):
            "evaluation": {"n_test": 60, "split_seed": 11, "control_seeds": [0]}}
     cfg = PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)})
     with pipeline._staged(cfg) as (ws, ids, calc, states):
-        train, test_series = ws.datasets(ids, states[-1].selected)
+        train, test = ws.datasets(ids, states[-1].selected)
         model = pipeline._fit_on_series(train, calc, cfg)
-        keys, _ = pipeline.property_table(test_series)
+        keys, _ = test.rows()
         n = len(model.training_keys)
 
         def predicted(rows):
@@ -834,8 +852,8 @@ def test_predictions_do_not_depend_on_their_companions(tmp_path, monkeypatch):
 
         whole, variance = predicted(len(keys))
         means = [
-            np.concatenate([model.predict_mean(pipeline.property_table([s])[0])
-                            for s in test_series]),
+            np.concatenate([model.predict_mean(test.take([i]).rows()[0])
+                            for i in range(len(test))]),
             np.concatenate([model.predict_mean([k]) for k in keys]),
         ]
         for rows in (1, 7):
@@ -1048,8 +1066,8 @@ def test_a_dataset_for_other_molecules_is_rejected(tmp_path):
     ws = pipeline._Workspace(cfg)
     ids = ws.molecule_ids()[:3]
     series = ws.dataset_for("probe", "h", ids)
-    assert [s.molecule_id for s in series] == ids
-    assert ws.dataset_for("probe", "h", ids) == series
+    assert list(series.ids) == ids
+    assert _same(ws.dataset_for("probe", "h", ids), series)
     (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith("dataset_probe_")]
     for wanted in (ids[:2], ids[::-1], ws.molecule_ids()[:4]):
         with pytest.raises(StageError, match=os.path.basename(path)):
@@ -1065,8 +1083,8 @@ def test_a_fresh_dataset_is_returned_as_its_file_reads(tmp_path):
     for tag, members in (("a", ids[:12]), ("b", ids[5:20])):  # b shares 7 of a's molecules
         series = ws.dataset_for(tag, tag, members)
         (path,) = [ws.path(n) for n in os.listdir(tmp_path) if n.startswith(f"dataset_{tag}_")]
-        assert series == thermo.read_dataset(path)
-        assert series == pipeline._Workspace(cfg).dataset_for(tag, tag, members)
+        assert _same(series, thermo.read_dataset(path))
+        assert _same(series, pipeline._Workspace(cfg).dataset_for(tag, tag, members))
 
 
 def test_a_cold_run_simulates_each_molecule_once(tmp_path, monkeypatch, caplog):

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -19,8 +20,8 @@ from alkspace.molspace import enumerate_alkane_smiles, parse_smiles, to_canonica
 from alkspace.thermo import (
     DATASET_HEADER,
     GRID_POINTS,
-    QcStatus,
-    ThermoSeries,
+    QC_GATES,
+    Dataset,
     qc_evaluate,
     read_dataset,
     synth_critical_temperature,
@@ -33,8 +34,21 @@ def _canonical(smiles: str) -> str:
     return str(to_canonical_smiles(parse_smiles(smiles)))
 
 
-def _series(smiles: str, **kwargs) -> ThermoSeries:
-    return thermo.simulate_batch([_canonical(smiles)], **kwargs)[0]
+def _series(smiles: str, **kwargs) -> Dataset:
+    """The oracle data of one molecule."""
+    return thermo.simulate_batch([_canonical(smiles)], **kwargs)
+
+
+def _same(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same ids and, bit for bit, arrays."""
+    arrays = ("temperatures", "values", "failed")
+    return a.ids == b.ids and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays)
+
+
+def _failed(temperatures, values, diffusion=None) -> dict[str, bool]:
+    """The gates one molecule fails, by name (:func:`qc_evaluate`)."""
+    gates = qc_evaluate(np.array([temperatures]), np.array([values]), diffusion)[0]
+    return dict(zip(QC_GATES, gates.tolist()))
 
 
 @functools.cache
@@ -51,10 +65,11 @@ def _r2(t, y) -> float:
     return float(thermo._quadratic_r2(t[None, :], y[None, :, None])[0, 0])
 
 
-def _with_density(series: ThermoSeries, values) -> ThermoSeries:
-    return dataclasses.replace(
-        series, values=tuple((float(v), cp, hov) for v, (_, cp, hov) in zip(values, series.values))
-    )
+def _with_density(series: Dataset, values) -> np.ndarray:
+    """The values of a one-molecule dataset with ``values`` as its density."""
+    out = series.values[0].copy()
+    out[:, 0] = values
+    return out
 
 
 # -- critical temperature and grid ---------------------------------------------
@@ -95,26 +110,27 @@ def test_temperature_grid_rejects_non_positive_tc():
 def test_simulation_is_deterministic():
     a = _series("CC(C)CC", noise_sigma=0.02, seed=5)
     b = _series("CC(C)CC", noise_sigma=0.02, seed=5)
-    assert a == b
+    assert _same(a, b)
 
 
 def test_isomorphic_inputs_share_a_noise_stream():
     a = _series("CC(C)CC", noise_sigma=0.02, seed=5)
     b = _series("C(CC)(C)C", noise_sigma=0.02, seed=5)  # same molecule, rewritten
-    assert a == b
+    assert _same(a, b)
 
 
 def test_different_seed_changes_noisy_values():
     a = _series("CC(C)CC", noise_sigma=0.02, seed=5)
     b = _series("CC(C)CC", noise_sigma=0.02, seed=6)
-    assert a != b
+    assert not _same(a, b)
 
 
 def test_noiseless_series_passes_qc():
     for smiles in ("CCCC", "CC(C)C", "CCCCCCCCCC"):
         series = _series(smiles)
-        assert series.qc.passed, series.qc.failed_checks()
-        assert series.qc.solid is None  # no diffusion data in the oracle
+        assert series.passed.tolist() == [True], series.failed
+        # no diffusion data in the oracle: the solid gate does not apply
+        assert not series.failed[0, QC_GATES.index("solid")]
 
 
 def test_noise_rejects_negative_sigma():
@@ -126,7 +142,7 @@ def test_branching_lowers_the_density_intercept():
     # removing the temperature terms isolates the per-molecule constant
     def intercept(smiles: str) -> float:
         series = _series(smiles)
-        t, density = series.temperatures[0], series.values[0][0]
+        t, density = series.temperatures[0, 0], series.values[0, 0, 0]
         return density + 0.55 * t + 4e-4 * t**2
 
     assert intercept("CC(C)(C)C") < intercept("CC(C)CC") < intercept("CCCCC")
@@ -192,22 +208,23 @@ def c4_c13():
 def test_the_batch_is_the_per_temperature_loop_bitwise(c4_c13, noise_sigma, seed):
     batch = thermo.simulate_batch(c4_c13, noise_sigma, seed)
     assert len(batch) == len(c4_c13) == 1463
-    for mol_id, series in zip(c4_c13, batch):
+    assert batch.ids == tuple(c4_c13)
+    for mol_id, temps, values, failed in zip(c4_c13, batch.temperatures, batch.values, batch.failed):
         rows = _loop_series(mol_id, noise_sigma, seed)
-        got = np.array([(t, *v) for t, v in zip(series.temperatures, series.values)])
-        assert series.molecule_id == mol_id
+        got = np.column_stack([temps, values])
         assert got.tobytes() == rows.tobytes(), mol_id
-        qc = series.qc
-        assert (qc.vapor, qc.monotonic, qc.quadratic_fit) == _loop_qc(rows), mol_id
-        assert qc.solid is None
+        vapor, solid, monotonic, fit = (not f for f in failed.tolist())
+        assert (vapor, monotonic, fit) == _loop_qc(rows), mol_id
+        assert solid
 
 
 def test_a_series_does_not_depend_on_its_batch():
     ids = [_canonical(s) for s in ("CCCC", "CC(C)CC", "CCCCCCCC", "CC(C)(C)C")]
-    alone = [thermo.simulate_batch([m], 0.02, 5)[0] for m in ids]
-    assert thermo.simulate_batch(ids, 0.02, 5) == alone
-    assert thermo.simulate_batch(ids[::-1], 0.02, 5) == alone[::-1]
-    assert thermo.simulate_batch([], 0.02, 5) == []
+    alone = [thermo.simulate_batch([m], 0.02, 5) for m in ids]
+    for order in (ids, ids[::-1]):
+        batch = thermo.simulate_batch(order, 0.02, 5)
+        assert all(_same(batch.take([i]), alone[ids.index(m)]) for i, m in enumerate(order))
+    assert len(thermo.simulate_batch([], 0.02, 5)) == 0
 
 
 def test_quadratic_fit_r2_matches_polyfit():
@@ -221,14 +238,12 @@ def test_quadratic_fit_r2_matches_polyfit():
 
 
 def test_density_decreases_with_temperature():
-    series = _series("CCCCCC")
-    rho = [v[0] for v in series.values]
+    rho = _series("CCCCCC").values[0, :, 0].tolist()
     assert all(b < a for a, b in zip(rho, rho[1:]))
 
 
 def test_heat_capacity_increases_with_temperature():
-    series = _series("CCCCCC")
-    cp = [v[1] for v in series.values]
+    cp = _series("CCCCCC").values[0, :, 1].tolist()
     assert all(b > a for a, b in zip(cp, cp[1:]))
 
 
@@ -238,42 +253,44 @@ def test_heat_capacity_increases_with_temperature():
 def test_qc_vapor_gate():
     series = _series("CCCC")
     low = _with_density(series, np.linspace(40.0, 39.0, GRID_POINTS))
-    status = qc_evaluate(low)
-    assert status.vapor is False
-    assert "vapor" in status.failed_checks()
-    assert not status.passed
+    status = _failed(series.temperatures[0], low)
+    assert status["vapor"] is True
+    assert any(status.values())
 
 
 def test_qc_monotonic_gate_flags_an_interior_spike():
     series = _series("CCCC")
-    rho = [v[0] for v in series.values]
+    rho = series.values[0, :, 0].tolist()
     rho[7] = rho[6] + 5.0  # spike breaks the decreasing trend
-    status = qc_evaluate(_with_density(series, rho))
-    assert status.vapor is True
-    assert status.monotonic is False
-    assert not status.passed
+    status = _failed(series.temperatures[0], _with_density(series, rho))
+    assert status["vapor"] is False
+    assert status["monotonic"] is True
+    assert any(status.values())
 
 
 def test_qc_solid_gate_uses_diffusion_when_available():
     series = _series("CCCC")
-    assert qc_evaluate(series, diffusion=None).solid is None
-    frozen = qc_evaluate(series, diffusion=1e-9)
-    assert frozen.solid is False
-    assert "solid" in frozen.failed_checks()
-    assert not frozen.passed
-    mobile = qc_evaluate(series, diffusion=1e-5)
-    assert mobile.solid is True
-    assert mobile.passed
+    t, values = series.temperatures[0], series.values[0]
+    assert _failed(t, values, diffusion=None)["solid"] is False  # the gate does not apply
+    frozen = _failed(t, values, diffusion=1e-9)
+    assert frozen["solid"] is True
+    assert [g for g, f in frozen.items() if f] == ["solid"]
+    mobile = _failed(t, values, diffusion=1e-5)
+    assert mobile["solid"] is False
+    assert not any(mobile.values())
+    # one coefficient per molecule
+    both = qc_evaluate(series.temperatures[[0, 0]], series.values[[0, 0]], np.array([1e-5, 1e-9]))
+    assert both[:, QC_GATES.index("solid")].tolist() == [False, True]
 
 
 def test_qc_quadratic_gate():
     series = _series("CCCC")
     step = [100.0 + i * 0.001 for i in range(8)] + [200.0 + i * 0.001 for i in range(8)]
-    assert _r2(series.temperatures, step) < 0.98
-    status = qc_evaluate(_with_density(series, step))
-    assert status.monotonic is True  # still strictly increasing
-    assert status.quadratic_fit is False
-    assert not status.passed
+    assert _r2(series.temperatures[0], step) < 0.98
+    status = _failed(series.temperatures[0], _with_density(series, step))
+    assert status["monotonic"] is False  # still strictly increasing
+    assert status["quadratic_fit"] is True
+    assert any(status.values())
 
 
 def test_quadratic_fit_r2_exact_cases():
@@ -289,29 +306,73 @@ def test_quadratic_fit_r2_exact_cases():
 
 
 def test_series_validation():
-    series = _series("CCCC")
-    with pytest.raises(ValueError):
-        dataclasses.replace(series, temperatures=(0.0, *series.temperatures[1:]))
-    with pytest.raises(ValueError):
-        _with_density(series, [float("nan"), *(v[0] for v in series.values[1:])])
+    data = thermo.simulate_batch([_canonical(s) for s in ("CCCCC", "CCCC")])
+    butane = data.ids[1]
+    zero = data.temperatures.copy()
+    zero[1, 0] = 0.0
+    with pytest.raises(ValueError, match=re.escape(f"positive and finite: {butane}")):
+        dataclasses.replace(data, temperatures=zero)
+    nan = data.values.copy()
+    nan[1, 0, 0] = float("nan")
+    with pytest.raises(ValueError, match=re.escape(f"non-finite property: {butane}")):
+        dataclasses.replace(data, values=nan)
+    with pytest.raises(ValueError, match=re.escape(f"two entries for {butane}")):
+        dataclasses.replace(data, ids=(butane, butane))
 
 
 def test_series_needs_a_full_strictly_increasing_grid():
-    series = _series("CCCC")
-    with pytest.raises(ValueError):
-        ThermoSeries(series.molecule_id, series.temperatures[:10], series.values[:10], series.qc)
-    with pytest.raises(ValueError):
-        dataclasses.replace(series, values=series.values[:10])
-    shuffled = series.temperatures[:8] + series.temperatures[8:][::-1]
-    with pytest.raises(ValueError):
-        dataclasses.replace(series, temperatures=shuffled)
+    data = thermo.simulate_batch([_canonical(s) for s in ("CCCCC", "CCCC")])
+    with pytest.raises(ValueError, match=r"temperatures must have shape \(2, 16\), got \(2, 10\)"):
+        Dataset(data.ids, data.temperatures[:, :10], data.values[:, :10], data.failed)
+    with pytest.raises(ValueError, match=r"values must have shape \(2, 16, 3\)"):
+        dataclasses.replace(data, values=data.values[:, :10])
+    with pytest.raises(ValueError, match=r"failed must have shape \(2, 4\)"):
+        dataclasses.replace(data, failed=data.failed[:, :3])
+    shuffled = np.concatenate([data.temperatures[:, :8], data.temperatures[:, 8:][:, ::-1]], axis=1)
+    shuffled[0] = data.temperatures[0]
+    with pytest.raises(ValueError, match=re.escape(f"strictly increase: {data.ids[1]}")):
+        dataclasses.replace(data, temperatures=shuffled)
+
+
+def test_a_dataset_is_frozen_and_takes_prefixes_and_subsets():
+    ids = [_canonical(s) for s in ("CCCC", "CCCCC", "CC(C)C", "CCCCCC")]
+    data = thermo.simulate_batch(ids, 0.02, 5)
+    for array in (data.temperatures, data.values, data.failed, data.rows()[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert _same(data.take(slice(2)), thermo.simulate_batch(ids[:2], 0.02, 5))
+    assert _same(data.take([3, 0]), thermo.simulate_batch([ids[3], ids[0]], 0.02, 5))
+    mask = np.array([True, False, True, False])
+    assert _same(data.take(mask), thermo.simulate_batch(ids[::2], 0.02, 5))
+    keys, values = data.rows()
+    assert keys == [(m, t) for m, grid in zip(ids, data.temperatures.tolist()) for t in grid]
+    assert values.tobytes() == data.values.tobytes() and values.shape == (4 * GRID_POINTS, 3)
+
+
+def test_the_simulated_c4_c14_data_holds_under_3_mb():
+    ids = [str(s) for s in enumerate_alkane_smiles(4, 14)]
+    thermo.simulate_batch(ids[:1], 0.003, 7)  # the modules numpy imports on first use
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = thermo.simulate_batch(ids, 0.003, 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 3321
+    assert held < 3_000_000, held
 
 
 # -- dataset files ----------------------------------------------------------------------
 
 
 def test_dataset_roundtrip_and_byte_stability(tmp_path):
-    series = [_series("CCCC"), _series("CC(C)C", noise_sigma=0.01, seed=3)]
+    parts = [_series("CCCC"), _series("CC(C)C", noise_sigma=0.01, seed=3)]
+    arrays = ("temperatures", "values", "failed")
+    series = Dataset(
+        sum((p.ids for p in parts), ()),
+        *(np.concatenate([getattr(p, name) for p in parts]) for name in arrays),
+    )
     p1 = str(tmp_path / "a.csv")
     p2 = str(tmp_path / "b.csv")
     count = write_dataset(p1, series)
@@ -320,7 +381,7 @@ def test_dataset_roundtrip_and_byte_stability(tmp_path):
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
 
-    assert read_dataset(p1) == series  # repr round-trip is exact
+    assert _same(read_dataset(p1), series)  # repr round-trip is exact
 
 
 def test_the_c4_c11_dataset_bytes_are_pinned(tmp_path):
@@ -329,7 +390,7 @@ def test_the_c4_c11_dataset_bytes_are_pinned(tmp_path):
     series = thermo.simulate_batch(enumerate_alkane_smiles(4, 11), 0.003, 7)
     path = tmp_path / "d.csv"
     assert write_dataset(str(path), series) == 306 * GRID_POINTS
-    assert sum(not s.qc.passed for s in series) == 9
+    assert int((~series.passed).sum()) == 9
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "3affe8602aac025512977db9d5d62acc9a44a0f1165507010a622dce6b98cb2c"
     )
@@ -341,7 +402,7 @@ def test_every_written_dataset_reads_back_as_written(c4_c13, tmp_path, noise_sig
     series = thermo.simulate_batch(c4_c13, noise_sigma, seed)
     path = str(tmp_path / "d.csv")
     write_dataset(path, series)
-    assert read_dataset(path) == series
+    assert _same(read_dataset(path), series)
 
 
 _C4_C10 = [str(s) for s in enumerate_alkane_smiles(4, 10)]
@@ -359,7 +420,11 @@ def test_a_dataset_reads_back_as_the_series_written(picks, noise_sigma, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
         write_dataset(path, series)
-        assert read_dataset(path) == series
+        back = read_dataset(path)
+    assert back.ids == series.ids
+    for name in ("temperatures", "values", "failed"):
+        got, want = getattr(back, name), getattr(series, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_read_dataset_rejects_foreign_header(tmp_path):
@@ -468,6 +533,6 @@ def test_read_dataset_rejects_rows_the_values_contradict(tmp_path, edit, line, p
 
 
 def test_record_count_scales_with_molecules(tmp_path):
-    series = [_series(s) for s in ("CCCC", "CCCCC", "CC(C)C")]
+    series = thermo.simulate_batch([_canonical(s) for s in ("CCCC", "CCCCC", "CC(C)C")])
     path = str(tmp_path / "d.csv")
     assert write_dataset(path, series) == 3 * GRID_POINTS
