@@ -16,6 +16,7 @@ every other.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -23,27 +24,35 @@ import re
 from typing import Iterable, Iterator, Sequence
 
 
-def write_atomic(path: str, content: str | bytes) -> None:
-    """Write ``content`` to a new file beside ``path`` and rename that into
-    place. A file that already holds exactly these bytes is left untouched.
-    The new file gets mode 0o666 less the umask, and is removed if the
-    write fails."""
-    data = content.encode() if isinstance(content, str) else content
-    if os.path.isfile(path):
-        with open(path, "rb") as fh:
-            if fh.read() == data:
-                return
+def write_atomic(path: str, content: str | bytes | Iterable[str | bytes]) -> None:
+    """Write ``content``, text, bytes or an iterable of text or byte pieces
+    encoded one at a time, to a new file beside ``path`` and rename that
+    into place. The pieces are compared with a file already at ``path`` as
+    they are written, and a file that holds exactly these bytes is left
+    untouched (the new one is removed). The new file gets mode 0o666 less
+    the umask, and is removed if the write fails."""
+    pieces = [content] if isinstance(content, (str, bytes)) else content
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}-{name}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    old = open(path, "rb") if os.path.isfile(path) else None
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        same = old is not None
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            for piece in pieces:
+                data = piece.encode() if isinstance(piece, str) else piece
+                same = same and old.read(len(data)) == data
+                fh.write(data)
+        if same and not old.read(1):
+            os.unlink(tmp)
+        else:
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    finally:
+        if old is not None:
+            old.close()
 
 
 def json_text(obj: object) -> str:
@@ -91,13 +100,25 @@ def csv_line(fields: Iterable[object]) -> str:
     return ",".join(map(csv_field, fields)) + "\r\n"
 
 
+# Lines per piece of a CSV write; a piece of about 50 kB of text stays below
+# glibc malloc's 128 kB mmap threshold.
+_CSV_PIECE_LINES = 512
+
+
 def write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write a CSV artifact: the ``header`` row, then ``lines``, rows rendered
     as :func:`csv_line` renders them."""
-    # Joining the lines once makes two large allocations per file where an
-    # io.StringIO grows one buffer; with io.StringIO, the peak RSS of a cold
-    # C4..C10 run-all was 1.7 MB higher at some out_dir paths than at others.
-    write_atomic(path, csv_line(header) + "".join(lines))
+    # the lines go out joined in pieces of _CSV_PIECE_LINES, so a write
+    # holds one piece of the file's text beyond the lines, not the whole
+    # text, its encoding and the old file's bytes
+    write_atomic(path, itertools.chain([csv_line(header)], _joined(lines)))
+
+
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined ``_CSV_PIECE_LINES`` at a time."""
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, _CSV_PIECE_LINES)):
+        yield "".join(batch)
 
 
 def read_json(path: str) -> dict:

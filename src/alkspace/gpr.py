@@ -21,14 +21,19 @@ of target units. Variance depends on inputs only, never on target values,
 which is what lets the active-learning layer rank candidates before any
 property data exists.
 
-Both predictors read their queries in row blocks of at most
+The variance reads its queries in row blocks of at most
 ``_PREDICT_ENTRIES`` query x training entries, one provider request per
-block, so their working memory is set by that budget, not by the number
+block, so its working memory is set by that budget, not by the number
 of queries: predicting all 251,728 C4..C19 alkanes on their 16-point
 grids against 1,040 training rows would otherwise hold a 34 GB block.
-Each query's mean is a product that reads only its own row of the block,
-so a prediction is bitwise the same alone, in any block and beside any
-other queries.
+The mean over a :class:`TemperatureProductKernel` is computed by
+molecule (:meth:`TemperatureProductKernel.dot`): one molecule-kernel
+request per chunk of distinct query molecules against the distinct
+training molecules, and no row x row kernel block; over any other
+provider it reads row blocks as the variance does. Either way each
+query's mean reads only its own kernel row (its molecule's, for the
+product kernel), its temperature and the weights, so a prediction is
+bitwise the same alone, in any chunk and beside any other queries.
 """
 
 from __future__ import annotations
@@ -68,13 +73,17 @@ _SOLVE_BLOCK = 64
 #   doubling from 8    5,207 / 126   5,711 / 403,  5,941 / 371    31,061 / 701
 _ROW_BLOCK = 8
 
-# The predictors read their queries in row blocks of at most this many
-# query x training entries (2 MB of float64 per array). Smaller blocks cost
-# one more provider request each, about 0.3 ms for the molecule kernel.
+# The variance, and the mean over a provider other than the product kernel,
+# read their queries in row blocks of at most this many query x training
+# entries (2 MB of float64 per array); the mean over the product kernel
+# requests the molecule kernel in chunks of at most this many query x
+# training molecule entries. Smaller blocks cost one more provider request
+# each, about 0.3 ms for the molecule kernel.
 _PREDICT_ENTRIES = 1 << 18
 
 # The temperature factor of the product kernel is formed in row blocks of
-# at most this many entries and multiplied into the molecule block in place.
+# at most this many query x training entries (x training slots, for the
+# mean by molecule).
 _FACTOR_ENTRIES = 1 << 14
 
 
@@ -91,7 +100,8 @@ class TemperatureProductKernel:
 
     k((m,T), (m',T')) = k_mol(m, m') * exp(-(T-T')^2 / (2 l^2)). The factor
     is 1 on the diagonal, so the composite kernel keeps the unit prior of
-    the normalized molecule kernel.
+    the normalized molecule kernel. :meth:`dot` gives a block times
+    weights by molecule, without the block.
     """
 
     def __init__(self, molecule_provider: KernelProvider, length_scale: float):
@@ -113,13 +123,98 @@ class TemperatureProductKernel:
         k = self.molecule_provider.block(mols_a, mols_b)
         scale = 2.0 * self.length_scale**2
         for i0, i1 in _blocks(len(t_a), _FACTOR_ENTRIES // max(len(t_b), 1)):
-            w = t_a[i0:i1, None] - t_b[None, :]
-            np.multiply(w, w, out=w)
-            np.negative(w, out=w)
-            np.divide(w, scale, out=w)
-            np.exp(w, out=w)
-            np.multiply(k[i0:i1], w, out=k[i0:i1])
+            factor = _temperature_factor(t_a[i0:i1, None], t_b[None, :], scale)
+            np.multiply(k[i0:i1], factor, out=k[i0:i1])
         return k
+
+    def dot(self, queries: Sequence, keys: Sequence, weights: np.ndarray) -> np.ndarray:
+        """``block(queries, keys) @ weights`` for non-empty ``keys`` and
+        (len(keys), m) ``weights``, computed by molecule, with no query x
+        key block.
+
+        Row i is the sum over the distinct molecules s of ``keys`` of
+        k_mol(m_i, s) g_s(T_i), where g_s(T) sums the temperature factor
+        times the weights over the rows of s. The molecule kernel is
+        requested once per chunk of at most ``_PREDICT_ENTRIES // len(s)``
+        distinct query molecules, and the factor formed in at most
+        ``_FACTOR_ENTRIES`` entries at a time; the sums over rows and
+        molecules are elementwise halving adds (:func:`_sum_axis1`). Row i
+        reads only k_mol(m_i, s), T_i and the weights, so it is bitwise the
+        same whatever rows come with it; it differs from the block product
+        by rounding only.
+        """
+        weights = np.asarray(weights, dtype=float)
+        mols, t_q = self._split(queries)
+        query_mols, query_of = _first_seen(mols)
+        mols, temperatures = self._split(keys)
+        key_mols, key_of = _first_seen(mols)
+        # slot p of key molecule s holds its p-th row, spare slots weight 0
+        counts = np.bincount(key_of)
+        rank = np.empty(len(key_of), np.int64)
+        rank[np.argsort(key_of, kind="stable")] = np.arange(len(key_of))
+        slot = rank - (np.cumsum(counts) - counts)[key_of]
+        width = int(counts.max(initial=1))
+        t_k = np.zeros((width, len(key_mols), 1))
+        t_k[slot, key_of, 0] = temperatures
+        w = np.zeros((weights.shape[1], width, len(key_mols), 1))
+        w[:, slot, key_of, 0] = weights.T
+        # the query rows grouped by molecule, so a chunk of molecules is a run
+        by_mol = np.argsort(query_of, kind="stable")
+        sorted_of = query_of[by_mol]
+        scale = 2.0 * self.length_scale**2
+        out = np.empty((len(t_q), weights.shape[1]))
+        for c0, c1 in _blocks(len(query_mols), _PREDICT_ENTRIES // len(key_mols)):
+            k_mol = self.molecule_provider.block(query_mols[c0:c1], key_mols)
+            chunk = by_mol[np.searchsorted(sorted_of, c0):np.searchsorted(sorted_of, c1)]
+            for r0, r1 in _blocks(len(chunk), _FACTOR_ENTRIES // t_k.size):
+                rows = chunk[r0:r1]
+                out[rows] = _by_molecule(k_mol[query_of[rows] - c0], t_q[rows], t_k, w, scale)
+        return out
+
+
+def _by_molecule(
+    k: np.ndarray, t_q: np.ndarray, t_k: np.ndarray, w: np.ndarray, scale: float
+) -> np.ndarray:
+    """The (rows, targets) rows of :meth:`TemperatureProductKernel.dot` for
+    query rows at temperatures ``t_q`` with molecule-kernel rows ``k``
+    against the key molecules, whose temperatures ``t_k`` and weights ``w``
+    are laid out by slot and molecule. A function of its own, so that its
+    arrays are freed before the next rows' are made."""
+    # (target, slot, key molecule, row): the factor times the weights summed
+    # over the slots, times the kernel rows summed over the molecules
+    g = _sum_axis1(w * _temperature_factor(t_k, t_q, scale))
+    g *= k.T
+    return _sum_axis1(g).T
+
+
+def _sum_axis1(a: np.ndarray) -> np.ndarray:
+    """``a`` summed over its axis 1 by elementwise halving adds, in place:
+    every entry's sum takes the same adds in the same order, whatever the
+    other axes hold, where a reduction's order could depend on the shape."""
+    n = a.shape[1]
+    while n > 1:
+        h = n // 2
+        a[:, :h] += a[:, n - h:n]
+        n -= h
+    return a[:, 0]
+
+
+def _first_seen(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and the index of
+    each value among them."""
+    distinct = list(dict.fromkeys(values))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _temperature_factor(t_a: np.ndarray, t_b: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-(t_a - t_b)^2 / scale), ``t_a`` and ``t_b`` broadcast against
+    each other, formed in place."""
+    w = t_a - t_b
+    np.multiply(w, w, out=w)
+    np.negative(w, out=w)
+    np.divide(w, scale, out=w)
+    return np.exp(w, out=w)
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -169,8 +264,10 @@ def _factor(k: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
     themselves plus ``noise`` on the diagonal, and the jitter it took,
     escalated on failure. The block is symmetrized first to guard rounding
     asymmetry from assembly."""
-    # (k + k^T) / 2, then noise (and jitter) on its diagonal, in one array
+    # (k + k^T) / 2, then noise (and jitter) on its diagonal, in one array;
+    # a block made for the call is freed before the factor is made
     a = np.add(k, k.T)
+    del k
     np.divide(a, 2.0, out=a)
     diagonal = a.diagonal() + noise
     np.fill_diagonal(a, diagonal)
@@ -212,16 +309,16 @@ class GprModel:
     def predict_mean(self, queries: Sequence) -> np.ndarray:
         """Posterior mean at the queries, de-standardized to target units.
         Each query's mean reads only its own kernel row, so it is bitwise
-        the same whatever queries come with it."""
+        the same whatever queries come with it. Over a
+        :class:`TemperatureProductKernel` it is computed by molecule
+        (:meth:`TemperatureProductKernel.dot`), otherwise in row blocks
+        (:func:`_mean_by_rows`)."""
         queries = tuple(queries)
-        # per target, a dot product per row: a matrix product's rounding
-        # depends on the block's shape and alignment, einsum's does not
-        weights = [np.ascontiguousarray(w) for w in self.dual_weights.T]
-        mean = np.empty((len(queries), len(weights)))
-        for q0, q1 in _blocks(len(queries), _PREDICT_ENTRIES // len(self.training_keys)):
-            kqs = self.kernel_provider.block(queries[q0:q1], self.training_keys)
-            for j, w in enumerate(weights):
-                mean[q0:q1, j] = np.einsum("ij,j->i", kqs, w)
+        provider = self.kernel_provider
+        if isinstance(provider, TemperatureProductKernel):
+            mean = provider.dot(queries, self.training_keys, self.dual_weights)
+        else:
+            mean = _mean_by_rows(provider, queries, self.training_keys, self.dual_weights)
         mean = self.y_mean + self.y_std * mean
         return mean[:, 0] if self.single_target else mean
 
@@ -242,6 +339,22 @@ class GprModel:
                 np.zeros(m, np.int64), var[q0:q1], np.arange(m),
             )
         return np.maximum(var, 0.0)
+
+
+def _mean_by_rows(
+    provider: KernelProvider, queries: Sequence, keys: Sequence, weights: np.ndarray
+) -> np.ndarray:
+    """``provider.block(queries, keys) @ weights``, one provider request per
+    row block of at most ``_PREDICT_ENTRIES`` entries."""
+    # per target, a dot product per row: a matrix product's rounding
+    # depends on the block's shape and alignment, einsum's does not
+    columns = [np.ascontiguousarray(w) for w in weights.T]
+    out = np.empty((len(queries), len(columns)))
+    for q0, q1 in _blocks(len(queries), _PREDICT_ENTRIES // len(keys)):
+        kqs = provider.block(queries[q0:q1], keys)
+        for j, w in enumerate(columns):
+            out[q0:q1, j] = np.einsum("ij,j->i", kqs, w)
+    return out
 
 
 def fit(

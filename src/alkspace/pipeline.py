@@ -391,12 +391,7 @@ class _Workspace:
         try:
             yield calc
         finally:
-            logger.info(
-                "requested %d, solved %d kernel pairs in %d stacks (%d CG iterations), "
-                "built %d graphs",
-                calc.pairs_requested, calc.pairs_solved, calc.stacks_solved,
-                calc.cg_iterations, calc.graphs_built,
-            )
+            _log_kernel_work(calc)
         if calc.pairs_solved:
             rows, data = calc.segment()
             path = self.path(f"{prefix}{hashlib.sha256(data).hexdigest()[:_HASH_CHARS]}.npz")
@@ -572,6 +567,18 @@ def simulate_molecules(
     """Oracle data of each molecule id, of any spelling, keyed by its
     canonical SMILES (:func:`canonical_ids`, which names ``source``)."""
     return _simulate(canonical_ids(ids, source), noise_sigma, seed)
+
+
+def _log_kernel_work(calc: MgkCalculator) -> None:
+    """Log the cross pairs ``calc`` requested, the pairs, stacks and CG
+    iterations it solved and the graphs it built; never written to
+    ``out_dir``."""
+    logger.info(
+        "requested %d, solved %d kernel pairs in %d stacks (%d CG iterations), "
+        "built %d graphs",
+        calc.pairs_requested, calc.pairs_solved, calc.stacks_solved,
+        calc.cg_iterations, calc.graphs_built,
+    )
 
 
 def _simulate(ids: Sequence[str], noise_sigma: float, seed: int) -> thermo.Dataset:
@@ -889,21 +896,37 @@ def predict_properties(
     query_keys = canonical_ids(molecule_ids, sources[1])
     calc = MgkCalculator(config.kernel)
     calc.register_canonical(sorted(train.ids) + list(query_keys))
-    model = _fit_on_series(train, calc, config)
-    tc = [thermo.synth_critical_temperature(n, w) for n, w, _ in descriptors(query_keys).tolist()]
-    grids = thermo.temperature_grid(np.array(tc)).tolist()
-    queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid]
-    return queries, model.predict_mean(queries)
+    try:
+        model = _fit_on_series(train, calc, config)
+        tc = [thermo.synth_critical_temperature(n, w) for n, w, _ in descriptors(query_keys).tolist()]
+        grids = thermo.temperature_grid(np.array(tc)).tolist()
+        queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid]
+        return queries, model.predict_mean(queries)
+    finally:
+        _log_kernel_work(calc)
 
 
 def write_predictions(path: str, keys: Sequence[tuple[str, float]], values: np.ndarray) -> int:
-    """Write the rows of a prediction file atomically; returns their count."""
-    labels = {m: csv_field(m) + "," for m, _ in keys}
-    lines = [labels[m] + t for (m, _), t in zip(keys, csv_column(t for _, t in keys))]
-    for column in values.T.tolist():
-        lines = list(map(",".join, zip(lines, csv_column(column))))
-    write_csv(path, PREDICTION_HEADER, [line + "\r\n" for line in lines])
-    return len(lines)
+    """Write the rows of a prediction file atomically, rendered
+    ``_WRITE_ROWS`` at a time as they are written; returns their count."""
+    write_csv(path, PREDICTION_HEADER, _prediction_lines(keys, values))
+    return len(keys)
+
+
+# Rows that write_predictions renders at a time.
+_WRITE_ROWS = 4096
+
+
+def _prediction_lines(keys: Sequence[tuple[str, float]], values: np.ndarray) -> Iterator[str]:
+    """The rows of a prediction file as CSV lines, rendered a chunk of rows
+    at a time."""
+    for r0 in range(0, len(keys), _WRITE_ROWS):
+        part = keys[r0:r0 + _WRITE_ROWS]
+        labels = {m: csv_field(m) + "," for m, _ in part}
+        lines = [labels[m] + t for (m, _), t in zip(part, csv_column(t for _, t in part))]
+        for column in values[r0:r0 + _WRITE_ROWS].T.tolist():
+            lines = list(map(",".join, zip(lines, csv_column(column))))
+        yield from (line + "\r\n" for line in lines)
 
 
 def read_predictions(path: str) -> tuple[list[tuple[str, float]], np.ndarray]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -236,21 +236,33 @@ def qc_evaluate(
 
 def write_dataset(path: str, data: Dataset) -> int:
     """CSV dataset, one row per grid point, written atomically; returns the
-    row count. Rewriting the same data is byte-identical. Each molecule's
-    label and QC flag are rendered once, the numbers a column at a time
+    row count. Rewriting the same data is byte-identical. The rows are
+    rendered ``_WRITE_MOLECULES`` molecules at a time, as they are written:
+    each molecule's label and QC flag once, the numbers a column at a time
     (:func:`alkspace._atomic.csv_column`)."""
+    write_csv(path, DATASET_HEADER, _dataset_lines(data))
+    return len(data) * GRID_POINTS
+
+
+# Molecules whose rows write_dataset renders at a time (4,096 rows).
+_WRITE_MOLECULES = 256
+
+
+def _dataset_lines(data: Dataset) -> Iterator[str]:
+    """The rows of ``data`` as CSV lines, rendered a chunk of molecules at a
+    time."""
     def per_row(texts: list[str]) -> list[str]:
         return [text for text in texts for _ in range(GRID_POINTS)]
 
-    temperatures = csv_column(data.temperatures.ravel().tolist())
-    heads = per_row([csv_field(mol) + "," for mol in data.ids])
-    lines = [head + t + ",1.0" for head, t in zip(heads, temperatures)]
-    for column in data.values.reshape(-1, 3).T.tolist():
-        lines = list(map(",".join, zip(lines, csv_column(column))))
-    tails = per_row([",1\r\n" if ok else ",0\r\n" for ok in data.passed.tolist()])
-    lines = list(map(str.__add__, lines, tails))
-    write_csv(path, DATASET_HEADER, lines)
-    return len(lines)
+    for m0 in range(0, len(data), _WRITE_MOLECULES):
+        part = slice(m0, m0 + _WRITE_MOLECULES)
+        temperatures = csv_column(data.temperatures[part].ravel().tolist())
+        heads = per_row([csv_field(mol) + "," for mol in data.ids[part]])
+        lines = [head + t + ",1.0" for head, t in zip(heads, temperatures)]
+        for column in data.values[part].reshape(-1, 3).T.tolist():
+            lines = list(map(",".join, zip(lines, csv_column(column))))
+        tails = per_row([",1\r\n" if ok else ",0\r\n" for ok in data.passed[part].tolist()])
+        yield from map(str.__add__, lines, tails)
 
 
 def read_dataset(path: str) -> Dataset:

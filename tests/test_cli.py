@@ -335,6 +335,32 @@ def _fit_predict(tmp_path, train_csv, molecules, name) -> bytes:
     return pred_csv.read_bytes()
 
 
+def test_fit_predict_logs_its_kernel_work_to_stderr_only(tmp_path, capsys, caplog):
+    """fit-predict logs the kernel line _Workspace.kernel logs, not on
+    stdout: 4 training and 5 C4..C16 query molecules, each graph built
+    once, and on a cold calculator every cross pair requested solved, with
+    the 9 self-kernels."""
+    train_list = tmp_path / "train.txt"
+    train_list.write_text("CCCC\nCCCCC\nCC(C)CC\nCCCCCC\n")
+    train_csv = str(tmp_path / "train.csv")
+    assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
+    query = tmp_path / "query.txt"
+    query.write_text("CC(C)C\nCCCCCCC\nCC(C)CCCCCCC\nCCCCCCCCCCCCCCCC\nCC(C)(C)CCCC\n")
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="alkspace.pipeline")
+    pred = tmp_path / "pred.csv"
+    assert main(["fit-predict", "--train", train_csv, "--molecules", str(query),
+                 "--out", str(pred)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"wrote 80 predictions for 5 molecules -> {pred}\n"
+    line = re.compile(r"requested (\d+), solved (\d+) kernel pairs in (\d+) stacks "
+                      r"\((\d+) CG iterations\), built (\d+) graphs")
+    found = [m for m in map(line.fullmatch, caplog.messages) if m]
+    assert len(found) == 1
+    requested, solved, stacks, iterations, graphs = map(int, found[0].groups())
+    assert graphs == 9 and solved == 9 + requested > 9 and 0 < stacks <= iterations
+
+
 def test_fit_predict_accepts_a_training_file_that_spells_a_molecule_non_canonically(tmp_path):
     train_list = tmp_path / "train.txt"
     train_list.write_text("CCCC\nCCCCC\nCC(C)C\n")

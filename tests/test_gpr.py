@@ -4,10 +4,13 @@ Closed forms are recomputed in the tests with plain numpy linear solves,
 independent of the Cholesky path used by the implementation.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alkspace import gpr
 from alkspace.gpr import (
@@ -277,6 +280,91 @@ def test_temperature_kernel_reduces_to_molecule_kernel_at_equal_t():
     kern = TemperatureProductKernel(TwoMoleculeProvider(), length_scale=10.0)
     block = kern.block([("a", 300.0)], [("b", 300.0)])
     assert block[0, 0] == pytest.approx(0.6, rel=1e-12)
+
+
+class RequestLog(RbfProvider):
+    """An RbfProvider that records the key lists of every request."""
+
+    def __init__(self, length_scale: float):
+        super().__init__(length_scale)
+        self.requests = []
+
+    def block(self, keys_a, keys_b):
+        self.requests.append((list(keys_a), list(keys_b)))
+        return super().block(keys_a, keys_b)
+
+
+def _abs_product(kern, queries, keys, weights):
+    """|K(queries, keys)| @ |weights|: what the rounding of a sum of the
+    products is relative to."""
+    return np.abs(kern.block(queries, keys)) @ np.abs(weights)
+
+
+@pytest.mark.parametrize("molecules, rows", [(1, 1), (2, 3), (7, 5), (100, 100)])
+def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, molecules, rows):
+    """K(queries, keys) @ weights by molecule: whole, one query row at a
+    time and in chunks of ``molecules`` query molecules and ``rows`` query
+    rows give the same bits, one molecule request per chunk, and the block
+    product within rounding. The 6 training molecules' rows interleave
+    (two molecules have 7, four have 6), and two query molecules are
+    training molecules."""
+    kern = TemperatureProductKernel(RequestLog(length_scale=2.0), length_scale=30.0)
+    rng = np.random.default_rng(5)
+    train_mols = rng.uniform(0, 5, 6).tolist()
+    keys = [(train_mols[i % 6], t) for i, t in enumerate(rng.uniform(250, 400, 38).tolist())]
+    query_mols = rng.uniform(0, 5, 9).tolist() + train_mols[:2]
+    queries = [(query_mols[i % 11], t) for i, t in enumerate(rng.uniform(250, 400, 50).tolist())]
+    weights = rng.normal(size=(len(keys), 3))
+    whole = kern.dot(queries, keys, weights)
+    alone = np.concatenate([kern.dot([q], keys, weights) for q in queries])
+    monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", molecules * 6)
+    monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", rows * 7 * 6)  # 7 slots of 6 molecules
+    kern.molecule_provider.requests.clear()
+    chunked = kern.dot(queries, keys, weights)
+    assert whole.shape == (50, 3)
+    assert whole.tobytes() == alone.tobytes() == chunked.tobytes()
+    requests = kern.molecule_provider.requests
+    assert len(requests) == math.ceil(11 / molecules)
+    assert [m for a, _ in requests for m in a] == query_mols  # each molecule once
+    assert all(b == train_mols for _, b in requests)
+    want = kern.block(queries, keys) @ weights
+    assert np.all(np.abs(whole - want) <= 1e-12 * _abs_product(kern, queries, keys, weights))
+    assert kern.dot([], keys, weights).shape == (0, 3)
+
+
+@st.composite
+def product_fits(draw):
+    """Training rows of up to 5 molecules in shuffled order, targets, and
+    queries on molecules drawn from a pool that holds the training ones."""
+    pool = [0.0, 0.4, 1.1, 1.5, 2.6, 3.0, 4.2]
+    temperature = st.floats(200.0, 400.0)
+    train_mols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    keys = [(m, draw(temperature)) for m in train_mols
+            for _ in range(draw(st.integers(1, 5)))]
+    keys = [keys[i] for i in draw(st.permutations(range(len(keys))))]
+    targets = draw(st.integers(1, 3))
+    y = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=len(keys) * targets,
+                               max_size=len(keys) * targets))).reshape(len(keys), targets)
+    queries = draw(st.lists(st.tuples(st.sampled_from(pool), temperature), max_size=12))
+    return keys, y, queries, draw(st.floats(2.0, 200.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_fits())
+def test_the_mean_by_molecule_matches_the_row_blocks(fit_case):
+    keys, y, queries, ell = fit_case
+    kern = TemperatureProductKernel(RbfProvider(length_scale=1.5), length_scale=ell)
+    model = fit(keys, y, noise=1e-2, kernel_provider=kern)
+    weights = model.dual_weights
+    want = gpr._mean_by_rows(kern, tuple(queries), model.training_keys, weights)
+    got = kern.dot(queries, model.training_keys, weights)
+    bound = _abs_product(kern, queries, model.training_keys, weights)
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+    # predict_mean is the by-molecule product, de-standardized
+    mean = model.predict_mean(queries)
+    assert mean.tobytes() == (model.y_mean + model.y_std * got).tobytes()
+    np.testing.assert_allclose(mean, model.y_mean + model.y_std * want, rtol=1e-12,
+                               atol=1e-12 * float(np.max(model.y_std * bound, initial=0.0)))
 
 
 def test_composite_config_validation():

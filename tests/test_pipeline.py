@@ -11,6 +11,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,21 @@ def test_a_failed_atomic_write_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_atomic(str(target), "partial")
     assert os.listdir(tmp_path) == ["a"] and target.read_text() == "old"
+
+
+@pytest.mark.parametrize(
+    "old", [None, b"", b"abc", b"abcdef", b"abcdefg", b"abcdXf", b"Xbcdef"],
+    ids=["none", "empty", "prefix", "same", "longer", "late-difference", "early-difference"],
+)
+def test_an_atomic_write_of_pieces_leaves_only_a_file_of_their_bytes_untouched(tmp_path, old):
+    target = tmp_path / "a"
+    if old is not None:
+        target.write_bytes(old)
+    inode = os.stat(target).st_ino if old is not None else None
+    write_atomic(str(target), iter(["ab", b"cd", "", "ef"]))
+    assert target.read_bytes() == b"abcdef"
+    assert os.listdir(tmp_path) == ["a"]
+    assert (os.stat(target).st_ino == inode) == (old == b"abcdef")
 
 
 def _fitted_on(series, **config):
@@ -831,38 +847,66 @@ def test_a_warm_run_all_parses_and_canonicalises_nothing(staged_run, tmp_path, m
                for m in caplog.messages)
 
 
-def test_predictions_do_not_depend_on_their_companions(tmp_path, monkeypatch):
-    """The C4..C10 test rows against the final stage's model: their means
-    predicted whole, one molecule at a time, one row at a time and in
-    blocks of 1 and 7 rows are bitwise equal, and their variances in blocks
-    of 1 and 7 rows match the unblocked ones within 1e-12."""
+@pytest.fixture(scope="module")
+def c10_stage3(tmp_path_factory):
+    """The final-stage model of a C4..C10 run (18 molecules, 288 rows) and
+    its test set (60 molecules, 960 rows)."""
     raw = {**RUN_RAW, "chemical_space": {"min_carbons": 4, "max_carbons": 10},
            "active_learning": {"thresholds": [0.5, 0.4, 0.3], "batch": 1000, "seed": 1},
            "evaluation": {"n_test": 60, "split_seed": 11, "control_seeds": [0]}}
-    cfg = PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path)})
+    cfg = PipelineConfig.from_dict({**raw, "out_dir": str(tmp_path_factory.mktemp("c10"))})
     with pipeline._staged(cfg) as (ws, ids, calc, states):
         train, test = ws.datasets(ids, states[-1].selected)
-        model = pipeline._fit_on_series(train, calc, cfg)
-        keys, _ = test.rows()
-        n = len(model.training_keys)
+        return pipeline._fit_on_series(train, calc, cfg), test
 
-        def predicted(rows):
-            monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", rows * n)
-            return model.predict_mean(keys), model.predict_variance(keys)
 
-        whole, variance = predicted(len(keys))
-        means = [
-            np.concatenate([model.predict_mean(test.take([i]).rows()[0])
-                            for i in range(len(test))]),
-            np.concatenate([model.predict_mean([k]) for k in keys]),
-        ]
-        for rows in (1, 7):
-            mean, blocked_variance = predicted(rows)
-            means.append(mean)
-            np.testing.assert_allclose(blocked_variance, variance, rtol=0, atol=1e-12)
+def test_predictions_do_not_depend_on_their_companions(c10_stage3, monkeypatch):
+    """The C4..C10 test rows against the final stage's model: their means
+    predicted whole, one molecule at a time, one row at a time, one query
+    molecule per molecule request, and in blocks of 1 and 7 rows are bitwise
+    equal, and their variances in blocks of 1 and 7 rows match the unblocked
+    ones within 1e-12."""
+    model, test = c10_stage3
+    keys, _ = test.rows()
+    n = len(model.training_keys)
+
+    def predicted(rows):
+        monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", rows * n)
+        monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", rows * n)
+        return model.predict_mean(keys), model.predict_variance(keys)
+
+    whole, variance = predicted(len(keys))
+    means = [
+        np.concatenate([model.predict_mean(test.take([i]).rows()[0])
+                        for i in range(len(test))]),
+        np.concatenate([model.predict_mean([k]) for k in keys]),
+    ]
+    for rows in (1, 7):
+        mean, blocked_variance = predicted(rows)
+        means.append(mean)
+        np.testing.assert_allclose(blocked_variance, variance, rtol=0, atol=1e-12)
+    monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", len({m for m, _ in model.training_keys}))
+    means.append(model.predict_mean(keys))
     assert whole.shape == (len(keys), 3) and len(keys) > 7
     for mean in means:
         assert mean.tobytes() == whole.tobytes()
+
+
+def test_the_c4_c10_test_rows_are_predicted_in_under_1_mb(c10_stage3):
+    """The mean of the 960 C4..C10 test rows against the 288 stage-3 rows,
+    every kernel pair held: as a row x row block it peaked at 2.4 MB traced,
+    by molecule it holds the temperature factor of a few rows."""
+    model, test = c10_stage3
+    keys, _ = test.rows()
+    assert (len(keys), len(model.training_keys)) == (960, 288)
+    model.predict_mean(keys)  # the pairs are solved and the modules loaded
+    tracemalloc.start()
+    try:
+        model.predict_mean(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_oversized_test_pool_is_rejected(staged_run):

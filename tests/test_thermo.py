@@ -363,6 +363,28 @@ def test_the_simulated_c4_c14_data_holds_under_3_mb():
     assert held < 3_000_000, held
 
 
+def test_writing_the_simulated_c4_c14_data_holds_under_2_5_times_the_file(tmp_path):
+    """write_dataset renders a chunk of molecules at a time and writes it
+    as it goes, and compares a file already there piece by piece; written
+    whole, the lines, their join and its encoding took 5.3 times the file
+    traced, and 5.8 times over a file of those bytes, which was read whole."""
+    ids = [str(s) for s in enumerate_alkane_smiles(4, 14)]
+    data = thermo.simulate_batch(ids, 0.003, 7)
+    thermo.write_dataset(str(tmp_path / "warm.csv"), data.take(slice(2)))
+    path = tmp_path / "d.csv"
+    peaks = []
+    for _ in range(2):  # a new file, then over a file of these bytes
+        tracemalloc.start()
+        try:
+            assert thermo.write_dataset(str(path), data) == 3321 * GRID_POINTS
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    assert max(peaks) < 2.5 * size, (peaks, size)
+
+
 # -- dataset files ----------------------------------------------------------------------
 
 
