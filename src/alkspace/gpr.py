@@ -26,14 +26,16 @@ The variance reads its queries in row blocks of at most
 block, so its working memory is set by that budget, not by the number
 of queries: predicting all 251,728 C4..C19 alkanes on their 16-point
 grids against 1,040 training rows would otherwise hold a 34 GB block.
-The mean over a :class:`TemperatureProductKernel` is computed by
-molecule (:meth:`TemperatureProductKernel.dot`): one molecule-kernel
-request per chunk of distinct query molecules against the distinct
-training molecules, and no row x row kernel block; over any other
-provider it reads row blocks as the variance does. Either way each
-query's mean reads only its own kernel row (its molecule's, for the
-product kernel), its temperature and the weights, so a prediction is
-bitwise the same alone, in any chunk and beside any other queries.
+The mean over a :class:`TemperatureProductKernel` requests the molecule
+kernel by molecule (:meth:`TemperatureProductKernel.dot`): one request per
+chunk of distinct query molecules against the distinct training
+molecules, and no row x row kernel block from the provider; over any
+other provider it reads row blocks as the variance does. Either way each
+query row's kernel entries are dotted with the weights by one formula
+(:func:`_row_dots`), so the two give the same bits, and a query's mean
+reads only its own kernel row, its temperature and the weights: a
+prediction is bitwise the same alone, in any chunk and beside any other
+queries.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ _ROW_BLOCK = 8
 # each, about 0.3 ms for the molecule kernel.
 _PREDICT_ENTRIES = 1 << 18
 
-# The temperature factor of the product kernel is formed in row blocks of
-# at most this many query x training entries (x training slots, for the
-# mean by molecule).
+# The temperature factor of the product kernel, and the rows of the mean
+# over it, are formed in row blocks of at most this many query x training
+# entries.
 _FACTOR_ENTRIES = 1 << 14
 
 
@@ -101,7 +103,7 @@ class TemperatureProductKernel:
     k((m,T), (m',T')) = k_mol(m, m') * exp(-(T-T')^2 / (2 l^2)). The factor
     is 1 on the diagonal, so the composite kernel keeps the unit prior of
     the normalized molecule kernel. :meth:`dot` gives a block times
-    weights by molecule, without the block.
+    weights from molecule blocks, without the row x row block.
     """
 
     def __init__(self, molecule_provider: KernelProvider, length_scale: float):
@@ -129,74 +131,35 @@ class TemperatureProductKernel:
 
     def dot(self, queries: Sequence, keys: Sequence, weights: np.ndarray) -> np.ndarray:
         """``block(queries, keys) @ weights`` for non-empty ``keys`` and
-        (len(keys), m) ``weights``, computed by molecule, with no query x
-        key block.
+        (len(keys), m) ``weights``, with no query x key block.
 
-        Row i is the sum over the distinct molecules s of ``keys`` of
-        k_mol(m_i, s) g_s(T_i), where g_s(T) sums the temperature factor
-        times the weights over the rows of s. The molecule kernel is
-        requested once per chunk of at most ``_PREDICT_ENTRIES // len(s)``
-        distinct query molecules, and the factor formed in at most
-        ``_FACTOR_ENTRIES`` entries at a time; the sums over rows and
-        molecules are elementwise halving adds (:func:`_sum_axis1`). Row i
-        reads only k_mol(m_i, s), T_i and the weights, so it is bitwise the
-        same whatever rows come with it; it differs from the block product
-        by rounding only.
+        The molecule kernel is requested once per chunk of at most
+        ``_PREDICT_ENTRIES // len(s)`` distinct query molecules against the
+        distinct molecules s of ``keys``. The rows of each chunk are formed
+        from that block at most ``_FACTOR_ENTRIES`` entries at a time, the
+        entries :meth:`block` forms, and dotted with the weights as
+        :func:`_mean_by_rows` dots them (:func:`_row_dots`), so the result
+        is bitwise that of :func:`_mean_by_rows`.
         """
-        weights = np.asarray(weights, dtype=float)
+        columns = [np.ascontiguousarray(w) for w in np.asarray(weights, dtype=float).T]
         mols, t_q = self._split(queries)
         query_mols, query_of = _first_seen(mols)
-        mols, temperatures = self._split(keys)
+        mols, t_k = self._split(keys)
         key_mols, key_of = _first_seen(mols)
-        # slot p of key molecule s holds its p-th row, spare slots weight 0
-        counts = np.bincount(key_of)
-        rank = np.empty(len(key_of), np.int64)
-        rank[np.argsort(key_of, kind="stable")] = np.arange(len(key_of))
-        slot = rank - (np.cumsum(counts) - counts)[key_of]
-        width = int(counts.max(initial=1))
-        t_k = np.zeros((width, len(key_mols), 1))
-        t_k[slot, key_of, 0] = temperatures
-        w = np.zeros((weights.shape[1], width, len(key_mols), 1))
-        w[:, slot, key_of, 0] = weights.T
         # the query rows grouped by molecule, so a chunk of molecules is a run
         by_mol = np.argsort(query_of, kind="stable")
         sorted_of = query_of[by_mol]
         scale = 2.0 * self.length_scale**2
-        out = np.empty((len(t_q), weights.shape[1]))
+        out = np.empty((len(t_q), len(columns)))
         for c0, c1 in _blocks(len(query_mols), _PREDICT_ENTRIES // len(key_mols)):
             k_mol = self.molecule_provider.block(query_mols[c0:c1], key_mols)
             chunk = by_mol[np.searchsorted(sorted_of, c0):np.searchsorted(sorted_of, c1)]
-            for r0, r1 in _blocks(len(chunk), _FACTOR_ENTRIES // t_k.size):
+            for r0, r1 in _blocks(len(chunk), _FACTOR_ENTRIES // len(t_k)):
                 rows = chunk[r0:r1]
-                out[rows] = _by_molecule(k_mol[query_of[rows] - c0], t_q[rows], t_k, w, scale)
+                k = k_mol[np.ix_(query_of[rows] - c0, key_of)]
+                k *= _temperature_factor(t_q[rows, None], t_k[None, :], scale)
+                out[rows] = _row_dots(k, columns)
         return out
-
-
-def _by_molecule(
-    k: np.ndarray, t_q: np.ndarray, t_k: np.ndarray, w: np.ndarray, scale: float
-) -> np.ndarray:
-    """The (rows, targets) rows of :meth:`TemperatureProductKernel.dot` for
-    query rows at temperatures ``t_q`` with molecule-kernel rows ``k``
-    against the key molecules, whose temperatures ``t_k`` and weights ``w``
-    are laid out by slot and molecule. A function of its own, so that its
-    arrays are freed before the next rows' are made."""
-    # (target, slot, key molecule, row): the factor times the weights summed
-    # over the slots, times the kernel rows summed over the molecules
-    g = _sum_axis1(w * _temperature_factor(t_k, t_q, scale))
-    g *= k.T
-    return _sum_axis1(g).T
-
-
-def _sum_axis1(a: np.ndarray) -> np.ndarray:
-    """``a`` summed over its axis 1 by elementwise halving adds, in place:
-    every entry's sum takes the same adds in the same order, whatever the
-    other axes hold, where a reduction's order could depend on the shape."""
-    n = a.shape[1]
-    while n > 1:
-        h = n // 2
-        a[:, :h] += a[:, n - h:n]
-        n -= h
-    return a[:, 0]
 
 
 def _first_seen(values: list) -> tuple[list, np.ndarray]:
@@ -310,9 +273,9 @@ class GprModel:
         """Posterior mean at the queries, de-standardized to target units.
         Each query's mean reads only its own kernel row, so it is bitwise
         the same whatever queries come with it. Over a
-        :class:`TemperatureProductKernel` it is computed by molecule
-        (:meth:`TemperatureProductKernel.dot`), otherwise in row blocks
-        (:func:`_mean_by_rows`)."""
+        :class:`TemperatureProductKernel` its kernel rows are formed from
+        molecule blocks (:meth:`TemperatureProductKernel.dot`), otherwise
+        read in row blocks (:func:`_mean_by_rows`), with the same bits."""
         queries = tuple(queries)
         provider = self.kernel_provider
         if isinstance(provider, TemperatureProductKernel):
@@ -346,14 +309,21 @@ def _mean_by_rows(
 ) -> np.ndarray:
     """``provider.block(queries, keys) @ weights``, one provider request per
     row block of at most ``_PREDICT_ENTRIES`` entries."""
-    # per target, a dot product per row: a matrix product's rounding
-    # depends on the block's shape and alignment, einsum's does not
     columns = [np.ascontiguousarray(w) for w in weights.T]
     out = np.empty((len(queries), len(columns)))
     for q0, q1 in _blocks(len(queries), _PREDICT_ENTRIES // len(keys)):
-        kqs = provider.block(queries[q0:q1], keys)
-        for j, w in enumerate(columns):
-            out[q0:q1, j] = np.einsum("ij,j->i", kqs, w)
+        out[q0:q1] = _row_dots(provider.block(queries[q0:q1], keys), columns)
+    return out
+
+
+def _row_dots(k: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """``k`` times the weight ``columns``, (rows, targets): per target a dot
+    product per row, as a matrix product's rounding depends on the block's
+    shape and alignment and einsum's does not, so each row's result is the
+    same in any block."""
+    out = np.empty((len(k), len(columns)))
+    for j, w in enumerate(columns):
+        out[:, j] = np.einsum("ij,j->i", k, w)
     return out
 
 

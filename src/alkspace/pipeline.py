@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
 from .molspace import (
     DEFAULT_MAX_CARBONS,
-    descriptors,
     enumerate_alkane_smiles,
     parse_smiles,
     to_canonical_smiles,
@@ -109,6 +108,9 @@ class PipelineConfig:
         for name, v in named + [("control_seeds", s) for s in self.control_seeds]:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ConfigError(f"{name} must hold integers, got {v!r}")
+            # numpy rejects a negative seed, but only once a stage seeds a generator
+            if v < 0 and "seed" in name:
+                raise ConfigError(f"{name} must be non-negative, got {v}")
         if not (1 <= self.min_carbons <= self.max_carbons <= DEFAULT_MAX_CARBONS):
             raise ConfigError(
                 f"carbon range must satisfy 1 <= min <= max <= {DEFAULT_MAX_CARBONS}, "
@@ -898,8 +900,7 @@ def predict_properties(
     calc.register_canonical(sorted(train.ids) + list(query_keys))
     try:
         model = _fit_on_series(train, calc, config)
-        tc = [thermo.synth_critical_temperature(n, w) for n, w, _ in descriptors(query_keys).tolist()]
-        grids = thermo.temperature_grid(np.array(tc)).tolist()
+        grids = thermo.descriptors_and_grids(query_keys)[1].tolist()
         queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid]
         return queries, model.predict_mean(queries)
     finally:

@@ -163,6 +163,16 @@ def temperature_grid(tc: float | np.ndarray) -> np.ndarray:
     )
 
 
+def descriptors_and_grids(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The descriptors (:func:`alkspace.molspace.descriptors`) of each
+    alkane SMILES and its (k, GRID_POINTS) oracle temperature grid: the
+    temperatures :func:`simulate_batch` gives its values at and a
+    prediction is made at."""
+    d = descriptors(ids)
+    tc = np.array([synth_critical_temperature(k, w) for k, w, _ in d.tolist()])
+    return d, temperature_grid(tc)
+
+
 def _series_seed(seed: int, molecule_id: str) -> np.random.Generator:
     # Molecule identity feeds the stream, so simulation order cannot matter.
     digest = hashlib.sha256(molecule_id.encode()).digest()
@@ -184,10 +194,9 @@ def simulate_batch(ids: Sequence[str], noise_sigma: float = 0.0, seed: int = 0) 
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    d = descriptors(ids)
+    d, t = descriptors_and_grids(ids)
     n = d[:, :1].astype(float)
     branch = (d[:, 2] / d[:, 0])[:, None]
-    t = temperature_grid(np.array([synth_critical_temperature(k, w) for k, w, _ in d.tolist()]))
     density = (840.0 + 2.5 * n - 60.0 * branch) - 0.55 * t - 4e-4 * t * t
     cp = (25.0 + 31.0 * n) + 0.08 * n * t + 1e-4 * n * t * t
     hov = (8.0 + 4.6 * n) - 0.01 * n * t - 2e-5 * t * t

@@ -113,6 +113,29 @@ def test_a_bad_float_config_field_exits_one_writing_nothing(tmp_path, section, k
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize(
+    "section, key, field",
+    [("active_learning", "seed", "al_seed"), ("oracle", "seed", "oracle_seed"),
+     ("evaluation", "split_seed", "split_seed"), ("evaluation", "control_seeds", "control_seeds")],
+)
+def test_a_negative_seed_exits_one_naming_it_before_any_file(tmp_path, caplog, section, key, field):
+    value = [0, -3] if key == "control_seeds" else -3
+    raw = {**CONFIG_RAW, section: {**CONFIG_RAW.get(section, {}), key: value}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out_dir = tmp_path / "ws"
+    assert main(["run-all", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+    assert f"config error: {field} must be non-negative, got -3" in caplog.text
+    assert not out_dir.exists()
+
+
+def test_a_negative_seed_flag_exits_one_before_any_file(tmp_path, config_file, caplog):
+    out_dir = tmp_path / "neg"
+    assert main(["al", "--config", config_file, "--out-dir", str(out_dir), "--seed", "-1"]) == 1
+    assert "config error: al_seed must be non-negative, got -1" in caplog.text
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("value", [5, None, ""])
 def test_a_non_string_out_dir_exits_one(tmp_path, caplog, value):
     config = tmp_path / "config.json"

@@ -294,20 +294,14 @@ class RequestLog(RbfProvider):
         return super().block(keys_a, keys_b)
 
 
-def _abs_product(kern, queries, keys, weights):
-    """|K(queries, keys)| @ |weights|: what the rounding of a sum of the
-    products is relative to."""
-    return np.abs(kern.block(queries, keys)) @ np.abs(weights)
-
-
 @pytest.mark.parametrize("molecules, rows", [(1, 1), (2, 3), (7, 5), (100, 100)])
 def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, molecules, rows):
     """K(queries, keys) @ weights by molecule: whole, one query row at a
     time and in chunks of ``molecules`` query molecules and ``rows`` query
-    rows give the same bits, one molecule request per chunk, and the block
-    product within rounding. The 6 training molecules' rows interleave
-    (two molecules have 7, four have 6), and two query molecules are
-    training molecules."""
+    rows give the same bits, one molecule request per chunk, and those of
+    the row blocks. The 6 training molecules' rows interleave (two
+    molecules have 7, four have 6), and two query molecules are training
+    molecules."""
     kern = TemperatureProductKernel(RequestLog(length_scale=2.0), length_scale=30.0)
     rng = np.random.default_rng(5)
     train_mols = rng.uniform(0, 5, 6).tolist()
@@ -318,7 +312,7 @@ def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, mol
     whole = kern.dot(queries, keys, weights)
     alone = np.concatenate([kern.dot([q], keys, weights) for q in queries])
     monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", molecules * 6)
-    monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", rows * 7 * 6)  # 7 slots of 6 molecules
+    monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", rows * len(keys))
     kern.molecule_provider.requests.clear()
     chunked = kern.dot(queries, keys, weights)
     assert whole.shape == (50, 3)
@@ -327,8 +321,7 @@ def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, mol
     assert len(requests) == math.ceil(11 / molecules)
     assert [m for a, _ in requests for m in a] == query_mols  # each molecule once
     assert all(b == train_mols for _, b in requests)
-    want = kern.block(queries, keys) @ weights
-    assert np.all(np.abs(whole - want) <= 1e-12 * _abs_product(kern, queries, keys, weights))
+    assert whole.tobytes() == gpr._mean_by_rows(kern, queries, keys, weights).tobytes()
     assert kern.dot([], keys, weights).shape == (0, 3)
 
 
@@ -358,13 +351,10 @@ def test_the_mean_by_molecule_matches_the_row_blocks(fit_case):
     weights = model.dual_weights
     want = gpr._mean_by_rows(kern, tuple(queries), model.training_keys, weights)
     got = kern.dot(queries, model.training_keys, weights)
-    bound = _abs_product(kern, queries, model.training_keys, weights)
-    assert np.all(np.abs(got - want) <= 1e-12 * bound)
-    # predict_mean is the by-molecule product, de-standardized
+    assert got.tobytes() == want.tobytes()
+    # predict_mean is that product, de-standardized
     mean = model.predict_mean(queries)
-    assert mean.tobytes() == (model.y_mean + model.y_std * got).tobytes()
-    np.testing.assert_allclose(mean, model.y_mean + model.y_std * want, rtol=1e-12,
-                               atol=1e-12 * float(np.max(model.y_std * bound, initial=0.0)))
+    assert mean.tobytes() == (model.y_mean + model.y_std * want).tobytes()
 
 
 def test_composite_config_validation():

@@ -892,10 +892,23 @@ def test_predictions_do_not_depend_on_their_companions(c10_stage3, monkeypatch):
         assert mean.tobytes() == whole.tobytes()
 
 
+def test_the_c4_c10_mean_by_molecule_is_bitwise_the_row_block_mean(c10_stage3):
+    """The product kernel's mean of the 960 C4..C10 test rows, from
+    molecule blocks, is byte for byte the row-block mean of the same
+    weights."""
+    model, test = c10_stage3
+    keys, _ = test.rows()
+    kern, train = model.kernel_provider, model.training_keys
+    got = kern.dot(keys, train, model.dual_weights)
+    want = gpr._mean_by_rows(kern, tuple(keys), train, model.dual_weights)
+    assert got.shape == (960, 3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_the_c4_c10_test_rows_are_predicted_in_under_1_mb(c10_stage3):
     """The mean of the 960 C4..C10 test rows against the 288 stage-3 rows,
     every kernel pair held: as a row x row block it peaked at 2.4 MB traced,
-    by molecule it holds the temperature factor of a few rows."""
+    from molecule blocks it holds the kernel rows of a few query rows."""
     model, test = c10_stage3
     keys, _ = test.rows()
     assert (len(keys), len(model.training_keys)) == (960, 288)
