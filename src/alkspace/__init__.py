@@ -22,7 +22,7 @@ _SOURCES = {
         "load_checkpoint", "save_checkpoint",
     ),
     "errors": ("ConfigError",),
-    "gpr": ("FitError", "GprModel", "TemperatureProductKernel", "fit"),
+    "gpr": ("FitError", "GprModel", "Rows", "TemperatureProductKernel", "fit"),
     "mgk": (
         "KernelConvergenceError", "MgkCalculator", "MgkHyperparameters", "mgk_raw",
     ),

@@ -8,9 +8,10 @@ rows, without going through it (:func:`csv_field`): ``\\r\\n`` line ends,
 ``None`` as an empty field, a float as its ``repr``, so a value reads back
 exactly, and a text field quoted only where it holds a comma, a double
 quote or a line break. So a caller can render what several files share,
-such as the label and truth columns of a parity file, once. A CSV artifact
-that is read back holds a label in its first column and a finite number in
-every other.
+such as the label and truth columns of a parity file, once, and one table
+renderer (:func:`csv_table`) writes each molecule's texts once for all its
+rows of the dataset and prediction files. A CSV artifact that is read back
+holds a label in its first column and a finite number in every other.
 """
 
 from __future__ import annotations
@@ -100,25 +101,31 @@ def csv_line(fields: Iterable[object]) -> str:
     return ",".join(map(csv_field, fields)) + "\r\n"
 
 
-# Lines per piece of a CSV write; a piece of about 50 kB of text stays below
+def write_csv(path: str, header: Sequence[str], pieces: Iterable[str]) -> None:
+    """Write a CSV artifact: the ``header`` row, then ``pieces`` of text, each
+    of whole rows as :func:`csv_line` renders them. A write holds one piece
+    of the file's text, not the whole text, its encoding and the old file's
+    bytes."""
+    write_atomic(path, itertools.chain([csv_line(header)], pieces))
+
+
+# Rows per piece of csv_table; a piece of about 50 kB of text stays below
 # glibc malloc's 128 kB mmap threshold.
 _CSV_PIECE_LINES = 512
 
 
-def write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a CSV artifact: the ``header`` row, then ``lines``, rows rendered
-    as :func:`csv_line` renders them."""
-    # the lines go out joined in pieces of _CSV_PIECE_LINES, so a write
-    # holds one piece of the file's text beyond the lines, not the whole
-    # text, its encoding and the old file's bytes
-    write_atomic(path, itertools.chain([csv_line(header)], _joined(lines)))
-
-
-def _joined(lines: Iterable[str]) -> Iterator[str]:
-    """``lines`` joined ``_CSV_PIECE_LINES`` at a time."""
-    lines = iter(lines)
-    while batch := list(itertools.islice(lines, _CSV_PIECE_LINES)):
-        yield "".join(batch)
+def csv_table(molecule, columns: Sequence) -> Iterator[str]:
+    """The rows of a table whose row i is of molecule ``molecule[i]`` (a 1-D
+    int array): a field of each column in turn. A column is a list of
+    texts, one per molecule, or a 1-D float array (:func:`csv_column`), one
+    per row. The text comes in pieces of ``_CSV_PIECE_LINES`` rows, each
+    rendered as it is consumed, so a molecule's texts are made once."""
+    for r0 in range(0, len(molecule), _CSV_PIECE_LINES):
+        part = slice(r0, r0 + _CSV_PIECE_LINES)
+        of_row = molecule[part].tolist()
+        fields = [map(column.__getitem__, of_row) if isinstance(column, list)
+                  else csv_column(column[part].tolist()) for column in columns]
+        yield "".join([",".join(row) + "\r\n" for row in zip(*fields)])
 
 
 def read_json(path: str) -> dict:

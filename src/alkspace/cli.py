@@ -223,10 +223,10 @@ def cmd_fit_predict(args: argparse.Namespace) -> int:
     config = _load_config(args)
     train = thermo.read_dataset(args.train)
     ids = pipeline.load_molecule_file(args.molecules)
-    keys, values = pipeline.predict_properties(
+    rows, values = pipeline.predict_properties(
         train, ids, config, (repr(args.train), repr(args.molecules))
     )
-    n = pipeline.write_predictions(args.out, keys, values)
+    n = pipeline.write_predictions(args.out, rows, values)
     print(f"wrote {n} predictions for {len(ids)} molecules -> {args.out}")
     return 0
 
@@ -236,9 +236,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from ._atomic import json_text, write_json
 
     _load_config(args)  # unused, but a bad --config still exits 1
-    keys, values = pipeline.read_predictions(args.pred)
+    rows, values = pipeline.read_predictions(args.pred)
     truths = thermo.read_dataset(args.truth)
-    metrics = pipeline.evaluate_predictions(keys, values, truths)
+    metrics = pipeline.evaluate_predictions(rows, values, truths)
     payload = {k: asdict(m) for k, m in metrics.items()}
     print(json_text(payload), end="")
     if args.out:

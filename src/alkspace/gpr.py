@@ -1,19 +1,20 @@
 """Exact Gaussian-process regression over kernel providers.
 
 A kernel provider is any object with ``block(keys_a, keys_b) -> ndarray``
-evaluating a positive-semidefinite kernel with a unit diagonal on opaque
-hashable keys, so every key's prior variance is 1. ``block`` returns a new
+evaluating a positive-semidefinite kernel with a unit diagonal on key
+sequences, so every key's prior variance is 1. ``block`` returns a new
 float64 array that the caller owns and may overwrite: no later block of
-the provider may read it. The molecule-kernel
-provider is :class:`alkspace.mgk.MgkCalculator`, keyed by canonical SMILES;
-:class:`TemperatureProductKernel` pairs a molecule kernel with a
-squared-exponential factor in temperature for property regression on
-(molecule, temperature) keys.
+the provider may read it. The molecule-kernel provider is
+:class:`alkspace.mgk.MgkCalculator`, keyed by canonical SMILES;
+:class:`TemperatureProductKernel` pairs it with a squared-exponential
+factor in temperature for property regression on :class:`Rows`, the one
+record of (molecule, temperature) rows.
 
 :func:`fit` returns a :class:`GprModel`, whose :meth:`~GprModel.predict_mean`
 and :meth:`~GprModel.predict_variance` are the predictors. The variance is
-one forward substitution against the training factor (:func:`_forward`),
-the same the active-learning layer advances row block by row block.
+one forward substitution per block of queries against the training
+factor, which the active-learning layer advances row block by row block
+(:func:`_forward`).
 
 Targets are standardized to zero mean and unit variance per column before
 fitting, so the posterior variance lives on the unit-prior scale regardless
@@ -27,15 +28,11 @@ block, so its working memory is set by that budget, not by the number
 of queries: predicting all 251,728 C4..C19 alkanes on their 16-point
 grids against 1,040 training rows would otherwise hold a 34 GB block.
 The mean over a :class:`TemperatureProductKernel` requests the molecule
-kernel by molecule (:meth:`TemperatureProductKernel.dot`): one request per
-chunk of distinct query molecules against the distinct training
-molecules, and no row x row kernel block from the provider; over any
-other provider it reads row blocks as the variance does. Either way each
-query row's kernel entries are dotted with the weights by one formula
-(:func:`_row_dots`), so the two give the same bits, and a query's mean
-reads only its own kernel row, its temperature and the weights: a
-prediction is bitwise the same alone, in any chunk and beside any other
-queries.
+kernel a chunk of query molecules at a time
+(:meth:`TemperatureProductKernel.dot`), over any other provider it reads
+row blocks; either way each query row's kernel entries are dotted with
+the weights by one formula (:func:`_row_dots`), so a prediction is
+bitwise the same alone, in any chunk and beside any other queries.
 """
 
 from __future__ import annotations
@@ -97,13 +94,42 @@ class KernelProvider(Protocol):
     def block(self, keys_a: Sequence, keys_b: Sequence) -> np.ndarray: ...
 
 
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Rows of (molecule, temperature): the distinct ``molecules``, each
+    named by a row, and per row the int64 index of its ``molecule`` and its
+    float64 ``temperature``. ``rows[index]``, for a slice or positions,
+    gives those rows over only the molecules they name, in their order.
+    """
+
+    molecules: tuple
+    molecule: np.ndarray
+    temperature: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "molecules", tuple(self.molecules))
+        object.__setattr__(self, "molecule", np.asarray(self.molecule, np.int64))
+        object.__setattr__(self, "temperature", np.asarray(self.temperature, float))
+        if self.molecule.ndim != 1 or self.molecule.shape != self.temperature.shape:
+            raise ValueError("need one molecule index per temperature")
+
+    def __len__(self) -> int:
+        return len(self.molecule)
+
+    def __getitem__(self, index: slice | Sequence[int] | np.ndarray) -> Rows:
+        named, molecule = np.unique(self.molecule[index], return_inverse=True)
+        molecules = tuple(map(self.molecules.__getitem__, named.tolist()))
+        return Rows(molecules, molecule, self.temperature[index])
+
+
 class TemperatureProductKernel:
-    """Provider over (molecule_id, temperature) keys.
+    """Provider over :class:`Rows`.
 
     k((m,T), (m',T')) = k_mol(m, m') * exp(-(T-T')^2 / (2 l^2)). The factor
     is 1 on the diagonal, so the composite kernel keeps the unit prior of
-    the normalized molecule kernel. :meth:`dot` gives a block times
-    weights from molecule blocks, without the row x row block.
+    the normalized molecule kernel. Its blocks are requested by molecule,
+    not by row; :meth:`dot` gives a block times weights from molecule
+    blocks, without the row x row block.
     """
 
     def __init__(self, molecule_provider: KernelProvider, length_scale: float):
@@ -112,47 +138,38 @@ class TemperatureProductKernel:
         self.molecule_provider = molecule_provider
         self.length_scale = length_scale
 
-    def _split(self, keys: Sequence) -> tuple[list, np.ndarray]:
-        mols = [k[0] for k in keys]
-        temps = np.array([float(k[1]) for k in keys])
-        return mols, temps
-
-    def block(self, keys_a: Sequence, keys_b: Sequence) -> np.ndarray:
-        mols_a, t_a = self._split(keys_a)
-        mols_b, t_b = self._split(keys_b)
-        # the molecule block is ours (see the provider contract): scale it
-        # in place, a few rows at a time
-        k = self.molecule_provider.block(mols_a, mols_b)
+    def block(self, a: Rows, b: Rows) -> np.ndarray:
+        # the rows gathered from the molecule block are a new array: scale
+        # it in place, a few rows at a time
+        k = self.molecule_provider.block(a.molecules, b.molecules)
+        k = k[np.ix_(a.molecule, b.molecule)]
+        t_a, t_b = a.temperature, b.temperature
         scale = 2.0 * self.length_scale**2
         for i0, i1 in _blocks(len(t_a), _FACTOR_ENTRIES // max(len(t_b), 1)):
             factor = _temperature_factor(t_a[i0:i1, None], t_b[None, :], scale)
             np.multiply(k[i0:i1], factor, out=k[i0:i1])
         return k
 
-    def dot(self, queries: Sequence, keys: Sequence, weights: np.ndarray) -> np.ndarray:
+    def dot(self, queries: Rows, keys: Rows, weights: np.ndarray) -> np.ndarray:
         """``block(queries, keys) @ weights`` for non-empty ``keys`` and
         (len(keys), m) ``weights``, with no query x key block.
 
         The molecule kernel is requested once per chunk of at most
-        ``_PREDICT_ENTRIES // len(s)`` distinct query molecules against the
-        distinct molecules s of ``keys``. The rows of each chunk are formed
-        from that block at most ``_FACTOR_ENTRIES`` entries at a time, the
-        entries :meth:`block` forms, and dotted with the weights as
-        :func:`_mean_by_rows` dots them (:func:`_row_dots`), so the result
-        is bitwise that of :func:`_mean_by_rows`.
+        ``_PREDICT_ENTRIES // len(keys.molecules)`` query molecules. The
+        rows of a chunk are formed from its block ``_FACTOR_ENTRIES``
+        entries at a time, the entries :meth:`block` forms, and dotted with
+        the weights by :func:`_row_dots`: bitwise :func:`_mean_by_rows`.
         """
         columns = [np.ascontiguousarray(w) for w in np.asarray(weights, dtype=float).T]
-        mols, t_q = self._split(queries)
-        query_mols, query_of = _first_seen(mols)
-        mols, t_k = self._split(keys)
-        key_mols, key_of = _first_seen(mols)
+        query_of, t_q = queries.molecule, queries.temperature
+        key_of, t_k = keys.molecule, keys.temperature
         # the query rows grouped by molecule, so a chunk of molecules is a run
         by_mol = np.argsort(query_of, kind="stable")
         sorted_of = query_of[by_mol]
         scale = 2.0 * self.length_scale**2
         out = np.empty((len(t_q), len(columns)))
-        for c0, c1 in _blocks(len(query_mols), _PREDICT_ENTRIES // len(key_mols)):
-            k_mol = self.molecule_provider.block(query_mols[c0:c1], key_mols)
+        for c0, c1 in _blocks(len(queries.molecules), _PREDICT_ENTRIES // len(keys.molecules)):
+            k_mol = self.molecule_provider.block(queries.molecules[c0:c1], keys.molecules)
             chunk = by_mol[np.searchsorted(sorted_of, c0):np.searchsorted(sorted_of, c1)]
             for r0, r1 in _blocks(len(chunk), _FACTOR_ENTRIES // len(t_k)):
                 rows = chunk[r0:r1]
@@ -160,14 +177,6 @@ class TemperatureProductKernel:
                 k *= _temperature_factor(t_q[rows, None], t_k[None, :], scale)
                 out[rows] = _row_dots(k, columns)
         return out
-
-
-def _first_seen(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values in order of first appearance, and the index of
-    each value among them."""
-    distinct = list(dict.fromkeys(values))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 def _temperature_factor(t_a: np.ndarray, t_b: np.ndarray, scale: float) -> np.ndarray:
@@ -259,7 +268,7 @@ class GprModel:
     predictions come back with the same shape.
     """
 
-    training_keys: tuple
+    training_keys: Rows | tuple
     chol_factor: np.ndarray
     dual_weights: np.ndarray
     noise: float
@@ -270,13 +279,11 @@ class GprModel:
     single_target: bool
 
     def predict_mean(self, queries: Sequence) -> np.ndarray:
-        """Posterior mean at the queries, de-standardized to target units.
-        Each query's mean reads only its own kernel row, so it is bitwise
-        the same whatever queries come with it. Over a
-        :class:`TemperatureProductKernel` its kernel rows are formed from
-        molecule blocks (:meth:`TemperatureProductKernel.dot`), otherwise
-        read in row blocks (:func:`_mean_by_rows`), with the same bits."""
-        queries = tuple(queries)
+        """Posterior mean at the queries, de-standardized to target units;
+        each reads only its own kernel row, formed from molecule blocks over
+        a :class:`TemperatureProductKernel` (:meth:`~TemperatureProductKernel.dot`),
+        else read in row blocks (:func:`_mean_by_rows`), with the same bits."""
+        queries = queries if isinstance(queries, Rows) else tuple(queries)
         provider = self.kernel_provider
         if isinstance(provider, TemperatureProductKernel):
             mean = provider.dot(queries, self.training_keys, self.dual_weights)
@@ -289,18 +296,15 @@ class GprModel:
         """Posterior variance on the standardized unit-prior scale; entries
         negative from finite precision are clamped to zero. Depends only on
         kernel values, never on targets."""
-        queries = tuple(queries)
-        n = len(self.training_keys)
-        # unit prior minus what the training inputs explain, one request
-        # per block of queries
+        queries = queries if isinstance(queries, Rows) else tuple(queries)
+        keys, chol = self.training_keys, self.chol_factor
+        # the unit prior less what the training inputs explain, by blocks
         var = np.ones(len(queries))
-        for q0, q1 in _blocks(len(queries), _PREDICT_ENTRIES // n):
-            m = q1 - q0
-            _forward(
-                self.chol_factor, self.kernel_provider, self.training_keys,
-                queries[q0:q1], -math.inf, np.empty((n, m)),
-                np.zeros(m, np.int64), var[q0:q1], np.arange(m),
-            )
+        for q0, q1 in _blocks(len(queries), _PREDICT_ENTRIES // len(keys)):
+            k = self.kernel_provider.block(keys, queries[q0:q1])
+            _require_finite(k, "kernel block between training inputs and queries")
+            x = _solve_triangular(chol, k)
+            var[q0:q1] -= np.sum(x * x, axis=0)
         return np.maximum(var, 0.0)
 
 
@@ -335,11 +339,12 @@ def fit(
 ) -> GprModel:
     """Fit an exact GP with i.i.d. noise on standardized targets.
 
+    ``inputs`` are :class:`Rows` or a sequence of keys of the provider.
     ``targets`` may be (n,) or (n, m) for m properties sharing one kernel
     factorization. ``noise`` is the variance added to the kernel diagonal,
     on the standardized scale.
     """
-    keys = tuple(inputs)
+    keys = inputs if isinstance(inputs, Rows) else tuple(inputs)
     if len(keys) == 0:
         raise ValueError("at least one training point is required")
     if noise < 0:
@@ -381,15 +386,15 @@ def _forward(
     Query i holds its first ``known[i]`` rows in ``x[:known[i], i]`` and its
     prior minus their squares in ``bound[i]``, an upper bound on its variance
     (see :mod:`alkspace.active_learning`); only the rows it lacks are solved.
-    With a finite ``cut`` rows are read in :func:`_row_blocks` order and a
-    query whose bound is or falls below ``cut`` is read no further; with
-    -inf all at once. A block is one request, over the queries lacking rows
-    in it, from the first row any of them lacks: the molecule kernel's cost
-    goes by requests (stacked solves), not by entries looked up again.
+    The factor's rows are read in :func:`_row_blocks` order, and a query
+    whose bound is or falls below ``cut`` is read no further. A block is one
+    request, over the queries lacking rows in it, from the first row any of
+    them lacks: the molecule kernel's cost goes by requests (stacked
+    solves), not by entries looked up again.
     """
     n = len(keys)
     alive = among[(bound[among] >= cut) & (known[among] < n)]
-    for j0, j1 in _row_blocks(n) if math.isfinite(cut) else [(0, n)]:
+    for j0, j1 in _row_blocks(n):
         need = alive[known[alive] < j1]
         if not need.size:
             continue

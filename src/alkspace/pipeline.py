@@ -22,8 +22,8 @@ import numpy as np
 from . import active_learning as al
 from . import gpr, thermo
 from ._atomic import (
-    csv_column, csv_field, csv_line, csv_rows, read_json, row_error, write_atomic, write_csv,
-    write_json,
+    csv_column, csv_field, csv_line, csv_rows, csv_table, read_json, row_error, write_atomic,
+    write_csv, write_json,
 )
 from .errors import ConfigError
 from .mgk import MgkCalculator, MgkHyperparameters, _require_real
@@ -596,8 +596,8 @@ def _simulate(ids: Sequence[str], noise_sigma: float, seed: int) -> thermo.Datas
 def _fit_on_series(data: thermo.Dataset, provider, cfg: PipelineConfig):
     """The property GP fitted on the QC-passing molecules of ``data``;
     StageError naming how many failed which gate if none passes."""
-    keys, targets = data.take(data.passed).rows()
-    if not keys:
+    rows, targets = data.take(data.passed).rows()
+    if not len(rows):
         counts = data.failed.sum(axis=0).tolist()
         gates = sorted((g, k) for g, k in zip(thermo.QC_GATES, counts) if k)
         n = len(data)
@@ -608,7 +608,7 @@ def _fit_on_series(data: thermo.Dataset, provider, cfg: PipelineConfig):
             message += f"; the oracle noise_sigma is {cfg.noise_sigma:g}"
         raise StageError(message)
     kernel = gpr.TemperatureProductKernel(provider, cfg.temperature_length_scale)
-    return gpr.fit(keys, targets, cfg.regression_noise, kernel)
+    return gpr.fit(rows, targets, cfg.regression_noise, kernel)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -669,7 +669,7 @@ def run_alms(config: PipelineConfig) -> EvalReport:
     with _staged(config) as (ws, ids, calc, states):
         final_selected = states[-1].selected
         train, test = ws.datasets(ids, final_selected)
-        test_keys, test_truth = test.rows()
+        test_rows, test_truth = test.rows()
         truth_columns = test_truth.T.tolist()
 
         # every stage predicts the test set against a subset of the final
@@ -681,10 +681,10 @@ def run_alms(config: PipelineConfig) -> EvalReport:
             stage_no = i + 1
             model = _fit_on_series(train.take(slice(len(state.selected))), calc, config)
             t0 = time.monotonic()
-            preds = model.predict_mean(test_keys)
+            preds = model.predict_mean(test_rows)
             logger.info(
                 "stage %d: predicted %d test rows in %.1fs",
-                stage_no, len(test_keys), time.monotonic() - t0,
+                stage_no, len(test_rows), time.monotonic() - t0,
             )
             metrics = _metrics_by_property(preds, test_truth)
             stage_results.append(
@@ -710,12 +710,12 @@ def run_alms(config: PipelineConfig) -> EvalReport:
         config_hash=config.content_hash(),
         n_molecules=len(ids),
         n_test_molecules=len(test),
-        n_test_rows=len(test_keys),
+        n_test_rows=len(test_rows),
         stages=tuple(stage_results),
     )
     report_path = ws.path(f"report_{report.config_hash}.json")
     write_json(report_path, asdict(report))
-    export_plot_data(report, test_keys, truth_columns, stage_columns, config.out_dir)
+    export_plot_data(report, test_rows, truth_columns, stage_columns, config.out_dir)
     logger.info("run complete in %.1fs, report at %s", time.monotonic() - t_start, report_path)
     return report
 
@@ -725,26 +725,25 @@ def run_alms(config: PipelineConfig) -> EvalReport:
 
 def export_plot_data(
     report: EvalReport,
-    keys: Sequence[tuple[str, float]],
+    rows: gpr.Rows,
     truths: Sequence[Sequence[float]],
     predictions: Sequence[Sequence[Sequence[float]]],
     out_dir: str,
 ) -> list[str]:
     """Parity CSV per (stage, property) plus one metrics summary CSV.
 
-    ``keys`` are the test rows' (molecule, temperature), ``truths`` their
-    true values, one column per property in ``PROPERTIES`` order, and
-    ``predictions`` one such list of columns per stage of ``report``. The
+    ``rows`` are the test rows, ``truths`` their true values, one column
+    per property in ``PROPERTIES`` order, and ``predictions`` one such
+    list of columns per stage of ``report``. The
     label, temperature and truth of a row are rendered once per property
     and shared by every stage's parity file, which adds only the
     prediction. Deterministic inputs give identical bytes, so re-export is
     idempotent.
     """
     os.makedirs(out_dir, exist_ok=True)
-    labels = {mol: csv_field(mol) for mol, _ in keys}
-    heads = [
-        labels[mol] + "," + t + "," for (mol, _), t in zip(keys, csv_column(t for _, t in keys))
-    ]
+    labels = [csv_field(mol) + "," for mol in rows.molecules]
+    temperatures = csv_column(rows.temperature.tolist())
+    heads = [labels[i] + t + "," for i, t in zip(rows.molecule.tolist(), temperatures)]
     prefixes = [list(map(str.__add__, heads, csv_column(column))) for column in truths]
     written: list[str] = []
     for stage, columns in zip(report.stages, predictions):
@@ -752,8 +751,8 @@ def export_plot_data(
             path = os.path.join(
                 out_dir, f"parity_stage{stage.stage}_{prop}_{report.config_hash}.csv"
             )
-            lines = [p + "," + y + "\r\n" for p, y in zip(prefix, csv_column(column))]
-            write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], lines)
+            text = "".join([p + "," + y + "\r\n" for p, y in zip(prefix, csv_column(column))])
+            write_csv(path, ["smiles", "temperature_K", "truth", "prediction"], [text])
             written.append(path)
     summary_rows = [
         [prop, stage.stage, float(stage.threshold), stage.n_selected, stage.n_train_rows,
@@ -836,12 +835,12 @@ def compare_al_random(config: PipelineConfig) -> ComparisonReport:
             rest = np.ones(len(test), dtype=bool)
             rest[pick] = False
             random_model = _fit_on_series(test.take(pick), calc, config)
-            eval_keys, truth = test.take(rest).rows()
-            al_pred = al_model.predict_mean(eval_keys)
-            rnd_pred = random_model.predict_mean(eval_keys)
+            eval_rows, truth = test.take(rest).rows()
+            al_pred = al_model.predict_mean(eval_rows)
+            rnd_pred = random_model.predict_mean(eval_rows)
             comparison = SeedComparison(
                 seed=seed,
-                n_eval_rows=len(eval_keys),
+                n_eval_rows=len(eval_rows),
                 al=_metrics_by_property(al_pred, truth),
                 random=_metrics_by_property(rnd_pred, truth),
             )
@@ -888,7 +887,7 @@ def predict_properties(
     molecule_ids: Sequence[str],
     config: PipelineConfig,
     sources: tuple[str, str] = ("the training data", "the query"),
-) -> tuple[list[tuple[str, float]], np.ndarray]:
+) -> tuple[gpr.Rows, np.ndarray]:
     """Fit on oracle data and predict each molecule's properties on its
     oracle temperature grid, as :meth:`thermo.Dataset.rows` gives them.
     Molecules are keyed by canonical SMILES however spelled; ValueError
@@ -900,61 +899,66 @@ def predict_properties(
     calc.register_canonical(sorted(train.ids) + list(query_keys))
     try:
         model = _fit_on_series(train, calc, config)
-        grids = thermo.descriptors_and_grids(query_keys)[1].tolist()
-        queries = [(key, t) for key, grid in zip(query_keys, grids) for t in grid]
+        grids = thermo.descriptors_and_grids(query_keys)[1]
+        molecule = np.repeat(np.arange(len(query_keys)), thermo.GRID_POINTS)
+        queries = gpr.Rows(query_keys, molecule, grids.ravel())
         return queries, model.predict_mean(queries)
     finally:
         _log_kernel_work(calc)
 
 
-def write_predictions(path: str, keys: Sequence[tuple[str, float]], values: np.ndarray) -> int:
-    """Write the rows of a prediction file atomically, rendered
-    ``_WRITE_ROWS`` at a time as they are written; returns their count."""
-    write_csv(path, PREDICTION_HEADER, _prediction_lines(keys, values))
-    return len(keys)
+def write_predictions(path: str, rows: gpr.Rows, values: np.ndarray) -> int:
+    """Write the rows of a prediction file atomically, rendered a chunk at a
+    time as they are written (:func:`csv_table`); returns their count."""
+    columns = [list(map(csv_field, rows.molecules)), rows.temperature, *np.asarray(values).T]
+    write_csv(path, PREDICTION_HEADER, csv_table(rows.molecule, columns))
+    return len(rows)
 
 
-# Rows that write_predictions renders at a time.
-_WRITE_ROWS = 4096
-
-
-def _prediction_lines(keys: Sequence[tuple[str, float]], values: np.ndarray) -> Iterator[str]:
-    """The rows of a prediction file as CSV lines, rendered a chunk of rows
-    at a time."""
-    for r0 in range(0, len(keys), _WRITE_ROWS):
-        part = keys[r0:r0 + _WRITE_ROWS]
-        labels = {m: csv_field(m) + "," for m, _ in part}
-        lines = [labels[m] + t for (m, _), t in zip(part, csv_column(t for _, t in part))]
-        for column in values[r0:r0 + _WRITE_ROWS].T.tolist():
-            lines = list(map(",".join, zip(lines, csv_column(column))))
-        yield from (line + "\r\n" for line in lines)
-
-
-def read_predictions(path: str) -> tuple[list[tuple[str, float]], np.ndarray]:
-    """The keys and property matrix of a prediction file; ValueError naming the
-    file and the line of a malformed row (:func:`csv_rows`) or a repeated key."""
-    lines: dict[tuple[str, float], int] = {}  # each key's line
-    values = []
-    for line, smiles, row in csv_rows(path, PREDICTION_HEADER):
-        if (first := lines.setdefault((smiles, row[0]), line)) != line:
-            raise row_error(path, line, f"{smiles} at {row[0]!r} K repeats line {first}")
-        values.append(row[1:])
-    return list(lines), np.array(values, dtype=float).reshape(-1, 3)
+def read_predictions(path: str) -> tuple[gpr.Rows, np.ndarray]:
+    """The rows and property matrix of a prediction file; ValueError naming
+    the file and the line of a malformed row (:func:`csv_rows`), or of the
+    first row in file order that repeats an earlier one."""
+    index: dict[str, int] = {}  # each molecule's index, in order of first appearance
+    table = np.array([
+        (index.setdefault(smiles, len(index)), line, *row)
+        for line, smiles, row in csv_rows(path, PREDICTION_HEADER)
+    ], dtype=float).reshape(-1, 6)
+    rows, lines = gpr.Rows(tuple(index), table[:, 0], table[:, 2]), table[:, 1].astype(int)
+    # a stable sort on (molecule, temperature): a repeat follows, in file
+    # order, the rows it repeats
+    order = np.lexsort((rows.temperature, rows.molecule))
+    m, t = rows.molecule[order], rows.temperature[order]
+    repeats = order[1:][(m[1:] == m[:-1]) & (t[1:] == t[:-1])]
+    if repeats.size:
+        r = int(repeats.min())  # the first repeat in file order
+        mol, temperature = rows.molecule[r], float(rows.temperature[r])
+        first = lines[np.argmax((rows.molecule == mol) & (rows.temperature == temperature))]
+        what = f"{rows.molecules[mol]} at {temperature!r} K repeats line {first}"
+        raise row_error(path, lines[r], what)
+    return rows, table[:, 3:]
 
 
 def evaluate_predictions(
-    keys: Sequence[tuple[str, float]],
-    predictions: np.ndarray,
-    truths: thermo.Dataset,
+    rows: gpr.Rows, predictions: np.ndarray, truths: thermo.Dataset
 ) -> dict[str, Metrics]:
-    """Join predictions to the rows of the oracle data on (molecule,
-    temperature) and score each property; every prediction must find its
+    """Join predictions to the rows of the oracle data on molecule and grid
+    temperature, and score each property; every prediction must find its
     truth."""
-    truth_keys, truth_values = truths.rows()
-    row_of = {key: i for i, key in enumerate(truth_keys)}
-    if not keys:
+    if not len(rows):
         raise ValueError("no predictions to evaluate")
-    missing = [k for k in keys if k not in row_of]
-    if missing:
-        raise ValueError(f"no truth row for {missing[0]}")
-    return _metrics_by_property(predictions, truth_values[[row_of[k] for k in keys]])
+    index = {mol: i for i, mol in enumerate(truths.ids)}
+    # each row's truth molecule; -1, a molecule the truth lacks, reads the
+    # last grid, which holds no temperature
+    truth = np.array([index.get(mol, -1) for mol in rows.molecules], np.int64)[rows.molecule]
+    grid = np.vstack([truths.temperatures, np.full(thermo.GRID_POINTS, np.nan)])
+    at = np.zeros(len(rows), np.int64)  # each row's grid position
+    for column in grid.T:
+        at += column[truth] < rows.temperature
+    np.minimum(at, thermo.GRID_POINTS - 1, out=at)
+    found = grid[truth, at] == rows.temperature
+    if not found.all():
+        r = int(np.argmin(found))
+        key = (rows.molecules[rows.molecule[r]], float(rows.temperature[r]))
+        raise ValueError(f"no truth row for {key}")
+    return _metrics_by_property(predictions, truths.values[truth, at])

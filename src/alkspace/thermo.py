@@ -35,11 +35,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._atomic import csv_column, csv_field, csv_rows, row_error, write_csv
+from ._atomic import csv_field, csv_rows, csv_table, row_error, write_csv
+from .gpr import Rows
 from .molspace import descriptors
 
 GRID_POINTS = 16
@@ -134,11 +135,11 @@ class Dataset:
             self.temperatures[index], self.values[index], self.failed[index],
         )
 
-    def rows(self) -> tuple[list[tuple[str, float]], np.ndarray]:
-        """The (molecule, temperature) key of each row, molecule by
-        molecule, and the ``(GRID_POINTS * m, 3)`` array of its properties."""
-        keys = [(mol, t) for mol, grid in zip(self.ids, self.temperatures.tolist()) for t in grid]
-        return keys, self.values.reshape(-1, 3)
+    def rows(self) -> tuple[Rows, np.ndarray]:
+        """The :class:`alkspace.gpr.Rows` of the grid points, molecule by
+        molecule, and the ``(GRID_POINTS * m, 3)`` array of their values."""
+        molecule = np.repeat(np.arange(len(self)), GRID_POINTS)
+        return Rows(self.ids, molecule, self.temperatures.ravel()), self.values.reshape(-1, 3)
 
 
 def synth_critical_temperature(n_carbons: int, wiener_index: int) -> float:
@@ -246,32 +247,14 @@ def qc_evaluate(
 def write_dataset(path: str, data: Dataset) -> int:
     """CSV dataset, one row per grid point, written atomically; returns the
     row count. Rewriting the same data is byte-identical. The rows are
-    rendered ``_WRITE_MOLECULES`` molecules at a time, as they are written:
-    each molecule's label and QC flag once, the numbers a column at a time
-    (:func:`alkspace._atomic.csv_column`)."""
-    write_csv(path, DATASET_HEADER, _dataset_lines(data))
-    return len(data) * GRID_POINTS
-
-
-# Molecules whose rows write_dataset renders at a time (4,096 rows).
-_WRITE_MOLECULES = 256
-
-
-def _dataset_lines(data: Dataset) -> Iterator[str]:
-    """The rows of ``data`` as CSV lines, rendered a chunk of molecules at a
-    time."""
-    def per_row(texts: list[str]) -> list[str]:
-        return [text for text in texts for _ in range(GRID_POINTS)]
-
-    for m0 in range(0, len(data), _WRITE_MOLECULES):
-        part = slice(m0, m0 + _WRITE_MOLECULES)
-        temperatures = csv_column(data.temperatures[part].ravel().tolist())
-        heads = per_row([csv_field(mol) + "," for mol in data.ids[part]])
-        lines = [head + t + ",1.0" for head, t in zip(heads, temperatures)]
-        for column in data.values[part].reshape(-1, 3).T.tolist():
-            lines = list(map(",".join, zip(lines, csv_column(column))))
-        tails = per_row([",1\r\n" if ok else ",0\r\n" for ok in data.passed[part].tolist()])
-        yield from map(str.__add__, lines, tails)
+    rendered as they are written (:func:`alkspace._atomic.csv_table`):
+    each molecule's label, pressure and QC flag once."""
+    rows, values = data.rows()
+    passed = ["1" if ok else "0" for ok in data.passed.tolist()]
+    labels = list(map(csv_field, data.ids))
+    columns = [labels, rows.temperature, ["1.0"] * len(data), *values.T, passed]
+    write_csv(path, DATASET_HEADER, csv_table(rows.molecule, columns))
+    return len(rows)
 
 
 def read_dataset(path: str) -> Dataset:

@@ -412,9 +412,9 @@ def test_fit_predict_gives_two_spellings_of_one_molecule_identical_rows(tmp_path
     assert main(["simulate", "--molecules", str(train_list), "--out", train_csv]) == 0
     a, b = "C(CC)(C)CCCC", "C(CCCC)(CC)C"
     first = _fit_predict(tmp_path, train_csv, [a], "a")
-    keys, _ = read_predictions(str(tmp_path / "a.csv"))
-    assert len(keys) == thermo.GRID_POINTS
-    assert {m for m, _ in keys} == {str(to_canonical_smiles(parse_smiles(a)))}
+    rows, _ = read_predictions(str(tmp_path / "a.csv"))
+    assert len(rows) == thermo.GRID_POINTS
+    assert rows.molecules == (str(to_canonical_smiles(parse_smiles(a))),)
     assert _fit_predict(tmp_path, train_csv, [b], "b") == first
     # both spellings in one query file: one molecule, listed twice
     query, out = tmp_path / "ba.txt", tmp_path / "ba.csv"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from alkspace import gpr
 from alkspace.gpr import (
     FitError,
+    Rows,
     TemperatureProductKernel,
     extend_cholesky,
     fit,
@@ -238,6 +239,56 @@ def test_predict_variance_rejects_a_non_finite_cross_block(value):
 # -- composite kernel over (molecule, temperature) -----------------------------
 
 
+def _rows(keys) -> Rows:
+    """The rows of a list of (molecule, temperature) tuples, the list form
+    that is the tests' oracle, molecules in order of first appearance."""
+    molecules = list(dict.fromkeys(m for m, _ in keys))
+    index = {m: i for i, m in enumerate(molecules)}
+    return Rows(molecules, [index[m] for m, _ in keys], [t for _, t in keys])
+
+
+def _tuples(rows: Rows) -> list:
+    """The (molecule, temperature) tuples of ``rows``."""
+    of_row = rows.molecule.tolist()
+    return [(rows.molecules[i], t) for i, t in zip(of_row, rows.temperature.tolist())]
+
+
+_INDEX = st.one_of(
+    st.builds(slice, st.none() | st.integers(-12, 12), st.none() | st.integers(-12, 12),
+              st.none() | st.integers(1, 3) | st.integers(-3, -1)),
+    st.lists(st.integers(0, 9), max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from([250.0, 300.0, -0.0, 1e3])),
+             max_size=10),
+    _INDEX,
+)
+def test_rows_taken_by_index_are_the_tuples_taken_by_index(keys, index):
+    """``rows[index]`` for a slice or positions holds the tuples the list
+    gives, over exactly the molecules they name, in the order of their
+    indices in ``rows``."""
+    rows = _rows(keys)
+    assert len(rows) == len(keys) and _tuples(rows) == keys
+    if isinstance(index, list):
+        index = [i for i in index if i < len(keys)]
+        want = [keys[i] for i in index]
+    else:
+        want = keys[index]
+    got = rows[index]
+    assert len(got) == len(want) and _tuples(got) == want
+    assert got.molecule.dtype == np.int64 and got.temperature.dtype == np.float64
+    named = {m for m, _ in want}
+    assert got.molecules == tuple(m for m in rows.molecules if m in named)
+
+
+def test_rows_need_one_molecule_index_per_temperature():
+    with pytest.raises(ValueError, match="one molecule index per temperature"):
+        Rows(("a",), [0, 0], [300.0])
+
+
 class TwoMoleculeProvider:
     """Fixed 2x2 molecule kernel keyed by 'a'/'b'."""
 
@@ -249,7 +300,7 @@ class TwoMoleculeProvider:
 
 def test_temperature_product_kernel_formula():
     kern = TemperatureProductKernel(TwoMoleculeProvider(), length_scale=50.0)
-    keys = [("a", 300.0), ("b", 350.0)]
+    keys = _rows([("a", 300.0), ("b", 350.0)])
     block = kern.block(keys, keys)
     want_offdiag = 0.6 * np.exp(-(50.0**2) / (2 * 50.0**2))
     assert block[0, 0] == pytest.approx(1.0)
@@ -273,12 +324,12 @@ def test_temperature_product_kernel_in_row_blocks_is_the_whole_product(monkeypat
     t_b = np.array([t for _, t in keys_b])[None, :]
     factor = np.exp(-((t_a - t_b) ** 2) / (2.0 * 30.0**2))
     want = mols.block([m for m, _ in keys_a], [m for m, _ in keys_b]) * factor
-    assert kern.block(keys_a, keys_b).tobytes() == want.tobytes()
+    assert kern.block(_rows(keys_a), _rows(keys_b)).tobytes() == want.tobytes()
 
 
 def test_temperature_kernel_reduces_to_molecule_kernel_at_equal_t():
     kern = TemperatureProductKernel(TwoMoleculeProvider(), length_scale=10.0)
-    block = kern.block([("a", 300.0)], [("b", 300.0)])
+    block = kern.block(_rows([("a", 300.0)]), _rows([("b", 300.0)]))
     assert block[0, 0] == pytest.approx(0.6, rel=1e-12)
 
 
@@ -305,12 +356,16 @@ def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, mol
     kern = TemperatureProductKernel(RequestLog(length_scale=2.0), length_scale=30.0)
     rng = np.random.default_rng(5)
     train_mols = rng.uniform(0, 5, 6).tolist()
-    keys = [(train_mols[i % 6], t) for i, t in enumerate(rng.uniform(250, 400, 38).tolist())]
+    keys = _rows(
+        [(train_mols[i % 6], t) for i, t in enumerate(rng.uniform(250, 400, 38).tolist())]
+    )
     query_mols = rng.uniform(0, 5, 9).tolist() + train_mols[:2]
-    queries = [(query_mols[i % 11], t) for i, t in enumerate(rng.uniform(250, 400, 50).tolist())]
+    queries = _rows(
+        [(query_mols[i % 11], t) for i, t in enumerate(rng.uniform(250, 400, 50).tolist())]
+    )
     weights = rng.normal(size=(len(keys), 3))
     whole = kern.dot(queries, keys, weights)
-    alone = np.concatenate([kern.dot([q], keys, weights) for q in queries])
+    alone = np.concatenate([kern.dot(queries[[i]], keys, weights) for i in range(50)])
     monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", molecules * 6)
     monkeypatch.setattr(gpr, "_FACTOR_ENTRIES", rows * len(keys))
     kern.molecule_provider.requests.clear()
@@ -322,7 +377,7 @@ def test_the_mean_by_molecule_is_bitwise_the_same_in_any_chunks(monkeypatch, mol
     assert [m for a, _ in requests for m in a] == query_mols  # each molecule once
     assert all(b == train_mols for _, b in requests)
     assert whole.tobytes() == gpr._mean_by_rows(kern, queries, keys, weights).tobytes()
-    assert kern.dot([], keys, weights).shape == (0, 3)
+    assert kern.dot(_rows([]), keys, weights).shape == (0, 3)
 
 
 @st.composite
@@ -334,11 +389,11 @@ def product_fits(draw):
     train_mols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
     keys = [(m, draw(temperature)) for m in train_mols
             for _ in range(draw(st.integers(1, 5)))]
-    keys = [keys[i] for i in draw(st.permutations(range(len(keys))))]
+    keys = _rows([keys[i] for i in draw(st.permutations(range(len(keys))))])
     targets = draw(st.integers(1, 3))
     y = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=len(keys) * targets,
                                max_size=len(keys) * targets))).reshape(len(keys), targets)
-    queries = draw(st.lists(st.tuples(st.sampled_from(pool), temperature), max_size=12))
+    queries = _rows(draw(st.lists(st.tuples(st.sampled_from(pool), temperature), max_size=12)))
     return keys, y, queries, draw(st.floats(2.0, 200.0))
 
 
@@ -349,7 +404,7 @@ def test_the_mean_by_molecule_matches_the_row_blocks(fit_case):
     kern = TemperatureProductKernel(RbfProvider(length_scale=1.5), length_scale=ell)
     model = fit(keys, y, noise=1e-2, kernel_provider=kern)
     weights = model.dual_weights
-    want = gpr._mean_by_rows(kern, tuple(queries), model.training_keys, weights)
+    want = gpr._mean_by_rows(kern, queries, model.training_keys, weights)
     got = kern.dot(queries, model.training_keys, weights)
     assert got.tobytes() == want.tobytes()
     # predict_mean is that product, de-standardized
@@ -375,10 +430,10 @@ def test_prediction_memory_is_set_by_the_block_budget():
     blocks of 2 MB it stays under 16 MB."""
     kern = TemperatureProductKernel(RbfProvider(length_scale=3.0), length_scale=50.0)
     grid = [250.0 + 10.0 * t for t in range(16)]
-    train = [(float(m), t) for m in range(18) for t in grid]
+    train = _rows([(float(m), t) for m in range(18) for t in grid])
     rng = np.random.default_rng(0)
     model = fit(train, rng.normal(size=(len(train), 3)), noise=1e-2, kernel_provider=kern)
-    queries = [(m / 70.0, grid[i % 16]) for i, m in enumerate(range(20_000))]
+    queries = _rows([(m / 70.0, grid[i % 16]) for i, m in enumerate(range(20_000))])
     for predict in (model.predict_mean, model.predict_variance):
         tracemalloc.start()
         try:

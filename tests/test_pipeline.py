@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from alkspace import active_learning as al
 from alkspace import cli, gpr, mgk, molspace, pipeline, thermo
-from alkspace._atomic import json_text, write_atomic, write_json
+from alkspace._atomic import csv_rows, json_text, row_error, write_atomic, write_json
 from alkspace.mgk import MgkCalculator
 from alkspace.molspace import parse_smiles, to_canonical_smiles
 from alkspace.pipeline import (
@@ -44,6 +44,20 @@ from alkspace.pipeline import (
     split_test,
     write_predictions,
 )
+
+def _rows(keys) -> gpr.Rows:
+    """The rows of a list of (molecule, temperature) tuples, the list form
+    that is the tests' oracle, molecules in order of first appearance."""
+    molecules = list(dict.fromkeys(m for m, _ in keys))
+    index = {m: i for i, m in enumerate(molecules)}
+    return gpr.Rows(molecules, [index[m] for m, _ in keys], [t for _, t in keys])
+
+
+def _tuples(rows: gpr.Rows) -> list:
+    """The (molecule, temperature) tuples of ``rows``."""
+    of_row = rows.molecule.tolist()
+    return [(rows.molecules[i], t) for i, t in zip(of_row, rows.temperature.tolist())]
+
 
 def _same(a: thermo.Dataset, b: thermo.Dataset) -> bool:
     """Whether two datasets hold the same ids and, bit for bit, arrays."""
@@ -452,7 +466,8 @@ def test_training_set_filters_qc_failures():
     data = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
     model = _fitted_on(_failing(data, "vapor", [1]))
     good = data.ids[0]
-    assert model.training_keys == tuple((good, t) for t in data.temperatures[0].tolist())
+    assert model.training_keys.molecules == (good,)
+    assert _tuples(model.training_keys) == [(good, t) for t in data.temperatures[0].tolist()]
     assert model.dual_weights.shape == (thermo.GRID_POINTS, 3)
     assert model.y_mean[0] == np.mean(data.values[0, :, 0].tolist())
 
@@ -495,7 +510,7 @@ def _tiny_report() -> EvalReport:
 
 def test_export_plot_data_layout_and_idempotence(tmp_path):
     report = _tiny_report()
-    keys = [("CCCC", 200.0), ("CCCCC", 210.0)]
+    keys = _rows([("CCCC", 200.0), ("CCCCC", 210.0)])
     truths = [[600.0, 620.0]] * len(pipeline.PROPERTIES)
     preds = [[[601.0, 618.0]] * len(pipeline.PROPERTIES)]
     out = str(tmp_path)
@@ -547,6 +562,9 @@ def _csv_writer_bytes(header, rows) -> bytes:
     st.data(),
 )
 def test_artifact_text_is_what_csv_writer_writes(keys, data):
+    # rows hold their temperatures as floats
+    keys = [(label, float(t)) for label, t in keys]
+    rows = _rows(keys)
     n = len(keys)
     column = st.lists(_NUMBERS, min_size=n, max_size=n)
     truths = [data.draw(column) for _ in pipeline.PROPERTIES]
@@ -578,7 +596,7 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
         st.lists(_NUMBERS, min_size=3, max_size=3), min_size=n, max_size=n,
     )), dtype=float).reshape(n, 3)
     with tempfile.TemporaryDirectory() as out:
-        written = export_plot_data(report, keys, truths, preds, out)
+        written = export_plot_data(report, rows, truths, preds, out)
         want = {}
         for stage, columns in zip(stages, preds):
             for prop, truth, pred in zip(pipeline.PROPERTIES, truths, columns):
@@ -609,7 +627,7 @@ def test_artifact_text_is_what_csv_writer_writes(keys, data):
         ])
 
         predictions = os.path.join(out, "pred.csv")
-        assert write_predictions(predictions, keys, values) == n
+        assert write_predictions(predictions, rows, values) == n
         assert Path(predictions).read_bytes() == _csv_writer_bytes(
             pipeline.PREDICTION_HEADER,
             [[label, t, *row] for (label, t), row in zip(keys, values.tolist())],
@@ -623,9 +641,9 @@ def test_prediction_roundtrip(tmp_path):
     keys = [("CCCC", 200.0), ("CC(C)C", 210.1)]
     values = np.array([[601.25, 150.5, 22.125], [598.0, 149.0, 21.5]])
     path = str(tmp_path / "pred.csv")
-    assert write_predictions(path, keys, values) == 2
-    got_keys, got = read_predictions(path)
-    assert got_keys == keys
+    assert write_predictions(path, _rows(keys), values) == 2
+    got_rows, got = read_predictions(path)
+    assert _tuples(got_rows) == keys
     assert got.tobytes() == values.tobytes()
 
 
@@ -633,9 +651,10 @@ def test_read_predictions_rejects_a_repeated_row(tmp_path):
     """A molecule's row at one temperature comes once: a repeat would be
     scored twice."""
     truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
-    keys, values = truth.rows()
+    rows, values = truth.rows()
+    keys = _tuples(rows)
     path = tmp_path / "pred.csv"
-    write_predictions(str(path), keys, values)
+    write_predictions(str(path), rows, values)
     lines = path.read_bytes().splitlines(keepends=True)
     # three rows of the file appended to it, as `cat` would
     path.write_bytes(b"".join(lines + lines[5:8]))
@@ -645,8 +664,8 @@ def test_read_predictions_rejects_a_repeated_row(tmp_path):
         read_predictions(str(path))
     # the same temperature of another molecule is another row
     other = [(mol, keys[0][1]) for mol in truth.ids]
-    write_predictions(str(path), other, values[:2])
-    assert read_predictions(str(path))[0] == other
+    write_predictions(str(path), _rows(other), values[:2])
+    assert _tuples(read_predictions(str(path))[0]) == other
 
 
 def test_read_predictions_rejects_foreign_header(tmp_path):
@@ -674,13 +693,115 @@ def test_evaluate_predictions_joins_on_molecule_and_temperature():
     temps = truth.temperatures.tolist()
     keys = [(truth.ids[j], temps[j][i]) for j in (1, 0) for i in (1, 0)]
     values = np.array([truth.values[j, i] for j in (1, 0) for i in (1, 0)])
-    metrics = evaluate_predictions(keys, values, truth)
+    metrics = evaluate_predictions(_rows(keys), values, truth)
     assert set(metrics) == set(pipeline.PROPERTIES)
     assert metrics["density"].rmse == 0.0
     with pytest.raises(ValueError, match="no truth row"):
-        evaluate_predictions([("CCCC", 999.0)], np.zeros((1, 3)), truth)
+        evaluate_predictions(_rows([("CCCC", 999.0)]), np.zeros((1, 3)), truth)
     with pytest.raises(ValueError, match="no predictions"):
-        evaluate_predictions([], np.zeros((0, 3)), truth)
+        evaluate_predictions(_rows([]), np.zeros((0, 3)), truth)
+
+
+def _read_predictions_by_dict(path):
+    """The list of (molecule, temperature) tuples and the values of a
+    prediction file, each tuple a dict key: the oracle of
+    :func:`read_predictions`."""
+    lines = {}  # each key's line
+    values = []
+    for line, smiles, row in csv_rows(path, pipeline.PREDICTION_HEADER):
+        if (first := lines.setdefault((smiles, row[0]), line)) != line:
+            raise row_error(path, line, f"{smiles} at {row[0]!r} K repeats line {first}")
+        values.append(row[1:])
+    return list(lines), np.array(values, dtype=float).reshape(-1, 3)
+
+
+def _evaluate_predictions_by_dict(keys, predictions, truths):
+    """Predictions joined to the truth rows through a dict over their
+    (molecule, temperature) tuples: the oracle of :func:`evaluate_predictions`."""
+    truth_rows, truth_values = truths.rows()
+    row_of = {key: i for i, key in enumerate(_tuples(truth_rows))}
+    if not keys:
+        raise ValueError("no predictions to evaluate")
+    missing = [k for k in keys if k not in row_of]
+    if missing:
+        raise ValueError(f"no truth row for {missing[0]}")
+    return pipeline._metrics_by_property(predictions, truth_values[[row_of[k] for k in keys]])
+
+
+def _scored(path, truth, read, score) -> str:
+    """The metrics of the prediction file at ``path`` against ``truth``, or
+    the error that rejects it."""
+    try:
+        return repr(score(*read(path), truth))
+    except ValueError as exc:
+        return str(exc)
+
+
+_TRUTH = pipeline.simulate_molecules(["CCCC", "CC(C)C", "CCCCC"], 0.003, 7)
+# rows that no truth row matches: a molecule the truth lacks, and a
+# temperature between two of a molecule's grid points
+_FOREIGN = [("CCCCCC", 300.0), (_TRUTH.ids[2], float(_TRUTH.temperatures[2, :2].mean()))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, len(_TRUTH) * thermo.GRID_POINTS + len(_FOREIGN) - 1), max_size=60),
+    st.integers(0, 2**32 - 1),
+)
+def test_prediction_files_are_read_and_scored_as_the_dict_join_does(picks, seed):
+    """Prediction files of truth rows in any order, some repeated, some
+    with no truth row, are read and scored with the metrics, bit for bit,
+    or the error text of the dict-based join."""
+    keys = _tuples(_TRUTH.rows()[0]) + _FOREIGN
+    values = np.random.default_rng(seed).normal(500.0, 50.0, size=(len(picks), 3))
+    text = _csv_writer_bytes(pipeline.PREDICTION_HEADER,
+                             [[*keys[i], *v] for i, v in zip(picks, values.tolist())])
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "pred.csv")
+        Path(path).write_bytes(text)
+        want = _scored(path, _TRUTH, _read_predictions_by_dict, _evaluate_predictions_by_dict)
+        assert _scored(path, _TRUTH, read_predictions, evaluate_predictions) == want
+
+
+@pytest.mark.parametrize("truth, key", [
+    (_TRUTH, _FOREIGN[0]), (_TRUTH, _FOREIGN[1]), (_TRUTH.take(slice(0)), _FOREIGN[1]),
+])
+def test_a_prediction_without_a_truth_row_is_named_as_the_dict_join_names_it(truth, key):
+    """The first row in order without a truth row is named: one of another
+    molecule, one off its molecule's grid, or any row of an empty truth."""
+    keys = _tuples(_TRUTH.rows()[0])[:3] + [key] + _FOREIGN
+    first = key if len(truth) else keys[0]
+    for score, rows in ((evaluate_predictions, _rows(keys)),
+                        (_evaluate_predictions_by_dict, keys)):
+        with pytest.raises(ValueError) as info:
+            score(rows, np.zeros((len(keys), 3)), truth)
+        assert str(info.value) == f"no truth row for ({first[0]!r}, {first[1]!r})"
+
+
+@pytest.mark.parametrize("order, message", [
+    # a row three times: the second names the first
+    ([0, 1, 0, 2, 0], "line 4: {m0} at {t0!r} K repeats line 2"),
+    # two different repeats: the earlier in the file, though the other's
+    # molecule or temperature comes first
+    ([0, 3, 3, 0], "line 4: {m3} at {t3!r} K repeats line 3"),
+    ([1, 2, 2, 1], "line 4: {m2} at {t2!r} K repeats line 3"),
+    ([0, 3, 1, 0, 3], "line 5: {m0} at {t0!r} K repeats line 2"),
+])
+def test_a_repeated_prediction_row_is_named_as_the_dict_join_names_it(tmp_path, order, message):
+    truth = pipeline.simulate_molecules(["CCCC", "CCCCC"], 0.0, 7)
+    rows, values = truth.rows()
+    keys = _tuples(rows)
+    picks = [0, 1, 2, thermo.GRID_POINTS]  # CCCC at its first three points, CCCCC at its first
+    path = tmp_path / "pred.csv"
+    path.write_bytes(_csv_writer_bytes(pipeline.PREDICTION_HEADER, [
+        [*keys[picks[i]], *values[picks[i]].tolist()] for i in order
+    ]))
+    named = {f"{x}{i}": v for i, p in enumerate(picks) for x, v in zip("mt", keys[p])}
+    want = f"{str(path)!r} {message.format(**named)}"
+    for read in (read_predictions, _read_predictions_by_dict):
+        with pytest.raises(ValueError) as info:
+            read(str(path))
+        assert str(info.value) == want
 
 
 def test_predict_properties_covers_each_oracle_grid(tmp_path):
@@ -691,12 +812,13 @@ def test_predict_properties_covers_each_oracle_grid(tmp_path):
     train_path = str(tmp_path / "train.csv")
     thermo.write_dataset(train_path, train_series)
     train = thermo.read_dataset(train_path)
-    keys, values = predict_properties(train, ["CC(C)C"], cfg)
+    rows, values = predict_properties(train, ["CC(C)C"], cfg)
     assert values.shape == (thermo.GRID_POINTS, 3)
     truth = pipeline.simulate_molecules(["CC(C)C"], 0.0, 7)
+    keys = _tuples(rows)
     assert keys == [(truth.ids[0], t) for t in truth.temperatures[0].tolist()]
     again = predict_properties(train, ["CC(C)C"], cfg)
-    assert again[0] == keys and again[1].tobytes() == values.tobytes()
+    assert _tuples(again[0]) == keys and again[1].tobytes() == values.tobytes()
 
 
 def test_predict_properties_parses_each_spelling_once(tmp_path, monkeypatch):
@@ -879,13 +1001,13 @@ def test_predictions_do_not_depend_on_their_companions(c10_stage3, monkeypatch):
     means = [
         np.concatenate([model.predict_mean(test.take([i]).rows()[0])
                         for i in range(len(test))]),
-        np.concatenate([model.predict_mean([k]) for k in keys]),
+        np.concatenate([model.predict_mean(keys[[i]]) for i in range(len(keys))]),
     ]
     for rows in (1, 7):
         mean, blocked_variance = predicted(rows)
         means.append(mean)
         np.testing.assert_allclose(blocked_variance, variance, rtol=0, atol=1e-12)
-    monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", len({m for m, _ in model.training_keys}))
+    monkeypatch.setattr(gpr, "_PREDICT_ENTRIES", len(model.training_keys.molecules))
     means.append(model.predict_mean(keys))
     assert whole.shape == (len(keys), 3) and len(keys) > 7
     for mean in means:
@@ -900,7 +1022,7 @@ def test_the_c4_c10_mean_by_molecule_is_bitwise_the_row_block_mean(c10_stage3):
     keys, _ = test.rows()
     kern, train = model.kernel_provider, model.training_keys
     got = kern.dot(keys, train, model.dual_weights)
-    want = gpr._mean_by_rows(kern, tuple(keys), train, model.dual_weights)
+    want = gpr._mean_by_rows(kern, keys, train, model.dual_weights)
     assert got.shape == (960, 3)
     assert got.tobytes() == want.tobytes()
 

@@ -344,7 +344,10 @@ def test_a_dataset_is_frozen_and_takes_prefixes_and_subsets():
     assert _same(data.take([3, 0]), thermo.simulate_batch([ids[3], ids[0]], 0.02, 5))
     mask = np.array([True, False, True, False])
     assert _same(data.take(mask), thermo.simulate_batch(ids[::2], 0.02, 5))
-    keys, values = data.rows()
+    rows, values = data.rows()
+    assert rows.molecules == data.ids
+    of_row = rows.molecule.tolist()
+    keys = [(rows.molecules[i], t) for i, t in zip(of_row, rows.temperature.tolist())]
     assert keys == [(m, t) for m, grid in zip(ids, data.temperatures.tolist()) for t in grid]
     assert values.tobytes() == data.values.tobytes() and values.shape == (4 * GRID_POINTS, 3)
 
@@ -364,8 +367,8 @@ def test_the_simulated_c4_c14_data_holds_under_3_mb():
 
 
 def test_writing_the_simulated_c4_c14_data_holds_under_2_5_times_the_file(tmp_path):
-    """write_dataset renders a chunk of molecules at a time and writes it
-    as it goes, and compares a file already there piece by piece; written
+    """write_dataset renders a chunk of rows at a time and writes it as it
+    goes, and compares a file already there piece by piece; written
     whole, the lines, their join and its encoding took 5.3 times the file
     traced, and 5.8 times over a file of those bytes, which was read whole."""
     ids = [str(s) for s in enumerate_alkane_smiles(4, 14)]
